@@ -123,11 +123,14 @@ def make_parser() -> _Parser:
 
 
 def _parse_marked(t, text):
+    """Face id named by ``--marked-face`` (a face id or a vertex triple)."""
     if text is None:
         return None
-    if "," in text:
-        return tuple(int(x) for x in text.split(","))
-    return int(text)
+    try:
+        marked = tuple(int(x) for x in text.split(",")) if "," in text else int(text)
+        return resolve_marked_face(t, marked)[0]
+    except ValueError as exc:
+        raise UsageError(f"--marked-face {text}: {exc}")
 
 
 def _cmd_validate(args) -> int:
@@ -222,19 +225,20 @@ def _cmd_render(args) -> int:
 def _cmd_diagnose(args) -> int:
     t = formats.load_triangulation(args.triangulation)
     theta = formats.load_theta(t, args.theta)
-    avoid = ()
-    if args.marked_face is not None:
-        _, face = resolve_marked_face(t, _parse_marked(t, args.marked_face))
-        avoid = face
+    fid = _parse_marked(t, args.marked_face)
+    avoid = () if fid is None else t.faces[fid]
     table = rank_collapse_suspects(t, theta, args.diag_max, avoid=avoid, top=50)
     _emit(formats.dumps({"suspects": [d.to_dict() for d in table]}), args.json_out)
     return 0
 
 
 def _cmd_probe(args) -> int:
-    radii = tuple(float(x) for x in args.radii.split(","))
-    angles = tuple(float(x) for x in args.angles.split(","))
-    spec = triples.TripleSpec(args.mode, radii, angles)
+    try:
+        radii = tuple(float(x) for x in args.radii.split(","))
+        angles = tuple(float(x) for x in args.angles.split(","))
+        spec = triples.TripleSpec(args.mode, radii, angles)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     geo = triples.triple_geometry(spec)
     _emit(
         formats.dumps(

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,23 +138,35 @@ def _edge_tuple(t: Triangulation, eids: Sequence[int]) -> Tuple[Tuple[int, int],
 
 
 # ---------------------------------------------------------------------------
-# individual conditions
+# inequality engine, shared by the triangulation and polyhedron classes
+#
+# Each routine takes edge values indexed by edge id, ``label`` mapping an
+# edge id to the edge name its certificates carry, and the condition tag.
 # ---------------------------------------------------------------------------
 
-def _c1_violations(t: Triangulation, theta: AngleAssignment) -> List[Violation]:
-    """Per face, each angle pair must stay below the third angle plus pi."""
+MARDEN_TAGS = ("c1", "c2", "c3", "c4")
+ANDREEV_TAGS = ("s1", "s2", "s3", "s4")
+
+EdgeLabel = Callable[[int], Tuple[int, int]]
+
+
+def _face_violations(t: Triangulation, vals: Sequence[float], label: EdgeLabel,
+                     tag: str, min_sum: Optional[float] = None) -> List[Violation]:
+    """Per face, each angle pair must stay below the third angle plus pi;
+    with ``min_sum``, the face's angle sum must also exceed it."""
     out = []
     for fid in range(t.face_count):
         eids = t.face_edge_ids(fid)
-        vals = [theta[e] for e in eids]
+        edges = tuple(map(label, eids))
+        th = [vals[e] for e in eids]
+        if min_sum is not None and compare(sum(th), min_sum) <= 0:
+            out.append(Violation(tag, t.faces[fid], edges, sum(th), min_sum))
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
-            lhs = vals[i] + vals[j]
-            bound = vals[k] + PI
+            lhs = th[i] + th[j]
+            bound = th[k] + PI
             if compare(lhs, bound) >= 0:
-                out.append(
-                    Violation("c1", t.faces[fid], _edge_tuple(t, eids), lhs, bound)
-                )
+                out.append(Violation(tag, t.faces[fid], edges, lhs, bound))
     return out
 
 
@@ -166,41 +179,61 @@ def is_triangular_bipyramid(t: Triangulation) -> bool:
     return not t.has_edge(apexes[0], apexes[1])
 
 
-def _c2_violations(t: Triangulation, theta: AngleAssignment) -> List[Violation]:
+def _arc_violations(t: Triangulation, vals: Sequence[float], label: EdgeLabel,
+                    tag: str) -> List[Violation]:
     """Homologically non-adjacent arc sums stay at or below pi; on the
     triangular bipyramid at least one of them must be strict."""
     out = []
     non_adjacent = [a for a in enumerate_two_arcs(t) if a.is_homologically_non_adjacent]
     any_strict = False
     for arc in non_adjacent:
-        lhs = theta[arc.edges[0]] + theta[arc.edges[1]]
+        lhs = vals[arc.edges[0]] + vals[arc.edges[1]]
         cmp = compare(lhs, PI)
         if cmp > 0:
-            out.append(Violation("c2", arc.vertices, _edge_tuple(t, arc.edges), lhs, PI))
+            out.append(Violation(tag, arc.vertices, tuple(map(label, arc.edges)), lhs, PI))
         elif cmp < 0:
             any_strict = True
     if non_adjacent and is_triangular_bipyramid(t) and not any_strict and not out:
         arc = non_adjacent[0]
-        lhs = theta[arc.edges[0]] + theta[arc.edges[1]]
-        out.append(
-            Violation("c2-strict", arc.vertices, _edge_tuple(t, arc.edges), lhs, PI)
-        )
+        lhs = vals[arc.edges[0]] + vals[arc.edges[1]]
+        out.append(Violation(f"{tag}-strict", arc.vertices, tuple(map(label, arc.edges)),
+                             lhs, PI))
     return out
 
 
-def _c3_c4_violations(t: Triangulation, theta: AngleAssignment) -> List[Violation]:
-    """Separating 3-cycles sum below pi, separating 4-cycles below 2*pi."""
+def _cycle_violations(t: Triangulation, vals: Sequence[float], label: EdgeLabel,
+                      tags: Tuple[str, str],
+                      keep: Callable[[Circuit], bool]) -> List[Violation]:
+    """Kept 3-cycles sum below pi and kept 4-cycles below 2*pi; ``tags``
+    names the two conditions."""
     out = []
     for cyc in enumerate_simple_cycles(t, 4):
-        if not cyc.separates_vertices:
+        if not keep(cyc):
             continue
         k = len(cyc)
-        lhs = sum(theta[e] for e in cyc.edges)
+        lhs = sum(vals[e] for e in cyc.edges)
         bound = PI if k == 3 else 2.0 * PI
         if compare(lhs, bound) >= 0:
-            tag = "c3" if k == 3 else "c4"
-            out.append(Violation(tag, cyc.vertices, _edge_tuple(t, cyc.edges), lhs, bound))
+            out.append(Violation(tags[k - 3], cyc.vertices, tuple(map(label, cyc.edges)),
+                                 lhs, bound))
     return out
+
+
+def _violations(t: Triangulation, vals: Sequence[float], label: EdgeLabel,
+                tags: Tuple[str, str, str, str], keep: Callable[[Circuit], bool],
+                min_face_sum: Optional[float] = None) -> List[Violation]:
+    """The four conditions in order: face, arc, 3- and 4-cycle."""
+    return (
+        _face_violations(t, vals, label, tags[0], min_face_sum)
+        + _arc_violations(t, vals, label, tags[1])
+        + _cycle_violations(t, vals, label, tags[2:], keep)
+    )
+
+
+def _flags(violations: Sequence[Violation], tags: Sequence[str]) -> Dict[str, bool]:
+    """Per tag, whether no violation carries it (``c2-strict`` counts as c2)."""
+    failed = {v.condition.split("-")[0] for v in violations}
+    return {tag: tag not in failed for tag in tags}
 
 
 def _face_sum_flags(t: Triangulation, theta: AngleAssignment):
@@ -212,29 +245,25 @@ def _face_sum_flags(t: Triangulation, theta: AngleAssignment):
     return sums, m5_all, g5_some
 
 
-def _report(requested: str, flags: Dict[str, bool], violations: List[Violation],
-            relevant: Sequence[str]) -> ConditionReport:
-    passed = not [v for v in violations if v.condition.split("-")[0] in relevant]
-    return ConditionReport(requested, passed, flags, violations)
+def _report(requested: str, violations: List[Violation],
+            tags: Sequence[str]) -> ConditionReport:
+    return ConditionReport(requested, not violations, _flags(violations, tags), violations)
 
 
 def check_c1(t: Triangulation, theta: AngleAssignment) -> ConditionReport:
-    v = _c1_violations(t, theta)
-    return _report("c1", {"c1": not v}, v, ("c1",))
+    v = _face_violations(t, theta.values, t.edges.__getitem__, "c1")
+    return _report("c1", v, ("c1",))
 
 
 def check_c2(t: Triangulation, theta: AngleAssignment) -> ConditionReport:
-    v = _c2_violations(t, theta)
-    return _report("c2", {"c2": not v}, v, ("c2",))
+    v = _arc_violations(t, theta.values, t.edges.__getitem__, "c2")
+    return _report("c2", v, ("c2",))
 
 
 def check_c3_c4(t: Triangulation, theta: AngleAssignment) -> ConditionReport:
-    v = _c3_c4_violations(t, theta)
-    flags = {
-        "c3": not [x for x in v if x.condition == "c3"],
-        "c4": not [x for x in v if x.condition == "c4"],
-    }
-    return _report("c3c4", flags, v, ("c3", "c4"))
+    v = _cycle_violations(t, theta.values, t.edges.__getitem__, ("c3", "c4"),
+                          attrgetter("separates_vertices"))
+    return _report("c3c4", v, ("c3", "c4"))
 
 
 def classify(t: Triangulation, theta: AngleAssignment,
@@ -246,22 +275,14 @@ def classify(t: Triangulation, theta: AngleAssignment,
     than four vertices) and ``g5`` (interstice regime: some face sum
     below pi).
     """
-    violations = (
-        _c1_violations(t, theta)
-        + _c2_violations(t, theta)
-        + _c3_c4_violations(t, theta)
-    )
+    violations = _violations(t, theta.values, t.edges.__getitem__, MARDEN_TAGS,
+                             attrgetter("separates_vertices"))
     _, m5_all, g5_some = _face_sum_flags(t, theta)
     positive = all(compare(v, 0.0) > 0 for v in theta.values)
-    flags = {
-        "c1": not [v for v in violations if v.condition == "c1"],
-        "c2": not [v for v in violations if v.condition.startswith("c2")],
-        "c3": not [v for v in violations if v.condition == "c3"],
-        "c4": not [v for v in violations if v.condition == "c4"],
-        "m5": m5_all and positive and t.vertex_count > 4,
-        "g5": g5_some,
-    }
-    base = flags["c1"] and flags["c2"] and flags["c3"] and flags["c4"]
+    flags = _flags(violations, MARDEN_TAGS)
+    flags["m5"] = m5_all and positive and t.vertex_count > 4
+    flags["g5"] = g5_some
+    base = all(flags[tag] for tag in MARDEN_TAGS)
     flags["marden"] = base
     flags["w_m"] = base and flags["m5"]
     flags["w_g"] = base and flags["g5"]
@@ -358,83 +379,17 @@ def check_andreev(poly_faces: Sequence[Sequence[int]],
         missing = sorted(set(to_dual) - set(canon))
         extra = sorted(set(canon) - set(to_dual))
         raise ValueError(f"missing edges {missing}, unknown edges {extra}")
+    domain = [Violation("domain", pe, (pe,), v, PI)
+              for pe, v in canon.items() if not (0.0 < v < PI)]
+    if domain:
+        return ConditionReport("andreev", False, {"domain": False}, domain)
     vals = [0.0] * t.edge_count
     for pe, eid in to_dual.items():
         vals[eid] = canon[pe]
-
-    violations: List[Violation] = []
-
-    def primal_edges(eids):
-        return tuple(to_primal[e] for e in eids)
-
-    for pe, v in canon.items():
-        if not (0.0 < v < PI):
-            violations.append(Violation("domain", pe, (pe,), v, PI))
-    if violations:
-        return ConditionReport("andreev", False, {"domain": False}, violations)
-
-    # s1: polyhedron vertices are dual faces
-    s1_ok = True
-    for fid in range(t.face_count):
-        eids = t.face_edge_ids(fid)
-        th = [vals[e] for e in eids]
-        total = sum(th)
-        if compare(total, PI) <= 0:
-            s1_ok = False
-            violations.append(
-                Violation("s1", t.faces[fid], primal_edges(eids), total, PI)
-            )
-        for k in range(3):
-            i, j = (k + 1) % 3, (k + 2) % 3
-            if compare(th[i] + th[j], th[k] + PI) >= 0:
-                s1_ok = False
-                violations.append(
-                    Violation(
-                        "s1", t.faces[fid], primal_edges(eids), th[i] + th[j], th[k] + PI
-                    )
-                )
-
-    # s2: non-adjacent arcs in the dual complex
-    s2_ok = True
-    non_adjacent = [a for a in enumerate_two_arcs(t) if a.is_homologically_non_adjacent]
-    any_strict = False
-    for arc in non_adjacent:
-        lhs = vals[arc.edges[0]] + vals[arc.edges[1]]
-        cmp = compare(lhs, PI)
-        if cmp > 0:
-            s2_ok = False
-            violations.append(
-                Violation("s2", arc.vertices, primal_edges(arc.edges), lhs, PI)
-            )
-        elif cmp < 0:
-            any_strict = True
-    if non_adjacent and is_triangular_bipyramid(t) and not any_strict and s2_ok:
-        arc = non_adjacent[0]
-        lhs = vals[arc.edges[0]] + vals[arc.edges[1]]
-        s2_ok = False
-        violations.append(
-            Violation("s2-strict", arc.vertices, primal_edges(arc.edges), lhs, PI)
-        )
-
-    # s3 / s4: prismatic circuits
-    s3_ok = s4_ok = True
-    for cyc in enumerate_simple_cycles(t, 4):
-        if not cyc.is_prismatic:
-            continue
-        k = len(cyc)
-        lhs = sum(vals[e] for e in cyc.edges)
-        bound = PI if k == 3 else 2.0 * PI
-        if compare(lhs, bound) >= 0:
-            tag = "s3" if k == 3 else "s4"
-            if k == 3:
-                s3_ok = False
-            else:
-                s4_ok = False
-            violations.append(
-                Violation(tag, cyc.vertices, primal_edges(cyc.edges), lhs, bound)
-            )
-
-    flags = {"s1": s1_ok, "s2": s2_ok, "s3": s3_ok, "s4": s4_ok}
+    # polyhedron vertices are dual faces: s1 adds the strict vertex-sum bound
+    violations = _violations(t, vals, to_primal.__getitem__, ANDREEV_TAGS,
+                             attrgetter("is_prismatic"), min_face_sum=PI)
+    flags = _flags(violations, ANDREEV_TAGS)
     return ConditionReport("andreev", all(flags.values()), flags, violations)
 
 

@@ -40,6 +40,12 @@ def _load(source: Source) -> dict:
         raise UsageError(f"{path}: invalid JSON ({exc})")
 
 
+def _require(data: dict, keys, what: str) -> None:
+    for key in keys:
+        if key not in data:
+            raise UsageError(f"{what} is missing the {key!r} key")
+
+
 def dumps(obj: dict) -> str:
     """Deterministic JSON text: sorted keys, shortest round-trip floats."""
     return json.dumps(obj, sort_keys=True, indent=1)
@@ -47,8 +53,7 @@ def dumps(obj: dict) -> str:
 
 def load_triangulation(source: Source) -> Triangulation:
     data = _load(source)
-    if "faces" not in data:
-        raise UsageError("triangulation JSON needs a 'faces' key")
+    _require(data, ("faces",), "triangulation JSON")
     return build_triangulation(data["faces"], vertex_count=data.get("vertices"))
 
 
@@ -58,17 +63,16 @@ def triangulation_to_dict(t: Triangulation) -> dict:
 
 def load_polyhedron(source: Source):
     data = _load(source)
-    if "faces" not in data:
-        raise UsageError("polyhedron JSON needs a 'faces' key")
+    _require(data, ("faces",), "polyhedron JSON")
     return [tuple(int(v) for v in cycle) for cycle in data["faces"]]
 
 
 def load_theta_map(source: Source) -> Dict[Tuple[int, int], float]:
     data = _load(source)
-    if "theta" not in data:
-        raise UsageError("theta JSON needs a 'theta' key")
+    _require(data, ("theta",), "theta JSON")
     out: Dict[Tuple[int, int], float] = {}
     for item in data["theta"]:
+        _require(item, ("edge", "value"), "theta item")
         e = canonical_edge(int(item["edge"][0]), int(item["edge"][1]))
         if e in out:
             raise UsageError(f"edge {list(e)} specified twice")
@@ -112,9 +116,9 @@ def pattern_to_dict(p: CirclePattern, residuals: Optional[dict] = None) -> dict:
 
 def load_pattern(source: Source) -> CirclePattern:
     data = _load(source)
-    for key in ("mode", "circles", "triangulation", "theta"):
-        if key not in data:
-            raise UsageError(f"pattern JSON needs a {key!r} key")
+    _require(data, ("mode", "circles", "triangulation", "theta"), "pattern JSON")
+    for c in data["circles"]:
+        _require(c, ("center", "radius"), "pattern circle")
     t = load_triangulation(data["triangulation"])
     theta = load_theta(t, data["theta"])
     mode = data["mode"]

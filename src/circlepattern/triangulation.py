@@ -44,6 +44,7 @@ class Triangulation:
     vertex_faces: Tuple[Tuple[int, ...], ...]   # cyclic order around the vertex
     link_cycles: Tuple[Tuple[int, ...], ...]    # neighbor cycle around the vertex
     orientation_flipped: bool
+    face_index: Dict[FrozenSet[int], int]      # vertex set -> face id
 
     # -- basic queries ------------------------------------------------
 
@@ -72,11 +73,7 @@ class Triangulation:
         return (self.edge_id(b, c), self.edge_id(c, a), self.edge_id(a, b))
 
     def face_id_of(self, verts: Sequence[int]) -> Optional[int]:
-        want = frozenset(verts)
-        for fid, f in enumerate(self.faces):
-            if frozenset(f) == want:
-                return fid
-        return None
+        return self.face_index.get(frozenset(verts))
 
     def is_face(self, verts: Sequence[int]) -> bool:
         return self.face_id_of(verts) is not None
@@ -94,6 +91,7 @@ def build_triangulation(faces: Sequence[Sequence[int]], vertex_count: Optional[i
     if not faces:
         raise DegenerateFace("empty face list")
     clean: List[Face] = []
+    face_index: Dict[FrozenSet[int], int] = {}
     for f in faces:
         if len(f) != 3:
             raise DegenerateFace(f"face {tuple(f)} is not a triple")
@@ -102,6 +100,8 @@ def build_triangulation(faces: Sequence[Sequence[int]], vertex_count: Optional[i
             raise DegenerateFace(f"face {(a, b, c)} has repeated vertices")
         if min(a, b, c) < 0:
             raise DegenerateFace(f"face {(a, b, c)} has negative vertex ids")
+        if face_index.setdefault(frozenset((a, b, c)), len(clean)) != len(clean):
+            raise DegenerateFace(f"face {(a, b, c)} is repeated")
         clean.append((a, b, c))
     n = max(max(f) for f in clean) + 1
     if vertex_count is not None:
@@ -141,6 +141,7 @@ def build_triangulation(faces: Sequence[Sequence[int]], vertex_count: Optional[i
         vertex_faces=vertex_faces,
         link_cycles=link_cycles,
         orientation_flipped=flipped,
+        face_index=face_index,
     )
 
 
@@ -235,7 +236,12 @@ def _others(face: Face, v: int) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A closed simple cycle or open two-edge arc in the 1-skeleton."""
+    """A closed simple cycle or open two-edge arc in the 1-skeleton.
+
+    Every flag of a closed cycle is decided locally, from the faces on and
+    next to it; ``separates_vertices`` floods each side only until it meets
+    a vertex off the cycle (see ``_separates``).
+    """
 
     vertices: Tuple[int, ...]
     edges: Tuple[int, ...]
@@ -270,7 +276,9 @@ def enumerate_simple_cycles(
     """All simple closed cycles of length <= max_len, with classification.
 
     DFS anchored at each minimum vertex, deduplicated by canonical form;
-    raises LimitExceeded past ``cap`` cycles.
+    raises LimitExceeded past ``cap`` cycles.  Each cycle is classified
+    locally: face lookups are by vertex set, and separation visits O(k)
+    faces per side for a cycle of length k.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
@@ -321,12 +329,7 @@ def _classify_cycle(t: Triangulation, verts: Tuple[int, ...]) -> Circuit:
                 verts[1], verts[3]
             )
 
-    if k == 3:
-        # a non-facial 3-cycle on a sphere triangulation with |V| > 4
-        # always separates (Jordan); with |V| = 4 every 3-cycle is facial
-        separates = (not facial) and t.vertex_count > 4
-    else:
-        separates = _separates_by_flood(t, verts, eids)
+    separates = _separates(t, verts, eids)
 
     incident = set()
     for e in eids:
@@ -346,32 +349,34 @@ def _classify_cycle(t: Triangulation, verts: Tuple[int, ...]) -> Circuit:
     )
 
 
-def _separates_by_flood(t: Triangulation, verts, eids) -> bool:
-    """Two-sided face flood fill across edges not on the cycle."""
+def _separates(t: Triangulation, verts, eids) -> bool:
+    """Whether both sides of a simple cycle hold a vertex off the cycle.
+
+    The two faces on the cycle's first edge lie on opposite sides.  From
+    each, flood across edges not on the cycle and stop at the first face
+    with a vertex off the cycle.  A side with no such vertex is a
+    triangulated k-gon of k - 2 faces, so each flood visits O(k) faces.
+    """
+    on_cycle = set(verts)
     blocked = set(eids)
-    comp = [-1] * t.face_count
-    sides: List[Set[int]] = []
-    for root in range(t.face_count):
-        if comp[root] != -1:
-            continue
-        cid = len(sides)
-        members: Set[int] = set()
-        comp[root] = cid
-        queue = deque([root])
-        while queue:
-            fid = queue.popleft()
-            members.update(t.faces[fid])
+
+    def side_has_interior(root: int) -> bool:
+        seen = {root}
+        stack = [root]
+        while stack:
+            fid = stack.pop()
+            if not on_cycle.issuperset(t.faces[fid]):
+                return True
             for e in t.face_edge_ids(fid):
                 if e in blocked:
                     continue
                 for gid in t.edge_faces[e]:
-                    if comp[gid] == -1:
-                        comp[gid] = cid
-                        queue.append(gid)
-        sides.append(members)
-    on_cycle = set(verts)
-    interiors = [len(side - on_cycle) for side in sides]
-    return len(sides) == 2 and all(x > 0 for x in interiors)
+                    if gid not in seen:
+                        seen.add(gid)
+                        stack.append(gid)
+        return False
+
+    return all(side_has_interior(root) for root in t.edge_faces[eids[0]])
 
 
 def enumerate_two_arcs(t: Triangulation) -> List[Circuit]:

@@ -579,7 +579,7 @@ def _triple_nonempty(mode, cs, rs, eps) -> bool:
     # nested configurations with no boundary corners)
     for m in range(3):
         others = [x for x in range(3) if x != m]
-        if all(disk_contains(mode, cs[o], rs[o], _center_point(mode, cs[m]), slack=-eps)
+        if all(disk_contains(mode, cs[o], rs[o], cs[m], slack=-eps)
                for o in others):
             return True
     # otherwise some corner of a pairwise lens must lie in the third disk
@@ -592,7 +592,3 @@ def _triple_nonempty(mode, cs, rs, eps) -> bool:
             if disk_contains(mode, cs[c], rs[c], p, slack=-eps):
                 return True
     return False
-
-
-def _center_point(mode, c):
-    return c

@@ -314,8 +314,7 @@ def flower_check(p: CirclePattern, v: int, boundary_samples: int = 4096,
     pts_b = _boundary_points(p, v, boundary_samples)
     pts_i = _interior_points(p, v, interior_grid)
     pts = np.concatenate([pts_b, pts_i])
-    slack = eps if p.mode == triples.EUCLIDEAN else eps
-    in_nbr = p.point_in_disks(pts, slack=slack)[:, nbrs].any(axis=1)
+    in_nbr = p.point_in_disks(pts, slack=eps)[:, nbrs].any(axis=1)
     remaining = ~in_nbr
     if not remaining.any():
         return True, None
@@ -519,7 +518,6 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
         irr_ok = True
         _, witnesses = _irreducibility_witnesses(p, boundary_samples // 8,
                                                  interior_grid // 4)
-        witnesses = {v: w for v, w in witnesses.items()}
     else:
         irr_ok, witnesses = _irreducibility_witnesses(
             p, boundary_samples, interior_grid
@@ -536,10 +534,7 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     lens_records = []
     lens_ok = True
     for tri in _adjacent_triples(t):
-        if p.mode == triples.EUCLIDEAN:
-            cs = [p.centers[v] for v in tri]
-        else:
-            cs = [p.centers[v] for v in tri]
+        cs = [p.centers[v] for v in tri]
         rs = [p.radii[v] for v in tri]
         try:
             records = triples.containment_angle_check(p.mode, cs, rs, tol=1e-9)

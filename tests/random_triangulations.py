@@ -1,0 +1,38 @@
+"""Seeded random sphere triangulations for the tests: vertex stacking and
+simplicial edge flips."""
+from __future__ import annotations
+
+from typing import List
+
+import numpy as np
+
+TETRAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+
+
+def stacked_faces(rng: np.random.Generator, n: int) -> List[List[int]]:
+    """Stack a new vertex into a uniformly drawn face of the tetrahedron's
+    stacking until there are ``n`` vertices."""
+    faces = [list(f) for f in TETRAHEDRON]
+    k = 4
+    while k < n:
+        a, b, c = faces.pop(rng.integers(0, len(faces)))
+        faces += [[a, b, k], [b, c, k], [c, a, k]]
+        k += 1
+    return faces
+
+
+def flip_edges(rng: np.random.Generator, faces, attempts: int) -> List[List[int]]:
+    """Try ``attempts`` flips of uniformly drawn edges.  Edge uv between the
+    oriented faces (u, v, a) and (v, u, b) becomes ab, unless a and b are
+    already adjacent, which would make the complex non-simplicial."""
+    faces = [list(f) for f in faces]
+    for _ in range(attempts):
+        i = int(rng.integers(0, len(faces)))
+        j = int(rng.integers(0, 3))
+        u, v, a = (faces[i][(j + s) % 3] for s in range(3))
+        g = next(g for g, f in enumerate(faces) if g != i and u in f and v in f)
+        b = next(x for x in faces[g] if x not in (u, v))
+        if any(a in f and b in f for f in faces):
+            continue
+        faces[i], faces[g] = [a, u, b], [b, v, a]
+    return faces

@@ -75,6 +75,46 @@ class TestExitCodes:
         assert rc == 1
 
 
+class TestBadInput:
+    """Malformed input exits 1 with a usage error, never a traceback."""
+
+    @staticmethod
+    def _usage_error(argv, capsys):
+        rc = main([str(a) for a in argv])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("marked", ["0,1,9", "99", "x"])
+    def test_bad_marked_face(self, files, capsys, marked):
+        self._usage_error(["solve", files["octa"], files["theta3"], "--mode", "euclidean",
+                           "--marked-face", marked, "--out", files["dir"] / "p.json"], capsys)
+        self._usage_error(["diagnose", files["octa"], files["theta3"],
+                           "--marked-face", marked], capsys)
+
+    @pytest.mark.parametrize("radii", ["1,1", "1,1,x", "0,1,1"])
+    def test_bad_probe_triple(self, capsys, radii):
+        self._usage_error(["probe-triple", "--mode", "euclidean", "--radii", radii,
+                           "--angles", "0,0,0"], capsys)
+
+    @pytest.mark.parametrize("key", ["edge", "value"])
+    def test_theta_item_without_key(self, files, capsys, key):
+        data = json.loads(files["theta3"].read_text())
+        del data["theta"][3][key]
+        bad = files["dir"] / "bad_theta.json"
+        bad.write_text(json.dumps(data))
+        self._usage_error(["validate", files["octa"], bad], capsys)
+
+    @pytest.mark.parametrize("key", ["center", "radius"])
+    def test_circle_without_key(self, files, capsys, key):
+        pattern = files["dir"] / "pattern.json"
+        assert main(["solve", str(files["tetra"]), str(files["theta0"]), "--mode",
+                     "euclidean", "--auto-mark", "--out", str(pattern)]) == 0
+        data = json.loads(pattern.read_text())
+        del data["circles"][2][key]
+        pattern.write_text(json.dumps(data))
+        self._usage_error(["verify", "--pattern", pattern], capsys)
+
+
 class TestPipeline:
     def test_solve_then_verify_tetra(self, files, capsys):
         pattern = files["dir"] / "pattern.json"

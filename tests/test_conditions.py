@@ -12,6 +12,7 @@ from circlepattern import (
     check_c3_c4,
     classify,
     detect_whitehead,
+    dual_of_trivalent,
     enumerate_two_arcs,
 )
 from circlepattern import shapes
@@ -224,17 +225,35 @@ class TestAndreev:
             check_andreev(shapes.tetrahedron_faces(), {})
 
     def test_matches_dual_classification(self, shipped_small):
-        """Per-condition agreement with classify on the dual triangulation."""
+        """Per-condition agreement with classify on the dual triangulation,
+        flag by flag and certificate by certificate."""
         rng = np.random.default_rng(23)
         for t in shipped_small.values():
             if t.vertex_count <= 4:
                 continue
             poly = shapes.polyhedron_from_triangulation(t)
+            dual, to_dual, _ = dual_of_trivalent(poly)
             for _ in range(25):
                 vals = rng.uniform(0.05, PI - 0.05, t.edge_count)
                 th = AngleAssignment(t, tuple(vals))
-                flags = classify(t, th).class_flags
-                rep = check_andreev(poly, {e: None for e in []} or _transfer(poly, t, vals))
+                marden = classify(t, th)
+                flags = marden.class_flags
+                rep = check_andreev(poly, _transfer(poly, t, vals))
+                # dual vertex i is polyhedron face i, which is vertex i of t
+                rename = lambda pe: dual.edges[to_dual[pe]]
+                # the face-sum certificates of s1 are the ones bounded by pi
+                s1_pairwise = [v for v in rep.violations if v.bound > PI]
+                for got, want in (
+                    (_certificates(s1_pairwise, "s1", rename),
+                     _certificates(marden.violations, "c1")),
+                    (_certificates(rep.violations, "s2", rename),
+                     _certificates(marden.violations, "c2")),
+                    (_certificates(rep.violations, "s3", rename),
+                     _certificates(marden.violations, "c3")),
+                ):
+                    assert [c[:2] for c in got] == [c[:2] for c in want], t.faces
+                    assert np.allclose([c[2:] for c in got], [c[2:] for c in want],
+                                       rtol=0.0, atol=1e-12)
                 # s2 is literally c2; prismatic 3-circuits are the separating
                 # 3-cycles, so s3 is literally c3
                 assert rep.class_flags["s2"] == flags["c2"], t.faces
@@ -248,10 +267,17 @@ class TestAndreev:
                     assert not rep.class_flags["s1"]
 
 
+def _certificates(violations, tag, rename=lambda e: e):
+    """Violations of one condition, its ``-strict`` form included, as a
+    sorted multiset of (witness vertex set, edge set, lhs, bound)."""
+    return sorted(
+        (tuple(sorted(v.witness)), tuple(sorted(map(rename, v.edges))), v.lhs, v.bound)
+        for v in violations if v.condition.split("-")[0] == tag
+    )
+
+
 def _transfer(poly, t, vals):
     """Angles keyed by polyhedron edges, matching the dual edge bijection."""
-    from circlepattern import dual_of_trivalent
-
     _, to_dual, _ = dual_of_trivalent(poly)
     out = {}
     for pe, eid in to_dual.items():

@@ -17,6 +17,8 @@ from circlepattern import formats, shapes
 from circlepattern.errors import InconsistentOrientation
 from circlepattern.verify import CirclePattern
 
+from random_triangulations import stacked_faces
+
 PI = math.pi
 
 # minimal projective-plane triangulation: every edge in two faces but no
@@ -75,15 +77,7 @@ class TestDeepStacking:
         """Repeated stellation produces circles four orders of magnitude
         apart; the post-layout polish must keep per-edge errors at the
         dimensionless tolerance anyway."""
-        rng = np.random.default_rng(7777)
-        faces = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
-        n = 4
-        while n < 25:
-            i = rng.integers(0, len(faces))
-            a, b, c = faces.pop(i)
-            faces += [[a, b, n], [b, c, n], [c, a, n]]
-            n += 1
-        t = build_triangulation(faces)
+        t = build_triangulation(stacked_faces(np.random.default_rng(7777), 25))
         th = AngleAssignment.constant(t, 0.0)
         cfg, rep = solve_euclidean(t, th, pick_marked_face(t, th))
         pattern = CirclePattern.from_euclidean(t, th, cfg)

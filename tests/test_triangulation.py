@@ -58,6 +58,20 @@ class TestBuild:
         with pytest.raises(DegenerateFace):
             build_triangulation([[0, 1, 1], [0, 1, 2]])
 
+    def test_duplicate_face_rejected(self):
+        # two copies of one triangle pass the edge, orientation and Euler
+        # checks as a 3-vertex "sphere"; either winding is a duplicate
+        for faces in ([[0, 1, 2], [0, 1, 2]], [[0, 1, 2], [2, 1, 0]]):
+            with pytest.raises(DegenerateFace):
+                build_triangulation(faces)
+
+    def test_face_lookup_by_vertex_set(self, octa):
+        for fid, (a, b, c) in enumerate(octa.faces):
+            assert octa.face_id_of((c, a, b)) == fid
+            assert octa.face_id_of([b, a, c]) == fid
+        assert octa.face_id_of((0, 1, 2, 3)) is None
+        assert not octa.is_face((0, 1))
+
     def test_orientation_repair_records_flips(self):
         faces = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
         t0 = build_triangulation(faces)
