@@ -16,6 +16,7 @@ from .degeneration import rank_collapse_suspects
 from .errors import (
     CirclePatternError,
     ConditionsViolated,
+    TriangulationError,
     UsageError,
 )
 from .euclidean import pick_marked_face, resolve_marked_face, solve_euclidean
@@ -45,8 +46,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _solver_options(args) -> SolveOptions:
     opts = SolveOptions()
-    for name in ("tol_K", "tol_angle", "tol_layout", "max_iters", "seed",
-                 "diag_max", "min_step", "auto_mark"):
+    for name in ("tol_K", "tol_angle", "tol_layout", "max_iters", "diag_max",
+                 "min_step", "auto_mark"):
         val = getattr(args, name, None)
         if val is not None:
             opts = opts.with_(**{name: val})
@@ -58,7 +59,7 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--tol-angle", dest="tol_angle", type=float)
     sub.add_argument("--tol-layout", dest="tol_layout", type=float)
     sub.add_argument("--max-iters", dest="max_iters", type=int)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--seed", type=int, help="ignored; the solvers are deterministic")
     sub.add_argument("--diag-max", dest="diag_max", type=int)
     sub.add_argument("--min-step", dest="min_step", type=float)
 
@@ -289,6 +290,9 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         if exc.report is not None:
             print(formats.dumps(exc.report.to_dict()), file=sys.stderr)
+        return EXIT_VALIDATION
+    except TriangulationError as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CirclePatternError as exc:
         print(f"{args.command} error: {exc}", file=sys.stderr)

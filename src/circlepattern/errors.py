@@ -101,7 +101,7 @@ class ContinuationStuck(CirclePatternError):
 
 
 class BaseSolveFailed(CirclePatternError):
-    """No starting configuration converged for the base homotopy problem."""
+    """The tangency packing that starts the spherical homotopy failed."""
 
 
 # --- verification / polyhedron errors -------------------------------------

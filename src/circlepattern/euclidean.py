@@ -19,8 +19,11 @@ from .errors import ConditionsViolated, LayoutInconsistent, Stalled
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
+from ._newton import gauss_newton
 
 PI = math.pi
+POLISH_TOL = 1e-14
+POLISH_ITERS = 8
 
 
 def resolve_marked_face(t: Triangulation, marked_face) -> Tuple[int, Tuple[int, int, int]]:
@@ -362,63 +365,17 @@ def _polish(t: Triangulation, theta: AngleAssignment, centers: np.ndarray,
 
     The curvature iteration leaves a residual that the developing map can
     amplify on circles far smaller than the pattern (the per-edge angle
-    error scales with position error over radius product).  Polishing the
-    square system I_e(z, r) = cos(theta_e) in a pinned gauge drives the
-    dimensionless residuals to machine precision; kept only if it improves.
+    error scales with position error over radius product).  Gauss-Newton on
+    I_e(z, r) = cos(theta_e) drives the dimensionless residuals to rounding
+    level; a step is kept only if it lowers the residual.  Similarities stay
+    free for ``_normalize``; the marked radii move together, which keeps
+    them equal and so fixes the rest of the Moebius freedom.
     """
-    a, b, _ = face
-    n = t.vertex_count
-    free_r = [v for v in range(n) if v not in face]
-    move_z = [v for v in range(n) if v != a]
-    edge_arr = np.asarray(t.edges, dtype=int)
-    cos_target = np.cos(theta.array())
-
-    def residual(x):
-        z = centers.astype(complex).copy()
-        r = radii.astype(float).copy()
-        k = 0
-        for v in move_z:
-            if v == b:
-                z[v] = complex(centers[b].real + x[k], centers[b].imag)
-                k += 1
-            else:
-                z[v] = complex(centers[v].real + x[k], centers[v].imag + x[k + 1])
-                k += 2
-        for v in free_r:
-            r[v] = radii[v] * math.exp(x[k])
-            k += 1
-        du = z[edge_arr[:, 0]] - z[edge_arr[:, 1]]
-        d2 = du.real * du.real + du.imag * du.imag
-        ru, rv = r[edge_arr[:, 0]], r[edge_arr[:, 1]]
-        return (d2 - ru * ru - rv * rv) / (2.0 * ru * rv) - cos_target, z, r
-
-    dim = 2 * len(move_z) - 1 + len(free_r)
-    x = np.zeros(dim)
-    f, _, _ = residual(x)
-    best = float(np.max(np.abs(f)))
-    best_x = x
-    scale = float(np.max(radii))
-    for _ in range(4):
-        J = np.empty((len(f), dim))
-        h = 1e-8 * scale
-        for i in range(dim):
-            xp = best_x.copy()
-            xp[i] += h
-            J[:, i] = (residual(xp)[0] - f) / h
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            break
-        cand = best_x + step
-        fc, _, _ = residual(cand)
-        res = float(np.max(np.abs(fc)))
-        if not math.isfinite(res) or res >= best:
-            break
-        best, best_x, f = res, cand, fc
-        if best < 1e-14:
-            break
-    _, z, r = residual(best_x)
-    return z, r
+    centers, radii, *_ = gauss_newton(
+        triples.EUCLIDEAN, centers, radii, np.asarray(t.edges, dtype=int),
+        np.cos(theta.array()), POLISH_TOL, POLISH_ITERS, tied=face,
+    )
+    return centers, radii
 
 
 def _normalize(centers: np.ndarray, radii: np.ndarray, face) -> Tuple[np.ndarray, np.ndarray]:

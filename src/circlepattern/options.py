@@ -10,11 +10,9 @@ class SolveOptions:
     tol_angle: float = 1e-8       # per-edge realized-angle tolerance
     tol_layout: float = 1e-8      # relative developing-map disagreement
     max_iters: int = 200
-    seed: int = 0
     diag_max: int = 6             # largest collapse-suspect subset reported
     min_step: float = 1e-5        # homotopy step floor
     auto_mark: bool = False       # pick a marked face automatically (CLI)
-    base_attempts: int = 8        # multi-start attempts for the base solve
 
     def with_(self, **kw) -> "SolveOptions":
         return replace(self, **kw)

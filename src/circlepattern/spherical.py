@@ -1,43 +1,48 @@
 """Spherical circle-pattern solver for the no-interstice regime, and the
 stereographic lift of planar patterns to the sphere.
 
-The solver works on the full center/radius configuration under the gauge
-that pins the marked face: its three radii at pi/4, its first center at
-the south pole, its second on the x >= 0 meridian.  The target angles are
-reached by a homotopy from a nearly uniform acute assignment, correcting
-with damped Newton at every step.
+The solver starts from the tangency packing (every angle zero), which the
+Euclidean solver finds from a convex problem, lifts it to the sphere and
+centers it by Lorentz boosts.  It then follows theta_s = s * theta from
+s = 0 to s = 1, correcting every step with the Gauss-Newton kernel of
+``_newton`` and keeping only embedded configurations.  The result is moved
+in closed form into the gauge that pins the marked face: its three radii
+at pi/4, its first center at the south pole, its second on the x >= 0
+meridian.
+
+Circles are also handled as de Sitter vectors (c, cos r) / sin r in
+R^{3,1} with <x, y> = x1 y1 + x2 y2 + x3 y3 - x4 y4: Moebius maps act on
+them as Lorentz transformations, and <p_u, p_v> = -I_uv.
 """
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .conditions import AngleAssignment, classify
 from .configurations import CurvatureReport, EuclideanConfiguration, SphericalConfiguration
 from .degeneration import rank_collapse_suspects
-from .errors import BaseSolveFailed, ConditionsViolated, ContinuationStuck
+from .errors import (
+    BaseSolveFailed,
+    CirclePatternError,
+    ConditionsViolated,
+    ContinuationStuck,
+    DomainError,
+)
+from .euclidean import pick_marked_face, resolve_marked_face, solve_euclidean
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
+from ._newton import gauss_newton, inversive
 
 PI = math.pi
 SOUTH = np.array([0.0, 0.0, -1.0])
-
-
-def edge_inversive_spherical(centers: np.ndarray, radii: np.ndarray,
-                             edge_array: np.ndarray) -> np.ndarray:
-    """Inversive distances of the listed center pairs, vectorized.
-
-    Radii at the open ends of (0, pi) give infinite values; line searches
-    reject those steps, so the overflow is expected and silenced here.
-    """
-    u, v = edge_array[:, 0], edge_array[:, 1]
-    dots = np.einsum("ij,ij->i", centers[u], centers[v])
-    cr, sr = np.cos(radii), np.sin(radii)
-    with np.errstate(divide="ignore", over="ignore"):
-        return (cr[u] * cr[v] - dots) / (sr[u] * sr[v])
+NEWTON_TOL = 1e-13       # corrector tolerance on |I_e - cos(theta_e)|
+CORRECTOR_ITERS = 60
+CENTERING_TOL = 1e-9     # mean cap center norm accepted as centered
+CENTERING_ITERS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -98,117 +103,108 @@ def lift_to_sphere(cfg: EuclideanConfiguration) -> SphericalConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# gauge-fixed configuration system
+# de Sitter vectors and Lorentz boosts
 # ---------------------------------------------------------------------------
 
-class _SphericalSystem:
-    """Unknown vector <-> configuration, with tangent-chart center moves."""
-
-    def __init__(self, t: Triangulation, marked_face: Tuple[int, int, int]):
-        self.t = t
-        self.a, self.b, self.c = marked_face
-        n = t.vertex_count
-        self.free_r = [v for v in range(n) if v not in marked_face]
-        self.free_z = [v for v in range(n) if v not in (self.a, self.b)]
-        self.edge_array = np.asarray(t.edges, dtype=int)
-        self.dim = 1 + 2 * len(self.free_z) + len(self.free_r)
-        self.base_centers = np.zeros((n, 3))
-        self.base_centers[self.a] = SOUTH
-        self._charts = None
-
-    def set_base(self, centers: np.ndarray) -> None:
-        self.base_centers = centers.copy()
-        self.base_centers[self.a] = SOUTH
-        e1 = np.zeros_like(self.base_centers)
-        e2 = np.zeros_like(self.base_centers)
-        for v in self.free_z:
-            n = self.base_centers[v]
-            k = np.zeros(3)
-            k[int(np.argmin(np.abs(n)))] = 1.0
-            t1 = np.cross(n, k)
-            t1 /= np.linalg.norm(t1)
-            e1[v] = t1
-            e2[v] = np.cross(n, t1)
-        self._charts = (e1, e2)
-
-    def pack(self, beta: float, radii: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.dim)
-        x[0] = beta
-        for i, v in enumerate(self.free_r):
-            x[1 + 2 * len(self.free_z) + i] = math.log(math.tan(radii[v] / 2.0))
-        return x
-
-    def unpack(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        n = self.t.vertex_count
-        centers = np.empty((n, 3))
-        centers[self.a] = SOUTH
-        beta = x[0]
-        centers[self.b] = np.array([math.sin(beta), 0.0, -math.cos(beta)])
-        e1, e2 = self._charts
-        for i, v in enumerate(self.free_z):
-            d1, d2 = x[1 + 2 * i], x[2 + 2 * i]
-            vec = self.base_centers[v] + d1 * e1[v] + d2 * e2[v]
-            centers[v] = vec / np.linalg.norm(vec)
-        radii = np.full(n, PI / 4.0)
-        off = 1 + 2 * len(self.free_z)
-        for i, v in enumerate(self.free_r):
-            s = min(500.0, max(-500.0, x[off + i]))  # exp-safe; atan saturates anyway
-            radii[v] = 2.0 * math.atan(math.exp(s))
-        return centers, radii
-
-    def residual(self, x: np.ndarray, target_cos: np.ndarray) -> np.ndarray:
-        centers, radii = self.unpack(x)
-        inv = edge_inversive_spherical(centers, radii, self.edge_array)
-        return inv - target_cos
-
-    def rebase(self, x: np.ndarray) -> np.ndarray:
-        centers, radii = self.unpack(x)
-        self.set_base(centers)
-        return self.pack(x[0], radii)
+def _de_sitter(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    s = np.sin(radii)[:, None]
+    return np.hstack([centers / s, np.cos(radii)[:, None] / s])
 
 
-def _fd_jacobian(fun, x, f0, h=1e-7):
-    J = np.empty((len(f0), len(x)))
-    for i in range(len(x)):
-        step = h * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += step
-        J[:, i] = (fun(xp) - f0) / step
-    return J
+def _from_de_sitter(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    x = p[:, :3]
+    norm = np.linalg.norm(x, axis=1)
+    return x / norm[:, None], np.arctan2(1.0, p[:, 3])
 
 
-def _newton(system: _SphericalSystem, target_cos: np.ndarray, x: np.ndarray,
-            tol: float, max_iters: int) -> Tuple[np.ndarray, bool, int, float]:
-    f = system.residual(x, target_cos)
-    res = float(np.max(np.abs(f)))
-    for it in range(max_iters):
-        if res <= tol:
-            return x, True, it, res
-        J = _fd_jacobian(lambda y: system.residual(y, target_cos), x, f)
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -f, rcond=None)[0]
-        norm0 = np.linalg.norm(f)
-        lam, accepted = 1.0, False
-        for _ in range(25):
-            cand = x + lam * step
-            fc = system.residual(cand, target_cos)
-            if np.all(np.isfinite(fc)) and np.linalg.norm(fc) < norm0:
-                x = system.rebase(cand)
-                f = system.residual(x, target_cos)
-                res = float(np.max(np.abs(f)))
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            return x, False, it, res
-    return x, res <= tol, max_iters, res
+def _boost(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Lorentz boost taking the Klein-model point u (|u| < 1) to the origin,
+    applied to the rows of p."""
+    uu = float(u @ u)
+    if uu == 0.0:
+        return p
+    gamma = 1.0 / math.sqrt(1.0 - uu)
+    x, t = p[:, :3], p[:, 3]
+    ux = x @ u
+    x_new = x + ((gamma - 1.0) * ux / uu - gamma * t)[:, None] * u
+    return np.hstack([x_new, (gamma * (t - ux))[:, None]])
+
+
+def _minkowski(a: np.ndarray, b: np.ndarray) -> float:
+    return float(a[:3] @ b[:3] - a[3] * b[3])
+
+
+def _centered(centers: np.ndarray, radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Boost until the mean cap center is at the origin, so that no cap is
+    much smaller than the rest."""
+    p = _de_sitter(centers, radii)
+    for _ in range(CENTERING_ITERS):
+        mean = np.mean(_from_de_sitter(p)[0], axis=0)
+        if np.linalg.norm(mean) <= CENTERING_TOL:
+            break
+        p = _boost(p, mean)
+    return _from_de_sitter(p)
+
+
+def _tangency_start(t: Triangulation, opts: SolveOptions) -> Tuple[np.ndarray, np.ndarray]:
+    """The lifted and centered tangency packing (theta = 0)."""
+    zero = AngleAssignment.constant(t, 0.0)
+    try:
+        cfg, _ = solve_euclidean(t, zero, pick_marked_face(t, zero), opts)
+    except CirclePatternError as exc:
+        raise BaseSolveFailed(f"tangency packing failed: {exc}") from exc
+    sph = lift_to_sphere(cfg)
+    return _centered(sph.centers, sph.radii)
+
+
+def _into_gauge(centers: np.ndarray, radii: np.ndarray,
+                face: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The Moebius image with the marked radii at pi/4, first marked center
+    at the south pole and second on the x >= 0 meridian.
+
+    A cap has radius pi/4 after the boost taking the timelike unit w to the
+    time axis exactly when -<p, w> = 1.  On the three marked circles that is
+    a 3x4 linear system; with <w, w> = -1 it leaves a quadratic along the
+    system's null direction k.  The quadratic is linear when k is lightlike,
+    which happens when the marked face's angle sum is exactly pi.
+    """
+    p = _de_sitter(centers, radii)
+    rows = p[list(face)] * np.array([1.0, 1.0, 1.0, -1.0])
+    U, S, Vt = np.linalg.svd(rows)
+    w0 = Vt[:3].T @ ((U.T @ -np.ones(3)) / S)
+    k = Vt[3]
+    a = _minkowski(k, k)
+    b = 2.0 * _minkowski(w0, k)
+    c = _minkowski(w0, w0) + 1.0
+    q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+    # the stable pair of roots; with k nearly lightlike q / a runs off to
+    # infinity, so the future-pointing root nearest w0 is the gauge
+    roots = [c / q] + ([q / a] if a != 0.0 else [])
+    lam = min((x for x in roots if w0[3] + x * k[3] > 0.0), key=abs)
+    w = w0 + lam * k
+    centers, radii = _from_de_sitter(_boost(p, w[:3] / w[3]))
+    centers = _rotate_into_gauge(centers, face[0], face[1])
+    radii[list(face)] = PI / 4.0
+    return _final_normalize(centers, face), radii
 
 
 # ---------------------------------------------------------------------------
-# initial guesses
+# embeddedness
 # ---------------------------------------------------------------------------
+
+def _cone_angles(t: Triangulation, centers: np.ndarray) -> np.ndarray:
+    """Angle sums at every vertex of the geodesic triangulation spanned by
+    the centers; DomainError when a face is degenerate beyond rounding."""
+    faces = np.asarray(t.faces, dtype=int)
+    pts = centers[faces]
+    dots = np.stack([np.einsum("ij,ij->i", pts[:, j], pts[:, k])
+                     for j, k in ((1, 2), (2, 0), (0, 1))], axis=1)
+    lengths = np.arccos(np.clip(dots, -1.0, 1.0))
+    alphas = triples.inner_angles_from_lengths(triples.SPHERICAL, lengths)
+    sigma = np.zeros(t.vertex_count)
+    np.add.at(sigma, faces.ravel(), alphas.ravel())
+    return sigma
+
 
 def _is_genuine(t: Triangulation, centers: np.ndarray, radii: np.ndarray,
                 k_tol: float = 1e-6, overlap_tol: float = 1e-7) -> bool:
@@ -216,67 +212,98 @@ def _is_genuine(t: Triangulation, centers: np.ndarray, radii: np.ndarray,
     solutions of the angle system: cone angles must close up to 2*pi at
     every vertex, realized faces must be uniformly oriented, and disks of
     non-adjacent vertices must not overlap."""
-    sigma = np.zeros(t.vertex_count)
-    orient = 0.0
-    for (fa, fb, fc) in t.faces:
-        pts = centers[[fa, fb, fc]]
-        d = np.clip(pts @ pts.T, -1.0, 1.0)
-        lengths = (math.acos(d[1, 2]), math.acos(d[0, 2]), math.acos(d[0, 1]))
-        try:
-            alphas = triples.inner_angles_from_lengths(triples.SPHERICAL, lengths)
-        except Exception:
-            return False
-        for v, al in zip((fa, fb, fc), alphas):
-            sigma[v] += al
-        det = float(np.linalg.det(pts))
-        if orient == 0.0:
-            orient = math.copysign(1.0, det)
-        elif det * orient <= 0.0:
-            return False
-    if np.max(np.abs(2.0 * PI - sigma)) > k_tol:
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigma = _cone_angles(t, centers)
+    except DomainError:
         return False
-    dots = centers @ centers.T
+    if not np.max(np.abs(2.0 * PI - sigma)) <= k_tol:
+        return False
+    dets = np.linalg.det(centers[np.asarray(t.faces, dtype=int)])
+    if not (np.all(dets > 0.0) or np.all(dets < 0.0)):
+        return False
     cr, sr = np.cos(radii), np.sin(radii)
-    inv = (np.outer(cr, cr) - dots) / np.outer(sr, sr)
-    for u in range(t.vertex_count):
-        for v in range(u + 1, t.vertex_count):
-            if not t.has_edge(u, v) and inv[u, v] < 1.0 - overlap_tol:
-                return False
-    return True
+    inv = (np.outer(cr, cr) - centers @ centers.T) / np.outer(sr, sr)
+    far = np.ones_like(inv, dtype=bool)
+    np.fill_diagonal(far, False)
+    edges = np.asarray(t.edges, dtype=int)
+    far[edges[:, 0], edges[:, 1]] = far[edges[:, 1], edges[:, 0]] = False
+    return not np.any(inv[far] < 1.0 - overlap_tol)
 
 
-def _tutte_plane(t: Triangulation, face: Tuple[int, int, int],
-                 rng: Optional[np.random.Generator]) -> np.ndarray:
-    """Spring embedding of the punctured triangulation: marked vertices on
-    a unit triangle, interior vertices at the neighbor average."""
-    n = t.vertex_count
-    pinned = {
-        face[0]: np.exp(1j * (PI / 2.0)),
-        face[1]: np.exp(1j * (PI / 2.0 + 2.0 * PI / 3.0)),
-        face[2]: np.exp(1j * (PI / 2.0 + 4.0 * PI / 3.0)),
-    }
-    free = [v for v in range(n) if v not in pinned]
-    idx = {v: i for i, v in enumerate(free)}
-    A = np.zeros((len(free), len(free)))
-    rhs = np.zeros(len(free), dtype=complex)
-    for i, v in enumerate(free):
-        nbrs = t.neighbors(v)
-        A[i, i] = len(nbrs)
-        for w in nbrs:
-            if w in pinned:
-                rhs[i] += pinned[w]
-            else:
-                A[i, idx[w]] -= 1.0
-    sol = np.linalg.solve(A, rhs) if free else np.array([], dtype=complex)
-    pos = np.empty(n, dtype=complex)
-    for v, p in pinned.items():
-        pos[v] = p
-    for i, v in enumerate(free):
-        pos[v] = sol[i]
-    if rng is not None:
-        jitter = rng.normal(scale=0.08, size=n) + 1j * rng.normal(scale=0.08, size=n)
-        pos = pos + jitter
-    return pos
+# ---------------------------------------------------------------------------
+# continuation driver
+# ---------------------------------------------------------------------------
+
+def solve_spherical(
+    t: Triangulation,
+    theta: AngleAssignment,
+    opts: SolveOptions = SolveOptions(),
+    marked_face=0,
+) -> Tuple[SphericalConfiguration, CurvatureReport]:
+    """Produce a normalized spherical configuration realizing the angles.
+
+    Path: solve the tangency packing (theta = 0) in the plane, lift it to
+    the sphere, center it by Lorentz boosts, then follow theta_s = s * theta
+    from s = 0 to 1 with adaptive steps, correcting each by minimum-norm
+    Gauss-Newton and rejecting any step that leaves the embedded branch.
+
+    Every theta_s is admissible: conditions c1-c4 bound sums of angles from
+    above, so scaling by s in (0, 1] preserves them, and each theta_s has
+    either some face sum below pi (a planar pattern with an interstice
+    exists and lifts) or every face sum at least pi (the no-interstice
+    class).  A pattern therefore exists along the whole path.
+
+    Raises BaseSolveFailed when the tangency packing cannot be solved and
+    ContinuationStuck when the step falls below ``opts.min_step``.
+    """
+    report = classify(t, theta, "m5")
+    if not report.passed:
+        raise ConditionsViolated("angle data is not in the no-interstice class", report=report)
+    _, face = resolve_marked_face(t, marked_face)
+    centers, radii = _tangency_start(t, opts)
+    edges = np.asarray(t.edges, dtype=int)
+    target = theta.array()
+
+    trace: List[float] = []
+    s, ds = 0.0, 0.1
+    while s < 1.0:
+        s_try = min(1.0, s + ds)
+        c_new, r_new, ok, iters, res = gauss_newton(
+            triples.SPHERICAL, centers, radii, edges, np.cos(s_try * target),
+            NEWTON_TOL, CORRECTOR_ITERS,
+        )
+        if ok and _is_genuine(t, c_new, r_new):  # never jump to a spurious branch
+            s, centers, radii = s_try, c_new, r_new
+            trace.append(res)
+            if iters <= 3:
+                ds = min(0.25, 2.0 * ds)
+        else:
+            ds *= 0.5
+            if ds < opts.min_step:
+                suspects = rank_collapse_suspects(
+                    t, theta, opts.diag_max, avoid=face, top=5
+                )
+                raise ContinuationStuck(
+                    f"step fell below {opts.min_step} at t={s}",
+                    t_reached=s,
+                    suspects=suspects,
+                )
+
+    centers, radii = _into_gauge(centers, radii, face)
+    cfg = SphericalConfiguration(
+        centers=centers,
+        radii=radii,
+        marked_face=face,
+        normalized={"x5": True, "x6": True},
+    )
+    rep = _spherical_report(t, theta, cfg, trace)
+    if rep.angle_residual is not None and rep.angle_residual > opts.tol_angle:
+        raise ContinuationStuck(
+            f"final angle residual {rep.angle_residual} exceeds {opts.tol_angle}",
+            t_reached=1.0,
+        )
+    return cfg, rep
 
 
 def _rotate_into_gauge(centers: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -306,127 +333,6 @@ def _rotate_into_gauge(centers: np.ndarray, a: int, b: int) -> np.ndarray:
     return out @ R2.T
 
 
-def _initial_state(t: Triangulation, face, rng,
-                   scale: float = 1.0) -> Tuple[np.ndarray, float, np.ndarray]:
-    pos = _tutte_plane(t, face, rng) * scale
-    centers = np.stack([_to_sphere(complex(w)) for w in pos])
-    centers = _rotate_into_gauge(centers, face[0], face[1])
-    nb = centers[face[1]]
-    beta = math.atan2(math.hypot(nb[0], nb[1]), -nb[2])
-    radii = np.empty(t.vertex_count)
-    for v in range(t.vertex_count):
-        dmin = min(
-            math.acos(min(1.0, max(-1.0, float(np.dot(centers[v], centers[w])))))
-            for w in t.neighbors(v)
-        )
-        radii[v] = max(0.05, 0.5 * dmin)
-    return centers, beta, radii
-
-
-# ---------------------------------------------------------------------------
-# continuation driver
-# ---------------------------------------------------------------------------
-
-def solve_spherical(
-    t: Triangulation,
-    theta: AngleAssignment,
-    opts: SolveOptions = SolveOptions(),
-    marked_face=0,
-) -> Tuple[SphericalConfiguration, CurvatureReport]:
-    """Produce a normalized spherical configuration realizing the angles.
-
-    Path: start from an acute deformation of the target (a convex mix with
-    the uniform pi/3 assignment), solve that base problem by multi-start
-    damped Newton from a spring-embedding guess, then march the homotopy
-    parameter to 1 with adaptive steps.
-    """
-    report = classify(t, theta, "m5")
-    if not report.passed:
-        raise ConditionsViolated("angle data is not in the no-interstice class", report=report)
-    from .euclidean import resolve_marked_face  # local import, no cycle at module load
-
-    fid, face = resolve_marked_face(t, marked_face)
-    target = theta.array()
-    psi = np.full_like(target, PI / 3.0)
-    tmax = float(np.max(target))
-    if tmax <= PI / 2.0 - 0.05:
-        s0 = 0.25
-    else:
-        s0 = min(0.25, 0.5 * (PI / 2.0 - PI / 3.0) / (tmax - PI / 3.0))
-    tilde = (1.0 - s0) * psi + s0 * target
-
-    system = _SphericalSystem(t, face)
-    newton_tol = 1e-13
-    rng_master = np.random.default_rng(opts.seed)
-
-    # the angle system also has spurious (non-embedded) solutions, so a
-    # converged start is only accepted when the configuration is genuine;
-    # starts vary the stereographic spread and, later, add seeded jitter
-    scales = (1.0, 2.0, 0.5, 4.0, 0.25)
-    x = None
-    res = float("inf")
-    for attempt in range(opts.base_attempts):
-        rng = None if attempt < len(scales) else rng_master
-        centers, beta, radii = _initial_state(
-            t, face, rng, scale=scales[attempt % len(scales)]
-        )
-        system.set_base(centers)
-        x0 = system.pack(beta, radii)
-        cand, ok, _, res = _newton(system, np.cos(tilde), x0, newton_tol,
-                                   opts.max_iters)
-        if ok:
-            c_new, r_new = system.unpack(cand)
-            if _is_genuine(t, c_new, r_new):
-                x = cand
-                break
-    if x is None:
-        raise BaseSolveFailed(
-            f"base problem failed after {opts.base_attempts} starts (residual {res})"
-        )
-
-    trace: List[float] = []
-    t_cur, dt = 0.0, 0.1
-    while t_cur < 1.0:
-        t_try = min(1.0, t_cur + dt)
-        goal = (1.0 - t_try) * tilde + t_try * target
-        cand, ok, iters, res = _newton(system, np.cos(goal), x, newton_tol, 60)
-        if ok:
-            c_new, r_new = system.unpack(cand)
-            ok = _is_genuine(t, c_new, r_new)  # never jump to a spurious branch
-        if ok:
-            t_cur, x = t_try, cand
-            trace.append(res)
-            if iters <= 3:
-                dt = min(0.25, 2.0 * dt)
-        else:
-            dt *= 0.5
-            if dt < opts.min_step:
-                suspects = rank_collapse_suspects(
-                    t, theta, opts.diag_max, avoid=face, top=5
-                )
-                raise ContinuationStuck(
-                    f"step fell below {opts.min_step} at t={t_cur}",
-                    t_reached=t_cur,
-                    suspects=suspects,
-                )
-
-    centers, radii = system.unpack(x)
-    centers = _final_normalize(centers, face)
-    cfg = SphericalConfiguration(
-        centers=centers,
-        radii=radii,
-        marked_face=face,
-        normalized={"x5": True, "x6": True},
-    )
-    rep = _spherical_report(t, theta, cfg, trace)
-    if rep.angle_residual is not None and rep.angle_residual > opts.tol_angle:
-        raise ContinuationStuck(
-            f"final angle residual {rep.angle_residual} exceeds {opts.tol_angle}",
-            t_reached=1.0,
-        )
-    return cfg, rep
-
-
 def _final_normalize(centers: np.ndarray, face) -> np.ndarray:
     """Exact gauge cleanup: meridian sign for the second marked center and
     upper-half-plane side for the third (a reflection is an isometry)."""
@@ -446,23 +352,14 @@ def _final_normalize(centers: np.ndarray, face) -> np.ndarray:
 
 
 def _spherical_report(t, theta, cfg, trace) -> CurvatureReport:
-    edge_array = np.asarray(t.edges, dtype=int)
-    inv = edge_inversive_spherical(cfg.centers, cfg.radii, edge_array)
+    inv = inversive(triples.SPHERICAL, cfg.centers, cfg.radii, np.asarray(t.edges, dtype=int))
     cos_err = float(np.max(np.abs(inv - np.cos(theta.array()))))
     # cone angles of the realized geodesic triangulation (diagnostic: they
     # are automatically 2*pi for an embedded spherical pattern)
-    n = cfg.vertex_count
-    sigma = np.zeros(n)
-    for fa, fb, fc in t.faces:
-        pts = cfg.centers[[fa, fb, fc]]
-        d = np.clip(pts @ pts.T, -1.0, 1.0)
-        l0, l1, l2 = math.acos(d[1, 2]), math.acos(d[0, 2]), math.acos(d[0, 1])
-        alphas = triples.inner_angles_from_lengths(triples.SPHERICAL, (l0, l1, l2))
-        for v, al in zip((fa, fb, fc), alphas):
-            sigma[v] += al
-    curv = {v: 2.0 * PI - float(sigma[v]) for v in range(n)}
+    sigma = _cone_angles(t, cfg.centers)
+    curv = {v: 2.0 * PI - float(sigma[v]) for v in range(cfg.vertex_count)}
     return CurvatureReport(
-        sigma={v: float(sigma[v]) for v in range(n)},
+        sigma={v: float(sigma[v]) for v in range(cfg.vertex_count)},
         curvature=curv,
         max_abs_K=float(max(abs(k) for k in curv.values())),
         iterations=len(trace),

@@ -247,6 +247,20 @@ def angle_from_inversive(inv: float, eps: float = CLAMP_EPS) -> float:
     return float(clamped_acos(inv, eps))
 
 
+def tangent_frames(normals) -> Tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent frames (e1, e2) at unit vectors, one per row.
+
+    e1 is normal x k for the coordinate axis k least aligned with the
+    normal, and e2 = normal x e1, so (e1, e2, normal) is right-handed.
+    """
+    n = np.atleast_2d(np.asarray(normals, dtype=float))
+    k = np.zeros_like(n)
+    k[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
+    e1 = np.cross(n, k)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return e1, np.cross(n, e1)
+
+
 # ---------------------------------------------------------------------------
 # canonical placement (used by round-trip checks and the seed of layouts)
 # ---------------------------------------------------------------------------

@@ -196,11 +196,7 @@ def _boundary_points(p: CirclePattern, v: int, count: int) -> np.ndarray:
         ang = 2.0 * PI * np.arange(count) / count
         return p.centers[v] + p.radii[v] * np.exp(1j * ang)
     n = p.centers[v]
-    k = np.zeros(3)
-    k[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = np.cross(n, k)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    (e1,), (e2,) = triples.tangent_frames(n)
     ang = 2.0 * PI * np.arange(count) / count
     circ = (
         math.cos(p.radii[v]) * n[None, :]
@@ -223,11 +219,7 @@ def _interior_points(p: CirclePattern, v: int, grid: int) -> np.ndarray:
     rr = np.sqrt(xx[mask] ** 2 + yy[mask] ** 2) * p.radii[v]
     ph = np.arctan2(yy[mask], xx[mask])
     n = p.centers[v]
-    k = np.zeros(3)
-    k[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = np.cross(n, k)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
+    (e1,), (e2,) = triples.tangent_frames(n)
     return (
         np.cos(rr)[:, None] * n[None, :]
         + np.sin(rr)[:, None] * (np.cos(ph)[:, None] * e1 + np.sin(ph)[:, None] * e2)

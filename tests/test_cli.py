@@ -115,6 +115,19 @@ class TestBadInput:
         self._usage_error(["verify", "--pattern", pattern], capsys)
 
 
+    @pytest.mark.parametrize("faces", [[[0, 1, 2], [0, 1, 2]],
+                                       [[0, 1, 2], [0, 2, 3], [0, 3, 1]]],
+                             ids=["repeated-face", "open-surface"])
+    def test_rejected_triangulation_exits_2(self, files, capsys, faces):
+        bad = files["dir"] / "bad_tri.json"
+        bad.write_text(json.dumps({"vertices": 4, "faces": faces}))
+        for argv in (["solve", bad, files["theta3"], "--mode", "auto", "--auto-mark"],
+                     ["validate", bad, files["theta3"]],
+                     ["diagnose", bad, files["theta3"]]):
+            assert main([str(a) for a in argv]) == 2
+            assert "Traceback" not in capsys.readouterr().err
+
+
 class TestPipeline:
     def test_solve_then_verify_tetra(self, files, capsys):
         pattern = files["dir"] / "pattern.json"

@@ -86,6 +86,16 @@ class TestDeepStacking:
         assert vrep.angle_max_err < 1e-10
         assert float(cfg.radii.min() / cfg.radii.max()) < 1e-3
 
+    def test_stacked_120_verifies(self):
+        """A 120-vertex stacking with radius ratios near 1e-5: the polish must
+        bring every angle error under the verifier's tolerance."""
+        rng = np.random.default_rng(11)
+        rng.uniform(0.0, 1.2, 480)  # as in the planar-g5 benchmark's stack120 draw
+        t = build_triangulation(stacked_faces(rng, 120))
+        th = AngleAssignment.constant(t, 0.0)
+        cfg, rep = solve_euclidean(t, th, pick_marked_face(t, th))
+        assert verify_pattern(CirclePattern.from_euclidean(t, th, cfg)).passed
+
 
 class TestSimilarityInvariance:
     def test_normalization_preserves_inversive_distances(self, octa):

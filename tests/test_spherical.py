@@ -155,6 +155,63 @@ class TestBipyramidFamily:
             assert verify_pattern(p).passed
             done += 1
 
+    def test_octagonal_bipyramid_admissible_draw(self):
+        """An admissible octagonal-bipyramid draw, uniform in
+        [pi/3, pi/3 + 0.45) per edge, far from the tangency packing the
+        homotopy starts at."""
+        from circlepattern import classify, verify_pattern
+
+        t = shapes.bipyramid(8)
+        th = AngleAssignment(t, tuple(OCTAGONAL_BIPYRAMID_THETA[e] for e in t.edges))
+        assert classify(t, th, "m5").passed
+        cfg, rep = solve_spherical(t, th)
+        assert rep.angle_residual < 1e-12
+        assert verify_pattern(CirclePattern.from_spherical(t, th, cfg)).passed
+
+
+OCTAGONAL_BIPYRAMID_THETA = {
+    (0, 2): 1.2267082096255804, (0, 3): 1.0547775179108356, (0, 4): 1.1703962248996602,
+    (0, 5): 1.3437760878924339, (0, 6): 1.3944718415012238, (0, 7): 1.3580665148440871,
+    (0, 8): 1.2728661381581445, (0, 9): 1.2815384820508997, (1, 2): 1.113137561860812,
+    (1, 3): 1.3844459150821649, (1, 4): 1.1626740035758145, (1, 5): 1.2884306531385872,
+    (1, 6): 1.1816315384583647, (1, 7): 1.3597943522212306, (1, 8): 1.0920391710493758,
+    (1, 9): 1.218531708345456, (2, 3): 1.0749339501266029, (2, 9): 1.1445325312464656,
+    (3, 4): 1.1809170577451926, (4, 5): 1.3331189656226645, (5, 6): 1.1017757924907765,
+    (6, 7): 1.4560571409881553, (7, 8): 1.259369156704474, (8, 9): 1.4257287558117238,
+}
+
+
+def loop_subdivide(faces, levels):
+    """Split every triangle into four at its edge midpoints, keeping the
+    winding: the icosahedron becomes n = 42, 162, 642."""
+    for _ in range(levels):
+        n = 1 + max(max(f) for f in faces)
+        mid = {}
+
+        def m(u, v):
+            return mid.setdefault((min(u, v), max(u, v)), n + len(mid))
+
+        faces = [g for a, b, c in faces
+                 for g in ((a, m(a, b), m(c, a)), (b, m(b, c), m(a, b)),
+                           (c, m(c, a), m(b, c)), (m(a, b), m(b, c), m(c, a)))]
+    return faces
+
+
+class TestSubdividedIcosahedron:
+    def test_n162_no_interstice(self):
+        """The n=162 subdivided icosahedron.  The interior grid is coarsened
+        because the irreducibility sampling dominates the verifier's cost at
+        this size."""
+        from circlepattern import build_triangulation, verify_pattern
+
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 2))
+        assert t.vertex_count == 162
+        th = AngleAssignment.constant(t, 1.2)
+        cfg, rep = solve_spherical(t, th)
+        assert rep.angle_residual < 1e-10
+        p = CirclePattern.from_spherical(t, th, cfg)
+        assert verify_pattern(p, interior_grid=64).passed
+
 
 class TestErrors:
     def test_conditions_enforced(self, octa):
@@ -162,12 +219,15 @@ class TestErrors:
             solve_spherical(octa, AngleAssignment.constant(octa, PI / 4))
 
     def test_base_solve_failure_reported(self, octa):
-        from circlepattern.errors import BaseSolveFailed
+        """With no iterations the tangency packing that starts the homotopy
+        cannot converge; the failure is reported with its cause."""
+        from circlepattern.errors import BaseSolveFailed, Stalled
         from circlepattern.options import SolveOptions
 
         th = AngleAssignment.constant(octa, PI / 3)
-        with pytest.raises(BaseSolveFailed):
-            solve_spherical(octa, th, SolveOptions(max_iters=0, base_attempts=2))
+        with pytest.raises(BaseSolveFailed) as info:
+            solve_spherical(octa, th, SolveOptions(max_iters=0))
+        assert isinstance(info.value.__cause__, Stalled)
 
     def test_small_triangulation_rejected(self, tetra):
         # the no-interstice class needs more than four vertices
