@@ -160,20 +160,18 @@ def _cmd_solve(args) -> int:
             mode = "spherical"
         else:
             raise ConditionsViolated("angle data is in neither solvable class")
+    marked = _parse_marked(t, args.marked_face)
     if mode == "euclidean":
-        marked = _parse_marked(t, args.marked_face)
         if marked is None:
             if not opts.auto_mark:
                 raise UsageError("euclidean solve needs --marked-face or --auto-mark")
             marked = pick_marked_face(t, theta)
         cfg, rep = solve_euclidean(t, theta, marked, opts)
         pattern = CirclePattern.from_euclidean(t, theta, cfg)
-        residuals = {"max_abs_K": rep.max_abs_K, "angle": rep.angle_residual}
     else:
-        marked = _parse_marked(t, args.marked_face)
         cfg, rep = solve_spherical(t, theta, opts, marked_face=marked or 0)
         pattern = CirclePattern.from_spherical(t, theta, cfg)
-        residuals = {"max_abs_K": rep.max_abs_K, "angle": rep.angle_residual}
+    residuals = {"max_abs_K": rep.max_abs_K, "angle": rep.angle_residual}
     _emit(formats.dumps(formats.pattern_to_dict(pattern, residuals)), args.out)
     return 0
 

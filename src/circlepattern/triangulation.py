@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
@@ -45,6 +45,8 @@ class Triangulation:
     link_cycles: Tuple[Tuple[int, ...], ...]    # neighbor cycle around the vertex
     orientation_flipped: bool
     face_index: Dict[FrozenSet[int], int]      # vertex set -> face id
+    # enumerate_simple_cycles results by max_len; not part of the value
+    _cycles: Dict[int, tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- basic queries ------------------------------------------------
 
@@ -278,10 +280,20 @@ def enumerate_simple_cycles(
     DFS anchored at each minimum vertex, deduplicated by canonical form;
     raises LimitExceeded past ``cap`` cycles.  Each cycle is classified
     locally: face lookups are by vertex set, and separation visits O(k)
-    faces per side for a cycle of length k.
+    faces per side for a cycle of length k.  The cycles are kept on ``t``,
+    so every later call with the same ``max_len`` reuses them.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
+    cycles = t._cycles.get(max_len)
+    if cycles is None:
+        cycles = t._cycles[max_len] = tuple(_enumerate_cycles(t, max_len, cap))
+    if len(cycles) > cap:
+        raise LimitExceeded(f"more than {cap} cycles")
+    return list(cycles)
+
+
+def _enumerate_cycles(t: Triangulation, max_len: int, cap: int) -> List[Circuit]:
     seen: Set[Tuple[int, ...]] = set()
     cycles: List[Tuple[int, ...]] = []
     for s in range(t.vertex_count):

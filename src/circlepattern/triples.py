@@ -427,12 +427,6 @@ def circle_pair_points(mode: str, c1, r1: float, c2, r2: float, eps: float = GEO
     return (base + g * cross, base - g * cross)
 
 
-def _pair_intersects(mode, c1, r1, c2, r2, eps=GEOM_EPS) -> bool:
-    """Proper intersection: boundaries cross or touch (|I| <= 1)."""
-    inv = inversive_distance(mode, c1, r1, c2, r2)
-    return abs(inv) <= 1.0 + eps
-
-
 @dataclass(frozen=True)
 class ContainmentRecord:
     """Result of testing one lens D_a * D_b against the third disk."""

@@ -8,9 +8,10 @@ primitives.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -23,6 +24,7 @@ from . import triples
 
 PI = math.pi
 DISJOINT_EPS = 1e-9      # inversive slack distinguishing overlap from contact
+COVER_SLACK = 1e-12      # a sample this close to another disk counts as covered
 SMALL_ANGLE = 1e-3       # below this the radian angle chart is ill-conditioned
 
 
@@ -73,7 +75,6 @@ class CirclePattern:
     # -- pairwise quantities -------------------------------------------
 
     def inversive_matrix(self) -> np.ndarray:
-        n = len(self.radii)
         if self.mode == triples.EUCLIDEAN:
             d2 = np.abs(self.centers[:, None] - self.centers[None, :]) ** 2
             r2 = self.radii * self.radii
@@ -86,8 +87,7 @@ class CirclePattern:
         return out
 
     def realized_cos(self) -> np.ndarray:
-        inv = self.inversive_matrix()
-        return np.array([inv[u, v] for (u, v) in self.triangulation.edges])
+        return self.inversive_matrix()[_edge_arrays(self.triangulation)]
 
     def classify_pair(self, inv: float) -> str:
         if inv > 1.0 + DISJOINT_EPS:
@@ -100,11 +100,30 @@ class CirclePattern:
 
     def point_in_disks(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
         """Boolean (num points, num disks) closed-disk membership matrix."""
-        if self.mode == triples.EUCLIDEAN:
-            d = np.abs(points[:, None] - self.centers[None, :])
-            return d <= self.radii[None, :] - slack
-        dots = points @ self.centers.T
-        return dots >= np.cos(self.radii)[None, :] + slack
+        return _in_disks(self, points, np.arange(len(self.radii)), slack)
+
+
+def _in_disks(p: CirclePattern, points: np.ndarray, disks, slack: float) -> np.ndarray:
+    """Columns ``disks`` of ``p.point_in_disks(points, slack)``, for those disks only."""
+    if p.mode == triples.EUCLIDEAN:
+        d = np.abs(points[:, None] - p.centers[None, disks])
+        return d <= p.radii[None, disks] - slack
+    # BLAS rounds a one-column product unlike a column of a wider one: pad to two
+    cols = np.resize(disks, max(len(disks), 2)) if len(disks) else disks
+    dots = (points @ p.centers[cols].T)[:, :len(disks)]
+    return dots >= np.cos(p.radii[disks])[None, :] + slack
+
+
+def _edge_arrays(t: Triangulation) -> Tuple[np.ndarray, ...]:
+    """The triangulation's edges (u < v) as two index arrays, in edge order."""
+    return tuple(np.array(t.edges).T)
+
+
+def _upper_pairs(mask: np.ndarray) -> List[Tuple[int, int]]:
+    """The pairs (u, v), u < v, where the square ``mask`` holds, row-major."""
+    iu, iv = np.triu_indices(len(mask), 1)
+    keep = mask[iu, iv]
+    return list(zip(iu[keep].tolist(), iv[keep].tolist()))
 
 
 @dataclass
@@ -130,38 +149,20 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        def point(p):
-            if p is None:
-                return None
-            if isinstance(p, complex):
-                return [p.real, p.imag]
-            if isinstance(p, np.ndarray):
-                return [float(x) for x in p]
-            return p
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
-        return {
-            "angle_max_err": self.angle_max_err,
-            "angle_max_err_radians": self.angle_max_err_radians,
-            "contact_graph_ok": self.contact_graph_ok,
-            "contact_missing": [list(e) for e in self.contact_missing],
-            "contact_extra": [list(e) for e in self.contact_extra],
-            "non_adjacent_disjoint_ok": self.non_adjacent_disjoint_ok,
-            "offending_pairs": [list(e) for e in self.offending_pairs],
-            "irreducible_ok": self.irreducible_ok,
-            "irreducibility_witnesses": {
-                str(k): point(v) for k, v in self.irreducibility_witnesses.items()
-            },
-            "interstice_count": self.interstice_count,
-            "interstice_samples": [point(p) for p in self.interstice_samples],
-            "flower_ok": self.flower_ok,
-            "flower_failures": {str(k): point(v) for k, v in self.flower_failures.items()},
-            "lens_relation_ok": self.lens_relation_ok,
-            "lens_records": self.lens_records,
-            "empty_triple_ok": self.empty_triple_ok,
-            "triple_failures": [list(f) for f in self.triple_failures],
-            "resolution": dict(self.resolution),
-            "passed": self.passed,
-        }
+
+def _plain(x):
+    """JSON-ready copy: points and tuples become lists, dict keys strings."""
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, np.ndarray):
+        return [float(c) for c in x]
+    if isinstance(x, dict):
+        return {str(k): _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +173,9 @@ def contact_graph(p: CirclePattern, eps: float = DISJOINT_EPS):
     """Edges = properly intersecting pairs (nested pairs excluded); the flag
     is true iff this equals the triangulation's edge set vertex-for-vertex."""
     inv = p.inversive_matrix()
-    n = len(p.radii)
-    edges: Set[Tuple[int, int]] = set()
-    nested: List[Tuple[int, int]] = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if inv[u, v] < -1.0 + eps:
-                nested.append((u, v))
-            elif inv[u, v] <= 1.0 + eps:
-                edges.add((u, v))
+    is_nested = inv < -1.0 + eps
+    nested = _upper_pairs(is_nested)
+    edges: Set[Tuple[int, int]] = set(_upper_pairs(~is_nested & (inv <= 1.0 + eps)))
     want = set(p.triangulation.edges)
     missing = sorted(want - edges)
     extra = sorted(edges - want)
@@ -192,37 +187,43 @@ def contact_graph(p: CirclePattern, eps: float = DISJOINT_EPS):
 # ---------------------------------------------------------------------------
 
 def _boundary_points(p: CirclePattern, v: int, count: int) -> np.ndarray:
+    ang = 2.0 * PI * np.arange(count) / count
     if p.mode == triples.EUCLIDEAN:
-        ang = 2.0 * PI * np.arange(count) / count
         return p.centers[v] + p.radii[v] * np.exp(1j * ang)
     n = p.centers[v]
     (e1,), (e2,) = triples.tangent_frames(n)
-    ang = 2.0 * PI * np.arange(count) / count
-    circ = (
+    return (
         math.cos(p.radii[v]) * n[None, :]
         + math.sin(p.radii[v]) * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
     )
-    return circ
 
 
-def _interior_points(p: CirclePattern, v: int, grid: int) -> np.ndarray:
-    if p.mode == triples.EUCLIDEAN:
-        s = np.linspace(-1.0, 1.0, grid)
-        xx, yy = np.meshgrid(s, s)
-        mask = xx * xx + yy * yy < 1.0
-        pts = (xx[mask] + 1j * yy[mask]) * p.radii[v] + p.centers[v]
-        return pts
-    # disk-parameter grid mapped to the cap by arc radius scaling
+@functools.lru_cache(maxsize=8)
+def _unit_disk_grid(grid: int) -> Tuple[np.ndarray, ...]:
+    """The grid points inside the open unit disk, as complex numbers, with
+    their polar radius and the cosine and sine of their polar angle."""
     s = np.linspace(-1.0, 1.0, grid)
     xx, yy = np.meshgrid(s, s)
     mask = xx * xx + yy * yy < 1.0
-    rr = np.sqrt(xx[mask] ** 2 + yy[mask] ** 2) * p.radii[v]
-    ph = np.arctan2(yy[mask], xx[mask])
+    x, y = xx[mask], yy[mask]
+    ph = np.arctan2(y, x)
+    out = (x + 1j * y, np.sqrt(x ** 2 + y ** 2), np.cos(ph), np.sin(ph))
+    for a in out:
+        a.flags.writeable = False  # shared by every caller
+    return out
+
+
+def _interior_points(p: CirclePattern, v: int, grid: int) -> np.ndarray:
+    unit, rho, cos_ph, sin_ph = _unit_disk_grid(grid)
+    if p.mode == triples.EUCLIDEAN:
+        return unit * p.radii[v] + p.centers[v]
+    # disk-parameter grid mapped to the cap by arc radius scaling
+    rr = rho * p.radii[v]
     n = p.centers[v]
     (e1,), (e2,) = triples.tangent_frames(n)
     return (
         np.cos(rr)[:, None] * n[None, :]
-        + np.sin(rr)[:, None] * (np.cos(ph)[:, None] * e1 + np.sin(ph)[:, None] * e2)
+        + np.sin(rr)[:, None] * (cos_ph[:, None] * e1 + sin_ph[:, None] * e2)
     )
 
 
@@ -251,13 +252,7 @@ def _in_open_star(p: CirclePattern, v: int, points: np.ndarray, eps: float) -> n
 
 def _in_fan_triangle(p, v, a, b, points, eps) -> np.ndarray:
     if p.mode == triples.EUCLIDEAN:
-        A, B, C = p.centers[v], p.centers[a], p.centers[b]
-        sigma = _cross2(B - A, C - A)
-        scale = abs(sigma) if sigma != 0 else 1.0
-        s1 = _cross2v(B - A, points - A) * np.sign(sigma)
-        s2 = _cross2v(C - B, points - B) * np.sign(sigma)
-        s3 = _cross2v(A - C, points - C) * np.sign(sigma)
-        tol = eps * scale
+        s1, s2, s3, tol = _planar_sides(p.centers[[v, a, b]], points, eps)
         return (s1 >= -tol) & (s3 >= -tol) & (s2 > tol)
     A, B, C = p.centers[v], p.centers[a], p.centers[b]
     sigma = np.sign(np.linalg.det(np.stack([A, B, C])))
@@ -276,23 +271,22 @@ def _in_any_face(p: CirclePattern, points, eps) -> np.ndarray:
     for fid in range(t.face_count):
         if fid == skip:
             continue
-        a, b, c = t.faces[fid]
-        A, B, C = p.centers[a], p.centers[b], p.centers[c]
-        sigma = _cross2(B - A, C - A)
-        scale = abs(sigma) if sigma != 0 else 1.0
-        tol = eps * scale
-        s1 = _cross2v(B - A, points - A) * np.sign(sigma)
-        s2 = _cross2v(C - B, points - B) * np.sign(sigma)
-        s3 = _cross2v(A - C, points - C) * np.sign(sigma)
+        s1, s2, s3, tol = _planar_sides(p.centers[list(t.faces[fid])], points, eps)
         out |= (s1 >= -tol) & (s2 >= -tol) & (s3 >= -tol)
     return out
 
 
-def _cross2(a: complex, b: complex) -> float:
-    return a.real * b.imag - a.imag * b.real
+def _planar_sides(corners, points, eps):
+    """Cross products of the sides AB, BC, CA of the triangle ABC with the
+    points, signed positive inside, and ``eps`` scaled by the triangle."""
+    A, B, C = corners
+    sigma = _cross2(B - A, C - A)
+    sign = np.sign(sigma)
+    return (_cross2(B - A, points - A) * sign, _cross2(C - B, points - B) * sign,
+            _cross2(A - C, points - C) * sign, eps * (abs(sigma) if sigma != 0 else 1.0))
 
 
-def _cross2v(a: complex, b: np.ndarray) -> np.ndarray:
+def _cross2(a, b):
     return a.real * b.imag - a.imag * b.real
 
 
@@ -301,16 +295,11 @@ def flower_check(p: CirclePattern, v: int, boundary_samples: int = 4096,
     """Sampled test of the flower inclusion at vertex v: every point of the
     disk must lie in a neighbor's open disk or in v's open star region.
     Returns (ok, witness point or None)."""
-    t = p.triangulation
-    nbrs = list(t.neighbors(v))
-    pts_b = _boundary_points(p, v, boundary_samples)
-    pts_i = _interior_points(p, v, interior_grid)
-    pts = np.concatenate([pts_b, pts_i])
-    in_nbr = p.point_in_disks(pts, slack=eps)[:, nbrs].any(axis=1)
-    remaining = ~in_nbr
-    if not remaining.any():
+    pts = np.concatenate([_boundary_points(p, v, boundary_samples),
+                          _interior_points(p, v, interior_grid)])
+    rest = pts[~_in_disks(p, pts, np.array(p.triangulation.neighbors(v)), eps).any(axis=1)]
+    if not len(rest):
         return True, None
-    rest = pts[remaining]
     in_star = _in_open_star(p, v, rest, eps)
     if in_star.all():
         return True, None
@@ -342,20 +331,44 @@ def _euclidean_grid(p: CirclePattern, grid: int) -> Tuple[np.ndarray, int, float
     return (xx + 1j * yy).ravel(), grid, float(xs[1] - xs[0])
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Label each of nodes 0..count-1 by the smallest node of its connected
+    component under the edges (a[i], b[i]): every root hooks under the
+    smallest root it shares an edge with, then pointer jumping flattens the
+    trees, until no edge joins two roots."""
+    label = np.arange(count)
+    while True:
+        la, lb = label[a], label[b]
+        split = la != lb
+        if not split.any():
+            return label
+        np.minimum.at(label, np.maximum(la, lb)[split], np.minimum(la, lb)[split])
+        while not np.array_equal(label[label], label):
+            label = label[label]
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+REACH = 4  # grid steps past a disk within which its clearance is recorded
+
+
+def _grid_clearance(p: CirclePattern, pts: np.ndarray, g: int) -> np.ndarray:
+    """``_clearance`` on the planar grid.  Each disk records its clearance
+    in its bounding box grown by ``REACH`` steps; outside the box it is
+    farther than that, so recorded minima within ``REACH - 1`` steps are
+    exact, and the other cells are measured against every disk."""
+    grid = pts.reshape(g, g)
+    xs, ys = grid[0].real, grid[:, 0].imag
+    step = max(xs[1] - xs[0], ys[1] - ys[0])
+    clear = np.full((g, g), np.inf)
+    for c, r in zip(p.centers, p.radii):
+        i0, i1 = np.searchsorted(ys, [c.imag - r - REACH * step, c.imag + r + REACH * step])
+        j0, j1 = np.searchsorted(xs, [c.real - r - REACH * step, c.real + r + REACH * step])
+        box = clear[i0:i1, j0:j1]
+        np.minimum(box, np.abs(grid[i0:i1, j0:j1] - c) - r, out=box)
+    clear = clear.ravel()
+    far = np.flatnonzero(clear > (REACH - 1) * step)
+    for k in range(0, len(far), 4096):
+        clear[far[k:k + 4096]] = _clearance(p, pts[far[k:k + 4096]])
+    return clear
 
 
 def _clearance(p: CirclePattern, pts) -> np.ndarray:
@@ -379,82 +392,77 @@ def count_interstices(p: CirclePattern, grid: int = 256, sphere_samples: int = 2
     """
     if p.mode == triples.EUCLIDEAN:
         pts, g, step = _euclidean_grid(p, grid)
-        clear = _clearance(p, pts)
-        free = clear > 0.0
-        uf = _UnionFind(len(pts))
+        clear = _grid_clearance(p, pts, g)
+        free = (clear > 0.0).reshape(g, g)
         idx = np.arange(len(pts)).reshape(g, g)
-        freem = free.reshape(g, g)
-        right = freem[:, :-1] & freem[:, 1:]
-        down = freem[:-1, :] & freem[1:, :]
-        for r, c in zip(*np.nonzero(right)):
-            uf.union(idx[r, c], idx[r, c + 1])
-        for r, c in zip(*np.nonzero(down)):
-            uf.union(idx[r, c], idx[r + 1, c])
-        deep_threshold = 1.5 * step
+        right, down = free[:, :-1] & free[:, 1:], free[:-1] & free[1:]
+        a = np.concatenate([idx[:, :-1][right], idx[:-1][down]])
+        b = np.concatenate([idx[:, 1:][right], idx[1:][down]])
     else:
         pts = _fibonacci_sphere(sphere_samples)
         clear = _clearance(p, pts)
-        free = clear > 0.0
-        free_idx = np.flatnonzero(free)
-        if len(free_idx) == 0:
-            return 0, []
-        spacing = math.sqrt(4.0 * PI / sphere_samples)
-        sub = pts[free_idx]
-        m = len(sub)
-        uf = _UnionFind(len(pts))
-        if m <= 4000:
-            dots = sub @ sub.T
-            thresh = math.cos(2.5 * spacing)
-            ii, jj = np.nonzero(np.triu(dots > thresh, k=1))
-            for a, b in zip(ii, jj):
-                uf.union(int(free_idx[a]), int(free_idx[b]))
-        else:
-            # hash into coarse latitude bands to avoid the full m^2 matrix
-            order = np.argsort(sub[:, 2])
-            thresh = math.cos(2.5 * spacing)
-            zs = sub[order, 2]
-            for a_pos, a in enumerate(order):
-                z = zs[a_pos]
-                b_pos = a_pos + 1
-                while b_pos < m and zs[b_pos] - z < 3.0 * spacing:
-                    b = order[b_pos]
-                    if float(sub[a] @ sub[b]) > thresh:
-                        uf.union(int(free_idx[a]), int(free_idx[b]))
-                    b_pos += 1
-        deep_threshold = 1.5 * spacing
+        step = math.sqrt(4.0 * PI / sphere_samples)
+        # free samples closer than 2.5 steps are within 3 steps in z: pair
+        # each with the ones after it in z order, one offset at a time
+        order = np.flatnonzero(clear > 0.0)
+        order = order[np.argsort(pts[order, 2], kind="stable")]
+        a, b = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+        for k in range(1, len(order)):
+            i, j = order[:-k], order[k:]
+            keep = pts[j, 2] - pts[i, 2] < 3.0 * step
+            if not keep.any():
+                break
+            i, j = i[keep], j[keep]
+            near = np.einsum("ij,ij->i", pts[i], pts[j]) > math.cos(2.5 * step)
+            a.append(i[near])
+            b.append(j[near])
+        a, b = np.concatenate(a), np.concatenate(b)
+    free_idx = np.flatnonzero(clear > 0.0)
+    labels = _components(len(pts), a, b)[free_idx]
+    # per component (in order of its first sample) the first deepest sample
+    order = np.lexsort((-clear[free_idx], labels))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = labels[order[1:]] != labels[order[:-1]]
+    best = free_idx[order[first]]
+    best = best[clear[best] > 1.5 * step]
+    best = best[np.argsort(-clear[best], kind="stable")]
+    return len(best), [pts[i] for i in best]
 
-    comps: Dict[int, Tuple[float, int]] = {}
-    for i in np.flatnonzero(free):
-        root = uf.find(int(i))
-        best = comps.get(root)
-        if best is None or clear[i] > best[0]:
-            comps[root] = (float(clear[i]), int(i))
-    counted = [(depth, i) for depth, i in comps.values() if depth > deep_threshold]
-    counted.sort(key=lambda x: -x[0])
-    return len(counted), [pts[i] for _, i in counted]
+
+def _near_disks(p: CirclePattern, v: int, slack: float) -> np.ndarray:
+    """The disks u != v whose closed disk, grown by the membership slack and
+    a rounding margin, meets D_v: only they can hold a sample of D_v.  The
+    slack is absolute, so on the sphere it is turned into an angle, which
+    for tiny caps is far larger than the slack itself."""
+    if p.mode == triples.EUCLIDEAN:
+        gap = np.abs(p.centers - p.centers[v]) - p.radii - p.radii[v]
+        scale = abs(p.centers[v]) + p.radii[v] + np.abs(p.centers) + p.radii
+        near = gap <= -slack + 1e-9 * scale
+    else:
+        grown = np.arccos(np.clip(np.cos(p.radii) + slack, -1.0, 1.0))
+        c = p.centers[v]
+        apart = np.arctan2(np.linalg.norm(np.cross(p.centers, c), axis=1), p.centers @ c)
+        near = apart <= grown + p.radii[v] + 1e-8
+    near[v] = False
+    return np.flatnonzero(near)
 
 
 def _irreducibility_witnesses(p: CirclePattern, boundary_samples: int,
                               interior_grid: int):
     """For each vertex v, a sampled point of D_v uncovered by every other
     disk (the pattern is reducible exactly when some vertex's complement
-    covers the whole sphere)."""
-    n = len(p.radii)
+    covers the whole sphere): the first free boundary sample, else the
+    first free interior one."""
     witnesses: Dict[int, object] = {}
-    ok = True
-    for v in range(n):
-        pts_b = _boundary_points(p, v, boundary_samples)
-        pts_i = _interior_points(p, v, interior_grid)
-        pts = np.concatenate([pts_b, pts_i])
-        others = [u for u in range(n) if u != v]
-        covered = p.point_in_disks(pts, slack=-1e-12)[:, others].any(axis=1)
-        free = np.flatnonzero(~covered)
-        if len(free):
-            witnesses[v] = pts[free[0]]
-        else:
-            witnesses[v] = None
-            ok = False
-    return ok, witnesses
+    for v in range(len(p.radii)):
+        near = _near_disks(p, v, -COVER_SLACK)
+        for pts in (sample(p, v, k) for sample, k in ((_boundary_points, boundary_samples),
+                                                      (_interior_points, interior_grid))):
+            free = np.flatnonzero(~_in_disks(p, pts, near, -COVER_SLACK).any(axis=1))
+            witnesses[v] = pts[free[0]] if len(free) else None
+            if len(free):
+                break
+    return all(w is not None for w in witnesses.values()), witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -480,24 +488,19 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     inv = p.inversive_matrix()
 
     target = p.theta.array()
-    realized = np.array([inv[u, v] for (u, v) in t.edges])
+    realized = inv[_edge_arrays(t)]
     cos_err = float(np.max(np.abs(realized - np.cos(target))))
-    rad_errs = []
-    for eid, (u, v) in enumerate(t.edges):
-        if target[eid] >= SMALL_ANGLE and abs(realized[eid]) <= 1.0 + triples.CLAMP_EPS:
-            rad_errs.append(
-                abs(math.acos(min(1.0, max(-1.0, realized[eid]))) - target[eid])
-            )
+    rad_errs = [abs(math.acos(min(1.0, max(-1.0, realized[e]))) - target[e])
+                for e in range(t.edge_count)
+                if target[e] >= SMALL_ANGLE and abs(realized[e]) <= 1.0 + triples.CLAMP_EPS]
     rad_err = float(max(rad_errs)) if rad_errs else None
     angle_ok = cos_err <= tol and (rad_err is None or rad_err <= tol)
 
     _, graph_ok, missing, extra, _nested = contact_graph(p)
 
-    offending = []
-    for u in range(t.vertex_count):
-        for v in range(u + 1, t.vertex_count):
-            if not t.has_edge(u, v) and inv[u, v] < 1.0 - DISJOINT_EPS:
-                offending.append((u, v))
+    adjacent = np.zeros(inv.shape, dtype=bool)
+    adjacent[_edge_arrays(t)] = True
+    offending = _upper_pairs(~adjacent & (inv < 1.0 - DISJOINT_EPS))
     disjoint_ok = not offending
 
     interstice_count, samples = count_interstices(
@@ -524,7 +527,6 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     flower_ok = not flower_failures
 
     lens_records = []
-    lens_ok = True
     for tri in _adjacent_triples(t):
         cs = [p.centers[v] for v in tri]
         rs = [p.radii[v] for v in tri]
@@ -532,19 +534,13 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
             records = triples.containment_angle_check(p.mode, cs, rs, tol=1e-9)
         except triples.NotMutuallyIntersecting:
             continue
-        for rec in records:
-            if rec.contained:
-                entry = {
-                    "triple": list(tri),
-                    "pair": [tri[rec.pair[0]], tri[rec.pair[1]]],
-                    "third": tri[rec.third],
-                    "lhs": rec.lhs,
-                    "rhs": rec.rhs,
-                    "holds": rec.relation_holds,
-                }
-                lens_records.append(entry)
-                if not rec.relation_holds:
-                    lens_ok = False
+        lens_records += [
+            {"triple": list(tri), "pair": [tri[rec.pair[0]], tri[rec.pair[1]]],
+             "third": tri[rec.third], "lhs": rec.lhs, "rhs": rec.rhs,
+             "holds": rec.relation_holds}
+            for rec in records if rec.contained
+        ]
+    lens_ok = all(rec["holds"] for rec in lens_records)
 
     triple_failures = []
     for fid in range(t.face_count):

@@ -322,3 +322,113 @@ def measured_angles(points: np.ndarray) -> List[float]:
             ts.append(t / np.linalg.norm(t))
         out.append(math.acos(max(-1.0, min(1.0, float(np.dot(ts[0], ts[1]))))))
     return out
+
+
+# ---------------------------------------------------------------------------
+# all-disk references for the sampled verifier checks
+# ---------------------------------------------------------------------------
+
+def interior_points(p, v: int, grid: int) -> np.ndarray:
+    """The unit-disk grid of ``verify._interior_points``, rebuilt per disk."""
+    from circlepattern import triples
+
+    s = np.linspace(-1.0, 1.0, grid)
+    xx, yy = np.meshgrid(s, s)
+    mask = xx * xx + yy * yy < 1.0
+    if p.mode == triples.EUCLIDEAN:
+        return (xx[mask] + 1j * yy[mask]) * p.radii[v] + p.centers[v]
+    rr = np.sqrt(xx[mask] ** 2 + yy[mask] ** 2) * p.radii[v]
+    ph = np.arctan2(yy[mask], xx[mask])
+    n = p.centers[v]
+    (e1,), (e2,) = triples.tangent_frames(n)
+    return (
+        np.cos(rr)[:, None] * n[None, :]
+        + np.sin(rr)[:, None] * (np.cos(ph)[:, None] * e1 + np.sin(ph)[:, None] * e2)
+    )
+
+
+def irreducibility_witnesses(p, boundary_samples: int, interior_grid: int):
+    """Every sample of D_v tested against all other disks."""
+    from circlepattern.verify import _boundary_points
+
+    n = len(p.radii)
+    witnesses = {}
+    ok = True
+    for v in range(n):
+        pts = np.concatenate([_boundary_points(p, v, boundary_samples),
+                              interior_points(p, v, interior_grid)])
+        others = [u for u in range(n) if u != v]
+        covered = p.point_in_disks(pts, slack=-1e-12)[:, others].any(axis=1)
+        free = np.flatnonzero(~covered)
+        witnesses[v] = pts[free[0]] if len(free) else None
+        ok = ok and len(free) > 0
+    return ok, witnesses
+
+
+def flower_check(p, v: int, boundary_samples: int = 4096, interior_grid: int = 64,
+                 eps: float = 1e-9):
+    """Neighbour-disk membership read off the full membership matrix."""
+    from circlepattern.verify import _boundary_points, _in_open_star
+
+    pts = np.concatenate([_boundary_points(p, v, boundary_samples),
+                          interior_points(p, v, interior_grid)])
+    nbrs = list(p.triangulation.neighbors(v))
+    rest = pts[~p.point_in_disks(pts, slack=eps)[:, nbrs].any(axis=1)]
+    if not len(rest):
+        return True, None
+    in_star = _in_open_star(p, v, rest, eps)
+    if in_star.all():
+        return True, None
+    return False, rest[~in_star][0]
+
+
+def clearance(p, pts, chunk: int = 4096) -> np.ndarray:
+    """Distance from each sample to the nearest of all disks (negative
+    inside), in row chunks so that only memory, not the values, changes."""
+    out = []
+    for k in range(0, len(pts), chunk):
+        x = pts[k:k + chunk]
+        if p.mode == "euclidean":
+            d = np.abs(x[:, None] - p.centers[None, :]) - p.radii[None, :]
+        else:
+            d = np.arccos(np.clip(x @ p.centers.T, -1.0, 1.0)) - p.radii[None, :]
+        out.append(d.min(axis=1))
+    return np.concatenate(out)
+
+
+def count_interstices(p, grid: int = 256, sphere_samples: int = 20000):
+    """Uncovered components by union-find over free neighbours, with the
+    deepest sample of each component kept by a scan in index order."""
+    from circlepattern.verify import _euclidean_grid, _fibonacci_sphere
+
+    if p.mode == "euclidean":
+        pts, g, step = _euclidean_grid(p, grid)
+        clear = clearance(p, pts)
+        freem = (clear > 0.0).reshape(g, g)
+        dsu = _DSU(len(pts))
+        idx = np.arange(len(pts)).reshape(g, g)
+        for a, b in ((idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :])):
+            both = freem.ravel()[a] & freem.ravel()[b]
+            for i, j in zip(a[both], b[both]):
+                dsu.union(int(i), int(j))
+        deep = 1.5 * step
+    else:
+        pts = _fibonacci_sphere(sphere_samples)
+        clear = clearance(p, pts)
+        free_idx = np.flatnonzero(clear > 0.0)
+        spacing = math.sqrt(4.0 * PI / sphere_samples)
+        thresh = math.cos(2.5 * spacing)
+        dsu = _DSU(len(pts))
+        sub = pts[free_idx]
+        for k in range(0, len(sub), 1024):
+            ii, jj = np.nonzero(sub[k:k + 1024] @ sub.T > thresh)
+            for a, b in zip(ii + k, jj):
+                dsu.union(int(free_idx[a]), int(free_idx[b]))
+        deep = 1.5 * spacing
+    comps: Dict[int, Tuple[float, int]] = {}
+    for i in np.flatnonzero(clear > 0.0):
+        root = dsu.find(int(i))
+        if root not in comps or clear[i] > comps[root][0]:
+            comps[root] = (float(clear[i]), int(i))
+    counted = sorted((c for c in comps.values() if c[0] > deep), key=lambda c: -c[0])
+    return len(counted), [pts[i] for _, i in counted]

@@ -1,5 +1,5 @@
-"""Seeded random sphere triangulations for the tests: vertex stacking and
-simplicial edge flips."""
+"""Sphere triangulations for the tests: seeded vertex stacking, simplicial
+edge flips, and Loop subdivision."""
 from __future__ import annotations
 
 from typing import List
@@ -35,4 +35,20 @@ def flip_edges(rng: np.random.Generator, faces, attempts: int) -> List[List[int]
         if any(a in f and b in f for f in faces):
             continue
         faces[i], faces[g] = [a, u, b], [b, v, a]
+    return faces
+
+
+def loop_subdivide(faces, levels):
+    """Split every triangle into four at its edge midpoints, keeping the
+    winding: the icosahedron becomes n = 42, 162, 642."""
+    for _ in range(levels):
+        n = 1 + max(max(f) for f in faces)
+        mid = {}
+
+        def m(u, v):
+            return mid.setdefault((min(u, v), max(u, v)), n + len(mid))
+
+        faces = [g for a, b, c in faces
+                 for g in ((a, m(a, b), m(c, a)), (b, m(b, c), m(a, b)),
+                           (c, m(c, a), m(b, c)), (m(a, b), m(b, c), m(c, a)))]
     return faces

@@ -216,6 +216,27 @@ class TestDeterminism:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestCyclesEnumeratedOnce:
+    # the CLI's classify, the solver's own classify and, on the sphere, the
+    # classify of the tangency-packing start all read one enumeration
+    @pytest.mark.parametrize("tri, theta", [("tetra", "theta0"), ("octa", "theta3")])
+    def test_auto_solve(self, files, monkeypatch, tri, theta):
+        from circlepattern import triangulation
+
+        calls = []
+        enumerate_cycles = triangulation._enumerate_cycles
+
+        def counted(t, max_len, cap):
+            calls.append(max_len)
+            return enumerate_cycles(t, max_len, cap)
+
+        monkeypatch.setattr(triangulation, "_enumerate_cycles", counted)
+        rc = main(["solve", str(files[tri]), str(files[theta]), "--mode", "auto",
+                   "--auto-mark", "--out", str(files["dir"] / "p.json")])
+        assert rc == 0
+        assert calls == [4]
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, files):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Property tests: cycle flags and class flags agree with the brute-force
-oracles on random stacked triangulations reshaped by edge flips."""
+oracles on random stacked triangulations reshaped by edge flips, and the
+verifier's component labeller agrees with union-find on random grids."""
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlepattern import AngleAssignment, build_triangulation, classify, enumerate_simple_cycles
+from circlepattern.verify import _components
 
 import oracles
 from random_triangulations import flip_edges, stacked_faces
@@ -50,3 +52,23 @@ def test_classify_flags_match_oracle(t, seed, band):
         {e: vals[i] for i, e in enumerate(t.edges)},
     )
     assert got == want
+
+
+@PROPERTY
+@given(seed=seeds, rows=st.integers(1, 40), cols=st.integers(1, 40),
+       density=st.floats(0.1, 0.9))
+def test_grid_labels_match_union_find(seed, rows, cols, density):
+    free = np.random.default_rng(seed).random((rows, cols)) < density
+    idx = np.arange(free.size).reshape(free.shape)
+    right = free[:, :-1] & free[:, 1:]
+    down = free[:-1, :] & free[1:, :]
+    a = np.concatenate([idx[:, :-1][right], idx[:-1, :][down]])
+    b = np.concatenate([idx[:, 1:][right], idx[1:, :][down]])
+    labels = _components(free.size, a, b).tolist()
+    dsu = oracles._DSU(free.size)
+    for i, j in zip(a.tolist(), b.tolist()):
+        dsu.union(i, j)
+    roots = [dsu.find(i) for i in range(free.size)]
+    # the same partition, each part labelled by its smallest cell
+    assert len(set(zip(labels, roots))) == len(set(labels)) == len(set(roots))
+    assert all(labels[i] <= i and labels[labels[i]] == labels[i] for i in range(free.size))

@@ -15,6 +15,8 @@ from circlepattern.errors import ConditionsViolated
 from circlepattern.spherical import lift_circle
 from circlepattern.verify import CirclePattern
 
+from random_triangulations import loop_subdivide
+
 PI = math.pi
 
 
@@ -181,27 +183,10 @@ OCTAGONAL_BIPYRAMID_THETA = {
 }
 
 
-def loop_subdivide(faces, levels):
-    """Split every triangle into four at its edge midpoints, keeping the
-    winding: the icosahedron becomes n = 42, 162, 642."""
-    for _ in range(levels):
-        n = 1 + max(max(f) for f in faces)
-        mid = {}
-
-        def m(u, v):
-            return mid.setdefault((min(u, v), max(u, v)), n + len(mid))
-
-        faces = [g for a, b, c in faces
-                 for g in ((a, m(a, b), m(c, a)), (b, m(b, c), m(a, b)),
-                           (c, m(c, a), m(b, c)), (m(a, b), m(b, c), m(c, a)))]
-    return faces
-
-
 class TestSubdividedIcosahedron:
     def test_n162_no_interstice(self):
-        """The n=162 subdivided icosahedron.  The interior grid is coarsened
-        because the irreducibility sampling dominates the verifier's cost at
-        this size."""
+        """The n=162 subdivided icosahedron, verified at the default
+        resolution."""
         from circlepattern import build_triangulation, verify_pattern
 
         t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 2))
@@ -210,7 +195,7 @@ class TestSubdividedIcosahedron:
         cfg, rep = solve_spherical(t, th)
         assert rep.angle_residual < 1e-10
         p = CirclePattern.from_spherical(t, th, cfg)
-        assert verify_pattern(p, interior_grid=64).passed
+        assert verify_pattern(p).passed
 
 
 class TestErrors:

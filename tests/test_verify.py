@@ -5,6 +5,7 @@ import pytest
 
 from circlepattern import (
     AngleAssignment,
+    build_triangulation,
     contact_graph,
     flower_check,
     solve_euclidean,
@@ -12,8 +13,13 @@ from circlepattern import (
     verify_pattern,
 )
 from circlepattern import shapes
+from circlepattern import verify as verifier
 from circlepattern.errors import MalformedPattern
+from circlepattern.euclidean import pick_marked_face
 from circlepattern.verify import CirclePattern, count_interstices
+
+import oracles
+from random_triangulations import loop_subdivide, stacked_faces
 
 PI = math.pi
 
@@ -209,3 +215,136 @@ class TestThreeCircleRelations:
             centers = list(place_triple(spec))
             assert triple_intersection_empty("euclidean", centers, list(radii))
             done += 1
+
+
+def _planar(t, value=0.0):
+    th = AngleAssignment.constant(t, value)
+    cfg, _ = solve_euclidean(t, th, pick_marked_face(t, th))
+    return CirclePattern.from_euclidean(t, th, cfg)
+
+
+def _spherical(t, value):
+    th = AngleAssignment.constant(t, value)
+    cfg, _ = solve_spherical(t, th)
+    return CirclePattern.from_spherical(t, th, cfg)
+
+
+def _stack120():
+    rng = np.random.default_rng(11)
+    rng.uniform(0.0, 1.2, 480)  # as in the planar-g5 benchmark's stack120 draw
+    return build_triangulation(stacked_faces(rng, 120))
+
+
+SPHERICAL_SHAPES = ("octahedron", "pentagonal_bipyramid", "hexagonal_bipyramid",
+                    "icosahedron")
+REFERENCE_CASES = (
+    [(f"{name}-t0", lambda name=name: _planar(shapes.shipped_triangulations()[name]))
+     for name in shapes.shipped_triangulations()]
+    + [(f"{name}-t1.2",
+        lambda name=name: _spherical(shapes.shipped_triangulations()[name], 1.2))
+       for name in SPHERICAL_SHAPES]
+    + [("ico162-t0", lambda: _planar(build_triangulation(
+        loop_subdivide(shapes.icosahedron().faces, 2)))),
+       ("stack120-t0", lambda: _planar(_stack120()))]
+)
+
+
+class TestLocalSamplingMatchesReference:
+    """The local verifier against the all-disk references in ``oracles``:
+    every sample tested against every disk, clearance over all disks, and
+    union-find components."""
+
+    @pytest.mark.parametrize("make", [m for _, m in REFERENCE_CASES],
+                             ids=[name for name, _ in REFERENCE_CASES])
+    def test_same_report(self, make, monkeypatch):
+        p = make()
+        local = verify_pattern(p).to_dict()
+        monkeypatch.setattr(verifier, "_irreducibility_witnesses",
+                            oracles.irreducibility_witnesses)
+        monkeypatch.setattr(verifier, "flower_check", oracles.flower_check)
+        monkeypatch.setattr(verifier, "count_interstices", oracles.count_interstices)
+        assert local == verify_pattern(p).to_dict()
+
+    @pytest.mark.parametrize("shrink", [0.7, 0.9])
+    def test_same_spherical_interstices(self, octa_third_pi, shrink):
+        # about 7000 and 650 of the 20000 samples stay free; the reference
+        # links free samples through one product of all of them
+        p = octa_third_pi
+        bad = CirclePattern(p.triangulation, p.theta, p.mode, p.centers.copy(),
+                            p.radii * shrink, p.marked_face)
+        got_n, got = count_interstices(bad)
+        want_n, want = oracles.count_interstices(bad)
+        assert got_n == want_n > 0
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "stacked_tetrahedra"])
+    def test_same_planar_clearance(self, name):
+        p = _planar(shapes.shipped_triangulations()[name])
+        pts, g, _ = verifier._euclidean_grid(p, 256)
+        assert np.array_equal(verifier._grid_clearance(p, pts, g), oracles.clearance(p, pts))
+
+    def test_unit_disk_grid_hoisting_is_exact(self, octa_third_pi, descartes):
+        for p in (octa_third_pi, descartes):
+            for v in range(len(p.radii)):
+                assert np.array_equal(verifier._interior_points(p, v, 64),
+                                      oracles.interior_points(p, v, 64))
+
+
+class TestSingleDiskMembership:
+    def test_one_disk_column_matches_full_matrix(self, octa_third_pi):
+        """Membership in one disk is decided on the same dot products as
+        the full matrix, also for a sample exactly on the threshold where
+        a one-column product would round differently."""
+        p = octa_third_pi
+        pts = verifier._fibonacci_sphere(2000)
+        full = pts @ p.centers.T
+        lower = [(d, k) for d in range(len(p.radii))
+                 for k in np.flatnonzero((pts @ p.centers[[d]].T)[:, 0] < full[:, d])]
+        if not lower:
+            pytest.skip("this BLAS rounds both products alike")
+        d, k = lower[0]
+        radii = p.radii.copy()
+        radii[d] = math.acos(full[k, d])
+        q = CirclePattern(p.triangulation, p.theta, p.mode, p.centers, radii)
+        slack = full[k, d] - math.cos(radii[d])  # exact: the two are this close
+        got = verifier._in_disks(q, pts, np.array([d]), slack)
+        assert got[k, 0]
+        assert np.array_equal(got[:, 0], q.point_in_disks(pts, slack)[:, d])
+
+
+class TestNearDisks:
+    """A disk not adjacent to v, closer to D_v than the 1e-12 sample slack,
+    still covers the samples in that gap."""
+
+    def test_planar_gap_below_slack(self):
+        t = shapes.octahedron()
+        u = next(w for w in range(1, 6) if not t.has_edge(0, w))
+        centers = np.array([100j * k for k in range(6)])
+        centers[0], centers[u] = 0.0, 2.0 + 5e-13
+        p = CirclePattern(t, AngleAssignment.constant(t, 0.0), "euclidean",
+                          centers, np.ones(6))
+        self._check(p, u)
+
+    def test_spherical_gap_below_slack(self):
+        # for a cap of radius 1e-6 the cosine slack is an angle of 7e-7, so
+        # an angular gap of 5e-7 is inside it
+        t = shapes.octahedron()
+        u = next(w for w in range(1, 6) if not t.has_edge(0, w))
+        far = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, -1.0, 0.0)]
+        centers = np.zeros((6, 3))
+        radii = np.full(6, 0.1)
+        centers[[w for w in range(1, 6) if w != u]] = far
+        centers[0], radii[0] = (0.0, 0.0, 1.0), 0.5
+        phi = 0.5 + 1e-6 + 5e-7  # boundary sample 0 of D_0 points along +y
+        centers[u], radii[u] = (0.0, math.sin(phi), math.cos(phi)), 1e-6
+        p = CirclePattern(t, AngleAssignment.constant(t, 1.2), "spherical", centers, radii)
+        self._check(p, u)
+
+    @staticmethod
+    def _check(p, u):
+        assert u in verifier._near_disks(p, 0, -verifier.COVER_SLACK)
+        _, got = verifier._irreducibility_witnesses(p, 64, 16)
+        _, want = oracles.irreducibility_witnesses(p, 64, 16)
+        first = verifier._boundary_points(p, 0, 64)[0]
+        assert np.array_equal(got[0], want[0])
+        assert not np.array_equal(got[0], first)
