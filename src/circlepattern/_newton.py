@@ -87,31 +87,52 @@ def retract(mode: str, centers: np.ndarray, radii: np.ndarray,
     return moved, 2.0 * np.arctan(np.tan(0.5 * radii) * np.exp(d[:, 2]))
 
 
+def min_norm_step(J: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Least-norm solution x of J x = -f for J with no more rows than
+    columns.
+
+    From J^T = QR, x = Q R^-T (-f): exact when J has full row rank, as the
+    Jacobian of a triangulated sphere has (3n - 6 edges against the
+    6-dimensional Moebius null space, 4-dimensional with tied radii).
+    ``lstsq`` takes over when the diagonal of R shows rank loss.
+    """
+    q, r = np.linalg.qr(J.T)
+    d = np.abs(np.diag(r))
+    if len(d) and d.min() <= d.max() * max(J.shape) * np.finfo(float).eps:
+        return np.linalg.lstsq(J, -f, rcond=None)[0]
+    return q @ np.linalg.solve(r.T, -f)
+
+
 def gauss_newton(mode: str, centers: np.ndarray, radii: np.ndarray,
                  edges: np.ndarray, target_cos: np.ndarray, tol: float,
                  max_iters: int, tied: Sequence[int] = ()):
     """Damped minimum-norm Gauss-Newton on I_e = cos(theta_e).
 
-    Each step is the least-norm least-squares solution of the linearized
-    system, halved until the residual norm drops; a candidate whose residual
-    is not finite (a radius driven to the end of its range) is rejected
-    before any norm is taken.  Stops when the largest residual is at most
-    ``tol``, after ``max_iters`` steps, or when no halving helps.  The radii
+    Each step is the least-norm solution of the linearized system, halved
+    until the residual norm drops; a candidate whose residual is not finite
+    (a radius driven to the end of its range) is rejected before any norm
+    is taken.  Stops when the largest residual is at most ``tol``, after
+    ``max_iters`` steps, or at the rounding floor: after the first step
+    that is not a full step halving the largest residual, or when no
+    halving lowers the residual norm.  Quadratic convergence rules both out
+    above rounding level; a start outside the quadratic region stops the
+    same way, and a continuation caller then shortens its step.  The radii
     of the ``tied`` vertices are scaled by one common factor per step, so
     equal radii among them stay exactly equal.
 
-    Returns (centers, radii, converged, iterations, largest residual).
+    Returns (centers, radii, converged, iterations, largest residual, why
+    it stopped: "tolerance", "rounding floor" or "step limit").
     """
     tied_cols = [3 * v + 2 for v in tied]
     f, J = residual_and_jacobian(mode, centers, radii, edges, target_cos)
     res = float(np.max(np.abs(f)))
     for it in range(max_iters):
         if res <= tol:
-            return centers, radii, True, it, res
+            return centers, radii, True, it, res, "tolerance"
         if tied_cols:
             J[:, tied_cols[0]] = J[:, tied_cols].sum(axis=1)
             J[:, tied_cols[1:]] = 0.0
-        step = np.linalg.lstsq(J, -f, rcond=None)[0]
+        step = min_norm_step(J, f)
         if tied_cols:
             step[tied_cols[1:]] = step[tied_cols[0]]
         norm0 = np.linalg.norm(f)
@@ -124,8 +145,10 @@ def gauss_newton(mode: str, centers: np.ndarray, radii: np.ndarray,
                 break
             lam *= 0.5
         else:
-            return centers, radii, False, it, res
-        centers, radii = c_try, r_try
+            return centers, radii, False, it, res, "rounding floor"
+        new_res = float(np.max(np.abs(f_try)))
+        if lam < 1.0 or new_res > 0.5 * res:
+            return c_try, r_try, new_res <= tol, it + 1, new_res, "rounding floor"
+        centers, radii, res = c_try, r_try, new_res
         f, J = residual_and_jacobian(mode, centers, radii, edges, target_cos)
-        res = float(np.max(np.abs(f)))
-    return centers, radii, res <= tol, max_iters, res
+    return centers, radii, res <= tol, max_iters, res, "step limit"

@@ -19,7 +19,7 @@ from .errors import ConditionsViolated, LayoutInconsistent, Stalled
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
-from ._newton import gauss_newton
+from ._newton import gauss_newton, inversive
 
 PI = math.pi
 POLISH_TOL = 1e-14
@@ -106,16 +106,34 @@ class _CurvatureMap:
         )
         return float(np.min(m)) if len(m) else 1.0
 
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """dK/du, assembled from per-face 3x3 blocks of d(alpha_i)/d(log r_j).
 
-def _jacobian(fun, u: np.ndarray, f0: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    n = len(u)
-    J = np.empty((len(f0), n))
-    for i in range(n):
-        step = h * max(1.0, abs(u[i]))
-        up = u.copy()
-        up[i] += step
-        J[:, i] = (fun(up) - f0) / step
-    return J
+        Each block is dl/du, with dl_i/dlog r_j = r_j (r_j + r_k cos theta_i)
+        / l_i, followed by the differentiated law of cosines, d(alpha_i) =
+        l_i / 2A (dl_i - cos alpha_k dl_j - cos alpha_j dl_k).  A face of
+        zero area makes entries non-finite; the caller checks.
+        """
+        r = self.radii_from(u)[self.fv]
+        th = self.face_theta
+        lengths = triples.edge_lengths(triples.EUCLIDEAN, r, th)
+        cos_a = np.cos(triples.inner_angles_from_lengths(triples.EUCLIDEAN, lengths))
+        rj, rk, c = np.roll(r, -1, axis=1), np.roll(r, -2, axis=1), np.cos(th)
+        i, j, k = [0, 1, 2], [1, 2, 0], [2, 0, 1]
+        dl = np.zeros((len(r), 3, 3))
+        dl[:, i, j] = rj * (rj + rk * c) / lengths
+        dl[:, i, k] = rk * (rk + rj * c) / lengths
+        dalpha = np.zeros_like(dl)
+        dalpha[:, i, i] = 1.0
+        dalpha[:, i, j] = -cos_a[:, k]
+        dalpha[:, i, k] = -cos_a[:, j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # feasibility_margin is (2A)^2 for the center triangle
+            two_area = np.sqrt(triples.feasibility_margin(triples.EUCLIDEAN, r, th))
+            blocks = (lengths / two_area[:, None])[:, :, None] * (dalpha @ dl)
+        H = np.zeros((self.t.vertex_count, self.t.vertex_count))
+        np.add.at(H, (self.fv[:, :, None], self.fv[:, None, :]), blocks)
+        return -H[np.ix_(self.free, self.free)]
 
 
 def solve_euclidean(
@@ -153,24 +171,10 @@ def solve_euclidean(
     stall = 0
     while res > opts.tol_K and it < opts.max_iters:
         it += 1
-        J = _jacobian(cmap.curvatures, u, K)
-        try:
-            step = np.linalg.solve(J, -K)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -K, rcond=None)[0]
-        improved = False
-        lam = 1.0
-        norm0 = np.linalg.norm(K)
-        for _ in range(30):
-            cand = u + lam * step
-            if cmap.min_margin(cand) > 0.0:
-                Kc = cmap.curvatures(cand)
-                if np.linalg.norm(Kc) < norm0:
-                    u, K = cand, Kc
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
+        accepted = _newton_step(cmap, u, K)
+        if accepted is not None:
+            u, K = accepted
+        else:
             # classic per-vertex sweep: bisection on each curvature
             u, K, moved = _bisection_sweep(cmap, u, K)
             if not moved:
@@ -203,7 +207,8 @@ def solve_euclidean(
 
     radii = cmap.radii_from(u)
     centers = layout_euclidean(t, theta, radii, fid, tol_layout=opts.tol_layout)
-    centers, radii = _polish(t, theta, centers, radii, face)
+    centers, radii, polish_note = _polish(t, theta, centers, radii, face)
+    notes.append(polish_note)
     centers, radii = _normalize(centers, radii, face)
 
     sigma = cmap.sigma(radii)
@@ -225,6 +230,29 @@ def solve_euclidean(
         normalized={"y4": True, "y5": True, "y6": True},
     )
     return cfg, rep
+
+
+def _newton_step(cmap: _CurvatureMap, u: np.ndarray, K: np.ndarray):
+    """Newton step on the curvatures, halved until every face closes up and
+    the residual norm drops.  Returns the new (u, K), or None when all
+    halvings fail or a face of zero area leaves the Jacobian non-finite."""
+    J = cmap.jacobian(u)
+    if not np.all(np.isfinite(J)):
+        return None
+    try:
+        step = np.linalg.solve(J, -K)
+    except np.linalg.LinAlgError:
+        step = np.linalg.lstsq(J, -K, rcond=None)[0]
+    lam = 1.0
+    norm0 = np.linalg.norm(K)
+    for _ in range(30):
+        cand = u + lam * step
+        if cmap.min_margin(cand) > 0.0:
+            Kc = cmap.curvatures(cand)
+            if np.linalg.norm(Kc) < norm0:
+                return cand, Kc
+        lam *= 0.5
+    return None
 
 
 def _bisection_sweep(cmap: _CurvatureMap, u: np.ndarray, K: np.ndarray):
@@ -360,7 +388,7 @@ def _diameter(centers: np.ndarray, radii: np.ndarray) -> float:
 
 
 def _polish(t: Triangulation, theta: AngleAssignment, centers: np.ndarray,
-            radii: np.ndarray, face) -> Tuple[np.ndarray, np.ndarray]:
+            radii: np.ndarray, face) -> Tuple[np.ndarray, np.ndarray, str]:
     """Newton polish of the full configuration in inversive-distance space.
 
     The curvature iteration leaves a residual that the developing map can
@@ -369,13 +397,14 @@ def _polish(t: Triangulation, theta: AngleAssignment, centers: np.ndarray,
     I_e(z, r) = cos(theta_e) drives the dimensionless residuals to rounding
     level; a step is kept only if it lowers the residual.  Similarities stay
     free for ``_normalize``; the marked radii move together, which keeps
-    them equal and so fixes the rest of the Moebius freedom.
+    them equal and so fixes the rest of the Moebius freedom.  Returns the
+    polished centers and radii and a one-line account of the polish.
     """
-    centers, radii, *_ = gauss_newton(
+    centers, radii, _, steps, res, stop = gauss_newton(
         triples.EUCLIDEAN, centers, radii, np.asarray(t.edges, dtype=int),
         np.cos(theta.array()), POLISH_TOL, POLISH_ITERS, tied=face,
     )
-    return centers, radii
+    return centers, radii, f"polish: {steps} steps, residual {res:.2e}, stop: {stop}"
 
 
 def _normalize(centers: np.ndarray, radii: np.ndarray, face) -> Tuple[np.ndarray, np.ndarray]:
@@ -394,10 +423,5 @@ def _normalize(centers: np.ndarray, radii: np.ndarray, face) -> Tuple[np.ndarray
 
 def _angle_residual(t, theta, centers, radii) -> float:
     """Max realized-angle mismatch over edges, measured on cosines."""
-    worst = 0.0
-    for eid, (u, v) in enumerate(t.edges):
-        inv = triples.inversive_distance(
-            triples.EUCLIDEAN, centers[u], radii[u], centers[v], radii[v]
-        )
-        worst = max(worst, abs(inv - math.cos(theta[eid])))
-    return worst
+    inv = inversive(triples.EUCLIDEAN, centers, radii, np.asarray(t.edges, dtype=int))
+    return float(np.max(np.abs(inv - np.cos(theta.array()))))

@@ -269,7 +269,7 @@ def solve_spherical(
     s, ds = 0.0, 0.1
     while s < 1.0:
         s_try = min(1.0, s + ds)
-        c_new, r_new, ok, iters, res = gauss_newton(
+        c_new, r_new, ok, iters, res, _ = gauss_newton(
             triples.SPHERICAL, centers, radii, edges, np.cos(s_try * target),
             NEWTON_TOL, CORRECTOR_ITERS,
         )

@@ -26,6 +26,7 @@ PI = math.pi
 DISJOINT_EPS = 1e-9      # inversive slack distinguishing overlap from contact
 COVER_SLACK = 1e-12      # a sample this close to another disk counts as covered
 SMALL_ANGLE = 1e-3       # below this the radian angle chart is ill-conditioned
+FACE_TEST_CHUNK = 1 << 16  # face-sample pairs tested at once in _in_any_face
 
 
 @dataclass
@@ -221,10 +222,11 @@ def _interior_points(p: CirclePattern, v: int, grid: int) -> np.ndarray:
     rr = rho * p.radii[v]
     n = p.centers[v]
     (e1,), (e2,) = triples.tangent_frames(n)
-    return (
-        np.cos(rr)[:, None] * n[None, :]
-        + np.sin(rr)[:, None] * (cos_ph[:, None] * e1 + sin_ph[:, None] * e2)
-    )
+    cos_rr, sin_rr = np.cos(rr), np.sin(rr)
+    out = np.empty((len(rr), 3))
+    for k in range(3):  # column by column: cheaper than (m, 1) x (3,) broadcasts
+        out[:, k] = cos_rr * n[k] + sin_rr * (cos_ph * e1[k] + sin_ph * e2[k])
+    return out
 
 
 def _in_open_star(p: CirclePattern, v: int, points: np.ndarray, eps: float) -> np.ndarray:
@@ -265,25 +267,28 @@ def _in_fan_triangle(p, v, a, b, points, eps) -> np.ndarray:
 
 
 def _in_any_face(p: CirclePattern, points, eps) -> np.ndarray:
+    """Membership in some closed laid-out face, for all faces at once (a
+    face per row, in chunks of about FACE_TEST_CHUNK entries)."""
     t = p.triangulation
     skip = t.face_id_of(p.marked_face) if p.marked_face is not None else None
+    corners = p.centers[[f for fid, f in enumerate(t.faces) if fid != skip]].T[:, :, None]
+    step = max(1, FACE_TEST_CHUNK // corners.shape[1])
     out = np.zeros(len(points), dtype=bool)
-    for fid in range(t.face_count):
-        if fid == skip:
-            continue
-        s1, s2, s3, tol = _planar_sides(p.centers[list(t.faces[fid])], points, eps)
-        out |= (s1 >= -tol) & (s2 >= -tol) & (s3 >= -tol)
+    for lo in range(0, len(points), step):
+        s1, s2, s3, tol = _planar_sides(corners, points[lo:lo + step], eps)
+        out[lo:lo + step] = ((s1 >= -tol) & (s2 >= -tol) & (s3 >= -tol)).any(axis=0)
     return out
 
 
 def _planar_sides(corners, points, eps):
     """Cross products of the sides AB, BC, CA of the triangle ABC with the
-    points, signed positive inside, and ``eps`` scaled by the triangle."""
+    points, signed positive inside, and ``eps`` scaled by the triangle.
+    The corners may be columns of triangles, one triangle per row."""
     A, B, C = corners
     sigma = _cross2(B - A, C - A)
     sign = np.sign(sigma)
     return (_cross2(B - A, points - A) * sign, _cross2(C - B, points - B) * sign,
-            _cross2(A - C, points - C) * sign, eps * (abs(sigma) if sigma != 0 else 1.0))
+            _cross2(A - C, points - C) * sign, eps * np.where(sigma != 0, np.abs(sigma), 1.0))
 
 
 def _cross2(a, b):

@@ -382,6 +382,27 @@ def flower_check(p, v: int, boundary_samples: int = 4096, interior_grid: int = 6
     return False, rest[~in_star][0]
 
 
+def in_any_face(p, points, eps) -> np.ndarray:
+    """Membership in some closed laid-out planar face, one face at a time."""
+    t = p.triangulation
+    skip = t.face_id_of(p.marked_face) if p.marked_face is not None else None
+
+    def cross(a, b):
+        return a.real * b.imag - a.imag * b.real
+
+    out = np.zeros(len(points), dtype=bool)
+    for fid, face in enumerate(t.faces):
+        if fid == skip:
+            continue
+        A, B, C = p.centers[list(face)]
+        sigma = cross(B - A, C - A)
+        sign, tol = np.sign(sigma), eps * (abs(sigma) if sigma != 0 else 1.0)
+        out |= ((cross(B - A, points - A) * sign >= -tol)
+                & (cross(C - B, points - B) * sign >= -tol)
+                & (cross(A - C, points - C) * sign >= -tol))
+    return out
+
+
 def clearance(p, pts, chunk: int = 4096) -> np.ndarray:
     """Distance from each sample to the nearest of all disks (negative
     inside), in row chunks so that only memory, not the values, changes."""

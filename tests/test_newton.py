@@ -1,10 +1,24 @@
-"""The inversive-distance Newton kernel: analytic Jacobians against a
-central-difference oracle in both geometries."""
+"""The Newton kernels: analytic Jacobians of the inversive-distance system
+and of the planar curvature map against central-difference oracles, the
+minimum-norm step, and the stopping rules."""
+import math
+
 import numpy as np
 import pytest
 
-from circlepattern import shapes
-from circlepattern._newton import residual_and_jacobian, retract
+from circlepattern import (
+    AngleAssignment,
+    build_triangulation,
+    euclidean,
+    inversive_distance,
+    pick_marked_face,
+    shapes,
+    solve_euclidean,
+)
+from circlepattern._newton import gauss_newton, min_norm_step, residual_and_jacobian, retract
+from random_triangulations import loop_subdivide, stacked_faces
+
+PI = math.pi
 
 
 def random_configuration(mode, n, rng):
@@ -35,3 +49,182 @@ def test_jacobian_matches_central_differences(mode):
         e[i] = h
         fd[:, i] = (f(e) - f(-e)) / (2.0 * h)
     np.testing.assert_allclose(fd, J, rtol=1e-6, atol=1e-9 * np.max(np.abs(J)))
+
+
+# ---------------------------------------------------------------------------
+# the curvature map of the planar solver
+# ---------------------------------------------------------------------------
+
+def ico162_uniform():
+    """The planar-g5 benchmark's ico162-u draw: theta ~ U(0, 1.2) per edge,
+    edges in sorted order, from seed 2024."""
+    t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 2))
+    draw = np.random.default_rng(2024).uniform(0.0, 1.2, t.edge_count)
+    return t, AngleAssignment.from_dict(t, dict(zip(sorted(t.edges), draw)))
+
+
+def obtuse_bipyramid():
+    """TestObtuseInstance's data: one equatorial edge at 1.8 rad."""
+    t = shapes.triangular_bipyramid()
+    vals = {e: 0.2 if (0 in e or 1 in e) else 0.3 for e in t.edges}
+    vals[[e for e in t.edges if 0 not in e and 1 not in e][0]] = 1.8
+    return t, AngleAssignment.from_dict(t, vals)
+
+
+def stack120():
+    rng = np.random.default_rng(11)
+    rng.uniform(0.0, 1.2, 480)  # as in the planar-g5 benchmark's stack120 draw
+    t = build_triangulation(stacked_faces(rng, 120))
+    return t, AngleAssignment.constant(t, 0.0)
+
+
+def curvature_map_points(make):
+    """The curvature map of an instance, at the start, at the solution and
+    at a random point between."""
+    t, th = make()
+    fid = pick_marked_face(t, th)
+    cmap = euclidean._CurvatureMap(t, th, fid)
+    cfg, _ = solve_euclidean(t, th, fid)
+    solved = np.log(cfg.radii / cfg.radii[cfg.marked_face[0]])[cmap.free]
+    mixed = np.random.default_rng(9).uniform(0.0, 1.0, len(solved)) * solved
+    return cmap, [np.zeros(len(solved)), solved, mixed]
+
+
+CURVATURE_CASES = [ico162_uniform, obtuse_bipyramid]
+
+
+@pytest.mark.parametrize("make", CURVATURE_CASES, ids=["ico162-u", "obtuse-bipyramid"])
+def test_curvature_jacobian_matches_central_differences(make):
+    cmap, points = curvature_map_points(make)
+    h = 1e-6
+    for u in points:
+        J = cmap.jacobian(u)
+        fd = np.empty_like(J)
+        for i in range(len(u)):
+            e = np.zeros(len(u))
+            e[i] = h
+            fd[:, i] = (cmap.curvatures(u + e) - cmap.curvatures(u - e)) / (2.0 * h)
+        np.testing.assert_allclose(fd, J, rtol=1e-6, atol=1e-8 * np.max(np.abs(J)))
+
+
+@pytest.mark.parametrize("make", CURVATURE_CASES, ids=["ico162-u", "obtuse-bipyramid"])
+def test_curvature_jacobian_is_symmetric(make):
+    """dK/dlog r is the Hessian of a functional, so it is symmetric, obtuse
+    angles included."""
+    cmap, points = curvature_map_points(make)
+    for u in points:
+        J = cmap.jacobian(u)
+        assert np.max(np.abs(J - J.T)) <= 1e-12
+
+
+def test_curvature_jacobian_not_finite_on_a_flat_face():
+    """Where a face's three circles only just fail to close up, its center
+    triangle is flat: the Jacobian says so with non-finite entries and
+    raises no warning."""
+    t = shapes.octahedron()
+    vals = [0.3] * t.edge_count
+    for eid, value in zip(t.face_edge_ids(1), (2.9, 2.9, 0.1)):
+        vals[eid] = value
+    cmap = euclidean._CurvatureMap(t, AngleAssignment(t, tuple(vals)), 0)
+    lo, hi = np.full(len(cmap.free), 3.0), np.zeros(len(cmap.free))
+    assert cmap.min_margin(lo) > 0.0 >= cmap.min_margin(hi)
+    for _ in range(80):  # bisect to the last representable flat point
+        mid = 0.5 * (lo + hi)
+        if cmap.min_margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert np.all(np.isfinite(cmap.jacobian(lo)))
+    assert not np.all(np.isfinite(cmap.jacobian(hi)))
+
+
+def test_rejected_newton_step_falls_back_to_the_sweep(monkeypatch, octa):
+    """A non-finite Jacobian (a face of zero area) rejects the Newton step;
+    the per-vertex bisection sweep moves instead and the solve converges to
+    the same pattern."""
+    th = AngleAssignment.constant(octa, PI / 4)
+    want, _ = solve_euclidean(octa, th, 0)
+    analytic = euclidean._CurvatureMap.jacobian
+    calls = []
+
+    def degenerate_first(self, u):
+        calls.append(1)
+        J = analytic(self, u)
+        return J * np.nan if len(calls) == 1 else J
+
+    monkeypatch.setattr(euclidean._CurvatureMap, "jacobian", degenerate_first)
+    cfg, rep = solve_euclidean(octa, th, 0)
+    assert rep.notes[0] == "iter 1: newton step rejected, used sweep"
+    assert rep.max_abs_K <= 1e-10
+    np.testing.assert_allclose(cfg.radii, want.radii, rtol=1e-9)
+    np.testing.assert_allclose(cfg.centers, want.centers, atol=1e-9)
+
+
+def test_angle_residual_matches_per_edge_loop():
+    """The vectorized residual against one inversive distance per edge, on a
+    perturbed pattern whose largest error is downwards."""
+    t, th = obtuse_bipyramid()
+    cfg, _ = solve_euclidean(t, th, pick_marked_face(t, th))
+    rng = np.random.default_rng(8)
+    radii = cfg.radii * rng.uniform(0.99, 1.01, len(cfg.radii))
+    err = [inversive_distance("euclidean", cfg.centers[u], radii[u], cfg.centers[v], radii[v])
+           - math.cos(th[e]) for e, (u, v) in enumerate(t.edges)]
+    assert -min(err) > max(err) > 0.0
+    got = euclidean._angle_residual(t, th, cfg.centers, radii)
+    assert got == pytest.approx(max(abs(x) for x in err), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the minimum-norm step and the rounding floor
+# ---------------------------------------------------------------------------
+
+def tied_jacobian():
+    """A full-row-rank planar Jacobian with the marked face's log-radius
+    columns merged, as ``gauss_newton`` builds it."""
+    t = shapes.icosahedron()
+    edges = np.asarray(t.edges, dtype=int)
+    rng = np.random.default_rng(4)
+    centers, radii = random_configuration("euclidean", t.vertex_count, rng)
+    f, J = residual_and_jacobian("euclidean", centers, radii, edges,
+                                 np.cos(rng.uniform(0.0, 2.0, len(edges))))
+    cols = [3 * v + 2 for v in t.faces[0]]
+    J[:, cols[0]] = J[:, cols].sum(axis=1)
+    J[:, cols[1:]] = 0.0
+    return J, f
+
+
+def test_min_norm_step_equals_lstsq(monkeypatch):
+    J, f = tied_jacobian()
+    assert np.linalg.matrix_rank(J) == J.shape[0]
+    want = np.linalg.lstsq(J, -f, rcond=None)[0]
+    monkeypatch.setattr(np.linalg, "lstsq", None)  # full row rank: QR only
+    got = min_norm_step(J, f)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_min_norm_step_falls_back_on_rank_loss():
+    J, f = tied_jacobian()
+    J[1], f[1] = J[0], f[0]  # a repeated equation: R has a zero pivot
+    got = min_norm_step(J, f)
+    assert np.array_equal(got, np.linalg.lstsq(J, -f, rcond=None)[0])
+    np.testing.assert_allclose(J @ got, -f, atol=1e-10)
+
+
+def test_polish_stops_at_the_rounding_floor(monkeypatch):
+    """On the stack120 draw, radius ratios near 1e-5 hold the polish residual
+    near 5e-12, far above its 1e-14 target: it must stop there within four
+    steps instead of running out its step limit."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(gauss_newton(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(euclidean, "gauss_newton", recorded)
+    t, th = stack120()
+    _, rep = solve_euclidean(t, th, pick_marked_face(t, th))
+    (_, _, ok, steps, res, stop), = results
+    assert stop == "rounding floor" and not ok
+    assert steps <= 4 < euclidean.POLISH_ITERS
+    assert res < 1e-10
+    assert rep.notes[-1] == f"polish: {steps} steps, residual {res:.2e}, stop: rounding floor"

@@ -263,7 +263,27 @@ class TestLocalSamplingMatchesReference:
                             oracles.irreducibility_witnesses)
         monkeypatch.setattr(verifier, "flower_check", oracles.flower_check)
         monkeypatch.setattr(verifier, "count_interstices", oracles.count_interstices)
+        monkeypatch.setattr(verifier, "_in_any_face", oracles.in_any_face)
         assert local == verify_pattern(p).to_dict()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_same_face_membership(self, chunk, monkeypatch):
+        """All faces at once, in chunks of any size, against one face at a
+        time; samples on the edges and corners of the faces included."""
+        p = _planar(build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1)))
+        corners = p.centers[np.array(p.triangulation.faces)]
+        rng = np.random.default_rng(3)
+        w = rng.dirichlet(np.ones(3), size=(len(corners), 4))
+        pts = np.concatenate([
+            np.einsum("fk,fsk->fs", corners, w).ravel(),       # inside
+            (0.5 * (corners + np.roll(corners, 1, axis=1))).ravel(),  # on edges
+            corners.ravel(),
+            rng.normal(size=2000) * 2.0 + 2.0j * rng.normal(size=2000),
+        ])
+        monkeypatch.setattr(verifier, "FACE_TEST_CHUNK", chunk)
+        got = verifier._in_any_face(p, pts, 1e-9)
+        assert np.array_equal(got, oracles.in_any_face(p, pts, 1e-9))
+        assert 0 < got.sum() < len(pts)
 
     @pytest.mark.parametrize("shrink", [0.7, 0.9])
     def test_same_spherical_interstices(self, octa_third_pi, shrink):
