@@ -40,6 +40,7 @@ from ._newton import gauss_newton, inversive
 PI = math.pi
 SOUTH = np.array([0.0, 0.0, -1.0])
 NEWTON_TOL = 1e-13       # corrector tolerance on |I_e - cos(theta_e)|
+FLOOR_TOL = 1e-11        # accepted when the corrector stops at its rounding floor
 CORRECTOR_ITERS = 60
 CENTERING_TOL = 1e-9     # mean cap center norm accepted as centered
 CENTERING_ITERS = 100
@@ -269,10 +270,12 @@ def solve_spherical(
     s, ds = 0.0, 0.1
     while s < 1.0:
         s_try = min(1.0, s + ds)
-        c_new, r_new, ok, iters, res, _ = gauss_newton(
+        c_new, r_new, ok, iters, res, stop = gauss_newton(
             triples.SPHERICAL, centers, radii, edges, np.cos(s_try * target),
             NEWTON_TOL, CORRECTOR_ITERS,
         )
+        # small caps (n=642 and up) hold the floor above NEWTON_TOL
+        ok = ok or (stop == "rounding floor" and res <= FLOOR_TOL)
         if ok and _is_genuine(t, c_new, r_new):  # never jump to a spurious branch
             s, centers, radii = s_try, c_new, r_new
             trace.append(res)

@@ -198,6 +198,23 @@ class TestSubdividedIcosahedron:
         assert verify_pattern(p).passed
 
 
+class TestRoundingFloor:
+    def test_corrector_accepts_its_rounding_floor(self, icosa, monkeypatch):
+        """Small caps can hold the corrector's rounding floor above its
+        tolerance (about 1.4e-13 against 1e-13 at n=642); a corrector that
+        stops at the floor is accepted.  A tolerance below any floor makes
+        every corrector stop there."""
+        from circlepattern import spherical
+
+        th = AngleAssignment.constant(icosa, 2 * PI / 5)
+        want, _ = solve_spherical(icosa, th)
+        monkeypatch.setattr(spherical, "NEWTON_TOL", 1e-30)
+        cfg, rep = solve_spherical(icosa, th)
+        assert rep.angle_residual < 1e-13
+        np.testing.assert_allclose(cfg.radii, want.radii, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(cfg.centers, want.centers, rtol=0, atol=1e-13)
+
+
 class TestErrors:
     def test_conditions_enforced(self, octa):
         with pytest.raises(ConditionsViolated):
