@@ -2,9 +2,10 @@
 
 Every check works only from the circles and the combinatorial data, never
 from solver internals: realized angles are recomputed from inversive
-distances, coverage properties are sampled at a configurable resolution,
-and the three-circle relations are tested with the exact arrangement
-primitives.
+distances, interstices are certified face by face at the radical centre
+of the face's three circles, irreducibility and the flower cover are
+sampled at a configurable resolution, and the three-circle relations are
+tested with the exact arrangement primitives.
 """
 from __future__ import annotations
 
@@ -313,125 +314,62 @@ def flower_check(p: CirclePattern, v: int, boundary_samples: int = 4096,
 
 
 # ---------------------------------------------------------------------------
-# coverage sampling
+# interstices
 # ---------------------------------------------------------------------------
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n) + 0.5
-    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * i / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+def _face_witnesses(p: CirclePattern) -> List[object]:
+    """Per face, a point of the face's interstice, or None.
 
-
-def _euclidean_grid(p: CirclePattern, grid: int) -> Tuple[np.ndarray, int, float]:
-    lo_x = float(np.min(p.centers.real - p.radii))
-    hi_x = float(np.max(p.centers.real + p.radii))
-    lo_y = float(np.min(p.centers.imag - p.radii))
-    hi_y = float(np.max(p.centers.imag + p.radii))
-    pad = 0.02 * max(hi_x - lo_x, hi_y - lo_y)
-    xs = np.linspace(lo_x - pad, hi_x + pad, grid)
-    ys = np.linspace(lo_y - pad, hi_y + pad, grid)
-    xx, yy = np.meshgrid(xs, ys)
-    return (xx + 1j * yy).ravel(), grid, float(xs[1] - xs[0])
-
-
-def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Label each of nodes 0..count-1 by the smallest node of its connected
-    component under the edges (a[i], b[i]): every root hooks under the
-    smallest root it shares an edge with, then pointer jumping flattens the
-    trees, until no edge joins two roots."""
-    label = np.arange(count)
-    while True:
-        la, lb = label[a], label[b]
-        split = la != lb
-        if not split.any():
-            return label
-        np.minimum.at(label, np.maximum(la, lb)[split], np.minimum(la, lb)[split])
-        while not np.array_equal(label[label], label):
-            label = label[label]
-
-
-REACH = 4  # grid steps past a disk within which its clearance is recorded
-
-
-def _grid_clearance(p: CirclePattern, pts: np.ndarray, g: int) -> np.ndarray:
-    """``_clearance`` on the planar grid.  Each disk records its clearance
-    in its bounding box grown by ``REACH`` steps; outside the box it is
-    farther than that, so recorded minima within ``REACH - 1`` steps are
-    exact, and the other cells are measured against every disk."""
-    grid = pts.reshape(g, g)
-    xs, ys = grid[0].real, grid[:, 0].imag
-    step = max(xs[1] - xs[0], ys[1] - ys[0])
-    clear = np.full((g, g), np.inf)
-    for c, r in zip(p.centers, p.radii):
-        i0, i1 = np.searchsorted(ys, [c.imag - r - REACH * step, c.imag + r + REACH * step])
-        j0, j1 = np.searchsorted(xs, [c.real - r - REACH * step, c.real + r + REACH * step])
-        box = clear[i0:i1, j0:j1]
-        np.minimum(box, np.abs(grid[i0:i1, j0:j1] - c) - r, out=box)
-    clear = clear.ravel()
-    far = np.flatnonzero(clear > (REACH - 1) * step)
-    for k in range(0, len(far), 4096):
-        clear[far[k:k + 4096]] = _clearance(p, pts[far[k:k + 4096]])
-    return clear
-
-
-def _clearance(p: CirclePattern, pts) -> np.ndarray:
-    """Distance from each sample point to the nearest disk (negative inside)."""
+    The candidate is the radical centre of the face's three circles: in
+    the plane the point of equal power, from two linear equations relative
+    to the first centre; on the sphere the unit point over the solution x
+    of c . x = cos r, on the side of the centres for a positively oriented
+    face and on the far side for a negatively oriented one.  It lies
+    outside the three disks exactly when their triple intersection is
+    empty, and it witnesses the face when no disk covers it.  In the plane
+    the marked face is the unbounded region, witnessed by a point beyond
+    every disk.  Faces whose centres are collinear (plane) or coplanar
+    with the origin (sphere) have no radical centre and no witness.
+    """
+    t = p.triangulation
+    faces = np.array(t.faces)
+    c, r = p.centers[faces], p.radii[faces]
     if p.mode == triples.EUCLIDEAN:
-        d = np.abs(pts[:, None] - p.centers[None, :]) - p.radii[None, :]
-        return d.min(axis=1)
-    ang = np.arccos(np.clip(pts @ p.centers.T, -1.0, 1.0)) - p.radii[None, :]
-    return ang.min(axis=1)
+        a, b = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
+        pa = 0.5 * (np.abs(a) ** 2 + r[:, 0] ** 2 - r[:, 1] ** 2)
+        pb = 0.5 * (np.abs(b) ** 2 + r[:, 0] ** 2 - r[:, 2] ** 2)
+        det = _cross2(a, b)
+        ok = det != 0
+        pts = np.zeros(len(c), dtype=complex)
+        pts[ok] = c[ok, 0] + 1j * (pb[ok] * a[ok] - pa[ok] * b[ok]) / det[ok]
+        fid = t.face_id_of(p.marked_face or ())
+        if fid is not None:
+            pts[fid], ok[fid] = np.max(p.centers.real + 2.0 * p.radii), True
+    else:
+        cos_r = np.cos(r)
+        x = (cos_r[:, :1] * np.cross(c[:, 1], c[:, 2]) + cos_r[:, 1:2] * np.cross(c[:, 2], c[:, 0])
+             + cos_r[:, 2:] * np.cross(c[:, 0], c[:, 1]))  # det[c_i, c_j, c_k] times the solution
+        det = np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2]))
+        norm = np.linalg.norm(x, axis=1)
+        ok = (det != 0) & (norm > 0)
+        pts = np.zeros((len(c), 3))
+        pts[ok] = x[ok] * (np.sign(det[ok]) / norm[ok])[:, None]
+        flip = np.einsum("ij,ij->i", pts, c.sum(axis=1)) * det < 0
+        pts[flip] *= -1.0
+    # every disk, in chunks of about FACE_TEST_CHUNK face-disk pairs
+    rows, step = np.flatnonzero(ok), max(1, FACE_TEST_CHUNK // len(p.radii))
+    for lo in range(0, len(rows), step):
+        part = rows[lo:lo + step]
+        ok[part] = ~p.point_in_disks(pts[part], -COVER_SLACK).any(axis=1)
+    return [pts[f] if ok[f] else None for f in range(len(c))]
 
 
 def count_interstices(p: CirclePattern, grid: int = 256, sphere_samples: int = 20000):
-    """Connected components of the uncovered region, sampled.
-
-    A component only counts when it contains a point farther than 1.5
-    sample steps from every disk: thinner slivers (e.g. wedges pinching
-    into a tangency point) are below the resolution and attach to some
-    resolvable interstice in the true arrangement.  Euclidean mode counts
-    the unbounded outer component as one interstice.  Returns (count, one
-    deep sample point per component).
-    """
-    if p.mode == triples.EUCLIDEAN:
-        pts, g, step = _euclidean_grid(p, grid)
-        clear = _grid_clearance(p, pts, g)
-        free = (clear > 0.0).reshape(g, g)
-        idx = np.arange(len(pts)).reshape(g, g)
-        right, down = free[:, :-1] & free[:, 1:], free[:-1] & free[1:]
-        a = np.concatenate([idx[:, :-1][right], idx[:-1][down]])
-        b = np.concatenate([idx[:, 1:][right], idx[1:][down]])
-    else:
-        pts = _fibonacci_sphere(sphere_samples)
-        clear = _clearance(p, pts)
-        step = math.sqrt(4.0 * PI / sphere_samples)
-        # free samples closer than 2.5 steps are within 3 steps in z: pair
-        # each with the ones after it in z order, one offset at a time
-        order = np.flatnonzero(clear > 0.0)
-        order = order[np.argsort(pts[order, 2], kind="stable")]
-        a, b = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-        for k in range(1, len(order)):
-            i, j = order[:-k], order[k:]
-            keep = pts[j, 2] - pts[i, 2] < 3.0 * step
-            if not keep.any():
-                break
-            i, j = i[keep], j[keep]
-            near = np.einsum("ij,ij->i", pts[i], pts[j]) > math.cos(2.5 * step)
-            a.append(i[near])
-            b.append(j[near])
-        a, b = np.concatenate(a), np.concatenate(b)
-    free_idx = np.flatnonzero(clear > 0.0)
-    labels = _components(len(pts), a, b)[free_idx]
-    # per component (in order of its first sample) the first deepest sample
-    order = np.lexsort((-clear[free_idx], labels))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = labels[order[1:]] != labels[order[:-1]]
-    best = free_idx[order[first]]
-    best = best[clear[best] > 1.5 * step]
-    best = best[np.argsort(-clear[best], kind="stable")]
-    return len(best), [pts[i] for i in best]
+    """The number of faces with a witnessed interstice, and the witnesses
+    in face order (see ``_face_witnesses``).  ``grid`` and
+    ``sphere_samples`` are accepted for compatibility and unused."""
+    witnesses = [w for w in _face_witnesses(p) if w is not None]
+    return len(witnesses), witnesses
 
 
 def _near_disks(p: CirclePattern, v: int, slack: float) -> np.ndarray:
@@ -484,10 +422,14 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     (b) non-adjacent disk pairs are disjoint;
     (c) irreducibility, by the one-vertex-removed reduction, at sampling
         resolution;
-    (d) interstice count by uncovered-region sampling;
+    (d) interstices: the faces whose radical centre no disk covers (in the
+        plane the marked face is the unbounded region) must be exactly the
+        faces with angle sum below pi, faces within COND_EPS of pi exempt;
     (e) flower cover at every vertex;
     (f) lens containments among adjacent triples obey the angle relation;
     (g) face triples with angle sum below pi have empty triple intersection.
+
+    ``sphere_samples`` is unused and only recorded in ``resolution``.
     """
     t = p.triangulation
     inv = p.inversive_matrix()
@@ -508,9 +450,13 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     offending = _upper_pairs(~adjacent & (inv < 1.0 - DISJOINT_EPS))
     disjoint_ok = not offending
 
-    interstice_count, samples = count_interstices(
-        p, grid=interior_grid, sphere_samples=sphere_samples
-    )
+    # one interstice per face with angle sum below pi, none above
+    face_cmp = [compare(sum(p.theta[e] for e in t.face_edge_ids(fid)), PI)
+                for fid in range(t.face_count)]
+    face_witnesses = _face_witnesses(p)
+    samples = [w for w in face_witnesses if w is not None]
+    interstice_ok = all((w is not None) == (c < 0)
+                        for w, c in zip(face_witnesses, face_cmp) if c != 0)
 
     if p.mode == triples.EUCLIDEAN:
         # bounded disks never cover the sphere: the point at infinity
@@ -547,20 +493,16 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
         ]
     lens_ok = all(rec["holds"] for rec in lens_records)
 
-    triple_failures = []
-    for fid in range(t.face_count):
-        face = t.faces[fid]
-        s = sum(p.theta[e] for e in t.face_edge_ids(fid))
-        if compare(s, PI) < 0:
-            cs = [p.centers[v] for v in face]
-            rs = [p.radii[v] for v in face]
-            if not triples.triple_intersection_empty(p.mode, cs, rs):
-                triple_failures.append(face)
+    triple_failures = [
+        face for face, c in zip(t.faces, face_cmp)
+        if c < 0 and not triples.triple_intersection_empty(
+            p.mode, [p.centers[v] for v in face], [p.radii[v] for v in face])
+    ]
     triple_ok = not triple_failures
 
     passed = (
-        angle_ok and graph_ok and disjoint_ok and irr_ok and flower_ok
-        and lens_ok and triple_ok
+        angle_ok and graph_ok and disjoint_ok and irr_ok and interstice_ok
+        and flower_ok and lens_ok and triple_ok
     )
     return VerificationReport(
         angle_max_err=cos_err,
@@ -572,7 +514,7 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
         offending_pairs=offending,
         irreducible_ok=irr_ok,
         irreducibility_witnesses=witnesses,
-        interstice_count=interstice_count,
+        interstice_count=len(samples),
         interstice_samples=samples[:16],
         flower_ok=flower_ok,
         flower_failures=flower_failures,

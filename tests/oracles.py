@@ -403,53 +403,10 @@ def in_any_face(p, points, eps) -> np.ndarray:
     return out
 
 
-def clearance(p, pts, chunk: int = 4096) -> np.ndarray:
-    """Distance from each sample to the nearest of all disks (negative
-    inside), in row chunks so that only memory, not the values, changes."""
-    out = []
-    for k in range(0, len(pts), chunk):
-        x = pts[k:k + chunk]
-        if p.mode == "euclidean":
-            d = np.abs(x[:, None] - p.centers[None, :]) - p.radii[None, :]
-        else:
-            d = np.arccos(np.clip(x @ p.centers.T, -1.0, 1.0)) - p.radii[None, :]
-        out.append(d.min(axis=1))
-    return np.concatenate(out)
-
-
-def count_interstices(p, grid: int = 256, sphere_samples: int = 20000):
-    """Uncovered components by union-find over free neighbours, with the
-    deepest sample of each component kept by a scan in index order."""
-    from circlepattern.verify import _euclidean_grid, _fibonacci_sphere
-
-    if p.mode == "euclidean":
-        pts, g, step = _euclidean_grid(p, grid)
-        clear = clearance(p, pts)
-        freem = (clear > 0.0).reshape(g, g)
-        dsu = _DSU(len(pts))
-        idx = np.arange(len(pts)).reshape(g, g)
-        for a, b in ((idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :])):
-            both = freem.ravel()[a] & freem.ravel()[b]
-            for i, j in zip(a[both], b[both]):
-                dsu.union(int(i), int(j))
-        deep = 1.5 * step
-    else:
-        pts = _fibonacci_sphere(sphere_samples)
-        clear = clearance(p, pts)
-        free_idx = np.flatnonzero(clear > 0.0)
-        spacing = math.sqrt(4.0 * PI / sphere_samples)
-        thresh = math.cos(2.5 * spacing)
-        dsu = _DSU(len(pts))
-        sub = pts[free_idx]
-        for k in range(0, len(sub), 1024):
-            ii, jj = np.nonzero(sub[k:k + 1024] @ sub.T > thresh)
-            for a, b in zip(ii + k, jj):
-                dsu.union(int(free_idx[a]), int(free_idx[b]))
-        deep = 1.5 * spacing
-    comps: Dict[int, Tuple[float, int]] = {}
-    for i in np.flatnonzero(clear > 0.0):
-        root = dsu.find(int(i))
-        if root not in comps or clear[i] > comps[root][0]:
-            comps[root] = (float(clear[i]), int(i))
-    counted = sorted((c for c in comps.values() if c[0] > deep), key=lambda c: -c[0])
-    return len(counted), [pts[i] for _, i in counted]
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """``n`` nearly uniform unit vectors on a Fibonacci spiral."""
+    i = np.arange(n) + 0.5
+    phi = math.pi * (1.0 + math.sqrt(5.0)) * i
+    z = 1.0 - 2.0 * i / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)

@@ -1,17 +1,21 @@
 """Property tests: cycle flags and class flags agree with the brute-force
-oracles on random stacked triangulations reshaped by edge flips, and the
-verifier's component labeller agrees with union-find on random grids."""
+oracles on random stacked triangulations reshaped by edge flips and on the
+n=42 subdivided icosahedron, and every face of a random stacked tangency
+packing holds one interstice."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlepattern import AngleAssignment, build_triangulation, classify, enumerate_simple_cycles
-from circlepattern.verify import _components
+from circlepattern import (AngleAssignment, build_triangulation, classify,
+                           enumerate_simple_cycles, shapes, solve_euclidean)
+from circlepattern.euclidean import pick_marked_face
+from circlepattern.verify import CirclePattern, count_interstices
 
 import oracles
-from random_triangulations import flip_edges, stacked_faces
+from random_triangulations import flip_edges, loop_subdivide, stacked_faces
 
 PI = math.pi
 
@@ -46,6 +50,10 @@ def test_cycle_flags_match_oracles(t):
        band=st.sampled_from([(0.0, PI), (0.0, PI / 2), (PI / 4, PI / 2.5)]))
 def test_classify_flags_match_oracle(t, seed, band):
     vals = np.nextafter(np.random.default_rng(seed).uniform(*band, t.edge_count), 0)
+    _check_classify(t, vals)
+
+
+def _check_classify(t, vals):
     got = classify(t, AngleAssignment(t, tuple(vals))).class_flags
     want = oracles.brute_condition_flags(
         [tuple(f) for f in t.faces], t.vertex_count,
@@ -54,21 +62,23 @@ def test_classify_flags_match_oracle(t, seed, band):
     assert got == want
 
 
+ICO42 = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1))
+
+
+@pytest.mark.parametrize("vals", [
+    np.zeros(ICO42.edge_count),
+    np.full(ICO42.edge_count, 1.2),
+    np.random.default_rng(5).uniform(PI / 3, PI / 3 + 0.45, ICO42.edge_count),
+], ids=["t0", "t1.2", "band"])
+def test_classify_flags_match_oracle_n42(vals):
+    """About 0.6 s of brute-force circuits each."""
+    _check_classify(ICO42, vals)
+
+
 @PROPERTY
-@given(seed=seeds, rows=st.integers(1, 40), cols=st.integers(1, 40),
-       density=st.floats(0.1, 0.9))
-def test_grid_labels_match_union_find(seed, rows, cols, density):
-    free = np.random.default_rng(seed).random((rows, cols)) < density
-    idx = np.arange(free.size).reshape(free.shape)
-    right = free[:, :-1] & free[:, 1:]
-    down = free[:-1, :] & free[1:, :]
-    a = np.concatenate([idx[:, :-1][right], idx[:-1, :][down]])
-    b = np.concatenate([idx[:, 1:][right], idx[1:, :][down]])
-    labels = _components(free.size, a, b).tolist()
-    dsu = oracles._DSU(free.size)
-    for i, j in zip(a.tolist(), b.tolist()):
-        dsu.union(i, j)
-    roots = [dsu.find(i) for i in range(free.size)]
-    # the same partition, each part labelled by its smallest cell
-    assert len(set(zip(labels, roots))) == len(set(labels)) == len(set(roots))
-    assert all(labels[i] <= i and labels[labels[i]] == labels[i] for i in range(free.size))
+@given(seed=seeds, n=st.integers(4, 30))
+def test_tangency_packing_has_an_interstice_per_face(seed, n):
+    t = build_triangulation(stacked_faces(np.random.default_rng(seed), n))
+    th = AngleAssignment.constant(t, 0.0)
+    cfg, _ = solve_euclidean(t, th, pick_marked_face(t, th))
+    assert count_interstices(CirclePattern.from_euclidean(t, th, cfg))[0] == t.face_count
