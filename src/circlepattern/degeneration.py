@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .conditions import AngleAssignment
 from .errors import EmptySubset
@@ -94,5 +94,44 @@ def rank_collapse_suspects(
         degeneration_functional(t, theta, s)
         for s in connected_subsets(t, max_size, avoid)
     ]
-    vals.sort(key=lambda d: (-d.value, len(d.subset), sorted(d.subset)))
+    vals.sort(key=_most_suspect_first)
     return vals[:top]
+
+
+def sublevel_suspects(
+    t: Triangulation,
+    theta: AngleAssignment,
+    radii: Sequence[float],
+    max_size: int,
+    avoid: Iterable[int] = (),
+    top: int = 10,
+) -> List[DegenerationFunctional]:
+    """The connected sublevel sets of a failing solve's radii, where its
+    collapsing circles are, ranked like ``rank_collapse_suspects``.
+
+    They form the merge tree: vertices outside ``avoid`` join in order of
+    increasing radius, each merging the components of its joined
+    neighbours; the component of each joining vertex is a candidate when it
+    has at most ``max_size`` vertices.  That is at most n - 1 subsets, where
+    ``connected_subsets`` lists millions at n of a few hundred.
+    """
+    banned, comp, members, found = set(avoid), {}, {}, []
+    max_size = min(max_size, t.vertex_count - 1)
+    for v in sorted(range(t.vertex_count), key=lambda v: radii[v]):
+        if v in banned:
+            continue
+        comp[v], members[v] = v, [v]
+        for w in t.neighbors(v):
+            if w in comp and comp[w] != comp[v]:  # relabel the smaller side
+                big, small = sorted((comp[v], comp[w]), key=lambda c: -len(members[c]))
+                for x in members[small]:
+                    comp[x] = big
+                members[big] += members.pop(small)
+        if len(members[comp[v]]) <= max_size:
+            found.append(degeneration_functional(t, theta, members[comp[v]]))
+    found.sort(key=_most_suspect_first)
+    return found[:top]
+
+
+def _most_suspect_first(d: DegenerationFunctional):
+    return (-d.value, len(d.subset), sorted(d.subset))

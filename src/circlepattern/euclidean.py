@@ -1,8 +1,11 @@
 """Euclidean circle-pattern solver for the interstice regime.
 
 Radii are found by damped Newton iteration on the apex-curvature map in
-log-radius variables, with the three marked-face radii pinned equal; the
-centers are then produced by developing the triangulation face by face.
+log-radius variables from equal radii, with the three marked-face radii
+pinned equal; the centers are then produced by developing the
+triangulation face by face.  The iteration stops by the rule of
+``_newton``; the realized angles after polish decide whether it found a
+pattern.
 """
 from __future__ import annotations
 
@@ -14,12 +17,12 @@ import numpy as np
 
 from .conditions import AngleAssignment, classify, compare
 from .configurations import CurvatureReport, EuclideanConfiguration
-from .degeneration import rank_collapse_suspects
+from .degeneration import sublevel_suspects
 from .errors import ConditionsViolated, LayoutInconsistent, Stalled
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
-from ._newton import gauss_newton, inversive
+from ._newton import LINE_SEARCH_HALVINGS, gauss_newton, inversive
 
 PI = math.pi
 POLISH_TOL = 1e-14
@@ -148,6 +151,12 @@ def solve_euclidean(
     The marked radii stay pinned at 1 during iteration; the final
     configuration is normalized (marked center at the origin, next marked
     center on the positive axis, radii summing to one).
+
+    The curvature Newton stops at ``opts.tol_K``, at its rounding floor or
+    after ``opts.max_iters`` steps, as the report's first note says.  The
+    last raises Stalled; the others are laid out, polished and accepted
+    when the angle residual (on cosines) is at most ``opts.tol_angle``, else
+    Stalled.  Stalled carries the collapse suspects of the failing radii.
     """
     report = classify(t, theta, "g5")
     if not report.passed:
@@ -161,55 +170,23 @@ def solve_euclidean(
         )
 
     cmap = _CurvatureMap(t, theta, fid)
-    u = np.zeros(len(cmap.free))
-    trace = []
-    notes = []
-    K = cmap.curvatures(u)
-    res = float(np.max(np.abs(K))) if len(K) else 0.0
-    trace.append(res)
-    it = 0
-    stall = 0
-    while res > opts.tol_K and it < opts.max_iters:
-        it += 1
-        accepted = _newton_step(cmap, u, K)
-        if accepted is not None:
-            u, K = accepted
-        else:
-            # classic per-vertex sweep: bisection on each curvature
-            u, K, moved = _bisection_sweep(cmap, u, K)
-            if not moved:
-                stall += 1
-            else:
-                notes.append(f"iter {it}: newton step rejected, used sweep")
-        new_res = float(np.max(np.abs(K)))
-        if new_res >= res * (1.0 - 1e-12):
-            stall += 1
-        else:
-            stall = 0
-        res = new_res
-        trace.append(res)
-        if stall >= 8:
-            suspects = rank_collapse_suspects(
-                t, theta, opts.diag_max, avoid=face, top=5
-            )
-            raise Stalled(
-                f"curvature residual plateaued at {res}",
-                residual=res,
-                suspects=suspects,
-            )
-    if res > opts.tol_K:
-        suspects = rank_collapse_suspects(t, theta, opts.diag_max, avoid=face, top=5)
+    u, it, trace, stop = _curvature_newton(cmap, opts.tol_K, opts.max_iters)
+    res, radii = trace[-1], cmap.radii_from(u)
+    if stop == "step limit":
         raise Stalled(
-            f"no convergence after {it} iterations (residual {res})",
-            residual=res,
-            suspects=suspects,
+            f"no convergence after {it} iterations (residual {res})", residual=res,
+            suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
         )
-
-    radii = cmap.radii_from(u)
     centers = layout_euclidean(t, theta, radii, fid, tol_layout=opts.tol_layout)
     centers, radii, polish_note = _polish(t, theta, centers, radii, face)
-    notes.append(polish_note)
     centers, radii = _normalize(centers, radii, face)
+    angle_residual = _angle_residual(t, theta, centers, radii)
+    if not angle_residual <= opts.tol_angle:
+        raise Stalled(
+            f"curvature residual {res} ({stop}) leaves angle residual "
+            f"{angle_residual} above {opts.tol_angle}", residual=res,
+            suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
+        )
 
     sigma = cmap.sigma(radii)
     sig = {v: float(sigma[v]) for v in cmap.free}
@@ -220,8 +197,8 @@ def solve_euclidean(
         max_abs_K=res,
         iterations=it,
         residual_trace=trace,
-        angle_residual=_angle_residual(t, theta, centers, radii),
-        notes=notes,
+        angle_residual=angle_residual,
+        notes=[f"newton: {it} steps, residual {res:.2e}, stop: {stop}", polish_note],
     )
     cfg = EuclideanConfiguration(
         centers=centers,
@@ -232,74 +209,44 @@ def solve_euclidean(
     return cfg, rep
 
 
-def _newton_step(cmap: _CurvatureMap, u: np.ndarray, K: np.ndarray):
-    """Newton step on the curvatures, halved until every face closes up and
-    the residual norm drops.  Returns the new (u, K), or None when all
-    halvings fail or a face of zero area leaves the Jacobian non-finite."""
-    J = cmap.jacobian(u)
-    if not np.all(np.isfinite(J)):
-        return None
-    try:
-        step = np.linalg.solve(J, -K)
-    except np.linalg.LinAlgError:
-        step = np.linalg.lstsq(J, -K, rcond=None)[0]
-    lam = 1.0
-    norm0 = np.linalg.norm(K)
-    for _ in range(30):
-        cand = u + lam * step
-        if cmap.min_margin(cand) > 0.0:
-            Kc = cmap.curvatures(cand)
-            if np.linalg.norm(Kc) < norm0:
-                return cand, Kc
-        lam *= 0.5
-    return None
+def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
+    """Damped Newton on the curvatures from equal radii: each step solves
+    J du = -K and is halved until every face closes up and the residual
+    norm drops.  Stops as ``_newton.gauss_newton`` does, and also at the
+    rounding floor when the Jacobian is not finite (a face of zero area).
 
-
-def _bisection_sweep(cmap: _CurvatureMap, u: np.ndarray, K: np.ndarray):
-    """One pass of per-vertex 1-D bisection on the curvature, used when the
-    Newton step is rejected (obtuse data breaks monotonicity arguments, but
-    each curvature still crosses zero along its own log radius)."""
-    moved = False
-    u = u.copy()
-    for i in range(len(u)):
-        Ki = K[i]
-        if abs(Ki) <= 0.0:
-            continue
-
-        def f(x):
-            v = u.copy()
-            v[i] = x
-            return cmap.curvatures(v)[i]
-
-        lo, hi = u[i], u[i]
-        flo = fhi = Ki
-        # curvature tends to -inf as the radius shrinks and to 2*pi as it
-        # grows, so a bracket exists in both directions
-        span = 0.5
-        for _ in range(60):
-            if flo > 0:
-                lo -= span
-                flo = f(lo)
-            if fhi < 0:
-                hi += span
-                fhi = f(hi)
-            if flo <= 0 <= fhi:
-                break
-            span *= 1.5
-        if not (flo <= 0 <= fhi):
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm <= 0:
-                lo, flo = mid, fm
-            else:
-                hi, fhi = mid, fm
-        new = 0.5 * (lo + hi)
-        if new != u[i]:
-            u[i] = new
-            moved = True
-    return u, cmap.curvatures(u), moved
+    Returns (free log radii, iterations, largest residual before and after
+    each step, why it stopped: "tolerance", "rounding floor" or "step
+    limit").
+    """
+    u = np.zeros(len(cmap.free))
+    K = cmap.curvatures(u)
+    trace = [float(np.max(np.abs(K))) if len(K) else 0.0]
+    for it in range(max_iters):
+        if trace[-1] <= tol:
+            return u, it, trace, "tolerance"
+        J = cmap.jacobian(u)
+        if not np.all(np.isfinite(J)):
+            return u, it, trace, "rounding floor"
+        try:
+            step = np.linalg.solve(J, -K)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, -K, rcond=None)[0]
+        norm0, lam = np.linalg.norm(K), 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            cand = u + lam * step
+            if cmap.min_margin(cand) > 0.0:
+                K_try = cmap.curvatures(cand)
+                if np.linalg.norm(K_try) < norm0:
+                    break
+            lam *= 0.5
+        else:
+            return u, it, trace, "rounding floor"
+        u, K = cand, K_try
+        trace.append(float(np.max(np.abs(K))))
+        if lam < 1.0 or trace[-1] > 0.5 * trace[-2]:
+            return u, it + 1, trace, "rounding floor"
+    return u, max_iters, trace, "tolerance" if trace[-1] <= tol else "step limit"
 
 
 # ---------------------------------------------------------------------------

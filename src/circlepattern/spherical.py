@@ -23,7 +23,7 @@ import numpy as np
 
 from .conditions import AngleAssignment, classify
 from .configurations import CurvatureReport, EuclideanConfiguration, SphericalConfiguration
-from .degeneration import rank_collapse_suspects
+from .degeneration import sublevel_suspects
 from .errors import (
     BaseSolveFailed,
     CirclePatternError,
@@ -255,8 +255,10 @@ def solve_spherical(
     exists and lifts) or every face sum at least pi (the no-interstice
     class).  A pattern therefore exists along the whole path.
 
-    Raises BaseSolveFailed when the tangency packing cannot be solved and
-    ContinuationStuck when the step falls below ``opts.min_step``.
+    Raises BaseSolveFailed when the tangency packing cannot be solved, and
+    ContinuationStuck when the step falls below ``opts.min_step`` or the
+    final angle residual exceeds ``opts.tol_angle``, with the collapse
+    suspects of the last accepted radii.
     """
     report = classify(t, theta, "m5")
     if not report.passed:
@@ -284,13 +286,10 @@ def solve_spherical(
         else:
             ds *= 0.5
             if ds < opts.min_step:
-                suspects = rank_collapse_suspects(
-                    t, theta, opts.diag_max, avoid=face, top=5
-                )
                 raise ContinuationStuck(
                     f"step fell below {opts.min_step} at t={s}",
                     t_reached=s,
-                    suspects=suspects,
+                    suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
                 )
 
     centers, radii = _into_gauge(centers, radii, face)
@@ -305,6 +304,7 @@ def solve_spherical(
         raise ContinuationStuck(
             f"final angle residual {rep.angle_residual} exceeds {opts.tol_angle}",
             t_reached=1.0,
+            suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
         )
     return cfg, rep
 

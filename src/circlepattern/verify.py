@@ -26,6 +26,7 @@ from . import triples
 PI = math.pi
 DISJOINT_EPS = 1e-9      # inversive slack distinguishing overlap from contact
 COVER_SLACK = 1e-12      # a sample this close to another disk counts as covered
+WITNESS_ROUNDING = 8.0 * np.finfo(float).eps  # planar witness slack, relative to |p|+|c|+r
 SMALL_ANGLE = 1e-3       # below this the radian angle chart is ill-conditioned
 FACE_TEST_CHUNK = 1 << 16  # face-sample pairs tested at once in _in_any_face
 
@@ -356,11 +357,14 @@ def _face_witnesses(p: CirclePattern) -> List[object]:
         pts[ok] = x[ok] * (np.sign(det[ok]) / norm[ok])[:, None]
         flip = np.einsum("ij,ij->i", pts, c.sum(axis=1)) * det < 0
         pts[flip] *= -1.0
-    # every disk, in chunks of about FACE_TEST_CHUNK face-disk pairs
+    # every disk, in chunks of about FACE_TEST_CHUNK face-disk pairs; in the
+    # plane to rounding, as interstices by tiny circles are thinner than COVER_SLACK
     rows, step = np.flatnonzero(ok), max(1, FACE_TEST_CHUNK // len(p.radii))
     for lo in range(0, len(rows), step):
-        part = rows[lo:lo + step]
-        ok[part] = ~p.point_in_disks(pts[part], -COVER_SLACK).any(axis=1)
+        part, slack = rows[lo:lo + step], -COVER_SLACK
+        if p.mode == triples.EUCLIDEAN:
+            slack = -WITNESS_ROUNDING * (np.abs(pts[part])[:, None] + np.abs(p.centers) + p.radii)
+        ok[part] = ~p.point_in_disks(pts[part], slack).any(axis=1)
     return [pts[f] if ok[f] else None for f in range(len(c))]
 
 

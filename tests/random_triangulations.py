@@ -21,6 +21,14 @@ def stacked_faces(rng: np.random.Generator, n: int) -> List[List[int]]:
     return faces
 
 
+def stack120_faces() -> List[List[int]]:
+    """The planar-g5 benchmark's stack120 triangulation: seed 11, stacked
+    after the 480 angle draws that precede it there."""
+    rng = np.random.default_rng(11)
+    rng.uniform(0.0, 1.2, 480)
+    return stacked_faces(rng, 120)
+
+
 def flip_edges(rng: np.random.Generator, faces, attempts: int) -> List[List[int]]:
     """Try ``attempts`` flips of uniformly drawn edges.  Edge uv between the
     oriented faces (u, v, a) and (v, u, b) becomes ab, unless a and b are

@@ -1,19 +1,25 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from circlepattern import (
     AngleAssignment,
+    build_triangulation,
     connected_subsets,
     degeneration_functional,
     inversive_distance,
     pick_marked_face,
+    shapes,
     solve_euclidean,
 )
-from circlepattern.errors import ConditionsViolated, EmptySubset
+from circlepattern.degeneration import sublevel_suspects
+from circlepattern.errors import ConditionsViolated, EmptySubset, Stalled
 from circlepattern.options import SolveOptions
 from circlepattern.verify import CirclePattern
+
+from random_triangulations import loop_subdivide, stack120_faces, stacked_faces
 
 PI = math.pi
 
@@ -135,6 +141,38 @@ class TestErrors:
             layout_euclidean(octa, th, np.ones(6), 0)
 
 
+class TestStalled:
+    """Solves that find no pattern raise Stalled within seconds, with the
+    collapse suspects of the failing radii."""
+
+    def stalled(self, t, value, opts=SolveOptions()):
+        th = AngleAssignment.constant(t, value)
+        fid = pick_marked_face(t, th)
+        start = time.perf_counter()
+        with pytest.raises(Stalled) as info:
+            solve_euclidean(t, th, fid, opts)
+        assert time.perf_counter() - start < 2.0
+        suspects = info.value.suspects
+        assert suspects and all(not d.subset & set(t.faces[fid]) for d in suspects)
+        return info.value
+
+    def test_angle_residual_above_tol_angle(self):
+        """The curvatures converge, yet the laid-out pattern misses
+        tol_angle (5.8e-8 against 1e-8)."""
+        t = build_triangulation(stacked_faces(np.random.default_rng(0), 60))
+        assert "angle residual" in str(self.stalled(t, 0.9))
+
+    def test_rounding_floor_far_from_a_pattern(self):
+        """Radius ratios near 1e-11 hold the curvature residual near 1e-6."""
+        err = self.stalled(build_triangulation(stack120_faces()), 0.9)
+        assert "rounding floor" in str(err) and err.residual > 1e-10
+
+    def test_step_limit(self):
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 3))
+        err = self.stalled(t, 0.0, SolveOptions(max_iters=2))
+        assert "after 2 iterations" in str(err)
+
+
 class TestLayout:
     def test_single_face_equilateral(self):
         # one face with unit radii and angles pi/3 places an equilateral
@@ -178,6 +216,30 @@ class TestDegenerationFunctional:
         marked = octa.faces[0]
         for subset in connected_subsets(octa, 3, avoid=marked):
             assert degeneration_functional(octa, th, subset).value < 0
+
+    def test_sublevel_suspects(self):
+        """The merge-tree candidates of random radii: connected sublevel
+        sets that avoid the marked face, at most n - 1 of them, with the
+        functional of their own subset, ranked most suspect first."""
+        t = build_triangulation(stack120_faces())
+        th = AngleAssignment.constant(t, 0.9)
+        radii = np.random.default_rng(3).uniform(0.1, 1.0, t.vertex_count)
+        marked = set(t.faces[0])
+        table = sublevel_suspects(t, th, radii, 6, avoid=marked, top=t.vertex_count)
+        assert 10 < len(table) <= t.vertex_count - 1
+        for d in table:
+            assert d == degeneration_functional(t, th, d.subset)
+            assert 1 <= len(d.subset) <= 6 and not d.subset & marked
+            level = max(radii[v] for v in d.subset)
+            reached, todo = set(), [min(d.subset)]
+            while todo:  # the subset is the component of its sublevel set
+                v = todo.pop()
+                reached.add(v)
+                todo += [w for w in t.neighbors(v) if w not in reached | marked
+                         and radii[w] <= level]
+            assert reached == d.subset
+        keys = [(-d.value, len(d.subset), sorted(d.subset)) for d in table]
+        assert keys == sorted(keys)
 
     def test_empty_subset(self, octa):
         with pytest.raises(EmptySubset):

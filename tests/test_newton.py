@@ -16,7 +16,8 @@ from circlepattern import (
     solve_euclidean,
 )
 from circlepattern._newton import gauss_newton, min_norm_step, residual_and_jacobian, retract
-from random_triangulations import loop_subdivide, stacked_faces
+from circlepattern.errors import CirclePatternError
+from random_triangulations import loop_subdivide, stack120_faces
 
 PI = math.pi
 
@@ -72,9 +73,7 @@ def obtuse_bipyramid():
 
 
 def stack120():
-    rng = np.random.default_rng(11)
-    rng.uniform(0.0, 1.2, 480)  # as in the planar-g5 benchmark's stack120 draw
-    t = build_triangulation(stacked_faces(rng, 120))
+    t = build_triangulation(stack120_faces())
     return t, AngleAssignment.constant(t, 0.0)
 
 
@@ -138,26 +137,31 @@ def test_curvature_jacobian_not_finite_on_a_flat_face():
     assert not np.all(np.isfinite(cmap.jacobian(hi)))
 
 
-def test_rejected_newton_step_falls_back_to_the_sweep(monkeypatch, octa):
-    """A non-finite Jacobian (a face of zero area) rejects the Newton step;
-    the per-vertex bisection sweep moves instead and the solve converges to
-    the same pattern."""
+def test_non_finite_jacobian_stops_at_the_floor(monkeypatch, octa):
+    """A non-finite Jacobian (a face of zero area) admits no Newton step:
+    the curvature Newton stops at its rounding floor where it stands, and
+    the solve, left with equal radii, raises a solver error."""
     th = AngleAssignment.constant(octa, PI / 4)
-    want, _ = solve_euclidean(octa, th, 0)
     analytic = euclidean._CurvatureMap.jacobian
-    calls = []
+    monkeypatch.setattr(euclidean._CurvatureMap, "jacobian",
+                        lambda self, u: analytic(self, u) * np.nan)
+    cmap = euclidean._CurvatureMap(octa, th, 0)
+    u, steps, trace, stop = euclidean._curvature_newton(cmap, 1e-10, 200)
+    assert (steps, stop) == (0, "rounding floor")
+    assert not np.any(u) and len(trace) == 1 and trace[0] > 1e-10
+    with pytest.raises(CirclePatternError):
+        solve_euclidean(octa, th, 0)
 
-    def degenerate_first(self, u):
-        calls.append(1)
-        J = analytic(self, u)
-        return J * np.nan if len(calls) == 1 else J
 
-    monkeypatch.setattr(euclidean._CurvatureMap, "jacobian", degenerate_first)
-    cfg, rep = solve_euclidean(octa, th, 0)
-    assert rep.notes[0] == "iter 1: newton step rejected, used sweep"
-    assert rep.max_abs_K <= 1e-10
-    np.testing.assert_allclose(cfg.radii, want.radii, rtol=1e-9)
-    np.testing.assert_allclose(cfg.centers, want.centers, atol=1e-9)
+def test_curvature_newton_stop_is_noted(octa):
+    """Every step of a converging solve is a full step at least halving the
+    largest residual; the stop reason is the report's first note."""
+    th = AngleAssignment.constant(octa, PI / 4)
+    _, rep = solve_euclidean(octa, th, 0)
+    trace = rep.residual_trace
+    assert all(b <= 0.5 * a for a, b in zip(trace, trace[1:]))
+    assert rep.notes[0] == (f"newton: {rep.iterations} steps, "
+                            f"residual {rep.max_abs_K:.2e}, stop: tolerance")
 
 
 def test_angle_residual_matches_per_edge_loop():

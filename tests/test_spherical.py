@@ -1,17 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from circlepattern import (
     AngleAssignment,
+    build_triangulation,
     inversive_distance,
     lift_to_sphere,
     solve_euclidean,
     solve_spherical,
 )
-from circlepattern import shapes
-from circlepattern.errors import ConditionsViolated
+from circlepattern import shapes, spherical
+from circlepattern.errors import ConditionsViolated, ContinuationStuck
 from circlepattern.spherical import lift_circle
 from circlepattern.verify import CirclePattern
 
@@ -204,8 +206,6 @@ class TestRoundingFloor:
         tolerance (about 1.4e-13 against 1e-13 at n=642); a corrector that
         stops at the floor is accepted.  A tolerance below any floor makes
         every corrector stop there."""
-        from circlepattern import spherical
-
         th = AngleAssignment.constant(icosa, 2 * PI / 5)
         want, _ = solve_spherical(icosa, th)
         monkeypatch.setattr(spherical, "NEWTON_TOL", 1e-30)
@@ -230,6 +230,20 @@ class TestErrors:
         with pytest.raises(BaseSolveFailed) as info:
             solve_spherical(octa, th, SolveOptions(max_iters=0))
         assert isinstance(info.value.__cause__, Stalled)
+
+    def test_stuck_continuation_names_suspects(self, monkeypatch):
+        """With no corrector steps no homotopy step is accepted: the step
+        falls below min_step at once, and the error carries the collapse
+        suspects of the start's radii within seconds."""
+        monkeypatch.setattr(spherical, "CORRECTOR_ITERS", 0)
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 2))
+        start = time.perf_counter()
+        with pytest.raises(ContinuationStuck) as info:
+            solve_spherical(t, AngleAssignment.constant(t, 1.2))
+        assert time.perf_counter() - start < 2.0
+        assert info.value.t_reached == 0.0
+        assert info.value.suspects
+        assert all(not d.subset & set(t.faces[0]) for d in info.value.suspects)
 
     def test_small_triangulation_rejected(self, tetra):
         # the no-interstice class needs more than four vertices

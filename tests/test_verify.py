@@ -21,7 +21,7 @@ from circlepattern.euclidean import pick_marked_face
 from circlepattern.verify import CirclePattern, count_interstices
 
 import oracles
-from random_triangulations import loop_subdivide, stacked_faces
+from random_triangulations import loop_subdivide, stack120_faces
 
 PI = math.pi
 
@@ -189,6 +189,15 @@ class TestInterstices:
         # largest radius
         assert count_interstices(_planar(_stack120()))[0] == 236
 
+    def test_stack120_witnesses_thinner_than_cover_slack(self):
+        """At theta = 0.45 the witness of face (85, 0, 87) clears disk 0 by
+        about 1.5e-13, less than COVER_SLACK: covering is decided to
+        rounding, so every face is witnessed and the pattern verifies."""
+        p = _planar(_stack120(), 0.45)
+        rep = verify_pattern(p)
+        assert rep.interstice_count == 236 == p.triangulation.face_count
+        assert rep.passed
+
     @pytest.mark.parametrize("chunk", [1, 13, 1 << 16])
     def test_faces_tested_in_chunks(self, octa_third_pi, chunk, monkeypatch):
         # every face sums to pi, so every radical centre is on the disks:
@@ -304,9 +313,7 @@ def _spherical(t, value):
 
 
 def _stack120():
-    rng = np.random.default_rng(11)
-    rng.uniform(0.0, 1.2, 480)  # as in the planar-g5 benchmark's stack120 draw
-    return build_triangulation(stacked_faces(rng, 120))
+    return build_triangulation(stack120_faces())
 
 
 SPHERICAL_SHAPES = ("octahedron", "pentagonal_bipyramid", "hexagonal_bipyramid",
