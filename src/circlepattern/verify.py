@@ -323,7 +323,7 @@ def _face_witnesses(p: CirclePattern) -> List[object]:
 
     The candidate is the radical centre of the face's three circles: in
     the plane the point of equal power, from two linear equations relative
-    to the first centre; on the sphere the unit point over the solution x
+    to the centre of the face's smallest circle; on the sphere the unit point over the solution x
     of c . x = cos r, on the side of the centres for a positively oriented
     face and on the far side for a negatively oriented one.  It lies
     outside the three disks exactly when their triple intersection is
@@ -336,6 +336,11 @@ def _face_witnesses(p: CirclePattern) -> List[object]:
     faces = np.array(t.faces)
     c, r = p.centers[faces], p.radii[faces]
     if p.mode == triples.EUCLIDEAN:
+        # relative to the face's smallest circle, near which the point lies:
+        # from a big circle's centre the system is ill-conditioned when the
+        # other two are tiny, and the rounding exceeds the interstice
+        roll = (np.argmin(r, axis=1)[:, None] + np.arange(3)) % 3
+        c, r = np.take_along_axis(c, roll, axis=1), np.take_along_axis(r, roll, axis=1)
         a, b = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
         pa = 0.5 * (np.abs(a) ** 2 + r[:, 0] ** 2 - r[:, 1] ** 2)
         pb = 0.5 * (np.abs(b) ** 2 + r[:, 0] ** 2 - r[:, 2] ** 2)

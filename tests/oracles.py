@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -410,3 +411,15 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     z = 1.0 - 2.0 * i / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def radical_centre(centers, radii) -> complex:
+    """The point of equal power to three planar circles, solved in exact
+    rational arithmetic from the floats given and rounded once."""
+    (x0, y0), (x1, y1), (x2, y2) = [(Fraction(c.real), Fraction(c.imag)) for c in centers]
+    r0, r1, r2 = (Fraction(r) for r in radii)
+    e1 = x1 * x1 + y1 * y1 - r1 * r1 - x0 * x0 - y0 * y0 + r0 * r0
+    e2 = x2 * x2 + y2 * y2 - r2 * r2 - x0 * x0 - y0 * y0 + r0 * r0
+    a1, b1, a2, b2 = 2 * (x1 - x0), 2 * (y1 - y0), 2 * (x2 - x0), 2 * (y2 - y0)
+    det = a1 * b2 - a2 * b1
+    return complex(float((e1 * b2 - e2 * b1) / det), float((a1 * e2 - a2 * e1) / det))

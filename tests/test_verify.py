@@ -198,6 +198,17 @@ class TestInterstices:
         assert rep.interstice_count == 236 == p.triangulation.face_count
         assert rep.passed
 
+    def test_stack120_witnesses_are_radical_centres_to_rounding(self):
+        # faces of one big and two tiny circles: solved from the big
+        # centre, the point is off by about 3e-12, more than its clearance
+        p = _planar(_stack120(), 0.45)
+        faces, fid = p.triangulation.faces, p.triangulation.face_id_of(p.marked_face)
+        scale = np.max(np.abs(p.centers) + p.radii)
+        for f, w in enumerate(verifier._face_witnesses(p)):
+            if f != fid:
+                exact = oracles.radical_centre(p.centers[list(faces[f])], p.radii[list(faces[f])])
+                assert abs(w - exact) <= 1e-14 * scale
+
     @pytest.mark.parametrize("chunk", [1, 13, 1 << 16])
     def test_faces_tested_in_chunks(self, octa_third_pi, chunk, monkeypatch):
         # every face sums to pi, so every radical centre is on the disks:
