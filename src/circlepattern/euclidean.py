@@ -156,7 +156,8 @@ def solve_euclidean(
     after ``opts.max_iters`` steps, as the report's first note says.  The
     last raises Stalled; the others are laid out, polished and accepted
     when the angle residual (on cosines) is at most ``opts.tol_angle``, else
-    Stalled.  Stalled carries the collapse suspects of the failing radii.
+    Stalled, as is a layout that fails.  Stalled carries the stop reason and
+    the collapse suspects of the failing radii.
     """
     report = classify(t, theta, "g5")
     if not report.passed:
@@ -177,14 +178,19 @@ def solve_euclidean(
             f"no convergence after {it} iterations (residual {res})", residual=res,
             suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
         )
-    centers = layout_euclidean(t, theta, radii, fid, tol_layout=opts.tol_layout)
-    centers, radii, polish_note = _polish(t, theta, centers, radii, face)
-    centers, radii = _normalize(centers, radii, face)
-    angle_residual = _angle_residual(t, theta, centers, radii)
-    if not angle_residual <= opts.tol_angle:
+    try:
+        centers = layout_euclidean(t, theta, radii, fid, tol_layout=opts.tol_layout)
+    except LayoutInconsistent as exc:
+        failure = f"leaves no layout: {exc}"
+    else:
+        centers, radii, polish_note = _polish(t, theta, centers, radii, face)
+        centers, radii = _normalize(centers, radii, face)
+        angle_residual = _angle_residual(t, theta, centers, radii)
+        failure = (None if angle_residual <= opts.tol_angle else
+                   f"leaves angle residual {angle_residual} above {opts.tol_angle}")
+    if failure:
         raise Stalled(
-            f"curvature residual {res} ({stop}) leaves angle residual "
-            f"{angle_residual} above {opts.tol_angle}", residual=res,
+            f"curvature residual {res} ({stop}) {failure}", residual=res,
             suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
         )
 

@@ -3,7 +3,9 @@
 Klein-model construction: each disk's boundary circle spans a Euclidean
 plane x . n = cos(r) whose ball chord is the hyperbolic face plane, and
 the polyhedron is the intersection of the half-spaces on the far side of
-every disk.  Vertices come from 3x3 linear solves, one per pattern face.
+every disk.  Each pattern face gives the vertex where its three planes
+meet, from the cofactor kernel shared with the verifier's witnesses, and
+the face's angle sum decides whether that vertex is finite or ideal.
 """
 from __future__ import annotations
 
@@ -13,13 +15,14 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .conditions import compare
 from .errors import MalformedPattern, SingularTriple, VertexOutsideBall
 from .verify import CirclePattern
 from . import triples
+from ._newton import inversive
 
 PI = math.pi
 COND_LIMIT = 1e12       # vertex solve condition number treated as singular
-IDEAL_TOL = 1e-8        # |q| within this of 1 counts as an ideal vertex
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,12 @@ def build_polyhedron(pattern: CirclePattern, allow_ideal: bool = False) -> Hyper
     """Intersect the half-spaces of a verified interstice-free spherical
     pattern.
 
-    Vertices within IDEAL_TOL of the unit sphere are rejected (the compact
-    conclusion needs strict face sums); ``allow_ideal`` downgrades that to
-    a diagnostic so boundary cases can still be inspected.
+    Each face's vertex is the common point of its three planes, from the
+    cofactor kernel ``triples.cap_plane_points``.  Compactness is decided by
+    the face angle sums, as ``classify`` decides the class: a sum above pi
+    gives a finite vertex, which must lie inside the ball; a sum of pi an
+    ideal one, rejected unless ``allow_ideal`` (so boundary cases can still
+    be inspected); a sum below pi a vertex outside the ball.
     """
     if pattern.mode != triples.SPHERICAL:
         raise MalformedPattern("polyhedron construction needs a spherical pattern")
@@ -73,41 +79,41 @@ def build_polyhedron(pattern: CirclePattern, allow_ideal: bool = False) -> Hyper
     normals = np.asarray(pattern.centers, dtype=float)
     offsets = np.cos(pattern.radii)
 
-    vertices = np.empty((t.face_count, 3))
-    ideal: List[int] = []
-    for fid in range(t.face_count):
-        a, b, c = t.faces[fid]
-        M = normals[[a, b, c]]
-        rhs = offsets[[a, b, c]]
-        cond = np.linalg.cond(M)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularTriple(
-                f"face {t.faces[fid]}: plane normals nearly dependent (cond {cond:.3g})"
-            )
-        q = np.linalg.solve(M, rhs)
-        nq = float(np.linalg.norm(q))
-        if nq >= 1.0 + IDEAL_TOL:
-            raise VertexOutsideBall(
-                f"vertex for face {t.faces[fid]} has norm {nq} > 1"
-            )
-        if nq >= 1.0 - IDEAL_TOL:
-            if not allow_ideal:
-                raise VertexOutsideBall(
-                    f"vertex for face {t.faces[fid]} is ideal (|q| = {nq}); "
-                    "pass allow_ideal to inspect the boundary case"
-                )
-            ideal.append(fid)
-        vertices[fid] = q
-
-    faces = [tuple(pattern.triangulation.vertex_faces[v]) for v in range(t.vertex_count)]
-
-    edges = list(t.edges)
-    edge_vertices = [tuple(t.edge_faces[eid]) for eid in range(t.edge_count)]
-    dihedral = np.empty(t.edge_count)
-    for eid, (u, v) in enumerate(t.edges):
-        dihedral[eid] = _plane_dihedral(
-            normals[u], offsets[u], normals[v], offsets[v]
+    tri = np.asarray(t.faces, dtype=int)
+    cond = np.linalg.cond(normals[tri])
+    singular = np.flatnonzero(~(cond <= COND_LIMIT))
+    if len(singular):
+        fid = singular[0]
+        raise SingularTriple(
+            f"face {t.faces[fid]}: plane normals nearly dependent (cond {cond[fid]:.3g})"
         )
+    x, det = triples.cap_plane_points(normals[tri], pattern.radii[tri])
+    vertices = x / det[:, None]
+    norms = np.linalg.norm(vertices, axis=1)
+    sums = [sum(pattern.theta[e] for e in t.face_edge_ids(fid)) for fid in range(t.face_count)]
+    side = np.array([compare(s, PI) for s in sums])
+    outside = np.flatnonzero((side < 0) | ((side > 0) & ~(norms < 1.0)))
+    if len(outside):
+        fid = outside[0]
+        raise VertexOutsideBall(
+            f"vertex for face {t.faces[fid]} has norm {norms[fid]} at angle sum "
+            f"{sums[fid]}; a vertex inside the ball needs a sum above pi and a "
+            "pattern that realizes its angles"
+        )
+    ideal = np.flatnonzero(side == 0).tolist()
+    if ideal and not allow_ideal:
+        fid = ideal[0]
+        raise VertexOutsideBall(
+            f"vertex for face {t.faces[fid]} is ideal (angle sum pi, |q| = {norms[fid]}); "
+            "pass allow_ideal to inspect the boundary case"
+        )
+
+    # interior dihedral angles from the unit spacelike Minkowski normals of
+    # the face planes: cos(angle) = -<N_u, N_v>
+    u, v = np.asarray(t.edges, dtype=int).T
+    num = np.einsum("ij,ij->i", normals[u], normals[v]) - offsets[u] * offsets[v]
+    den = np.sqrt((1.0 - offsets[u] ** 2) * (1.0 - offsets[v] ** 2))
+    dihedral = np.arccos(np.clip(-num / den, -1.0, 1.0))
 
     return HyperbolicPolyhedron(
         half_spaces=[
@@ -115,22 +121,13 @@ def build_polyhedron(pattern: CirclePattern, allow_ideal: bool = False) -> Hyper
             for v in range(t.vertex_count)
         ],
         vertices=vertices,
-        faces=faces,
-        edges=edges,
-        edge_vertices=edge_vertices,
+        faces=[tuple(t.vertex_faces[v]) for v in range(t.vertex_count)],
+        edges=list(t.edges),
+        edge_vertices=[tuple(t.edge_faces[eid]) for eid in range(t.edge_count)],
         dihedral=dihedral,
-        max_vertex_norm=float(np.max(np.linalg.norm(vertices, axis=1))),
+        max_vertex_norm=float(np.max(norms)),
         ideal_vertices=ideal,
     )
-
-
-def _plane_dihedral(n_i, c_i, n_j, c_j) -> float:
-    """Interior dihedral angle between two face planes, from their unit
-    spacelike Minkowski normals: cos(angle) = -<N_i, N_j>."""
-    num = float(np.dot(n_i, n_j)) - c_i * c_j
-    den = math.sqrt((1.0 - c_i * c_i) * (1.0 - c_j * c_j))
-    val = -num / den
-    return math.acos(min(1.0, max(-1.0, val)))
 
 
 @dataclass
@@ -156,14 +153,8 @@ def check_polyhedron(q: HyperbolicPolyhedron, pattern: CirclePattern,
     dihedral_err = float(np.max(np.abs(q.dihedral - target)))
 
     # same angle through the pattern's inversive distances (independent path)
-    gap = 0.0
-    for eid, (u, v) in enumerate(t.edges):
-        inv = triples.inversive_distance(
-            triples.SPHERICAL,
-            pattern.centers[u], pattern.radii[u],
-            pattern.centers[v], pattern.radii[v],
-        )
-        gap = max(gap, abs(math.cos(q.dihedral[eid]) - inv))
+    inv = inversive(triples.SPHERICAL, pattern.centers, pattern.radii, np.asarray(t.edges, dtype=int))
+    gap = float(np.max(np.abs(np.cos(q.dihedral) - inv)))
 
     normals = np.array([h.normal for h in q.half_spaces])
     offsets = np.array([h.offset for h in q.half_spaces])
@@ -171,11 +162,8 @@ def check_polyhedron(q: HyperbolicPolyhedron, pattern: CirclePattern,
     worst = float(np.min(slack))
     convex_ok = worst >= -1e-9
 
-    incidence = [0] * q.vertex_count
-    for cyc in q.faces:
-        for vid in cyc:
-            incidence[vid] += 1
-    trivalent_ok = all(k == 3 for k in incidence)
+    incidence = np.bincount([vid for cyc in q.faces for vid in cyc], minlength=q.vertex_count)
+    trivalent_ok = bool(np.all(incidence == 3))
 
     combinatorics_ok = all(
         len(q.faces[v]) == t.degree(v) for v in range(t.vertex_count)

@@ -6,13 +6,14 @@ Euclidean solver finds from a convex problem, lifts it to the sphere and
 centers it by Lorentz boosts.  It then follows theta_s = s * theta from
 s = 0 to s = 1, correcting every step with the Gauss-Newton kernel of
 ``_newton`` and keeping only embedded configurations.  The result is moved
-in closed form into the gauge that pins the marked face: its three radii
-at pi/4, its first center at the south pole, its second on the x >= 0
-meridian.
+in closed form, by one boost and one orthonormal frame, into the gauge
+that pins the marked face: its three radii at pi/4, its first center at
+the south pole, its second on the x >= 0 meridian, its third at y >= 0.
 
 Circles are also handled as de Sitter vectors (c, cos r) / sin r in
 R^{3,1} with <x, y> = x1 y1 + x2 y2 + x3 y3 - x4 y4: Moebius maps act on
-them as Lorentz transformations, and <p_u, p_v> = -I_uv.
+them as Lorentz transformations, and <p_u, p_v> = -I_uv.  The lift of a
+planar disk is such a vector in closed form.
 """
 from __future__ import annotations
 
@@ -50,51 +51,19 @@ CENTERING_ITERS = 100
 # stereographic lift
 # ---------------------------------------------------------------------------
 
-def _to_sphere(w: complex) -> np.ndarray:
-    """Inverse stereographic projection; 0 maps to the south pole."""
-    s = 1.0 + (w.real * w.real + w.imag * w.imag)
-    return np.array([2.0 * w.real / s, 2.0 * w.imag / s, (s - 2.0) / s])
-
-
-def lift_circle(center: complex, radius: float) -> Tuple[np.ndarray, float]:
-    """Spherical cap image of a planar circle.
-
-    The image circle's plane is fixed by three lifted boundary points; the
-    cap center is the unit normal on the side containing the lifted disk
-    center, and the arc radius is the arccos of the plane offset.
-    """
-    c = complex(center)
-    if abs(c) > 0:
-        u = c / abs(c)
-    else:
-        u = 1.0 + 0.0j
-    p1 = _to_sphere(c + radius * u)
-    p2 = _to_sphere(c - radius * u)
-    p3 = _to_sphere(c + radius * 1j * u)
-    n = np.cross(p1 - p3, p2 - p3)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
-        raise ValueError("degenerate circle")
-    n /= norm
-    offset = float(np.dot(n, p1))
-    inside = _to_sphere(c)
-    if np.dot(n, inside) < offset:
-        n, offset = -n, -offset
-    offset = min(1.0, max(-1.0, offset))
-    return n, math.acos(offset)
-
-
 def lift_to_sphere(cfg: EuclideanConfiguration) -> SphericalConfiguration:
-    """Inverse stereographic image of every disk of a planar configuration.
+    """Inverse stereographic image of every disk of a planar configuration,
+    0 going to the south pole.
 
-    Inversive distances are Moebius invariants, so the lifted pattern
-    realizes the same exterior angles.
+    The image of the disk (c, r) is the cap with de Sitter vector
+    (2 Re c, 2 Im c, k - 1, k + 1) / 2r, k = |c|^2 - r^2.  Inversive
+    distances are Moebius invariants, so the lifted pattern realizes the
+    same exterior angles.
     """
-    n = cfg.vertex_count
-    centers = np.empty((n, 3))
-    radii = np.empty(n)
-    for v in range(n):
-        centers[v], radii[v] = lift_circle(complex(cfg.centers[v]), float(cfg.radii[v]))
+    c, r = np.asarray(cfg.centers, dtype=complex), np.asarray(cfg.radii, dtype=float)
+    k = np.abs(c) ** 2 - r ** 2
+    p = np.stack([2.0 * c.real, 2.0 * c.imag, k - 1.0, k + 1.0], axis=1) / (2.0 * r)[:, None]
+    centers, radii = _from_de_sitter(p)
     return SphericalConfiguration(
         centers=centers,
         radii=radii,
@@ -161,13 +130,15 @@ def _tangency_start(t: Triangulation, opts: SolveOptions) -> Tuple[np.ndarray, n
 def _into_gauge(centers: np.ndarray, radii: np.ndarray,
                 face: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray]:
     """The Moebius image with the marked radii at pi/4, first marked center
-    at the south pole and second on the x >= 0 meridian.
+    at the south pole, second on the x >= 0 meridian and third at y >= 0.
 
     A cap has radius pi/4 after the boost taking the timelike unit w to the
     time axis exactly when -<p, w> = 1.  On the three marked circles that is
     a 3x4 linear system; with <w, w> = -1 it leaves a quadratic along the
     system's null direction k.  The quadratic is linear when k is lightlike,
-    which happens when the marked face's angle sum is exactly pi.
+    which happens when the marked face's angle sum is exactly pi.  After the
+    boost one orthonormal frame (x, y, z) maps the centers into place: a
+    rotation, or a reflection when y is flipped towards the third center.
     """
     p = _de_sitter(centers, radii)
     rows = p[list(face)] * np.array([1.0, 1.0, 1.0, -1.0])
@@ -184,9 +155,19 @@ def _into_gauge(centers: np.ndarray, radii: np.ndarray,
     lam = min((x for x in roots if w0[3] + x * k[3] > 0.0), key=abs)
     w = w0 + lam * k
     centers, radii = _from_de_sitter(_boost(p, w[:3] / w[3]))
-    centers = _rotate_into_gauge(centers, face[0], face[1])
+    first, second, third = face
+    z = -centers[first]
+    x = centers[second] - (centers[second] @ z) * z
+    x /= np.linalg.norm(x)
+    y = np.cross(z, x)
+    if centers[third] @ y < 0.0:
+        y = -y
+    centers = centers @ np.array([x, y, z]).T
+    centers[first] = SOUTH
+    centers[second, 1] = 0.0
+    centers[second] /= math.hypot(centers[second, 0], centers[second, 2])
     radii[list(face)] = PI / 4.0
-    return _final_normalize(centers, face), radii
+    return centers, radii
 
 
 # ---------------------------------------------------------------------------
@@ -307,51 +288,6 @@ def solve_spherical(
             suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
         )
     return cfg, rep
-
-
-def _rotate_into_gauge(centers: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rotate so center a sits at the south pole and center b on the
-    x >= 0 meridian."""
-    na = centers[a]
-    axis = np.cross(na, SOUTH)
-    s = np.linalg.norm(axis)
-    c = float(np.dot(na, SOUTH))
-    if s < 1e-15:
-        R1 = np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    else:
-        axis = axis / s
-        K = np.array(
-            [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-        )
-        ang = math.atan2(s, c)
-        R1 = np.eye(3) + math.sin(ang) * K + (1 - math.cos(ang)) * (K @ K)
-    out = centers @ R1.T
-    nb = out[b]
-    phi = math.atan2(nb[1], nb[0])
-    R2 = np.array(
-        [[math.cos(-phi), -math.sin(-phi), 0.0],
-         [math.sin(-phi), math.cos(-phi), 0.0],
-         [0.0, 0.0, 1.0]]
-    )
-    return out @ R2.T
-
-
-def _final_normalize(centers: np.ndarray, face) -> np.ndarray:
-    """Exact gauge cleanup: meridian sign for the second marked center and
-    upper-half-plane side for the third (a reflection is an isometry)."""
-    a, b, c = face
-    out = centers.copy()
-    out[a] = SOUTH
-    if out[b][0] < 0.0:
-        out[:, 0] *= -1.0
-        out[:, 1] *= -1.0
-    out[b][1] = 0.0
-    nb = out[b]
-    norm = math.hypot(nb[0], nb[2])
-    out[b] = np.array([nb[0] / norm, 0.0, nb[2] / norm])
-    if out[c][1] < 0.0:
-        out[:, 1] *= -1.0
-    return out
 
 
 def _spherical_report(t, theta, cfg, trace) -> CurvatureReport:

@@ -261,6 +261,19 @@ def tangent_frames(normals) -> Tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(n, e1)
 
 
+def cap_plane_points(centers, radii) -> Tuple[np.ndarray, np.ndarray]:
+    """The common point x of the planes c_i . x = cos r_i of each row of
+    three caps (centers of shape (m, 3, 3), radii (m, 3)), by Cramer's rule.
+
+    Returns (det * x, det) with det = det[c_0, c_1, c_2], so that rows with
+    coplanar centers (det = 0) stay finite.
+    """
+    c, cos_r = np.asarray(centers, dtype=float), np.cos(radii)
+    x = (cos_r[:, :1] * np.cross(c[:, 1], c[:, 2]) + cos_r[:, 1:2] * np.cross(c[:, 2], c[:, 0])
+         + cos_r[:, 2:] * np.cross(c[:, 0], c[:, 1]))
+    return x, np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2]))
+
+
 # ---------------------------------------------------------------------------
 # canonical placement (used by round-trip checks and the seed of layouts)
 # ---------------------------------------------------------------------------

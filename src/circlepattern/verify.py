@@ -352,10 +352,7 @@ def _face_witnesses(p: CirclePattern) -> List[object]:
         if fid is not None:
             pts[fid], ok[fid] = np.max(p.centers.real + 2.0 * p.radii), True
     else:
-        cos_r = np.cos(r)
-        x = (cos_r[:, :1] * np.cross(c[:, 1], c[:, 2]) + cos_r[:, 1:2] * np.cross(c[:, 2], c[:, 0])
-             + cos_r[:, 2:] * np.cross(c[:, 0], c[:, 1]))  # det[c_i, c_j, c_k] times the solution
-        det = np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2]))
+        x, det = triples.cap_plane_points(c, r)
         norm = np.linalg.norm(x, axis=1)
         ok = (det != 0) & (norm > 0)
         pts = np.zeros((len(c), 3))

@@ -16,7 +16,7 @@ from circlepattern import (
     solve_euclidean,
 )
 from circlepattern._newton import gauss_newton, min_norm_step, residual_and_jacobian, retract
-from circlepattern.errors import CirclePatternError
+from circlepattern.errors import Stalled
 from random_triangulations import loop_subdivide, stack120_faces
 
 PI = math.pi
@@ -140,7 +140,8 @@ def test_curvature_jacobian_not_finite_on_a_flat_face():
 def test_non_finite_jacobian_stops_at_the_floor(monkeypatch, octa):
     """A non-finite Jacobian (a face of zero area) admits no Newton step:
     the curvature Newton stops at its rounding floor where it stands, and
-    the solve, left with equal radii, raises a solver error."""
+    the solve, left with equal radii that have no layout, raises Stalled
+    with the stop reason and the collapse suspects."""
     th = AngleAssignment.constant(octa, PI / 4)
     analytic = euclidean._CurvatureMap.jacobian
     monkeypatch.setattr(euclidean._CurvatureMap, "jacobian",
@@ -149,8 +150,9 @@ def test_non_finite_jacobian_stops_at_the_floor(monkeypatch, octa):
     u, steps, trace, stop = euclidean._curvature_newton(cmap, 1e-10, 200)
     assert (steps, stop) == (0, "rounding floor")
     assert not np.any(u) and len(trace) == 1 and trace[0] > 1e-10
-    with pytest.raises(CirclePatternError):
+    with pytest.raises(Stalled, match="rounding floor") as info:
         solve_euclidean(octa, th, 0)
+    assert info.value.suspects
 
 
 def test_curvature_newton_stop_is_noted(octa):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circlepattern import (
     AngleAssignment,
@@ -10,12 +12,17 @@ from circlepattern import (
     export_obj,
     solve_spherical,
 )
-from circlepattern import shapes
+from circlepattern import shapes, spherical, triples
+from circlepattern.conditions import compare
 from circlepattern.errors import MalformedPattern, SingularTriple, VertexOutsideBall
 from circlepattern.polyhedron import HyperbolicPolyhedron, polyhedron_to_dict
 from circlepattern.verify import CirclePattern
 
 PI = math.pi
+
+# derandomized, without an example database, so every run checks the same
+# triples
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +68,14 @@ class TestIdealBoundaryCase:
         assert rep.passed
         assert rep.dihedral_inversive_gap < 1e-10
         assert rep.trivalent_ok and rep.euler_ok
+
+    def test_sum_within_cond_eps_of_pi_is_ideal(self, octa_pattern):
+        """A face sum within COND_EPS of pi counts as pi, as in classify."""
+        p = octa_pattern
+        th = AngleAssignment(p.triangulation, (PI / 3 + 5e-13,) + p.theta.values[1:])
+        q = build_polyhedron(CirclePattern(p.triangulation, th, p.mode, p.centers, p.radii),
+                             allow_ideal=True)
+        assert len(q.ideal_vertices) == 8
 
 
 class TestCompactCase:
@@ -109,74 +124,139 @@ class TestCompactCase:
         assert rep.convexity_worst < -1e-3
 
 
+@pytest.fixture(scope="module")
+def hex_prism_pattern():
+    """A verified no-interstice hexagonal-bipyramid pattern, dual to a
+    compact hyperbolic hexagonal prism."""
+    from circlepattern import classify, verify_pattern
+
+    t = shapes.bipyramid(6)
+    rng = np.random.default_rng(12)
+    while True:
+        vals = np.clip(PI / 3 + rng.uniform(0.02, 0.4, t.edge_count),
+                       0.05, PI - 0.05)
+        th = AngleAssignment(t, tuple(vals))
+        if classify(t, th, "m5").passed:
+            break
+    cfg, _ = solve_spherical(t, th)
+    p = CirclePattern.from_spherical(t, th, cfg)
+    assert verify_pattern(p).passed
+    return p
+
+
+@pytest.fixture(scope="module")
+def obtuse_prism():
+    """A verified pattern dual to a triangular prism with one top edge at
+    1.9 radians, and that edge's id."""
+    from circlepattern import check_andreev, dual_of_trivalent, verify_pattern
+
+    prism = shapes.triangular_prism_faces()
+    edges = sorted(
+        {
+            tuple(sorted((c[i], c[(i + 1) % len(c)])))
+            for c in prism
+            for i in range(len(c))
+        }
+    )
+    tri = [f for f in prism if len(f) == 3]
+
+    def cyc_edges(c):
+        return [tuple(sorted((c[i], c[(i + 1) % len(c)]))) for i in range(len(c))]
+
+    top_e, bot_e = cyc_edges(tri[0]), cyc_edges(tri[1])
+    theta = {}
+    for e in edges:
+        if e in top_e:
+            theta[e] = 1.2
+        elif e in bot_e:
+            theta[e] = 1.1
+        else:
+            theta[e] = 1.0
+    theta[top_e[0]] = 1.9  # obtuse
+    assert check_andreev(prism, theta).passed
+
+    t, to_dual, _ = dual_of_trivalent(prism)
+    vals = [0.0] * t.edge_count
+    for pe, eid in to_dual.items():
+        vals[eid] = theta[pe]
+    th = AngleAssignment(t, tuple(vals))
+    cfg, _ = solve_spherical(t, th)
+    p = CirclePattern.from_spherical(t, th, cfg)
+    assert verify_pattern(p).passed
+    return p, to_dual[top_e[0]]
+
+
+@pytest.fixture(scope="module")
+def obtuse_prism_pattern(obtuse_prism):
+    return obtuse_prism[0]
+
+
 class TestFurtherCombinatorics:
-    def test_hexagonal_prism_from_bipyramid(self):
+    def test_hexagonal_prism_from_bipyramid(self, hex_prism_pattern):
         """A no-interstice bipyramid instance dualizes to a compact
         hyperbolic hexagonal prism."""
-        t = shapes.bipyramid(6)
-        rng = np.random.default_rng(12)
-        from circlepattern import classify, solve_spherical, verify_pattern
-
-        while True:
-            vals = np.clip(PI / 3 + rng.uniform(0.02, 0.4, t.edge_count),
-                           0.05, PI - 0.05)
-            th = AngleAssignment(t, tuple(vals))
-            if classify(t, th, "m5").passed:
-                break
-        cfg, _ = solve_spherical(t, th)
-        p = CirclePattern.from_spherical(t, th, cfg)
-        assert verify_pattern(p).passed
+        p = hex_prism_pattern
         q = build_polyhedron(p)
         assert sorted(len(f) for f in q.faces) == [4] * 6 + [6, 6]
         assert q.max_vertex_norm < 1.0
         assert check_polyhedron(q, p).passed
 
-    def test_compact_prism_with_obtuse_dihedral(self):
+    def test_compact_prism_with_obtuse_dihedral(self, obtuse_prism):
         """The new regime: a compact convex polyhedron carrying an
         obtuse dihedral angle, here a triangular prism with one top edge at
         1.9 radians."""
-        from circlepattern import (
-            check_andreev, dual_of_trivalent, solve_spherical, verify_pattern,
-        )
-
-        prism = shapes.triangular_prism_faces()
-        edges = sorted(
-            {
-                tuple(sorted((c[i], c[(i + 1) % len(c)])))
-                for c in prism
-                for i in range(len(c))
-            }
-        )
-        tri = [f for f in prism if len(f) == 3]
-
-        def cyc_edges(c):
-            return [tuple(sorted((c[i], c[(i + 1) % len(c)]))) for i in range(len(c))]
-
-        top_e, bot_e = cyc_edges(tri[0]), cyc_edges(tri[1])
-        theta = {}
-        for e in edges:
-            if e in top_e:
-                theta[e] = 1.2
-            elif e in bot_e:
-                theta[e] = 1.1
-            else:
-                theta[e] = 1.0
-        theta[top_e[0]] = 1.9  # obtuse
-        assert check_andreev(prism, theta).passed
-
-        t, to_dual, _ = dual_of_trivalent(prism)
-        vals = [0.0] * t.edge_count
-        for pe, eid in to_dual.items():
-            vals[eid] = theta[pe]
-        th = AngleAssignment(t, tuple(vals))
-        cfg, _ = solve_spherical(t, th)
-        p = CirclePattern.from_spherical(t, th, cfg)
-        assert verify_pattern(p).passed
+        p, obtuse_eid = obtuse_prism
         q = build_polyhedron(p)
         assert sorted(len(f) for f in q.faces) == [3, 3, 4, 4, 4]
         assert q.max_vertex_norm < 1.0
-        assert abs(q.dihedral[to_dual[top_e[0]]] - 1.9) < 1e-9
+        assert abs(q.dihedral[obtuse_eid] - 1.9) < 1e-9
         assert check_polyhedron(q, p).passed
+
+
+class TestVertexKernel:
+    @pytest.mark.parametrize("name", ["icosa_pattern", "hex_prism_pattern",
+                                      "obtuse_prism_pattern"])
+    def test_vertices_match_per_face_solve(self, name, request):
+        p = request.getfixturevalue(name)
+        q = build_polyhedron(p)
+        for fid, face in enumerate(p.triangulation.faces):
+            want = np.linalg.solve(p.centers[list(face)], np.cos(p.radii[list(face)]))
+            np.testing.assert_allclose(q.vertices[fid], want, rtol=0, atol=1e-12)
+
+    def test_boosted_dodecahedron_near_the_sphere_is_compact(self, icosa_pattern):
+        """Every face sum of the icosahedral 2pi/5 pattern is above pi, so its
+        dual stays compact however close a Lorentz boost moves a vertex to
+        the sphere; here to 1 - |q| of about 1e-8."""
+        p = icosa_pattern
+        q0 = build_polyhedron(p)
+        far = int(np.argmax(np.linalg.norm(q0.vertices, axis=1)))
+        rho = float(np.linalg.norm(q0.vertices[far]))
+        s = math.tanh(math.atanh(1.0 - 1e-8) - math.atanh(rho))
+        dS = spherical._de_sitter(p.centers, p.radii)
+        centers, radii = spherical._from_de_sitter(
+            spherical._boost(dS, -s * q0.vertices[far] / rho))
+        q = build_polyhedron(CirclePattern(p.triangulation, p.theta, p.mode, centers, radii))
+        assert q.ideal_vertices == []
+        assert q.max_vertex_norm < 1.0
+        assert 0.5e-8 < 1.0 - q.max_vertex_norm < 2e-8
+
+
+@PROPERTY
+@given(radii=st.tuples(*[st.floats(0.01, 3.0)] * 3),
+       angles=st.tuples(*[st.floats(0.01, 3.1)] * 3))
+def test_triple_vertex_inside_ball_iff_angle_sum_above_pi(radii, angles):
+    """On a feasible spherical triple whose angles meet the face condition
+    (each pair below the third plus pi), the kernel's vertex lies inside the
+    ball exactly when the angle sum is above pi, and exactly when the Gram
+    determinant of the three de Sitter vectors is positive."""
+    spec = triples.TripleSpec(triples.SPHERICAL, radii, angles)
+    assume(sum(angles) - 2.0 * min(angles) < PI and abs(sum(angles) - PI) >= 1e-6)
+    assume(triples.feasibility(spec)[0])
+    x, det = triples.cap_plane_points(np.array([triples.place_triple(spec)]), np.array([radii]))
+    inside = bool(np.linalg.norm(x[0] / det[0]) < 1.0)
+    cos = np.cos(angles)
+    gram = 1.0 - np.sum(cos ** 2) - 2.0 * np.prod(cos)
+    assert inside == (compare(sum(angles), PI) > 0) == (gram > 0.0)
 
 
 class TestExport:
@@ -210,6 +290,17 @@ class TestExport:
 
 
 class TestErrors:
+    def test_face_sum_below_pi_is_outside(self, octa):
+        """A lifted planar pattern has faces with angle sum below pi, whose
+        vertices lie outside the ball, ideal or not."""
+        from circlepattern import lift_to_sphere, solve_euclidean
+
+        th = AngleAssignment.constant(octa, PI / 4)
+        cfg, _ = solve_euclidean(octa, th, 0)
+        p = CirclePattern.from_spherical(octa, th, lift_to_sphere(cfg))
+        with pytest.raises(VertexOutsideBall, match="angle sum"):
+            build_polyhedron(p, allow_ideal=True)
+
     def test_singular_triple(self, octa_pattern):
         p = octa_pattern
         centers = p.centers.copy()

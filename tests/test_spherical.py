@@ -13,8 +13,8 @@ from circlepattern import (
     solve_spherical,
 )
 from circlepattern import shapes, spherical
+from circlepattern.configurations import EuclideanConfiguration
 from circlepattern.errors import ConditionsViolated, ContinuationStuck
-from circlepattern.spherical import lift_circle
 from circlepattern.verify import CirclePattern
 
 from random_triangulations import loop_subdivide
@@ -41,16 +41,47 @@ def symmetric_radius(adjacent_dot: float, theta: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def lift_one(center: complex, radius: float):
+    """The cap of one planar circle, through ``lift_to_sphere``."""
+    cfg = EuclideanConfiguration(np.array([center], dtype=complex), np.array([radius]), None)
+    sph = lift_to_sphere(cfg)
+    return sph.centers[0], sph.radii[0]
+
+
+def to_sphere(w):
+    """Inverse stereographic projection of complex points, 0 to the south
+    pole."""
+    w = np.asarray(w, dtype=complex)
+    return np.stack([2 * w.real, 2 * w.imag, np.abs(w) ** 2 - 1], axis=-1) / (1 + np.abs(w) ** 2)[..., None]
+
+
 class TestLift:
     def test_unit_circle_maps_to_south_hemisphere(self):
-        n, r = lift_circle(0j, 1.0)
+        n, r = lift_one(0j, 1.0)
         assert np.allclose(n, [0, 0, -1], atol=1e-15)
         assert r == pytest.approx(PI / 2, abs=1e-15)
 
     def test_far_circle_maps_near_north_pole(self):
-        n, r = lift_circle(100 + 0j, 1.0)
+        n, r = lift_one(100 + 0j, 1.0)
         assert n[2] > 0.999
         assert r < 1e-3
+
+    def test_random_circles_lift_onto_their_caps(self):
+        """Lifted boundary points lie on the cap's circle and the lifted
+        center inside the cap, for circles that enclose the origin, pass
+        through it (r = |c|) or leave it outside."""
+        rng = np.random.default_rng(8)
+        m = 300
+        c = rng.normal(0.0, 3.0, m) + 1j * rng.normal(0.0, 3.0, m)
+        r = np.abs(c) * rng.uniform(0.05, 2.0, m)
+        r[:60] = np.abs(c[:60])
+        assert np.sum(r > np.abs(c)) > 50 and np.sum(r < np.abs(c)) > 50
+        sph = lift_to_sphere(EuclideanConfiguration(c, r, None))
+        boundary = to_sphere(c[:, None] + r[:, None] * np.exp(1j * rng.uniform(0, 2 * PI, (m, 16))))
+        on_circle = np.einsum("mkj,mj->mk", boundary, sph.centers) - np.cos(sph.radii)[:, None]
+        assert np.max(np.abs(on_circle)) < 1e-12
+        inside = np.einsum("mj,mj->m", to_sphere(c), sph.centers) - np.cos(sph.radii)
+        assert np.all(inside > 0.0)
 
     def test_lift_preserves_inversive_distance(self, octa):
         th = AngleAssignment.constant(octa, PI / 4)
@@ -96,6 +127,39 @@ class TestOctahedronSymmetric:
         assert cfg.centers[c][1] > 0
         assert np.allclose(cfg.radii[[a, b, c]], PI / 4, atol=1e-15)
         assert np.allclose(np.linalg.norm(cfg.centers, axis=1), 1.0, atol=1e-12)
+
+
+class TestGauge:
+    def test_rotation_and_reflection_branches(self, octa):
+        """A moved pattern and its mirror image reach the same gauge, one
+        through a rotation and the other through a reflection."""
+        vals = np.full(octa.edge_count, PI / 3)
+        vals[0] += 0.05
+        th = AngleAssignment(octa, tuple(vals))
+        cfg, _ = solve_spherical(octa, th)
+        face = cfg.marked_face
+        rot, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        moved = spherical._from_de_sitter(
+            spherical._boost(spherical._de_sitter(cfg.centers @ rot.T, cfg.radii),
+                             np.array([0.2, -0.1, 0.3])))
+        want = CirclePattern.from_spherical(octa, th, cfg).inversive_matrix()
+        results, branches = [], set()
+        for mirror in (np.eye(3), np.diag([-1.0, 1.0, 1.0])):
+            centers_in = moved[0] @ mirror
+            centers, radii = spherical._into_gauge(centers_in, moved[1].copy(), face)
+            a, b, c = face
+            assert np.allclose(centers[a], [0, 0, -1], atol=1e-15)
+            assert abs(centers[b][1]) < 1e-15 and centers[b][0] > 0
+            assert centers[c][1] > 0
+            assert np.allclose(radii[[a, b, c]], PI / 4, atol=1e-15)
+            assert np.allclose(np.linalg.norm(centers, axis=1), 1.0, atol=1e-12)
+            got = CirclePattern(octa, th, "spherical", centers, radii).inversive_matrix()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            branches.add(np.sign(np.linalg.det(centers_in[list(face)]))
+                         * np.sign(np.linalg.det(centers[list(face)])))
+            results.append(centers)
+        assert branches == {1.0, -1.0}
+        np.testing.assert_allclose(results[0], results[1], rtol=0, atol=1e-12)
 
 
 class TestIcosahedronSymmetric:
