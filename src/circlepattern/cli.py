@@ -92,7 +92,9 @@ def make_parser() -> _Parser:
     w = subs.add_parser("verify", help="verify a claimed pattern")
     w.add_argument("--pattern", required=True)
     w.add_argument("--tol", type=float, default=1e-8)
-    w.add_argument("--resolution", type=int, default=4096)
+    w.add_argument("--resolution", type=int, default=4096,
+                   help="resolution of the flower check, the one sampled check: "
+                        "a quarter of it is the boundary samples per disk")
     w.add_argument("--json-out")
 
     q = subs.add_parser("polyhedron", help="build the dual hyperbolic polyhedron")

@@ -3,9 +3,10 @@
 Every check works only from the circles and the combinatorial data, never
 from solver internals: realized angles are recomputed from inversive
 distances, interstices are certified face by face at the radical centre
-of the face's three circles, irreducibility and the flower cover are
-sampled at a configurable resolution, and the three-circle relations are
-tested with the exact arrangement primitives.
+of the face's three circles, irreducibility is decided exactly by arc
+coverage (one test point per arc of the circle arrangement near each
+disk), the flower cover is sampled at a configurable resolution, and the
+three-circle relations are tested with the exact arrangement primitives.
 """
 from __future__ import annotations
 
@@ -270,16 +271,39 @@ def _in_fan_triangle(p, v, a, b, points, eps) -> np.ndarray:
 
 def _in_any_face(p: CirclePattern, points, eps) -> np.ndarray:
     """Membership in some closed laid-out face, for all faces at once (a
-    face per row, in chunks of about FACE_TEST_CHUNK entries)."""
+    face per row, in chunks of about FACE_TEST_CHUNK entries).  Per chunk,
+    only the faces that can hold a point of the chunk's bounding box are
+    tested."""
     t = p.triangulation
     skip = t.face_id_of(p.marked_face) if p.marked_face is not None else None
     corners = p.centers[[f for fid, f in enumerate(t.faces) if fid != skip]].T[:, :, None]
     step = max(1, FACE_TEST_CHUNK // corners.shape[1])
     out = np.zeros(len(points), dtype=bool)
     for lo in range(0, len(points), step):
-        s1, s2, s3, tol = _planar_sides(corners, points[lo:lo + step], eps)
+        chunk = points[lo:lo + step]
+        s1, s2, s3, tol = _planar_sides(corners[:, _faces_meeting_box(corners, chunk, eps)],
+                                        chunk, eps)
         out[lo:lo + step] = ((s1 >= -tol) & (s2 >= -tol) & (s3 >= -tol)).any(axis=0)
     return out
+
+
+def _faces_meeting_box(corners, points, eps) -> np.ndarray:
+    """The faces whose three side functions, as in ``_planar_sides``, reach
+    their tolerance somewhere on the bounding box of ``points``.  A side
+    function is linear, so its largest value on the box is at one corner;
+    the margin bounds the rounding of evaluating it there and at a point."""
+    A, B, C = (x[:, 0] for x in corners)
+    sigma = _cross2(B - A, C - A)
+    sign, tol = np.sign(sigma), eps * np.where(sigma != 0, np.abs(sigma), 1.0)
+    x0, x1, y0, y1 = points.real.min(), points.real.max(), points.imag.min(), points.imag.max()
+    reach = max(abs(x0), abs(x1), abs(y0), abs(y1))
+    keep = np.ones(len(A), dtype=bool)
+    for P, Q in ((A, B), (B, C), (C, A)):
+        a, b = sign * (Q - P).real, -sign * (Q - P).imag
+        top = a * (np.where(a > 0, y1, y0) - P.imag) + b * (np.where(b > 0, x1, x0) - P.real)
+        margin = 8.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b)) * (reach + np.abs(P))
+        keep &= top >= -tol - margin
+    return keep
 
 
 def _planar_sides(corners, points, eps):
@@ -396,22 +420,117 @@ def _near_disks(p: CirclePattern, v: int, slack: float) -> np.ndarray:
     return np.flatnonzero(near)
 
 
-def _irreducibility_witnesses(p: CirclePattern, boundary_samples: int,
-                              interior_grid: int):
-    """For each vertex v, a sampled point of D_v uncovered by every other
-    disk (the pattern is reducible exactly when some vertex's complement
-    covers the whole sphere): the first free boundary sample, else the
-    first free interior one."""
-    witnesses: Dict[int, object] = {}
-    for v in range(len(p.radii)):
-        near = _near_disks(p, v, -COVER_SLACK)
-        for pts in (sample(p, v, k) for sample, k in ((_boundary_points, boundary_samples),
-                                                      (_interior_points, interior_grid))):
-            free = np.flatnonzero(~_in_disks(p, pts, near, -COVER_SLACK).any(axis=1))
-            witnesses[v] = pts[free[0]] if len(free) else None
-            if len(free):
-                break
-    return all(w is not None for w in witnesses.values()), witnesses
+def _irreducibility_witnesses(p: CirclePattern):
+    """For each vertex v, a point of D_v that no other disk covers, or None
+    (the pattern is reducible exactly when some D_v is covered by the rest).
+
+    The test is exact, by the perimeter criterion (Huang & Tseng, *The
+    coverage problem in a wireless sensor network*, 2005).  The circles are
+    dD_v and those of the near disks, grown by COVER_SLACK as in the
+    membership test.  Where D_v is not covered, the uncovered part is
+    bounded by arcs of these circles, and membership is constant along each
+    arc between consecutive crossings; so one midpoint per arc decides it,
+    for all vertices at once.  The witness is the free midpoint of dD_v
+    with the largest clearance, else such a midpoint inside D_v on a near
+    circle, moved off that circle by half its clearance (on the sphere at
+    most halfway to the centre of the cap's outside).  Clearances are
+    distances in the plane and cosine gaps on the sphere, both 1-Lipschitz
+    in the distance moved.  A witness must pass the all-disk membership
+    test.
+    """
+    n = len(p.radii)
+    near = [_near_disks(p, v, -COVER_SLACK) for v in range(n)]
+    # one row per (vertex, circle), the vertex's own circle first
+    size = np.array([1 + len(s) for s in near])
+    start = np.cumsum(size) - size
+    owner = np.repeat(np.arange(n), size)
+    disk = np.insert(np.concatenate(near), start - np.arange(n), np.arange(n))
+    own = np.arange(len(disk)) == start[owner]
+    grow = np.where(own, 0.0, COVER_SLACK)
+    c = p.centers[disk]
+    sphere = p.mode == triples.SPHERICAL
+    if sphere:
+        versine = 2.0 * np.sin(0.5 * p.radii[disk]) ** 2 + grow  # 1 - cos R, no cancellation
+        R = 2.0 * np.arcsin(np.sqrt(np.minimum(0.5 * versine, 1.0)))
+        kappa = np.cos(p.radii[disk]) - grow  # the membership threshold on c . x
+        e1, e2 = (e[disk] for e in triples.tangent_frames(p.centers))
+    else:
+        R = p.radii[disk] + grow
+
+    def on_circle(rows, ang, extra=0.0):
+        if not sphere:
+            return c[rows] + (R[rows] + extra) * np.exp(1j * ang)
+        t = R[rows] + extra
+        return (np.cos(t)[:, None] * c[rows] + np.sin(t)[:, None]
+                * (np.cos(ang)[:, None] * e1[rows] + np.sin(ang)[:, None] * e2[rows]))
+
+    # crossings of each row's circle with the other circles of its vertex,
+    # at angles phi0 +- alpha with cos(alpha) = num / den
+    i, j = _owner_rows(owner, start, size)
+    i, j = i[i != j], j[i != j]
+    if sphere:
+        a1 = np.einsum("ij,ij->i", e1[i], c[j])
+        a2 = np.einsum("ij,ij->i", e2[i], c[j])
+        apart = 0.5 * np.einsum("ij,ij->i", c[i] - c[j], c[i] - c[j])  # 1 - c_i . c_j
+        num = versine[i] * (1.0 - apart) + apart - versine[j]
+        den = np.sin(R[i]) * np.hypot(a1, a2)
+        phi0 = np.arctan2(a2, a1)
+    else:
+        dc = c[j] - c[i]
+        d = np.abs(dc)
+        num = R[i] ** 2 + (d - R[j]) * (d + R[j])
+        den = 2.0 * R[i] * d
+        phi0 = np.angle(dc)
+    cut = (den > 0) & (np.abs(num) <= den)
+    alpha = np.arccos(num[cut] / den[cut])
+    ang = np.concatenate([phi0[cut] - alpha, phi0[cut] + alpha]) % (2.0 * PI)
+    row = np.tile(i[cut], 2)
+
+    # one midpoint per arc, the last arc of a circle ending at its first
+    # crossing; a circle without crossings is one arc
+    order = np.lexsort((ang, row))
+    ang, row = ang[order], row[order]
+    last = np.diff(row, append=-1) != 0
+    after = np.where(last, ang[np.searchsorted(row, row)] + 2.0 * PI, np.r_[ang[1:], 0.0])
+    bare = np.setdiff1d(np.arange(len(disk)), row)
+    mid_row = np.r_[row, bare]
+    mid_ang = np.r_[0.5 * (ang + after), np.zeros(len(bare))]
+    mid = on_circle(mid_row, mid_ang)
+
+    # clearance: the least margin outside the other near disks and inside D_v
+    k, j = _owner_rows(owner[mid_row], start, size)
+    k, j = k[j != mid_row[k]], j[j != mid_row[k]]
+    if sphere:
+        gap = kappa[j] - np.einsum("ij,ij->i", mid[k], c[j])
+    else:
+        gap = np.abs(mid[k] - c[j]) - R[j]
+    clear = np.full(len(mid), np.inf)
+    np.minimum.at(clear, k, np.where(own[j], -gap, gap))
+
+    # per vertex the free midpoint on dD_v, else on a near circle, of largest clearance
+    cand = np.flatnonzero(clear > 0)
+    cand = cand[np.lexsort((clear[cand], own[mid_row[cand]], owner[mid_row[cand]]))]
+    vs = owner[mid_row[cand]]
+    best = cand[np.diff(vs, append=-1) != 0]
+    vs, rows = owner[mid_row[best]], mid_row[best]
+    move = 0.5 * clear[best]
+    if sphere:  # a cap's outside is a cap too: stop short of its centre
+        move = np.minimum(move, 0.5 * (PI - R[rows]))
+    w = on_circle(rows, mid_ang[best], np.where(own[rows], 0.0, move))
+    inside = p.point_in_disks(w, -COVER_SLACK)
+    good = inside[np.arange(len(vs)), vs] & (inside.sum(axis=1) == 1)
+    witnesses: Dict[int, object] = dict.fromkeys(range(n))
+    witnesses.update((int(v), x) for v, x, g in zip(vs, w, good) if g)
+    return all(x is not None for x in witnesses.values()), witnesses
+
+
+def _owner_rows(owners: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """Index pairs (a, b) pairing each item a with every row b of its
+    owner, whose rows are start[owner] .. start[owner] + size[owner] - 1."""
+    counts = size[owners]
+    a = np.repeat(np.arange(len(owners)), counts)
+    b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start[owners], counts)
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +545,9 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     (a) realized exterior angles match the prescription (cosine chart, with
         the radian chart additionally checked away from tangency);
     (b) non-adjacent disk pairs are disjoint;
-    (c) irreducibility, by the one-vertex-removed reduction, at sampling
-        resolution;
+    (c) irreducibility, by the one-vertex-removed reduction: exactly, by
+        arc coverage, with a witness point per uncovered disk (in the
+        plane the point at infinity keeps every subfamily irreducible);
     (d) interstices: the faces whose radical centre no disk covers (in the
         plane the marked face is the unbounded region) must be exactly the
         faces with angle sum below pi, faces within COND_EPS of pi exempt;
@@ -435,6 +555,7 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     (f) lens containments among adjacent triples obey the angle relation;
     (g) face triples with angle sum below pi have empty triple intersection.
 
+    ``boundary_samples`` and ``interior_grid`` set the flower samples;
     ``sphere_samples`` is unused and only recorded in ``resolution``.
     """
     t = p.triangulation
@@ -464,16 +585,11 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     interstice_ok = all((w is not None) == (c < 0)
                         for w, c in zip(face_witnesses, face_cmp) if c != 0)
 
+    irr_ok, witnesses = _irreducibility_witnesses(p)
     if p.mode == triples.EUCLIDEAN:
         # bounded disks never cover the sphere: the point at infinity
         # witnesses irreducibility for every one-removed subfamily
         irr_ok = True
-        _, witnesses = _irreducibility_witnesses(p, boundary_samples // 8,
-                                                 interior_grid // 4)
-    else:
-        irr_ok, witnesses = _irreducibility_witnesses(
-            p, boundary_samples, interior_grid
-        )
 
     flower_failures: Dict[int, object] = {}
     for v in range(t.vertex_count):

@@ -366,6 +366,19 @@ def irreducibility_witnesses(p, boundary_samples: int, interior_grid: int):
     return ok, witnesses
 
 
+def free_in_own_disk(p, v: int, x) -> bool:
+    """x lies in D_v and outside every other disk, each disk tested on its
+    own with the 1e-12 sample slack of ``irreducibility_witnesses``."""
+    from circlepattern import triples
+
+    if p.mode == triples.EUCLIDEAN:
+        inside = [abs(x - c) <= r + 1e-12 for c, r in zip(p.centers, p.radii)]
+    else:
+        inside = [float(np.dot(x, c)) >= math.cos(r) - 1e-12
+                  for c, r in zip(p.centers, p.radii)]
+    return inside[v] and sum(inside) == 1
+
+
 def flower_check(p, v: int, boundary_samples: int = 4096, interior_grid: int = 64,
                  eps: float = 1e-9):
     """Neighbour-disk membership read off the full membership matrix."""

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlepattern import (
     AngleAssignment,
@@ -349,13 +352,23 @@ class TestLocalSamplingMatchesReference:
     @pytest.mark.parametrize("make", [m for _, m in REFERENCE_CASES],
                              ids=[name for name, _ in REFERENCE_CASES])
     def test_same_report(self, make, monkeypatch):
+        """The same report, except that irreducibility witnesses are exact
+        points: each is free by the all-disk test, and a vertex has one
+        exactly where the sampled reference finds a free sample."""
         p = make()
-        local = verify_pattern(p).to_dict()
-        monkeypatch.setattr(verifier, "_irreducibility_witnesses",
-                            oracles.irreducibility_witnesses)
+        local = verify_pattern(p)
         monkeypatch.setattr(verifier, "flower_check", oracles.flower_check)
         monkeypatch.setattr(verifier, "_in_any_face", oracles.in_any_face)
-        assert local == verify_pattern(p).to_dict()
+        want = verify_pattern(p).to_dict()
+        got = local.to_dict()
+        del got["irreducibility_witnesses"], want["irreducibility_witnesses"]
+        assert got == want
+        # the resolutions the sampled check used in the plane and on the sphere
+        res = (512, 64) if p.mode == "euclidean" else (4096, 256)
+        _, sampled = oracles.irreducibility_witnesses(p, *res)
+        exact = local.irreducibility_witnesses
+        assert [w is None for w in exact.values()] == [w is None for w in sampled.values()]
+        assert all(oracles.free_in_own_disk(p, v, w) for v, w in exact.items() if w is not None)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_same_face_membership(self, chunk, monkeypatch):
@@ -407,7 +420,8 @@ class TestSingleDiskMembership:
 
 class TestNearDisks:
     """A disk not adjacent to v, closer to D_v than the 1e-12 sample slack,
-    still covers the samples in that gap."""
+    is among the circles tested, and the witness clears it: without it,
+    dD_0 would be one arc, whose midpoint lies in that gap."""
 
     def test_planar_gap_below_slack(self):
         t = shapes.octahedron()
@@ -436,8 +450,75 @@ class TestNearDisks:
     @staticmethod
     def _check(p, u):
         assert u in verifier._near_disks(p, 0, -verifier.COVER_SLACK)
-        _, got = verifier._irreducibility_witnesses(p, 64, 16)
-        _, want = oracles.irreducibility_witnesses(p, 64, 16)
-        first = verifier._boundary_points(p, 0, 64)[0]
-        assert np.array_equal(got[0], want[0])
-        assert not np.array_equal(got[0], first)
+        _, got = verifier._irreducibility_witnesses(p)
+        assert oracles.free_in_own_disk(p, 0, got[0])
+
+
+def _disk_family(mode, seed, n, tangent, big):
+    """n random disks (plane) or caps (sphere), dense enough that some are
+    covered by the rest, and with ``big`` often all of them; disk k is
+    tangent to disk k - 1 for k <= tangent, externally for odd k and
+    internally for even k."""
+    rng = np.random.default_rng(seed)
+    t = shapes.bipyramid(n - 2)
+    if mode == "euclidean":
+        c = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
+        r = rng.uniform(0.3, 3.0 if big else 1.2, n)
+        for k in range(1, tangent + 1):
+            u = (c[k] - c[k - 1]) / abs(c[k] - c[k - 1])
+            c[k] = c[k - 1] + u * (r[k - 1] + r[k] if k % 2 else abs(r[k - 1] - r[k]))
+    else:
+        c = rng.normal(size=(n, 3))
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        r = rng.uniform(0.2, 2.9 if big else 1.0, n)
+        for k in range(1, tangent + 1):
+            a, b = c[k - 1], c[k] - (c[k] @ c[k - 1]) * c[k - 1]
+            phi = r[k - 1] + r[k] if k % 2 else abs(r[k - 1] - r[k])
+            c[k] = math.cos(phi) * a + math.sin(phi) * b / np.linalg.norm(b)
+    return CirclePattern(t, AngleAssignment.constant(t, 0.0), mode, c, r)
+
+
+class TestExactIrreducibility:
+    """The arc-coverage kernel against the sampled all-disk reference."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(mode=st.sampled_from(["euclidean", "spherical"]), seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(6, 10), tangent=st.integers(0, 3), big=st.booleans())
+    def test_random_families(self, mode, seed, n, tangent, big):
+        p = _disk_family(mode, seed, n, tangent, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ok, exact = verifier._irreducibility_witnesses(p)
+        _, sampled = oracles.irreducibility_witnesses(p, 512, 96)
+        for v in range(n):
+            if exact[v] is not None:
+                assert oracles.free_in_own_disk(p, v, exact[v]), v
+            elif sampled[v] is not None:
+                pytest.fail(f"sampling found a free point of disk {v}, the exact test none")
+        assert ok == all(w is not None for w in exact.values())
+
+    def test_hole_of_a_big_cap(self):
+        """D_0 holds the small hole that the big cap D_1 leaves and covers
+        everything else of D_0: the witness is moved into the hole by less
+        than the hole's radius, not past the antipode of D_1's centre."""
+        t = shapes.octahedron()
+        centers = np.array([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+                            (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)])
+        radii = np.array([1.0, PI - 0.02, 0.1, 0.1, 0.1, 0.1])
+        p = CirclePattern(t, AngleAssignment.constant(t, 1.2), "spherical", centers, radii)
+        _, got = verifier._irreducibility_witnesses(p)
+        assert oracles.free_in_own_disk(p, 0, got[0])
+        assert got[0] @ centers[0] > math.cos(0.02)
+
+    def test_swallowed_disk(self):
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1))
+        p = _spherical(t, 1.2)
+        assert verify_pattern(p).irreducible_ok
+        u = t.neighbors(0)[0]
+        radii = p.radii.copy()
+        radii[u] = math.acos(p.centers[0] @ p.centers[u]) + p.radii[0] + 0.01
+        bad = CirclePattern(t, p.theta, p.mode, p.centers, radii)
+        rep = verify_pattern(bad)
+        assert not rep.irreducible_ok
+        assert rep.irreducibility_witnesses[0] is None
+        assert rep.irreducibility_witnesses[u] is not None
