@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,9 +22,10 @@ from .triangulation import (
     Circuit,
     Triangulation,
     canonical_edge,
+    cycle_arrays,
     dual_of_trivalent,
     enumerate_simple_cycles,
-    enumerate_two_arcs,
+    two_arc_arrays,
 )
 
 COND_EPS = 1e-12
@@ -133,10 +133,6 @@ class ConditionReport:
         return out
 
 
-def _edge_tuple(t: Triangulation, eids: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    return tuple(t.edges[e] for e in eids)
-
-
 # ---------------------------------------------------------------------------
 # inequality engine, shared by the triangulation and polyhedron classes
 #
@@ -150,24 +146,34 @@ ANDREEV_TAGS = ("s1", "s2", "s3", "s4")
 EdgeLabel = Callable[[int], Tuple[int, int]]
 
 
-def _face_violations(t: Triangulation, vals: Sequence[float], label: EdgeLabel,
+def _compare(lhs: np.ndarray, bound) -> np.ndarray:
+    """``compare`` over arrays."""
+    return np.where(np.abs(lhs - bound) <= COND_EPS, 0, np.where(lhs < bound, -1, 1))
+
+
+def _certificates(tag: str, witnesses: np.ndarray, eids: np.ndarray, lhs: np.ndarray,
+                  bound, label: EdgeLabel) -> List[Violation]:
+    """One violation per row: the rows of the failing witnesses, their edge
+    ids, sums and bounds."""
+    bound = np.broadcast_to(bound, lhs.shape)
+    return [Violation(tag, tuple(w), tuple(map(label, e)), x, b) for w, e, x, b
+            in zip(witnesses.tolist(), eids.tolist(), lhs.tolist(), bound.tolist())]
+
+
+def _face_violations(t: Triangulation, vals: np.ndarray, label: EdgeLabel,
                      tag: str, min_sum: Optional[float] = None) -> List[Violation]:
     """Per face, each angle pair must stay below the third angle plus pi;
     with ``min_sum``, the face's angle sum must also exceed it."""
-    out = []
-    for fid in range(t.face_count):
-        eids = t.face_edge_ids(fid)
-        edges = tuple(map(label, eids))
-        th = [vals[e] for e in eids]
-        if min_sum is not None and compare(sum(th), min_sum) <= 0:
-            out.append(Violation(tag, t.faces[fid], edges, sum(th), min_sum))
-        for k in range(3):
-            i, j = (k + 1) % 3, (k + 2) % 3
-            lhs = th[i] + th[j]
-            bound = th[k] + PI
-            if compare(lhs, bound) >= 0:
-                out.append(Violation(tag, t.faces[fid], edges, lhs, bound))
-    return out
+    th = vals[t.face_edges]
+    # per face: the angle sum, then per edge k the other two angles' sum
+    lhs = np.column_stack((sum(th.T), th[:, 1] + th[:, 2], th[:, 2] + th[:, 0],
+                           th[:, 0] + th[:, 1]))
+    bound = np.column_stack((np.full(len(th), PI if min_sum is None else min_sum), th + PI))
+    fail = _compare(lhs, bound) >= 0
+    fail[:, 0] = min_sum is not None and _compare(lhs[:, 0], min_sum) <= 0
+    fid, col = np.nonzero(fail)
+    return _certificates(tag, t.face_array[fid], t.face_edges[fid], lhs[fid, col],
+                         bound[fid, col], label)
 
 
 def is_triangular_bipyramid(t: Triangulation) -> bool:
@@ -179,48 +185,36 @@ def is_triangular_bipyramid(t: Triangulation) -> bool:
     return not t.has_edge(apexes[0], apexes[1])
 
 
-def _arc_violations(t: Triangulation, vals: Sequence[float], label: EdgeLabel,
+def _arc_violations(t: Triangulation, vals: np.ndarray, label: EdgeLabel,
                     tag: str) -> List[Violation]:
     """Homologically non-adjacent arc sums stay at or below pi; on the
     triangular bipyramid at least one of them must be strict."""
-    out = []
-    non_adjacent = [a for a in enumerate_two_arcs(t) if a.is_homologically_non_adjacent]
-    any_strict = False
-    for arc in non_adjacent:
-        lhs = vals[arc.edges[0]] + vals[arc.edges[1]]
-        cmp = compare(lhs, PI)
-        if cmp > 0:
-            out.append(Violation(tag, arc.vertices, tuple(map(label, arc.edges)), lhs, PI))
-        elif cmp < 0:
-            any_strict = True
-    if non_adjacent and is_triangular_bipyramid(t) and not any_strict and not out:
-        arc = non_adjacent[0]
-        lhs = vals[arc.edges[0]] + vals[arc.edges[1]]
-        out.append(Violation(f"{tag}-strict", arc.vertices, tuple(map(label, arc.edges)),
-                             lhs, PI))
+    arcs = two_arc_arrays(t)
+    keep = arcs["is_homologically_non_adjacent"]
+    verts, eids = arcs["vertices"][keep], arcs["edges"][keep]
+    lhs = vals[eids[:, 0]] + vals[eids[:, 1]]
+    cmp = _compare(lhs, PI)
+    out = _certificates(tag, verts[cmp > 0], eids[cmp > 0], lhs[cmp > 0], PI, label)
+    if len(lhs) and is_triangular_bipyramid(t) and not (cmp < 0).any() and not out:
+        out = _certificates(f"{tag}-strict", verts[:1], eids[:1], lhs[:1], PI, label)
     return out
 
 
-def _cycle_violations(t: Triangulation, vals: Sequence[float], label: EdgeLabel,
-                      tags: Tuple[str, str],
-                      keep: Callable[[Circuit], bool]) -> List[Violation]:
-    """Kept 3-cycles sum below pi and kept 4-cycles below 2*pi; ``tags``
-    names the two conditions."""
+def _cycle_violations(t: Triangulation, vals: np.ndarray, label: EdgeLabel,
+                      tags: Tuple[str, str], keep: str) -> List[Violation]:
+    """3-cycles sum below pi and 4-cycles below 2*pi, where the flag named
+    ``keep`` is set; ``tags`` names the two conditions."""
     out = []
-    for cyc in enumerate_simple_cycles(t, 4):
-        if not keep(cyc):
-            continue
-        k = len(cyc)
-        lhs = sum(vals[e] for e in cyc.edges)
-        bound = PI if k == 3 else 2.0 * PI
-        if compare(lhs, bound) >= 0:
-            out.append(Violation(tags[k - 3], cyc.vertices, tuple(map(label, cyc.edges)),
-                                 lhs, bound))
+    for cycles, tag, bound in zip(cycle_arrays(t, 4), tags, (PI, 2.0 * PI)):
+        verts, eids = cycles["vertices"][cycles[keep]], cycles["edges"][cycles[keep]]
+        lhs = sum(vals[eids].T)  # summed in edge order, from 0, as a scalar sum would be
+        fail = _compare(lhs, bound) >= 0
+        out += _certificates(tag, verts[fail], eids[fail], lhs[fail], bound, label)
     return out
 
 
-def _violations(t: Triangulation, vals: Sequence[float], label: EdgeLabel,
-                tags: Tuple[str, str, str, str], keep: Callable[[Circuit], bool],
+def _violations(t: Triangulation, vals: np.ndarray, label: EdgeLabel,
+                tags: Tuple[str, str, str, str], keep: str,
                 min_face_sum: Optional[float] = None) -> List[Violation]:
     """The four conditions in order: face, arc, 3- and 4-cycle."""
     return (
@@ -236,33 +230,24 @@ def _flags(violations: Sequence[Violation], tags: Sequence[str]) -> Dict[str, bo
     return {tag: tag not in failed for tag in tags}
 
 
-def _face_sum_flags(t: Triangulation, theta: AngleAssignment):
-    sums = [
-        sum(theta[e] for e in t.face_edge_ids(fid)) for fid in range(t.face_count)
-    ]
-    m5_all = all(compare(s, PI) >= 0 for s in sums)
-    g5_some = any(compare(s, PI) < 0 for s in sums)
-    return sums, m5_all, g5_some
-
-
 def _report(requested: str, violations: List[Violation],
             tags: Sequence[str]) -> ConditionReport:
     return ConditionReport(requested, not violations, _flags(violations, tags), violations)
 
 
 def check_c1(t: Triangulation, theta: AngleAssignment) -> ConditionReport:
-    v = _face_violations(t, theta.values, t.edges.__getitem__, "c1")
+    v = _face_violations(t, theta.array(), t.edges.__getitem__, "c1")
     return _report("c1", v, ("c1",))
 
 
 def check_c2(t: Triangulation, theta: AngleAssignment) -> ConditionReport:
-    v = _arc_violations(t, theta.values, t.edges.__getitem__, "c2")
+    v = _arc_violations(t, theta.array(), t.edges.__getitem__, "c2")
     return _report("c2", v, ("c2",))
 
 
 def check_c3_c4(t: Triangulation, theta: AngleAssignment) -> ConditionReport:
-    v = _cycle_violations(t, theta.values, t.edges.__getitem__, ("c3", "c4"),
-                          attrgetter("separates_vertices"))
+    v = _cycle_violations(t, theta.array(), t.edges.__getitem__, ("c3", "c4"),
+                          "separates_vertices")
     return _report("c3c4", v, ("c3", "c4"))
 
 
@@ -275,13 +260,13 @@ def classify(t: Triangulation, theta: AngleAssignment,
     than four vertices) and ``g5`` (interstice regime: some face sum
     below pi).
     """
-    violations = _violations(t, theta.values, t.edges.__getitem__, MARDEN_TAGS,
-                             attrgetter("separates_vertices"))
-    _, m5_all, g5_some = _face_sum_flags(t, theta)
-    positive = all(compare(v, 0.0) > 0 for v in theta.values)
+    vals = theta.array()
+    violations = _violations(t, vals, t.edges.__getitem__, MARDEN_TAGS, "separates_vertices")
+    face_cmp = _compare(sum(vals[t.face_edges].T), PI)
     flags = _flags(violations, MARDEN_TAGS)
-    flags["m5"] = m5_all and positive and t.vertex_count > 4
-    flags["g5"] = g5_some
+    flags["m5"] = bool((face_cmp >= 0).all() and (_compare(vals, 0.0) > 0).all()
+                       and t.vertex_count > 4)
+    flags["g5"] = bool((face_cmp < 0).any())
     base = all(flags[tag] for tag in MARDEN_TAGS)
     flags["marden"] = base
     flags["w_m"] = base and flags["m5"]
@@ -346,7 +331,8 @@ def audit_circuit_sums(t: Triangulation, theta: AngleAssignment, max_len: int,
             }
         )
         if not ok:
-            alarms.append(Violation("audit", cyc.vertices, _edge_tuple(t, cyc.edges), lhs, bound))
+            alarms.append(Violation("audit", cyc.vertices, tuple(t.edges[e] for e in cyc.edges),
+                                    lhs, bound))
     report = ConditionReport(
         "audit", not alarms, {"audit": not alarms}, alarms
     )
@@ -383,12 +369,12 @@ def check_andreev(poly_faces: Sequence[Sequence[int]],
               for pe, v in canon.items() if not (0.0 < v < PI)]
     if domain:
         return ConditionReport("andreev", False, {"domain": False}, domain)
-    vals = [0.0] * t.edge_count
+    vals = np.zeros(t.edge_count)
     for pe, eid in to_dual.items():
         vals[eid] = canon[pe]
     # polyhedron vertices are dual faces: s1 adds the strict vertex-sum bound
-    violations = _violations(t, vals, to_primal.__getitem__, ANDREEV_TAGS,
-                             attrgetter("is_prismatic"), min_face_sum=PI)
+    violations = _violations(t, vals, to_primal.__getitem__, ANDREEV_TAGS, "is_prismatic",
+                             min_face_sum=PI)
     flags = _flags(violations, ANDREEV_TAGS)
     return ConditionReport("andreev", all(flags.values()), flags, violations)
 

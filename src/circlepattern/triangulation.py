@@ -6,10 +6,12 @@ construction and all queries are read-only.
 """
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     DegenerateFace,
@@ -45,8 +47,10 @@ class Triangulation:
     link_cycles: Tuple[Tuple[int, ...], ...]    # neighbor cycle around the vertex
     orientation_flipped: bool
     face_index: Dict[FrozenSet[int], int]      # vertex set -> face id
-    # enumerate_simple_cycles results by max_len; not part of the value
-    _cycles: Dict[int, tuple] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # cycle_arrays results by max_len and two_arc_arrays under "arcs"; not
+    # part of the value
+    _circuits: Dict[object, object] = field(default_factory=dict, init=False, compare=False,
+                                            repr=False)
 
     # -- basic queries ------------------------------------------------
 
@@ -82,6 +86,43 @@ class Triangulation:
 
     def degree_sequence(self) -> Tuple[int, ...]:
         return tuple(sorted(self.degree(v) for v in range(self.vertex_count)))
+
+    # -- index arrays, built on first use -----------------------------
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+
+    @cached_property
+    def face_array(self) -> np.ndarray:
+        return np.array(self.faces, dtype=np.intp)
+
+    @cached_property
+    def edge_face_array(self) -> np.ndarray:
+        return np.array(self.edge_faces, dtype=np.intp)
+
+    def edge_ids(self, u, v) -> np.ndarray:
+        """``edge_id`` over arrays, with -1 where u and v are not adjacent."""
+        n = self.vertex_count
+        keys = self.edge_array[:, 0] * n + self.edge_array[:, 1]  # increasing, as edges are sorted
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        i = np.minimum(np.searchsorted(keys, key), self.edge_count - 1)
+        return np.where(keys[i] == key, i, -1)
+
+    @cached_property
+    def face_edges(self) -> np.ndarray:
+        """``face_edge_ids`` of every face, one row per face."""
+        a, b, c = self.face_array.T
+        return np.column_stack((self.edge_ids(b, c), self.edge_ids(c, a), self.edge_ids(a, b)))
+
+    @cached_property
+    def adjacency(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted neighbour lists as (offsets, neighbours): the neighbours
+        of v are ``neighbours[offsets[v]:offsets[v + 1]]``."""
+        u, v = self.edge_array.T
+        src, dst = np.r_[u, v], np.r_[v, u]
+        offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=self.vertex_count))]
+        return offsets, dst[np.lexsort((dst, src))]
 
 
 def build_triangulation(faces: Sequence[Sequence[int]], vertex_count: Optional[int] = None) -> Triangulation:
@@ -240,9 +281,10 @@ def _others(face: Face, v: int) -> Tuple[int, int]:
 class Circuit:
     """A closed simple cycle or open two-edge arc in the 1-skeleton.
 
-    Every flag of a closed cycle is decided locally, from the faces on and
-    next to it; ``separates_vertices`` floods each side only until it meets
-    a vertex off the cycle (see ``_separates``).
+    Every flag of a closed cycle is decided locally.  Up to length 4,
+    separation is a face lookup (see ``_classify_cycles``); longer cycles
+    flood each side only until it meets a vertex off the cycle (see
+    ``_separates``).
     """
 
     vertices: Tuple[int, ...]
@@ -260,105 +302,123 @@ class Circuit:
         return len(self.edges)
 
 
-def _canonical_cycle(verts: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Lexicographically smallest rotation/reflection of a vertex cycle."""
-    best = None
-    k = len(verts)
-    for seq in (verts, tuple(reversed(verts))):
-        for s in range(k):
-            cand = seq[s:] + seq[:s]
-            if best is None or cand < best:
-                best = cand
-    return best
+# circuits of one kind and length as index arrays: columns named by the
+# ``Circuit`` field they hold, one row per circuit (absent flags are false)
+Columns = Dict[str, np.ndarray]
+
+
+def _circuits(kind: str, cols: Columns) -> List[Circuit]:
+    rows = zip(*(map(tuple, c.tolist()) if c.ndim == 2 else c.tolist() for c in cols.values()))
+    return [Circuit(kind=kind, **dict(zip(cols, row))) for row in rows]
 
 
 def enumerate_simple_cycles(
     t: Triangulation, max_len: int, cap: int = DEFAULT_CYCLE_CAP
 ) -> List[Circuit]:
-    """All simple closed cycles of length <= max_len, with classification.
+    """All simple closed cycles of length <= max_len, classified (separation
+    by face lookup up to length 4), ordered by (length, vertices); built on
+    each call from the index arrays of ``cycle_arrays``."""
+    return [c for cols in cycle_arrays(t, max_len, cap) for c in _circuits("closed", cols)]
 
-    DFS anchored at each minimum vertex, deduplicated by canonical form;
-    raises LimitExceeded past ``cap`` cycles.  Each cycle is classified
-    locally: face lookups are by vertex set, and separation visits O(k)
-    faces per side for a cycle of length k.  The cycles are kept on ``t``,
-    so every later call with the same ``max_len`` reuses them.
-    """
+
+def cycle_arrays(t: Triangulation, max_len: int,
+                 cap: int = DEFAULT_CYCLE_CAP) -> Tuple[Columns, ...]:
+    """The simple closed cycles of lengths 3..max_len as ``Columns``, one
+    per length; raises LimitExceeded past ``cap`` cycles.  They are kept on
+    ``t``, so every later call with the same ``max_len`` reuses them."""
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
-    cycles = t._cycles.get(max_len)
+    cycles = t._circuits.get(max_len)
     if cycles is None:
-        cycles = t._cycles[max_len] = tuple(_enumerate_cycles(t, max_len, cap))
-    if len(cycles) > cap:
+        cycles = t._circuits[max_len] = tuple(
+            _classify_cycles(t, rows) for rows in _enumerate_cycles(t, max_len, cap))
+    if sum(len(c["vertices"]) for c in cycles) > cap:
         raise LimitExceeded(f"more than {cap} cycles")
-    return list(cycles)
+    return cycles
 
 
-def _enumerate_cycles(t: Triangulation, max_len: int, cap: int) -> List[Circuit]:
-    seen: Set[Tuple[int, ...]] = set()
-    cycles: List[Tuple[int, ...]] = []
-    for s in range(t.vertex_count):
-        stack: List[Tuple[int, ...]] = [(s,)]
-        while stack:
-            path = stack.pop()
-            last = path[-1]
-            for w in t.neighbors(last):
-                if w == s and len(path) >= 3 and path[1] < path[-1]:
-                    canon = _canonical_cycle(path)
-                    if canon not in seen:
-                        seen.add(canon)
-                        cycles.append(canon)
-                        if len(cycles) > cap:
-                            raise LimitExceeded(f"more than {cap} cycles")
-                elif w > s and w not in path and len(path) < max_len:
-                    stack.append(path + (w,))
-    cycles.sort(key=lambda c: (len(c), c))
-    return [_classify_cycle(t, c) for c in cycles]
+# paths extended at once by the cycle frontier; bounds its memory
+_ROW_BUDGET = 1 << 15
 
 
-def _cycle_edge_ids(t: Triangulation, verts: Tuple[int, ...]) -> Tuple[int, ...]:
-    k = len(verts)
-    return tuple(t.edge_id(verts[i], verts[(i + 1) % k]) for i in range(k))
+def _runs(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For consecutive runs of the given lengths: each slot's run and its
+    position within the run."""
+    ends = np.cumsum(counts)
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (ends - counts)[run]
 
 
-def _classify_cycle(t: Triangulation, verts: Tuple[int, ...]) -> Circuit:
-    k = len(verts)
-    eids = _cycle_edge_ids(t, verts)
-    facial = k == 3 and t.is_face(verts)
+def _enumerate_cycles(t: Triangulation, max_len: int, cap: int) -> List[np.ndarray]:
+    """Vertex rows of the simple cycles of each length 3..max_len, sorted.
 
-    two_tri = False
-    essential = False
-    if k == 4:
-        for (p, q, r, s) in ((0, 1, 2, 3), (1, 2, 3, 0)):
-            d0, d2 = verts[p], verts[r]
-            if t.has_edge(d0, d2) and t.is_face((verts[p], verts[q], verts[r])) and t.is_face(
-                (verts[p], verts[r], verts[s])
-            ):
-                two_tri = True
-        if two_tri:
-            # essential iff some splitting into two arcs has non-adjacent
-            # endpoints, i.e. some diagonal of the quadrilateral is a non-edge
-            essential = not t.has_edge(verts[0], verts[2]) or not t.has_edge(
-                verts[1], verts[3]
-            )
+    Paths grow from each start vertex s through vertices above s, never
+    revisiting one, and close when the last vertex is adjacent to s and the
+    second lies below the last: each cycle appears once, in canonical form
+    (smallest vertex first, smaller neighbour second).  Blocks of paths are
+    extended depth first, and halved until their extension fits the budget.
+    """
+    ptr, nbr = t.adjacency
+    deg = np.diff(ptr)
+    found = [[np.empty((0, k), dtype=np.intp)] for k in range(3, max_len + 1)]
+    count = 0
+    stack = [np.arange(t.vertex_count)[:, None]]
+    while stack:
+        paths = stack.pop()
+        out = deg[paths[:, -1]]
+        if out.sum() > _ROW_BUDGET and len(paths) > 1:
+            stack += [paths[len(paths) // 2:], paths[:len(paths) // 2]]
+            continue
+        run, pos = _runs(out)
+        w = nbr[ptr[paths[:, -1]][run] + pos]
+        up = w > paths[:, 0][run]
+        paths = np.column_stack((paths[run[up]], w[up]))
+        paths = paths[(paths[:, 1:-1] != paths[:, -1:]).all(axis=1)]
+        length = paths.shape[1]
+        if length >= 3:
+            closed = paths[(paths[:, 1] < paths[:, -1])
+                           & (t.edge_ids(paths[:, 0], paths[:, -1]) >= 0)]
+            found[length - 3].append(closed)
+            count += len(closed)
+            if count > cap:
+                raise LimitExceeded(f"more than {cap} cycles")
+        if length < max_len:
+            stack.append(paths)
+    rows = [np.concatenate(f) for f in found]
+    return [r[np.lexsort(r.T[::-1])] for r in rows]
 
-    separates = _separates(t, verts, eids)
 
-    incident = set()
-    for e in eids:
-        incident.update(t.edge_faces[e])
-    prismatic = len(incident) == 2 * k
+def _classify_cycles(t: Triangulation, verts: np.ndarray) -> Columns:
+    """The flags of the k-cycles in ``verts``, from the faces on their edges.
 
-    return Circuit(
-        vertices=verts,
-        edges=eids,
-        kind="closed",
-        is_face_boundary=facial,
-        is_two_triangle_boundary=two_tri,
-        separates_vertices=separates,
-        is_prismatic=prismatic,
-        is_whitehead=(k == 4 and two_tri),
-        is_essential_whitehead=essential,
-    )
+    A side of a k-cycle with no vertex off it is a triangulated k-gon of
+    k - 2 faces, so a 3-cycle separates unless it bounds a face and a
+    4-cycle unless it bounds two adjacent triangles.
+    """
+    k = verts.shape[1]
+    eids = t.edge_ids(verts, np.roll(verts, -1, axis=1))
+    on = t.edge_face_array[eids]  # the two faces on each cycle edge
+    # cycle edges i and i + 1 share a face: the triangle of their three
+    # vertices; only consecutive edges can, so without such a corner the
+    # cycle's edges lie in 2k distinct faces
+    corner = (on[:, :, :, None] == np.roll(on, -1, axis=1)[:, :, None, :]).any(axis=(2, 3))
+    cols = {"vertices": verts, "edges": eids, "is_prismatic": ~corner.any(axis=1)}
+    if k == 3:
+        cols["is_face_boundary"] = corner[:, 0]
+        cols["separates_vertices"] = ~corner[:, 0]
+    elif k == 4:
+        two_tri = (corner[:, 0] & corner[:, 2]) | (corner[:, 1] & corner[:, 3])
+        cols["is_two_triangle_boundary"] = cols["is_whitehead"] = two_tri
+        # essential iff some splitting into two arcs has non-adjacent
+        # endpoints, i.e. some diagonal of the quadrilateral is a non-edge
+        a, b, c, d = verts.T
+        cols["is_essential_whitehead"] = two_tri & (
+            (t.edge_ids(a, c) < 0) | (t.edge_ids(b, d) < 0))
+        cols["separates_vertices"] = ~two_tri
+    else:
+        cols["separates_vertices"] = np.array(
+            [_separates(t, v, e) for v, e in zip(verts.tolist(), eids.tolist())], dtype=bool)
+    return cols
 
 
 def _separates(t: Triangulation, verts, eids) -> bool:
@@ -394,20 +454,24 @@ def _separates(t: Triangulation, verts, eids) -> bool:
 def enumerate_two_arcs(t: Triangulation) -> List[Circuit]:
     """All two-edge open arcs u-v-w, flagged homologically non-adjacent
     when their endpoints are not joined by an edge."""
-    arcs = []
-    for v in range(t.vertex_count):
-        nbrs = sorted(t.neighbors(v))
-        for u, w in itertools.combinations(nbrs, 2):
-            arcs.append(
-                Circuit(
-                    vertices=(u, v, w),
-                    edges=(t.edge_id(u, v), t.edge_id(v, w)),
-                    kind="arc",
-                    is_homologically_non_adjacent=not t.has_edge(u, w),
-                )
-            )
-    arcs.sort(key=lambda c: c.vertices)
-    return arcs
+    return _circuits("arc", two_arc_arrays(t))
+
+
+def two_arc_arrays(t: Triangulation) -> Columns:
+    """The rows of ``enumerate_two_arcs``, sorted by (u, v, w); kept on ``t``."""
+    if "arcs" not in t._circuits:
+        ptr, nbr = t.adjacency
+        # neighbour slot p of v pairs with v's later slots
+        owner = np.repeat(np.arange(t.vertex_count), np.diff(ptr))
+        first, pos = _runs(ptr[owner + 1] - np.arange(len(nbr)) - 1)
+        u, v, w = nbr[first], owner[first], nbr[first + 1 + pos]
+        order = np.lexsort((w, v, u))
+        u, v, w = u[order], v[order], w[order]
+        t._circuits["arcs"] = {
+            "vertices": np.column_stack((u, v, w)),
+            "edges": np.column_stack((t.edge_ids(u, v), t.edge_ids(v, w))),
+            "is_homologically_non_adjacent": t.edge_ids(u, w) < 0}
+    return t._circuits["arcs"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ three-circle relations are tested with the exact arrangement primitives.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Set, Tuple
@@ -21,7 +20,7 @@ import numpy as np
 from .conditions import AngleAssignment, compare
 from .configurations import EuclideanConfiguration, SphericalConfiguration
 from .errors import MalformedPattern
-from .triangulation import Triangulation
+from .triangulation import Triangulation, cycle_arrays
 from . import triples
 
 PI = math.pi
@@ -91,7 +90,7 @@ class CirclePattern:
         return out
 
     def realized_cos(self) -> np.ndarray:
-        return self.inversive_matrix()[_edge_arrays(self.triangulation)]
+        return self.inversive_matrix()[tuple(self.triangulation.edge_array.T)]
 
     def classify_pair(self, inv: float) -> str:
         if inv > 1.0 + DISJOINT_EPS:
@@ -116,11 +115,6 @@ def _in_disks(p: CirclePattern, points: np.ndarray, disks, slack: float) -> np.n
     cols = np.resize(disks, max(len(disks), 2)) if len(disks) else disks
     dots = (points @ p.centers[cols].T)[:, :len(disks)]
     return dots >= np.cos(p.radii[disks])[None, :] + slack
-
-
-def _edge_arrays(t: Triangulation) -> Tuple[np.ndarray, ...]:
-    """The triangulation's edges (u < v) as two index arrays, in edge order."""
-    return tuple(np.array(t.edges).T)
 
 
 def _upper_pairs(mask: np.ndarray) -> List[Tuple[int, int]]:
@@ -492,9 +486,10 @@ def _irreducibility_witnesses(p: CirclePattern):
     ang, row = ang[order], row[order]
     last = np.diff(row, append=-1) != 0
     after = np.where(last, ang[np.searchsorted(row, row)] + 2.0 * PI, np.r_[ang[1:], 0.0])
-    bare = np.setdiff1d(np.arange(len(disk)), row)
-    mid_row = np.r_[row, bare]
-    mid_ang = np.r_[0.5 * (ang + after), np.zeros(len(bare))]
+    bare = np.ones(len(disk), dtype=bool)  # a mask: setdiff1d would import numpy.ma
+    bare[row] = False
+    mid_row = np.r_[row, np.flatnonzero(bare)]
+    mid_ang = np.r_[0.5 * (ang + after), np.zeros(len(mid_row) - len(row))]
     mid = on_circle(mid_row, mid_ang)
 
     # clearance: the least margin outside the other near disks and inside D_v
@@ -562,7 +557,7 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     inv = p.inversive_matrix()
 
     target = p.theta.array()
-    realized = inv[_edge_arrays(t)]
+    realized = inv[tuple(t.edge_array.T)]
     cos_err = float(np.max(np.abs(realized - np.cos(target))))
     rad_errs = [abs(math.acos(min(1.0, max(-1.0, realized[e]))) - target[e])
                 for e in range(t.edge_count)
@@ -573,7 +568,7 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     _, graph_ok, missing, extra, _nested = contact_graph(p)
 
     adjacent = np.zeros(inv.shape, dtype=bool)
-    adjacent[_edge_arrays(t)] = True
+    adjacent[tuple(t.edge_array.T)] = True
     offending = _upper_pairs(~adjacent & (inv < 1.0 - DISJOINT_EPS))
     disjoint_ok = not offending
 
@@ -600,7 +595,8 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     flower_ok = not flower_failures
 
     lens_records = []
-    for tri in _adjacent_triples(t):
+    # every 3-clique of the 1-skeleton: faces and separating triangles
+    for tri in cycle_arrays(t, 3)[0]["vertices"].tolist():
         cs = [p.centers[v] for v in tri]
         rs = [p.radii[v] for v in tri]
         try:
@@ -651,14 +647,3 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
         },
         passed=passed,
     )
-
-
-def _adjacent_triples(t: Triangulation) -> List[Tuple[int, int, int]]:
-    """All 3-cliques of the 1-skeleton (faces and separating triangles)."""
-    out = []
-    for u in range(t.vertex_count):
-        nbrs = [w for w in t.neighbors(u) if w > u]
-        for a, b in itertools.combinations(sorted(nbrs), 2):
-            if t.has_edge(a, b):
-                out.append((u, a, b))
-    return out

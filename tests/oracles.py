@@ -1,10 +1,11 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written with different machinery from the
-library: subset brute force instead of DFS enumeration, union-find face
-grouping instead of BFS flood fill, GF(2) homology ranks instead of
+library: subset brute force instead of frontier enumeration, union-find
+face grouping instead of BFS flood fill, GF(2) homology ranks instead of
 simplex counting, and direct trigonometric formulas instead of the kernel
-helpers.
+helpers.  The reference condition engine is the per-circuit DFS and loops
+that the library's index-array kernel replaced.
 """
 from __future__ import annotations
 
@@ -214,6 +215,170 @@ def brute_condition_flags(faces, n: int, theta: Dict[Tuple[int, int], float],
         "c1": c1, "c2": c2, "c3": c3, "c4": c4, "m5": m5, "g5": g5,
         "marden": base, "w_m": base and m5, "w_g": base and g5,
     }
+
+
+# ---------------------------------------------------------------------------
+# reference condition engine: the per-circuit DFS and loops that the index
+# array kernel replaced; every output must serialize identically
+# ---------------------------------------------------------------------------
+
+def canonical_cycle(verts: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Lexicographically smallest rotation/reflection of a vertex cycle."""
+    k = len(verts)
+    return min(seq[s:] + seq[:s] for seq in (verts, verts[::-1]) for s in range(k))
+
+
+def dfs_cycles(t, max_len: int) -> List[Tuple[int, ...]]:
+    """Simple cycles of length 3..max_len by DFS anchored at each minimum
+    vertex, deduplicated by canonical form, sorted by (length, vertices)."""
+    seen: Set[Tuple[int, ...]] = set()
+    for s in range(t.vertex_count):
+        stack = [(s,)]
+        while stack:
+            path = stack.pop()
+            for w in t.neighbors(path[-1]):
+                if w == s and len(path) >= 3 and path[1] < path[-1]:
+                    seen.add(canonical_cycle(path))
+                elif w > s and w not in path and len(path) < max_len:
+                    stack.append(path + (w,))
+    return sorted(seen, key=lambda c: (len(c), c))
+
+
+def flood_separates(t, verts, eids) -> bool:
+    """Both sides of the cycle hold a vertex off it: flood the faces of each
+    side from the cycle's first edge, across edges not on the cycle."""
+    on_cycle, blocked = set(verts), set(eids)
+
+    def side_has_interior(root: int) -> bool:
+        seen, stack = {root}, [root]
+        while stack:
+            fid = stack.pop()
+            if not on_cycle.issuperset(t.faces[fid]):
+                return True
+            for e in t.face_edge_ids(fid):
+                if e not in blocked:
+                    for gid in t.edge_faces[e]:
+                        if gid not in seen:
+                            seen.add(gid)
+                            stack.append(gid)
+        return False
+
+    return all(side_has_interior(root) for root in t.edge_faces[eids[0]])
+
+
+def reference_circuit(t, verts: Tuple[int, ...]):
+    """One closed cycle classified by face-set lookups and the flood."""
+    from circlepattern import Circuit
+
+    k = len(verts)
+    eids = tuple(t.edge_id(verts[i], verts[(i + 1) % k]) for i in range(k))
+    two_tri = essential = False
+    if k == 4:
+        for (p, q, r, s) in ((0, 1, 2, 3), (1, 2, 3, 0)):
+            if t.has_edge(verts[p], verts[r]) and t.is_face((verts[p], verts[q], verts[r])) \
+                    and t.is_face((verts[p], verts[r], verts[s])):
+                two_tri = True
+        essential = two_tri and not (t.has_edge(verts[0], verts[2])
+                                     and t.has_edge(verts[1], verts[3]))
+    incident = {f for e in eids for f in t.edge_faces[e]}
+    return Circuit(verts, eids, "closed", is_face_boundary=k == 3 and t.is_face(verts),
+                   is_two_triangle_boundary=two_tri,
+                   separates_vertices=flood_separates(t, verts, eids),
+                   is_prismatic=len(incident) == 2 * k, is_whitehead=two_tri,
+                   is_essential_whitehead=essential)
+
+
+def reference_cycles(t, max_len: int) -> list:
+    return [reference_circuit(t, c) for c in dfs_cycles(t, max_len)]
+
+
+def reference_two_arcs(t) -> list:
+    from circlepattern import Circuit
+
+    arcs = [Circuit((u, v, w), (t.edge_id(u, v), t.edge_id(v, w)), "arc",
+                    is_homologically_non_adjacent=not t.has_edge(u, w))
+            for v in range(t.vertex_count)
+            for u, w in itertools.combinations(sorted(t.neighbors(v)), 2)]
+    return sorted(arcs, key=lambda c: c.vertices)
+
+
+def reference_violations(t, vals, label, tags, keep, min_face_sum=None) -> list:
+    """Face, arc, 3- and 4-cycle violations, one circuit at a time."""
+    from circlepattern.conditions import Violation, compare, is_triangular_bipyramid
+
+    out = []
+    for fid in range(t.face_count):
+        eids = t.face_edge_ids(fid)
+        edges = tuple(map(label, eids))
+        th = [vals[e] for e in eids]
+        if min_face_sum is not None and compare(sum(th), min_face_sum) <= 0:
+            out.append(Violation(tags[0], t.faces[fid], edges, sum(th), min_face_sum))
+        for k in range(3):
+            lhs, bound = th[(k + 1) % 3] + th[(k + 2) % 3], th[k] + PI
+            if compare(lhs, bound) >= 0:
+                out.append(Violation(tags[0], t.faces[fid], edges, lhs, bound))
+    arc_out, any_strict = [], False
+    non_adjacent = [a for a in reference_two_arcs(t) if a.is_homologically_non_adjacent]
+    for arc in non_adjacent:
+        lhs = vals[arc.edges[0]] + vals[arc.edges[1]]
+        if compare(lhs, PI) > 0:
+            arc_out.append(Violation(tags[1], arc.vertices, tuple(map(label, arc.edges)), lhs, PI))
+        any_strict |= compare(lhs, PI) < 0
+    if non_adjacent and is_triangular_bipyramid(t) and not any_strict and not arc_out:
+        arc = non_adjacent[0]
+        arc_out.append(Violation(f"{tags[1]}-strict", arc.vertices, tuple(map(label, arc.edges)),
+                                 vals[arc.edges[0]] + vals[arc.edges[1]], PI))
+    out += arc_out
+    for cyc in reference_cycles(t, 4):
+        if getattr(cyc, keep):
+            k = len(cyc)
+            lhs, bound = sum(vals[e] for e in cyc.edges), PI if k == 3 else 2.0 * PI
+            if compare(lhs, bound) >= 0:
+                out.append(Violation(tags[k - 1], cyc.vertices, tuple(map(label, cyc.edges)),
+                                     lhs, bound))
+    return out
+
+
+def _report(requested, violations, tags, extra=None):
+    from circlepattern.conditions import ConditionReport
+
+    failed = {v.condition.split("-")[0] for v in violations}
+    flags = {tag: tag not in failed for tag in tags}
+    flags.update(extra or {})
+    return ConditionReport(requested, all(flags.values()), flags, violations)
+
+
+def reference_classify(t, theta, requested: str = "marden"):
+    """``classify`` from the reference engine."""
+    from circlepattern.conditions import MARDEN_TAGS, compare
+
+    violations = reference_violations(t, theta.values, t.edges.__getitem__, MARDEN_TAGS,
+                                      "separates_vertices")
+    sums = [sum(theta[e] for e in t.face_edge_ids(fid)) for fid in range(t.face_count)]
+    report = _report(requested, violations, MARDEN_TAGS)
+    flags = report.class_flags
+    flags["m5"] = (all(compare(s, PI) >= 0 for s in sums)
+                   and all(compare(v, 0.0) > 0 for v in theta.values) and t.vertex_count > 4)
+    flags["g5"] = any(compare(s, PI) < 0 for s in sums)
+    flags["marden"] = all(flags[tag] for tag in MARDEN_TAGS)
+    flags["w_m"] = flags["marden"] and flags["m5"]
+    flags["w_g"] = flags["marden"] and flags["g5"]
+    report.passed = flags[{"marden": "marden", "m5": "w_m", "g5": "w_g"}[requested]]
+    return report
+
+
+def reference_andreev(poly_faces, theta):
+    """``check_andreev`` from the reference engine, for angles in (0, pi)."""
+    from circlepattern.conditions import ANDREEV_TAGS
+    from circlepattern.triangulation import canonical_edge, dual_of_trivalent
+
+    t, to_dual, to_primal = dual_of_trivalent(poly_faces)
+    vals = [0.0] * t.edge_count
+    for pe, v in theta.items():
+        vals[to_dual[canonical_edge(*pe)]] = float(v)
+    violations = reference_violations(t, vals, to_primal.__getitem__, ANDREEV_TAGS,
+                                      "is_prismatic", min_face_sum=PI)
+    return _report("andreev", violations, ANDREEV_TAGS)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,8 @@ class TestDeterminism:
 
 class TestCyclesEnumeratedOnce:
     # the CLI's classify, the solver's own classify and, on the sphere, the
-    # classify of the tangency-packing start all read one enumeration
+    # classify of the tangency-packing start all read one frontier
+    # enumeration of index arrays, and none of them builds a Circuit
     @pytest.mark.parametrize("tri, theta", [("tetra", "theta0"), ("octa", "theta3")])
     def test_auto_solve(self, files, monkeypatch, tri, theta):
         from circlepattern import triangulation
@@ -231,10 +232,42 @@ class TestCyclesEnumeratedOnce:
             return enumerate_cycles(t, max_len, cap)
 
         monkeypatch.setattr(triangulation, "_enumerate_cycles", counted)
+        monkeypatch.setattr(triangulation, "_circuits", lambda kind, cols: calls.append(kind))
         rc = main(["solve", str(files[tri]), str(files[theta]), "--mode", "auto",
                    "--auto-mark", "--out", str(files["dir"] / "p.json")])
         assert rc == 0
         assert calls == [4]
+
+
+class TestImportHygiene:
+    def test_no_numpy_ma(self, files):
+        """No command imports numpy.ma (np.unique and np.setdiff1d do): it
+        costs every process about 17 ms and 1 MB."""
+        script = (
+            "import json, sys\n"
+            "from circlepattern.cli import main\n"
+            "seen = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append([argv[0], main(argv), 'numpy.ma' in sys.modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        d = files["dir"]
+        runs = [
+            ["validate", files["octa"], files["theta3"], "--class", "m5"],
+            ["solve", files["tetra"], files["theta0"], "--mode", "euclidean", "--auto-mark",
+             "--out", d / "p.json"],
+            ["render", d / "p.json", "--out", d / "p.svg"],
+            ["verify", "--pattern", d / "p.json", "--json-out", d / "v.json"],
+            ["solve", files["octa"], files["theta3"], "--mode", "spherical", "--out",
+             d / "s.json"],
+            ["verify", "--pattern", d / "s.json", "--json-out", d / "w.json"],
+            ["polyhedron", "--pattern", d / "s.json", "--allow-ideal", "--out", d / "q.obj"],
+        ]
+        argv = json.dumps([[str(a) for a in run] for run in runs])
+        proc = subprocess.run([sys.executable, "-c", script, argv], capture_output=True,
+                              text=True, check=True)
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == [[run[0], 0, False] for run in runs]
 
 
 class TestConsoleEntry:

@@ -1,7 +1,9 @@
 """Property tests: cycle flags and class flags agree with the brute-force
 oracles on random stacked triangulations reshaped by edge flips and on the
-n=42 subdivided icosahedron, and every face of a random stacked tangency
-packing holds one interstice."""
+n=42 subdivided icosahedron, condition reports serialize exactly like the
+reference engine's, and every face of a random stacked tangency packing
+holds one interstice."""
+import json
 import math
 
 import numpy as np
@@ -9,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlepattern import (AngleAssignment, build_triangulation, classify,
-                           enumerate_simple_cycles, shapes, solve_euclidean)
+from circlepattern import (AngleAssignment, build_triangulation, check_andreev, classify,
+                           enumerate_simple_cycles, polyhedron_from_triangulation, shapes,
+                           solve_euclidean)
+from circlepattern.conditions import COND_EPS, check_c1, check_c2, check_c3_c4
+from circlepattern.triangulation import canonical_edge
 from circlepattern.euclidean import pick_marked_face
 from circlepattern.verify import CirclePattern, count_interstices
 
@@ -73,6 +78,42 @@ ICO42 = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1))
 def test_classify_flags_match_oracle_n42(vals):
     """About 0.6 s of brute-force circuits each."""
     _check_classify(ICO42, vals)
+
+
+# values whose sums hit the bounds exactly: pairs pi/2 + pi/2 and pi/3 +
+# 2pi/3 reach pi = 0 + pi, three pi/3 or pi/2 + pi/2 + 0 reach pi, four
+# pi/2 reach 2pi; each is drawn as is, or off by +-COND_EPS/2 (a tie) or
+# by +-2 COND_EPS (no tie)
+BOUND_HITS = (0.0, PI / 4, PI / 3, PI / 2, 2 * PI / 3, 3 * PI / 4)
+OFFSETS = (0.0, COND_EPS / 2, -COND_EPS / 2, 2 * COND_EPS, -2 * COND_EPS)
+
+
+def bound_hitting(seed, m, positive=False):
+    rng = np.random.default_rng(seed)
+    vals = np.clip(rng.choice(BOUND_HITS, m) + rng.choice(OFFSETS, m), 0.0, None)
+    return np.where(vals > 0, vals, PI / 2) if positive else vals
+
+
+def as_json(report):
+    return json.dumps(report.to_dict())
+
+
+@settings(PROPERTY, max_examples=60)
+@given(t=triangulations, seed=seeds)
+def test_conditions_match_reference_engine(t, seed):
+    theta = AngleAssignment(t, tuple(bound_hitting(seed, t.edge_count)))
+    for requested in ("marden", "m5", "g5"):
+        want = oracles.reference_classify(t, theta, requested)
+        assert as_json(classify(t, theta, requested)) == as_json(want)
+    for check, tags in ((check_c1, {"c1"}), (check_c2, {"c2"}), (check_c3_c4, {"c3", "c4"})):
+        assert check(t, theta).violations == [
+            v for v in want.violations if v.condition.split("-")[0] in tags]
+    if t.vertex_count > 4:
+        poly = polyhedron_from_triangulation(t)
+        edges = sorted({canonical_edge(c[i - 1], c[i]) for c in poly for i in range(len(c))})
+        dihedral = dict(zip(edges, bound_hitting(seed + 1, len(edges), positive=True).tolist()))
+        assert as_json(check_andreev(poly, dihedral)) == as_json(
+            oracles.reference_andreev(poly, dihedral))
 
 
 @PROPERTY

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from circlepattern import (
@@ -8,7 +9,7 @@ from circlepattern import (
     polyhedron_from_triangulation,
     subset_geometry,
 )
-from circlepattern import shapes
+from circlepattern import shapes, triangulation
 from circlepattern.errors import (
     DegenerateFace,
     EmptySubset,
@@ -20,6 +21,7 @@ from circlepattern.errors import (
 )
 
 import oracles
+from random_triangulations import loop_subdivide, stacked_faces
 
 
 def torus_faces():
@@ -121,14 +123,14 @@ class TestCycles:
             enumerate_simple_cycles(octa, 6, cap=3)
 
     def test_brute_force_agreement_on_shipped(self, shipped_small):
-        """Library DFS enumeration matches subset brute force, flag by flag."""
+        """Library frontier enumeration matches subset brute force, flag by flag."""
         for name, t in shipped_small.items():
             lib = enumerate_simple_cycles(t, 6)
-            lib_map = {oracles_key(c.vertices): c for c in lib}
+            lib_map = {oracles.canonical_cycle(c.vertices): c for c in lib}
             brute = oracles.brute_cycles([tuple(f) for f in t.faces], t.vertex_count, 6)
-            assert set(lib_map) == {oracles_key(c) for c in brute}, name
+            assert set(lib_map) == {oracles.canonical_cycle(c) for c in brute}, name
             for cyc in brute:
-                c = lib_map[oracles_key(cyc)]
+                c = lib_map[oracles.canonical_cycle(cyc)]
                 faces = [tuple(f) for f in t.faces]
                 assert c.is_face_boundary == oracles.brute_is_face(faces, cyc), (name, cyc)
                 assert c.separates_vertices == oracles.brute_separates(faces, cyc), (name, cyc)
@@ -138,17 +140,20 @@ class TestCycles:
                         faces, cyc
                     ), (name, cyc)
 
-
-def oracles_key(verts):
-    """Canonical cycle key shared by both enumerations."""
-    verts = tuple(verts)
-    best = None
-    for seq in (verts, tuple(reversed(verts))):
-        for s in range(len(seq)):
-            cand = seq[s:] + seq[:s]
-            if best is None or cand < best:
-                best = cand
-    return best
+    @pytest.mark.parametrize("faces", [
+        loop_subdivide(shapes.icosahedron().faces, 3),
+        stacked_faces(np.random.default_rng(300), 300),
+    ], ids=["ico642", "stack300"])
+    def test_frontier_matches_dfs_reference(self, faces):
+        """The frontier lists the DFS reference's cycles in its order at
+        max_len 4 and 6 (stack300 at 6 halves blocks past the row budget),
+        and the circuits and arcs equal the reference's; about 4 s."""
+        t = build_triangulation(faces)
+        for max_len in (4, 6):
+            rows = triangulation._enumerate_cycles(t, max_len, 10 ** 6)
+            assert [tuple(r) for k in rows for r in k.tolist()] == oracles.dfs_cycles(t, max_len)
+        assert enumerate_simple_cycles(t, 4) == oracles.reference_cycles(t, 4)
+        assert enumerate_two_arcs(t) == oracles.reference_two_arcs(t)
 
 
 class TestArcs:
