@@ -9,21 +9,20 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import formats, render, triples
-from .conditions import check_andreev, classify
-from .degeneration import rank_collapse_suspects
+# Only what every command needs is imported here; each command imports its
+# own layers, so a process loads (and compiles) no solver it does not run.
+from . import formats
 from .errors import (
     CirclePatternError,
     ConditionsViolated,
     TriangulationError,
     UsageError,
 )
-from .euclidean import pick_marked_face, resolve_marked_face, solve_euclidean
-from .options import SolveOptions
-from .polyhedron import build_polyhedron, check_polyhedron, export_obj, polyhedron_to_dict
-from .spherical import lift_to_sphere, solve_spherical
-from .verify import CirclePattern, verify_pattern
+
+if TYPE_CHECKING:
+    from .options import SolveOptions
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -45,6 +44,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _solver_options(args) -> SolveOptions:
+    from .options import SolveOptions
+
     opts = SolveOptions()
     for name in ("tol_K", "tol_angle", "tol_layout", "max_iters", "diag_max",
                  "min_step", "auto_mark"):
@@ -129,6 +130,8 @@ def _parse_marked(t, text):
     """Face id named by ``--marked-face`` (a face id or a vertex triple)."""
     if text is None:
         return None
+    from .euclidean import resolve_marked_face
+
     try:
         marked = tuple(int(x) for x in text.split(",")) if "," in text else int(text)
         return resolve_marked_face(t, marked)[0]
@@ -137,6 +140,8 @@ def _parse_marked(t, text):
 
 
 def _cmd_validate(args) -> int:
+    from .conditions import check_andreev, classify
+
     if args.klass == "andreev":
         poly = formats.load_polyhedron(args.triangulation)
         theta = formats.load_theta_map(args.theta)
@@ -150,6 +155,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .conditions import classify
+    from .verify import CirclePattern
+
     t = formats.load_triangulation(args.triangulation)
     theta = formats.load_theta(t, args.theta)
     opts = _solver_options(args)
@@ -164,6 +172,8 @@ def _cmd_solve(args) -> int:
             raise ConditionsViolated("angle data is in neither solvable class")
     marked = _parse_marked(t, args.marked_face)
     if mode == "euclidean":
+        from .euclidean import pick_marked_face, solve_euclidean
+
         if marked is None:
             if not opts.auto_mark:
                 raise UsageError("euclidean solve needs --marked-face or --auto-mark")
@@ -171,6 +181,8 @@ def _cmd_solve(args) -> int:
         cfg, rep = solve_euclidean(t, theta, marked, opts)
         pattern = CirclePattern.from_euclidean(t, theta, cfg)
     else:
+        from .spherical import solve_spherical
+
         cfg, rep = solve_spherical(t, theta, opts, marked_face=marked or 0)
         pattern = CirclePattern.from_spherical(t, theta, cfg)
     residuals = {"max_abs_K": rep.max_abs_K, "angle": rep.angle_residual}
@@ -179,10 +191,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    p = formats.load_pattern(args.pattern)
-    if p.mode != triples.EUCLIDEAN:
-        raise UsageError("lift expects a planar pattern")
     from .configurations import EuclideanConfiguration
+    from .spherical import lift_to_sphere
+    from .triples import EUCLIDEAN
+    from .verify import CirclePattern
+
+    p = formats.load_pattern(args.pattern)
+    if p.mode != EUCLIDEAN:
+        raise UsageError("lift expects a planar pattern")
 
     cfg = EuclideanConfiguration(p.centers, p.radii, p.marked_face)
     sph = lift_to_sphere(cfg)
@@ -192,6 +208,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_pattern
+
     p = formats.load_pattern(args.pattern)
     report = verify_pattern(p, tol=args.tol, boundary_samples=args.resolution)
     _emit(formats.dumps(report.to_dict()), args.json_out)
@@ -199,6 +217,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_polyhedron(args) -> int:
+    from .polyhedron import build_polyhedron, check_polyhedron, export_obj, polyhedron_to_dict
+
     p = formats.load_pattern(args.pattern)
     q = build_polyhedron(p, allow_ideal=args.allow_ideal)
     rep = check_polyhedron(q, p)
@@ -211,6 +231,8 @@ def _cmd_polyhedron(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render
+
     p = formats.load_pattern(args.pattern)
     data = render.render_svg(
         p,
@@ -224,6 +246,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .degeneration import rank_collapse_suspects
+
     t = formats.load_triangulation(args.triangulation)
     theta = formats.load_theta(t, args.theta)
     fid = _parse_marked(t, args.marked_face)
@@ -234,6 +258,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from . import triples
+
     try:
         radii = tuple(float(x) for x in args.radii.split(","))
         angles = tuple(float(x) for x in args.angles.split(","))

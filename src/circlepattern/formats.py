@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from .conditions import AngleAssignment
 from .errors import UsageError
 from .triangulation import Triangulation, build_triangulation, canonical_edge
-from .verify import CirclePattern
-from . import triples
+
+if TYPE_CHECKING:  # imported in the pattern functions, so validate never loads them
+    from .verify import CirclePattern
 
 Source = Union[str, Path, dict]
 
@@ -97,9 +98,11 @@ def theta_to_dict(theta: AngleAssignment) -> dict:
 
 
 def pattern_to_dict(p: CirclePattern, residuals: Optional[dict] = None) -> dict:
+    from .triples import EUCLIDEAN
+
     circles = []
     for v in range(len(p.radii)):
-        if p.mode == triples.EUCLIDEAN:
+        if p.mode == EUCLIDEAN:
             center = [p.centers[v].real, p.centers[v].imag]
         else:
             center = [float(x) for x in p.centers[v]]
@@ -115,6 +118,9 @@ def pattern_to_dict(p: CirclePattern, residuals: Optional[dict] = None) -> dict:
 
 
 def load_pattern(source: Source) -> CirclePattern:
+    from .triples import EUCLIDEAN, SPHERICAL
+    from .verify import CirclePattern
+
     data = _load(source)
     _require(data, ("mode", "circles", "triangulation", "theta"), "pattern JSON")
     for c in data["circles"]:
@@ -123,11 +129,11 @@ def load_pattern(source: Source) -> CirclePattern:
     theta = load_theta(t, data["theta"])
     mode = data["mode"]
     radii = np.array([c["radius"] for c in data["circles"]], dtype=float)
-    if mode == triples.EUCLIDEAN:
+    if mode == EUCLIDEAN:
         centers = np.array(
             [complex(c["center"][0], c["center"][1]) for c in data["circles"]]
         )
-    elif mode == triples.SPHERICAL:
+    elif mode == SPHERICAL:
         centers = np.array([c["center"] for c in data["circles"]], dtype=float)
     else:
         raise UsageError(f"unknown mode {mode!r}")

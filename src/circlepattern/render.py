@@ -6,13 +6,15 @@ with a five percent margin.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import UsageError
-from .verify import CirclePattern
 from . import triples
+
+if TYPE_CHECKING:
+    from .verify import CirclePattern
 
 
 def _fmt(x: float) -> str:

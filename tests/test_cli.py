@@ -269,6 +269,68 @@ class TestImportHygiene:
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen == [[run[0], 0, False] for run in runs]
 
+    @staticmethod
+    def _loaded(argv):
+        """Exit code of ``argv`` in a fresh interpreter, and the package's
+        submodules it loaded (without the ``circlepattern.`` prefix)."""
+        script = (
+            "import json, sys\n"
+            "from circlepattern.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in sys.modules\n"
+            "                               if m.startswith('circlepattern.'))]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                              capture_output=True, text=True, check=True)
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        return code, set(modules)
+
+    def test_package_import_loads_no_submodule(self):
+        script = (
+            "import sys\n"
+            "import circlepattern\n"
+            "print(sorted(m for m in sys.modules if m.startswith('circlepattern.')))\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split() == ["[]", "False"]
+
+    def test_validate_loads_only_the_condition_checks(self, files):
+        runs = [  # (argv, exit code): the obtuse cube fails Andreev's conditions
+            (["validate", files["octa"], files["theta3"], "--class", "m5"], 0),
+            (["validate", files["cube"], files["cube_theta"], "--class", "andreev"], 2),
+        ]
+        for argv, code in runs:
+            assert self._loaded(argv) == (
+                code, {"cli", "formats", "conditions", "triangulation", "errors"})
+
+    def test_pattern_commands_load_no_solver(self, files):
+        d = files["dir"]
+        planar, sphere = d / "p.json", d / "s.json"
+        assert main(["solve", str(files["tetra"]), str(files["theta0"]), "--mode",
+                     "euclidean", "--auto-mark", "--out", str(planar)]) == 0
+        assert main(["solve", str(files["octa"]), str(files["theta3"]), "--mode",
+                     "spherical", "--out", str(sphere)]) == 0
+        runs = [
+            ["verify", "--pattern", planar, "--json-out", d / "v.json"],
+            ["verify", "--pattern", sphere, "--json-out", d / "w.json"],
+            ["polyhedron", "--pattern", sphere, "--allow-ideal", "--out", d / "q.obj"],
+            ["render", planar, "--out", d / "p.svg"],
+        ]
+        solvers = {"euclidean", "spherical", "degeneration", "options"}
+        for argv in runs:
+            code, modules = self._loaded(argv)
+            assert code == 0
+            assert not modules & solvers, argv[0]
+
+    def test_planar_solve_loads_no_spherical_solver(self, files):
+        code, modules = self._loaded(
+            ["solve", files["tetra"], files["theta0"], "--mode", "euclidean",
+             "--auto-mark", "--out", files["dir"] / "p.json"])
+        assert code == 0
+        assert "euclidean" in modules and "spherical" not in modules
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, files):

@@ -16,7 +16,7 @@ from circlepattern import (
     enumerate_two_arcs,
 )
 from circlepattern import shapes
-from circlepattern.conditions import is_triangular_bipyramid
+from circlepattern.conditions import COND_EPS, _compare, compare, is_triangular_bipyramid
 from circlepattern.errors import ConditionsViolated, TooFewFaces
 
 import oracles
@@ -103,6 +103,17 @@ class TestC3C4:
 
     def test_tetrahedron_vacuous(self, tetra):
         assert check_c3_c4(tetra, AngleAssignment.constant(tetra, 3.1)).passed
+
+
+class TestCompareBoundary:
+    def test_difference_of_exactly_cond_eps_is_equal(self):
+        """A difference of exactly COND_EPS counts as equal, one of twice it
+        does not: this pins ``<=`` (not ``<``) in both comparisons."""
+        assert COND_EPS == 1e-12
+        assert _compare(np.array([1e-12, -1e-12, 2e-12]), 0.0).tolist() == [0, 0, 1]
+        assert compare(1e-12, 0.0) == 0
+        assert compare(-1e-12, 0.0) == 0
+        assert compare(2e-12, 0.0) == 1
 
 
 class TestClassify:
