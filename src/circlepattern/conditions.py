@@ -151,6 +151,12 @@ def _compare(lhs: np.ndarray, bound) -> np.ndarray:
     return np.where(np.abs(lhs - bound) <= COND_EPS, 0, np.where(lhs < bound, -1, 1))
 
 
+def face_sums(t: Triangulation, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each face's angle sum, added from 0 in edge order, and its ``compare`` with pi."""
+    sums = sum(vals[t.face_edges].T)
+    return sums, _compare(sums, PI)
+
+
 def _certificates(tag: str, witnesses: np.ndarray, eids: np.ndarray, lhs: np.ndarray,
                   bound, label: EdgeLabel) -> List[Violation]:
     """One violation per row: the rows of the failing witnesses, their edge
@@ -262,7 +268,7 @@ def classify(t: Triangulation, theta: AngleAssignment,
     """
     vals = theta.array()
     violations = _violations(t, vals, t.edges.__getitem__, MARDEN_TAGS, "separates_vertices")
-    face_cmp = _compare(sum(vals[t.face_edges].T), PI)
+    _, face_cmp = face_sums(t, vals)
     flags = _flags(violations, MARDEN_TAGS)
     flags["m5"] = bool((face_cmp >= 0).all() and (_compare(vals, 0.0) > 0).all()
                        and t.vertex_count > 4)

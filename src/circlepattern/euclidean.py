@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .conditions import AngleAssignment, classify, compare
+from .conditions import AngleAssignment, classify, face_sums
 from .configurations import CurvatureReport, EuclideanConfiguration
 from .degeneration import sublevel_suspects
 from .errors import ConditionsViolated, LayoutInconsistent, Stalled
@@ -45,14 +45,11 @@ def resolve_marked_face(t: Triangulation, marked_face) -> Tuple[int, Tuple[int, 
 def pick_marked_face(t: Triangulation, theta: AngleAssignment) -> int:
     """Deterministic auto-mark: the face of smallest angle sum (lowest id
     breaking ties); it must qualify for the interstice regime."""
-    sums = [
-        (sum(theta[e] for e in t.face_edge_ids(fid)), fid)
-        for fid in range(t.face_count)
-    ]
-    best_sum, best_fid = min(sums)
-    if compare(best_sum, PI) >= 0:
+    sums, cmp = face_sums(t, theta.array())
+    best = int(np.argmin(sums))
+    if cmp[best] >= 0:
         raise ConditionsViolated("no face has angle sum below pi")
-    return best_fid
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +160,10 @@ def solve_euclidean(
     if not report.passed:
         raise ConditionsViolated("angle data is not in the interstice class", report=report)
     fid, face = resolve_marked_face(t, marked_face)
-    face_sum = sum(theta[e] for e in t.face_edge_ids(fid))
-    if compare(face_sum, PI) >= 0:
+    sums, cmp = face_sums(t, theta.array())
+    if cmp[fid] >= 0:
         raise ConditionsViolated(
-            f"marked face {face} has angle sum {face_sum} >= pi; "
+            f"marked face {face} has angle sum {float(sums[fid])} >= pi; "
             "choose a face in the interstice regime"
         )
 

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .conditions import compare
+from .conditions import face_sums
 from .errors import MalformedPattern, SingularTriple, VertexOutsideBall
 from .verify import CirclePattern
 from . import triples
@@ -90,14 +90,13 @@ def build_polyhedron(pattern: CirclePattern, allow_ideal: bool = False) -> Hyper
     x, det = triples.cap_plane_points(normals[tri], pattern.radii[tri])
     vertices = x / det[:, None]
     norms = np.linalg.norm(vertices, axis=1)
-    sums = [sum(pattern.theta[e] for e in t.face_edge_ids(fid)) for fid in range(t.face_count)]
-    side = np.array([compare(s, PI) for s in sums])
+    sums, side = face_sums(t, pattern.theta.array())
     outside = np.flatnonzero((side < 0) | ((side > 0) & ~(norms < 1.0)))
     if len(outside):
         fid = outside[0]
         raise VertexOutsideBall(
             f"vertex for face {t.faces[fid]} has norm {norms[fid]} at angle sum "
-            f"{sums[fid]}; a vertex inside the ball needs a sum above pi and a "
+            f"{float(sums[fid])}; a vertex inside the ball needs a sum above pi and a "
             "pattern that realizes its angles"
         )
     ideal = np.flatnonzero(side == 0).tolist()

@@ -1,23 +1,22 @@
 """Independent post-hoc verification of a claimed circle pattern.
 
 Every check works only from the circles and the combinatorial data, never
-from solver internals: realized angles are recomputed from inversive
-distances, interstices are certified face by face at the radical centre
-of the face's three circles, irreducibility is decided exactly by arc
-coverage (one test point per arc of the circle arrangement near each
-disk), the flower cover is sampled at a configurable resolution, and the
-three-circle relations are tested with the exact arrangement primitives.
+from solver internals, and none samples: realized angles are recomputed
+from inversive distances, interstices are certified face by face at the
+radical centre of the face's three circles, irreducibility and the flower
+cover are decided exactly by arc coverage (one test point per arc of the
+circle arrangement around each disk), and the three-circle relations are
+tested with the exact arrangement primitives.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .conditions import AngleAssignment, compare
+from .conditions import AngleAssignment, face_sums
 from .configurations import EuclideanConfiguration, SphericalConfiguration
 from .errors import MalformedPattern
 from .triangulation import Triangulation, cycle_arrays
@@ -25,10 +24,10 @@ from . import triples
 
 PI = math.pi
 DISJOINT_EPS = 1e-9      # inversive slack distinguishing overlap from contact
-COVER_SLACK = 1e-12      # a sample this close to another disk counts as covered
+COVER_SLACK = 1e-12      # a point this close to another disk counts as covered
 WITNESS_ROUNDING = 8.0 * np.finfo(float).eps  # planar witness slack, relative to |p|+|c|+r
 SMALL_ANGLE = 1e-3       # below this the radian angle chart is ill-conditioned
-FACE_TEST_CHUNK = 1 << 16  # face-sample pairs tested at once in _in_any_face
+FACE_TEST_CHUNK = 1 << 16  # face-disk pairs tested at once in _face_witnesses
 
 
 @dataclass
@@ -181,158 +180,6 @@ def contact_graph(p: CirclePattern, eps: float = DISJOINT_EPS):
 
 
 # ---------------------------------------------------------------------------
-# flower cover
-# ---------------------------------------------------------------------------
-
-def _boundary_points(p: CirclePattern, v: int, count: int) -> np.ndarray:
-    ang = 2.0 * PI * np.arange(count) / count
-    if p.mode == triples.EUCLIDEAN:
-        return p.centers[v] + p.radii[v] * np.exp(1j * ang)
-    n = p.centers[v]
-    (e1,), (e2,) = triples.tangent_frames(n)
-    return (
-        math.cos(p.radii[v]) * n[None, :]
-        + math.sin(p.radii[v]) * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _unit_disk_grid(grid: int) -> Tuple[np.ndarray, ...]:
-    """The grid points inside the open unit disk, as complex numbers, with
-    their polar radius and the cosine and sine of their polar angle."""
-    s = np.linspace(-1.0, 1.0, grid)
-    xx, yy = np.meshgrid(s, s)
-    mask = xx * xx + yy * yy < 1.0
-    x, y = xx[mask], yy[mask]
-    ph = np.arctan2(y, x)
-    out = (x + 1j * y, np.sqrt(x ** 2 + y ** 2), np.cos(ph), np.sin(ph))
-    for a in out:
-        a.flags.writeable = False  # shared by every caller
-    return out
-
-
-def _interior_points(p: CirclePattern, v: int, grid: int) -> np.ndarray:
-    unit, rho, cos_ph, sin_ph = _unit_disk_grid(grid)
-    if p.mode == triples.EUCLIDEAN:
-        return unit * p.radii[v] + p.centers[v]
-    # disk-parameter grid mapped to the cap by arc radius scaling
-    rr = rho * p.radii[v]
-    n = p.centers[v]
-    (e1,), (e2,) = triples.tangent_frames(n)
-    cos_rr, sin_rr = np.cos(rr), np.sin(rr)
-    out = np.empty((len(rr), 3))
-    for k in range(3):  # column by column: cheaper than (m, 1) x (3,) broadcasts
-        out[:, k] = cos_rr * n[k] + sin_rr * (cos_ph * e1[k] + sin_ph * e2[k])
-    return out
-
-
-def _in_open_star(p: CirclePattern, v: int, points: np.ndarray, eps: float) -> np.ndarray:
-    """Membership in the open star of v in the realized geodesic
-    triangulation: inside some incident face, where the two spoke sides may
-    be touched but the link side must be strictly inside."""
-    t = p.triangulation
-    out = np.zeros(len(points), dtype=bool)
-    skip = None
-    if p.mode == triples.EUCLIDEAN and p.marked_face is not None:
-        skip = t.face_id_of(p.marked_face)
-    for fid in t.vertex_faces[v]:
-        if fid == skip:
-            continue
-        face = t.faces[fid]
-        i = face.index(v)
-        a, b = face[(i + 1) % 3], face[(i + 2) % 3]
-        out |= _in_fan_triangle(p, v, a, b, points, eps)
-    if skip is not None and v in p.marked_face:
-        # the unbounded complement acts as the face at infinity: points of
-        # no laid-out face belong to the boundary vertex's star
-        out |= ~_in_any_face(p, points, eps)
-    return out
-
-
-def _in_fan_triangle(p, v, a, b, points, eps) -> np.ndarray:
-    if p.mode == triples.EUCLIDEAN:
-        s1, s2, s3, tol = _planar_sides(p.centers[[v, a, b]], points, eps)
-        return (s1 >= -tol) & (s3 >= -tol) & (s2 > tol)
-    A, B, C = p.centers[v], p.centers[a], p.centers[b]
-    sigma = np.sign(np.linalg.det(np.stack([A, B, C])))
-    if sigma == 0:
-        return np.zeros(len(points), dtype=bool)
-    s1 = points @ np.cross(A, B) * sigma
-    s2 = points @ np.cross(B, C) * sigma
-    s3 = points @ np.cross(C, A) * sigma
-    return (s1 >= -eps) & (s3 >= -eps) & (s2 > eps)
-
-
-def _in_any_face(p: CirclePattern, points, eps) -> np.ndarray:
-    """Membership in some closed laid-out face, for all faces at once (a
-    face per row, in chunks of about FACE_TEST_CHUNK entries).  Per chunk,
-    only the faces that can hold a point of the chunk's bounding box are
-    tested."""
-    t = p.triangulation
-    skip = t.face_id_of(p.marked_face) if p.marked_face is not None else None
-    corners = p.centers[[f for fid, f in enumerate(t.faces) if fid != skip]].T[:, :, None]
-    step = max(1, FACE_TEST_CHUNK // corners.shape[1])
-    out = np.zeros(len(points), dtype=bool)
-    for lo in range(0, len(points), step):
-        chunk = points[lo:lo + step]
-        s1, s2, s3, tol = _planar_sides(corners[:, _faces_meeting_box(corners, chunk, eps)],
-                                        chunk, eps)
-        out[lo:lo + step] = ((s1 >= -tol) & (s2 >= -tol) & (s3 >= -tol)).any(axis=0)
-    return out
-
-
-def _faces_meeting_box(corners, points, eps) -> np.ndarray:
-    """The faces whose three side functions, as in ``_planar_sides``, reach
-    their tolerance somewhere on the bounding box of ``points``.  A side
-    function is linear, so its largest value on the box is at one corner;
-    the margin bounds the rounding of evaluating it there and at a point."""
-    A, B, C = (x[:, 0] for x in corners)
-    sigma = _cross2(B - A, C - A)
-    sign, tol = np.sign(sigma), eps * np.where(sigma != 0, np.abs(sigma), 1.0)
-    x0, x1, y0, y1 = points.real.min(), points.real.max(), points.imag.min(), points.imag.max()
-    reach = max(abs(x0), abs(x1), abs(y0), abs(y1))
-    keep = np.ones(len(A), dtype=bool)
-    for P, Q in ((A, B), (B, C), (C, A)):
-        a, b = sign * (Q - P).real, -sign * (Q - P).imag
-        top = a * (np.where(a > 0, y1, y0) - P.imag) + b * (np.where(b > 0, x1, x0) - P.real)
-        margin = 8.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b)) * (reach + np.abs(P))
-        keep &= top >= -tol - margin
-    return keep
-
-
-def _planar_sides(corners, points, eps):
-    """Cross products of the sides AB, BC, CA of the triangle ABC with the
-    points, signed positive inside, and ``eps`` scaled by the triangle.
-    The corners may be columns of triangles, one triangle per row."""
-    A, B, C = corners
-    sigma = _cross2(B - A, C - A)
-    sign = np.sign(sigma)
-    return (_cross2(B - A, points - A) * sign, _cross2(C - B, points - B) * sign,
-            _cross2(A - C, points - C) * sign, eps * np.where(sigma != 0, np.abs(sigma), 1.0))
-
-
-def _cross2(a, b):
-    return a.real * b.imag - a.imag * b.real
-
-
-def flower_check(p: CirclePattern, v: int, boundary_samples: int = 4096,
-                 interior_grid: int = 64, eps: float = 1e-9):
-    """Sampled test of the flower inclusion at vertex v: every point of the
-    disk must lie in a neighbor's open disk or in v's open star region.
-    Returns (ok, witness point or None)."""
-    pts = np.concatenate([_boundary_points(p, v, boundary_samples),
-                          _interior_points(p, v, interior_grid)])
-    rest = pts[~_in_disks(p, pts, np.array(p.triangulation.neighbors(v)), eps).any(axis=1)]
-    if not len(rest):
-        return True, None
-    in_star = _in_open_star(p, v, rest, eps)
-    if in_star.all():
-        return True, None
-    witness = rest[~in_star][0]
-    return False, witness
-
-
-# ---------------------------------------------------------------------------
 # interstices
 # ---------------------------------------------------------------------------
 
@@ -389,16 +236,137 @@ def _face_witnesses(p: CirclePattern) -> List[object]:
 
 
 def count_interstices(p: CirclePattern, grid: int = 256, sphere_samples: int = 20000):
-    """The number of faces with a witnessed interstice, and the witnesses
-    in face order (see ``_face_witnesses``).  ``grid`` and
-    ``sphere_samples`` are accepted for compatibility and unused."""
+    """The number of faces with a witnessed interstice, and the witnesses in
+    face order (see ``_face_witnesses``); ``grid`` and ``sphere_samples`` are unused."""
     witnesses = [w for w in _face_witnesses(p) if w is not None]
     return len(witnesses), witnesses
 
 
+# ---------------------------------------------------------------------------
+# circle arrangements: irreducibility and the flower cover
+# ---------------------------------------------------------------------------
+
+class _Circles:
+    """The circles around each vertex of ``vs``, one row per (vertex,
+    circle): dD_v first, then those of the disks ``near[k]`` grown by
+    ``grow`` (a distance in the plane, a cosine on the sphere).  Membership
+    in these disks is constant along each arc between crossings, so one
+    point per arc decides it (the perimeter criterion of Huang & Tseng,
+    *The coverage problem in a wireless sensor network*, 2005)."""
+
+    def __init__(self, p: CirclePattern, vs: np.ndarray, near, grow: float):
+        self.size = np.array([1 + len(s) for s in near])
+        self.start = np.cumsum(self.size) - self.size
+        self.owner = np.repeat(np.arange(len(vs)), self.size)
+        disk = np.insert(np.concatenate(near), self.start - np.arange(len(vs)), vs)
+        self.own = np.arange(len(disk)) == self.start[self.owner]
+        g = np.where(self.own, 0.0, grow)
+        self.c = p.centers[disk]
+        self.sphere = p.mode == triples.SPHERICAL
+        if self.sphere:
+            self.versine = 2.0 * np.sin(0.5 * p.radii[disk]) ** 2 + g  # 1 - cos R, no cancellation
+            self.R = 2.0 * np.arcsin(np.sqrt(np.clip(0.5 * self.versine, 0.0, 1.0)))
+            self.kappa = np.cos(p.radii[disk]) - g  # the membership threshold on c . x
+            self.e1, self.e2 = triples.tangent_frames(self.c)
+        else:
+            self.R = p.radii[disk] + g
+
+    def at(self, rows, ang, extra=0.0):
+        """The points at angles ``ang`` on the circles ``rows``, grown by ``extra``."""
+        t = self.R[rows] + extra
+        if not self.sphere:
+            return self.c[rows] + t * np.exp(1j * ang)
+        return (np.cos(t)[:, None] * self.c[rows] + np.sin(t)[:, None]
+                * (np.cos(ang)[:, None] * self.e1[rows] + np.sin(ang)[:, None] * self.e2[rows]))
+
+    def crossings(self):
+        """(row, angle) of each crossing of a circle with another of its vertex."""
+        i, j = _owner_rows(self.owner, self.start, self.size)
+        i, j = i[i != j], j[i != j]
+        c, R = self.c, self.R
+        if self.sphere:
+            a1 = np.einsum("ij,ij->i", self.e1[i], c[j])
+            a2 = np.einsum("ij,ij->i", self.e2[i], c[j])
+            apart = 0.5 * np.einsum("ij,ij->i", c[i] - c[j], c[i] - c[j])  # 1 - c_i . c_j
+            num = self.versine[i] * (1.0 - apart) + apart - self.versine[j]
+            den = np.sin(R[i]) * np.hypot(a1, a2)
+            phi0 = np.arctan2(a2, a1)
+        else:
+            dc = c[j] - c[i]
+            d = np.abs(dc)
+            num = R[i] ** 2 + (d - R[j]) * (d + R[j])
+            den = 2.0 * R[i] * d
+            phi0 = np.angle(dc)
+        k, ang = _cos_roots(num, den, phi0)
+        return i[k], ang
+
+    def side_crossings(self, rows, a, b):
+        """(row, angle) of each crossing of the circle ``rows[k]`` with the
+        segment (minor great-circle arc on the sphere) from a[k] to b[k]."""
+        c, R = self.c[rows], self.R[rows]
+        if self.sphere:
+            m = np.cross(a, b)  # the normal of the side's great circle
+            b1 = np.einsum("ij,ij->i", self.e1[rows], m)
+            b2 = np.einsum("ij,ij->i", self.e2[rows], m)
+            k, ang = _cos_roots(-self.kappa[rows] * np.einsum("ij,ij->i", c, m),
+                                np.sin(R) * np.hypot(b1, b2), np.arctan2(b2, b1))
+            x, m = self.at(rows[k], ang), m[k]
+            on = ((np.einsum("ij,ij->i", np.cross(a[k], x), m) >= 0)
+                  & (np.einsum("ij,ij->i", np.cross(x, b[k]), m) >= 0))
+        else:
+            d = b - a
+            k, ang = _cos_roots(-_cross2(d, c - a), R * np.abs(d), np.angle(1j * d))
+            s = (np.conj(d[k]) * (self.at(rows[k], ang) - a[k])).real
+            on = (s >= 0) & (s <= np.abs(d[k]) ** 2)
+        return rows[k[on]], ang[on]
+
+    def clearance(self, rows, pts):
+        """Per point on the circle ``rows``, its least margin inside D_v and
+        outside the other disks of its vertex, positive when it is free (a
+        distance, or a cosine gap on the sphere: 1-Lipschitz in the move)."""
+        k, j = _owner_rows(self.owner[rows], self.start, self.size)
+        k, j = k[j != rows[k]], j[j != rows[k]]
+        if self.sphere:
+            gap = self.kappa[j] - np.einsum("ij,ij->i", pts[k], self.c[j])
+        else:
+            gap = np.abs(pts[k] - self.c[j]) - self.R[j]
+        clear = np.full(len(pts), np.inf)
+        np.minimum.at(clear, k, np.where(self.own[j], -gap, gap))
+        return clear
+
+
+def _cos_roots(num, den, phi0):
+    """(k, phi), two per k, for phi in [0, 2 pi) with den cos(phi - phi0) = num."""
+    k = np.flatnonzero((den > 0) & (np.abs(num) <= den))
+    alpha = np.arccos(num[k] / den[k])
+    return np.tile(k, 2), np.concatenate([phi0[k] - alpha, phi0[k] + alpha]) % (2.0 * PI)
+
+
+def _arc_midpoints(rows: int, row: np.ndarray, ang: np.ndarray):
+    """(row, angle) of one midpoint per arc of ``rows`` circles cut at (``row``, ``ang``):
+    the last arc of a circle ends at its first cut, a circle without cuts is one arc."""
+    order = np.lexsort((ang, row))
+    ang, row = ang[order], row[order]
+    last = np.diff(row, append=-1) != 0
+    after = np.where(last, ang[np.searchsorted(row, row)] + 2.0 * PI, np.r_[ang[1:], 0.0])
+    bare = np.ones(rows, dtype=bool)  # a mask: setdiff1d would import numpy.ma
+    bare[row] = False
+    mid_row = np.r_[row, np.flatnonzero(bare)]
+    return mid_row, np.r_[0.5 * (ang + after), np.zeros(len(mid_row) - len(row))]
+
+
+def _owner_rows(owners: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """Index pairs (a, b) pairing each item a with every row b of its
+    owner, whose rows are start[owner] .. start[owner] + size[owner] - 1."""
+    counts = size[owners]
+    a = np.repeat(np.arange(len(owners)), counts)
+    b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start[owners], counts)
+    return a, b
+
+
 def _near_disks(p: CirclePattern, v: int, slack: float) -> np.ndarray:
     """The disks u != v whose closed disk, grown by the membership slack and
-    a rounding margin, meets D_v: only they can hold a sample of D_v.  The
+    a rounding margin, meets D_v: only they can hold a point of D_v.  The
     slack is absolute, so on the sphere it is turned into an angle, which
     for tiny caps is far larger than the slack itself."""
     if p.mode == triples.EUCLIDEAN:
@@ -418,100 +386,29 @@ def _irreducibility_witnesses(p: CirclePattern):
     """For each vertex v, a point of D_v that no other disk covers, or None
     (the pattern is reducible exactly when some D_v is covered by the rest).
 
-    The test is exact, by the perimeter criterion (Huang & Tseng, *The
-    coverage problem in a wireless sensor network*, 2005).  The circles are
-    dD_v and those of the near disks, grown by COVER_SLACK as in the
-    membership test.  Where D_v is not covered, the uncovered part is
-    bounded by arcs of these circles, and membership is constant along each
-    arc between consecutive crossings; so one midpoint per arc decides it,
-    for all vertices at once.  The witness is the free midpoint of dD_v
-    with the largest clearance, else such a midpoint inside D_v on a near
-    circle, moved off that circle by half its clearance (on the sphere at
-    most halfway to the centre of the cap's outside).  Clearances are
-    distances in the plane and cosine gaps on the sphere, both 1-Lipschitz
-    in the distance moved.  A witness must pass the all-disk membership
-    test.
+    Exact, by arc coverage over dD_v and the near disks grown by
+    COVER_SLACK, for all vertices at once.  The witness is the free
+    midpoint of dD_v with the largest clearance, else such a midpoint on a
+    near circle, moved off it by half its clearance (on the sphere at most
+    halfway to the centre of the cap's outside).  A witness must pass the
+    all-disk membership test.
     """
     n = len(p.radii)
-    near = [_near_disks(p, v, -COVER_SLACK) for v in range(n)]
-    # one row per (vertex, circle), the vertex's own circle first
-    size = np.array([1 + len(s) for s in near])
-    start = np.cumsum(size) - size
-    owner = np.repeat(np.arange(n), size)
-    disk = np.insert(np.concatenate(near), start - np.arange(n), np.arange(n))
-    own = np.arange(len(disk)) == start[owner]
-    grow = np.where(own, 0.0, COVER_SLACK)
-    c = p.centers[disk]
-    sphere = p.mode == triples.SPHERICAL
-    if sphere:
-        versine = 2.0 * np.sin(0.5 * p.radii[disk]) ** 2 + grow  # 1 - cos R, no cancellation
-        R = 2.0 * np.arcsin(np.sqrt(np.minimum(0.5 * versine, 1.0)))
-        kappa = np.cos(p.radii[disk]) - grow  # the membership threshold on c . x
-        e1, e2 = (e[disk] for e in triples.tangent_frames(p.centers))
-    else:
-        R = p.radii[disk] + grow
-
-    def on_circle(rows, ang, extra=0.0):
-        if not sphere:
-            return c[rows] + (R[rows] + extra) * np.exp(1j * ang)
-        t = R[rows] + extra
-        return (np.cos(t)[:, None] * c[rows] + np.sin(t)[:, None]
-                * (np.cos(ang)[:, None] * e1[rows] + np.sin(ang)[:, None] * e2[rows]))
-
-    # crossings of each row's circle with the other circles of its vertex,
-    # at angles phi0 +- alpha with cos(alpha) = num / den
-    i, j = _owner_rows(owner, start, size)
-    i, j = i[i != j], j[i != j]
-    if sphere:
-        a1 = np.einsum("ij,ij->i", e1[i], c[j])
-        a2 = np.einsum("ij,ij->i", e2[i], c[j])
-        apart = 0.5 * np.einsum("ij,ij->i", c[i] - c[j], c[i] - c[j])  # 1 - c_i . c_j
-        num = versine[i] * (1.0 - apart) + apart - versine[j]
-        den = np.sin(R[i]) * np.hypot(a1, a2)
-        phi0 = np.arctan2(a2, a1)
-    else:
-        dc = c[j] - c[i]
-        d = np.abs(dc)
-        num = R[i] ** 2 + (d - R[j]) * (d + R[j])
-        den = 2.0 * R[i] * d
-        phi0 = np.angle(dc)
-    cut = (den > 0) & (np.abs(num) <= den)
-    alpha = np.arccos(num[cut] / den[cut])
-    ang = np.concatenate([phi0[cut] - alpha, phi0[cut] + alpha]) % (2.0 * PI)
-    row = np.tile(i[cut], 2)
-
-    # one midpoint per arc, the last arc of a circle ending at its first
-    # crossing; a circle without crossings is one arc
-    order = np.lexsort((ang, row))
-    ang, row = ang[order], row[order]
-    last = np.diff(row, append=-1) != 0
-    after = np.where(last, ang[np.searchsorted(row, row)] + 2.0 * PI, np.r_[ang[1:], 0.0])
-    bare = np.ones(len(disk), dtype=bool)  # a mask: setdiff1d would import numpy.ma
-    bare[row] = False
-    mid_row = np.r_[row, np.flatnonzero(bare)]
-    mid_ang = np.r_[0.5 * (ang + after), np.zeros(len(mid_row) - len(row))]
-    mid = on_circle(mid_row, mid_ang)
-
-    # clearance: the least margin outside the other near disks and inside D_v
-    k, j = _owner_rows(owner[mid_row], start, size)
-    k, j = k[j != mid_row[k]], j[j != mid_row[k]]
-    if sphere:
-        gap = kappa[j] - np.einsum("ij,ij->i", mid[k], c[j])
-    else:
-        gap = np.abs(mid[k] - c[j]) - R[j]
-    clear = np.full(len(mid), np.inf)
-    np.minimum.at(clear, k, np.where(own[j], -gap, gap))
+    circ = _Circles(p, np.arange(n), [_near_disks(p, v, -COVER_SLACK) for v in range(n)],
+                    COVER_SLACK)
+    mid_row, mid_ang = _arc_midpoints(len(circ.R), *circ.crossings())
+    clear = circ.clearance(mid_row, circ.at(mid_row, mid_ang))
 
     # per vertex the free midpoint on dD_v, else on a near circle, of largest clearance
+    owner, own = circ.owner, circ.own
     cand = np.flatnonzero(clear > 0)
     cand = cand[np.lexsort((clear[cand], own[mid_row[cand]], owner[mid_row[cand]]))]
-    vs = owner[mid_row[cand]]
-    best = cand[np.diff(vs, append=-1) != 0]
+    best = cand[np.diff(owner[mid_row[cand]], append=-1) != 0]
     vs, rows = owner[mid_row[best]], mid_row[best]
     move = 0.5 * clear[best]
-    if sphere:  # a cap's outside is a cap too: stop short of its centre
-        move = np.minimum(move, 0.5 * (PI - R[rows]))
-    w = on_circle(rows, mid_ang[best], np.where(own[rows], 0.0, move))
+    if circ.sphere:  # a cap's outside is a cap too: stop short of its centre
+        move = np.minimum(move, 0.5 * (PI - circ.R[rows]))
+    w = circ.at(rows, mid_ang[best], np.where(own[rows], 0.0, move))
     inside = p.point_in_disks(w, -COVER_SLACK)
     good = inside[np.arange(len(vs)), vs] & (inside.sum(axis=1) == 1)
     witnesses: Dict[int, object] = dict.fromkeys(range(n))
@@ -519,13 +416,98 @@ def _irreducibility_witnesses(p: CirclePattern):
     return all(x is not None for x in witnesses.values()), witnesses
 
 
-def _owner_rows(owners: np.ndarray, start: np.ndarray, size: np.ndarray):
-    """Index pairs (a, b) pairing each item a with every row b of its
-    owner, whose rows are start[owner] .. start[owner] + size[owner] - 1."""
-    counts = size[owners]
-    a = np.repeat(np.arange(len(owners)), counts)
-    b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start[owners], counts)
-    return a, b
+def _flower_failures(p: CirclePattern, vs: np.ndarray, eps: float) -> Dict[int, object]:
+    """For each vertex v of ``vs`` whose flower fails, a witness: a point
+    of D_v that no neighbour covers by ``eps``, outside v's open star.
+
+    Exact: the uncovered part F of D_v is bounded by arcs of dD_v and of
+    the neighbour circles shrunk by ``eps``, cut here also where they cross
+    the sides of the faces around v, so star membership is constant along
+    each arc; F lies in the star exactly when every free arc midpoint and
+    cut point does, as the faces around v are star-shaped from its centre
+    and in the plane the region outside the layout meets F only across a
+    link side.  The witness is the failing point of largest clearance.
+    """
+    t = p.triangulation
+    links = [t.link_cycles[v] for v in vs]
+    circ = _Circles(p, vs, [np.array(link) for link in links], -eps)
+    deg = circ.size - 1
+    # the faces (v, a, b) around each vertex, a and b consecutive on its link
+    fan = np.column_stack([np.repeat(vs, deg), np.concatenate(links),
+                           np.concatenate([np.roll(link, -1) for link in links])])
+    # every side va and ab against every circle of v: each spoke once
+    side, circle = _owner_rows(np.repeat(np.arange(len(vs)), 2 * deg), circ.start, circ.size)
+    ends = p.centers[np.stack([fan[:, :2], fan[:, 1:]], axis=1).reshape(-1, 2)[side]]
+    cut_row, cut_ang = circ.side_crossings(circle, ends[:, 0], ends[:, 1])
+    row, ang = circ.crossings()
+    mid_row, mid_ang = _arc_midpoints(len(circ.R), np.r_[row, cut_row], np.r_[ang, cut_ang])
+    rows, ang = np.r_[mid_row, cut_row], np.r_[mid_ang, cut_ang]
+    pts = circ.at(rows, ang)
+    clear = circ.clearance(rows, pts)
+
+    free = np.flatnonzero(clear > 0)
+    owner = circ.owner[rows[free]]
+    k, j = _owner_rows(owner, circ.start - np.arange(len(vs)), deg)
+    # in the plane the marked face is the unbounded region: the points of no
+    # laid-out face belong to the stars of its vertices
+    marked = np.array((p.mode == triples.EUCLIDEAN and p.marked_face) or [], dtype=int)
+    keep = ~(fan[j, :, None] == marked).any(axis=2).all(axis=1)
+    in_star = np.zeros(len(free), dtype=bool)
+    in_star[k[keep][_in_fans(p, fan[j[keep]], pts[free[k[keep]]], eps)]] = True
+    outer = (vs[owner][:, None] == marked).any(axis=1)
+    if outer.any():
+        in_star[outer] |= ~_in_any_face(p, pts[free[outer]], eps)
+
+    bad = free[~in_star]
+    bad = bad[np.lexsort((clear[bad], circ.owner[rows[bad]]))]
+    bad = bad[np.diff(circ.owner[rows[bad]], append=-1) != 0]
+    return {int(vs[circ.owner[rows[b]]]): pts[b] for b in bad}
+
+
+def _in_fans(p: CirclePattern, fan: np.ndarray, points, eps) -> np.ndarray:
+    """Per row (v, a, b) of ``fan`` and point, membership in the realized
+    face vab, whose spokes va and bv are closed and whose link side ab is
+    open; the open star of v is the union of its faces."""
+    A, B, C = p.centers[fan.T]
+    if p.mode == triples.EUCLIDEAN:
+        s1, s2, s3, tol = _planar_sides((A, B, C), points, eps)
+        return (s1 >= -tol) & (s3 >= -tol) & (s2 > tol)
+    sigma = np.sign(np.einsum("ij,ij->i", A, np.cross(B, C)))
+    s1, s2, s3 = (np.einsum("ij,ij->i", points, np.cross(P, Q)) * sigma
+                  for P, Q in ((A, B), (B, C), (C, A)))
+    return (s1 >= -eps) & (s3 >= -eps) & (s2 > eps)
+
+
+def _in_any_face(p: CirclePattern, points, eps) -> np.ndarray:
+    """Membership in some closed laid-out planar face, for all faces at once."""
+    t = p.triangulation
+    faces = np.delete(t.face_array, t.face_id_of(p.marked_face), axis=0)
+    s1, s2, s3, tol = _planar_sides(p.centers[faces].T[:, :, None], points, eps)
+    return ((s1 >= -tol) & (s2 >= -tol) & (s3 >= -tol)).any(axis=0)
+
+
+def _planar_sides(corners, points, eps):
+    """Cross products of the sides AB, BC, CA of the triangle ABC with the
+    points, signed positive inside, and ``eps`` scaled by the triangle.
+    The corners may be columns of triangles, one triangle per row."""
+    A, B, C = corners
+    sigma = _cross2(B - A, C - A)
+    sign = np.sign(sigma)
+    return (_cross2(B - A, points - A) * sign, _cross2(C - B, points - B) * sign,
+            _cross2(A - C, points - C) * sign, eps * np.where(sigma != 0, np.abs(sigma), 1.0))
+
+
+def _cross2(a, b):
+    return a.real * b.imag - a.imag * b.real
+
+
+def flower_check(p: CirclePattern, v: int, boundary_samples: int = 4096,
+                 interior_grid: int = 64, eps: float = 1e-9):
+    """Exact test of the flower inclusion at vertex v: every point of the
+    disk must lie in a neighbour's open disk or in v's open star region.
+    Returns (ok, witness point or None); the sample counts are unused."""
+    witness = _flower_failures(p, np.array([v]), eps).get(v)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +528,12 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     (d) interstices: the faces whose radical centre no disk covers (in the
         plane the marked face is the unbounded region) must be exactly the
         faces with angle sum below pi, faces within COND_EPS of pi exempt;
-    (e) flower cover at every vertex;
+    (e) flower cover at every vertex, exactly, with a witness point per
+        failing vertex;
     (f) lens containments among adjacent triples obey the angle relation;
     (g) face triples with angle sum below pi have empty triple intersection.
 
-    ``boundary_samples`` and ``interior_grid`` set the flower samples;
-    ``sphere_samples`` is unused and only recorded in ``resolution``.
+    The sample counts are unused and only recorded in ``resolution``.
     """
     t = p.triangulation
     inv = p.inversive_matrix()
@@ -573,8 +555,7 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     disjoint_ok = not offending
 
     # one interstice per face with angle sum below pi, none above
-    face_cmp = [compare(sum(p.theta[e] for e in t.face_edge_ids(fid)), PI)
-                for fid in range(t.face_count)]
+    _, face_cmp = face_sums(t, target)
     face_witnesses = _face_witnesses(p)
     samples = [w for w in face_witnesses if w is not None]
     interstice_ok = all((w is not None) == (c < 0)
@@ -586,42 +567,30 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
         # witnesses irreducibility for every one-removed subfamily
         irr_ok = True
 
-    flower_failures: Dict[int, object] = {}
-    for v in range(t.vertex_count):
-        ok, witness = flower_check(p, v, boundary_samples=boundary_samples // 4,
-                                   interior_grid=max(24, interior_grid // 8))
-        if not ok:
-            flower_failures[v] = witness
+    flower_failures = _flower_failures(p, np.arange(t.vertex_count), 1e-9)
     flower_ok = not flower_failures
 
     lens_records = []
     # every 3-clique of the 1-skeleton: faces and separating triangles
     for tri in cycle_arrays(t, 3)[0]["vertices"].tolist():
-        cs = [p.centers[v] for v in tri]
-        rs = [p.radii[v] for v in tri]
         try:
-            records = triples.containment_angle_check(p.mode, cs, rs, tol=1e-9)
+            records = triples.containment_angle_check(p.mode, p.centers[tri], p.radii[tri])
         except triples.NotMutuallyIntersecting:
             continue
-        lens_records += [
-            {"triple": list(tri), "pair": [tri[rec.pair[0]], tri[rec.pair[1]]],
-             "third": tri[rec.third], "lhs": rec.lhs, "rhs": rec.rhs,
-             "holds": rec.relation_holds}
-            for rec in records if rec.contained
-        ]
+        lens_records += [{"triple": tri, "pair": [tri[rec.pair[0]], tri[rec.pair[1]]],
+                          "third": tri[rec.third], "lhs": rec.lhs, "rhs": rec.rhs,
+                          "holds": rec.relation_holds} for rec in records if rec.contained]
     lens_ok = all(rec["holds"] for rec in lens_records)
 
     triple_failures = [
         face for face, c in zip(t.faces, face_cmp)
-        if c < 0 and not triples.triple_intersection_empty(
-            p.mode, [p.centers[v] for v in face], [p.radii[v] for v in face])
+        if c < 0 and not triples.triple_intersection_empty(p.mode, p.centers[list(face)],
+                                                           p.radii[list(face)])
     ]
     triple_ok = not triple_failures
 
-    passed = (
-        angle_ok and graph_ok and disjoint_ok and irr_ok and interstice_ok
-        and flower_ok and lens_ok and triple_ok
-    )
+    passed = (angle_ok and graph_ok and disjoint_ok and irr_ok and interstice_ok
+              and flower_ok and lens_ok and triple_ok)
     return VerificationReport(
         angle_max_err=cos_err,
         angle_max_err_radians=rad_err,
@@ -640,10 +609,7 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
         lens_records=lens_records,
         empty_triple_ok=triple_ok,
         triple_failures=triple_failures,
-        resolution={
-            "boundary_samples": boundary_samples,
-            "interior_grid": interior_grid,
-            "sphere_samples": sphere_samples,
-        },
+        resolution={"boundary_samples": boundary_samples, "interior_grid": interior_grid,
+                    "sphere_samples": sphere_samples},
         passed=passed,
     )

@@ -5,7 +5,8 @@ library: subset brute force instead of frontier enumeration, union-find
 face grouping instead of BFS flood fill, GF(2) homology ranks instead of
 simplex counting, and direct trigonometric formulas instead of the kernel
 helpers.  The reference condition engine is the per-circuit DFS and loops
-that the library's index-array kernel replaced.
+that the library's index-array kernel replaced, and the references for the
+verifier's exact irreducibility and flower tests sample each disk.
 """
 from __future__ import annotations
 
@@ -491,11 +492,25 @@ def measured_angles(points: np.ndarray) -> List[float]:
 
 
 # ---------------------------------------------------------------------------
-# all-disk references for the sampled verifier checks
+# sampled and all-disk references for the verifier's exact checks
 # ---------------------------------------------------------------------------
 
+def boundary_points(p, v: int, count: int) -> np.ndarray:
+    """``count`` equally spaced points of the circle dD_v."""
+    from circlepattern import triples
+
+    ang = 2.0 * PI * np.arange(count) / count
+    if p.mode == triples.EUCLIDEAN:
+        return p.centers[v] + p.radii[v] * np.exp(1j * ang)
+    n = p.centers[v]
+    (e1,), (e2,) = triples.tangent_frames(n)
+    return (math.cos(p.radii[v]) * n[None, :]
+            + math.sin(p.radii[v]) * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2))
+
+
 def interior_points(p, v: int, grid: int) -> np.ndarray:
-    """The unit-disk grid of ``verify._interior_points``, rebuilt per disk."""
+    """The points of a ``grid`` x ``grid`` square grid on the open unit
+    disk, mapped onto D_v (on the sphere by arc radius scaling)."""
     from circlepattern import triples
 
     s = np.linspace(-1.0, 1.0, grid)
@@ -515,13 +530,11 @@ def interior_points(p, v: int, grid: int) -> np.ndarray:
 
 def irreducibility_witnesses(p, boundary_samples: int, interior_grid: int):
     """Every sample of D_v tested against all other disks."""
-    from circlepattern.verify import _boundary_points
-
     n = len(p.radii)
     witnesses = {}
     ok = True
     for v in range(n):
-        pts = np.concatenate([_boundary_points(p, v, boundary_samples),
+        pts = np.concatenate([boundary_points(p, v, boundary_samples),
                               interior_points(p, v, interior_grid)])
         others = [u for u in range(n) if u != v]
         covered = p.point_in_disks(pts, slack=-1e-12)[:, others].any(axis=1)
@@ -546,39 +559,85 @@ def free_in_own_disk(p, v: int, x) -> bool:
 
 def flower_check(p, v: int, boundary_samples: int = 4096, interior_grid: int = 64,
                  eps: float = 1e-9):
-    """Neighbour-disk membership read off the full membership matrix."""
-    from circlepattern.verify import _boundary_points, _in_open_star
-
-    pts = np.concatenate([_boundary_points(p, v, boundary_samples),
+    """The sampled flower test: every sample of D_v that no neighbour covers
+    by ``eps`` must lie in v's open star.  Returns (ok, witness or None)."""
+    pts = np.concatenate([boundary_points(p, v, boundary_samples),
                           interior_points(p, v, interior_grid)])
     nbrs = list(p.triangulation.neighbors(v))
     rest = pts[~p.point_in_disks(pts, slack=eps)[:, nbrs].any(axis=1)]
     if not len(rest):
         return True, None
-    in_star = _in_open_star(p, v, rest, eps)
+    in_star = in_open_star(p, v, rest, eps)
     if in_star.all():
         return True, None
     return False, rest[~in_star][0]
+
+
+def flower_uncovered(p, v: int, x, eps: float = 1e-9, rounding: float = 1e-12) -> bool:
+    """x lies in D_v and in no neighbour disk shrunk by ``eps``, each disk
+    tested on its own, to ``rounding``."""
+    from circlepattern import triples
+
+    nbrs = p.triangulation.neighbors(v)
+    if p.mode == triples.EUCLIDEAN:
+        return (abs(x - p.centers[v]) <= p.radii[v] + rounding
+                and all(abs(x - p.centers[u]) > p.radii[u] - eps - rounding for u in nbrs))
+    return (float(np.dot(x, p.centers[v])) >= math.cos(p.radii[v]) - rounding
+            and all(float(np.dot(x, p.centers[u])) < math.cos(p.radii[u]) + eps + rounding
+                    for u in nbrs))
+
+
+def _cross(a, b):
+    return a.real * b.imag - a.imag * b.real
+
+
+def in_open_star(p, v: int, points, eps) -> np.ndarray:
+    """Membership in the open star of v, one incident face at a time: in
+    the face, where the two spokes may be touched but the link side must be
+    strictly inside; in the plane the points of no laid-out face also
+    belong to the stars of the marked face's vertices."""
+    from circlepattern import triples
+
+    t = p.triangulation
+    skip = None
+    if p.mode == triples.EUCLIDEAN and p.marked_face is not None:
+        skip = t.face_id_of(p.marked_face)
+    out = np.zeros(len(points), dtype=bool)
+    for fid in t.vertex_faces[v]:
+        if fid == skip:
+            continue
+        face = t.faces[fid]
+        i = face.index(v)
+        A, B, C = p.centers[[v, face[(i + 1) % 3], face[(i + 2) % 3]]]
+        if p.mode == triples.EUCLIDEAN:
+            sigma = _cross(B - A, C - A)
+            sign, tol = np.sign(sigma), eps * (abs(sigma) if sigma != 0 else 1.0)
+            s1, s2, s3 = (_cross(Q - P, points - P) * sign for P, Q in ((A, B), (B, C), (C, A)))
+        else:
+            sign, tol = np.sign(np.linalg.det(np.stack([A, B, C]))), eps
+            s1, s2, s3 = (points @ np.cross(P, Q) * sign for P, Q in ((A, B), (B, C), (C, A)))
+            if sign == 0:
+                continue
+        out |= (s1 >= -tol) & (s3 >= -tol) & (s2 > tol)
+    if skip is not None and v in p.marked_face:
+        out |= ~in_any_face(p, points, eps)
+    return out
 
 
 def in_any_face(p, points, eps) -> np.ndarray:
     """Membership in some closed laid-out planar face, one face at a time."""
     t = p.triangulation
     skip = t.face_id_of(p.marked_face) if p.marked_face is not None else None
-
-    def cross(a, b):
-        return a.real * b.imag - a.imag * b.real
-
     out = np.zeros(len(points), dtype=bool)
     for fid, face in enumerate(t.faces):
         if fid == skip:
             continue
         A, B, C = p.centers[list(face)]
-        sigma = cross(B - A, C - A)
+        sigma = _cross(B - A, C - A)
         sign, tol = np.sign(sigma), eps * (abs(sigma) if sigma != 0 else 1.0)
-        out |= ((cross(B - A, points - A) * sign >= -tol)
-                & (cross(C - B, points - B) * sign >= -tol)
-                & (cross(A - C, points - C) * sign >= -tol))
+        out |= ((_cross(B - A, points - A) * sign >= -tol)
+                & (_cross(C - B, points - B) * sign >= -tol)
+                & (_cross(A - C, points - C) * sign >= -tol))
     return out
 
 

@@ -145,6 +145,30 @@ class TestPipeline:
         rep = json.loads((files["dir"] / "rep.json").read_text())
         assert rep["passed"] and rep["interstice_count"] == 4
 
+    def test_verify_does_not_depend_on_resolution(self, files):
+        """Growing disk 1 of the tangency octahedron by 10% leaves a sliver
+        of it, about 2e-5 wide, outside its star: the flower test finds it
+        at every resolution, with the same report."""
+        theta = files["dir"] / "octa_theta0.json"
+        theta.write_text(formats.dumps(formats.theta_to_dict(
+            AngleAssignment.constant(shapes.octahedron(), 0.0))))
+        pattern = files["dir"] / "octa_pattern.json"
+        assert main(["solve", str(files["octa"]), str(theta), "--mode", "euclidean",
+                     "--auto-mark", "--out", str(pattern)]) == 0
+        data = json.loads(pattern.read_text())
+        data["circles"][1]["radius"] *= 1.1
+        pattern.write_text(json.dumps(data))
+        reports = []
+        for resolution in ("4096", "262144"):
+            out = files["dir"] / f"rep{resolution}.json"
+            assert main(["verify", "--pattern", str(pattern), "--resolution", resolution,
+                         "--json-out", str(out)]) == 4
+            reports.append(json.loads(out.read_text()))
+        for rep in reports:
+            assert rep["flower_ok"] is False and list(rep["flower_failures"]) == ["1"]
+            del rep["resolution"]
+        assert reports[0] == reports[1]
+
     def test_lift_and_polyhedron(self, files):
         pattern = files["dir"] / "sp.json"
         rc = main(["solve", str(files["octa"]), str(files["theta3"]),

@@ -16,7 +16,8 @@ from circlepattern import (
     enumerate_two_arcs,
 )
 from circlepattern import shapes
-from circlepattern.conditions import COND_EPS, _compare, compare, is_triangular_bipyramid
+from circlepattern.conditions import (COND_EPS, _compare, compare, face_sums,
+                                      is_triangular_bipyramid)
 from circlepattern.errors import ConditionsViolated, TooFewFaces
 
 import oracles
@@ -114,6 +115,17 @@ class TestCompareBoundary:
         assert compare(1e-12, 0.0) == 0
         assert compare(-1e-12, 0.0) == 0
         assert compare(2e-12, 0.0) == 1
+
+    def test_face_sums_as_the_per_face_loop(self):
+        """Sums added from 0 in edge order are the loop's floats, bit for
+        bit, and each is compared with pi as ``compare`` does."""
+        rng = np.random.default_rng(5)
+        for t in shapes.shipped_triangulations().values():
+            theta = AngleAssignment(t, tuple(rng.uniform(0.0, 3.0, t.edge_count)))
+            sums, cmp = face_sums(t, theta.array())
+            loop = [sum(theta[e] for e in t.face_edge_ids(f)) for f in range(t.face_count)]
+            assert sums.tolist() == loop
+            assert cmp.tolist() == [compare(s, math.pi) for s in loop]
 
 
 class TestClassify:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -21,6 +22,7 @@ from circlepattern.cli import main
 from circlepattern import verify as verifier
 from circlepattern.errors import MalformedPattern
 from circlepattern.euclidean import pick_marked_face
+from circlepattern.triples import tangent_frames
 from circlepattern.verify import CirclePattern, count_interstices
 
 import oracles
@@ -120,6 +122,73 @@ class TestFlower:
         for v in descartes.marked_face:
             ok, witness = flower_check(descartes, v)
             assert ok, (v, witness)
+
+    def test_octahedron_sliver(self):
+        """Growing one marked disk of the tangency octahedron by 10% leaves
+        a sliver of D_1 outside its star, about 2e-5 wide: the exact test
+        finds it, the samples at the old default resolution miss it."""
+        p = _sliver_octahedron()
+        rep = verify_pattern(p)
+        assert not rep.flower_ok and list(rep.flower_failures) == [1]
+        w = rep.flower_failures[1]
+        assert oracles.flower_uncovered(p, 1, w)
+        assert not oracles.in_open_star(p, 1, np.array([w]), 1e-9)[0]
+        clearance = min(abs(w - p.centers[u]) - p.radii[u] for u in p.triangulation.neighbors(1))
+        assert 1e-5 < clearance < 1e-4
+        assert oracles.flower_check(p, 1, 1024, 32)[0]
+
+    def test_one_vertex_as_in_the_whole_report(self, octa_third_pi):
+        p = _sliver_octahedron()
+        for q in (p, octa_third_pi):
+            failures = verify_pattern(q).flower_failures
+            for v in range(len(q.radii)):
+                ok, w = flower_check(q, v)
+                assert ok == (v not in failures)
+                assert ok or np.array_equal(w, failures[v])
+
+
+@functools.lru_cache(maxsize=None)
+def _flower_base(k):
+    shipped = shapes.shipped_triangulations()
+    if k < 3:
+        return _planar(shipped[("octahedron", "pentagonal_bipyramid", "icosahedron")[k]])
+    return _spherical(shipped[("octahedron", "icosahedron")[k - 3]], 1.2)
+
+
+def _sliver_octahedron():
+    p = _planar(shapes.octahedron())
+    radii = p.radii.copy()
+    radii[1] *= 1.1
+    return CirclePattern(p.triangulation, p.theta, p.mode, p.centers, radii, p.marked_face)
+
+
+class TestExactFlower:
+    """The exact flower test against the sampled reference in ``oracles``,
+    on solved patterns with one disk scaled and maybe moved."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(base=st.integers(0, 4), vertex=st.integers(0, 11), move=st.booleans(),
+           size=st.floats(0.0, 3.0), scale=st.floats(0.5, 1.6), turn=st.floats(0.0, 2 * PI))
+    def test_perturbed_patterns(self, base, vertex, move, size, scale, turn):
+        p = _flower_base(base)
+        v = vertex % len(p.radii)
+        centers, radii = p.centers.copy(), p.radii.copy()
+        radii[v] *= scale
+        if move and p.mode == "euclidean":
+            centers[v] += size * radii[v] * np.exp(1j * turn)
+        elif move:  # along the great circle through the centre in direction turn
+            (e1,), (e2,) = tangent_frames(centers[v])
+            step = size * radii[v]
+            centers[v] = (math.cos(step) * centers[v]
+                          + math.sin(step) * (math.cos(turn) * e1 + math.sin(turn) * e2))
+        q = CirclePattern(p.triangulation, p.theta, p.mode, centers, radii, p.marked_face)
+        failures = verify_pattern(q).flower_failures
+        for u in range(len(radii)):
+            if not oracles.flower_check(q, u, 1024, 32)[0]:
+                assert u in failures, u
+        for u, w in failures.items():
+            assert oracles.flower_uncovered(q, u, w), u
+            assert not oracles.in_open_star(q, u, np.array([w]), 1e-9)[0], u
 
 
 class TestContactGraph:
@@ -344,10 +413,17 @@ REFERENCE_CASES = (
 )
 
 
+def _sampled_flower_failures(p, vs, eps):
+    """The flower failures by the sampled reference, at the samples that
+    ``verify_pattern`` once used by default."""
+    found = {v: oracles.flower_check(p, v, 1024, 32, eps) for v in vs.tolist()}
+    return {v: w for v, (ok, w) in found.items() if not ok}
+
+
 class TestLocalSamplingMatchesReference:
-    """The local verifier against the all-disk references in ``oracles``:
-    every sample tested against every disk, and every face tested one at a
-    time."""
+    """The verifier against the sampled and all-disk references in
+    ``oracles``: every sample tested against every disk, and every face
+    tested one at a time."""
 
     @pytest.mark.parametrize("make", [m for _, m in REFERENCE_CASES],
                              ids=[name for name, _ in REFERENCE_CASES])
@@ -357,8 +433,7 @@ class TestLocalSamplingMatchesReference:
         exactly where the sampled reference finds a free sample."""
         p = make()
         local = verify_pattern(p)
-        monkeypatch.setattr(verifier, "flower_check", oracles.flower_check)
-        monkeypatch.setattr(verifier, "_in_any_face", oracles.in_any_face)
+        monkeypatch.setattr(verifier, "_flower_failures", _sampled_flower_failures)
         want = verify_pattern(p).to_dict()
         got = local.to_dict()
         del got["irreducibility_witnesses"], want["irreducibility_witnesses"]
@@ -370,10 +445,9 @@ class TestLocalSamplingMatchesReference:
         assert [w is None for w in exact.values()] == [w is None for w in sampled.values()]
         assert all(oracles.free_in_own_disk(p, v, w) for v, w in exact.items() if w is not None)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
-    def test_same_face_membership(self, chunk, monkeypatch):
-        """All faces at once, in chunks of any size, against one face at a
-        time; samples on the edges and corners of the faces included."""
+    def test_same_face_membership(self):
+        """All faces at once against one face at a time; points on the
+        edges and corners of the faces included."""
         p = _planar(build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1)))
         corners = p.centers[np.array(p.triangulation.faces)]
         rng = np.random.default_rng(3)
@@ -384,16 +458,9 @@ class TestLocalSamplingMatchesReference:
             corners.ravel(),
             rng.normal(size=2000) * 2.0 + 2.0j * rng.normal(size=2000),
         ])
-        monkeypatch.setattr(verifier, "FACE_TEST_CHUNK", chunk)
         got = verifier._in_any_face(p, pts, 1e-9)
         assert np.array_equal(got, oracles.in_any_face(p, pts, 1e-9))
         assert 0 < got.sum() < len(pts)
-
-    def test_unit_disk_grid_hoisting_is_exact(self, octa_third_pi, descartes):
-        for p in (octa_third_pi, descartes):
-            for v in range(len(p.radii)):
-                assert np.array_equal(verifier._interior_points(p, v, 64),
-                                      oracles.interior_points(p, v, 64))
 
 
 class TestSingleDiskMembership:
@@ -446,6 +513,25 @@ class TestNearDisks:
         centers[u], radii[u] = (0.0, math.sin(phi), math.cos(phi)), 1e-6
         p = CirclePattern(t, AngleAssignment.constant(t, 1.2), "spherical", centers, radii)
         self._check(p, u)
+
+    def test_witness_passes_the_all_disk_test(self, monkeypatch):
+        """With D_3 left out of the near disks of D_0, dD_0 is one arc whose
+        midpoint lies in D_3: the all-disk test must reject that witness."""
+        t = shapes.octahedron()
+        centers = np.array([0.0, 10.0, 20.0, 1.0, 30.0, 40.0]) + 0j
+        radii = np.array([1.0, 0.5, 0.5, 0.5, 0.5, 0.5])
+        p = CirclePattern(t, AngleAssignment.constant(t, 0.0), "euclidean", centers, radii)
+        _, got = verifier._irreducibility_witnesses(p)
+        assert oracles.free_in_own_disk(p, 0, got[0])
+        real = verifier._near_disks
+
+        def near_but_3(p, v, slack):
+            near = real(p, v, slack)
+            return near[near != 3] if v == 0 else near
+
+        monkeypatch.setattr(verifier, "_near_disks", near_but_3)
+        _, got = verifier._irreducibility_witnesses(p)
+        assert got[0] is None
 
     @staticmethod
     def _check(p, u):
