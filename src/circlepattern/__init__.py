@@ -19,7 +19,9 @@ _EXPORTS = {
         "check_andreev", "check_c1", "check_c2", "check_c3_c4", "classify",
         "detect_whitehead",
     ),
-    "configurations": ("CurvatureReport", "EuclideanConfiguration", "SphericalConfiguration"),
+    "configurations": (
+        "CirclePattern", "CurvatureReport", "EuclideanConfiguration", "SphericalConfiguration",
+    ),
     "degeneration": (
         "DegenerationFunctional", "connected_subsets", "degeneration_functional",
         "rank_collapse_suspects",
@@ -42,10 +44,7 @@ _EXPORTS = {
         "inversive_distance", "limit_profile", "place_triple", "triple_geometry",
         "triple_intersection_empty",
     ),
-    "verify": (
-        "CirclePattern", "VerificationReport", "contact_graph", "flower_check",
-        "verify_pattern",
-    ),
+    "verify": ("VerificationReport", "contact_graph", "flower_check", "verify_pattern"),
 }
 # exported name -> the submodule that defines it; a submodule name maps to itself
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

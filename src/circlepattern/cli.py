@@ -155,7 +155,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     from .conditions import classify
-    from .verify import CirclePattern
+    from .configurations import CirclePattern
 
     t = formats.load_triangulation(args.triangulation)
     theta = formats.load_theta(t, args.theta)
@@ -190,10 +190,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    from .configurations import EuclideanConfiguration
+    from .configurations import EUCLIDEAN, CirclePattern, EuclideanConfiguration
     from .spherical import lift_to_sphere
-    from .triples import EUCLIDEAN
-    from .verify import CirclePattern
 
     p = formats.load_pattern(args.pattern)
     if p.mode != EUCLIDEAN:

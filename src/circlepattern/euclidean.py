@@ -22,7 +22,7 @@ from .errors import ConditionsViolated, LayoutInconsistent, Stalled
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
-from ._newton import LINE_SEARCH_HALVINGS, gauss_newton, inversive
+from ._newton import LINE_SEARCH_HALVINGS, Assembly, factorize, gauss_newton, inversive
 
 PI = math.pi
 POLISH_TOL = 1e-14
@@ -64,7 +64,6 @@ class _CurvatureMap:
         self.marked_fid = marked_fid
         self.marked = set(t.faces[marked_fid])
         self.free = [v for v in range(t.vertex_count) if v not in self.marked]
-        self.index = {v: i for i, v in enumerate(self.free)}
         self.faces = [
             t.faces[fid] for fid in range(t.face_count) if fid != marked_fid
         ]
@@ -77,6 +76,12 @@ class _CurvatureMap:
             th[r, 1] = theta.edge_value(c, a)
             th[r, 2] = theta.edge_value(a, b)
         self.face_theta = th
+        # block entry (f, i, j) lands at (free index of fv[f, i], of fv[f, j])
+        at = np.full(t.vertex_count, -1)
+        at[self.free] = np.arange(len(self.free))
+        rows, cols = np.broadcast_arrays(at[faces_arr][:, :, None], at[faces_arr][:, None, :])
+        self.kept = (rows >= 0) & (cols >= 0)
+        self.assembly = Assembly(rows[self.kept], cols[self.kept], len(self.free))
 
     def radii_from(self, u: np.ndarray) -> np.ndarray:
         r = np.ones(self.t.vertex_count)
@@ -106,8 +111,12 @@ class _CurvatureMap:
         )
         return float(np.min(m)) if len(m) else 1.0
 
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
+    def jacobian(self, u: np.ndarray):
         """dK/du, assembled from per-face 3x3 blocks of d(alpha_i)/d(log r_j).
+
+        The blocks' entries in free rows and columns are summed by
+        ``_newton.Assembly``: a dense array up to order ``DENSE_MAX``, a CSC
+        matrix above it, as ``_newton.factorize`` factorizes them.
 
         Each block is dl/du, with dl_i/dlog r_j = r_j (r_j + r_k cos theta_i)
         / l_i, followed by the differentiated law of cosines, d(alpha_i) =
@@ -131,9 +140,7 @@ class _CurvatureMap:
             # feasibility_margin is (2A)^2 for the center triangle
             two_area = np.sqrt(triples.feasibility_margin(triples.EUCLIDEAN, r, th))
             blocks = (lengths / two_area[:, None])[:, :, None] * (dalpha @ dl)
-        H = np.zeros((self.t.vertex_count, self.t.vertex_count))
-        np.add.at(H, (self.fv[:, :, None], self.fv[:, None, :]), blocks)
-        return -H[np.ix_(self.free, self.free)]
+        return self.assembly.matrix(-blocks[self.kept])
 
 
 def solve_euclidean(
@@ -214,9 +221,11 @@ def solve_euclidean(
 
 def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
     """Damped Newton on the curvatures from equal radii: each step solves
-    J du = -K and is halved until every face closes up and the residual
-    norm drops.  Stops as ``_newton.gauss_newton`` does, and also at the
-    rounding floor when the Jacobian is not finite (a face of zero area).
+    J du = -K, by ``_newton.factorize`` (dense or sparse LU by the order of
+    J) or by ``lstsq`` when J is singular, and is halved until every face
+    closes up and the residual norm drops.  Stops as
+    ``_newton.gauss_newton`` does, and also at the rounding floor when the
+    Jacobian is not finite (a face of zero area).
 
     Returns (free log radii, iterations, largest residual before and after
     each step, why it stopped: "tolerance", "rounding floor" or "step
@@ -229,12 +238,13 @@ def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
         if trace[-1] <= tol:
             return u, it, trace, "tolerance"
         J = cmap.jacobian(u)
-        if not np.all(np.isfinite(J)):
+        if not np.all(np.isfinite(J if isinstance(J, np.ndarray) else J.data)):
             return u, it, trace, "rounding floor"
         try:
-            step = np.linalg.solve(J, -K)
+            step = factorize(J)(-K)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -K, rcond=None)[0]
+            dense = J if isinstance(J, np.ndarray) else J.toarray()
+            step = np.linalg.lstsq(dense, -K, rcond=None)[0]
         norm0, lam = np.linalg.norm(K), 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
             cand = u + lam * step

@@ -19,12 +19,12 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .conditions import AngleAssignment
 from .errors import UsageError
-from .triangulation import Triangulation, build_triangulation, canonical_edge
 
-if TYPE_CHECKING:  # imported in the pattern functions, so validate never loads them
-    from .verify import CirclePattern
+if TYPE_CHECKING:  # imported in the loaders, so a command loads only what it reads
+    from .conditions import AngleAssignment
+    from .configurations import CirclePattern
+    from .triangulation import Triangulation
 
 Source = Union[str, Path, dict]
 
@@ -53,6 +53,8 @@ def dumps(obj: dict) -> str:
 
 
 def load_triangulation(source: Source) -> Triangulation:
+    from .triangulation import build_triangulation
+
     data = _load(source)
     _require(data, ("faces",), "triangulation JSON")
     return build_triangulation(data["faces"], vertex_count=data.get("vertices"))
@@ -69,6 +71,8 @@ def load_polyhedron(source: Source):
 
 
 def load_theta_map(source: Source) -> Dict[Tuple[int, int], float]:
+    from .triangulation import canonical_edge
+
     data = _load(source)
     _require(data, ("theta",), "theta JSON")
     out: Dict[Tuple[int, int], float] = {}
@@ -82,6 +86,8 @@ def load_theta_map(source: Source) -> Dict[Tuple[int, int], float]:
 
 
 def load_theta(t: Triangulation, source: Source) -> AngleAssignment:
+    from .conditions import AngleAssignment
+
     try:
         return AngleAssignment.from_dict(t, load_theta_map(source))
     except ValueError as exc:
@@ -98,7 +104,7 @@ def theta_to_dict(theta: AngleAssignment) -> dict:
 
 
 def pattern_to_dict(p: CirclePattern, residuals: Optional[dict] = None) -> dict:
-    from .triples import EUCLIDEAN
+    from .configurations import EUCLIDEAN
 
     circles = []
     for v in range(len(p.radii)):
@@ -118,8 +124,7 @@ def pattern_to_dict(p: CirclePattern, residuals: Optional[dict] = None) -> dict:
 
 
 def load_pattern(source: Source) -> CirclePattern:
-    from .triples import EUCLIDEAN, SPHERICAL
-    from .verify import CirclePattern
+    from .configurations import EUCLIDEAN, SPHERICAL, CirclePattern
 
     data = _load(source)
     _require(data, ("mode", "circles", "triangulation", "theta"), "pattern JSON")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conditions import face_sums
 from .errors import MalformedPattern, SingularTriple, VertexOutsideBall
-from .verify import CirclePattern
+from .configurations import CirclePattern
 from . import triples
 from ._newton import inversive
 

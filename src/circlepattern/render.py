@@ -6,15 +6,12 @@ with a five percent margin.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
+from .configurations import EUCLIDEAN, CirclePattern
 from .errors import UsageError
-from . import triples
-
-if TYPE_CHECKING:
-    from .verify import CirclePattern
 
 
 def _fmt(x: float) -> str:
@@ -28,7 +25,7 @@ def render_svg(
     show_star_overlay: bool = False,
     size: int = 640,
 ) -> bytes:
-    if p.mode != triples.EUCLIDEAN:
+    if p.mode != EUCLIDEAN:
         raise UsageError("SVG rendering expects a planar pattern")
     cx, cy = p.centers.real, p.centers.imag
     r = p.radii

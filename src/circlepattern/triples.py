@@ -27,6 +27,8 @@ from .errors import (
     NotMutuallyIntersecting,
 )
 
+# the mode names of ``configurations``, spelled out so that probe-triple
+# loads this module alone (equal literal names are one interned object)
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
 

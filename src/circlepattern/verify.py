@@ -16,104 +16,22 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .conditions import AngleAssignment, face_sums
-from .configurations import EuclideanConfiguration, SphericalConfiguration
-from .errors import MalformedPattern
-from .triangulation import Triangulation, cycle_arrays
+from .conditions import face_sums
+from .configurations import (  # CirclePattern and _in_disks keep their old names here
+    DISJOINT_EPS,
+    CirclePattern,
+    EuclideanConfiguration,
+    SphericalConfiguration,
+    _in_disks,
+)
+from .triangulation import cycle_arrays
 from . import triples
 
 PI = math.pi
-DISJOINT_EPS = 1e-9      # inversive slack distinguishing overlap from contact
 COVER_SLACK = 1e-12      # a point this close to another disk counts as covered
 WITNESS_ROUNDING = 8.0 * np.finfo(float).eps  # planar witness slack, relative to |p|+|c|+r
 SMALL_ANGLE = 1e-3       # below this the radian angle chart is ill-conditioned
 FACE_TEST_CHUNK = 1 << 16  # face-disk pairs tested at once in _face_witnesses
-
-
-@dataclass
-class CirclePattern:
-    """A configuration bound to its combinatorics and target angles."""
-
-    triangulation: Triangulation
-    theta: AngleAssignment
-    mode: str
-    centers: np.ndarray
-    radii: np.ndarray
-    marked_face: Optional[Tuple[int, int, int]] = None
-
-    def __post_init__(self):
-        self.centers = np.asarray(self.centers)
-        self.radii = np.asarray(self.radii, dtype=float)
-        n = self.triangulation.vertex_count
-        if len(self.radii) != n or len(self.centers) != n:
-            raise MalformedPattern("circle count does not match vertex count")
-        if np.any(~np.isfinite(self.radii)) or np.any(self.radii <= 0):
-            raise MalformedPattern("radii must be positive and finite")
-        if self.mode == triples.SPHERICAL:
-            if self.centers.shape != (n, 3):
-                raise MalformedPattern("spherical centers must be unit 3-vectors")
-            if np.any(self.radii >= PI):
-                raise MalformedPattern("spherical radii must lie in (0, pi)")
-            norms = np.linalg.norm(self.centers, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-8):
-                raise MalformedPattern("spherical centers must be unit vectors")
-        elif self.mode == triples.EUCLIDEAN:
-            self.centers = self.centers.astype(complex)
-            if self.centers.shape != (n,):
-                raise MalformedPattern("planar centers must be complex scalars")
-        else:
-            raise MalformedPattern(f"unknown mode {self.mode!r}")
-
-    @classmethod
-    def from_euclidean(cls, t: Triangulation, theta: AngleAssignment,
-                       cfg: EuclideanConfiguration) -> "CirclePattern":
-        return cls(t, theta, triples.EUCLIDEAN, cfg.centers, cfg.radii, cfg.marked_face)
-
-    @classmethod
-    def from_spherical(cls, t: Triangulation, theta: AngleAssignment,
-                       cfg: SphericalConfiguration) -> "CirclePattern":
-        return cls(t, theta, triples.SPHERICAL, cfg.centers, cfg.radii, cfg.marked_face)
-
-    # -- pairwise quantities -------------------------------------------
-
-    def inversive_matrix(self) -> np.ndarray:
-        if self.mode == triples.EUCLIDEAN:
-            d2 = np.abs(self.centers[:, None] - self.centers[None, :]) ** 2
-            r2 = self.radii * self.radii
-            out = (d2 - r2[:, None] - r2[None, :]) / (2.0 * np.outer(self.radii, self.radii))
-        else:
-            dots = self.centers @ self.centers.T
-            cr, sr = np.cos(self.radii), np.sin(self.radii)
-            out = (np.outer(cr, cr) - dots) / np.outer(sr, sr)
-        np.fill_diagonal(out, -1.0)
-        return out
-
-    def realized_cos(self) -> np.ndarray:
-        return self.inversive_matrix()[tuple(self.triangulation.edge_array.T)]
-
-    def classify_pair(self, inv: float) -> str:
-        if inv > 1.0 + DISJOINT_EPS:
-            return "disjoint"
-        if inv >= 1.0 - DISJOINT_EPS:
-            return "tangent"
-        if inv > -1.0 + DISJOINT_EPS:
-            return "overlapping"
-        return "nested"
-
-    def point_in_disks(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        """Boolean (num points, num disks) closed-disk membership matrix."""
-        return _in_disks(self, points, np.arange(len(self.radii)), slack)
-
-
-def _in_disks(p: CirclePattern, points: np.ndarray, disks, slack: float) -> np.ndarray:
-    """Columns ``disks`` of ``p.point_in_disks(points, slack)``, for those disks only."""
-    if p.mode == triples.EUCLIDEAN:
-        d = np.abs(points[:, None] - p.centers[None, disks])
-        return d <= p.radii[None, disks] - slack
-    # BLAS rounds a one-column product unlike a column of a wider one: pad to two
-    cols = np.resize(disks, max(len(disks), 2)) if len(disks) else disks
-    dots = (points @ p.centers[cols].T)[:, :len(disks)]
-    return dots >= np.cos(p.radii[disks])[None, :] + slack
 
 
 def _upper_pairs(mask: np.ndarray) -> List[Tuple[int, int]]:

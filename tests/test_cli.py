@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from circlepattern import AngleAssignment, formats
+from circlepattern import AngleAssignment, build_triangulation, classify, formats
 from circlepattern import shapes
 from circlepattern.cli import main
+from random_triangulations import loop_subdivide
 
 PI = math.pi
 
@@ -347,6 +348,76 @@ class TestImportHygiene:
             code, modules = self._loaded(argv)
             assert code == 0
             assert not modules & solvers, argv[0]
+
+    def test_render_loads_only_the_pattern_reader(self, files):
+        planar = files["dir"] / "p.json"
+        assert main(["solve", str(files["tetra"]), str(files["theta0"]), "--mode",
+                     "euclidean", "--auto-mark", "--out", str(planar)]) == 0
+        assert self._loaded(["render", planar, "--out", files["dir"] / "p.svg"]) == (
+            0, {"cli", "formats", "errors", "conditions", "triangulation", "configurations",
+                "render"})
+
+    def test_solve_lift_and_polyhedron_load_no_verifier(self, files):
+        d = files["dir"]
+        runs = [
+            ["solve", files["tetra"], files["theta0"], "--mode", "euclidean", "--auto-mark",
+             "--out", d / "p.json"],
+            ["lift", d / "p.json", "--out", d / "l.json"],
+            ["solve", files["octa"], files["theta3"], "--mode", "spherical", "--out",
+             d / "s.json"],
+            ["polyhedron", "--pattern", d / "s.json", "--allow-ideal", "--out", d / "q.obj"],
+        ]
+        for argv in runs:
+            code, modules = self._loaded(argv)
+            assert code == 0
+            assert "verify" not in modules, argv[0]
+
+    def test_probe_triple_loads_only_the_triple_geometry(self):
+        argv = ["probe-triple", "--mode", "euclidean", "--radii", "1,1,1",
+                "--angles", "0.5,0.5,0.5"]
+        assert self._loaded(argv) == (0, {"cli", "formats", "errors", "triples"})
+
+    def test_no_command_imports_scipy(self, tmp_path):
+        """Matrices up to ``DENSE_MAX`` are factorized by numpy, so no command
+        on a shipped shape or on a benchmark-sized instance pays scipy's
+        import: every shipped shape solved in each class it is in, and the
+        largest solves of the benchmark, icosahedral n=162 at theta = 0
+        (480 edges) and n=42 at theta = 1.2, each with verify and render or
+        polyhedron."""
+        from circlepattern import _newton
+
+        assert _newton.DENSE_MAX >= 480
+        cases = [(name, t) for name, t in shapes.shipped_triangulations().items()]
+        cases += [("ico162", build_triangulation(loop_subdivide(shapes.icosahedron().faces, 2))),
+                  ("ico42", build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1)))]
+        runs = []
+        for name, t in cases:
+            tri = tmp_path / f"{name}.json"
+            tri.write_text(formats.dumps(formats.triangulation_to_dict(t)))
+            for klass, value, tail in (
+                    ("g5", 0.0, ["render", "{p}", "--out", "{p}.svg"]),
+                    ("m5", 1.2, ["polyhedron", "--pattern", "{p}", "--out", "{p}.obj"])):
+                theta = AngleAssignment.constant(t, value)
+                if name == "ico162" and klass == "m5" or not classify(t, theta, klass).passed:
+                    continue
+                th, p = tmp_path / f"{name}-{klass}.theta.json", tmp_path / f"{name}-{klass}.json"
+                th.write_text(formats.dumps(formats.theta_to_dict(theta)))
+                runs += [["solve", tri, th, "--mode", "auto", "--auto-mark", "--out", p],
+                         ["verify", "--pattern", p, "--json-out", f"{p}.verify.json"],
+                         [a.format(p=p) for a in tail]]
+        assert len(runs) >= 12
+        script = (
+            "import json, sys\n"
+            "from circlepattern.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
+        )
+        argv = json.dumps([[str(a) for a in run] for run in runs])
+        proc = subprocess.run([sys.executable, "-c", script, argv], capture_output=True,
+                              text=True, check=True)
+        codes, scipy_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(runs)
+        assert not scipy_loaded
 
     def test_planar_solve_loads_no_spherical_solver(self, files):
         code, modules = self._loaded(

@@ -69,3 +69,15 @@ def test_submodules_outside_all_import_by_name():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.split() == ["circlepattern.formats", "circlepattern.render"]
+
+
+def test_moved_names_keep_their_old_homes():
+    """The pattern type moved to ``configurations``; ``verify`` and
+    ``triples`` still hold the same objects under the old names."""
+    from circlepattern import configurations, triples, verify
+
+    assert circlepattern.CirclePattern is configurations.CirclePattern
+    for name in ("CirclePattern", "_in_disks", "DISJOINT_EPS"):
+        assert getattr(verify, name) is getattr(configurations, name)
+    assert triples.EUCLIDEAN is configurations.EUCLIDEAN
+    assert triples.SPHERICAL is configurations.SPHERICAL

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlepattern import (
     AngleAssignment,
@@ -15,9 +16,12 @@ from circlepattern import (
     shapes,
     solve_euclidean,
 )
-from circlepattern._newton import gauss_newton, min_norm_step, residual_and_jacobian, retract
+from circlepattern import _newton
+from circlepattern._newton import (
+    gauss_newton, min_norm_step, residual_and_jacobian, retract, tie_columns, to_dense,
+)
 from circlepattern.errors import Stalled
-from random_triangulations import loop_subdivide, stack120_faces
+from random_triangulations import flip_edges, loop_subdivide, stack120_faces, stacked_faces
 
 PI = math.pi
 
@@ -37,7 +41,11 @@ def test_jacobian_matches_central_differences(mode):
     rng = np.random.default_rng(5)
     centers, radii = random_configuration(mode, t.vertex_count, rng)
     target = np.cos(rng.uniform(0.0, 2.0, len(edges)))
-    _, J = residual_and_jacobian(mode, centers, radii, edges, target)
+    _, triplets = residual_and_jacobian(mode, centers, radii, edges, target)
+    rows, cols, _ = triplets
+    assert np.array_equal(np.bincount(rows), np.full(len(edges), 6))
+    assert np.array_equal(cols.reshape(-1, 6) // 3, edges[:, [0, 0, 0, 1, 1, 1]])
+    J = to_dense(triplets, (len(edges), 3 * t.vertex_count))
 
     def f(step):
         return residual_and_jacobian(mode, *retract(mode, centers, radii, step),
@@ -116,6 +124,24 @@ def test_curvature_jacobian_is_symmetric(make):
         assert np.max(np.abs(J - J.T)) <= 1e-12
 
 
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_curvature_assembly_sums_the_face_blocks(monkeypatch, backend):
+    """The curvature map's assembly equals its face blocks summed into the
+    full vertex matrix by ``np.add.at`` and cut to the free vertices, bit
+    for bit, as a dense array and as a CSC matrix."""
+    t, th = ico162_uniform()
+    cmap = euclidean._CurvatureMap(t, th, pick_marked_face(t, th))
+    blocks = np.random.default_rng(3).normal(size=(len(cmap.fv), 3, 3))
+    H = np.zeros((t.vertex_count, t.vertex_count))
+    np.add.at(H, (cmap.fv[:, :, None], cmap.fv[:, None, :]), blocks)
+    if backend == "sparse":
+        monkeypatch.setattr(_newton, "DENSE_MAX", 0)
+    got = cmap.assembly.matrix(-blocks[cmap.kept])
+    assert isinstance(got, np.ndarray) == (backend == "dense")
+    dense = got if backend == "dense" else got.toarray()
+    assert np.array_equal(dense, -H[np.ix_(cmap.free, cmap.free)])
+
+
 def test_curvature_jacobian_not_finite_on_a_flat_face():
     """Where a face's three circles only just fail to close up, its center
     triangle is flat: the Jacobian says so with non-finite entries and
@@ -184,36 +210,92 @@ def test_angle_residual_matches_per_edge_loop():
 # the minimum-norm step and the rounding floor
 # ---------------------------------------------------------------------------
 
-def tied_jacobian():
+def tied_jacobian(tie=True):
     """A full-row-rank planar Jacobian with the marked face's log-radius
-    columns merged, as ``gauss_newton`` builds it."""
+    columns merged, as ``gauss_newton`` builds it: triplets, residual and
+    column count."""
     t = shapes.icosahedron()
     edges = np.asarray(t.edges, dtype=int)
     rng = np.random.default_rng(4)
     centers, radii = random_configuration("euclidean", t.vertex_count, rng)
-    f, J = residual_and_jacobian("euclidean", centers, radii, edges,
-                                 np.cos(rng.uniform(0.0, 2.0, len(edges))))
-    cols = [3 * v + 2 for v in t.faces[0]]
-    J[:, cols[0]] = J[:, cols].sum(axis=1)
-    J[:, cols[1:]] = 0.0
-    return J, f
+    f, (rows, cols, vals) = residual_and_jacobian("euclidean", centers, radii, edges,
+                                                  np.cos(rng.uniform(0.0, 2.0, len(edges))))
+    return (rows, tie_columns(cols, t.faces[0] if tie else ()), vals), f, 3 * t.vertex_count
+
+
+def test_tied_columns_are_summed():
+    """The merged triplets densify to the dense Jacobian with the tied
+    columns summed into the first and the others zero."""
+    J, f, n_cols = tied_jacobian()
+    want = to_dense(tied_jacobian(tie=False)[0], (len(f), n_cols))
+    tied = [3 * v + 2 for v in shapes.icosahedron().faces[0]]
+    want[:, tied[0]] = want[:, tied].sum(axis=1)
+    want[:, tied[1:]] = 0.0
+    np.testing.assert_allclose(to_dense(J, (len(f), n_cols)), want, rtol=1e-15, atol=0.0)
 
 
 def test_min_norm_step_equals_lstsq(monkeypatch):
-    J, f = tied_jacobian()
-    assert np.linalg.matrix_rank(J) == J.shape[0]
-    want = np.linalg.lstsq(J, -f, rcond=None)[0]
-    monkeypatch.setattr(np.linalg, "lstsq", None)  # full row rank: QR only
-    got = min_norm_step(J, f)
+    J, f, n_cols = tied_jacobian()
+    dense = to_dense(J, (len(f), n_cols))
+    assert np.linalg.matrix_rank(dense) == dense.shape[0]
+    want = np.linalg.lstsq(dense, -f, rcond=None)[0]
+    monkeypatch.setattr(np.linalg, "lstsq", None)  # full row rank: no fallback
+    got = min_norm_step(J, f, n_cols)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_min_norm_step_falls_back_on_rank_loss():
-    J, f = tied_jacobian()
-    J[1], f[1] = J[0], f[0]  # a repeated equation: R has a zero pivot
-    got = min_norm_step(J, f)
-    assert np.array_equal(got, np.linalg.lstsq(J, -f, rcond=None)[0])
-    np.testing.assert_allclose(J @ got, -f, atol=1e-10)
+    (rows, cols, vals), f, n_cols = tied_jacobian()
+    row0 = rows == 0
+    keep = rows != 1  # a repeated equation: row 1 becomes a copy of row 0
+    rows = np.concatenate([rows[keep], np.ones(row0.sum(), dtype=rows.dtype)])
+    cols, vals = np.concatenate([cols[keep], cols[row0]]), np.concatenate([vals[keep], vals[row0]])
+    f[1] = f[0]
+    J = (rows, cols, vals)
+    dense = to_dense(J, (len(f), n_cols))
+    got = min_norm_step(J, f, n_cols)
+    assert np.array_equal(got, np.linalg.lstsq(dense, -f, rcond=None)[0])
+    np.testing.assert_allclose(dense @ got, -f, atol=1e-10)
+
+
+def test_min_norm_step_falls_back_on_near_rank_loss():
+    """Row 1 a copy of row 0 scaled by 1 + 1e-10 k along its entries, with an
+    inconsistent right side: G = J J^T factorizes, but cond(J)^2 eps is far
+    above 1, so even the refined residual stays large and ``lstsq`` takes
+    over."""
+    (rows, cols, vals), f, n_cols = tied_jacobian()
+    row0 = rows == 0
+    keep = rows != 1
+    rows = np.concatenate([rows[keep], np.ones(row0.sum(), dtype=rows.dtype)])
+    cols = np.concatenate([cols[keep], cols[row0]])
+    vals = np.concatenate([vals[keep], vals[row0] * (1.0 + 1e-10 * np.arange(1, row0.sum() + 1))])
+    f[1] = f[0] + 0.1
+    J = (rows, cols, vals)
+    got = min_norm_step(J, f, n_cols)
+    assert np.array_equal(got, np.linalg.lstsq(to_dense(J, (len(f), n_cols)), -f, rcond=None)[0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 40), flips=st.integers(0, 60),
+       mode=st.sampled_from(["euclidean", "spherical"]), tie=st.booleans(),
+       backend=st.sampled_from(["dense", "sparse"]))
+def test_min_norm_step_is_the_least_norm_step(seed, n, flips, mode, tie, backend):
+    """On random configurations of random triangulations the step equals
+    ``lstsq``'s least-norm solution, with and without a tied face, with G
+    factorized dense and sparse."""
+    rng = np.random.default_rng(seed)
+    t = build_triangulation(flip_edges(rng, stacked_faces(rng, n), flips))
+    edges = np.asarray(t.edges, dtype=int)
+    centers, radii = random_configuration(mode, n, rng)
+    f, (rows, cols, vals) = residual_and_jacobian(mode, centers, radii, edges,
+                                                  np.cos(rng.uniform(0.0, 2.0, len(edges))))
+    J = (rows, tie_columns(cols, t.faces[0] if tie else ()), vals)
+    want = np.linalg.lstsq(to_dense(J, (len(f), 3 * n)), -f, rcond=None)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_newton, "DENSE_MAX", 0 if backend == "sparse" else len(f))
+        mp.setattr(np.linalg, "lstsq", None)  # full row rank: no fallback
+        got = min_norm_step(J, f, 3 * n)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_polish_stops_at_the_rounding_floor(monkeypatch):

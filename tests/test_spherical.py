@@ -263,6 +263,23 @@ class TestSubdividedIcosahedron:
         p = CirclePattern.from_spherical(t, th, cfg)
         assert verify_pattern(p).passed
 
+    # accepted homotopy steps of the n=642 solve, as the dense QR step took them
+    N642_STEPS = 11
+
+    def test_n642_sparse_steps(self):
+        """The n=642 subdivided icosahedron at theta = 1.2: its 1920 x 1920
+        normal matrices are factorized sparse, and the homotopy takes the
+        steps the dense QR step took."""
+        from circlepattern import _newton, build_triangulation, verify_pattern
+
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 3))
+        assert t.edge_count == 1920 > _newton.DENSE_MAX
+        th = AngleAssignment.constant(t, 1.2)
+        cfg, rep = solve_spherical(t, th)
+        assert rep.iterations == self.N642_STEPS
+        assert rep.angle_residual < 1e-10
+        assert verify_pattern(CirclePattern.from_spherical(t, th, cfg)).passed
+
 
 class TestRoundingFloor:
     def test_corrector_accepts_its_rounding_floor(self, icosa, monkeypatch):
