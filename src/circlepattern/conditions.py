@@ -21,10 +21,10 @@ from .errors import ConditionsViolated, TooFewFaces
 from .triangulation import (
     Circuit,
     Triangulation,
+    _circuits,
     canonical_edge,
     cycle_arrays,
     dual_of_trivalent,
-    enumerate_simple_cycles,
     two_arc_arrays,
 )
 
@@ -311,39 +311,29 @@ def audit_circuit_sums(t: Triangulation, theta: AngleAssignment, max_len: int,
     triangulations with more than four vertices, so any alarm indicates an
     enumeration bug, not bad input.  (On the tetrahedron the guarantee
     genuinely fails: equal angles near pi pass the base conditions while
-    every 4-cycle sum exceeds 2*pi.)
+    every 4-cycle sum exceeds 2*pi.)  The cycles are the index arrays of
+    ``cycle_arrays``, checked by the same engine as the conditions.
     """
     if t.vertex_count <= 4:
         raise ValueError("the circuit-sum bound needs more than four vertices")
     require(t, theta, "marden")
-    audit = []
+    vals = theta.array()
+    audit: List[dict] = []
     alarms: List[Violation] = []
-    for cyc in enumerate_simple_cycles(t, max_len, cap=cap):
-        if cyc.is_face_boundary:
-            continue
-        k = len(cyc)
-        lhs = sum(theta[e] for e in cyc.edges)
-        bound = (k - 2) * PI
-        strict = not cyc.is_two_triangle_boundary
-        cmp = compare(lhs, bound)
-        ok = cmp < 0 if strict else cmp <= 0
-        audit.append(
-            {
-                "cycle": list(cyc.vertices),
-                "sum": lhs,
-                "bound": bound,
-                "strict": strict,
-                "ok": ok,
-            }
-        )
-        if not ok:
-            alarms.append(Violation("audit", cyc.vertices, tuple(t.edges[e] for e in cyc.edges),
-                                    lhs, bound))
-    report = ConditionReport(
-        "audit", not alarms, {"audit": not alarms}, alarms
-    )
-    report.circuit_sum_audit = audit
-    return report
+    for cycles in cycle_arrays(t, max_len, cap):
+        unset = np.zeros(len(cycles["vertices"]), dtype=bool)
+        keep = ~cycles.get("is_face_boundary", unset)
+        verts, eids = cycles["vertices"][keep], cycles["edges"][keep]
+        strict = ~cycles.get("is_two_triangle_boundary", unset)[keep]
+        lhs = sum(vals[eids].T)  # summed in edge order, from 0, as a scalar sum would be
+        bound = (verts.shape[1] - 2) * PI
+        cmp = _compare(lhs, bound)
+        ok = np.where(strict, cmp < 0, cmp <= 0)
+        audit += [{"cycle": c, "sum": x, "bound": bound, "strict": s, "ok": o} for c, x, s, o
+                  in zip(verts.tolist(), lhs.tolist(), strict.tolist(), ok.tolist())]
+        alarms += _certificates("audit", verts[~ok], eids[~ok], lhs[~ok], bound,
+                                t.edges.__getitem__)
+    return ConditionReport("audit", not alarms, {"audit": not alarms}, alarms, audit)
 
 
 # ---------------------------------------------------------------------------
@@ -388,4 +378,5 @@ def check_andreev(poly_faces: Sequence[Sequence[int]],
 def detect_whitehead(t: Triangulation) -> List[Circuit]:
     """All 4-cycles bounding two adjacent triangles, flagged essential when
     they split into two homologically non-adjacent arcs."""
-    return [c for c in enumerate_simple_cycles(t, 4) if c.is_whitehead]
+    fours = cycle_arrays(t, 4)[1]
+    return _circuits("closed", {name: col[fours["is_whitehead"]] for name, col in fours.items()})

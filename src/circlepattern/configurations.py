@@ -92,6 +92,8 @@ class CirclePattern:
             raise MalformedPattern("circle count does not match vertex count")
         if np.any(~np.isfinite(self.radii)) or np.any(self.radii <= 0):
             raise MalformedPattern("radii must be positive and finite")
+        if self.marked_face is not None and not self.triangulation.is_face(self.marked_face):
+            raise MalformedPattern(f"marked face {list(self.marked_face)} is not a face")
         if self.mode == SPHERICAL:
             if self.centers.shape != (n, 3):
                 raise MalformedPattern("spherical centers must be unit 3-vectors")

@@ -42,9 +42,25 @@ def _load(source: Source) -> dict:
 
 
 def _require(data: dict, keys, what: str) -> None:
+    if not isinstance(data, dict):
+        raise UsageError(f"{what} must be an object")
     for key in keys:
         if key not in data:
             raise UsageError(f"{what} is missing the {key!r} key")
+
+
+def _array(value, what: str, kind=None, length: Optional[int] = None) -> list:
+    """``value``, a JSON array of ``length`` items when given; with ``kind``,
+    of numbers, only integers when ``kind`` is int."""
+    if (not isinstance(value, (list, tuple)) or length not in (None, len(value))
+            or kind and not {int, kind}.issuperset(map(type, value))):
+        raise UsageError(f"{what} has the wrong JSON type or shape")
+    return value
+
+
+def _number(x, what: str, kind=float):
+    """A JSON number as ``kind``; only an integer when ``kind`` is int."""
+    return kind(_array([x], what, kind)[0])
 
 
 def dumps(obj: dict) -> str:
@@ -57,7 +73,9 @@ def load_triangulation(source: Source) -> Triangulation:
 
     data = _load(source)
     _require(data, ("faces",), "triangulation JSON")
-    return build_triangulation(data["faces"], vertex_count=data.get("vertices"))
+    n, faces = data.get("vertices"), _array(data["faces"], "'faces'")
+    return build_triangulation([_array(f, "a face", int) for f in faces],
+                               vertex_count=None if n is None else _number(n, "'vertices'", int))
 
 
 def triangulation_to_dict(t: Triangulation) -> dict:
@@ -67,7 +85,7 @@ def triangulation_to_dict(t: Triangulation) -> dict:
 def load_polyhedron(source: Source):
     data = _load(source)
     _require(data, ("faces",), "polyhedron JSON")
-    return [tuple(int(v) for v in cycle) for cycle in data["faces"]]
+    return [tuple(_array(cycle, "a face", int)) for cycle in _array(data["faces"], "'faces'")]
 
 
 def load_theta_map(source: Source) -> Dict[Tuple[int, int], float]:
@@ -76,12 +94,12 @@ def load_theta_map(source: Source) -> Dict[Tuple[int, int], float]:
     data = _load(source)
     _require(data, ("theta",), "theta JSON")
     out: Dict[Tuple[int, int], float] = {}
-    for item in data["theta"]:
+    for item in _array(data["theta"], "'theta'"):
         _require(item, ("edge", "value"), "theta item")
-        e = canonical_edge(int(item["edge"][0]), int(item["edge"][1]))
+        e = canonical_edge(*_array(item["edge"], "a theta edge", int, 2))
         if e in out:
             raise UsageError(f"edge {list(e)} specified twice")
-        out[e] = float(item["value"])
+        out[e] = _number(item["value"], "a theta value")
     return out
 
 
@@ -128,20 +146,20 @@ def load_pattern(source: Source) -> CirclePattern:
 
     data = _load(source)
     _require(data, ("mode", "circles", "triangulation", "theta"), "pattern JSON")
-    for c in data["circles"]:
+    circles = _array(data["circles"], "'circles'")
+    for c in circles:
         _require(c, ("center", "radius"), "pattern circle")
     t = load_triangulation(data["triangulation"])
     theta = load_theta(t, data["theta"])
     mode = data["mode"]
-    radii = np.array([c["radius"] for c in data["circles"]], dtype=float)
-    if mode == EUCLIDEAN:
-        centers = np.array(
-            [complex(c["center"][0], c["center"][1]) for c in data["circles"]]
-        )
-    elif mode == SPHERICAL:
-        centers = np.array([c["center"] for c in data["circles"]], dtype=float)
-    else:
+    if mode not in (EUCLIDEAN, SPHERICAL):
         raise UsageError(f"unknown mode {mode!r}")
+    radii = np.array([_number(c["radius"], "a radius") for c in circles], dtype=float)
+    dim = 2 if mode == EUCLIDEAN else 3
+    centers = np.array([_array(c["center"], "a center", float, dim) for c in circles],
+                       dtype=float).reshape(-1, dim)
+    if mode == EUCLIDEAN:
+        centers = centers.view(complex)[:, 0]  # the bits of complex(x, y)
     marked = data.get("marked_face")
     return CirclePattern(
         triangulation=t,
@@ -149,5 +167,5 @@ def load_pattern(source: Source) -> CirclePattern:
         mode=mode,
         centers=centers,
         radii=radii,
-        marked_face=tuple(marked) if marked else None,
+        marked_face=tuple(_array(marked, "'marked_face'", int, 3)) if marked else None,
     )

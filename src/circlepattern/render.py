@@ -6,7 +6,7 @@ with a five percent margin.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -16,6 +16,15 @@ from .errors import UsageError
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _edge_lines(p: CirclePattern, colour: str, width: float) -> List[str]:
+    """One <line> between circle centres per edge of the triangulation."""
+    cx, cy = p.centers.real, p.centers.imag
+    return [f'<line x1="{_fmt(cx[u])}" y1="{_fmt(cy[u])}" '
+            f'x2="{_fmt(cx[v])}" y2="{_fmt(cy[v])}" '
+            f'stroke="{colour}" stroke-width="{_fmt(width)}"/>'
+            for (u, v) in p.triangulation.edges]
 
 
 def render_svg(
@@ -47,24 +56,14 @@ def render_svg(
         f'<g transform="translate(0 {_fmt(2 * lo_y + height)}) scale(1 -1)">',
     ]
     if show_star_overlay:
-        for (u, v) in p.triangulation.edges:
-            lines.append(
-                f'<line x1="{_fmt(cx[u])}" y1="{_fmt(cy[u])}" '
-                f'x2="{_fmt(cx[v])}" y2="{_fmt(cy[v])}" '
-                f'stroke="#c0c0c0" stroke-width="{_fmt(stroke_width * 0.6)}"/>'
-            )
+        lines += _edge_lines(p, "#c0c0c0", stroke_width * 0.6)
     for v in range(len(r)):
         lines.append(
             f'<circle cx="{_fmt(cx[v])}" cy="{_fmt(cy[v])}" r="{_fmt(r[v])}" '
             f'fill="none" stroke="#1f3d7a" stroke-width="{_fmt(stroke_width)}"/>'
         )
     if show_contact_graph:
-        for (u, v) in p.triangulation.edges:
-            lines.append(
-                f'<line x1="{_fmt(cx[u])}" y1="{_fmt(cy[u])}" '
-                f'x2="{_fmt(cx[v])}" y2="{_fmt(cy[v])}" '
-                f'stroke="#d23" stroke-width="{_fmt(stroke_width * 0.8)}"/>'
-            )
+        lines += _edge_lines(p, "#d23", stroke_width * 0.8)
     lines.append("</g>")
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode()

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -281,10 +282,7 @@ def _others(face: Face, v: int) -> Tuple[int, int]:
 class Circuit:
     """A closed simple cycle or open two-edge arc in the 1-skeleton.
 
-    Every flag of a closed cycle is decided locally.  Up to length 4,
-    separation is a face lookup (see ``_classify_cycles``); longer cycles
-    flood each side only until it meets a vertex off the cycle (see
-    ``_separates``).
+    The flags of a closed cycle come from face lookups on its vertices.
     """
 
     vertices: Tuple[int, ...]
@@ -315,9 +313,9 @@ def _circuits(kind: str, cols: Columns) -> List[Circuit]:
 def enumerate_simple_cycles(
     t: Triangulation, max_len: int, cap: int = DEFAULT_CYCLE_CAP
 ) -> List[Circuit]:
-    """All simple closed cycles of length <= max_len, classified (separation
-    by face lookup up to length 4), ordered by (length, vertices); built on
-    each call from the index arrays of ``cycle_arrays``."""
+    """All simple closed cycles of length <= max_len, classified by face
+    lookups, ordered by (length, vertices); built on each call from the
+    index arrays of ``cycle_arrays``."""
     return [c for cols in cycle_arrays(t, max_len, cap) for c in _circuits("closed", cols)]
 
 
@@ -389,66 +387,57 @@ def _enumerate_cycles(t: Triangulation, max_len: int, cap: int) -> List[np.ndarr
 
 
 def _classify_cycles(t: Triangulation, verts: np.ndarray) -> Columns:
-    """The flags of the k-cycles in ``verts``, from the faces on their edges.
+    """The flags of the k-cycles in ``verts``, from face lookups.
 
     A side of a k-cycle with no vertex off it is a triangulated k-gon of
-    k - 2 faces, so a 3-cycle separates unless it bounds a face and a
-    4-cycle unless it bounds two adjacent triangles.
+    k - 2 faces; conversely, faces of ``t`` that triangulate the k-gon form
+    an embedded disk bounded by the cycle, one whole side.  So a cycle
+    separates unless one of the k-gon's Catalan(k - 2) triangulations is
+    made of faces: at k = 3 the cycle bounds a face, at k = 4 two adjacent
+    triangles.
     """
     k = verts.shape[1]
-    eids = t.edge_ids(verts, np.roll(verts, -1, axis=1))
-    on = t.edge_face_array[eids]  # the two faces on each cycle edge
+    spans = {tri: _spans_face(t, *verts[:, tri].T) for tri in combinations(range(k), 3)}
+    disk = np.zeros(len(verts), dtype=bool)
+    for tris in _polygon_triangulations(0, k - 1):
+        disk |= np.logical_and.reduce([spans[tri] for tri in tris])
     # cycle edges i and i + 1 share a face: the triangle of their three
     # vertices; only consecutive edges can, so without such a corner the
     # cycle's edges lie in 2k distinct faces
-    corner = (on[:, :, :, None] == np.roll(on, -1, axis=1)[:, :, None, :]).any(axis=(2, 3))
-    cols = {"vertices": verts, "edges": eids, "is_prismatic": ~corner.any(axis=1)}
+    corner = np.column_stack([spans[tuple(sorted({i, (i + 1) % k, (i + 2) % k}))]
+                              for i in range(k)])
+    cols = {"vertices": verts, "edges": t.edge_ids(verts, np.roll(verts, -1, axis=1)),
+            "is_prismatic": ~corner.any(axis=1)}
     if k == 3:
-        cols["is_face_boundary"] = corner[:, 0]
-        cols["separates_vertices"] = ~corner[:, 0]
+        cols["is_face_boundary"] = disk
     elif k == 4:
-        two_tri = (corner[:, 0] & corner[:, 2]) | (corner[:, 1] & corner[:, 3])
-        cols["is_two_triangle_boundary"] = cols["is_whitehead"] = two_tri
+        cols["is_two_triangle_boundary"] = cols["is_whitehead"] = disk
         # essential iff some splitting into two arcs has non-adjacent
         # endpoints, i.e. some diagonal of the quadrilateral is a non-edge
         a, b, c, d = verts.T
-        cols["is_essential_whitehead"] = two_tri & (
+        cols["is_essential_whitehead"] = disk & (
             (t.edge_ids(a, c) < 0) | (t.edge_ids(b, d) < 0))
-        cols["separates_vertices"] = ~two_tri
-    else:
-        cols["separates_vertices"] = np.array(
-            [_separates(t, v, e) for v, e in zip(verts.tolist(), eids.tolist())], dtype=bool)
+    cols["separates_vertices"] = ~disk
     return cols
 
 
-def _separates(t: Triangulation, verts, eids) -> bool:
-    """Whether both sides of a simple cycle hold a vertex off the cycle.
+def _spans_face(t: Triangulation, a, b, c) -> np.ndarray:
+    """Whether each row's vertices a, b, c are the vertices of a face."""
+    eid = t.edge_ids(a, b)
+    on = t.face_array[t.edge_face_array[eid]]  # the two faces on edge ab
+    return (eid >= 0) & (on == c[:, None, None]).any(axis=(1, 2))
 
-    The two faces on the cycle's first edge lie on opposite sides.  From
-    each, flood across edges not on the cycle and stop at the first face
-    with a vertex off the cycle.  A side with no such vertex is a
-    triangulated k-gon of k - 2 faces, so each flood visits O(k) faces.
-    """
-    on_cycle = set(verts)
-    blocked = set(eids)
 
-    def side_has_interior(root: int) -> bool:
-        seen = {root}
-        stack = [root]
-        while stack:
-            fid = stack.pop()
-            if not on_cycle.issuperset(t.faces[fid]):
-                return True
-            for e in t.face_edge_ids(fid):
-                if e in blocked:
-                    continue
-                for gid in t.edge_faces[e]:
-                    if gid not in seen:
-                        seen.add(gid)
-                        stack.append(gid)
-        return False
-
-    return all(side_has_interior(root) for root in t.edge_faces[eids[0]])
+@lru_cache(maxsize=None)
+def _polygon_triangulations(lo: int, hi: int) -> Tuple[Tuple[Face, ...], ...]:
+    """Every triangulation of the convex polygon with corners lo, lo + 1,
+    ..., hi, as triples of corners: Catalan(hi - lo - 1) of them.  The side
+    lo-hi lies in one triangle (lo, m, hi), which splits off two polygons."""
+    if hi - lo < 2:
+        return ((),)
+    return tuple(left + ((lo, m, hi),) + right for m in range(lo + 1, hi)
+                 for left in _polygon_triangulations(lo, m)
+                 for right in _polygon_triangulations(m, hi))
 
 
 def enumerate_two_arcs(t: Triangulation) -> List[Circuit]:

@@ -219,8 +219,8 @@ def brute_condition_flags(faces, n: int, theta: Dict[Tuple[int, int], float],
 
 
 # ---------------------------------------------------------------------------
-# reference condition engine: the per-circuit DFS and loops that the index
-# array kernel replaced; every output must serialize identically
+# reference condition engine: the per-circuit DFS, flood and loops that the
+# index array kernel replaced; every output must serialize identically
 # ---------------------------------------------------------------------------
 
 def canonical_cycle(verts: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -380,6 +380,29 @@ def reference_andreev(poly_faces, theta):
     violations = reference_violations(t, vals, to_primal.__getitem__, ANDREEV_TAGS,
                                       "is_prismatic", min_face_sum=PI)
     return _report("andreev", violations, ANDREEV_TAGS)
+
+
+def reference_audit(t, theta, max_len: int):
+    """``audit_circuit_sums`` one ``Circuit`` at a time, for admissible data."""
+    from circlepattern import enumerate_simple_cycles
+    from circlepattern.conditions import ConditionReport, Violation, compare
+
+    audit, alarms = [], []
+    for cyc in enumerate_simple_cycles(t, max_len):
+        if cyc.is_face_boundary:
+            continue
+        k = len(cyc)
+        lhs = sum(theta[e] for e in cyc.edges)
+        bound = (k - 2) * PI
+        strict = not cyc.is_two_triangle_boundary
+        cmp = compare(lhs, bound)
+        ok = cmp < 0 if strict else cmp <= 0
+        audit.append({"cycle": list(cyc.vertices), "sum": lhs, "bound": bound, "strict": strict,
+                      "ok": ok})
+        if not ok:
+            alarms.append(Violation("audit", cyc.vertices, tuple(t.edges[e] for e in cyc.edges),
+                                    lhs, bound))
+    return ConditionReport("audit", not alarms, {"audit": not alarms}, alarms, audit)
 
 
 # ---------------------------------------------------------------------------

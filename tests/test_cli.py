@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import subprocess
@@ -115,6 +116,57 @@ class TestBadInput:
         pattern.write_text(json.dumps(data))
         self._usage_error(["verify", "--pattern", pattern], capsys)
 
+
+    @pytest.fixture(scope="class")
+    def octa_json(self, tmp_path_factory):
+        """Files of the octahedron, its angles 0 and its solved planar
+        pattern, and the JSON values of these and of a spherical one."""
+        o, root = shapes.octahedron(), tmp_path_factory.mktemp("octa")
+        data = {"octa": formats.triangulation_to_dict(o)}
+        for name, angle in (("theta", 0.0), ("theta-sphere", 1.2)):
+            data[name] = formats.theta_to_dict(AngleAssignment.constant(o, angle))
+        for name in data:
+            (root / f"{name}.json").write_text(formats.dumps(data[name]))
+        for name, theta in (("plane", "theta"), ("sphere", "theta-sphere")):
+            argv = ["solve", root / "octa.json", root / f"{theta}.json", "--auto-mark",
+                    "--out", root / f"{name}.json"]
+            assert main([str(a) for a in argv]) == 0
+            data[name] = json.loads((root / f"{name}.json").read_text())
+        return root, data
+
+    @pytest.mark.parametrize("command, base, path, value, code", [
+        ("validate", "octa", ("faces", 0, 0), "a", 1),
+        ("validate", "octa", ("vertices",), "x", 1),
+        ("validate", "octa", ("faces",), 5, 1),
+        ("validate", "theta", ("theta", 0, "edge"), [0], 1),
+        ("verify", "sphere", ("circles", 0, "center"), [0.0, 1.0], 1),
+        ("verify", "plane", ("circles", 0, "radius"), "x", 1),
+        ("verify", "plane", ("marked_face",), [0, 1, 5], 4),
+        ("render", "plane", ("marked_face",), [0, 1, 5], 3),
+        ("polyhedron", "sphere", ("marked_face",), [0, 1, 5], 5),
+    ], ids=["face-entry", "vertices", "faces", "edge", "center", "radius",
+            "marked-verify", "marked-render", "marked-polyhedron"])
+    def test_malformed_json(self, octa_json, capsys, command, base, path, value, code):
+        """A value of the wrong type or shape ends in one line on stderr and
+        exit 1 from the loaders; a marked face that is not a face ends in
+        the command's own failure code."""
+        root, data = octa_json
+        assert not shapes.octahedron().is_face([0, 1, 5])
+        data = copy.deepcopy(data[base])
+        edit = data
+        for key in path[:-1]:
+            edit = edit[key]
+        edit[path[-1]] = value
+        bad = root / f"bad-{command}-{base}.json"
+        bad.write_text(json.dumps(data))
+        argv = {"validate": ["validate", bad if base == "octa" else root / "octa.json",
+                             bad if base == "theta" else root / "theta.json"],
+                "verify": ["verify", "--pattern", bad],
+                "render": ["render", bad, "--out", root / "bad.svg"],
+                "polyhedron": ["polyhedron", "--pattern", bad]}[command]
+        assert main([str(a) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("faces", [[[0, 1, 2], [0, 1, 2]],
                                        [[0, 1, 2], [0, 2, 3], [0, 3, 1]]],

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from circlepattern import (
     AngleAssignment,
     audit_circuit_sums,
+    build_triangulation,
     check_andreev,
     check_c1,
     check_c2,
@@ -21,6 +23,7 @@ from circlepattern.conditions import (COND_EPS, _compare, compare, face_sums,
 from circlepattern.errors import ConditionsViolated, TooFewFaces
 
 import oracles
+from random_triangulations import loop_subdivide, stacked_faces
 
 PI = math.pi
 
@@ -195,6 +198,22 @@ class TestAudit:
     def test_requires_admissible_input(self, octa):
         with pytest.raises(ConditionsViolated):
             audit_circuit_sums(octa, AngleAssignment.constant(octa, PI / 2), 4)
+
+    @pytest.mark.parametrize("faces, theta", [
+        (loop_subdivide(shapes.icosahedron().faces, 3), 0.0),
+        (stacked_faces(np.random.default_rng(2024), 300), 0.3),
+        (loop_subdivide(shapes.icosahedron().faces, 2), (0.0, PI / 2)),
+    ], ids=["ico642-t0", "stack300-t0.3", "ico162-random"])
+    def test_matches_per_circuit_reference(self, faces, theta):
+        """The index-array audit serializes exactly like the per-``Circuit``
+        loop, record by record; a pair is a band for seeded random angles."""
+        t = build_triangulation(faces)
+        vals = (np.random.default_rng(14).uniform(*theta, t.edge_count)
+                if isinstance(theta, tuple) else np.full(t.edge_count, theta))
+        th = AngleAssignment(t, tuple(vals.tolist()))
+        got, want = audit_circuit_sums(t, th, 6), oracles.reference_audit(t, th, 6)
+        assert got.circuit_sum_audit == want.circuit_sum_audit
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
     def test_no_alarms_on_random_admissible(self, shipped_small):
         rng = np.random.default_rng(3)

@@ -21,7 +21,7 @@ from circlepattern.errors import (
 )
 
 import oracles
-from random_triangulations import loop_subdivide, stacked_faces
+from random_triangulations import flip_edges, loop_subdivide, stacked_faces
 
 
 def torus_faces():
@@ -139,6 +139,27 @@ class TestCycles:
                     assert c.is_two_triangle_boundary == oracles.brute_two_triangle(
                         faces, cyc
                     ), (name, cyc)
+
+    def test_separation_matches_flood_to_length_8(self):
+        """Separation by the Catalan(k - 2) triangulations of the k-gon
+        equals the flood's on every cycle up to length 8, on the shipped
+        shapes and on stacked draws reshaped by flips; some 7- and 8-cycles
+        bound a face-triangulated disk, so the heptagon's and octagon's
+        triangulations are exercised."""
+        assert [len(triangulation._polygon_triangulations(0, k - 1)) for k in range(3, 9)] \
+            == [1, 2, 5, 14, 42, 132]
+        rng = np.random.default_rng(8)
+        draws = [build_triangulation(flip_edges(rng, stacked_faces(rng, n), 2 * n))
+                 for n in (9, 12, 15, 20)]
+        disks = {7: 0, 8: 0}
+        for t in [*shapes.shipped_triangulations().values(), *draws]:
+            for cols in triangulation.cycle_arrays(t, 8):
+                verts, eids = cols["vertices"].tolist(), cols["edges"].tolist()
+                want = [oracles.flood_separates(t, v, e) for v, e in zip(verts, eids)]
+                assert cols["separates_vertices"].tolist() == want
+                if cols["vertices"].shape[1] in disks:
+                    disks[cols["vertices"].shape[1]] += want.count(False)
+        assert min(disks.values()) > 0, disks
 
     @pytest.mark.parametrize("faces", [
         loop_subdivide(shapes.icosahedron().faces, 3),
