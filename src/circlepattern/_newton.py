@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import triples
-from .triples import EUCLIDEAN
+from .triples import EUCLIDEAN, inversive
 
 LINE_SEARCH_HALVINGS = 30
 DENSE_MAX = 600          # largest order factorized dense; scipy's splu above
@@ -34,18 +34,6 @@ REFINE_TOL = 1e-11       # relative residual ||J x + f|| / ||f|| refined once
 RANK_TOL = 1e-8          # relative residual left after refinement that marks rank loss
 
 Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]   # (rows, cols, vals)
-
-
-def inversive(mode: str, centers: np.ndarray, radii: np.ndarray,
-              edges: np.ndarray) -> np.ndarray:
-    """Inversive distance of every listed center pair (u, v)."""
-    u, v = edges[:, 0], edges[:, 1]
-    ru, rv = radii[u], radii[v]
-    if mode == EUCLIDEAN:
-        d = centers[u] - centers[v]
-        return (d.real * d.real + d.imag * d.imag - ru * ru - rv * rv) / (2.0 * ru * rv)
-    dots = np.einsum("ij,ij->i", centers[u], centers[v])
-    return (np.cos(ru) * np.cos(rv) - dots) / (np.sin(ru) * np.sin(rv))
 
 
 def residual_and_jacobian(mode: str, centers: np.ndarray, radii: np.ndarray,

@@ -92,6 +92,8 @@ class CirclePattern:
             raise MalformedPattern("circle count does not match vertex count")
         if np.any(~np.isfinite(self.radii)) or np.any(self.radii <= 0):
             raise MalformedPattern("radii must be positive and finite")
+        if not np.isfinite(self.centers).all():
+            raise MalformedPattern("centers must be finite")
         if self.marked_face is not None and not self.triangulation.is_face(self.marked_face):
             raise MalformedPattern(f"marked face {list(self.marked_face)} is not a face")
         if self.mode == SPHERICAL:
@@ -132,18 +134,6 @@ class CirclePattern:
             out = (np.outer(cr, cr) - dots) / np.outer(sr, sr)
         np.fill_diagonal(out, -1.0)
         return out
-
-    def realized_cos(self) -> np.ndarray:
-        return self.inversive_matrix()[tuple(self.triangulation.edge_array.T)]
-
-    def classify_pair(self, inv: float) -> str:
-        if inv > 1.0 + DISJOINT_EPS:
-            return "disjoint"
-        if inv >= 1.0 - DISJOINT_EPS:
-            return "tangent"
-        if inv > -1.0 + DISJOINT_EPS:
-            return "overlapping"
-        return "nested"
 
     def point_in_disks(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
         """Boolean (num points, num disks) closed-disk membership matrix."""

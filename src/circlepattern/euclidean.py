@@ -22,7 +22,8 @@ from .errors import ConditionsViolated, LayoutInconsistent, Stalled
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
-from ._newton import LINE_SEARCH_HALVINGS, Assembly, factorize, gauss_newton, inversive
+from ._newton import LINE_SEARCH_HALVINGS, Assembly, factorize, gauss_newton
+from .triples import inversive
 
 PI = math.pi
 POLISH_TOL = 1e-14

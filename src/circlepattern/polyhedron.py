@@ -19,7 +19,7 @@ from .conditions import face_sums
 from .errors import MalformedPattern, SingularTriple, VertexOutsideBall
 from .configurations import CirclePattern
 from . import triples
-from ._newton import inversive
+from .triples import inversive
 
 PI = math.pi
 COND_LIMIT = 1e12       # vertex solve condition number treated as singular

@@ -36,7 +36,8 @@ from .euclidean import pick_marked_face, resolve_marked_face, solve_euclidean
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
-from ._newton import gauss_newton, inversive
+from ._newton import gauss_newton
+from .triples import inversive
 
 PI = math.pi
 SOUTH = np.array([0.0, 0.0, -1.0])

@@ -10,13 +10,16 @@ Index convention: the quantity with index ``i`` belongs to the *pair*
 and 2, and ``lengths[0]`` is the distance between their centers.
 
 All array functions broadcast over a leading batch dimension; the last
-axis always has size 3.
+axis always has size 3.  The placed-disk relations take rows of three
+disks: centers of shape (m, 3), complex in the plane, or (m, 3, 3), unit
+vectors on the sphere, and radii of shape (m, 3); their per-pair results
+have one column per third disk k, for the pair ``OPPOSITE[k]``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,6 +247,18 @@ def inversive_distance(mode: str, center_i, r_i: float, center_j, r_j: float) ->
     return (math.cos(r_i) * math.cos(r_j) - dot) / (math.sin(r_i) * math.sin(r_j))
 
 
+def inversive(mode: str, centers: np.ndarray, radii: np.ndarray,
+              edges: np.ndarray) -> np.ndarray:
+    """Inversive distance of every listed center pair (u, v)."""
+    u, v = edges[:, 0], edges[:, 1]
+    ru, rv = radii[u], radii[v]
+    if mode == EUCLIDEAN:
+        d = centers[u] - centers[v]
+        return (d.real * d.real + d.imag * d.imag - ru * ru - rv * rv) / (2.0 * ru * rv)
+    dots = np.einsum("ij,ij->i", centers[u], centers[v])
+    return (np.cos(ru) * np.cos(rv) - dots) / (np.sin(ru) * np.sin(rv))
+
+
 def angle_from_inversive(inv: float, eps: float = CLAMP_EPS) -> float:
     """Realized exterior angle arccos(I), clamping only within ``eps``."""
     return float(clamped_acos(inv, eps))
@@ -375,71 +390,11 @@ def limit_profile(mode: str, radii, angles, shrink: Sequence[int], scales) -> Li
 
 
 # ---------------------------------------------------------------------------
-# placed-disk predicates and arrangements
+# placed-disk relations, over rows of three disks
 # ---------------------------------------------------------------------------
 
-def _as_disks(mode, centers, radii):
-    if mode == EUCLIDEAN:
-        cs = [complex(c) for c in centers]
-    else:
-        cs = [np.asarray(c, dtype=float) for c in centers]
-        for c in cs:
-            n = np.linalg.norm(c)
-            if abs(n - 1.0) > 1e-8:
-                raise ValueError("spherical centers must be unit vectors")
-    return cs, [float(r) for r in radii]
-
-
-def disk_contains(mode: str, center, radius: float, point, slack: float = 0.0) -> bool:
-    """Closed-disk membership with signed slack (positive slack shrinks)."""
-    if mode == EUCLIDEAN:
-        return abs(complex(point) - complex(center)) <= radius - slack
-    dot = float(np.dot(np.asarray(point, float), np.asarray(center, float)))
-    return dot >= math.cos(radius) + slack
-
-
-def circle_pair_points(mode: str, c1, r1: float, c2, r2: float, eps: float = GEOM_EPS):
-    """Intersection points of two boundary circles (0, 1, or 2 points).
-
-    A tangency (within eps of the degenerate root) yields one point.
-    Returns None when the boundaries do not meet.
-    """
-    _check_mode(mode)
-    if mode == EUCLIDEAN:
-        c1, c2 = complex(c1), complex(c2)
-        d = abs(c2 - c1)
-        if d <= eps:
-            return None
-        a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-        h2 = r1 * r1 - a * a
-        scale = max(r1, r2, d) ** 2
-        if h2 < -eps * scale:
-            return None
-        u = (c2 - c1) / d
-        base = c1 + a * u
-        if h2 <= eps * scale:
-            return (base,)
-        h = math.sqrt(h2)
-        return (base + 1j * h * u, base - 1j * h * u)
-    n1 = np.asarray(c1, float)
-    n2 = np.asarray(c2, float)
-    cr1, cr2 = math.cos(r1), math.cos(r2)
-    dot = float(np.dot(n1, n2))
-    det = 1.0 - dot * dot
-    if det <= eps:
-        return None
-    a = (cr1 - cr2 * dot) / det
-    b = (cr2 - cr1 * dot) / det
-    cross = np.cross(n1, n2)
-    g2 = (1.0 - (a * a + b * b + 2.0 * a * b * dot)) / det
-    if g2 < -eps:
-        return None
-    base = a * n1 + b * n2
-    if g2 <= eps:
-        p = base / np.linalg.norm(base)
-        return (p,)
-    g = math.sqrt(g2)
-    return (base + g * cross, base - g * cross)
+# the pair (a, b), a < b, of the two disks other than each third disk k
+OPPOSITE = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 @dataclass(frozen=True)
@@ -457,161 +412,160 @@ class ContainmentRecord:
     boundary_concurrent: Optional[bool] = None
 
 
-def _far_point(mode, c_arc, r_arc, c_ref):
-    """Point of the circle (c_arc, r_arc) farthest from disk (c_ref, .)."""
+class LensRelations(NamedTuple):
+    """Per row of three disks and per third disk k (the columns), the lens
+    of the pair opposite k (see ``OPPOSITE``) tested against disk k."""
+
+    inv: np.ndarray            # inversive distance of the pair
+    intersecting: np.ndarray   # per row: all three pairs meet, |inv| <= 1 + CLAMP_EPS
+    meets: np.ndarray          # the pair's boundary circles meet
+    single: np.ndarray         # ... in one point: the lens is that point
+    contained: np.ndarray      # the lens lies in disk k
+    lhs: np.ndarray            # angle(a, k) + angle(b, k)
+    rhs: np.ndarray            # pi + angle(a, b), or pi for a single point
+    holds: np.ndarray          # lhs >= rhs - tol
+    concurrent: np.ndarray     # the single point lies on circle k, to tol
+
+
+def _dot(x, y):
+    return np.einsum("...j,...j->...", x, y)
+
+
+def _contains(mode, c, r, p, slack):
+    """Closed-disk membership of the points p in the disks (c, r), with
+    signed slack (positive slack shrinks)."""
     if mode == EUCLIDEAN:
-        c_arc, c_ref = complex(c_arc), complex(c_ref)
-        d = abs(c_arc - c_ref)
-        if d <= GEOM_EPS:
-            return None
-        return c_arc + r_arc * (c_arc - c_ref) / d
-    n = np.asarray(c_arc, float)
-    m = np.asarray(c_ref, float)
-    w = m - float(np.dot(m, n)) * n
-    nw = np.linalg.norm(w)
-    if nw <= GEOM_EPS:
-        return None
-    return math.cos(r_arc) * n - math.sin(r_arc) * (w / nw)
+        return np.abs(p - c) <= r - slack
+    return _dot(p, c) >= np.cos(r) + slack
 
 
-def _lens_in_disk(mode, ca, ra, cb, rb, cc, rc, corners, eps) -> bool:
-    """Is the lens of disks a, b inside disk c?
+def _corners(mode, c, r, eps):
+    """Per row and third disk k, where the circles of the pair opposite k
+    meet: (meets, tangent, p, q), with p = q where the two are tangent to
+    within eps of the degenerate root (read ``tangent`` with ``meets``)."""
+    i, j = OPPOSITE.T
+    c1, c2, r1, r2 = c[:, i], c[:, j], r[:, i], r[:, j]
+    if mode == EUCLIDEAN:
+        d = np.abs(c2 - c1)
+        a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+        h2, scale = r1 * r1 - a * a, np.maximum(np.maximum(r1, r2), d) ** 2
+        meets, tangent = (d > eps) & (h2 >= -eps * scale), h2 <= eps * scale
+        u = (c2 - c1) / d
+        base, off = c1 + a * u, 1j * np.sqrt(np.where(tangent, 0.0, h2)) * u
+        return meets, tangent, base + off, base - off
+    dot = _dot(c1, c2)
+    det, cr1, cr2 = 1.0 - dot * dot, np.cos(r1), np.cos(r2)
+    a, b = (cr1 - cr2 * dot) / det, (cr2 - cr1 * dot) / det
+    g2 = (1.0 - (a * a + b * b + 2.0 * a * b * dot)) / det
+    meets, tangent = (det > eps) & (g2 >= -eps), g2 <= eps
+    base = a[..., None] * c1 + b[..., None] * c2
+    base = np.where(tangent[..., None], base / np.linalg.norm(base, axis=-1)[..., None], base)
+    off = np.sqrt(np.where(tangent, 0.0, g2))[..., None] * np.cross(c1, c2)
+    return meets, tangent, base + off, base - off
 
-    Sign tests on the two corner points plus, per bounding arc, the point
-    of that arc farthest from disk c when it lies on the lens side.
+
+def _far_points(mode, c_arc, r_arc, c_ref):
+    """The point of each circle (c_arc, r_arc) farthest from c_ref, and
+    where it is defined (the centres are not concentric)."""
+    if mode == EUCLIDEAN:
+        d = np.abs(c_arc - c_ref)
+        return d > GEOM_EPS, c_arc + r_arc * (c_arc - c_ref) / d
+    w = c_ref - _dot(c_ref, c_arc)[..., None] * c_arc
+    nw = np.linalg.norm(w, axis=-1)[..., None]
+    return nw[..., 0] > GEOM_EPS, np.cos(r_arc)[..., None] * c_arc - np.sin(r_arc)[..., None] * (w / nw)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def lens_relations(mode: str, centers, radii, tol: float = 1e-9) -> LensRelations:
+    """The lens containments among rows of three disks, and the angle
+    relation each one forces.
+
+    For a lens of disks a, b inside disk k the relation is angle(a,k) +
+    angle(b,k) >= pi + angle(a,b); a single-point lens inside k forces
+    angle(a,k) + angle(b,k) >= pi, with equality exactly when the three
+    boundaries share a point.  A lens lies in k when its corners do and,
+    per bounding arc, the arc's point farthest from k does if it lies on
+    the lens side.  Rows that are not ``intersecting`` carry no decision.
     """
-    for p in corners:
-        if not disk_contains(mode, cc, rc, p, slack=-eps):
-            return False
-    for (c1, r1, c2, r2) in ((ca, ra, cb, rb), (cb, rb, ca, ra)):
-        f = _far_point(mode, c1, r1, cc)
-        if f is None:
-            # concentric with the reference: arc dist to c is constant
-            if not disk_contains(mode, cc, rc, corners[0], slack=-eps):
-                return False
-            continue
-        if disk_contains(mode, c2, r2, f, slack=-eps) and not disk_contains(
-            mode, cc, rc, f, slack=-eps
-        ):
-            return False
-    return True
+    c, r = np.asarray(centers), np.asarray(radii, dtype=float)
+    pairs = (3 * np.arange(len(r))[:, None, None] + OPPOSITE).reshape(-1, 2)
+    inv = inversive(mode, c.reshape((-1,) + c.shape[2:]), r.ravel(), pairs).reshape(-1, 3)
+    ang = np.arccos(np.clip(inv, -1.0, 1.0))
+    meets, tangent, p, q = _corners(mode, c, r, GEOM_EPS)
+    single = meets & tangent
+    arcs_ok = np.ones_like(single)
+    for arc, other in OPPOSITE.T, OPPOSITE[:, ::-1].T:
+        far, f = _far_points(mode, c[:, arc], r[:, arc], c)
+        arcs_ok &= ~(far & _contains(mode, c[:, other], r[:, other], f, -GEOM_EPS)
+                     & ~_contains(mode, c, r, f, -GEOM_EPS))
+    contained = (meets & _contains(mode, c, r, p, -GEOM_EPS)
+                 & _contains(mode, c, r, q, -GEOM_EPS) & (single | arcs_ok))
+    lhs = np.roll(ang, -1, axis=1) + np.roll(ang, -2, axis=1)
+    rhs = np.where(single, math.pi, math.pi + ang)
+    off = np.abs(np.abs(p - c) - r) if mode == EUCLIDEAN else np.abs(_dot(p, c) - np.cos(r))
+    return LensRelations(inv, (np.abs(inv) <= 1.0 + CLAMP_EPS).all(axis=1), meets, single,
+                         contained, lhs, rhs, lhs >= rhs - tol, single & (off <= tol))
+
+
+def _nonempty(mode, c, r, eps):
+    """Per row, a witness of a common point: a centre in the two other
+    disks (this covers nested rows, whose circles need not meet), or a
+    corner of a pair's lens in the third disk."""
+    own = _contains(mode, c[:, :, None], r[:, :, None], c[:, None, :], -eps)  # [disk, centre]
+    meets, _, p, q = _corners(mode, c, r, eps)
+    corner = meets & (_contains(mode, c, r, p, -eps) | _contains(mode, c, r, q, -eps))
+    return own.all(axis=1).any(axis=1) | corner.any(axis=1)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def triple_intersections_empty(mode: str, centers, radii, eps: float = GEOM_EPS) -> np.ndarray:
+    """Exact arrangement test: per row, is the triple intersection of the
+    three closed disks empty?
+
+    Spherical mode raises CoversSphere when the three open disks of some
+    row cover the sphere (the query is then outside its precondition):
+    exactly when their closed complements have an empty intersection.
+    """
+    c, r = np.asarray(centers), np.asarray(radii, dtype=float)
+    if mode == SPHERICAL and not _nonempty(mode, -c, math.pi - r, eps).all():
+        raise CoversSphere("open disks cover the sphere")
+    return ~_nonempty(mode, c, r, eps)
+
+
+def _one_row(mode, centers, radii):
+    """Three disks as the one row the row-wise relations take."""
+    _check_mode(mode)
+    if mode == EUCLIDEAN:
+        return np.array([[complex(x) for x in centers]]), np.array([radii], dtype=float)
+    c = np.array([centers], dtype=float)
+    if np.any(np.abs(np.linalg.norm(c, axis=-1) - 1.0) > 1e-8):
+        raise ValueError("spherical centers must be unit vectors")
+    return c, np.array([radii], dtype=float)
 
 
 def containment_angle_check(mode: str, centers, radii, tol: float = 1e-9):
-    """Detect lens containments among three mutually intersecting disks and
-    check the angle relation each one forces.
-
-    For a contained lens of disks a, b inside disk c the relation is
-    angle(a,c) + angle(b,c) >= pi + angle(a,b).  A single-point lens inside
-    c forces angle(a,c) + angle(b,c) >= pi, with equality exactly when the
-    three boundaries share a point.
-    """
-    cs, rs = _as_disks(mode, centers, radii)
-    invs = {}
-    for a in range(3):
-        for b in range(a + 1, 3):
-            inv = inversive_distance(mode, cs[a], rs[a], cs[b], rs[b])
-            if abs(inv) > 1.0 + CLAMP_EPS:
-                raise NotMutuallyIntersecting(
-                    f"disks {a},{b} have inversive distance {inv}"
-                )
-            invs[(a, b)] = min(1.0, max(-1.0, inv))
-
-    def angle(a, b):
-        return math.acos(invs[(min(a, b), max(a, b))])
-
+    """``lens_relations`` of one row of three mutually intersecting disks:
+    one ContainmentRecord per pair whose circles meet, in the order of the
+    third disk."""
+    rel = lens_relations(mode, *_one_row(mode, centers, radii), tol)
+    inv = rel.inv[0]
+    for k in (2, 1, 0):  # the pairs (0, 1), (0, 2), (1, 2)
+        if abs(inv[k]) > 1.0 + CLAMP_EPS:
+            a, b = OPPOSITE[k]
+            raise NotMutuallyIntersecting(f"disks {a},{b} have inversive distance {inv[k]}")
     records = []
-    for c in range(3):
-        a, b = [m for m in range(3) if m != c]
-        corners = circle_pair_points(mode, cs[a], rs[a], cs[b], rs[b])
-        if corners is None:
-            # one disk inside the other would have been caught above
+    for k in np.flatnonzero(rel.meets[0]).tolist():
+        pair, single = tuple(OPPOSITE[k].tolist()), bool(rel.single[0, k])
+        if not rel.contained[0, k]:
+            records.append(ContainmentRecord(pair, k, False, single))
             continue
-        single = len(corners) == 1
-        if single:
-            p = corners[0]
-            if not disk_contains(mode, cs[c], rs[c], p, slack=-GEOM_EPS):
-                records.append(ContainmentRecord((a, b), c, False, True))
-                continue
-            on_boundary = _on_circle(mode, cs[c], rs[c], p, tol)
-            lhs = angle(a, c) + angle(b, c)
-            records.append(
-                ContainmentRecord(
-                    pair=(a, b),
-                    third=c,
-                    contained=True,
-                    single_point=True,
-                    lhs=lhs,
-                    rhs=math.pi,
-                    slack=lhs - math.pi,
-                    relation_holds=lhs >= math.pi - tol,
-                    boundary_concurrent=on_boundary,
-                )
-            )
-            continue
-        contained = _lens_in_disk(
-            mode, cs[a], rs[a], cs[b], rs[b], cs[c], rs[c], corners, GEOM_EPS
-        )
-        if not contained:
-            records.append(ContainmentRecord((a, b), c, False, False))
-            continue
-        lhs = angle(a, c) + angle(b, c)
-        rhs = math.pi + angle(a, b)
-        records.append(
-            ContainmentRecord(
-                pair=(a, b),
-                third=c,
-                contained=True,
-                single_point=False,
-                lhs=lhs,
-                rhs=rhs,
-                slack=lhs - rhs,
-                relation_holds=lhs >= rhs - tol,
-            )
-        )
+        lhs, rhs = float(rel.lhs[0, k]), float(rel.rhs[0, k])
+        records.append(ContainmentRecord(
+            pair, k, True, single, lhs, rhs, lhs - rhs, bool(rel.holds[0, k]),
+            bool(rel.concurrent[0, k]) if single else None))
     return records
 
 
-def _on_circle(mode, center, radius, point, tol) -> bool:
-    if mode == EUCLIDEAN:
-        return abs(abs(complex(point) - complex(center)) - radius) <= tol
-    dot = float(np.dot(np.asarray(point, float), np.asarray(center, float)))
-    return abs(dot - math.cos(radius)) <= tol
-
-
 def triple_intersection_empty(mode: str, centers, radii, eps: float = GEOM_EPS) -> bool:
-    """Exact arrangement test: is the triple intersection of the closed
-    disks empty?
-
-    Spherical mode raises CoversSphere when the three open disks cover the
-    sphere (the query is then outside its precondition).
-    """
-    cs, rs = _as_disks(mode, centers, radii)
-    if mode == SPHERICAL:
-        # complement caps: open disks cover the sphere iff the closed
-        # complements have empty intersection
-        comp_c = [-c for c in cs]
-        comp_r = [math.pi - r for r in rs]
-        if _triple_nonempty(mode, comp_c, comp_r, eps) is False:
-            raise CoversSphere("open disks cover the sphere")
-    return not _triple_nonempty(mode, cs, rs, eps)
-
-
-def _triple_nonempty(mode, cs, rs, eps) -> bool:
-    # a center inside the two other disks witnesses nonemptiness (covers
-    # nested configurations with no boundary corners)
-    for m in range(3):
-        others = [x for x in range(3) if x != m]
-        if all(disk_contains(mode, cs[o], rs[o], cs[m], slack=-eps)
-               for o in others):
-            return True
-    # otherwise some corner of a pairwise lens must lie in the third disk
-    for c in range(3):
-        a, b = [m for m in range(3) if m != c]
-        pts = circle_pair_points(mode, cs[a], rs[a], cs[b], rs[b], eps)
-        if not pts:
-            continue
-        for p in pts:
-            if disk_contains(mode, cs[c], rs[c], p, slack=-eps):
-                return True
-    return False
+    """``triple_intersections_empty`` of one row of three disks."""
+    return bool(triple_intersections_empty(mode, *_one_row(mode, centers, radii), eps)[0])

@@ -6,7 +6,7 @@ from inversive distances, interstices are certified face by face at the
 radical centre of the face's three circles, irreducibility and the flower
 cover are decided exactly by arc coverage (one test point per arc of the
 circle arrangement around each disk), and the three-circle relations are
-tested with the exact arrangement primitives.
+decided for all 3-cliques (faces) at once by the row-wise ``triples`` tests.
 """
 from __future__ import annotations
 
@@ -488,23 +488,21 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     flower_failures = _flower_failures(p, np.arange(t.vertex_count), 1e-9)
     flower_ok = not flower_failures
 
-    lens_records = []
     # every 3-clique of the 1-skeleton: faces and separating triangles
-    for tri in cycle_arrays(t, 3)[0]["vertices"].tolist():
-        try:
-            records = triples.containment_angle_check(p.mode, p.centers[tri], p.radii[tri])
-        except triples.NotMutuallyIntersecting:
-            continue
-        lens_records += [{"triple": tri, "pair": [tri[rec.pair[0]], tri[rec.pair[1]]],
-                          "third": tri[rec.third], "lhs": rec.lhs, "rhs": rec.rhs,
-                          "holds": rec.relation_holds} for rec in records if rec.contained]
+    tri = cycle_arrays(t, 3)[0]["vertices"]
+    rel = triples.lens_relations(p.mode, p.centers[tri], p.radii[tri])
+    row, k = np.nonzero(rel.contained & rel.intersecting[:, None])
+    lens_records = [{"triple": a, "pair": b, "third": c, "lhs": lhs, "rhs": rhs, "holds": h}
+                    for a, b, c, lhs, rhs, h in zip(
+                        tri[row].tolist(), tri[row[:, None], triples.OPPOSITE[k]].tolist(),
+                        tri[row, k].tolist(), rel.lhs[row, k].tolist(),
+                        rel.rhs[row, k].tolist(), rel.holds[row, k].tolist())]
     lens_ok = all(rec["holds"] for rec in lens_records)
 
-    triple_failures = [
-        face for face, c in zip(t.faces, face_cmp)
-        if c < 0 and not triples.triple_intersection_empty(p.mode, p.centers[list(face)],
-                                                           p.radii[list(face)])
-    ]
+    below = np.flatnonzero(face_cmp < 0)
+    faces = t.face_array[below]
+    full = ~triples.triple_intersections_empty(p.mode, p.centers[faces], p.radii[faces])
+    triple_failures = [t.faces[f] for f in below[full]]
     triple_ok = not triple_failures
 
     passed = (angle_ok and graph_ok and disjoint_ok and irr_ok and interstice_ok

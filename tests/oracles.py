@@ -5,8 +5,10 @@ library: subset brute force instead of frontier enumeration, union-find
 face grouping instead of BFS flood fill, GF(2) homology ranks instead of
 simplex counting, and direct trigonometric formulas instead of the kernel
 helpers.  The reference condition engine is the per-circuit DFS and loops
-that the library's index-array kernel replaced, and the references for the
-verifier's exact irreducibility and flower tests sample each disk.
+that the library's index-array kernel replaced, the references for the
+verifier's exact irreducibility and flower tests sample each disk, and
+the three-circle relations are the per-triple scalar code that the
+library's row-wise relations replaced.
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
+
+from circlepattern import errors, triples
 
 PI = math.pi
 EPS = 1e-12
@@ -683,3 +687,261 @@ def radical_centre(centers, radii) -> complex:
     a1, b1, a2, b2 = 2 * (x1 - x0), 2 * (y1 - y0), 2 * (x2 - x0), 2 * (y2 - y0)
     det = a1 * b2 - a2 * b1
     return complex(float((e1 * b2 - e2 * b1) / det), float((a1 * e2 - a2 * e1) / det))
+
+
+# ---------------------------------------------------------------------------
+# per-triple references for the three-circle relations: the scalar code
+# that the library's row-wise relations replaced
+# ---------------------------------------------------------------------------
+
+def as_disks(mode, centers, radii):
+    if mode == triples.EUCLIDEAN:
+        cs = [complex(c) for c in centers]
+    else:
+        cs = [np.asarray(c, dtype=float) for c in centers]
+        for c in cs:
+            n = np.linalg.norm(c)
+            if abs(n - 1.0) > 1e-8:
+                raise ValueError("spherical centers must be unit vectors")
+    return cs, [float(r) for r in radii]
+
+
+def disk_contains(mode: str, center, radius: float, point, slack: float = 0.0) -> bool:
+    """Closed-disk membership with signed slack (positive slack shrinks)."""
+    if mode == triples.EUCLIDEAN:
+        return abs(complex(point) - complex(center)) <= radius - slack
+    dot = float(np.dot(np.asarray(point, float), np.asarray(center, float)))
+    return dot >= math.cos(radius) + slack
+
+
+def circle_pair_points(mode: str, c1, r1: float, c2, r2: float, eps: float = triples.GEOM_EPS):
+    """Intersection points of two boundary circles (0, 1, or 2 points).
+
+    A tangency (within eps of the degenerate root) yields one point.
+    Returns None when the boundaries do not meet.
+    """
+    if mode not in (triples.EUCLIDEAN, triples.SPHERICAL):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == triples.EUCLIDEAN:
+        c1, c2 = complex(c1), complex(c2)
+        d = abs(c2 - c1)
+        if d <= eps:
+            return None
+        a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+        h2 = r1 * r1 - a * a
+        scale = max(r1, r2, d) ** 2
+        if h2 < -eps * scale:
+            return None
+        u = (c2 - c1) / d
+        base = c1 + a * u
+        if h2 <= eps * scale:
+            return (base,)
+        h = math.sqrt(h2)
+        return (base + 1j * h * u, base - 1j * h * u)
+    n1 = np.asarray(c1, float)
+    n2 = np.asarray(c2, float)
+    cr1, cr2 = math.cos(r1), math.cos(r2)
+    dot = float(np.dot(n1, n2))
+    det = 1.0 - dot * dot
+    if det <= eps:
+        return None
+    a = (cr1 - cr2 * dot) / det
+    b = (cr2 - cr1 * dot) / det
+    cross = np.cross(n1, n2)
+    g2 = (1.0 - (a * a + b * b + 2.0 * a * b * dot)) / det
+    if g2 < -eps:
+        return None
+    base = a * n1 + b * n2
+    if g2 <= eps:
+        p = base / np.linalg.norm(base)
+        return (p,)
+    g = math.sqrt(g2)
+    return (base + g * cross, base - g * cross)
+
+
+def far_point(mode, c_arc, r_arc, c_ref):
+    """Point of the circle (c_arc, r_arc) farthest from disk (c_ref, .)."""
+    if mode == triples.EUCLIDEAN:
+        c_arc, c_ref = complex(c_arc), complex(c_ref)
+        d = abs(c_arc - c_ref)
+        if d <= triples.GEOM_EPS:
+            return None
+        return c_arc + r_arc * (c_arc - c_ref) / d
+    n = np.asarray(c_arc, float)
+    m = np.asarray(c_ref, float)
+    w = m - float(np.dot(m, n)) * n
+    nw = np.linalg.norm(w)
+    if nw <= triples.GEOM_EPS:
+        return None
+    return math.cos(r_arc) * n - math.sin(r_arc) * (w / nw)
+
+
+def lens_in_disk(mode, ca, ra, cb, rb, cc, rc, corners, eps) -> bool:
+    """Is the lens of disks a, b inside disk c?
+
+    Sign tests on the two corner points plus, per bounding arc, the point
+    of that arc farthest from disk c when it lies on the lens side.
+    """
+    for p in corners:
+        if not disk_contains(mode, cc, rc, p, slack=-eps):
+            return False
+    for (c1, r1, c2, r2) in ((ca, ra, cb, rb), (cb, rb, ca, ra)):
+        f = far_point(mode, c1, r1, cc)
+        if f is None:
+            # concentric with the reference: arc dist to c is constant
+            if not disk_contains(mode, cc, rc, corners[0], slack=-eps):
+                return False
+            continue
+        if disk_contains(mode, c2, r2, f, slack=-eps) and not disk_contains(
+            mode, cc, rc, f, slack=-eps
+        ):
+            return False
+    return True
+
+
+def containment_angle_check(mode: str, centers, radii, tol: float = 1e-9):
+    """Detect lens containments among three mutually intersecting disks and
+    check the angle relation each one forces.
+
+    For a contained lens of disks a, b inside disk c the relation is
+    angle(a,c) + angle(b,c) >= pi + angle(a,b).  A single-point lens inside
+    c forces angle(a,c) + angle(b,c) >= pi, with equality exactly when the
+    three boundaries share a point.
+    """
+    cs, rs = as_disks(mode, centers, radii)
+    invs = {}
+    for a in range(3):
+        for b in range(a + 1, 3):
+            inv = triples.inversive_distance(mode, cs[a], rs[a], cs[b], rs[b])
+            if abs(inv) > 1.0 + triples.CLAMP_EPS:
+                raise errors.NotMutuallyIntersecting(
+                    f"disks {a},{b} have inversive distance {inv}"
+                )
+            invs[(a, b)] = min(1.0, max(-1.0, inv))
+
+    def angle(a, b):
+        return math.acos(invs[(min(a, b), max(a, b))])
+
+    records = []
+    for c in range(3):
+        a, b = [m for m in range(3) if m != c]
+        corners = circle_pair_points(mode, cs[a], rs[a], cs[b], rs[b])
+        if corners is None:
+            # one disk inside the other would have been caught above
+            continue
+        single = len(corners) == 1
+        if single:
+            p = corners[0]
+            if not disk_contains(mode, cs[c], rs[c], p, slack=-triples.GEOM_EPS):
+                records.append(triples.ContainmentRecord((a, b), c, False, True))
+                continue
+            on_boundary = on_circle(mode, cs[c], rs[c], p, tol)
+            lhs = angle(a, c) + angle(b, c)
+            records.append(
+                triples.ContainmentRecord(
+                    pair=(a, b),
+                    third=c,
+                    contained=True,
+                    single_point=True,
+                    lhs=lhs,
+                    rhs=math.pi,
+                    slack=lhs - math.pi,
+                    relation_holds=lhs >= math.pi - tol,
+                    boundary_concurrent=on_boundary,
+                )
+            )
+            continue
+        contained = lens_in_disk(
+            mode, cs[a], rs[a], cs[b], rs[b], cs[c], rs[c], corners, triples.GEOM_EPS
+        )
+        if not contained:
+            records.append(triples.ContainmentRecord((a, b), c, False, False))
+            continue
+        lhs = angle(a, c) + angle(b, c)
+        rhs = math.pi + angle(a, b)
+        records.append(
+            triples.ContainmentRecord(
+                pair=(a, b),
+                third=c,
+                contained=True,
+                single_point=False,
+                lhs=lhs,
+                rhs=rhs,
+                slack=lhs - rhs,
+                relation_holds=lhs >= rhs - tol,
+            )
+        )
+    return records
+
+
+def on_circle(mode, center, radius, point, tol) -> bool:
+    if mode == triples.EUCLIDEAN:
+        return abs(abs(complex(point) - complex(center)) - radius) <= tol
+    dot = float(np.dot(np.asarray(point, float), np.asarray(center, float)))
+    return abs(dot - math.cos(radius)) <= tol
+
+
+def triple_intersection_empty(mode: str, centers, radii, eps: float = triples.GEOM_EPS) -> bool:
+    """Exact arrangement test: is the triple intersection of the closed
+    disks empty?
+
+    Spherical mode raises CoversSphere when the three open disks cover the
+    sphere (the query is then outside its precondition).
+    """
+    cs, rs = as_disks(mode, centers, radii)
+    if mode == triples.SPHERICAL:
+        # complement caps: open disks cover the sphere iff the closed
+        # complements have empty intersection
+        comp_c = [-c for c in cs]
+        comp_r = [math.pi - r for r in rs]
+        if triple_nonempty(mode, comp_c, comp_r, eps) is False:
+            raise errors.CoversSphere("open disks cover the sphere")
+    return not triple_nonempty(mode, cs, rs, eps)
+
+
+def triple_nonempty(mode, cs, rs, eps) -> bool:
+    # a center inside the two other disks witnesses nonemptiness (covers
+    # nested configurations with no boundary corners)
+    for m in range(3):
+        others = [x for x in range(3) if x != m]
+        if all(disk_contains(mode, cs[o], rs[o], cs[m], slack=-eps)
+               for o in others):
+            return True
+    # otherwise some corner of a pairwise lens must lie in the third disk
+    for c in range(3):
+        a, b = [m for m in range(3) if m != c]
+        pts = circle_pair_points(mode, cs[a], rs[a], cs[b], rs[b], eps)
+        if not pts:
+            continue
+        for p in pts:
+            if disk_contains(mode, cs[c], rs[c], p, slack=-eps):
+                return True
+    return False
+
+
+def reference_lens_records(p) -> List[dict]:
+    """The lens records of ``verify_pattern``, one 3-clique at a time."""
+    from circlepattern.triangulation import cycle_arrays
+
+    records = []
+    for tri in cycle_arrays(p.triangulation, 3)[0]["vertices"].tolist():
+        try:
+            recs = containment_angle_check(p.mode, p.centers[tri], p.radii[tri])
+        except errors.NotMutuallyIntersecting:
+            continue
+        records += [{"triple": tri, "pair": [tri[rec.pair[0]], tri[rec.pair[1]]],
+                     "third": tri[rec.third], "lhs": rec.lhs, "rhs": rec.rhs,
+                     "holds": rec.relation_holds} for rec in recs if rec.contained]
+    return records
+
+
+def reference_triple_failures(p) -> list:
+    """The faces with angle sum below pi whose disks share a point, one
+    face at a time."""
+    from circlepattern.conditions import face_sums
+
+    t = p.triangulation
+    _, face_cmp = face_sums(t, p.theta.array())
+    return [face for face, c in zip(t.faces, face_cmp)
+            if c < 0 and not triple_intersection_empty(p.mode, p.centers[list(face)],
+                                                       p.radii[list(face)])]

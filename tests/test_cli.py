@@ -144,12 +144,19 @@ class TestBadInput:
         ("verify", "plane", ("marked_face",), [0, 1, 5], 4),
         ("render", "plane", ("marked_face",), [0, 1, 5], 3),
         ("polyhedron", "sphere", ("marked_face",), [0, 1, 5], 5),
+        ("verify", "plane", ("circles", 0, "center"), [math.nan, 0.0], 4),
+        ("render", "plane", ("circles", 0, "center"), [0.0, math.inf], 3),
+        ("polyhedron", "sphere", ("circles", 0, "center"), [math.nan, 0.0, 0.0], 5),
+        ("lift", "plane", ("circles", 0, "center"), [-math.inf, 0.0], 3),
     ], ids=["face-entry", "vertices", "faces", "edge", "center", "radius",
-            "marked-verify", "marked-render", "marked-polyhedron"])
+            "marked-verify", "marked-render", "marked-polyhedron",
+            "nan-center-verify", "inf-center-render", "nan-center-polyhedron",
+            "inf-center-lift"])
     def test_malformed_json(self, octa_json, capsys, command, base, path, value, code):
         """A value of the wrong type or shape ends in one line on stderr and
         exit 1 from the loaders; a marked face that is not a face ends in
-        the command's own failure code."""
+        the command's own failure code, as does a centre that is not a
+        finite number (JSON as Python writes it has NaN and Infinity)."""
         root, data = octa_json
         assert not shapes.octahedron().is_face([0, 1, 5])
         data = copy.deepcopy(data[base])
@@ -163,10 +170,21 @@ class TestBadInput:
                              bad if base == "theta" else root / "theta.json"],
                 "verify": ["verify", "--pattern", bad],
                 "render": ["render", bad, "--out", root / "bad.svg"],
-                "polyhedron": ["polyhedron", "--pattern", bad]}[command]
+                "polyhedron": ["polyhedron", "--pattern", bad],
+                "lift": ["lift", bad]}[command]
         assert main([str(a) for a in argv]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("flag", [("--size", "0"), ("--size", "-5"),
+                                      ("--stroke-width", "-1")])
+    def test_bad_render_size(self, octa_json, capsys, flag):
+        """A size below 1 or a negative stroke width is a usage error, and
+        no SVG is written."""
+        root, _ = octa_json
+        out = root / "sized.svg"
+        self._usage_error(["render", root / "plane.json", "--out", out, *flag], capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("faces", [[[0, 1, 2], [0, 1, 2]],
                                        [[0, 1, 2], [0, 2, 3], [0, 3, 1]]],

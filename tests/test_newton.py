@@ -275,7 +275,7 @@ def test_min_norm_step_falls_back_on_near_rank_loss():
     assert np.array_equal(got, np.linalg.lstsq(to_dense(J, (len(f), n_cols)), -f, rcond=None)[0])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 40), flips=st.integers(0, 60),
        mode=st.sampled_from(["euclidean", "spherical"]), tie=st.booleans(),
        backend=st.sampled_from(["dense", "sparse"]))

@@ -22,7 +22,7 @@ PI = math.pi
 
 # derandomized, without an example database, so every run checks the same
 # triples
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+PROPERTY = settings(max_examples=300)
 
 
 @pytest.fixture(scope="module")

@@ -166,7 +166,7 @@ class TestExactFlower:
     """The exact flower test against the sampled reference in ``oracles``,
     on solved patterns with one disk scaled and maybe moved."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(base=st.integers(0, 4), vertex=st.integers(0, 11), move=st.booleans(),
            size=st.floats(0.0, 3.0), scale=st.floats(0.5, 1.6), turn=st.floats(0.0, 2 * PI))
     def test_perturbed_patterns(self, base, vertex, move, size, scale, turn):
@@ -383,6 +383,38 @@ class TestThreeCircleRelations:
             done += 1
 
 
+class TestThreeCircleRelationsOnPatterns:
+    """Checks (f) and (g) of ``verify_pattern``, all 3-cliques and faces at
+    once, against the per-triple reference loops in ``oracles``, on solved
+    patterns (planar, and lifted to the sphere) whose disks are grown until
+    lenses lie in third disks and face triples share points."""
+
+    @pytest.mark.parametrize("mode", ["euclidean", "spherical"])
+    @pytest.mark.parametrize("name", ["octahedron", "icosahedron"])
+    def test_same_records_as_reference(self, name, mode):
+        t = getattr(shapes, name)()
+        th = AngleAssignment.constant(t, 0.0)
+        cfg, _ = solve_euclidean(t, th, pick_marked_face(t, th))
+        p = (CirclePattern.from_euclidean(t, th, cfg) if mode == "euclidean"
+             else CirclePattern.from_spherical(t, th, lift_to_sphere(cfg)))
+        lens = triple = 0
+        for v, grow, big in ((0, 1.3, 2.0), (0, 1.2, 1.6), (3, 1.3, 2.5), (5, 1.1, 1.5)):
+            radii = np.minimum(p.radii * grow, 3.0)
+            radii[v] = min(radii[v] * big, 3.0)
+            q = CirclePattern(t, th, p.mode, p.centers, radii, p.marked_face)
+            rep, want = verify_pattern(q), oracles.reference_lens_records(q)
+            floats = ("lhs", "rhs")
+            assert ([{k: x for k, x in rec.items() if k not in floats} for rec in rep.lens_records]
+                    == [{k: x for k, x in rec.items() if k not in floats} for rec in want])
+            assert all(abs(a[k] - b[k]) <= 1e-11
+                       for a, b in zip(rep.lens_records, want) for k in floats)
+            assert rep.triple_failures == oracles.reference_triple_failures(q)
+            assert rep.lens_relation_ok and not rep.empty_triple_ok and not rep.passed
+            lens += len(rep.lens_records)
+            triple += len(rep.triple_failures)
+        assert lens and triple
+
+
 def _planar(t, value=0.0):
     th = AngleAssignment.constant(t, value)
     cfg, _ = solve_euclidean(t, th, pick_marked_face(t, th))
@@ -567,7 +599,7 @@ def _disk_family(mode, seed, n, tangent, big):
 class TestExactIrreducibility:
     """The arc-coverage kernel against the sampled all-disk reference."""
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(mode=st.sampled_from(["euclidean", "spherical"]), seed=st.integers(0, 2 ** 32 - 1),
            n=st.integers(6, 10), tangent=st.integers(0, 3), big=st.booleans())
     def test_random_families(self, mode, seed, n, tangent, big):
