@@ -46,13 +46,12 @@ def _emit(text: str, out: str | None) -> None:
 def _solver_options(args) -> SolveOptions:
     from .options import SolveOptions
 
-    opts = SolveOptions()
-    for name in ("tol_K", "tol_angle", "tol_layout", "max_iters", "diag_max",
-                 "min_step", "auto_mark"):
-        val = getattr(args, name, None)
-        if val is not None:
-            opts = opts.with_(**{name: val})
-    return opts
+    given = {name: getattr(args, name, None) for name in (
+        "tol_K", "tol_angle", "tol_layout", "max_iters", "diag_max", "min_step", "auto_mark")}
+    try:
+        return SolveOptions(**{name: val for name, val in given.items() if val is not None})
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _add_solver_flags(sub) -> None:
@@ -207,6 +206,8 @@ def _cmd_lift(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import verify_pattern
 
+    if not 0.0 <= args.tol < float("inf"):
+        raise UsageError(f"--tol {args.tol} is out of range")
     p = formats.load_pattern(args.pattern)
     report = verify_pattern(p, tol=args.tol, boundary_samples=args.resolution)
     _emit(formats.dumps(report.to_dict()), args.json_out)
@@ -249,7 +250,10 @@ def _cmd_diagnose(args) -> int:
     theta = formats.load_theta(t, args.theta)
     fid = _parse_marked(t, args.marked_face)
     avoid = () if fid is None else t.faces[fid]
-    table = rank_collapse_suspects(t, theta, args.diag_max, avoid=avoid, top=50)
+    try:
+        table = rank_collapse_suspects(t, theta, args.diag_max, avoid=avoid, top=50)
+    except ValueError as exc:
+        raise UsageError(f"--diag-max: {exc}")
     _emit(formats.dumps({"suspects": [d.to_dict() for d in table]}), args.json_out)
     return 0
 

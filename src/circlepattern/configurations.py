@@ -18,6 +18,7 @@ if TYPE_CHECKING:
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
 DISJOINT_EPS = 1e-9      # inversive slack distinguishing overlap from contact
+ROUNDING = 16.0 * np.finfo(float).eps  # near-pair margin, relative to coordinates and reach
 
 
 @dataclass
@@ -124,28 +125,78 @@ class CirclePattern:
     # -- pairwise quantities -------------------------------------------
 
     def inversive_matrix(self) -> np.ndarray:
-        if self.mode == EUCLIDEAN:
-            d2 = np.abs(self.centers[:, None] - self.centers[None, :]) ** 2
-            r2 = self.radii * self.radii
-            out = (d2 - r2[:, None] - r2[None, :]) / (2.0 * np.outer(self.radii, self.radii))
-        else:
-            dots = self.centers @ self.centers.T
-            cr, sr = np.cos(self.radii), np.sin(self.radii)
-            out = (np.outer(cr, cr) - dots) / np.outer(sr, sr)
+        idx = np.arange(len(self.radii))
+        out = self._inversive(idx[:, None], idx)
         np.fill_diagonal(out, -1.0)
         return out
 
+    def _inversive(self, u, v) -> np.ndarray:
+        """Inversive distances of the disk pairs (u, v), index arrays that broadcast."""
+        ru, rv = self.radii[u], self.radii[v]
+        if self.mode == EUCLIDEAN:
+            d2 = np.abs(self.centers[u] - self.centers[v]) ** 2
+            return (d2 - ru * ru - rv * rv) / (2.0 * (ru * rv))
+        dots = np.einsum("...j,...j->...", self.centers[u], self.centers[v])
+        return (np.cos(ru) * np.cos(rv) - dots) / (np.sin(ru) * np.sin(rv))
+
     def point_in_disks(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
         """Boolean (num points, num disks) closed-disk membership matrix."""
-        return _in_disks(self, points, np.arange(len(self.radii)), slack)
+        if self.mode == EUCLIDEAN:
+            return np.abs(points[:, None] - self.centers[None, :]) <= self.radii[None, :] - slack
+        return points @ self.centers.T >= np.cos(self.radii)[None, :] + slack
 
 
-def _in_disks(p: CirclePattern, points: np.ndarray, disks, slack: float) -> np.ndarray:
-    """Columns ``disks`` of ``p.point_in_disks(points, slack)``, for those disks only."""
+def near_pairs(mode: str, centers: np.ndarray, reach, points=None):
+    """The pairs (u, v), u < v, of disks that may meet when grown to
+    ``reach`` and a rounding margin, sorted; with ``points`` (of reach 0),
+    the pairs (point, disk).  ``reach`` is a distance in the plane and a
+    chord on the sphere, which is subadditive: 2 sin(r/2) for a cap of
+    radius r, sqrt(2 - 2 kappa) for the test c . x >= kappa.  Sort and
+    sweep (Cohen, Lin, Manocha & Ponamgi, *I-COLLIDE*, 1995) along the axis
+    where the disks' intervals hold fewest others (or points), counted
+    before any pair is built; the exact distance keeps the pairs in reach."""
+    def chart(x, reach):  # coordinates in R^d, and reach with a rounding margin
+        if mode == EUCLIDEAN:
+            x = np.column_stack([x.real, x.imag])
+        else:  # a dot rounds by ulps, and a centre may be off the sphere by more
+            off = np.abs(np.einsum("ij,ij->i", x, x) - 1.0)
+            reach = np.sqrt(reach * reach + 4.0 * off + ROUNDING)
+        return x, reach + ROUNDING * (np.abs(x).max(axis=1) + reach)
+
+    x, reach = chart(centers, np.asarray(reach, dtype=float))
+    y, far = (x, reach) if points is None else chart(points, np.zeros(len(points)))
+    pad = 0.0 if points is None else far.max(initial=0.0)
+    lo, hi = x - (reach + pad)[:, None], x + (reach + pad)[:, None]
+    key = lo if points is None else y  # a disk's interval holds the later disks' starts, or points
+    orders = np.argsort(key, axis=0, kind="stable")
+    sweeps = []
+    for k, order in enumerate(orders.T):
+        s = key[order, k]
+        start = np.argsort(order) + 1 if points is None else np.searchsorted(s, lo[:, k], "left")
+        count = np.searchsorted(s, hi[:, k], "right") - start
+        sweeps.append((count.sum(), k, start, count))
+    _, k, start, count = min(sweeps)
+    i = np.repeat(np.arange(len(x)), count)
+    j = orders[np.arange(len(i)) - np.repeat(np.cumsum(count) - count - start, count), k]
+    d = x[i] - y[j]
+    keep = np.einsum("ij,ij->i", d, d) <= (reach[i] + far[j]) ** 2
+    i, j = i[keep], j[keep]
+    u, v = (np.minimum(i, j), np.maximum(i, j)) if points is None else (j, i)
+    order = np.argsort(u * len(x) + v)
+    return u[order], v[order]
+
+
+def _holding_pairs(p: CirclePattern, points: np.ndarray, slack: float, rounding: float = 0.0):
+    """The pairs (k, u) of ``p.point_in_disks(points, slack)`` that hold,
+    from the near pairs; in the plane each disk grows also by ``rounding``
+    times |point| + |c| + r."""
+    c, r = p.centers, p.radii
     if p.mode == EUCLIDEAN:
-        d = np.abs(points[:, None] - p.centers[None, disks])
-        return d <= p.radii[None, disks] - slack
-    # BLAS rounds a one-column product unlike a column of a wider one: pad to two
-    cols = np.resize(disks, max(len(disks), 2)) if len(disks) else disks
-    dots = (points @ p.centers[cols].T)[:, :len(disks)]
-    return dots >= np.cos(p.radii[disks])[None, :] + slack
+        k, u = near_pairs(p.mode, c, r - slack + 2.0 * rounding * (np.abs(c) + r), points)
+        bound = r[u] - slack + rounding * (np.abs(points[k]) + np.abs(c[u]) + r[u])
+        inside = np.abs(points[k] - c[u]) <= bound
+    else:
+        kappa = np.cos(r) + slack
+        k, u = near_pairs(p.mode, c, np.sqrt(np.maximum(2.0 - 2.0 * kappa, 0.0)), points)
+        inside = np.einsum("ij,ij->i", points[k], c[u]) >= kappa[u]
+    return k[inside], u[inside]

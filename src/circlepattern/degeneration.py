@@ -90,6 +90,8 @@ def rank_collapse_suspects(
     top: int = 10,
 ) -> List[DegenerationFunctional]:
     """Connected subsets ranked by functional value, most suspect first."""
+    if max_size < 1:
+        raise ValueError(f"max_size = {max_size} is out of range")
     vals = [
         degeneration_functional(t, theta, s)
         for s in connected_subsets(t, max_size, avoid)

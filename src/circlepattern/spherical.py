@@ -23,7 +23,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .conditions import AngleAssignment, classify
-from .configurations import CurvatureReport, EuclideanConfiguration, SphericalConfiguration
+from .configurations import (CurvatureReport, EuclideanConfiguration, SphericalConfiguration,
+                             near_pairs)
 from .degeneration import sublevel_suspects
 from .errors import (
     BaseSolveFailed,
@@ -205,13 +206,9 @@ def _is_genuine(t: Triangulation, centers: np.ndarray, radii: np.ndarray,
     dets = np.linalg.det(centers[np.asarray(t.faces, dtype=int)])
     if not (np.all(dets > 0.0) or np.all(dets < 0.0)):
         return False
-    cr, sr = np.cos(radii), np.sin(radii)
-    inv = (np.outer(cr, cr) - centers @ centers.T) / np.outer(sr, sr)
-    far = np.ones_like(inv, dtype=bool)
-    np.fill_diagonal(far, False)
-    edges = np.asarray(t.edges, dtype=int)
-    far[edges[:, 0], edges[:, 1]] = far[edges[:, 1], edges[:, 0]] = False
-    return not np.any(inv[far] < 1.0 - overlap_tol)
+    u, v = near_pairs(triples.SPHERICAL, centers, 2.0 * np.sin(0.5 * radii))
+    far = np.column_stack([u, v])[t.edge_ids(u, v) < 0]
+    return not np.any(inversive(triples.SPHERICAL, centers, radii, far) < 1.0 - overlap_tol)
 
 
 # ---------------------------------------------------------------------------

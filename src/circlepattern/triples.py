@@ -509,12 +509,18 @@ def lens_relations(mode: str, centers, radii, tol: float = 1e-9) -> LensRelation
 
 def _nonempty(mode, c, r, eps):
     """Per row, a witness of a common point: a centre in the two other
-    disks (this covers nested rows, whose circles need not meet), or a
-    corner of a pair's lens in the third disk."""
-    own = _contains(mode, c[:, :, None], r[:, :, None], c[:, None, :], -eps)  # [disk, centre]
+    disks (this covers nested rows, whose circles need not meet), a
+    corner of a pair's lens in the third disk, or else a point of a circle
+    in the two other disks: an intersection without corners is bounded by
+    whole circles (concentric or antipodal pairs have no corners)."""
+    e1 = None if mode == EUCLIDEAN else tangent_frames(c.reshape(-1, 3))[0].reshape(c.shape)
+    on = c + r if mode == EUCLIDEAN else np.cos(r)[..., None] * c + np.sin(r)[..., None] * e1
+    own, circle = (_contains(mode, c[:, :, None], r[:, :, None], x[:, None, :], -eps)
+                   for x in (c, on))  # [disk, centre or circle]
     meets, _, p, q = _corners(mode, c, r, eps)
     corner = meets & (_contains(mode, c, r, p, -eps) | _contains(mode, c, r, q, -eps))
-    return own.all(axis=1).any(axis=1) | corner.any(axis=1)
+    circle |= np.eye(3, dtype=bool)  # each point is on its own circle
+    return (own.all(axis=1) | circle.all(axis=1)).any(axis=1) | corner.any(axis=1)
 
 
 @np.errstate(divide="ignore", invalid="ignore")

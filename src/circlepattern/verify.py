@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import compress
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .conditions import face_sums
-from .configurations import (  # CirclePattern and _in_disks keep their old names here
+from .configurations import (  # CirclePattern keeps its old name here
     DISJOINT_EPS,
     CirclePattern,
     EuclideanConfiguration,
     SphericalConfiguration,
-    _in_disks,
+    _holding_pairs,
+    near_pairs,
 )
 from .triangulation import cycle_arrays
 from . import triples
@@ -31,14 +33,6 @@ PI = math.pi
 COVER_SLACK = 1e-12      # a point this close to another disk counts as covered
 WITNESS_ROUNDING = 8.0 * np.finfo(float).eps  # planar witness slack, relative to |p|+|c|+r
 SMALL_ANGLE = 1e-3       # below this the radian angle chart is ill-conditioned
-FACE_TEST_CHUNK = 1 << 16  # face-disk pairs tested at once in _face_witnesses
-
-
-def _upper_pairs(mask: np.ndarray) -> List[Tuple[int, int]]:
-    """The pairs (u, v), u < v, where the square ``mask`` holds, row-major."""
-    iu, iv = np.triu_indices(len(mask), 1)
-    keep = mask[iu, iv]
-    return list(zip(iu[keep].tolist(), iv[keep].tolist()))
 
 
 @dataclass
@@ -87,14 +81,14 @@ def _plain(x):
 def contact_graph(p: CirclePattern, eps: float = DISJOINT_EPS):
     """Edges = properly intersecting pairs (nested pairs excluded); the flag
     is true iff this equals the triangulation's edge set vertex-for-vertex."""
-    inv = p.inversive_matrix()
-    is_nested = inv < -1.0 + eps
-    nested = _upper_pairs(is_nested)
-    edges: Set[Tuple[int, int]] = set(_upper_pairs(~is_nested & (inv <= 1.0 + eps)))
+    chord = p.radii if p.mode == triples.EUCLIDEAN else 2.0 * np.sin(0.5 * p.radii)
+    u, v = near_pairs(p.mode, p.centers, chord * (1.0 + max(eps, 0.0)))  # I <= 1 + eps
+    inv, pairs = p._inversive(u, v), list(zip(u.tolist(), v.tolist()))
+    edges: Set[Tuple[int, int]] = set(compress(pairs, (inv >= -1.0 + eps) & (inv <= 1.0 + eps)))
     want = set(p.triangulation.edges)
     missing = sorted(want - edges)
     extra = sorted(edges - want)
-    return edges, not missing and not extra, missing, extra, nested
+    return edges, not missing and not extra, missing, extra, list(compress(pairs, inv < -1.0 + eps))
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +136,10 @@ def _face_witnesses(p: CirclePattern) -> List[object]:
         pts[ok] = x[ok] * (np.sign(det[ok]) / norm[ok])[:, None]
         flip = np.einsum("ij,ij->i", pts, c.sum(axis=1)) * det < 0
         pts[flip] *= -1.0
-    # every disk, in chunks of about FACE_TEST_CHUNK face-disk pairs; in the
-    # plane to rounding, as interstices by tiny circles are thinner than COVER_SLACK
-    rows, step = np.flatnonzero(ok), max(1, FACE_TEST_CHUNK // len(p.radii))
-    for lo in range(0, len(rows), step):
-        part, slack = rows[lo:lo + step], -COVER_SLACK
-        if p.mode == triples.EUCLIDEAN:
-            slack = -WITNESS_ROUNDING * (np.abs(pts[part])[:, None] + np.abs(p.centers) + p.radii)
-        ok[part] = ~p.point_in_disks(pts[part], slack).any(axis=1)
+    # in the plane to rounding, as interstices by tiny circles are thinner than COVER_SLACK
+    rows = np.flatnonzero(ok)
+    slack = 0.0 if p.mode == triples.EUCLIDEAN else -COVER_SLACK
+    ok[rows[_holding_pairs(p, pts[rows], slack, WITNESS_ROUNDING)[0]]] = False
     return [pts[f] if ok[f] else None for f in range(len(c))]
 
 
@@ -282,22 +272,29 @@ def _owner_rows(owners: np.ndarray, start: np.ndarray, size: np.ndarray):
     return a, b
 
 
-def _near_disks(p: CirclePattern, v: int, slack: float) -> np.ndarray:
-    """The disks u != v whose closed disk, grown by the membership slack and
-    a rounding margin, meets D_v: only they can hold a point of D_v.  The
-    slack is absolute, so on the sphere it is turned into an angle, which
-    for tiny caps is far larger than the slack itself."""
+def _near_disks(p: CirclePattern, slack: float) -> List[np.ndarray]:
+    """Per vertex v, the disks u != v, sorted, whose closed disk, grown by
+    the membership slack and a rounding margin, meets D_v: only they can
+    hold a point of D_v.  The slack is absolute, so on the sphere it is
+    turned into an angle, which for tiny caps is far larger than the slack."""
+    c, r = p.centers, p.radii
     if p.mode == triples.EUCLIDEAN:
-        gap = np.abs(p.centers - p.centers[v]) - p.radii - p.radii[v]
-        scale = abs(p.centers[v]) + p.radii[v] + np.abs(p.centers) + p.radii
-        near = gap <= -slack + 1e-9 * scale
+        reach = r - 0.5 * slack + 1e-9 * (np.abs(c) + r)
     else:
-        grown = np.arccos(np.clip(np.cos(p.radii) + slack, -1.0, 1.0))
-        c = p.centers[v]
-        apart = np.arctan2(np.linalg.norm(np.cross(p.centers, c), axis=1), p.centers @ c)
-        near = apart <= grown + p.radii[v] + 1e-8
-    near[v] = False
-    return np.flatnonzero(near)
+        grown = np.arccos(np.clip(np.cos(r) + slack, -1.0, 1.0))
+        reach = 2.0 * np.sin(0.5 * np.minimum(grown + 5e-9, PI))
+    a, b = near_pairs(p.mode, c, reach)
+    v, u = np.r_[a, b], np.r_[b, a]  # each pair from both sides: v the owner
+    if p.mode == triples.EUCLIDEAN:
+        gap = np.abs(c[u] - c[v]) - r[u] - r[v]
+        near = gap <= -slack + 1e-9 * (np.abs(c[v]) + r[v] + np.abs(c[u]) + r[u])
+    else:
+        apart = np.arctan2(np.linalg.norm(np.cross(c[u], c[v]), axis=1),
+                           np.einsum("ij,ij->i", c[u], c[v]))
+        near = apart <= grown[u] + r[v] + 1e-8
+    v, u = v[near], u[near]
+    order = np.lexsort((u, v))
+    return np.split(u[order], np.cumsum(np.bincount(v, minlength=len(r)))[:-1])
 
 
 def _irreducibility_witnesses(p: CirclePattern):
@@ -312,8 +309,7 @@ def _irreducibility_witnesses(p: CirclePattern):
     all-disk membership test.
     """
     n = len(p.radii)
-    circ = _Circles(p, np.arange(n), [_near_disks(p, v, -COVER_SLACK) for v in range(n)],
-                    COVER_SLACK)
+    circ = _Circles(p, np.arange(n), _near_disks(p, -COVER_SLACK), COVER_SLACK)
     mid_row, mid_ang = _arc_midpoints(len(circ.R), *circ.crossings())
     clear = circ.clearance(mid_row, circ.at(mid_row, mid_ang))
 
@@ -327,8 +323,9 @@ def _irreducibility_witnesses(p: CirclePattern):
     if circ.sphere:  # a cap's outside is a cap too: stop short of its centre
         move = np.minimum(move, 0.5 * (PI - circ.R[rows]))
     w = circ.at(rows, mid_ang[best], np.where(own[rows], 0.0, move))
-    inside = p.point_in_disks(w, -COVER_SLACK)
-    good = inside[np.arange(len(vs)), vs] & (inside.sum(axis=1) == 1)
+    k, u = _holding_pairs(p, w, -COVER_SLACK)  # the all-disk test: D_v only
+    good = np.bincount(k, minlength=len(vs)) == 1
+    good[k[u != vs[k]]] = False
     witnesses: Dict[int, object] = dict.fromkeys(range(n))
     witnesses.update((int(v), x) for v, x, g in zip(vs, w, good) if g)
     return all(x is not None for x in witnesses.values()), witnesses
@@ -454,10 +451,8 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     The sample counts are unused and only recorded in ``resolution``.
     """
     t = p.triangulation
-    inv = p.inversive_matrix()
-
     target = p.theta.array()
-    realized = inv[tuple(t.edge_array.T)]
+    realized = p._inversive(*t.edge_array.T)
     cos_err = float(np.max(np.abs(realized - np.cos(target))))
     rad_errs = [abs(math.acos(min(1.0, max(-1.0, realized[e]))) - target[e])
                 for e in range(t.edge_count)
@@ -465,11 +460,11 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     rad_err = float(max(rad_errs)) if rad_errs else None
     angle_ok = cos_err <= tol and (rad_err is None or rad_err <= tol)
 
-    _, graph_ok, missing, extra, _nested = contact_graph(p)
-
-    adjacent = np.zeros(inv.shape, dtype=bool)
-    adjacent[tuple(t.edge_array.T)] = True
-    offending = _upper_pairs(~adjacent & (inv < 1.0 - DISJOINT_EPS))
+    _, graph_ok, missing, extra, nested = contact_graph(p)
+    near = sorted(set(extra) | set(nested))  # an overlapping non-adjacent pair is one of these
+    u, v = np.array(near, dtype=int).reshape(-1, 2).T
+    offending = list(compress(near, (p._inversive(u, v) < 1.0 - DISJOINT_EPS)
+                              & (t.edge_ids(u, v) < 0)))
     disjoint_ok = not offending
 
     # one interstice per face with angle sum below pi, none above

@@ -6,9 +6,10 @@ face grouping instead of BFS flood fill, GF(2) homology ranks instead of
 simplex counting, and direct trigonometric formulas instead of the kernel
 helpers.  The reference condition engine is the per-circuit DFS and loops
 that the library's index-array kernel replaced, the references for the
-verifier's exact irreducibility and flower tests sample each disk, and
-the three-circle relations are the per-triple scalar code that the
-library's row-wise relations replaced.
+verifier's exact irreducibility and flower tests sample each disk, the
+three-circle relations are the per-triple scalar code that the library's
+row-wise relations replaced, and the near pairs are the all-pairs tests
+that the library's sort-and-sweep kernel replaced.
 """
 from __future__ import annotations
 
@@ -907,6 +908,16 @@ def triple_nonempty(mode, cs, rs, eps) -> bool:
         if all(disk_contains(mode, cs[o], rs[o], cs[m], slack=-eps)
                for o in others):
             return True
+    # a point of a circle in the two other disks: an intersection without
+    # corners (concentric or antipodal pairs have none) is bounded by whole circles
+    for m in range(3):
+        if mode == triples.EUCLIDEAN:
+            on = cs[m] + rs[m]
+        else:
+            (e1,), _ = triples.tangent_frames(cs[m])
+            on = math.cos(rs[m]) * cs[m] + math.sin(rs[m]) * e1
+        if all(disk_contains(mode, cs[o], rs[o], on, slack=-eps) for o in range(3) if o != m):
+            return True
     # otherwise some corner of a pairwise lens must lie in the third disk
     for c in range(3):
         a, b = [m for m in range(3) if m != c]
@@ -945,3 +956,51 @@ def reference_triple_failures(p) -> list:
     return [face for face, c in zip(t.faces, face_cmp)
             if c < 0 and not triple_intersection_empty(p.mode, p.centers[list(face)],
                                                        p.radii[list(face)])]
+
+
+# ---------------------------------------------------------------------------
+# near pairs: every disk against every other
+# ---------------------------------------------------------------------------
+
+def meeting_pairs(mode, centers, angles, points=None):
+    """The pairs (u, v), u < v, of disks (distance or angle ``angles``
+    around their centres) that meet, or with ``points`` the pairs
+    (point, disk) of a point in a disk: true distances, all pairs."""
+    c = np.asarray(centers)
+    x = c if points is None else np.asarray(points)
+    if mode == triples.EUCLIDEAN:
+        apart = np.abs(x[:, None] - c[None, :])
+    else:
+        apart = np.arctan2(np.linalg.norm(np.cross(x[:, None], c[None, :]), axis=2), x @ c.T)
+    if points is not None:
+        return set(zip(*np.nonzero(apart <= angles[None, :])))
+    meet = apart <= angles[:, None] + angles[None, :]
+    return {(u, v) for u, v in zip(*np.nonzero(meet)) if u < v}
+
+
+def contact_graph(p, eps: float = 1e-9):
+    """The contact graph from the dense inversive matrix, as ``verify``
+    computed it before the near pairs: (edges, nested pairs)."""
+    inv = p.inversive_matrix()
+    iu, iv = np.triu_indices(len(inv), 1)
+    nested = inv[iu, iv] < -1.0 + eps
+    edges = ~nested & (inv[iu, iv] <= 1.0 + eps)
+    return set(zip(iu[edges].tolist(), iv[edges].tolist())), list(zip(iu[nested].tolist(),
+                                                                       iv[nested].tolist()))
+
+
+def near_disks(p, v: int, slack: float) -> np.ndarray:
+    """The per-vertex scan that ``verify._near_disks`` replaced: the disks
+    u != v whose closed disk, grown by the slack and a rounding margin,
+    meets D_v, each tested against D_v."""
+    if p.mode == triples.EUCLIDEAN:
+        gap = np.abs(p.centers - p.centers[v]) - p.radii - p.radii[v]
+        scale = abs(p.centers[v]) + p.radii[v] + np.abs(p.centers) + p.radii
+        near = gap <= -slack + 1e-9 * scale
+    else:
+        grown = np.arccos(np.clip(np.cos(p.radii) + slack, -1.0, 1.0))
+        c = p.centers[v]
+        apart = np.arctan2(np.linalg.norm(np.cross(p.centers, c), axis=1), p.centers @ c)
+        near = apart <= grown + p.radii[v] + 1e-8
+    near[v] = False
+    return np.flatnonzero(near)

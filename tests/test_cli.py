@@ -116,6 +116,25 @@ class TestBadInput:
         pattern.write_text(json.dumps(data))
         self._usage_error(["verify", "--pattern", pattern], capsys)
 
+    @pytest.mark.parametrize("flag", [
+        ["--max-iters", "-1"], ["--tol-angle", "-1"], ["--tol-k", "nan"],
+        ["--tol-layout", "inf"], ["--diag-max", "0"], ["--min-step", "0"]])
+    def test_solver_flag_out_of_range(self, files, capsys, flag):
+        self._usage_error(["solve", files["tetra"], files["theta0"], "--auto-mark", *flag,
+                           "--out", files["dir"] / "p.json"], capsys)
+        assert not (files["dir"] / "p.json").exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_verify_tol_out_of_range(self, files, capsys, tol):
+        pattern = files["dir"] / "pattern.json"
+        assert main(["solve", str(files["tetra"]), str(files["theta0"]), "--auto-mark",
+                     "--out", str(pattern)]) == 0
+        self._usage_error(["verify", "--pattern", pattern, "--tol", tol], capsys)
+
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_diagnose_size_out_of_range(self, files, capsys, size):
+        self._usage_error(["diagnose", files["octa"], files["theta3"], "--diag-max", size],
+                          capsys)
 
     @pytest.fixture(scope="class")
     def octa_json(self, tmp_path_factory):
@@ -426,6 +445,25 @@ class TestImportHygiene:
         assert self._loaded(["render", planar, "--out", files["dir"] / "p.svg"]) == (
             0, {"cli", "formats", "errors", "conditions", "triangulation", "configurations",
                 "render"})
+
+    def test_pipeline_commands_load_exactly_their_layers(self, files):
+        """The module sets the README lists for solve, verify and polyhedron."""
+        d = files["dir"]
+        base = {"cli", "formats", "errors", "conditions", "triangulation", "configurations",
+                "triples"}
+        solver = base | {"euclidean", "degeneration", "options", "_newton"}
+        runs = [
+            (["solve", files["tetra"], files["theta0"], "--mode", "euclidean", "--auto-mark",
+              "--out", d / "p.json"], solver),
+            (["solve", files["octa"], files["theta3"], "--mode", "spherical", "--out",
+              d / "s.json"], solver | {"spherical"}),
+            (["verify", "--pattern", d / "p.json"], base | {"verify"}),
+            (["verify", "--pattern", d / "s.json"], base | {"verify"}),
+            (["polyhedron", "--pattern", d / "s.json", "--allow-ideal", "--out", d / "q.obj"],
+             base | {"polyhedron"}),
+        ]
+        for argv, modules in runs:
+            assert self._loaded(argv) == (0, modules), argv[0]
 
     def test_solve_lift_and_polyhedron_load_no_verifier(self, files):
         d = files["dir"]

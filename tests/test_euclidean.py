@@ -14,7 +14,7 @@ from circlepattern import (
     shapes,
     solve_euclidean,
 )
-from circlepattern.degeneration import sublevel_suspects
+from circlepattern.degeneration import rank_collapse_suspects, sublevel_suspects
 from circlepattern.errors import ConditionsViolated, EmptySubset, Stalled
 from circlepattern.options import SolveOptions
 from circlepattern.verify import CirclePattern
@@ -195,6 +195,22 @@ class TestLayout:
         assert rep.angle_residual < 1e-9
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("bad", [
+        {"max_iters": -1}, {"diag_max": 0}, {"min_step": 0.0}, {"min_step": math.nan},
+        {"tol_K": -1e-12}, {"tol_angle": math.inf}, {"tol_layout": math.nan}])
+    def test_out_of_range_is_refused(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            SolveOptions(**bad)
+        with pytest.raises(ValueError, match=name):
+            SolveOptions().with_(**bad)
+
+    def test_bounds_themselves_are_valid(self):
+        opts = SolveOptions(max_iters=0, diag_max=1, tol_K=0.0, tol_angle=0.0, tol_layout=0.0)
+        assert opts.max_iters == 0 and opts.diag_max == 1
+
+
 class TestDegenerationFunctional:
     def test_single_vertex_formula(self, octa):
         th = AngleAssignment.constant(octa, PI / 3)
@@ -210,6 +226,11 @@ class TestDegenerationFunctional:
         d0 = degeneration_functional(octa, th, {0})
         d5 = degeneration_functional(octa, th, {5})
         assert d_pair.value == pytest.approx(d0.value + d5.value, abs=1e-12)
+
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_suspect_size_below_one_is_refused(self, octa, size):
+        with pytest.raises(ValueError, match="max_size"):
+            rank_collapse_suspects(octa, AngleAssignment.constant(octa, 0.7), size)
 
     def test_admissible_data_keeps_suspects_negative(self, octa):
         th = AngleAssignment.constant(octa, PI / 4)

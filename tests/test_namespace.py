@@ -77,7 +77,7 @@ def test_moved_names_keep_their_old_homes():
     from circlepattern import configurations, triples, verify
 
     assert circlepattern.CirclePattern is configurations.CirclePattern
-    for name in ("CirclePattern", "_in_disks", "DISJOINT_EPS"):
+    for name in ("CirclePattern", "DISJOINT_EPS"):
         assert getattr(verify, name) is getattr(configurations, name)
     assert triples.EUCLIDEAN is configurations.EUCLIDEAN
     assert triples.SPHERICAL is configurations.SPHERICAL

@@ -306,6 +306,20 @@ class TestTripleIntersection:
         with pytest.raises(CoversSphere):
             triple_intersection_empty(SPHERICAL, ns, [2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_concentric_and_antipodal_caps(self, seed):
+        """The caps (n, 0.5), (n, 0.5), (-n, 0.5) cover little of the sphere:
+        the complements share the band 0.5 <= angle(x, n) <= pi - 0.5, which
+        no centre and no corner witnesses.  Seed 0 is n = e_z, the others
+        random rotations of it."""
+        n = np.array([0.0, 0.0, 1.0])
+        if seed:
+            n = _unit(np.random.default_rng(seed).normal(size=3))
+        rows = [([n, n, -n], True), ([n, -n, n], True), ([n, n, n], False)]
+        for centers, empty in rows:
+            assert triple_intersection_empty(SPHERICAL, centers, [0.5, 0.5, 0.5]) is empty
+            assert oracles.triple_intersection_empty(SPHERICAL, centers, [0.5] * 3) is empty
+
     def test_spherical_small_caps(self):
         spec = TripleSpec(SPHERICAL, (0.3, 0.3, 0.3), (PI / 4,) * 3)
         centers = list(place_triple(spec))

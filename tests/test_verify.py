@@ -17,7 +17,7 @@ from circlepattern import (
     solve_spherical,
     verify_pattern,
 )
-from circlepattern import formats, shapes
+from circlepattern import formats, shapes, triples
 from circlepattern.cli import main
 from circlepattern import verify as verifier
 from circlepattern.errors import MalformedPattern
@@ -281,12 +281,15 @@ class TestInterstices:
                 exact = oracles.radical_centre(p.centers[list(faces[f])], p.radii[list(faces[f])])
                 assert abs(w - exact) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("chunk", [1, 13, 1 << 16])
-    def test_faces_tested_in_chunks(self, octa_third_pi, chunk, monkeypatch):
+    def test_radical_centres_on_the_circles_are_held(self, octa_third_pi):
         # every face sums to pi, so every radical centre is on the disks:
-        # each chunk of one, two or all faces must be tested
-        monkeypatch.setattr(verifier, "FACE_TEST_CHUNK", chunk)
+        # the near pairs of the points must reach the circles through them
         assert count_interstices(octa_third_pi)[0] == 0
+        p, faces = octa_third_pi, octa_third_pi.triangulation.face_array
+        x, det = triples.cap_plane_points(p.centers[faces], p.radii[faces])
+        held, disk = verifier._holding_pairs(p, x / det[:, None], -verifier.COVER_SLACK)
+        assert set(zip(held.tolist(), disk.tolist())) >= {
+            (f, v) for f, face in enumerate(faces.tolist()) for v in face}
 
     def test_witness_count_must_match_theory(self, descartes, monkeypatch):
         assert verify_pattern(descartes).passed
@@ -495,28 +498,6 @@ class TestLocalSamplingMatchesReference:
         assert 0 < got.sum() < len(pts)
 
 
-class TestSingleDiskMembership:
-    def test_one_disk_column_matches_full_matrix(self, octa_third_pi):
-        """Membership in one disk is decided on the same dot products as
-        the full matrix, also for a sample exactly on the threshold where
-        a one-column product would round differently."""
-        p = octa_third_pi
-        pts = oracles.fibonacci_sphere(2000)
-        full = pts @ p.centers.T
-        lower = [(d, k) for d in range(len(p.radii))
-                 for k in np.flatnonzero((pts @ p.centers[[d]].T)[:, 0] < full[:, d])]
-        if not lower:
-            pytest.skip("this BLAS rounds both products alike")
-        d, k = lower[0]
-        radii = p.radii.copy()
-        radii[d] = math.acos(full[k, d])
-        q = CirclePattern(p.triangulation, p.theta, p.mode, p.centers, radii)
-        slack = full[k, d] - math.cos(radii[d])  # exact: the two are this close
-        got = verifier._in_disks(q, pts, np.array([d]), slack)
-        assert got[k, 0]
-        assert np.array_equal(got[:, 0], q.point_in_disks(pts, slack)[:, d])
-
-
 class TestNearDisks:
     """A disk not adjacent to v, closer to D_v than the 1e-12 sample slack,
     is among the circles tested, and the witness clears it: without it,
@@ -557,9 +538,10 @@ class TestNearDisks:
         assert oracles.free_in_own_disk(p, 0, got[0])
         real = verifier._near_disks
 
-        def near_but_3(p, v, slack):
-            near = real(p, v, slack)
-            return near[near != 3] if v == 0 else near
+        def near_but_3(p, slack):
+            near = real(p, slack)
+            near[0] = near[0][near[0] != 3]
+            return near
 
         monkeypatch.setattr(verifier, "_near_disks", near_but_3)
         _, got = verifier._irreducibility_witnesses(p)
@@ -567,9 +549,91 @@ class TestNearDisks:
 
     @staticmethod
     def _check(p, u):
-        assert u in verifier._near_disks(p, 0, -verifier.COVER_SLACK)
+        assert u in verifier._near_disks(p, -verifier.COVER_SLACK)[0]
         _, got = verifier._irreducibility_witnesses(p)
         assert oracles.free_in_own_disk(p, 0, got[0])
+
+
+class TestThresholds:
+    """Witnesses within an ulp of the kernels' thresholds: the near list
+    keeps the disk at the threshold, and the witnesses are those computed
+    with every disk tested (the per-vertex scan of ``oracles``)."""
+
+    @staticmethod
+    def _octahedron(mode, centers, radii, theta=0.0):
+        return CirclePattern(shapes.octahedron(), AngleAssignment.constant(
+            shapes.octahedron(), theta), mode, centers, radii)
+
+    def test_planar_disk_one_ulp_past_cover_slack(self, monkeypatch):
+        # dD_0 has no cuts, so its one midpoint, 1, is the point nearest D_u
+        t = shapes.octahedron()
+        u = next(w for w in range(1, 6) if not t.has_edge(0, w))
+        centers = np.array([100j * k for k in range(6)])
+        centers[0] = 0.0
+        centers[u] = np.nextafter(1.5 + verifier.COVER_SLACK, 2.0)
+        radii = np.where(np.arange(6) == 0, 1.0, 0.5)
+        self._check(self._octahedron("euclidean", centers, radii), u, 1.0, monkeypatch)
+
+    def test_spherical_cap_one_ulp_past_cover_slack(self, monkeypatch):
+        t = shapes.octahedron()
+        u = next(w for w in range(1, 6) if not t.has_edge(0, w))
+        north = np.array([0.0, 0.0, 1.0])
+        (e1,), _ = tangent_frames(north)
+        gap = math.acos(np.nextafter(math.cos(0.1) - verifier.COVER_SLACK, 0.0))
+        centers = np.zeros((6, 3))
+        centers[[w for w in range(1, 6) if w != u]] = [
+            (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+        centers[0] = north
+        centers[u] = math.cos(0.5 + gap) * north + math.sin(0.5 + gap) * e1
+        radii = np.where(np.arange(6) == 0, 0.5, 0.1)
+        p = self._octahedron("spherical", centers, radii, 1.2)
+        self._check(p, u, math.cos(0.5) * north + math.sin(0.5) * e1, monkeypatch)
+
+    @staticmethod
+    def _check(p, u, nearest, monkeypatch):
+        assert u in verifier._near_disks(p, -verifier.COVER_SLACK)[0]
+        _, got = verifier._irreducibility_witnesses(p)
+        assert oracles.free_in_own_disk(p, 0, got[0])
+        assert np.allclose(got[0], nearest, rtol=0.0, atol=1e-15)
+        n = len(p.radii)
+        for near in ([oracles.near_disks(p, v, -verifier.COVER_SLACK) for v in range(n)],
+                     [np.delete(np.arange(n), v) for v in range(n)]):
+            monkeypatch.setattr(verifier, "_near_disks", lambda p, slack: near)
+            _, want = verifier._irreducibility_witnesses(p)
+            assert all(np.array_equal(got[v], want[v]) for v in range(n))
+
+    @pytest.mark.parametrize("mode", ["euclidean", "spherical"])
+    @pytest.mark.parametrize("past", [-1, 1])
+    def test_flower_neighbour_one_ulp_from_eps(self, mode, past):
+        """D_0 holds the caps of the three link sides of a tetrahedron's
+        vertex 0; neighbours 1 and 3, shrunk by eps, meet dD_0 at the side
+        c1 c3's midpoint direction m, where they cover m by one ulp
+        (past = -1) or miss it by one (past = 1): then the witness is m."""
+        t, eps = shapes.tetrahedron(), 1e-9
+        az = np.radians([0.0, 90.0, 210.0, 330.0])
+        if mode == "euclidean":
+            centers = 1.5 * np.exp(1j * az)
+            centers[0] = 0.0
+            m = np.exp(1j * math.radians(30.0))
+            reach = abs(m - centers[1]) + eps
+            radii = np.r_[1.0, np.full(3, np.nextafter(reach, reach - past))]
+        else:
+            north = np.array([0.0, 0.0, 1.0])
+            ring = np.column_stack([np.cos(az), np.sin(az), np.zeros(4)])
+            centers = math.cos(0.75) * north + math.sin(0.75) * ring
+            centers[0] = north
+            m = math.cos(0.5) * north + math.sin(0.5) * np.array(
+                [math.cos(math.radians(30.0)), math.sin(math.radians(30.0)), 0.0])
+            kappa = float(m @ centers[1]) - eps
+            radii = np.r_[0.5, np.full(3, math.acos(np.nextafter(kappa, kappa + past)))]
+        p = CirclePattern(t, AngleAssignment.constant(t, 0.0), mode, centers, radii)
+        assert 1 in verifier._near_disks(p, -verifier.COVER_SLACK)[0]
+        got = verifier._flower_failures(p, np.array([0]), eps)
+        if past < 0:
+            assert got == {}
+        else:
+            assert np.allclose(got[0], m, rtol=0.0, atol=1e-8)
+            assert oracles.flower_uncovered(p, 0, got[0], eps)
 
 
 def _disk_family(mode, seed, n, tangent, big):
