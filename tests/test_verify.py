@@ -281,15 +281,20 @@ class TestInterstices:
                 exact = oracles.radical_centre(p.centers[list(faces[f])], p.radii[list(faces[f])])
                 assert abs(w - exact) <= 1e-14 * scale
 
-    def test_radical_centres_on_the_circles_are_held(self, octa_third_pi):
+    @pytest.mark.parametrize("chunk", [1, 13, 1 << 16])
+    def test_faces_tested_in_chunks(self, octa_third_pi, chunk):
         # every face sums to pi, so every radical centre is on the disks:
-        # the near pairs of the points must reach the circles through them
+        # the near pairs of the points must reach the circles through them,
+        # whether the points are asked for one, some or all at a time
         assert count_interstices(octa_third_pi)[0] == 0
         p, faces = octa_third_pi, octa_third_pi.triangulation.face_array
         x, det = triples.cap_plane_points(p.centers[faces], p.radii[faces])
-        held, disk = verifier._holding_pairs(p, x / det[:, None], -verifier.COVER_SLACK)
-        assert set(zip(held.tolist(), disk.tolist())) >= {
-            (f, v) for f, face in enumerate(faces.tolist()) for v in face}
+        points = x / det[:, None]
+        pairs = set()
+        for s in range(0, len(points), chunk):
+            held, disk = verifier._holding_pairs(p, points[s:s + chunk], -verifier.COVER_SLACK)
+            pairs |= set(zip((held + s).tolist(), disk.tolist()))
+        assert pairs >= {(f, v) for f, face in enumerate(faces.tolist()) for v in face}
 
     def test_witness_count_must_match_theory(self, descartes, monkeypatch):
         assert verify_pattern(descartes).passed
