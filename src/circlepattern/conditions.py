@@ -53,9 +53,10 @@ class AngleAssignment:
             raise ValueError(
                 f"{len(self.values)} angles for {t.edge_count} edges"
             )
-        for v in self.values:
-            if not (math.isfinite(v) and 0.0 <= v < PI):
-                raise ValueError(f"angle {v} outside [0, pi)")
+        vals = np.asarray(self.values, dtype=float)
+        bad = np.flatnonzero(~((vals >= 0.0) & (vals < PI)))  # NaN fails both
+        if len(bad):
+            raise ValueError(f"angle {self.values[bad[0]]} outside [0, pi)")
 
     @classmethod
     def from_dict(cls, t: Triangulation, theta: Dict[Tuple[int, int], float]) -> "AngleAssignment":

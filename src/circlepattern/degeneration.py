@@ -55,6 +55,8 @@ def connected_subsets(
     Standard rooted enumeration: each subset is generated once from its
     minimum vertex by growing only with larger-or-excluded bookkeeping.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size = {max_size} is out of range")
     banned = set(avoid)
     allowed = [v for v in range(t.vertex_count) if v not in banned]
     # subsets must stay proper for the star/link geometry to make sense
@@ -90,8 +92,6 @@ def rank_collapse_suspects(
     top: int = 10,
 ) -> List[DegenerationFunctional]:
     """Connected subsets ranked by functional value, most suspect first."""
-    if max_size < 1:
-        raise ValueError(f"max_size = {max_size} is out of range")
     vals = [
         degeneration_functional(t, theta, s)
         for s in connected_subsets(t, max_size, avoid)

@@ -14,6 +14,8 @@ Schemas (all angles in radians, edge keys canonicalized (min, max)):
 from __future__ import annotations
 
 import json
+from collections import Counter
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
@@ -41,26 +43,30 @@ def _load(source: Source) -> dict:
         raise UsageError(f"{path}: invalid JSON ({exc})")
 
 
-def _require(data: dict, keys, what: str) -> None:
-    if not isinstance(data, dict):
+def _require(items: list, keys, what: str) -> None:
+    """Every item an object with ``keys``: one test per key."""
+    if not all(map(isinstance, items, repeat(dict))):
         raise UsageError(f"{what} must be an object")
     for key in keys:
-        if key not in data:
+        if not all(map(dict.__contains__, items, repeat(key))):
             raise UsageError(f"{what} is missing the {key!r} key")
 
 
-def _array(value, what: str, kind=None, length: Optional[int] = None) -> list:
-    """``value``, a JSON array of ``length`` items when given; with ``kind``,
-    of numbers, only integers when ``kind`` is int."""
-    if (not isinstance(value, (list, tuple)) or length not in (None, len(value))
-            or kind and not {int, kind}.issuperset(map(type, value))):
+INT, NUMBER = (int,), (int, float)
+
+
+def _arrays(rows: list, what: str, kinds=(), length: Optional[int] = None) -> list:
+    """``rows``, JSON arrays of ``length`` items when given, of the types
+    ``kinds`` when given: one test of the rows, one of all their items."""
+    if (not {list, tuple}.issuperset(map(type, rows))
+            or length is not None and not {length}.issuperset(map(len, rows))
+            or kinds and not set(kinds).issuperset(map(type, chain.from_iterable(rows)))):
         raise UsageError(f"{what} has the wrong JSON type or shape")
-    return value
+    return rows
 
 
-def _number(x, what: str, kind=float):
-    """A JSON number as ``kind``; only an integer when ``kind`` is int."""
-    return kind(_array([x], what, kind)[0])
+def _array(value, what: str, kinds=(), length: Optional[int] = None) -> list:
+    return _arrays([value], what, kinds, length)[0]
 
 
 def dumps(obj: dict) -> str:
@@ -72,10 +78,11 @@ def load_triangulation(source: Source) -> Triangulation:
     from .triangulation import build_triangulation
 
     data = _load(source)
-    _require(data, ("faces",), "triangulation JSON")
+    _require([data], ("faces",), "triangulation JSON")
     n, faces = data.get("vertices"), _array(data["faces"], "'faces'")
-    return build_triangulation([_array(f, "a face", int) for f in faces],
-                               vertex_count=None if n is None else _number(n, "'vertices'", int))
+    if n is not None:
+        _array([n], "'vertices'", INT)
+    return build_triangulation(_arrays(faces, "a face", INT), vertex_count=n)
 
 
 def triangulation_to_dict(t: Triangulation) -> dict:
@@ -84,22 +91,24 @@ def triangulation_to_dict(t: Triangulation) -> dict:
 
 def load_polyhedron(source: Source):
     data = _load(source)
-    _require(data, ("faces",), "polyhedron JSON")
-    return [tuple(_array(cycle, "a face", int)) for cycle in _array(data["faces"], "'faces'")]
+    _require([data], ("faces",), "polyhedron JSON")
+    return [tuple(cycle) for cycle in _arrays(_array(data["faces"], "'faces'"), "a face", INT)]
 
 
 def load_theta_map(source: Source) -> Dict[Tuple[int, int], float]:
     from .triangulation import canonical_edge
 
     data = _load(source)
-    _require(data, ("theta",), "theta JSON")
-    out: Dict[Tuple[int, int], float] = {}
-    for item in _array(data["theta"], "'theta'"):
-        _require(item, ("edge", "value"), "theta item")
-        e = canonical_edge(*_array(item["edge"], "a theta edge", int, 2))
-        if e in out:
-            raise UsageError(f"edge {list(e)} specified twice")
-        out[e] = _number(item["value"], "a theta value")
+    _require([data], ("theta",), "theta JSON")
+    items = _array(data["theta"], "'theta'")
+    _require(items, ("edge", "value"), "theta item")
+    edges = _arrays([i["edge"] for i in items], "a theta edge", INT, 2)
+    edges = [canonical_edge(*e) for e in edges]
+    values = _array([i["value"] for i in items], "a theta value", NUMBER)
+    out = dict(zip(edges, map(float, values)))
+    if len(out) < len(edges):
+        e = next(e for e, k in Counter(edges).items() if k > 1)
+        raise UsageError(f"edge {list(e)} specified twice")
     return out
 
 
@@ -145,18 +154,17 @@ def load_pattern(source: Source) -> CirclePattern:
     from .configurations import EUCLIDEAN, SPHERICAL, CirclePattern
 
     data = _load(source)
-    _require(data, ("mode", "circles", "triangulation", "theta"), "pattern JSON")
+    _require([data], ("mode", "circles", "triangulation", "theta"), "pattern JSON")
     circles = _array(data["circles"], "'circles'")
-    for c in circles:
-        _require(c, ("center", "radius"), "pattern circle")
+    _require(circles, ("center", "radius"), "pattern circle")
     t = load_triangulation(data["triangulation"])
     theta = load_theta(t, data["theta"])
     mode = data["mode"]
     if mode not in (EUCLIDEAN, SPHERICAL):
         raise UsageError(f"unknown mode {mode!r}")
-    radii = np.array([_number(c["radius"], "a radius") for c in circles], dtype=float)
+    radii = np.array(_array([c["radius"] for c in circles], "a radius", NUMBER), dtype=float)
     dim = 2 if mode == EUCLIDEAN else 3
-    centers = np.array([_array(c["center"], "a center", float, dim) for c in circles],
+    centers = np.array(_arrays([c["center"] for c in circles], "a center", NUMBER, dim),
                        dtype=float).reshape(-1, dim)
     if mode == EUCLIDEAN:
         centers = centers.view(complex)[:, 0]  # the bits of complex(x, y)
@@ -167,5 +175,5 @@ def load_pattern(source: Source) -> CirclePattern:
         mode=mode,
         centers=centers,
         radii=radii,
-        marked_face=tuple(_array(marked, "'marked_face'", int, 3)) if marked else None,
+        marked_face=tuple(_array(marked, "'marked_face'", INT, 3)) if marked else None,
     )

@@ -3,13 +3,19 @@
 Vertices are dense integers 0..n-1; edges are canonicalized as (min, max)
 pairs and addressed by dense edge ids.  A Triangulation is immutable after
 construction and all queries are read-only.
+
+All of it comes from one half-edge table: half-edge 3f + s runs from
+corner s of face f to corner s + 1.  One stable sort of the half-edges by
+canonical edge pairs them into twins, which gives the edges and their
+faces, the manifold check (two per edge), the orientation (twins run
+opposite ways) and every vertex star at once (the next half-edge out of v
+is the twin of the one entering v).  Polyhedra are paired by the same sort.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,153 +131,168 @@ class Triangulation:
         offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=self.vertex_count))]
         return offsets, dst[np.lexsort((dst, src))]
 
+    @cached_property
+    def star(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``vertex_faces`` and ``link_cycles`` flat, as (offsets, faces,
+        ring): those of v at offsets[v]:offsets[v + 1], face i of v spanned
+        by its ring vertices i and i + 1."""
+        deg = np.fromiter(map(len, self.link_cycles), np.intp, self.vertex_count)
+        offsets = np.r_[0, np.cumsum(deg)]
+        faces = np.fromiter(chain.from_iterable(self.vertex_faces), np.intp, offsets[-1])
+        ring = np.fromiter(chain.from_iterable(self.link_cycles), np.intp, offsets[-1])
+        return offsets, faces, ring
+
 
 def build_triangulation(faces: Sequence[Sequence[int]], vertex_count: Optional[int] = None) -> Triangulation:
-    """Validate a face list and derive all incidence structure.
-
-    The input winding is not trusted: orientation is repaired by a BFS over
-    face adjacency, and a flag records whether any face was flipped.
-    """
-    if not faces:
+    """Validate a face list and derive all incidence structure from its
+    half-edge table.  The input winding is not trusted: the lowest face of
+    each component keeps its own, and a flag records whether any face was
+    flipped.  Faults are found in this order: each face in turn (not a
+    triple, a repeated vertex, a negative id, a repeated face), then
+    ``vertex_count``, non-manifold edges, orientation, the Euler
+    characteristic and the vertex links."""
+    if len(faces) == 0:
         raise DegenerateFace("empty face list")
-    clean: List[Face] = []
-    face_index: Dict[FrozenSet[int], int] = {}
-    for f in faces:
-        if len(f) != 3:
-            raise DegenerateFace(f"face {tuple(f)} is not a triple")
-        a, b, c = (int(x) for x in f)
-        if len({a, b, c}) != 3:
-            raise DegenerateFace(f"face {(a, b, c)} has repeated vertices")
-        if min(a, b, c) < 0:
-            raise DegenerateFace(f"face {(a, b, c)} has negative vertex ids")
-        if face_index.setdefault(frozenset((a, b, c)), len(clean)) != len(clean):
-            raise DegenerateFace(f"face {(a, b, c)} is repeated")
-        clean.append((a, b, c))
-    n = max(max(f) for f in clean) + 1
+    k = next((i for i, f in enumerate(faces) if len(f) != 3), len(faces))
+    tri = np.array(faces[:k], dtype=np.intp).reshape(-1, 3)
+    srt = np.sort(tri, axis=1)
+    order, first = _group(*srt.T[::-1])  # each face's earliest copy leads its run
+    repeat = np.ones(k, dtype=bool)
+    repeat[order[first]] = False
+    faults = ((srt[:, 1:] == srt[:, :-1]).any(axis=1), srt[:, 0] < 0, repeat)
+    bad = np.flatnonzero(np.logical_or.reduce(faults))
+    if len(bad):
+        f = tuple(tri[bad[0]].tolist())
+        what = ("has repeated vertices", "has negative vertex ids", "is repeated")
+        raise DegenerateFace(f"face {f} " + next(w for w, x in zip(what, faults) if x[bad[0]]))
+    if k < len(faces):
+        raise DegenerateFace(f"face {tuple(faces[k])} is not a triple")
+    n = int(srt[:, 2].max()) + 1
     if vertex_count is not None:
         if vertex_count < n:
             raise DegenerateFace("vertex_count smaller than largest face index")
         n = vertex_count
 
-    edge_to_faces: Dict[Edge, List[int]] = defaultdict(list)
-    for fid, (a, b, c) in enumerate(clean):
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge_to_faces[canonical_edge(u, v)].append(fid)
-    for e, fs in edge_to_faces.items():
-        if len(fs) != 2:
-            raise NonManifold(f"edge {e} lies in {len(fs)} faces")
+    # half-edge 3f + s runs from tri[f, s] to tri[f, s + 1 mod 3]
+    tail, head = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    pairs = _twins(tail, head, "edge")
+    lo, hi = np.minimum(tail, head)[pairs[:, 0]], np.maximum(tail, head)[pairs[:, 0]]
+    edges = tuple(zip(lo.tolist(), hi.tolist()))
+    twin = np.empty(3 * k, dtype=np.intp)
+    twin[pairs] = pairs[:, ::-1]
+    flip = _orient(twin, tail == tail[twin])
+    oriented = tri.copy()
+    oriented[flip, 1:] = tri[flip, :0:-1]
 
-    oriented = _repair_orientation(clean, edge_to_faces)
-    flipped = oriented != clean
-
-    # Euler characteristic must be the sphere's
-    m = len(edge_to_faces)
-    chi = n - m + len(oriented)
+    chi = n - len(edges) + k
     if chi != 2:
         raise NotASphere(f"V - E + F = {chi}, expected 2")
 
-    edges = tuple(sorted(edge_to_faces))
-    edge_index = {e: i for i, e in enumerate(edges)}
-    edge_faces = tuple(tuple(sorted(edge_to_faces[e])) for e in edges)
-
-    vertex_faces, link_cycles = _vertex_stars(n, oriented, edge_to_faces)
-
+    # in a flipped face (a, c, b) slot s holds the edge of old slot 2 - s
+    h = np.arange(3 * k)
+    moved = np.where(flip[h // 3], h - h % 3 + 2 - h % 3, h)
+    twin[moved] = moved[twin]
+    offsets, star = _stars(n, oriented.ravel(), twin)
+    around = (star // 3).tolist()
+    ring = oriented[:, [1, 2, 0]].ravel()[star].tolist()
+    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
     return Triangulation(
         vertex_count=n,
-        faces=tuple(oriented),
+        faces=tuple(map(tuple, oriented.tolist())),
         edges=edges,
-        edge_index=edge_index,
-        edge_faces=edge_faces,
-        vertex_faces=vertex_faces,
-        link_cycles=link_cycles,
-        orientation_flipped=flipped,
-        face_index=face_index,
+        edge_index=dict(zip(edges, range(len(edges)))),
+        edge_faces=tuple(map(tuple, (pairs // 3).tolist())),
+        vertex_faces=tuple(tuple(around[i:j]) for i, j in spans),
+        link_cycles=tuple(tuple(ring[i:j]) for i, j in spans),
+        orientation_flipped=bool(flip.any()),
+        face_index={frozenset(f): i for i, f in enumerate(tri.tolist())},
     )
 
 
-def _repair_orientation(faces: List[Face], edge_to_faces) -> List[Face]:
-    """Flip faces so every edge is traversed once in each direction."""
-    flip = [None] * len(faces)
-    for root in range(len(faces)):
-        if flip[root] is not None:
-            continue
-        flip[root] = False
-        queue = deque([root])
-        while queue:
-            fid = queue.popleft()
-            a, b, c = faces[fid]
-            directed = ((a, b), (b, c), (c, a))
-            if flip[fid]:
-                directed = tuple((v, u) for (u, v) in directed)
-            for (u, v) in directed:
-                for gid in edge_to_faces[canonical_edge(u, v)]:
-                    if gid == fid:
-                        continue
-                    ga, gb, gc = faces[gid]
-                    gdir = ((ga, gb), (gb, gc), (gc, ga))
-                    # the neighbor must traverse (v, u); it traverses (u, v)
-                    # in its stored winding iff (u, v) in gdir
-                    needs_flip = (u, v) in gdir
-                    if flip[gid] is None:
-                        flip[gid] = needs_flip
-                        queue.append(gid)
-                    elif flip[gid] != needs_flip:
-                        raise InconsistentOrientation(
-                            f"faces {fid} and {gid} cannot be oriented consistently"
-                        )
-    out = []
-    for fid, (a, b, c) in enumerate(faces):
-        out.append((a, c, b) if flip[fid] else (a, b, c))
-    return out
+def _group(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A stable sort by ``keys``, the last one primary, and the start in
+    it of each run of equal keys."""
+    order = np.lexsort(keys)
+    new = np.arange(len(order)) == 0
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    return order, np.flatnonzero(new)
 
 
-def _vertex_stars(n, faces, edge_to_faces):
-    """Cyclic face and neighbor orders around each vertex.
-
-    Walking the star also proves every vertex link is a single cycle.
-    """
-    incident: List[List[int]] = [[] for _ in range(n)]
-    for fid, f in enumerate(faces):
-        for v in f:
-            incident[v].append(fid)
-    vertex_faces = []
-    link_cycles = []
-    for v in range(n):
-        fs = incident[v]
-        if not fs:
-            raise NonManifold(f"vertex {v} has no incident faces")
-        start = min(fs)
-        order = [start]
-        a, b = _others(faces[start], v)
-        first, cur = a, b
-        ring = [a]
-        while cur != first:
-            ring.append(cur)
-            e = canonical_edge(v, cur)
-            nxts = [g for g in edge_to_faces[e] if g != order[-1]]
-            if len(nxts) != 1:
-                raise NonManifold(f"broken star at vertex {v}")
-            nxt = nxts[0]
-            if nxt in order:
-                raise NonManifold(f"vertex {v} link is not a single cycle")
-            order.append(nxt)
-            x, y = _others(faces[nxt], v)
-            cur = y if x == cur else x
-        if len(order) != len(fs):
-            raise NonManifold(f"vertex {v} link is not a single cycle")
-        vertex_faces.append(tuple(order))
-        link_cycles.append(tuple(ring))
-    return tuple(vertex_faces), tuple(link_cycles)
+def _twins(tail: np.ndarray, head: np.ndarray, what: str) -> np.ndarray:
+    """The half-edges tail -> head grouped by their undirected edge: per
+    edge a row of its two half-edge ids, ascending, the rows sorted by
+    canonical edge.  Raises NonManifold, naming the edge met first, unless
+    every edge has exactly two half-edges."""
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    order, first = _group(hi, lo)
+    size = np.diff(np.r_[first, len(order)])
+    bad = np.flatnonzero(size != 2)
+    if len(bad):
+        g = bad[np.argmin(order[first[bad]])]
+        h = order[first[g]]
+        raise NonManifold(f"{what} {(int(lo[h]), int(hi[h]))} lies in {size[g]} faces")
+    return order.reshape(-1, 2)
 
 
-def _others(face: Face, v: int) -> Tuple[int, int]:
-    """The two vertices after v in the face's cyclic order."""
-    a, b, c = face
-    if v == a:
-        return b, c
-    if v == b:
-        return c, a
-    return a, b
+def _orient(twin: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Which faces to flip so that every half-edge and its twin run
+    opposite ways: their faces flip alike unless they run the same way
+    (``same``).  The lowest face of each component keeps its winding, and
+    the parity spreads from it one level of neighbours at a time."""
+    nbr, odd = (twin // 3).reshape(-1, 3), same.reshape(-1, 3)
+    flip = np.zeros(len(nbr), dtype=bool)
+    seen = np.zeros(len(nbr), dtype=bool)
+    last = np.empty(len(nbr), dtype=np.intp)
+    root = 0
+    while root < len(nbr):
+        seen[root] = True
+        front = np.array([root])
+        while len(front):
+            g, p = nbr[front].ravel(), (odd[front] ^ flip[front, None]).ravel()
+            g, p = g[~seen[g]], p[~seen[g]]
+            last[g] = np.arange(len(g))  # one copy of each face: its last
+            once = last[g] == np.arange(len(g))
+            front = g[once]
+            flip[front], seen[front] = p[once], True
+        left = np.flatnonzero(~seen[root:])
+        root += left[0] if len(left) else len(nbr)
+    bad = np.flatnonzero(flip.repeat(3) ^ flip[twin // 3] != same)
+    if len(bad):
+        raise InconsistentOrientation(f"faces {bad[0] // 3} and {twin[bad[0]] // 3} "
+                                      "cannot be oriented consistently")
+    return flip
+
+
+def _stars(n: int, tail: np.ndarray, twin: np.ndarray):
+    """The outgoing half-edges of each vertex in cyclic order, from its
+    lowest face, as (offsets, star): those of v are
+    ``star[offsets[v]:offsets[v + 1]]``.  The next half-edge around a
+    vertex is the twin of the one entering it in the face of the last.
+    Raises NonManifold for the lowest vertex whose link is not one cycle."""
+    h = np.arange(len(tail))
+    turn = twin[h - h % 3 + (h + 2) % 3]
+    deg = np.bincount(tail, minlength=n)
+    offsets = np.r_[0, np.cumsum(deg)]
+    live = np.flatnonzero(deg)
+    cur = np.argsort(tail, kind="stable")[offsets[live]]
+    star = np.empty(len(tail), dtype=np.intp)
+    for step in range(deg.max()):
+        keep = deg[live] > step
+        live, cur = live[keep], cur[keep]
+        star[offsets[live] + step] = cur
+        cur = turn[cur]
+    # each walk returns after deg steps; a shorter orbit repeats and misses some
+    seen = np.zeros(len(tail), dtype=bool)
+    seen[star] = True
+    broken = deg == 0
+    broken[tail[~seen]] = True
+    if broken.any():
+        v = int(np.argmax(broken))
+        raise NonManifold(f"vertex {v} has no incident faces" if deg[v] == 0
+                          else f"vertex {v} link is not a single cycle")
+    return offsets, star
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +360,13 @@ def cycle_arrays(t: Triangulation, max_len: int,
 _ROW_BUDGET = 1 << 15
 
 
-def _runs(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """For consecutive runs of the given lengths: each slot's run and its
-    position within the run."""
-    ends = np.cumsum(counts)
-    run = np.repeat(np.arange(len(counts)), counts)
-    return run, np.arange(len(run)) - (ends - counts)[run]
+def _owner_rows(owners: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """Index pairs (a, b) pairing each item a with every row b of its
+    owner, whose rows are start[owner] .. start[owner] + size[owner] - 1."""
+    counts = size[owners]
+    a = np.repeat(np.arange(len(owners)), counts)
+    b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start[owners], counts)
+    return a, b
 
 
 def _enumerate_cycles(t: Triangulation, max_len: int, cap: int) -> List[np.ndarray]:
@@ -367,8 +389,8 @@ def _enumerate_cycles(t: Triangulation, max_len: int, cap: int) -> List[np.ndarr
         if out.sum() > _ROW_BUDGET and len(paths) > 1:
             stack += [paths[len(paths) // 2:], paths[:len(paths) // 2]]
             continue
-        run, pos = _runs(out)
-        w = nbr[ptr[paths[:, -1]][run] + pos]
+        run, slot = _owner_rows(np.arange(len(paths)), ptr[paths[:, -1]], out)
+        w = nbr[slot]
         up = w > paths[:, 0][run]
         paths = np.column_stack((paths[run[up]], w[up]))
         paths = paths[(paths[:, 1:-1] != paths[:, -1:]).all(axis=1)]
@@ -452,8 +474,9 @@ def two_arc_arrays(t: Triangulation) -> Columns:
         ptr, nbr = t.adjacency
         # neighbour slot p of v pairs with v's later slots
         owner = np.repeat(np.arange(t.vertex_count), np.diff(ptr))
-        first, pos = _runs(ptr[owner + 1] - np.arange(len(nbr)) - 1)
-        u, v, w = nbr[first], owner[first], nbr[first + 1 + pos]
+        slot = np.arange(len(nbr))
+        first, later = _owner_rows(slot, slot + 1, ptr[owner + 1] - slot - 1)
+        u, v, w = nbr[first], owner[first], nbr[later]
         order = np.lexsort((w, v, u))
         u, v, w = u[order], v[order], w[order]
         t._circuits["arcs"] = {
@@ -489,69 +512,31 @@ def subset_geometry(t: Triangulation, subset: Iterable[int]) -> VertexSubsetGeom
     if any(v < 0 or v >= t.vertex_count for v in a):
         raise ValueError("vertex id out of range")
 
-    star_edges = tuple(
-        eid for eid, (u, v) in enumerate(t.edges) if u in a or v in a
-    )
-    star_faces = tuple(
-        fid for fid, f in enumerate(t.faces) if any(v in a for v in f)
-    )
-    link_pairs = []
-    for fid in star_faces:
-        f = t.faces[fid]
-        for v in f:
-            if v in a:
-                u, w = [x for x in f if x != v]
-                if u not in a and w not in a:
-                    link_pairs.append((t.edge_id(u, w), v))
-    link_pairs.sort()
-    chi = len(a) - len(star_edges) + len(star_faces)
-
-    components = []
-    left = set(a)
-    while left:
-        root = min(left)
-        comp = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in t.neighbors(v):
-                if w in left and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
+    # the open star is what the subset's vertex stars hold; a link pair is
+    # a side of a face around v, of the ring vertices u and w, off the subset
+    rings = {v: t.link_cycles[v] for v in a}
+    star_faces = tuple(sorted({f for v in a for f in t.vertex_faces[v]}))
+    star_edges = tuple(sorted({t.edge_id(v, w) for v, ring in rings.items() for w in ring}))
+    link_pairs = sorted((t.edge_id(u, w), v) for v, ring in rings.items()
+                        for u, w in zip(ring, ring[1:] + ring[:1]) if u not in a and w not in a)
+    components, left = [], set(a)
+    while left:  # grown from the lowest vertex left, so in order of their minima
+        comp, todo = set(), [min(left)]
+        while todo:
+            v = todo.pop()
+            if v not in comp:
+                comp.add(v)
+                todo += [w for w in t.neighbors(v) if w in left]
         components.append(frozenset(comp))
         left -= comp
-    components.sort(key=min)
 
-    return VertexSubsetGeometry(
-        subset=a,
-        star_edges=star_edges,
-        star_faces=star_faces,
-        link_pairs=tuple(link_pairs),
-        euler_char=chi,
-        components=tuple(components),
-    )
+    return VertexSubsetGeometry(a, star_edges, star_faces, tuple(link_pairs),
+                                len(a) - len(star_edges) + len(star_faces), tuple(components))
 
 
 # ---------------------------------------------------------------------------
 # trivalent polyhedra and duality
 # ---------------------------------------------------------------------------
-
-def _polyhedron_edges(poly_faces: Sequence[Sequence[int]]) -> Dict[Edge, List[int]]:
-    edge_to_faces: Dict[Edge, List[int]] = defaultdict(list)
-    for fid, cycle in enumerate(poly_faces):
-        if len(cycle) < 3:
-            raise DegenerateFace(f"face cycle {tuple(cycle)} too short")
-        if len(set(cycle)) != len(cycle):
-            raise DegenerateFace(f"face cycle {tuple(cycle)} repeats a vertex")
-        k = len(cycle)
-        for i in range(k):
-            e = canonical_edge(int(cycle[i]), int(cycle[(i + 1) % k]))
-            edge_to_faces[e].append(fid)
-    for e, fs in edge_to_faces.items():
-        if len(fs) != 2:
-            raise NonManifold(f"polyhedron edge {e} lies in {len(fs)} faces")
-    return edge_to_faces
-
 
 def dual_of_trivalent(poly_faces: Sequence[Sequence[int]]):
     """Dual sphere triangulation of an abstract trivalent polyhedron.
@@ -561,28 +546,33 @@ def dual_of_trivalent(poly_faces: Sequence[Sequence[int]]):
     triangulation together with the edge bijection in both directions:
     ``(t, poly_edge -> edge id, edge id -> poly_edge)``.
     """
-    edge_to_faces = _polyhedron_edges(poly_faces)
-    vertex_faces: Dict[int, List[int]] = defaultdict(list)
-    for fid, cycle in enumerate(poly_faces):
-        for v in cycle:
-            vertex_faces[int(v)].append(fid)
-    for v, fs in vertex_faces.items():
-        if len(fs) != 3:
-            raise NotTrivalent(f"polyhedron vertex {v} has degree {len(fs)}")
-    n_p = len(vertex_faces)
-    chi = n_p - len(edge_to_faces) + len(poly_faces)
+    for cycle in poly_faces:
+        if len(cycle) < 3:
+            raise DegenerateFace(f"face cycle {tuple(cycle)} too short")
+        if len(set(cycle)) != len(cycle):
+            raise DegenerateFace(f"face cycle {tuple(cycle)} repeats a vertex")
+    size = np.array([len(cycle) for cycle in poly_faces], dtype=np.intp)
+    tail = np.array([int(v) for cycle in poly_faces for v in cycle], dtype=np.intp)
+    face = np.repeat(np.arange(len(size)), size)
+    start = (np.cumsum(size) - size)[face]
+    head = tail[start + (np.arange(len(tail)) - start + 1) % size[face]]
+    pairs = _twins(tail, head, "polyhedron edge")
+    order, first = _group(tail)
+    degree = np.diff(np.r_[first, len(order)])
+    bad = np.flatnonzero(degree != 3)
+    if len(bad):
+        g = bad[np.argmin(order[first[bad]])]
+        raise NotTrivalent(f"polyhedron vertex {tail[order[first[g]]]} has degree {degree[g]}")
+    chi = len(first) - len(pairs) + len(size)
     if chi != 2:
         raise NotASphere(f"polyhedron Euler characteristic {chi}")
 
-    dual_faces = [tuple(sorted(vertex_faces[v])) for v in sorted(vertex_faces)]
-    t = build_triangulation(dual_faces)
-
-    to_dual: Dict[Edge, int] = {}
-    to_primal: Dict[int, Edge] = {}
-    for e, (f, g) in edge_to_faces.items():
-        eid = t.edge_id(f, g)
-        to_dual[e] = eid
-        to_primal[eid] = e
+    # the dual faces: each vertex's three faces, ascending, vertices ascending
+    t = build_triangulation(face[order].reshape(-1, 3))
+    eids = t.edge_ids(*face[pairs].T).tolist()  # joining the two faces on each edge
+    u, v = tail[pairs[:, 0]], head[pairs[:, 0]]
+    edges = list(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+    to_dual, to_primal = dict(zip(edges, eids)), dict(zip(eids, edges))
     if len(to_primal) != t.edge_count:
         raise NonManifold("edge bijection is not one-to-one")
     return t, to_dual, to_primal

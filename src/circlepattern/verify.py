@@ -26,7 +26,7 @@ from .configurations import (  # CirclePattern keeps its old name here
     _holding_pairs,
     near_pairs,
 )
-from .triangulation import cycle_arrays
+from .triangulation import _owner_rows, cycle_arrays
 from . import triples
 
 PI = math.pi
@@ -156,17 +156,19 @@ def count_interstices(p: CirclePattern, grid: int = 256, sphere_samples: int = 2
 
 class _Circles:
     """The circles around each vertex of ``vs``, one row per (vertex,
-    circle): dD_v first, then those of the disks ``near[k]`` grown by
-    ``grow`` (a distance in the plane, a cosine on the sphere).  Membership
-    in these disks is constant along each arc between crossings, so one
-    point per arc decides it (the perimeter criterion of Huang & Tseng,
-    *The coverage problem in a wireless sensor network*, 2005)."""
+    circle): dD_v first, then those of its ``count[k]`` disks, next in the
+    flat ``near``, grown by ``grow`` (a distance in the plane, a cosine on
+    the sphere).  Membership in these disks is constant along each arc
+    between crossings, so one point per arc decides it (the perimeter
+    criterion of Huang & Tseng, *The coverage problem in a wireless sensor
+    network*, 2005)."""
 
-    def __init__(self, p: CirclePattern, vs: np.ndarray, near, grow: float):
-        self.size = np.array([1 + len(s) for s in near])
+    def __init__(self, p: CirclePattern, vs: np.ndarray, count: np.ndarray, near: np.ndarray,
+                 grow: float):
+        self.size = 1 + count
         self.start = np.cumsum(self.size) - self.size
         self.owner = np.repeat(np.arange(len(vs)), self.size)
-        disk = np.insert(np.concatenate(near), self.start - np.arange(len(vs)), vs)
+        disk = np.insert(near, self.start - np.arange(len(vs)), vs)
         self.own = np.arange(len(disk)) == self.start[self.owner]
         g = np.where(self.own, 0.0, grow)
         self.c = p.centers[disk]
@@ -263,15 +265,6 @@ def _arc_midpoints(rows: int, row: np.ndarray, ang: np.ndarray):
     return mid_row, np.r_[0.5 * (ang + after), np.zeros(len(mid_row) - len(row))]
 
 
-def _owner_rows(owners: np.ndarray, start: np.ndarray, size: np.ndarray):
-    """Index pairs (a, b) pairing each item a with every row b of its
-    owner, whose rows are start[owner] .. start[owner] + size[owner] - 1."""
-    counts = size[owners]
-    a = np.repeat(np.arange(len(owners)), counts)
-    b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start[owners], counts)
-    return a, b
-
-
 def _near_disks(p: CirclePattern, slack: float) -> List[np.ndarray]:
     """Per vertex v, the disks u != v, sorted, whose closed disk, grown by
     the membership slack and a rounding margin, meets D_v: only they can
@@ -309,7 +302,9 @@ def _irreducibility_witnesses(p: CirclePattern):
     all-disk membership test.
     """
     n = len(p.radii)
-    circ = _Circles(p, np.arange(n), _near_disks(p, -COVER_SLACK), COVER_SLACK)
+    near = _near_disks(p, -COVER_SLACK)
+    circ = _Circles(p, np.arange(n), np.array([len(s) for s in near]), np.concatenate(near),
+                    COVER_SLACK)
     mid_row, mid_ang = _arc_midpoints(len(circ.R), *circ.crossings())
     clear = circ.clearance(mid_row, circ.at(mid_row, mid_ang))
 
@@ -343,13 +338,13 @@ def _flower_failures(p: CirclePattern, vs: np.ndarray, eps: float) -> Dict[int, 
     and in the plane the region outside the layout meets F only across a
     link side.  The witness is the failing point of largest clearance.
     """
-    t = p.triangulation
-    links = [t.link_cycles[v] for v in vs]
-    circ = _Circles(p, vs, [np.array(link) for link in links], -eps)
-    deg = circ.size - 1
+    offsets, _, ring = p.triangulation.star
+    deg = np.diff(offsets)[vs]
     # the faces (v, a, b) around each vertex, a and b consecutive on its link
-    fan = np.column_stack([np.repeat(vs, deg), np.concatenate(links),
-                           np.concatenate([np.roll(link, -1) for link in links])])
+    own, at = _owner_rows(np.arange(len(vs)), offsets[vs], deg)
+    first = offsets[vs][own]
+    fan = np.column_stack((vs[own], ring[at], ring[first + (at - first + 1) % deg[own]]))
+    circ = _Circles(p, vs, deg, fan[:, 1], -eps)
     # every side va and ab against every circle of v: each spoke once
     side, circle = _owner_rows(np.repeat(np.arange(len(vs)), 2 * deg), circ.start, circ.size)
     ends = p.centers[np.stack([fan[:, :2], fan[:, 1:]], axis=1).reshape(-1, 2)[side]]

@@ -8,14 +8,17 @@ helpers.  The reference condition engine is the per-circuit DFS and loops
 that the library's index-array kernel replaced, the references for the
 verifier's exact irreducibility and flower tests sample each disk, the
 three-circle relations are the per-triple scalar code that the library's
-row-wise relations replaced, and the near pairs are the all-pairs tests
-that the library's sort-and-sweep kernel replaced.
+row-wise relations replaced, the near pairs are the all-pairs tests
+that the library's sort-and-sweep kernel replaced, and the reference
+triangulation build and subset scan are the dict-of-lists, BFS and star
+walk loops that the library's half-edge table replaced.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from collections import defaultdict, deque
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -408,6 +411,163 @@ def reference_audit(t, theta, max_len: int):
             alarms.append(Violation("audit", cyc.vertices, tuple(t.edges[e] for e in cyc.edges),
                                     lhs, bound))
     return ConditionReport("audit", not alarms, {"audit": not alarms}, alarms, audit)
+
+
+# ---------------------------------------------------------------------------
+# reference triangulation build and subset scan
+# ---------------------------------------------------------------------------
+
+def reference_build(faces, vertex_count=None):
+    """``build_triangulation`` as loops: an edge -> faces dict, a BFS that
+    repairs the orientation and a walk around each vertex's star."""
+    from circlepattern.triangulation import Triangulation, canonical_edge
+
+    if not len(faces):
+        raise errors.DegenerateFace("empty face list")
+    clean = []
+    face_index = {}
+    for f in faces:
+        if len(f) != 3:
+            raise errors.DegenerateFace(f"face {tuple(f)} is not a triple")
+        a, b, c = (int(x) for x in f)
+        if len({a, b, c}) != 3:
+            raise errors.DegenerateFace(f"face {(a, b, c)} has repeated vertices")
+        if min(a, b, c) < 0:
+            raise errors.DegenerateFace(f"face {(a, b, c)} has negative vertex ids")
+        if face_index.setdefault(frozenset((a, b, c)), len(clean)) != len(clean):
+            raise errors.DegenerateFace(f"face {(a, b, c)} is repeated")
+        clean.append((a, b, c))
+    n = max(max(f) for f in clean) + 1
+    if vertex_count is not None:
+        if vertex_count < n:
+            raise errors.DegenerateFace("vertex_count smaller than largest face index")
+        n = vertex_count
+
+    edge_to_faces = defaultdict(list)
+    for fid, (a, b, c) in enumerate(clean):
+        for u, v in ((a, b), (b, c), (c, a)):
+            edge_to_faces[canonical_edge(u, v)].append(fid)
+    for e, fs in edge_to_faces.items():
+        if len(fs) != 2:
+            raise errors.NonManifold(f"edge {e} lies in {len(fs)} faces")
+
+    oriented = _reference_orientation(clean, edge_to_faces)
+    chi = n - len(edge_to_faces) + len(oriented)
+    if chi != 2:
+        raise errors.NotASphere(f"V - E + F = {chi}, expected 2")
+    edges = tuple(sorted(edge_to_faces))
+    vertex_faces, link_cycles = _reference_stars(n, oriented, edge_to_faces)
+    return Triangulation(
+        vertex_count=n,
+        faces=tuple(oriented),
+        edges=edges,
+        edge_index={e: i for i, e in enumerate(edges)},
+        edge_faces=tuple(tuple(sorted(edge_to_faces[e])) for e in edges),
+        vertex_faces=vertex_faces,
+        link_cycles=link_cycles,
+        orientation_flipped=oriented != clean,
+        face_index=face_index,
+    )
+
+
+def _reference_orientation(faces, edge_to_faces):
+    """Flip faces, by a BFS from the lowest face of each component, so that
+    every edge is traversed once in each direction."""
+    from circlepattern.triangulation import canonical_edge
+
+    flip = [None] * len(faces)
+    for root in range(len(faces)):
+        if flip[root] is not None:
+            continue
+        flip[root] = False
+        queue = deque([root])
+        while queue:
+            fid = queue.popleft()
+            a, b, c = faces[fid]
+            directed = ((a, b), (b, c), (c, a))
+            if flip[fid]:
+                directed = tuple((v, u) for (u, v) in directed)
+            for (u, v) in directed:
+                for gid in edge_to_faces[canonical_edge(u, v)]:
+                    if gid == fid:
+                        continue
+                    ga, gb, gc = faces[gid]
+                    # the neighbour must traverse (v, u); it traverses (u, v)
+                    # in its stored winding iff (u, v) is one of its sides
+                    needs_flip = (u, v) in ((ga, gb), (gb, gc), (gc, ga))
+                    if flip[gid] is None:
+                        flip[gid] = needs_flip
+                        queue.append(gid)
+                    elif flip[gid] != needs_flip:
+                        raise errors.InconsistentOrientation(
+                            f"faces {fid} and {gid} cannot be oriented consistently")
+    return [(a, c, b) if flip[fid] else (a, b, c) for fid, (a, b, c) in enumerate(faces)]
+
+
+def _reference_stars(n, faces, edge_to_faces):
+    """Cyclic face and neighbour orders around each vertex, walked one
+    face at a time from its lowest face."""
+    from circlepattern.triangulation import canonical_edge
+
+    def others(face, v):  # the two vertices after v in the face's cyclic order
+        a, b, c = face
+        return (b, c) if v == a else (c, a) if v == b else (a, b)
+
+    incident = [[] for _ in range(n)]
+    for fid, f in enumerate(faces):
+        for v in f:
+            incident[v].append(fid)
+    vertex_faces, link_cycles = [], []
+    for v in range(n):
+        fs = incident[v]
+        if not fs:
+            raise errors.NonManifold(f"vertex {v} has no incident faces")
+        order = [min(fs)]
+        first, cur = others(faces[order[0]], v)
+        ring = [first]
+        while cur != first:
+            ring.append(cur)
+            nxt = next(g for g in edge_to_faces[canonical_edge(v, cur)] if g != order[-1])
+            if nxt in order:
+                raise errors.NonManifold(f"vertex {v} link is not a single cycle")
+            order.append(nxt)
+            x, y = others(faces[nxt], v)
+            cur = y if x == cur else x
+        if len(order) != len(fs):
+            raise errors.NonManifold(f"vertex {v} link is not a single cycle")
+        vertex_faces.append(tuple(order))
+        link_cycles.append(tuple(ring))
+    return tuple(vertex_faces), tuple(link_cycles)
+
+
+def reference_subset_geometry(t, subset):
+    """``subset_geometry`` by a scan over every edge and face: the link
+    pairs are the sides opposite the one subset vertex of a face."""
+    from circlepattern.triangulation import VertexSubsetGeometry
+
+    a = frozenset(int(v) for v in subset)
+    inside = np.zeros(t.vertex_count, dtype=bool)
+    inside[list(a)] = True
+    star_edges = np.flatnonzero(inside[t.edge_array].any(axis=1))
+    on = inside[t.face_array]
+    star_faces = np.flatnonzero(on.any(axis=1))
+    faces, on = t.face_array[on.sum(axis=1) == 1], on[on.sum(axis=1) == 1]
+    k, rows = on.argmax(axis=1), np.arange(len(faces))
+    sides = t.edge_ids(faces[rows, (k + 1) % 3], faces[rows, (k + 2) % 3])
+    components, left = [], set(a)
+    while left:
+        comp, queue = {min(left)}, deque([min(left)])
+        while queue:
+            for w in t.neighbors(queue.popleft()):
+                if w in left and w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        components.append(frozenset(comp))
+        left -= comp
+    return VertexSubsetGeometry(a, tuple(star_edges.tolist()), tuple(star_faces.tolist()),
+                                tuple(sorted(zip(sides.tolist(), faces[rows, k].tolist()))),
+                                len(a) - len(star_edges) + len(star_faces),
+                                tuple(sorted(components, key=min)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Sphere triangulations for the tests: seeded vertex stacking, simplicial
-edge flips, and Loop subdivision."""
+edge flips, and Loop subdivision; and two closed surfaces that are not
+spheres."""
 from __future__ import annotations
 
 from typing import List
@@ -7,6 +8,23 @@ from typing import List
 import numpy as np
 
 TETRAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+
+# minimal projective-plane triangulation: every edge in two faces but no
+# consistent global orientation exists
+PROJECTIVE_PLANE = [
+    (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
+    (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
+]
+
+
+def torus_faces() -> List[List[int]]:
+    """3x3 grid torus: every edge in two faces but Euler characteristic 0."""
+    def v(a, b):
+        return 3 * (a % 3) + (b % 3)
+
+    return [f for i in range(3) for j in range(3)
+            for f in ([v(i, j), v(i + 1, j), v(i + 1, j + 1)],
+                      [v(i, j), v(i + 1, j + 1), v(i, j + 1)])]
 
 
 def stacked_faces(rng: np.random.Generator, n: int) -> List[List[int]]:

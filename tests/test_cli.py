@@ -167,13 +167,17 @@ class TestBadInput:
         ("render", "plane", ("circles", 0, "center"), [0.0, math.inf], 3),
         ("polyhedron", "sphere", ("circles", 0, "center"), [math.nan, 0.0, 0.0], 5),
         ("lift", "plane", ("circles", 0, "center"), [-math.inf, 0.0], 3),
+        ("validate", "octa", ("faces", 0, 0), True, 1),
+        ("validate", "theta", ("theta", 0, "edge", 1), 1.0, 1),
+        ("validate", "theta", ("theta", 1, "edge"), [1, 0], 1),
     ], ids=["face-entry", "vertices", "faces", "edge", "center", "radius",
             "marked-verify", "marked-render", "marked-polyhedron",
             "nan-center-verify", "inf-center-render", "nan-center-polyhedron",
-            "inf-center-lift"])
+            "inf-center-lift", "bool-face-entry", "float-edge-end", "edge-twice"])
     def test_malformed_json(self, octa_json, capsys, command, base, path, value, code):
         """A value of the wrong type or shape ends in one line on stderr and
-        exit 1 from the loaders; a marked face that is not a face ends in
+        exit 1 from the loaders, as does an edge given twice, once as
+        [1, 0] after [0, 1]; a marked face that is not a face ends in
         the command's own failure code, as does a centre that is not a
         finite number (JSON as Python writes it has NaN and Infinity)."""
         root, data = octa_json

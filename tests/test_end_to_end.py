@@ -17,16 +17,9 @@ from circlepattern import formats, shapes
 from circlepattern.errors import InconsistentOrientation
 from circlepattern.verify import CirclePattern
 
-from random_triangulations import stacked_faces
+from random_triangulations import PROJECTIVE_PLANE, stacked_faces
 
 PI = math.pi
-
-# minimal projective-plane triangulation: every edge in two faces but no
-# consistent global orientation exists
-PROJECTIVE_PLANE = [
-    (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
-    (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
-]
 
 
 def euclidean_instances():

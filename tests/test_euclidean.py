@@ -232,6 +232,11 @@ class TestDegenerationFunctional:
         with pytest.raises(ValueError, match="max_size"):
             rank_collapse_suspects(octa, AngleAssignment.constant(octa, 0.7), size)
 
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_subset_size_below_one_is_refused(self, octa, size):
+        with pytest.raises(ValueError, match="max_size"):
+            connected_subsets(octa, size)
+
     def test_admissible_data_keeps_suspects_negative(self, octa):
         th = AngleAssignment.constant(octa, PI / 4)
         marked = octa.faces[0]
