@@ -219,7 +219,7 @@ def gauss_newton(mode: str, centers: np.ndarray, radii: np.ndarray,
     that is not a full step halving the largest residual, or when no
     halving lowers the residual norm.  Quadratic convergence rules both out
     above rounding level; a start outside the quadratic region stops the
-    same way, and a continuation caller then shortens its step.  The radii
+    same way, as ``euclidean._curvature_newton`` does.  The radii
     of the ``tied`` vertices are scaled by one common factor per step, so
     equal radii among them stay exactly equal: their log-radius columns
     are merged into the first one.

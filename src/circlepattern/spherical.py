@@ -4,11 +4,13 @@ stereographic lift of planar patterns to the sphere.
 The solver starts from the tangency packing (every angle zero), which the
 Euclidean solver finds from a convex problem, lifts it to the sphere and
 centers it by Lorentz boosts.  It then follows theta_s = s * theta from
-s = 0 to s = 1, correcting every step with the Gauss-Newton kernel of
-``_newton`` and keeping only embedded configurations.  The result is moved
-in closed form, by one boost and one orthonormal frame, into the gauge
-that pins the marked face: its three radii at pi/4, its first center at
-the south pole, its second on the x >= 0 meridian, its third at y >= 0.
+s = 0 to s = 1, correcting the radii at every step with the curvature
+Newton of ``euclidean`` (three cap radii held to fix the boosts) and
+keeping only embedded layouts; one inversive Gauss-Newton polish follows
+at s = 1.  The result is moved in closed form, by one boost and one
+orthonormal frame, into the gauge that pins the marked face: its three
+radii at pi/4, its first center at the south pole, its second on the
+x >= 0 meridian, its third at y >= 0.
 
 Circles are also handled as de Sitter vectors (c, cos r) / sin r in
 R^{3,1} with <x, y> = x1 y1 + x2 y2 + x3 y3 - x4 y4: Moebius maps act on
@@ -26,25 +28,20 @@ from .conditions import AngleAssignment, classify
 from .configurations import (CurvatureReport, EuclideanConfiguration, SphericalConfiguration,
                              near_pairs)
 from .degeneration import sublevel_suspects
-from .errors import (
-    BaseSolveFailed,
-    CirclePatternError,
-    ConditionsViolated,
-    ContinuationStuck,
-    DomainError,
-)
-from .euclidean import pick_marked_face, resolve_marked_face, solve_euclidean
+from .errors import BaseSolveFailed, CirclePatternError, ConditionsViolated, ContinuationStuck
+from .euclidean import (_CurvatureMap, _angle_residual, _curvature_newton, _develop, _polish,
+                        pick_marked_face, resolve_marked_face, solve_euclidean)
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
-from ._newton import gauss_newton
 from .triples import inversive
 
 PI = math.pi
 SOUTH = np.array([0.0, 0.0, -1.0])
-NEWTON_TOL = 1e-13       # corrector tolerance on |I_e - cos(theta_e)|
-FLOOR_TOL = 1e-11        # accepted when the corrector stops at its rounding floor
+NEWTON_TOL = 1e-10       # corrector tolerance on the curvatures 2*pi - sigma_v
 CORRECTOR_ITERS = 60
+SIGMA_TOL = 1e-8         # largest |2*pi - sigma_v| of an accepted step, held caps included
+LAYOUT_TOL = 1e-8        # largest chord between two placements of a center
 CENTERING_TOL = 1e-9     # mean cap center norm accepted as centered
 CENTERING_ITERS = 100
 
@@ -66,12 +63,8 @@ def lift_to_sphere(cfg: EuclideanConfiguration) -> SphericalConfiguration:
     k = np.abs(c) ** 2 - r ** 2
     p = np.stack([2.0 * c.real, 2.0 * c.imag, k - 1.0, k + 1.0], axis=1) / (2.0 * r)[:, None]
     centers, radii = _from_de_sitter(p)
-    return SphericalConfiguration(
-        centers=centers,
-        radii=radii,
-        marked_face=cfg.marked_face,
-        normalized={"x5": False, "x6": False},
-    )
+    return SphericalConfiguration(centers, radii, cfg.marked_face,
+                                  normalized={"x5": False, "x6": False})
 
 
 # ---------------------------------------------------------------------------
@@ -173,37 +166,15 @@ def _into_gauge(centers: np.ndarray, radii: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# embeddedness
+# continuation driver
 # ---------------------------------------------------------------------------
 
-def _cone_angles(t: Triangulation, centers: np.ndarray) -> np.ndarray:
-    """Angle sums at every vertex of the geodesic triangulation spanned by
-    the centers; DomainError when a face is degenerate beyond rounding."""
-    faces = np.asarray(t.faces, dtype=int)
-    pts = centers[faces]
-    dots = np.stack([np.einsum("ij,ij->i", pts[:, j], pts[:, k])
-                     for j, k in ((1, 2), (2, 0), (0, 1))], axis=1)
-    lengths = np.arccos(np.clip(dots, -1.0, 1.0))
-    alphas = triples.inner_angles_from_lengths(triples.SPHERICAL, lengths)
-    sigma = np.zeros(t.vertex_count)
-    np.add.at(sigma, faces.ravel(), alphas.ravel())
-    return sigma
-
-
 def _is_genuine(t: Triangulation, centers: np.ndarray, radii: np.ndarray,
-                k_tol: float = 1e-6, overlap_tol: float = 1e-7) -> bool:
-    """Cheap embeddedness test separating true patterns from the spurious
-    solutions of the angle system: cone angles must close up to 2*pi at
-    every vertex, realized faces must be uniformly oriented, and disks of
-    non-adjacent vertices must not overlap."""
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sigma = _cone_angles(t, centers)
-    except DomainError:
-        return False
-    if not np.max(np.abs(2.0 * PI - sigma)) <= k_tol:
-        return False
-    dets = np.linalg.det(centers[np.asarray(t.faces, dtype=int)])
+                overlap_tol: float = 1e-7) -> bool:
+    """Cheap embeddedness test of a layout: realized faces must be
+    uniformly oriented, and disks of non-adjacent vertices must not
+    overlap."""
+    dets = np.linalg.det(centers[t.face_array])
     if not (np.all(dets > 0.0) or np.all(dets < 0.0)):
         return False
     u, v = near_pairs(triples.SPHERICAL, centers, 2.0 * np.sin(0.5 * radii))
@@ -211,22 +182,26 @@ def _is_genuine(t: Triangulation, centers: np.ndarray, radii: np.ndarray,
     return not np.any(inversive(triples.SPHERICAL, centers, radii, far) < 1.0 - overlap_tol)
 
 
-# ---------------------------------------------------------------------------
-# continuation driver
-# ---------------------------------------------------------------------------
+def _held_caps(centers: np.ndarray, first: int) -> Tuple[int, int, int]:
+    """Three vertices whose radii pin the boosts: ``first``, the vertex whose
+    center is nearest to orthogonal to its center, and the vertex farthest
+    from the plane of those two centers."""
+    second = int(np.argmin(np.abs(centers @ centers[first])))
+    normal = np.cross(centers[first], centers[second])
+    return first, second, int(np.argmax(np.abs(centers @ normal)))
 
-def solve_spherical(
-    t: Triangulation,
-    theta: AngleAssignment,
-    opts: SolveOptions = SolveOptions(),
-    marked_face=0,
-) -> Tuple[SphericalConfiguration, CurvatureReport]:
+
+def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions = SolveOptions(),
+                    marked_face=0) -> Tuple[SphericalConfiguration, CurvatureReport]:
     """Produce a normalized spherical configuration realizing the angles.
 
     Path: solve the tangency packing (theta = 0) in the plane, lift it to
     the sphere, center it by Lorentz boosts, then follow theta_s = s * theta
-    from s = 0 to 1 with adaptive steps, correcting each by minimum-norm
-    Gauss-Newton and rejecting any step that leaves the embedded branch.
+    from s = 0 to 1 with adaptive steps.  Each step corrects the radii by
+    the curvature Newton of ``euclidean``, three caps held (``_held_caps``),
+    and develops them; it is kept when the corrector converged, every cone
+    angle closes up to ``SIGMA_TOL`` and the layout is embedded.  At s = 1
+    one inversive Gauss-Newton polish runs before the gauge.
 
     Every theta_s is admissible: conditions c1-c4 bound sums of angles from
     above, so scaling by s in (0, 1] preserves them, and each theta_s has
@@ -244,62 +219,65 @@ def solve_spherical(
         raise ConditionsViolated("angle data is not in the no-interstice class", report=report)
     _, face = resolve_marked_face(t, marked_face)
     centers, radii = _tangency_start(t, opts)
-    edges = np.asarray(t.edges, dtype=int)
-    target = theta.array()
+
+    def stuck(message, reached):
+        suspects = sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5)
+        return ContinuationStuck(message, t_reached=reached, suspects=suspects)
 
     trace: List[float] = []
-    s, ds = 0.0, 0.1
+    s, ds, rejected = 0.0, 0.1, 0
     while s < 1.0:
-        s_try = min(1.0, s + ds)
-        c_new, r_new, ok, iters, res, stop = gauss_newton(
-            triples.SPHERICAL, centers, radii, edges, np.cos(s_try * target),
-            NEWTON_TOL, CORRECTOR_ITERS,
-        )
-        # small caps (n=642 and up) hold the floor above NEWTON_TOL
-        ok = ok or (stop == "rounding floor" and res <= FLOOR_TOL)
-        if ok and _is_genuine(t, c_new, r_new):  # never jump to a spurious branch
-            s, centers, radii = s_try, c_new, r_new
+        s_try = s + ds if s + ds < 1.0 - opts.min_step else 1.0
+        step = _homotopy_step(t, theta, s_try, centers, radii, face[0])
+        if step is not None:
+            centers, radii, iters, stop, res = step
+            s = s_try
             trace.append(res)
             if iters <= 3:
                 ds = min(0.25, 2.0 * ds)
         else:
+            rejected += 1
             ds *= 0.5
             if ds < opts.min_step:
-                raise ContinuationStuck(
-                    f"step fell below {opts.min_step} at t={s}",
-                    t_reached=s,
-                    suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
-                )
+                raise stuck(f"step fell below {opts.min_step} at t={s}", s)
 
+    centers, radii, polish_note = _polish(t, theta, centers, radii, mode=triples.SPHERICAL)
     centers, radii = _into_gauge(centers, radii, face)
-    cfg = SphericalConfiguration(
-        centers=centers,
-        radii=radii,
-        marked_face=face,
-        normalized={"x5": True, "x6": True},
-    )
-    rep = _spherical_report(t, theta, cfg, trace)
-    if rep.angle_residual is not None and rep.angle_residual > opts.tol_angle:
-        raise ContinuationStuck(
-            f"final angle residual {rep.angle_residual} exceeds {opts.tol_angle}",
-            t_reached=1.0,
-            suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
-        )
+    cfg = SphericalConfiguration(centers, radii, face, normalized={"x5": True, "x6": True})
+    rep = _spherical_report(t, theta, cfg, trace, [
+        f"homotopy: {len(trace)} steps accepted, {rejected} rejected",
+        f"newton: {iters} steps, residual {trace[-1]:.2e}, stop: {stop}", polish_note])
+    if rep.angle_residual > opts.tol_angle:
+        raise stuck(f"final angle residual {rep.angle_residual} exceeds {opts.tol_angle}", 1.0)
     return cfg, rep
 
 
-def _spherical_report(t, theta, cfg, trace) -> CurvatureReport:
-    inv = inversive(triples.SPHERICAL, cfg.centers, cfg.radii, np.asarray(t.edges, dtype=int))
-    cos_err = float(np.max(np.abs(inv - np.cos(theta.array()))))
-    # cone angles of the realized geodesic triangulation (diagnostic: they
-    # are automatically 2*pi for an embedded spherical pattern)
-    sigma = _cone_angles(t, cfg.centers)
-    curv = {v: 2.0 * PI - float(sigma[v]) for v in range(cfg.vertex_count)}
+def _homotopy_step(t, theta, s, centers, radii, first):
+    """The last accepted radii corrected for theta_s and laid out: (centers,
+    radii, corrector steps, stop, residual), or None when the step is
+    rejected.  A residual that no corrector step reduced is not converged:
+    near s = 0 the curvatures move as s squared, so a short step can start
+    within tolerance."""
+    cmap = _CurvatureMap(t, theta, None, triples.SPHERICAL, radii,
+                         _held_caps(centers, first), s)
+    if cmap.min_margin(cmap.start()) <= 0.0:  # a face of the last radii does not close up
+        return None
+    u, iters, residuals, stop = _curvature_newton(cmap, NEWTON_TOL, CORRECTOR_ITERS)
+    radii = cmap.radii_from(u)
+    if (iters == 0 or stop == "step limit"
+            or not np.max(np.abs(2.0 * PI - cmap.sigma(radii))) <= SIGMA_TOL):
+        return None
+    centers, disagree = _develop(t, theta, radii, mode=triples.SPHERICAL, s=s)
+    if disagree <= LAYOUT_TOL and _is_genuine(t, centers, radii):
+        return centers, radii, iters, stop, residuals[-1]
+    return None
+
+
+def _spherical_report(t, theta, cfg, trace, notes) -> CurvatureReport:
+    sigma = _CurvatureMap(t, theta, None, triples.SPHERICAL, cfg.radii).sigma(cfg.radii).tolist()
+    curv = [2.0 * PI - x for x in sigma]
     return CurvatureReport(
-        sigma={v: float(sigma[v]) for v in range(cfg.vertex_count)},
-        curvature=curv,
-        max_abs_K=float(max(abs(k) for k in curv.values())),
-        iterations=len(trace),
-        residual_trace=trace,
-        angle_residual=cos_err,
-    )
+        sigma=dict(enumerate(sigma)), curvature=dict(enumerate(curv)),
+        max_abs_K=max(map(abs, curv)), iterations=len(trace), residual_trace=trace,
+        angle_residual=_angle_residual(t, theta, cfg.centers, cfg.radii, triples.SPHERICAL),
+        notes=notes)

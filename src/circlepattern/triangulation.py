@@ -142,6 +142,19 @@ class Triangulation:
         ring = np.fromiter(chain.from_iterable(self.link_cycles), np.intp, offsets[-1])
         return offsets, faces, ring
 
+    @cached_property
+    def star_edge_ids(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """Edge ids along each vertex's ``link_cycles`` row, as (spokes,
+        sides): spokes[v][i] joins v to ring vertex i, and sides[v][i]
+        joins ring vertices i and i + 1, cyclically."""
+        offsets, _, ring = self.star
+        after = np.arange(1, len(ring) + 1)
+        after[offsets[1:] - 1] = offsets[:-1]
+        owner = np.repeat(np.arange(self.vertex_count), np.diff(offsets))
+        bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        return tuple([ids[lo:hi] for lo, hi in bounds] for ids in (
+            self.edge_ids(owner, ring).tolist(), self.edge_ids(ring, ring[after]).tolist()))
+
 
 def build_triangulation(faces: Sequence[Sequence[int]], vertex_count: Optional[int] = None) -> Triangulation:
     """Validate a face list and derive all incidence structure from its
@@ -514,11 +527,12 @@ def subset_geometry(t: Triangulation, subset: Iterable[int]) -> VertexSubsetGeom
 
     # the open star is what the subset's vertex stars hold; a link pair is
     # a side of a face around v, of the ring vertices u and w, off the subset
-    rings = {v: t.link_cycles[v] for v in a}
+    spokes, sides = t.star_edge_ids
     star_faces = tuple(sorted({f for v in a for f in t.vertex_faces[v]}))
-    star_edges = tuple(sorted({t.edge_id(v, w) for v, ring in rings.items() for w in ring}))
-    link_pairs = sorted((t.edge_id(u, w), v) for v, ring in rings.items()
-                        for u, w in zip(ring, ring[1:] + ring[:1]) if u not in a and w not in a)
+    star_edges = tuple(sorted({e for v in a for e in spokes[v]}))
+    link_pairs = sorted([(e, v) for v in a for u, w, e in zip(
+        t.link_cycles[v], t.link_cycles[v][1:] + t.link_cycles[v][:1], sides[v])
+        if u not in a and w not in a])
     components, left = [], set(a)
     while left:  # grown from the lowest vertex left, so in order of their minima
         comp, todo = set(), [min(left)]

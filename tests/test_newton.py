@@ -15,8 +15,9 @@ from circlepattern import (
     pick_marked_face,
     shapes,
     solve_euclidean,
+    solve_spherical,
 )
-from circlepattern import _newton
+from circlepattern import _newton, spherical
 from circlepattern._newton import (
     gauss_newton, min_norm_step, residual_and_jacobian, retract, tie_columns, to_dense,
 )
@@ -86,8 +87,8 @@ def stack120():
 
 
 def curvature_map_points(make):
-    """The curvature map of an instance, at the start, at the solution and
-    at a random point between."""
+    """The planar curvature map of an instance, at the start, at the
+    solution and at a random point between."""
     t, th = make()
     fid = pick_marked_face(t, th)
     cmap = euclidean._CurvatureMap(t, th, fid)
@@ -97,12 +98,48 @@ def curvature_map_points(make):
     return cmap, [np.zeros(len(solved)), solved, mixed]
 
 
-CURVATURE_CASES = [ico162_uniform, obtuse_bipyramid]
+def ico42_band():
+    """The n=42 subdivided icosahedron with theta ~ U(pi/3, pi/3 + 0.45) per
+    edge, as the sphere-m5 benchmark draws it."""
+    t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1))
+    draw = np.random.default_rng(3).uniform(PI / 3, PI / 3 + 0.45, t.edge_count)
+    return t, AngleAssignment(t, tuple(draw.tolist()))
 
 
-@pytest.mark.parametrize("make", CURVATURE_CASES, ids=["ico162-u", "obtuse-bipyramid"])
-def test_curvature_jacobian_matches_central_differences(make):
-    cmap, points = curvature_map_points(make)
+def octahedron_obtuse():
+    """Admissible m5 data on the octahedron with two obtuse edges."""
+    t = shapes.octahedron()
+    vals = [1.1] * t.edge_count
+    vals[0] = vals[11] = 2.0
+    return t, AngleAssignment(t, tuple(vals))
+
+
+def spherical_map_points(make):
+    """The spherical curvature map of an instance, holding the caps
+    ``solve_spherical`` would hold after its solution: at that solution and
+    at two random points near it."""
+    t, th = make()
+    cfg, _ = solve_spherical(t, th)
+    cmap = euclidean._CurvatureMap(t, th, None, "spherical", cfg.radii,
+                                   spherical._held_caps(cfg.centers, cfg.marked_face[0]))
+    solved = cmap.start()
+    rng = np.random.default_rng(9)
+    points = [solved] + [solved + rng.normal(0.0, 0.05, len(solved)) for _ in range(2)]
+    assert all(cmap.min_margin(u) > 0.0 for u in points)
+    return cmap, points
+
+
+CURVATURE_CASES = {
+    "ico162-u": lambda: curvature_map_points(ico162_uniform),
+    "obtuse-bipyramid": lambda: curvature_map_points(obtuse_bipyramid),
+    "sphere-ico42-band": lambda: spherical_map_points(ico42_band),
+    "sphere-octahedron-obtuse": lambda: spherical_map_points(octahedron_obtuse),
+}
+
+
+@pytest.mark.parametrize("case", CURVATURE_CASES)
+def test_curvature_jacobian_matches_central_differences(case):
+    cmap, points = CURVATURE_CASES[case]()
     h = 1e-6
     for u in points:
         J = cmap.jacobian(u)
@@ -114,14 +151,31 @@ def test_curvature_jacobian_matches_central_differences(make):
         np.testing.assert_allclose(fd, J, rtol=1e-6, atol=1e-8 * np.max(np.abs(J)))
 
 
-@pytest.mark.parametrize("make", CURVATURE_CASES, ids=["ico162-u", "obtuse-bipyramid"])
-def test_curvature_jacobian_is_symmetric(make):
-    """dK/dlog r is the Hessian of a functional, so it is symmetric, obtuse
-    angles included."""
-    cmap, points = curvature_map_points(make)
+@pytest.mark.parametrize("case", CURVATURE_CASES)
+def test_curvature_jacobian_is_symmetric(case):
+    """dK/du is the Hessian of a functional, so it is symmetric, obtuse
+    angles included, in both geometries."""
+    cmap, points = CURVATURE_CASES[case]()
     for u in points:
         J = cmap.jacobian(u)
         assert np.max(np.abs(J - J.T)) <= 1e-12
+
+
+def test_spherical_curvature_null_space_is_the_boosts():
+    """With no radius held, the spherical Jacobian maps the boost directions
+    du_v = c_v . w to zero and has no other null direction; holding the
+    three caps ``solve_spherical`` picks leaves it well conditioned."""
+    t, th = ico42_band()
+    cfg, _ = solve_spherical(t, th)
+    whole = euclidean._CurvatureMap(t, th, None, "spherical", cfg.radii)
+    J = whole.jacobian(whole.start())
+    boosts = cfg.centers
+    assert np.max(np.abs(J @ boosts)) <= 1e-12 * np.max(np.abs(J))
+    eig = np.linalg.eigvalsh(J)
+    assert np.sum(np.abs(eig) <= 1e-10 * np.max(np.abs(eig))) == 3
+    held = spherical._held_caps(cfg.centers, cfg.marked_face[0])
+    cmap = euclidean._CurvatureMap(t, th, None, "spherical", cfg.radii, held)
+    assert np.linalg.cond(cmap.jacobian(cmap.start())) < 1e4
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])

@@ -1,5 +1,6 @@
 import math
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from circlepattern import (
     AngleAssignment,
     build_triangulation,
+    classify,
     inversive_distance,
     lift_to_sphere,
     solve_euclidean,
     solve_spherical,
 )
-from circlepattern import shapes, spherical
+from circlepattern import euclidean, shapes, spherical
 from circlepattern.configurations import EuclideanConfiguration
 from circlepattern.errors import ConditionsViolated, ContinuationStuck
 from circlepattern.verify import CirclePattern
@@ -237,6 +239,35 @@ class TestBipyramidFamily:
         assert verify_pattern(CirclePattern.from_spherical(t, th, cfg)).passed
 
 
+def obtuse_edge_draws(t, rng):
+    """Admissible m5 data with some obtuse edges: every edge uniform in
+    (1.05, 1.5), then k edges, 1 <= k < max(2, E // 6), uniform in
+    (1.6, 2.3); draws that fail the m5 conditions are skipped."""
+    E = t.edge_count
+    while True:
+        vals = rng.uniform(1.05, 1.5, E)
+        k = int(rng.integers(1, max(2, E // 6)))
+        vals[rng.choice(E, k, replace=False)] = rng.uniform(1.6, 2.3, k)
+        th = AngleAssignment(t, tuple(vals.tolist()))
+        if classify(t, th, "m5").passed:
+            yield th
+
+
+@pytest.mark.parametrize("draw", [13, 17])
+def test_obtuse_bipyramid_draw_reselects_its_held_caps(draw):
+    """Two obtuse-edge draws on the octagonal bipyramid.  With the three
+    held caps chosen once at the start, the held centers become nearly
+    coplanar along the path and the homotopy gets stuck at s = 0.9946 and
+    0.9859; chosen afresh before every step, both solve and verify."""
+    from circlepattern import verify_pattern
+
+    t = shapes.bipyramid(8)
+    th = next(islice(obtuse_edge_draws(t, np.random.default_rng(5)), draw - 1, None))
+    cfg, rep = solve_spherical(t, th)
+    assert rep.angle_residual < 1e-12
+    assert verify_pattern(CirclePattern.from_spherical(t, th, cfg)).passed
+
+
 OCTAGONAL_BIPYRAMID_THETA = {
     (0, 2): 1.2267082096255804, (0, 3): 1.0547775179108356, (0, 4): 1.1703962248996602,
     (0, 5): 1.3437760878924339, (0, 6): 1.3944718415012238, (0, 7): 1.3580665148440871,
@@ -263,13 +294,15 @@ class TestSubdividedIcosahedron:
         p = CirclePattern.from_spherical(t, th, cfg)
         assert verify_pattern(p).passed
 
-    # accepted homotopy steps of the n=642 solve, as the dense QR step took them
-    N642_STEPS = 11
+    # accepted homotopy steps of the n=642 solve, s = 0.1, 0.3, 0.55, 0.8
+    # and 1: the first two radius corrections take at most three Newton
+    # steps, so the homotopy step doubles to its cap of 0.25
+    N642_STEPS = 5
 
     def test_n642_sparse_steps(self):
-        """The n=642 subdivided icosahedron at theta = 1.2: its 1920 x 1920
-        normal matrices are factorized sparse, and the homotopy takes the
-        steps the dense QR step took."""
+        """The n=642 subdivided icosahedron at theta = 1.2: its 639 x 639
+        curvature Jacobians and the polish's 1920 x 1920 normal matrices are
+        factorized sparse, and the homotopy takes its five steps."""
         from circlepattern import _newton, build_triangulation, verify_pattern
 
         t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 3))
@@ -279,6 +312,37 @@ class TestSubdividedIcosahedron:
         assert rep.iterations == self.N642_STEPS
         assert rep.angle_residual < 1e-10
         assert verify_pattern(CirclePattern.from_spherical(t, th, cfg)).passed
+
+
+class TestHomotopy:
+    def test_report_notes_explain_the_run(self, icosa, monkeypatch):
+        """The notes give the accepted and rejected homotopy steps, the last
+        accepted corrector's steps, residual and stop, and the one spherical
+        polish's steps, residual and stop, as they were returned."""
+        steps, polishes = [], []
+        homotopy_step, gauss_newton = spherical._homotopy_step, euclidean.gauss_newton
+
+        def recorded_step(*args):
+            steps.append(homotopy_step(*args))
+            return steps[-1]
+
+        def recorded_polish(mode, *args, **kwargs):
+            polishes.append((mode, gauss_newton(mode, *args, **kwargs)))
+            return polishes[-1][1]
+
+        monkeypatch.setattr(spherical, "_homotopy_step", recorded_step)
+        monkeypatch.setattr(euclidean, "gauss_newton", recorded_polish)
+        _, rep = solve_spherical(icosa, AngleAssignment.constant(icosa, 1.2))
+        accepted = [step for step in steps if step is not None]
+        _, _, iters, stop, res = accepted[-1]
+        assert len(accepted) == rep.iterations and len(steps) > len(accepted)
+        # one planar polish of the tangency start, one spherical polish at s = 1
+        assert [mode for mode, _ in polishes] == ["euclidean", "spherical"]
+        _, _, _, p_steps, p_res, p_stop = polishes[1][1]
+        assert rep.notes == [
+            f"homotopy: {len(accepted)} steps accepted, {len(steps) - len(accepted)} rejected",
+            f"newton: {iters} steps, residual {res:.2e}, stop: {stop}",
+            f"polish: {p_steps} steps, residual {p_res:.2e}, stop: {p_stop}"]
 
 
 class TestRoundingFloor:
