@@ -125,19 +125,13 @@ class CirclePattern:
     # -- pairwise quantities -------------------------------------------
 
     def inversive_matrix(self) -> np.ndarray:
-        idx = np.arange(len(self.radii))
-        out = self._inversive(idx[:, None], idx)
+        from .triples import inversive  # render and lift load this module without triples
+
+        idx = np.arange(len(self.radii))  # row by row: no n^2 index array
+        out = np.array([inversive(self.mode, self.centers, self.radii,
+                                  np.column_stack((np.full_like(idx, u), idx))) for u in idx])
         np.fill_diagonal(out, -1.0)
         return out
-
-    def _inversive(self, u, v) -> np.ndarray:
-        """Inversive distances of the disk pairs (u, v), index arrays that broadcast."""
-        ru, rv = self.radii[u], self.radii[v]
-        if self.mode == EUCLIDEAN:
-            d2 = np.abs(self.centers[u] - self.centers[v]) ** 2
-            return (d2 - ru * ru - rv * rv) / (2.0 * (ru * rv))
-        dots = np.einsum("...j,...j->...", self.centers[u], self.centers[v])
-        return (np.cos(ru) * np.cos(rv) - dots) / (np.sin(ru) * np.sin(rv))
 
     def point_in_disks(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
         """Boolean (num points, num disks) closed-disk membership matrix."""

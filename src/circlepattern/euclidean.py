@@ -24,7 +24,6 @@ from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
 from ._newton import LINE_SEARCH_HALVINGS, Assembly, factorize, gauss_newton
-from .triples import inversive
 
 PI = math.pi
 POLISH_TOL = 1e-14
@@ -283,21 +282,23 @@ def _develop(t: Triangulation, theta: AngleAssignment, radii: np.ndarray, skip=N
     times theta, and the largest disagreement of a re-derived center with
     its first placement.  Plane: complex centers, the seed face's first
     vertex at 0.  Sphere: unit 3-vectors in scalar floats, the seed's
-    first vertex at the north pole; arcs are passed as their cosines.  The
-    edge opposite corner i of face f is ``t.face_edges[f, i]``."""
+    first vertex at the north pole; arcs are passed as their cosines.  Each
+    new center is the apex of ``triples._third_point`` (plane) or
+    ``triples._third_point_on_sphere`` on a placed edge.  The edge opposite
+    corner i of face f is ``t.face_edges[f, i]``."""
     cos_t = [math.cos(s * x) for x in theta.values]
     if mode == triples.EUCLIDEAN:
         def length(u, v, e):
             ru, rv = radii[u], radii[v]
             return math.sqrt(ru ** 2 + rv ** 2 + 2.0 * cos_t[e] * ru * rv)
-        apex, gap = _third_point, lambda p, q: abs(p - q)
+        apex, gap = triples._third_point, lambda p, q: abs(p - q)
         first, second = np.complex128(0.0), np.complex128
     else:
         def length(u, v, e):
             return cos_r[u] * cos_r[v] - cos_t[e] * sin_r[u] * sin_r[v]
         cos_r, sin_r = np.cos(radii).tolist(), np.sin(radii).tolist()
-        apex, gap, first, second = (_third_point_on_sphere, math.dist, (0.0, 0.0, 1.0),
-                                    lambda c: (math.sqrt(max(1.0 - c * c, 0.0)), 0.0, c))
+        apex, gap = triples._third_point_on_sphere, math.dist
+        first, second = (0.0, 0.0, 1.0), lambda c: (math.sqrt(max(1.0 - c * c, 0.0)), 0.0, c)
 
     centers, face_edges = [None] * t.vertex_count, t.face_edges.tolist()
     seed = min(g for g in range(t.face_count) if g != skip)
@@ -328,31 +329,6 @@ def _develop(t: Triangulation, theta: AngleAssignment, radii: np.ndarray, skip=N
     if any(z is None for z in centers):
         raise LayoutInconsistent("some vertex was never placed")
     return np.array(centers, dtype=complex if mode == triples.EUCLIDEAN else float), max_disagree
-
-
-def _third_point(z0: complex, z1: complex, d0: float, d2: float) -> complex:
-    """Apex of the positively oriented triangle with base z0 -> z1 and
-    side lengths |p - z0| = d0, |p - z1| = d2."""
-    base = z1 - z0
-    d = abs(base)
-    x = (d * d + d0 * d0 - d2 * d2) / (2.0 * d)
-    y2 = d0 * d0 - x * x
-    y = math.sqrt(max(y2, 0.0))
-    return z0 + (x + 1j * y) * (base / d)
-
-
-def _third_point_on_sphere(a, b, c0: float, c2: float):
-    """Apex p of the positively oriented spherical triangle with base a -> b
-    (unit 3-tuples) and a.p = c0, b.p = c2: p = c0 a + x t + y n, with t
-    the unit tangent at a toward b and n = a x b / |a x b|."""
-    (ax, ay, az), (bx, by, bz) = a, b
-    c = ax * bx + ay * by + az * bz
-    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    s = math.sqrt(nx * nx + ny * ny + nz * nz)
-    x = (c2 - c * c0) / s
-    y = math.sqrt(max(1.0 - c0 * c0 - x * x, 0.0))
-    ka, kb, kn = c0 - x * c / s, x / s, y / s
-    return ka * ax + kb * bx + kn * nx, ka * ay + kb * by + kn * ny, ka * az + kb * bz + kn * nz
 
 
 def _polish(t: Triangulation, theta: AngleAssignment, centers: np.ndarray, radii: np.ndarray,
@@ -392,5 +368,5 @@ def _normalize(centers: np.ndarray, radii: np.ndarray, face) -> Tuple[np.ndarray
 
 def _angle_residual(t, theta, centers, radii, mode: str = triples.EUCLIDEAN) -> float:
     """Max realized-angle mismatch over edges, measured on cosines."""
-    inv = inversive(mode, centers, radii, np.asarray(t.edges, dtype=int))
+    inv = triples.inversive(mode, centers, radii, t.edge_array)
     return float(np.max(np.abs(inv - np.cos(theta.array()))))

@@ -19,7 +19,6 @@ from .conditions import face_sums
 from .errors import MalformedPattern, SingularTriple, VertexOutsideBall
 from .configurations import CirclePattern
 from . import triples
-from .triples import inversive
 
 PI = math.pi
 COND_LIMIT = 1e12       # vertex solve condition number treated as singular
@@ -152,7 +151,7 @@ def check_polyhedron(q: HyperbolicPolyhedron, pattern: CirclePattern,
     dihedral_err = float(np.max(np.abs(q.dihedral - target)))
 
     # same angle through the pattern's inversive distances (independent path)
-    inv = inversive(triples.SPHERICAL, pattern.centers, pattern.radii, np.asarray(t.edges, dtype=int))
+    inv = triples.inversive(triples.SPHERICAL, pattern.centers, pattern.radii, t.edge_array)
     gap = float(np.max(np.abs(np.cos(q.dihedral) - inv)))
 
     normals = np.array([h.normal for h in q.half_spaces])

@@ -108,10 +108,14 @@ class Triangulation:
     def edge_face_array(self) -> np.ndarray:
         return np.array(self.edge_faces, dtype=np.intp)
 
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """u * n + v of each edge (u, v): increasing, as edges are sorted."""
+        return self.edge_array[:, 0] * self.vertex_count + self.edge_array[:, 1]
+
     def edge_ids(self, u, v) -> np.ndarray:
         """``edge_id`` over arrays, with -1 where u and v are not adjacent."""
-        n = self.vertex_count
-        keys = self.edge_array[:, 0] * n + self.edge_array[:, 1]  # increasing, as edges are sorted
+        n, keys = self.vertex_count, self.edge_keys
         key = np.minimum(u, v) * n + np.maximum(u, v)
         i = np.minimum(np.searchsorted(keys, key), self.edge_count - 1)
         return np.where(keys[i] == key, i, -1)

@@ -1,4 +1,6 @@
-"""Closed-form geometry of three-circle configurations.
+"""Closed-form geometry of three-circle configurations, the one copy of
+each pair and triple formula: ``inversive_distance``, ``feasibility`` and
+``place_triple`` are one-row calls of the kernels that the solvers use.
 
 Two metric modes are supported: ``"euclidean"`` (disks in the plane,
 radii are lengths) and ``"spherical"`` (caps on the unit sphere, radii
@@ -111,38 +113,6 @@ def feasibility_margin(mode: str, radii, angles) -> np.ndarray:
     return np.sum(quad, axis=-1) + np.sum(cross, axis=-1) + zeta * prod2
 
 
-def _margin_scalar(mode: str, radii, angles) -> float:
-    """Compensated-summation scalar version of feasibility_margin."""
-    ri, rj, rk = (float(v) for v in radii)
-    ti, tj, tk = (float(v) for v in angles)
-    ci, cj, ck = math.cos(ti), math.cos(tj), math.cos(tk)
-    si, sj, sk = math.sin(ti), math.sin(tj), math.sin(tk)
-    l_i, l_j, l_k = ci + cj * ck, cj + ck * ci, ck + ci * cj
-    if mode == EUCLIDEAN:
-        terms = [
-            si * si * rj * rj * rk * rk,
-            sj * sj * rk * rk * ri * ri,
-            sk * sk * ri * ri * rj * rj,
-            2.0 * l_i * rj * rk * ri * ri,
-            2.0 * l_j * rk * ri * rj * rj,
-            2.0 * l_k * ri * rj * rk * rk,
-        ]
-        return math.fsum(terms)
-    ai, aj, ak = math.cos(ri), math.cos(rj), math.cos(rk)
-    xi, xj, xk = math.sin(ri), math.sin(rj), math.sin(rk)
-    zeta = si * si + sj * sj + sk * sk - 2.0 - 2.0 * ci * cj * ck
-    terms = [
-        si * si * ai * ai * xj * xj * xk * xk,
-        sj * sj * aj * aj * xk * xk * xi * xi,
-        sk * sk * ak * ak * xi * xi * xj * xj,
-        zeta * xi * xi * xj * xj * xk * xk,
-        2.0 * l_i * aj * ak * xj * xk * xi * xi,
-        2.0 * l_j * ak * ai * xk * xi * xj * xj,
-        2.0 * l_k * ai * aj * xi * xj * xk * xk,
-    ]
-    return math.fsum(terms)
-
-
 def inner_angles_from_lengths(mode: str, lengths) -> np.ndarray:
     """Angles of the center triangle, one at each circle center."""
     _check_mode(mode)
@@ -198,7 +168,7 @@ def edge_length(spec: TripleSpec, which: int) -> float:
 
 def feasibility(spec: TripleSpec) -> Tuple[bool, float]:
     """Whether the triple closes up, with the signed margin."""
-    margin = _margin_scalar(spec.mode, spec.radii, spec.angles)
+    margin = float(feasibility_margin(spec.mode, spec.radii, spec.angles))
     return margin > 0.0, margin
 
 
@@ -238,13 +208,10 @@ def triple_geometry(spec: TripleSpec) -> TripleGeometry:
 def inversive_distance(mode: str, center_i, r_i: float, center_j, r_j: float) -> float:
     """Moebius-invariant quantity of a circle pair; cos of the exterior
     angle when in [-1, 1].  Out-of-range values are returned raw: > 1 is
-    disjoint, < -1 is nested."""
+    disjoint, < -1 is nested; one row of ``inversive``."""
     _check_mode(mode)
-    if mode == EUCLIDEAN:
-        d2 = abs(complex(center_i) - complex(center_j)) ** 2
-        return (d2 - r_i * r_i - r_j * r_j) / (2.0 * r_i * r_j)
-    dot = float(np.dot(np.asarray(center_i, float), np.asarray(center_j, float)))
-    return (math.cos(r_i) * math.cos(r_j) - dot) / (math.sin(r_i) * math.sin(r_j))
+    centers = np.array([center_i, center_j], dtype=complex if mode == EUCLIDEAN else float)
+    return float(inversive(mode, centers, np.array([r_i, r_j], float), np.array([[0, 1]]))[0])
 
 
 def inversive(mode: str, centers: np.ndarray, radii: np.ndarray,
@@ -292,8 +259,33 @@ def cap_plane_points(centers, radii) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# canonical placement (used by round-trip checks and the seed of layouts)
+# canonical placement, and the triangle apex of the developing map
 # ---------------------------------------------------------------------------
+
+def _third_point(z0: complex, z1: complex, d0: float, d2: float) -> complex:
+    """Apex of the positively oriented triangle with base z0 -> z1 and
+    side lengths |p - z0| = d0, |p - z1| = d2."""
+    base = z1 - z0
+    d = abs(base)
+    x = (d * d + d0 * d0 - d2 * d2) / (2.0 * d)
+    y2 = d0 * d0 - x * x
+    y = math.sqrt(max(y2, 0.0))
+    return z0 + (x + 1j * y) * (base / d)
+
+
+def _third_point_on_sphere(a, b, c0: float, c2: float):
+    """Apex p of the positively oriented spherical triangle with base a -> b
+    (unit 3-tuples) and a.p = c0, b.p = c2: p = c0 a + x t + y n, with t
+    the unit tangent at a toward b and n = a x b / |a x b|."""
+    (ax, ay, az), (bx, by, bz) = a, b
+    c = ax * bx + ay * by + az * bz
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    s = math.sqrt(nx * nx + ny * ny + nz * nz)
+    x = (c2 - c * c0) / s
+    y = math.sqrt(max(1.0 - c0 * c0 - x * x, 0.0))
+    ka, kb, kn = c0 - x * c / s, x / s, y / s
+    return ka * ax + kb * bx + kn * nx, ka * ay + kb * by + kn * ny, ka * az + kb * bz + kn * nz
+
 
 def place_by_lengths(mode: str, lengths):
     """Place three centers with the given pairwise distances.
@@ -305,21 +297,11 @@ def place_by_lengths(mode: str, lengths):
     _check_mode(mode)
     l0, l1, l2 = (float(v) for v in lengths)
     if mode == EUCLIDEAN:
-        z0 = 0.0 + 0.0j
-        z1 = complex(l2, 0.0)  # d(z0, z1) = l2
-        x = (l2 * l2 + l1 * l1 - l0 * l0) / (2.0 * l2)
-        y2 = l1 * l1 - x * x
-        z2 = complex(x, math.sqrt(max(y2, 0.0)))
-        return z0, z1, z2
-    # angle at center 0 between the arcs to centers 1 and 2
-    arg = (math.cos(l0) - math.cos(l1) * math.cos(l2)) / (math.sin(l1) * math.sin(l2))
-    alpha = float(clamped_acos(arg))
-    n0 = np.array([0.0, 0.0, 1.0])
-    n1 = np.array([math.sin(l2), 0.0, math.cos(l2)])
-    n2 = np.array(
-        [math.sin(l1) * math.cos(alpha), math.sin(l1) * math.sin(alpha), math.cos(l1)]
-    )
-    return n0, n1, n2
+        z0, z1 = 0.0 + 0.0j, complex(l2, 0.0)  # d(z0, z1) = l2
+        return z0, z1, _third_point(z0, z1, l1, l0)
+    n0, n1 = (0.0, 0.0, 1.0), (math.sin(l2), 0.0, math.cos(l2))
+    n2 = _third_point_on_sphere(n0, n1, math.cos(l1), math.cos(l0))
+    return np.array(n0), np.array(n1), np.array(n2)
 
 
 def place_triple(spec: TripleSpec):

