@@ -1,5 +1,6 @@
-"""Inversive-distance Newton kernel shared by the planar and spherical
-solvers.
+"""Newton kernels shared by the planar and spherical solvers: the line
+search and stop rule of every Newton run, ``damped_newton``, and the
+inversive-distance system that its Gauss-Newton caller solves.
 
 A configuration is one center per vertex (complex numbers in the plane,
 unit 3-vectors on the sphere) and one radius per vertex.  Moves are taken
@@ -206,53 +207,81 @@ def tie_columns(cols: np.ndarray, tied: Sequence[int]) -> np.ndarray:
     return np.where(np.isin(cols, [3 * v + 2 for v in tied[1:]]), 3 * tied[0] + 2, cols)
 
 
+def damped_newton(x, f, residual: Callable, step: Callable, move: Callable,
+                  tol: float, max_iters: int):
+    """Damped Newton from ``x``, whose residual vector is ``f``: each step
+    ``step(x, f)`` is halved until ``move(x, lam * step)`` has a
+    ``residual`` that is admissible (not None) and of lower norm.
+
+    Stops when the largest residual is at most ``tol``, after ``max_iters``
+    steps, or at the rounding floor: when ``step`` is None (no step can be
+    taken), when no halving lowers the norm, or after the first step that
+    is not a full step halving the largest residual.  Quadratic convergence
+    rules out the last two above rounding level; a start outside the
+    quadratic region stops the same way (the monotonicity test of
+    Deuflhard, *Newton Methods for Nonlinear Problems*, 2004).
+
+    Returns (x, iterations, largest residual before and after each step,
+    why it stopped: "tolerance", "rounding floor" or "step limit").
+    """
+    trace = [float(np.max(np.abs(f))) if len(f) else 0.0]
+    for it in range(max_iters):
+        if trace[-1] <= tol:
+            return x, it, trace, "tolerance"
+        dx = step(x, f)
+        if dx is None:
+            return x, it, trace, "rounding floor"
+        norm0, lam = np.linalg.norm(f), 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            cand = move(x, lam * dx)
+            f_try = residual(cand)
+            if f_try is not None and np.linalg.norm(f_try) < norm0:
+                break
+            lam *= 0.5
+        else:
+            return x, it, trace, "rounding floor"
+        x, f = cand, f_try
+        trace.append(float(np.max(np.abs(f))))
+        if lam < 1.0 or trace[-1] > 0.5 * trace[-2]:
+            return x, it + 1, trace, "rounding floor"
+    return x, max_iters, trace, "tolerance" if trace[-1] <= tol else "step limit"
+
+
 def gauss_newton(mode: str, centers: np.ndarray, radii: np.ndarray,
                  edges: np.ndarray, target_cos: np.ndarray, tol: float,
                  max_iters: int, tied: Sequence[int] = ()):
-    """Damped minimum-norm Gauss-Newton on I_e = cos(theta_e).
+    """Minimum-norm Gauss-Newton on I_e = cos(theta_e), by ``damped_newton``.
 
-    Each step is the least-norm solution of the linearized system, halved
-    until the residual norm drops; a candidate whose residual is not finite
-    (a radius driven to the end of its range) is rejected before any norm
-    is taken.  Stops when the largest residual is at most ``tol``, after
-    ``max_iters`` steps, or at the rounding floor: after the first step
-    that is not a full step halving the largest residual, or when no
-    halving lowers the residual norm.  Quadratic convergence rules both out
-    above rounding level; a start outside the quadratic region stops the
-    same way, as ``euclidean._curvature_newton`` does.  The radii
-    of the ``tied`` vertices are scaled by one common factor per step, so
-    equal radii among them stay exactly equal: their log-radius columns
-    are merged into the first one.
+    Each step is the least-norm solution of the linearized system, and
+    moves the configuration by ``retract``; a candidate whose residual is
+    not finite (a radius driven to the end of its range) is not admissible.
+    The radii of the ``tied`` vertices are scaled by one common factor per
+    step, so equal radii among them stay exactly equal: their log-radius
+    columns are merged into the first one.
 
     Returns (centers, radii, converged, iterations, largest residual, why
     it stopped: "tolerance", "rounding floor" or "step limit").
     """
     tied_cols = [3 * v + 2 for v in tied]
-    n_cols = 3 * len(radii)
-    f, (rows, cols, vals) = residual_and_jacobian(mode, centers, radii, edges, target_cos)
+    f, (rows, cols, _) = residual_and_jacobian(mode, centers, radii, edges, target_cos)
     cols = tie_columns(cols, tied)
     gram = Gram(rows, cols, len(f))
-    res = float(np.max(np.abs(f)))
-    for it in range(max_iters):
-        if res <= tol:
-            return centers, radii, True, it, res, "tolerance"
-        step = min_norm_step((rows, cols, vals), f, n_cols, gram)
-        if tied_cols:
-            step[tied_cols[1:]] = step[tied_cols[0]]
-        norm0 = np.linalg.norm(f)
-        lam = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                c_try, r_try = retract(mode, centers, radii, lam * step)
-                f_try = inversive(mode, c_try, r_try, edges) - target_cos
-            if np.all(np.isfinite(f_try)) and np.linalg.norm(f_try) < norm0:
-                break
-            lam *= 0.5
-        else:
-            return centers, radii, False, it, res, "rounding floor"
-        new_res = float(np.max(np.abs(f_try)))
-        if lam < 1.0 or new_res > 0.5 * res:
-            return c_try, r_try, new_res <= tol, it + 1, new_res, "rounding floor"
-        centers, radii, res = c_try, r_try, new_res
-        f, (_, _, vals) = residual_and_jacobian(mode, centers, radii, edges, target_cos)
-    return centers, radii, res <= tol, max_iters, res, "step limit"
+
+    def step(x, f):
+        vals = residual_and_jacobian(mode, *x, edges, target_cos)[1][2]
+        dx = min_norm_step((rows, cols, vals), f, 3 * len(radii), gram)
+        dx[tied_cols[1:]] = dx[tied_cols[:1]]
+        return dx
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def residual(x):
+        f = inversive(mode, *x, edges) - target_cos
+        return f if np.all(np.isfinite(f)) else None
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def move(x, dx):
+        return retract(mode, *x, dx)
+
+    (centers, radii), steps, trace, stop = damped_newton(
+        (centers, radii), f, residual, step, move, tol, max_iters)
+    return centers, radii, trace[-1] <= tol, steps, trace[-1], stop

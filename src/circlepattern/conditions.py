@@ -278,13 +278,8 @@ def classify(t: Triangulation, theta: AngleAssignment,
     flags["marden"] = base
     flags["w_m"] = base and flags["m5"]
     flags["w_g"] = base and flags["g5"]
-    if requested == "marden":
-        passed = base
-    elif requested == "m5":
-        passed = flags["w_m"]
-    elif requested == "g5":
-        passed = flags["w_g"]
-    else:
+    passed = {"marden": base, "m5": flags["w_m"], "g5": flags["w_g"]}.get(requested)
+    if passed is None:
         raise ValueError(f"unknown class {requested!r}")
     return ConditionReport(requested, passed, flags, violations)
 

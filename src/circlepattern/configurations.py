@@ -46,11 +46,8 @@ class CurvatureReport:
 
 
 @dataclass
-class EuclideanConfiguration:
-    """Planar centers and radii, one disk per vertex, with the face hosting
-    infinity removed from the layout."""
-
-    centers: np.ndarray            # complex, shape (n,)
+class _Configuration:
+    centers: np.ndarray            # complex, shape (n,); or float, shape (n, 3)
     radii: np.ndarray              # float, shape (n,)
     marked_face: Optional[Tuple[int, int, int]]
     normalized: Dict[str, bool] = field(default_factory=dict)
@@ -60,18 +57,13 @@ class EuclideanConfiguration:
         return len(self.radii)
 
 
-@dataclass
-class SphericalConfiguration:
+class EuclideanConfiguration(_Configuration):
+    """Planar centers (complex) and radii, one disk per vertex, with the
+    face hosting infinity removed from the layout."""
+
+
+class SphericalConfiguration(_Configuration):
     """Unit-sphere cap centers (unit 3-vectors) and arc radii in (0, pi)."""
-
-    centers: np.ndarray            # float, shape (n, 3)
-    radii: np.ndarray              # float, shape (n,)
-    marked_face: Optional[Tuple[int, int, int]]
-    normalized: Dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.radii)
 
 
 @dataclass

@@ -80,9 +80,9 @@ class ConditionsViolated(CirclePatternError):
 
 class Stalled(CirclePatternError):
     """The planar solve found no pattern: the curvature Newton reached its
-    step limit, or its tolerance or rounding-floor stop left no layout or an
-    angle residual above ``tol_angle``.  Carries the curvature residual and
-    the collapse suspects of the failing radii."""
+    step limit, or its tolerance or rounding-floor stop left no layout or
+    angles that fail ``triples.angle_errors``.  Carries the curvature
+    residual and the collapse suspects of the failing radii."""
 
     def __init__(self, message, residual=None, suspects=None):
         super().__init__(message)
@@ -95,7 +95,8 @@ class LayoutInconsistent(CirclePatternError):
 
 
 class ContinuationStuck(CirclePatternError):
-    """The homotopy step shrank below the floor before reaching t = 1."""
+    """The homotopy step shrank below the floor before reaching t = 1, or
+    the pattern reached fails ``triples.angle_errors``."""
 
     def __init__(self, message, t_reached=None, suspects=None):
         super().__init__(message)

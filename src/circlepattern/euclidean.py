@@ -3,10 +3,10 @@
 Radii are found by damped Newton iteration on the apex-curvature map in
 log-radius variables from equal radii, with the three marked-face radii
 pinned equal; the centers are then produced by developing the
-triangulation face by face.  The iteration stops by the rule of
-``_newton``; the realized angles after polish decide whether it found a
-pattern.  The map, its Newton, the layout and the polish also serve the
-spherical homotopy.
+triangulation face by face.  The iteration is ``_newton.damped_newton``;
+the realized angles after polish decide whether it found a pattern, by the
+test that ``verify`` applies, ``triples.angle_errors``.  The map, its
+Newton, the layout and the polish also serve the spherical homotopy.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .errors import ConditionsViolated, LayoutInconsistent, Stalled
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
-from ._newton import LINE_SEARCH_HALVINGS, Assembly, factorize, gauss_newton
+from ._newton import Assembly, damped_newton, factorize, gauss_newton
 
 PI = math.pi
 POLISH_TOL = 1e-14
@@ -160,9 +160,10 @@ def solve_euclidean(t: Triangulation, theta: AngleAssignment, marked_face,
     The curvature Newton stops at ``opts.tol_K``, at its rounding floor or
     after ``opts.max_iters`` steps, as the report's first note says.  The
     last raises Stalled; the others are laid out, polished and accepted
-    when the angle residual (on cosines) is at most ``opts.tol_angle``, else
-    Stalled, as is a layout that fails.  Stalled carries the stop reason and
-    the collapse suspects of the failing radii.
+    when the realized angles pass ``triples.angle_errors`` at
+    ``opts.tol_angle``, the test of ``verify_pattern``, else Stalled, as is
+    a layout that fails.  Stalled carries the stop reason and the collapse
+    suspects of the failing radii.
     """
     report = classify(t, theta, "g5")
     if not report.passed:
@@ -178,26 +179,24 @@ def solve_euclidean(t: Triangulation, theta: AngleAssignment, marked_face,
     cmap = _CurvatureMap(t, theta, fid)
     u, it, trace, stop = _curvature_newton(cmap, opts.tol_K, opts.max_iters)
     res, radii = trace[-1], cmap.radii_from(u)
+    newton = f"curvature residual {res} ({stop}) leaves"
     if stop == "step limit":
-        raise Stalled(
-            f"no convergence after {it} iterations (residual {res})", residual=res,
-            suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
-        )
-    try:
-        centers = layout_euclidean(t, theta, radii, fid, tol_layout=opts.tol_layout)
-    except LayoutInconsistent as exc:
-        failure = f"leaves no layout: {exc}"
+        failure = f"no convergence after {it} iterations (residual {res})"
     else:
-        centers, radii, polish_note = _polish(t, theta, centers, radii, face)
-        centers, radii = _normalize(centers, radii, face)
-        angle_residual = _angle_residual(t, theta, centers, radii)
-        failure = (None if angle_residual <= opts.tol_angle else
-                   f"leaves angle residual {angle_residual} above {opts.tol_angle}")
+        try:
+            centers = layout_euclidean(t, theta, radii, fid, tol_layout=opts.tol_layout)
+        except LayoutInconsistent as exc:
+            failure = f"{newton} no layout: {exc}"
+        else:
+            centers, radii, polish_note = _polish(t, theta, centers, radii, face)
+            centers, radii = _normalize(centers, radii, face)
+            angle_residual, radians, ok = triples.angle_errors(
+                triples.EUCLIDEAN, centers, radii, t.edge_array, theta.array(), opts.tol_angle)
+            failure = None if ok else (f"{newton} angle residual {angle_residual} on cosines, "
+                                       f"{radians} in radians, above {opts.tol_angle}")
     if failure:
-        raise Stalled(
-            f"curvature residual {res} ({stop}) {failure}", residual=res,
-            suspects=sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5),
-        )
+        raise Stalled(failure, residual=res, suspects=sublevel_suspects(
+            t, theta, radii, opts.diag_max, avoid=face, top=5))
 
     sigma = cmap.sigma(radii)
     rep = CurvatureReport(
@@ -211,46 +210,29 @@ def solve_euclidean(t: Triangulation, theta: AngleAssignment, marked_face,
 
 
 def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
-    """Damped Newton on the curvatures from the map's base radii: each step
-    solves J du = -K, by ``_newton.factorize`` (dense or sparse LU by the order of
-    J) or by ``lstsq`` when J is singular, and is halved until every face
-    closes up and the residual norm drops.  Stops as
-    ``_newton.gauss_newton`` does, and also at the rounding floor when the
-    Jacobian is not finite (a face of zero area).
-
-    Returns (free unknowns u, iterations, largest residual before and after
-    each step, why it stopped: "tolerance", "rounding floor" or "step
-    limit").
+    """Damped Newton on the curvatures from the map's base radii, by
+    ``_newton.damped_newton``.  Each step solves J du = -K by
+    ``_newton.factorize`` (dense or sparse LU by the order of J), or by
+    ``lstsq`` when J is singular; there is none when J is not finite (a face
+    of zero area).  A candidate is admissible when every face closes up.
+    Returns what ``damped_newton`` returns, x being the free unknowns u.
     """
-    u = cmap.start()
-    K = cmap.curvatures(u)
-    trace = [float(np.max(np.abs(K))) if len(K) else 0.0]
-    for it in range(max_iters):
-        if trace[-1] <= tol:
-            return u, it, trace, "tolerance"
+    def step(u, K):
         J = cmap.jacobian(u)
         if not np.all(np.isfinite(J if isinstance(J, np.ndarray) else J.data)):
-            return u, it, trace, "rounding floor"
+            return None
         try:
-            step = factorize(J)(-K)
+            return factorize(J)(-K)
         except np.linalg.LinAlgError:
             dense = J if isinstance(J, np.ndarray) else J.toarray()
-            step = np.linalg.lstsq(dense, -K, rcond=None)[0]
-        norm0, lam = np.linalg.norm(K), 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
-            cand = u + lam * step
-            if cmap.min_margin(cand) > 0.0:
-                K_try = cmap.curvatures(cand)
-                if np.linalg.norm(K_try) < norm0:
-                    break
-            lam *= 0.5
-        else:
-            return u, it, trace, "rounding floor"
-        u, K = cand, K_try
-        trace.append(float(np.max(np.abs(K))))
-        if lam < 1.0 or trace[-1] > 0.5 * trace[-2]:
-            return u, it + 1, trace, "rounding floor"
-    return u, max_iters, trace, "tolerance" if trace[-1] <= tol else "step limit"
+            return np.linalg.lstsq(dense, -K, rcond=None)[0]
+
+    def residual(u):
+        return cmap.curvatures(u) if cmap.min_margin(u) > 0.0 else None
+
+    u = cmap.start()
+    return damped_newton(u, cmap.curvatures(u), residual, step, lambda u, du: u + du,
+                         tol, max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +321,10 @@ def _polish(t: Triangulation, theta: AngleAssignment, centers: np.ndarray, radii
     amplify on circles far smaller than the pattern (the per-edge angle
     error scales with position error over radius product).  Gauss-Newton on
     I_e(z, r) = cos(theta_e) drives the dimensionless residuals to rounding
-    level; a step is kept only if it lowers the residual.  The Moebius
-    motions stay free for the caller's normalization; in the plane the
-    marked radii are ``tied`` to move together, which keeps them equal.
-    Returns the polished centers and radii and a one-line account of the
-    polish.
+    level.  The Moebius motions stay free for the caller's normalization;
+    in the plane the marked radii are ``tied`` to move together, which
+    keeps them equal.  Returns the polished centers and radii and a
+    one-line account of the polish.
     """
     centers, radii, _, steps, res, stop = gauss_newton(
         mode, centers, radii, np.asarray(t.edges, dtype=int),
@@ -364,9 +345,3 @@ def _normalize(centers: np.ndarray, radii: np.ndarray, face) -> Tuple[np.ndarray
         z = np.conj(z)
     scale = float(np.sum(radii))
     return z / scale, radii / scale
-
-
-def _angle_residual(t, theta, centers, radii, mode: str = triples.EUCLIDEAN) -> float:
-    """Max realized-angle mismatch over edges, measured on cosines."""
-    inv = triples.inversive(mode, centers, radii, t.edge_array)
-    return float(np.max(np.abs(inv - np.cos(theta.array()))))

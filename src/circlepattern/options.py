@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 
 @dataclass(frozen=True)
@@ -18,10 +19,15 @@ class SolveOptions:
         for name, ok in (("tol_K", 0.0 <= self.tol_K < float("inf")),
                          ("tol_angle", 0.0 <= self.tol_angle < float("inf")),
                          ("tol_layout", 0.0 <= self.tol_layout < float("inf")),
-                         ("max_iters", self.max_iters >= 0), ("diag_max", self.diag_max >= 1),
+                         ("max_iters", _count(self.max_iters) and self.max_iters >= 0),
+                         ("diag_max", _count(self.diag_max) and self.diag_max >= 1),
                          ("min_step", self.min_step > 0.0)):
             if not ok:
                 raise ValueError(f"{name} = {getattr(self, name)} is out of range")
 
     def with_(self, **kw) -> "SolveOptions":
         return replace(self, **kw)
+
+
+def _count(x) -> bool:  # an integer, numpy's included, that is not a bool
+    return isinstance(x, Integral) and not isinstance(x, bool)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -80,23 +81,18 @@ def icosahedron() -> Triangulation:
     return build_triangulation(faces)
 
 
-SHIPPED: Dict[str, Triangulation] = {}
-
-
+@lru_cache(maxsize=None)
 def shipped_triangulations() -> Dict[str, Triangulation]:
     """Named triangulations with at most 8 vertices, plus the icosahedron."""
-    global SHIPPED
-    if not SHIPPED:
-        SHIPPED = {
-            "tetrahedron": tetrahedron(),
-            "triangular_bipyramid": triangular_bipyramid(),
-            "octahedron": octahedron(),
-            "stacked_tetrahedra": stacked_tetrahedra(),
-            "pentagonal_bipyramid": bipyramid(5),
-            "hexagonal_bipyramid": bipyramid(6),
-            "icosahedron": icosahedron(),
-        }
-    return SHIPPED
+    return {
+        "tetrahedron": tetrahedron(),
+        "triangular_bipyramid": triangular_bipyramid(),
+        "octahedron": octahedron(),
+        "stacked_tetrahedra": stacked_tetrahedra(),
+        "pentagonal_bipyramid": bipyramid(5),
+        "hexagonal_bipyramid": bipyramid(6),
+        "icosahedron": icosahedron(),
+    }
 
 
 def small_shipped() -> Dict[str, Triangulation]:

@@ -10,7 +10,9 @@ keeping only embedded layouts; one inversive Gauss-Newton polish follows
 at s = 1.  The result is moved in closed form, by one boost and one
 orthonormal frame, into the gauge that pins the marked face: its three
 radii at pi/4, its first center at the south pole, its second on the
-x >= 0 meridian, its third at y >= 0.
+x >= 0 meridian, its third at y >= 0.  The corrector and the polish are
+the one damped Newton loop of ``_newton``, and the result is accepted by
+the angle test of ``verify``, ``triples.angle_errors``.
 
 Circles are also handled as de Sitter vectors (c, cos r) / sin r in
 R^{3,1} with <x, y> = x1 y1 + x2 y2 + x3 y3 - x4 y4: Moebius maps act on
@@ -29,8 +31,8 @@ from .configurations import (CurvatureReport, EuclideanConfiguration, SphericalC
                              near_pairs)
 from .degeneration import sublevel_suspects
 from .errors import BaseSolveFailed, CirclePatternError, ConditionsViolated, ContinuationStuck
-from .euclidean import (_CurvatureMap, _angle_residual, _curvature_newton, _develop, _polish,
-                        pick_marked_face, resolve_marked_face, solve_euclidean)
+from .euclidean import (_CurvatureMap, _curvature_newton, _develop, _polish, pick_marked_face,
+                        resolve_marked_face, solve_euclidean)
 from .options import SolveOptions
 from .triangulation import Triangulation
 from . import triples
@@ -211,8 +213,9 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
 
     Raises BaseSolveFailed when the tangency packing cannot be solved, and
     ContinuationStuck when the step falls below ``opts.min_step`` or the
-    final angle residual exceeds ``opts.tol_angle``, with the collapse
-    suspects of the last accepted radii.
+    realized angles fail ``triples.angle_errors`` at ``opts.tol_angle``, the
+    test of ``verify_pattern``, with the collapse suspects of the last
+    accepted radii.
     """
     report = classify(t, theta, "m5")
     if not report.passed:
@@ -243,13 +246,20 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
 
     centers, radii, polish_note = _polish(t, theta, centers, radii, mode=triples.SPHERICAL)
     centers, radii = _into_gauge(centers, radii, face)
-    cfg = SphericalConfiguration(centers, radii, face, normalized={"x5": True, "x6": True})
-    rep = _spherical_report(t, theta, cfg, trace, [
-        f"homotopy: {len(trace)} steps accepted, {rejected} rejected",
-        f"newton: {iters} steps, residual {trace[-1]:.2e}, stop: {stop}", polish_note])
-    if rep.angle_residual > opts.tol_angle:
-        raise stuck(f"final angle residual {rep.angle_residual} exceeds {opts.tol_angle}", 1.0)
-    return cfg, rep
+    angle_residual, radians, ok = triples.angle_errors(
+        triples.SPHERICAL, centers, radii, t.edge_array, theta.array(), opts.tol_angle)
+    if not ok:
+        raise stuck(f"final angle residual {angle_residual} on cosines, {radians} in radians, "
+                    f"exceeds {opts.tol_angle}", 1.0)
+    sigma = _CurvatureMap(t, theta, None, triples.SPHERICAL, radii).sigma(radii).tolist()
+    curv = [2.0 * PI - x for x in sigma]
+    rep = CurvatureReport(
+        sigma=dict(enumerate(sigma)), curvature=dict(enumerate(curv)),
+        max_abs_K=max(map(abs, curv)), iterations=len(trace), residual_trace=trace,
+        angle_residual=angle_residual, notes=[
+            f"homotopy: {len(trace)} steps accepted, {rejected} rejected",
+            f"newton: {iters} steps, residual {trace[-1]:.2e}, stop: {stop}", polish_note])
+    return SphericalConfiguration(centers, radii, face, normalized={"x5": True, "x6": True}), rep
 
 
 def _homotopy_step(t, theta, s, centers, radii, first):
@@ -271,13 +281,3 @@ def _homotopy_step(t, theta, s, centers, radii, first):
     if disagree <= LAYOUT_TOL and _is_genuine(t, centers, radii):
         return centers, radii, iters, stop, residuals[-1]
     return None
-
-
-def _spherical_report(t, theta, cfg, trace, notes) -> CurvatureReport:
-    sigma = _CurvatureMap(t, theta, None, triples.SPHERICAL, cfg.radii).sigma(cfg.radii).tolist()
-    curv = [2.0 * PI - x for x in sigma]
-    return CurvatureReport(
-        sigma=dict(enumerate(sigma)), curvature=dict(enumerate(curv)),
-        max_abs_K=max(map(abs, curv)), iterations=len(trace), residual_trace=trace,
-        angle_residual=_angle_residual(t, theta, cfg.centers, cfg.radii, triples.SPHERICAL),
-        notes=notes)

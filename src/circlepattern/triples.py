@@ -41,6 +41,8 @@ SPHERICAL = "spherical"
 CLAMP_EPS = 1e-9
 # sign tests on constructed points (lens corners, extremes)
 GEOM_EPS = 1e-10
+# below this the radian angle chart is ill-conditioned
+SMALL_ANGLE = 1e-3
 
 
 def _check_mode(mode: str) -> None:
@@ -231,6 +233,20 @@ def angle_from_inversive(inv: float, eps: float = CLAMP_EPS) -> float:
     return float(clamped_acos(inv, eps))
 
 
+def angle_errors(mode: str, centers: np.ndarray, radii: np.ndarray, edges: np.ndarray,
+                 theta: np.ndarray, tol: float) -> Tuple[float, Optional[float], bool]:
+    """The acceptance test of the realized angles of ``edges``: (largest
+    error on cosines, in radians, whether both are at most ``tol``).  The
+    radian chart leaves out angles below ``SMALL_ANGLE`` and inversive
+    distances past [-1, 1] by more than ``CLAMP_EPS``; if empty, None."""
+    realized = inversive(mode, centers, radii, edges)
+    cos_err = float(np.max(np.abs(realized - np.cos(theta))))
+    chart = (theta >= SMALL_ANGLE) & (np.abs(realized) <= 1.0 + CLAMP_EPS)
+    rad_errs = np.abs(np.arccos(np.clip(realized[chart], -1.0, 1.0)) - theta[chart])
+    rad_err = float(np.max(rad_errs)) if chart.any() else None
+    return cos_err, rad_err, cos_err <= tol and (rad_err is None or rad_err <= tol)
+
+
 def tangent_frames(normals) -> Tuple[np.ndarray, np.ndarray]:
     """Orthonormal tangent frames (e1, e2) at unit vectors, one per row.
 
@@ -350,16 +366,8 @@ def limit_profile(mode: str, radii, angles, shrink: Sequence[int], scales) -> Li
         r[list(shrink)] = base[list(shrink)] * float(s)
         spec = TripleSpec(mode, tuple(r), tuple(th))
         alphas = inner_angles(spec)
-        if len(shrink) == 1:
-            i = shrink[0]
-            limit = math.pi - th[i]
-            gaps.append(abs(alphas[i] - limit))
-        elif len(shrink) == 2:
-            limit = math.pi
-            gaps.append(abs(alphas[shrink[0]] + alphas[shrink[1]] - limit))
-        else:
-            limit = math.pi
-            gaps.append(abs(sum(alphas) - limit))
+        limit = math.pi - th[shrink[0]] if len(shrink) == 1 else math.pi
+        gaps.append(abs(sum(alphas[i] for i in shrink) - limit))
     mono = all(b < a for a, b in zip(gaps, gaps[1:]))
     return LimitProfile(
         mode=mode,

@@ -32,7 +32,6 @@ from . import triples
 PI = math.pi
 COVER_SLACK = 1e-12      # a point this close to another disk counts as covered
 WITNESS_ROUNDING = 8.0 * np.finfo(float).eps  # planar witness slack, relative to |p|+|c|+r
-SMALL_ANGLE = 1e-3       # below this the radian angle chart is ill-conditioned
 
 
 @dataclass
@@ -448,12 +447,8 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
     """
     t = p.triangulation
     target = p.theta.array()
-    realized = triples.inversive(p.mode, p.centers, p.radii, t.edge_array)
-    cos_err = float(np.max(np.abs(realized - np.cos(target))))
-    chart = (target >= SMALL_ANGLE) & (np.abs(realized) <= 1.0 + triples.CLAMP_EPS)
-    rad_errs = np.abs(np.arccos(np.clip(realized[chart], -1.0, 1.0)) - target[chart])
-    rad_err = float(np.max(rad_errs)) if chart.any() else None
-    angle_ok = cos_err <= tol and (rad_err is None or rad_err <= tol)
+    cos_err, rad_err, angle_ok = triples.angle_errors(p.mode, p.centers, p.radii, t.edge_array,
+                                                      target, tol)
 
     _, graph_ok, missing, extra, nested = contact_graph(p)
     near = sorted(set(extra) | set(nested))  # an overlapping non-adjacent pair is one of these

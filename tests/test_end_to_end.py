@@ -13,11 +13,12 @@ from circlepattern import (
     solve_spherical,
     verify_pattern,
 )
-from circlepattern import formats, shapes
-from circlepattern.errors import InconsistentOrientation
+from circlepattern import formats, shapes, spherical
+from circlepattern.errors import ContinuationStuck, InconsistentOrientation, Stalled
+from circlepattern.options import SolveOptions
 from circlepattern.verify import CirclePattern
 
-from random_triangulations import PROJECTIVE_PLANE, stacked_faces
+from random_triangulations import PROJECTIVE_PLANE, loop_subdivide, stacked_faces
 
 PI = math.pi
 
@@ -28,13 +29,7 @@ def euclidean_instances():
     yield t, AngleAssignment.constant(t, PI / 4)
     o = shapes.octahedron()
     yield o, AngleAssignment.constant(o, PI / 4)
-    bp = shapes.triangular_bipyramid()
-    vals = {}
-    for (u, v) in bp.edges:
-        vals[(u, v)] = 0.2 if (0 in (u, v) or 1 in (u, v)) else 0.3
-    eq = [e for e in bp.edges if 0 not in e and 1 not in e]
-    vals[eq[0]] = 1.8
-    yield bp, AngleAssignment.from_dict(bp, vals)
+    yield obtuse_bipyramid()
     hexb = shapes.bipyramid(6)
     yield hexb, AngleAssignment.constant(hexb, 0.35)
 
@@ -63,6 +58,50 @@ class TestSolverOutputsVerify:
             pattern = CirclePattern.from_spherical(t, th, cfg)
             vrep = verify_pattern(pattern)
             assert vrep.passed, (t.vertex_count, vrep.to_dict())
+
+
+def obtuse_bipyramid():
+    bp = shapes.triangular_bipyramid()
+    vals = {}
+    for (u, v) in bp.edges:
+        vals[(u, v)] = 0.2 if (0 in (u, v) or 1 in (u, v)) else 0.3
+    eq = [e for e in bp.edges if 0 not in e and 1 not in e]
+    vals[eq[0]] = 1.8
+    return bp, AngleAssignment.from_dict(bp, vals)
+
+
+@pytest.mark.parametrize("mode", ["euclidean", "spherical"])
+def test_solver_accepts_what_verify_accepts(mode, monkeypatch):
+    """With ``tol_angle`` between the cosine and the radian error of a
+    solved pattern (the obtuse bipyramid, and ico42 at theta = 1.2), the
+    solver raises on the same data, naming both errors, and ``verify``
+    refuses the pattern: both read the two charts.  The sphere's planar
+    tangency start misses such a tolerance by its own rounding (7.5e-14 on
+    cosines), so it is solved at the default one."""
+    if mode == "euclidean":
+        t, th = obtuse_bipyramid()
+        fid = pick_marked_face(t, th)
+        solve, stuck = (lambda opts: solve_euclidean(t, th, fid, opts)), Stalled
+        as_pattern = CirclePattern.from_euclidean
+    else:
+        start = spherical._tangency_start
+        monkeypatch.setattr(spherical, "_tangency_start",
+                            lambda t, opts: start(t, SolveOptions()))
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1))
+        th = AngleAssignment.constant(t, 1.2)
+        solve, stuck = (lambda opts: solve_spherical(t, th, opts)), ContinuationStuck
+        as_pattern = CirclePattern.from_spherical
+    pattern = as_pattern(t, th, solve(SolveOptions())[0])
+    vrep = verify_pattern(pattern)
+    assert vrep.passed
+    cos_err, rad_err = vrep.angle_max_err, vrep.angle_max_err_radians
+    assert cos_err < rad_err
+    tol = math.sqrt(cos_err * rad_err)
+    assert cos_err < tol < rad_err
+    with pytest.raises(stuck, match="angle residual") as info:
+        solve(SolveOptions(tol_angle=tol))
+    assert f"{cos_err} on cosines, {rad_err} in radians" in str(info.value)
+    assert not verify_pattern(pattern, tol).passed
 
 
 class TestDeepStacking:

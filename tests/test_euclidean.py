@@ -198,7 +198,8 @@ class TestLayout:
 class TestSolveOptions:
     @pytest.mark.parametrize("bad", [
         {"max_iters": -1}, {"diag_max": 0}, {"min_step": 0.0}, {"min_step": math.nan},
-        {"tol_K": -1e-12}, {"tol_angle": math.inf}, {"tol_layout": math.nan}])
+        {"tol_K": -1e-12}, {"tol_angle": math.inf}, {"tol_layout": math.nan},
+        {"max_iters": 2.5}, {"max_iters": True}, {"diag_max": 2.5}])
     def test_out_of_range_is_refused(self, bad):
         name = next(iter(bad))
         with pytest.raises(ValueError, match=name):

@@ -1,6 +1,6 @@
 """The Newton kernels: analytic Jacobians of the inversive-distance system
 and of the planar curvature map against central-difference oracles, the
-minimum-norm step, and the stopping rules."""
+minimum-norm step, and the stopping rules of the one damped Newton loop."""
 import math
 
 import numpy as np
@@ -17,9 +17,10 @@ from circlepattern import (
     solve_euclidean,
     solve_spherical,
 )
-from circlepattern import _newton, spherical
+from circlepattern import _newton, spherical, triples
 from circlepattern._newton import (
-    gauss_newton, min_norm_step, residual_and_jacobian, retract, tie_columns, to_dense,
+    damped_newton, gauss_newton, min_norm_step, residual_and_jacobian, retract, tie_columns,
+    to_dense,
 )
 from circlepattern.errors import Stalled
 from random_triangulations import flip_edges, loop_subdivide, stack120_faces, stacked_faces
@@ -256,8 +257,81 @@ def test_angle_residual_matches_per_edge_loop():
     err = [inversive_distance("euclidean", cfg.centers[u], radii[u], cfg.centers[v], radii[v])
            - math.cos(th[e]) for e, (u, v) in enumerate(t.edges)]
     assert -min(err) > max(err) > 0.0
-    got = euclidean._angle_residual(t, th, cfg.centers, radii)
+    got = triples.angle_errors("euclidean", cfg.centers, radii, t.edge_array, th.array(), 1e-8)[0]
     assert got == pytest.approx(max(abs(x) for x in err), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the damped Newton loop: each of its exits
+# ---------------------------------------------------------------------------
+
+def square_root_of_two(x0=1.0, tol=1e-10, max_iters=20, scale=1.0, bound=math.inf,
+                       step=None):
+    """``damped_newton`` on f(x) = x^2 - 2 from ``x0``: Newton steps scaled by
+    ``scale``, candidates above ``bound`` not admissible."""
+    def newton(x, f):
+        return -scale * f / (2.0 * x)
+
+    def residual(x):
+        return x * x - 2.0 if x[0] <= bound else None
+
+    x = np.array([x0])
+    return damped_newton(x, residual(x), residual, step or newton, lambda x, dx: x + dx,
+                         tol, max_iters)
+
+
+def test_damped_newton_tolerance_at_the_start():
+    x, steps, trace, stop = square_root_of_two(x0=math.sqrt(2.0))
+    assert (x[0], steps, stop) == (math.sqrt(2.0), 0, "tolerance")
+    assert len(trace) == 1 and trace[0] <= 1e-10
+
+
+def test_damped_newton_tolerance_after_full_steps():
+    """From 1 the Newton steps converge quadratically: each is a full step
+    at least halving the residual, and the fourth is within 1e-10."""
+    x, steps, trace, stop = square_root_of_two()
+    assert (steps, stop) == (4, "tolerance")
+    assert len(trace) == 5 and trace[-1] <= 1e-10 < trace[-2]
+    assert all(b <= 0.5 * a for a, b in zip(trace, trace[1:]))
+    assert x[0] == pytest.approx(math.sqrt(2.0), rel=1e-10)
+
+
+def test_damped_newton_step_limit():
+    x, steps, trace, stop = square_root_of_two(max_iters=2)
+    assert (steps, stop) == (2, "step limit")
+    assert x[0] == pytest.approx(17.0 / 12.0) and trace[-1] > 1e-10
+
+
+def test_damped_newton_tolerance_on_the_last_allowed_step():
+    _, steps, trace, stop = square_root_of_two(max_iters=4)
+    assert (steps, stop) == (4, "tolerance") and trace[-1] <= 1e-10
+
+
+def test_damped_newton_stops_where_no_step_can_be_taken():
+    x, steps, trace, stop = square_root_of_two(step=lambda x, f: None)
+    assert (x[0], steps, trace, stop) == (1.0, 0, [1.0], "rounding floor")
+
+
+def test_damped_newton_stops_where_no_halving_helps():
+    """A step uphill lowers the residual at no length down to 2^-29 of it."""
+    x, steps, trace, stop = square_root_of_two(step=lambda x, f: np.array([-0.5]))
+    assert (x[0], steps, trace, stop) == (1.0, 0, [1.0], "rounding floor")
+
+
+def test_damped_newton_stops_after_a_damped_step():
+    """The full step to 1.5 and the half step to 1.25 are not admissible; the
+    quarter step is kept, and ends the run."""
+    x, steps, trace, stop = square_root_of_two(bound=1.2)
+    assert (x[0], steps, stop) == (1.125, 1, "rounding floor")
+    assert trace == [1.0, 2.0 - 1.125 ** 2]
+
+
+def test_damped_newton_stops_after_a_full_step_that_does_not_halve():
+    """A tenth of the Newton step is a full step that lowers the residual
+    but does not halve it: the run ends after it."""
+    x, steps, trace, stop = square_root_of_two(scale=0.1)
+    assert (x[0], steps, stop) == (1.05, 1, "rounding floor")
+    assert 0.5 * trace[0] < trace[1] < trace[0]
 
 
 # ---------------------------------------------------------------------------

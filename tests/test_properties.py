@@ -17,7 +17,8 @@ from circlepattern import (AngleAssignment, build_triangulation, check_andreev, 
 from circlepattern.conditions import COND_EPS, check_c1, check_c2, check_c3_c4
 from circlepattern.triangulation import canonical_edge
 from circlepattern.euclidean import pick_marked_face
-from circlepattern.verify import CirclePattern, count_interstices
+from circlepattern.options import SolveOptions
+from circlepattern.verify import CirclePattern, count_interstices, verify_pattern
 
 import oracles
 from random_triangulations import flip_edges, loop_subdivide, stacked_faces
@@ -121,5 +122,11 @@ def test_conditions_match_reference_engine(t, seed):
 def test_tangency_packing_has_an_interstice_per_face(seed, n):
     t = build_triangulation(stacked_faces(np.random.default_rng(seed), n))
     th = AngleAssignment.constant(t, 0.0)
-    cfg, _ = solve_euclidean(t, th, pick_marked_face(t, th))
-    assert count_interstices(CirclePattern.from_euclidean(t, th, cfg))[0] == t.face_count
+    opts = SolveOptions()
+    cfg, _ = solve_euclidean(t, th, pick_marked_face(t, th), opts)
+    pattern = CirclePattern.from_euclidean(t, th, cfg)
+    assert count_interstices(pattern)[0] == t.face_count
+    # the solver's angle test is verify's
+    vrep = verify_pattern(pattern, opts.tol_angle)
+    assert vrep.angle_max_err <= opts.tol_angle
+    assert vrep.angle_max_err_radians is None or vrep.angle_max_err_radians <= opts.tol_angle

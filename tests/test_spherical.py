@@ -347,10 +347,11 @@ class TestHomotopy:
 
 class TestRoundingFloor:
     def test_corrector_accepts_its_rounding_floor(self, icosa, monkeypatch):
-        """Small caps can hold the corrector's rounding floor above its
-        tolerance (about 1.4e-13 against 1e-13 at n=642); a corrector that
-        stops at the floor is accepted.  A tolerance below any floor makes
-        every corrector stop there."""
+        """A corrector that stops at its rounding floor is accepted.  The
+        curvature corrector's floor lies far below its 1e-10 tolerance
+        (about 1e-15 here, 6e-14 to 1e-13 at n=642 and theta = 1.2), so a
+        tolerance below any floor makes every corrector stop there, and
+        the solve still reaches the same pattern."""
         th = AngleAssignment.constant(icosa, 2 * PI / 5)
         want, _ = solve_spherical(icosa, th)
         monkeypatch.setattr(spherical, "NEWTON_TOL", 1e-30)
