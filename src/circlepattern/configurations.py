@@ -94,8 +94,7 @@ class CirclePattern:
                 raise MalformedPattern("spherical centers must be unit 3-vectors")
             if np.any(self.radii >= math.pi):
                 raise MalformedPattern("spherical radii must lie in (0, pi)")
-            norms = np.linalg.norm(self.centers, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-8):
+            if np.any(np.abs(distances(self.centers) - 1.0) > 1e-8):
                 raise MalformedPattern("spherical centers must be unit vectors")
         elif self.mode == EUCLIDEAN:
             self.centers = self.centers.astype(complex)
@@ -127,17 +126,27 @@ class CirclePattern:
 
     def point_in_disks(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
         """Boolean (num points, num disks) closed-disk membership matrix."""
-        if self.mode == EUCLIDEAN:
-            return np.abs(points[:, None] - self.centers[None, :]) <= self.radii[None, :] - slack
-        return points @ self.centers.T >= np.cos(self.radii)[None, :] + slack
+        return (distances(points[:, None] - self.centers[None, :])
+                <= chords(self.mode, self.radii)[None, :] - slack)
+
+
+def chords(mode: str, radii: np.ndarray) -> np.ndarray:
+    """Each disk's reach for ``distances``: r, or 2 sin(r/2) on the unit sphere."""
+    return radii if mode == EUCLIDEAN else 2.0 * np.sin(0.5 * np.minimum(radii, math.pi))
+
+
+def distances(d) -> np.ndarray:
+    """|d|, of complex numbers or of vectors along the last axis; callers form
+    d = x - y, where numpy can write it over a temporary x (not an argument)."""
+    return np.abs(d) if np.iscomplexobj(d) else np.sqrt((d * d).sum(axis=-1))
 
 
 def near_pairs(mode: str, centers: np.ndarray, reach, points=None):
     """The pairs (u, v), u < v, of disks that may meet when grown to
     ``reach`` and a rounding margin, sorted; with ``points`` (of reach 0),
-    the pairs (point, disk).  ``reach`` is a distance in the plane and a
-    chord on the sphere, which is subadditive: 2 sin(r/2) for a cap of
-    radius r, sqrt(2 - 2 kappa) for the test c . x >= kappa.  Sort and
+    the pairs (point, disk).  ``reach`` is a length in the chart of
+    ``distances``, as ``chords`` gives it; on the sphere the chord is
+    subadditive, so caps that meet are in reach of each other.  Sort and
     sweep (Cohen, Lin, Manocha & Ponamgi, *I-COLLIDE*, 1995) along the axis
     where the disks' intervals hold fewest others (or points), counted
     before any pair is built; the exact distance keeps the pairs in reach."""
@@ -174,15 +183,11 @@ def near_pairs(mode: str, centers: np.ndarray, reach, points=None):
 
 def _holding_pairs(p: CirclePattern, points: np.ndarray, slack: float, rounding: float = 0.0):
     """The pairs (k, u) of ``p.point_in_disks(points, slack)`` that hold,
-    from the near pairs; in the plane each disk grows also by ``rounding``
-    times |point| + |c| + r."""
-    c, r = p.centers, p.radii
-    if p.mode == EUCLIDEAN:
-        k, u = near_pairs(p.mode, c, r - slack + 2.0 * rounding * (np.abs(c) + r), points)
-        bound = r[u] - slack + rounding * (np.abs(points[k]) + np.abs(c[u]) + r[u])
-        inside = np.abs(points[k] - c[u]) <= bound
-    else:
-        kappa = np.cos(r) + slack
-        k, u = near_pairs(p.mode, c, np.sqrt(np.maximum(2.0 - 2.0 * kappa, 0.0)), points)
-        inside = np.einsum("ij,ij->i", points[k], c[u]) >= kappa[u]
+    from the near pairs; each disk grows also by ``rounding`` times
+    |point| + |c| + chord, lengths in the chart of ``distances``."""
+    c, r = p.centers, chords(p.mode, p.radii)
+    size = distances(c)
+    k, u = near_pairs(p.mode, c, r - slack + 2.0 * rounding * (size + r), points)
+    bound = r[u] - slack + rounding * (distances(points[k]) + size[u] + r[u])
+    inside = distances(points[k] - c[u]) <= bound
     return k[inside], u[inside]

@@ -133,13 +133,9 @@ def theta_to_dict(theta: AngleAssignment) -> dict:
 def pattern_to_dict(p: CirclePattern, residuals: Optional[dict] = None) -> dict:
     from .configurations import EUCLIDEAN
 
-    circles = []
-    for v in range(len(p.radii)):
-        if p.mode == EUCLIDEAN:
-            center = [p.centers[v].real, p.centers[v].imag]
-        else:
-            center = [float(x) for x in p.centers[v]]
-        circles.append({"center": center, "radius": float(p.radii[v])})
+    xy = np.column_stack([p.centers.real, p.centers.imag]) if p.mode == EUCLIDEAN else p.centers
+    circles = [{"center": c, "radius": r}
+               for c, r in zip(xy.astype(float).tolist(), p.radii.tolist())]
     return {
         "mode": p.mode,
         "marked_face": list(p.marked_face) if p.marked_face is not None else None,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conditions import face_sums
 from .errors import MalformedPattern, SingularTriple, VertexOutsideBall
-from .configurations import CirclePattern
+from .configurations import CirclePattern, distances, near_pairs
 from . import triples
 
 PI = math.pi
@@ -145,7 +145,12 @@ class PolyhedronReport:
 
 def check_polyhedron(q: HyperbolicPolyhedron, pattern: CirclePattern,
                      tol: float = 1e-9) -> PolyhedronReport:
-    """Dihedral accuracy, convexity slack, trivalence and dual counts."""
+    """Dihedral accuracy, convexity slack, trivalence and dual counts.
+
+    The convexity slack is the least o - c . x over the chart's point query
+    pairs, which hold every vertex x on or beyond a plane c . x = o: a cap
+    of o > 0 holds x / |x| if |x| <= 1 and reaches x, widened off the
+    sphere, if |x| > 1; a cap of o <= 0 reaches every point."""
     t = pattern.triangulation
     target = pattern.theta.array()
     dihedral_err = float(np.max(np.abs(q.dihedral - target)))
@@ -156,8 +161,12 @@ def check_polyhedron(q: HyperbolicPolyhedron, pattern: CirclePattern,
 
     normals = np.array([h.normal for h in q.half_spaces])
     offsets = np.array([h.offset for h in q.half_spaces])
-    slack = offsets[None, :] - q.vertices @ normals.T
-    worst = float(np.min(slack))
+    y = q.vertices / np.clip(distances(q.vertices), np.finfo(float).tiny, 1.0)[:, None]
+    chord = np.where(offsets > 0.0, np.sqrt(2.0 - 2.0 * np.clip(offsets, 0.0, 1.0)), 2.0)
+    k, u = near_pairs(triples.SPHERICAL, normals, chord, y)
+    # each product as a (1 x 3)(3 x 1) matmul, as the rows of vertices @ normals.T round
+    slack = offsets[u] - np.matmul(q.vertices[k, None, :], normals[u, :, None])[:, 0, 0]
+    worst = float(np.min(slack, initial=np.inf))
     convex_ok = worst >= -1e-9
 
     incidence = np.bincount([vid for cyc in q.faces for vid in cyc], minlength=q.vertex_count)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .conditions import AngleAssignment, classify
 from .configurations import (CurvatureReport, EuclideanConfiguration, SphericalConfiguration,
-                             near_pairs)
+                             chords, near_pairs)
 from .degeneration import sublevel_suspects
 from .errors import BaseSolveFailed, CirclePatternError, ConditionsViolated, ContinuationStuck
 from .euclidean import (_CurvatureMap, _curvature_newton, _develop, _polish, pick_marked_face,
@@ -116,6 +116,8 @@ def _centered(centers: np.ndarray, radii: np.ndarray) -> Tuple[np.ndarray, np.nd
 def _tangency_start(t: Triangulation, opts: SolveOptions) -> Tuple[np.ndarray, np.ndarray]:
     """The lifted and centered tangency packing (theta = 0)."""
     zero = AngleAssignment.constant(t, 0.0)
+    # no finer than the default: the start's angle error may exceed its pattern's
+    opts = opts.with_(tol_angle=max(opts.tol_angle, SolveOptions.tol_angle))
     try:
         cfg, _ = solve_euclidean(t, zero, pick_marked_face(t, zero), opts)
     except CirclePatternError as exc:
@@ -179,7 +181,7 @@ def _is_genuine(t: Triangulation, centers: np.ndarray, radii: np.ndarray,
     dets = np.linalg.det(centers[t.face_array])
     if not (np.all(dets > 0.0) or np.all(dets < 0.0)):
         return False
-    u, v = near_pairs(triples.SPHERICAL, centers, 2.0 * np.sin(0.5 * radii))
+    u, v = near_pairs(triples.SPHERICAL, centers, chords(triples.SPHERICAL, radii))
     far = np.column_stack([u, v])[t.edge_ids(u, v) < 0]
     return not np.any(inversive(triples.SPHERICAL, centers, radii, far) < 1.0 - overlap_tol)
 

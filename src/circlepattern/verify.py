@@ -24,6 +24,8 @@ from .configurations import (  # CirclePattern keeps its old name here
     EuclideanConfiguration,
     SphericalConfiguration,
     _holding_pairs,
+    chords,
+    distances,
     near_pairs,
 )
 from .triangulation import _owner_rows, cycle_arrays
@@ -31,7 +33,7 @@ from . import triples
 
 PI = math.pi
 COVER_SLACK = 1e-12      # a point this close to another disk counts as covered
-WITNESS_ROUNDING = 8.0 * np.finfo(float).eps  # planar witness slack, relative to |p|+|c|+r
+WITNESS_ROUNDING = 8.0 * np.finfo(float).eps  # witness slack, relative to |p|+|c|+chord
 
 
 @dataclass
@@ -80,8 +82,8 @@ def _plain(x):
 def contact_graph(p: CirclePattern, eps: float = DISJOINT_EPS):
     """Edges = properly intersecting pairs (nested pairs excluded); the flag
     is true iff this equals the triangulation's edge set vertex-for-vertex."""
-    chord = p.radii if p.mode == triples.EUCLIDEAN else 2.0 * np.sin(0.5 * p.radii)
-    u, v = near_pairs(p.mode, p.centers, chord * (1.0 + max(eps, 0.0)))  # I <= 1 + eps
+    reach = chords(p.mode, p.radii) * (1.0 + max(eps, 0.0))  # I <= 1 + eps
+    u, v = near_pairs(p.mode, p.centers, reach)
     inv = triples.inversive(p.mode, p.centers, p.radii, np.column_stack((u, v)))
     pairs = list(zip(u.tolist(), v.tolist()))
     edges: Set[Tuple[int, int]] = set(compress(pairs, (inv >= -1.0 + eps) & (inv <= 1.0 + eps)))
@@ -136,10 +138,9 @@ def _face_witnesses(p: CirclePattern) -> List[object]:
         pts[ok] = x[ok] * (np.sign(det[ok]) / norm[ok])[:, None]
         flip = np.einsum("ij,ij->i", pts, c.sum(axis=1)) * det < 0
         pts[flip] *= -1.0
-    # in the plane to rounding, as interstices by tiny circles are thinner than COVER_SLACK
+    # covered to rounding, as interstices by tiny circles are thinner than COVER_SLACK
     rows = np.flatnonzero(ok)
-    slack = 0.0 if p.mode == triples.EUCLIDEAN else -COVER_SLACK
-    ok[rows[_holding_pairs(p, pts[rows], slack, WITNESS_ROUNDING)[0]]] = False
+    ok[rows[_holding_pairs(p, pts[rows], 0.0, WITNESS_ROUNDING)[0]]] = False
     return [pts[f] if ok[f] else None for f in range(len(c))]
 
 
@@ -157,9 +158,9 @@ def count_interstices(p: CirclePattern, grid: int = 256, sphere_samples: int = 2
 class _Circles:
     """The circles around each vertex of ``vs``, one row per (vertex,
     circle): dD_v first, then those of its ``count[k]`` disks, next in the
-    flat ``near``, grown by ``grow`` (a distance in the plane, a cosine on
-    the sphere).  Membership in these disks is constant along each arc
-    between crossings, so one point per arc decides it (the perimeter
+    flat ``near``, their reach ``rho`` the chord grown by ``grow``, a length
+    in both geometries.  Membership in these disks is constant along each
+    arc between crossings, so one point per arc decides it (the perimeter
     criterion of Huang & Tseng, *The coverage problem in a wireless sensor
     network*, 2005)."""
 
@@ -172,14 +173,12 @@ class _Circles:
         self.own = np.arange(len(disk)) == self.start[self.owner]
         g = np.where(self.own, 0.0, grow)
         self.c = p.centers[disk]
+        self.R = self.rho = chords(p.mode, p.radii[disk]) + g
         self.sphere = p.mode == triples.SPHERICAL
-        if self.sphere:
-            self.versine = 2.0 * np.sin(0.5 * p.radii[disk]) ** 2 + g  # 1 - cos R, no cancellation
-            self.R = 2.0 * np.arcsin(np.sqrt(np.clip(0.5 * self.versine, 0.0, 1.0)))
-            self.kappa = np.cos(p.radii[disk]) - g  # the membership threshold on c . x
+        if self.sphere:  # for the arcs only: R an angle, versine 1 - cos R without cancellation
+            self.versine = 0.5 * self.rho ** 2
+            self.R = 2.0 * np.arcsin(np.clip(0.5 * self.rho, 0.0, 1.0))
             self.e1, self.e2 = triples.tangent_frames(self.c)
-        else:
-            self.R = p.radii[disk] + g
 
     def at(self, rows, ang, extra=0.0):
         """The points at angles ``ang`` on the circles ``rows``, grown by ``extra``."""
@@ -218,7 +217,7 @@ class _Circles:
             m = np.cross(a, b)  # the normal of the side's great circle
             b1 = np.einsum("ij,ij->i", self.e1[rows], m)
             b2 = np.einsum("ij,ij->i", self.e2[rows], m)
-            k, ang = _cos_roots(-self.kappa[rows] * np.einsum("ij,ij->i", c, m),
+            k, ang = _cos_roots((self.versine[rows] - 1.0) * np.einsum("ij,ij->i", c, m),
                                 np.sin(R) * np.hypot(b1, b2), np.arctan2(b2, b1))
             x, m = self.at(rows[k], ang), m[k]
             on = ((np.einsum("ij,ij->i", np.cross(a[k], x), m) >= 0)
@@ -232,14 +231,11 @@ class _Circles:
 
     def clearance(self, rows, pts):
         """Per point on the circle ``rows``, its least margin inside D_v and
-        outside the other disks of its vertex, positive when it is free (a
-        distance, or a cosine gap on the sphere: 1-Lipschitz in the move)."""
+        outside the other disks of its vertex, positive when it is free: a
+        length, 1-Lipschitz in the move."""
         k, j = _owner_rows(self.owner[rows], self.start, self.size)
         k, j = k[j != rows[k]], j[j != rows[k]]
-        if self.sphere:
-            gap = self.kappa[j] - np.einsum("ij,ij->i", pts[k], self.c[j])
-        else:
-            gap = np.abs(pts[k] - self.c[j]) - self.R[j]
+        gap = distances(pts[k] - self.c[j]) - self.rho[j]
         clear = np.full(len(pts), np.inf)
         np.minimum.at(clear, k, np.where(self.own[j], -gap, gap))
         return clear
@@ -268,23 +264,15 @@ def _arc_midpoints(rows: int, row: np.ndarray, ang: np.ndarray):
 def _near_disks(p: CirclePattern, slack: float) -> List[np.ndarray]:
     """Per vertex v, the disks u != v, sorted, whose closed disk, grown by
     the membership slack and a rounding margin, meets D_v: only they can
-    hold a point of D_v.  The slack is absolute, so on the sphere it is
-    turned into an angle, which for tiny caps is far larger than the slack."""
-    c, r = p.centers, p.radii
-    if p.mode == triples.EUCLIDEAN:
-        reach = r - 0.5 * slack + 1e-9 * (np.abs(c) + r)
-    else:
-        grown = np.arccos(np.clip(np.cos(r) + slack, -1.0, 1.0))
-        reach = 2.0 * np.sin(0.5 * np.minimum(grown + 5e-9, PI))
-    a, b = near_pairs(p.mode, c, reach)
+    hold a point of D_v.  Disks meet when their centres lie within the
+    chord of their summed radii, exactly also for caps; the slack and the
+    margin, 1e-9 (|c| + chord) per disk, are lengths in both geometries."""
+    c, r = p.centers, chords(p.mode, p.radii)
+    size = distances(c)
+    a, b = near_pairs(p.mode, c, r - 0.5 * slack + 1e-9 * (size + r))
     v, u = np.r_[a, b], np.r_[b, a]  # each pair from both sides: v the owner
-    if p.mode == triples.EUCLIDEAN:
-        gap = np.abs(c[u] - c[v]) - r[u] - r[v]
-        near = gap <= -slack + 1e-9 * (np.abs(c[v]) + r[v] + np.abs(c[u]) + r[u])
-    else:
-        apart = np.arctan2(np.linalg.norm(np.cross(c[u], c[v]), axis=1),
-                           np.einsum("ij,ij->i", c[u], c[v]))
-        near = apart <= grown[u] + r[v] + 1e-8
+    near = (distances(c[u] - c[v]) <= chords(p.mode, p.radii[u] + p.radii[v]) - slack
+            + 1e-9 * (size[v] + r[v] + size[u] + r[u]))
     v, u = v[near], u[near]
     order = np.lexsort((u, v))
     return np.split(u[order], np.cumsum(np.bincount(v, minlength=len(r)))[:-1])

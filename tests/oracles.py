@@ -13,7 +13,8 @@ that the library's sort-and-sweep kernel replaced, and the reference
 triangulation build and subset scan are the dict-of-lists, BFS and star
 walk loops that the library's half-edge table replaced, and the
 feasibility margin is the compensated scalar sum that one row of the
-library's array kernel replaced.
+library's array kernel replaced, and the polyhedron's convexity slack is
+the dense vertex-by-plane array that its point query replaced.
 """
 from __future__ import annotations
 
@@ -799,7 +800,7 @@ def free_in_own_disk(p, v: int, x) -> bool:
     if p.mode == triples.EUCLIDEAN:
         inside = [abs(x - c) <= r + 1e-12 for c, r in zip(p.centers, p.radii)]
     else:
-        inside = [float(np.dot(x, c)) >= math.cos(r) - 1e-12
+        inside = [float(np.linalg.norm(x - c)) <= 2.0 * math.sin(0.5 * r) + 1e-12
                   for c, r in zip(p.centers, p.radii)]
     return inside[v] and sum(inside) == 1
 
@@ -829,9 +830,10 @@ def flower_uncovered(p, v: int, x, eps: float = 1e-9, rounding: float = 1e-12) -
     if p.mode == triples.EUCLIDEAN:
         return (abs(x - p.centers[v]) <= p.radii[v] + rounding
                 and all(abs(x - p.centers[u]) > p.radii[u] - eps - rounding for u in nbrs))
-    return (float(np.dot(x, p.centers[v])) >= math.cos(p.radii[v]) - rounding
-            and all(float(np.dot(x, p.centers[u])) < math.cos(p.radii[u]) + eps + rounding
-                    for u in nbrs))
+    chord = 2.0 * np.sin(0.5 * p.radii)
+    apart = np.linalg.norm(x - p.centers, axis=1)
+    return (apart[v] <= chord[v] + rounding
+            and all(apart[u] > chord[u] - eps - rounding for u in nbrs))
 
 
 def _cross(a, b):
@@ -1216,10 +1218,23 @@ def near_disks(p, v: int, slack: float) -> np.ndarray:
         gap = np.abs(p.centers - p.centers[v]) - p.radii - p.radii[v]
         scale = abs(p.centers[v]) + p.radii[v] + np.abs(p.centers) + p.radii
         near = gap <= -slack + 1e-9 * scale
-    else:
-        grown = np.arccos(np.clip(np.cos(p.radii) + slack, -1.0, 1.0))
-        c = p.centers[v]
-        apart = np.arctan2(np.linalg.norm(np.cross(p.centers, c), axis=1), p.centers @ c)
-        near = apart <= grown + p.radii[v] + 1e-8
+    else:  # chords: the cap of centre c and radius r holds x when |x - c| <= 2 sin(r/2)
+        apart = np.linalg.norm(p.centers - p.centers[v], axis=1)
+        size, chord = np.linalg.norm(p.centers, axis=1), 2.0 * np.sin(0.5 * p.radii)
+        meet = 2.0 * np.sin(0.5 * np.minimum(p.radii + p.radii[v], PI))
+        near = apart <= meet - slack + 1e-9 * (size[v] + chord[v] + size + chord)
     near[v] = False
     return np.flatnonzero(near)
+
+
+# ---------------------------------------------------------------------------
+# polyhedron convexity: every vertex against every face plane
+# ---------------------------------------------------------------------------
+
+def convexity_worst(q) -> float:
+    """The least slack o - c . x of ``q``'s vertices over all its face
+    planes c . x = o: the dense F x n array that ``check_polyhedron``'s
+    point query replaced."""
+    normals = np.array([h.normal for h in q.half_spaces])
+    offsets = np.array([h.offset for h in q.half_spaces])
+    return float(np.min(offsets[None, :] - q.vertices @ normals.T))

@@ -13,7 +13,7 @@ from circlepattern import (
     solve_spherical,
     verify_pattern,
 )
-from circlepattern import formats, shapes, spherical
+from circlepattern import formats, shapes
 from circlepattern.errors import ContinuationStuck, InconsistentOrientation, Stalled
 from circlepattern.options import SolveOptions
 from circlepattern.verify import CirclePattern
@@ -71,22 +71,17 @@ def obtuse_bipyramid():
 
 
 @pytest.mark.parametrize("mode", ["euclidean", "spherical"])
-def test_solver_accepts_what_verify_accepts(mode, monkeypatch):
+def test_solver_accepts_what_verify_accepts(mode):
     """With ``tol_angle`` between the cosine and the radian error of a
     solved pattern (the obtuse bipyramid, and ico42 at theta = 1.2), the
     solver raises on the same data, naming both errors, and ``verify``
-    refuses the pattern: both read the two charts.  The sphere's planar
-    tangency start misses such a tolerance by its own rounding (7.5e-14 on
-    cosines), so it is solved at the default one."""
+    refuses the pattern: both read the two charts."""
     if mode == "euclidean":
         t, th = obtuse_bipyramid()
         fid = pick_marked_face(t, th)
         solve, stuck = (lambda opts: solve_euclidean(t, th, fid, opts)), Stalled
         as_pattern = CirclePattern.from_euclidean
     else:
-        start = spherical._tangency_start
-        monkeypatch.setattr(spherical, "_tangency_start",
-                            lambda t, opts: start(t, SolveOptions()))
         t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1))
         th = AngleAssignment.constant(t, 1.2)
         solve, stuck = (lambda opts: solve_spherical(t, th, opts)), ContinuationStuck

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from circlepattern import (
     AngleAssignment,
+    build_polyhedron,
     build_triangulation,
+    check_polyhedron,
     contact_graph,
     pick_marked_face,
     shapes,
@@ -18,6 +20,7 @@ from circlepattern import (
 )
 from circlepattern import verify as verifier
 from circlepattern.configurations import CirclePattern, near_pairs
+from circlepattern.triples import tangent_frames
 
 import oracles
 from random_triangulations import loop_subdivide
@@ -62,8 +65,6 @@ def _points(p, seed, count):
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
     if p.mode == "euclidean":
         return p.centers[k] + grow * p.radii[k] * np.exp(1j * phi)
-    from circlepattern.triples import tangent_frames
-
     e1, e2 = tangent_frames(p.centers[k])
     a = (grow * p.radii[k])[:, None]
     return (np.cos(a) * p.centers[k]
@@ -117,9 +118,42 @@ class TestUsers:
             assert np.array_equal(verifier._holding_pairs(p, pts, 0.0, w), np.nonzero(dense))
 
 
+class TestChart:
+    """Membership is |x - c| <= chord in both geometries, which on the
+    sphere resolves a cap of any size."""
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 40))
+    def test_tiny_caps_are_resolved(self, seed, n):
+        """Points at angle r (1 -+ 1e-6) from the centres of caps with radii
+        r log-uniform over [1e-9, 3] are held by exactly the caps that hold
+        them by angle."""
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=(n, 3))
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        r = np.exp(rng.uniform(math.log(1e-9), math.log(3.0), n))
+        t = shapes.bipyramid(n - 2)
+        p = CirclePattern(t, AngleAssignment.constant(t, 0.0), "spherical", c, r)
+        k, inside = rng.integers(0, n, 3 * n), rng.choice([True, False], 3 * n)
+        e1, e2 = tangent_frames(c[k])
+        a = (r[k] * np.where(inside, 1.0 - 1e-6, 1.0 + 1e-6))[:, None]
+        phi = rng.uniform(0.0, 2.0 * math.pi, (3 * n, 1))
+        pts = np.cos(a) * c[k] + np.sin(a) * (np.cos(phi) * e1 + np.sin(phi) * e2)
+        want = oracles.meeting_pairs("spherical", c, r, pts)
+        assert [(i, u) in want for i, u in enumerate(k)] == inside.tolist()
+        assert set(zip(*np.nonzero(p.point_in_disks(pts)))) == want
+        assert set(zip(*verifier._holding_pairs(p, pts, 0.0))) == want
+        # the face witnesses' slack, relative to |x| + |c| + chord as in the plane
+        w, chord = verifier.WITNESS_ROUNDING, 2.0 * np.sin(0.5 * r)
+        size = np.linalg.norm(pts, axis=1)[:, None] + np.linalg.norm(c, axis=1) + chord
+        dense = p.point_in_disks(pts, -w * size)
+        assert np.array_equal(verifier._holding_pairs(p, pts, 0.0, w), np.nonzero(dense))
+
+
 def test_no_pairwise_matrix_at_n642(monkeypatch):
     """The n=642 icosahedral subdivision solves (sphere) and verifies (both
-    modes) without the dense inversive matrix or membership matrix."""
+    modes) without the dense inversive matrix or membership matrix, and its
+    polyhedron's convexity check finds the slack of the dense array."""
     def dense(*args, **kwargs):
         raise AssertionError("n x n work")
 
@@ -131,4 +165,10 @@ def test_no_pairwise_matrix_at_n642(monkeypatch):
     assert verify_pattern(CirclePattern.from_euclidean(t, zero, cfg)).passed
     theta = AngleAssignment.constant(t, 1.2)
     cfg, _ = solve_spherical(t, theta)
-    assert verify_pattern(CirclePattern.from_spherical(t, theta, cfg)).passed
+    p = CirclePattern.from_spherical(t, theta, cfg)
+    assert verify_pattern(p).passed
+    q = build_polyhedron(p)
+    rep = check_polyhedron(q, p)
+    # own caps' slack is about 1e-13 and every other is above 1e-5: one ulp
+    # of a product, as another BLAS may round it, is all that may differ
+    assert rep.passed and abs(rep.convexity_worst - oracles.convexity_worst(q)) <= 1e-15

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from circlepattern.conditions import compare
 from circlepattern.errors import MalformedPattern, SingularTriple, VertexOutsideBall
 from circlepattern.polyhedron import HyperbolicPolyhedron, polyhedron_to_dict
 from circlepattern.verify import CirclePattern
+
+import oracles
 
 PI = math.pi
 
@@ -122,6 +125,38 @@ class TestCompactCase:
         rep = check_polyhedron(hacked, icosa_pattern)
         assert not rep.convexity_ok
         assert rep.convexity_worst < -1e-3
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), one=st.booleans())
+def test_convexity_slack_without_the_dense_array(icosa_pattern, seed, one):
+    """Random planes c . x = o, with o over [-1, 1] or the offsets of caps
+    from 1e-6 to 3 rad, and random vertices: at the origin, inside, on and
+    just outside the sphere, half of them (all, with ``one`` plane) within
+    1e-9 of a plane.  The point query finds the least slack of the dense
+    array."""
+    rng = np.random.default_rng(seed)
+    q = build_polyhedron(icosa_pattern)
+    n, f = 1 if one else len(q.half_spaces), len(q.vertices)
+    c = rng.normal(size=(n, 3))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    o = rng.uniform(-1.0, 1.0, n) if seed % 2 else np.cos(np.exp(rng.uniform(-13.8, 1.1, n)))
+    x = rng.normal(size=(f, 3))
+    x *= (rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0, 1.0 + 1e-12, rng.uniform(1.0, 3.0)], f)
+          / np.linalg.norm(x, axis=1))[:, None]
+    j, on = rng.integers(0, n, f), one | (rng.random(f) < 0.5)
+    e = rng.normal(size=(f, 3))
+    e -= np.einsum("ij,ij->i", e, c[j])[:, None] * c[j]
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    d = o[j] + rng.uniform(-1e-9, 1e-9, f)
+    side = np.sqrt(np.maximum(rng.uniform(np.abs(o[j]), 1.2) ** 2 - d ** 2, 0.0))
+    x[on] = (d[:, None] * c[j] + side[:, None] * e)[on]
+    planes = [type(q.half_spaces[0])(tuple(ci), float(oi)) for ci, oi in zip(c, o)]
+    hacked = dataclasses.replace(q, half_spaces=planes, vertices=x)
+    want = oracles.convexity_worst(hacked)
+    assume(want <= 0.0)  # the query holds every pair on or beyond a plane, not every pair
+    # one ulp of a product, as another BLAS may round it, is all that may differ
+    assert abs(check_polyhedron(hacked, icosa_pattern).convexity_worst - want) <= 1e-14
 
 
 @pytest.fixture(scope="module")

@@ -540,8 +540,21 @@ class TestNearDisks:
         self._check(p, u)
 
     def test_spherical_gap_below_slack(self):
-        # for a cap of radius 1e-6 the cosine slack is an angle of 7e-7, so
-        # an angular gap of 5e-7 is inside it
+        # the caps' chord gap is 5e-13, inside the slack: a length on the
+        # sphere as in the plane, so a cap of radius 1e-6 gets no more of it
+        touch = 2.0 * math.sin(0.5 * (0.5 + 1e-6))
+        p, u = self._tiny_cap(2.0 * math.asin(0.5 * (touch + 5e-13)))
+        self._check(p, u)
+        # an angular gap of 5e-7, half the cap's radius, is far outside it
+        p, u = self._tiny_cap(0.5 + 1e-6 + 5e-7)
+        assert u not in verifier._near_disks(p, -verifier.COVER_SLACK)[0]
+        _, got = verifier._irreducibility_witnesses(p)
+        assert oracles.free_in_own_disk(p, 0, got[0])
+
+    @staticmethod
+    def _tiny_cap(phi):
+        """D_0 of radius 0.5 at the north pole, and a cap of radius 1e-6 at
+        angle ``phi`` from it along +y, where boundary sample 0 of D_0 points."""
         t = shapes.octahedron()
         u = next(w for w in range(1, 6) if not t.has_edge(0, w))
         far = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, -1.0, 0.0)]
@@ -549,10 +562,8 @@ class TestNearDisks:
         radii = np.full(6, 0.1)
         centers[[w for w in range(1, 6) if w != u]] = far
         centers[0], radii[0] = (0.0, 0.0, 1.0), 0.5
-        phi = 0.5 + 1e-6 + 5e-7  # boundary sample 0 of D_0 points along +y
         centers[u], radii[u] = (0.0, math.sin(phi), math.cos(phi)), 1e-6
-        p = CirclePattern(t, AngleAssignment.constant(t, 1.2), "spherical", centers, radii)
-        self._check(p, u)
+        return CirclePattern(t, AngleAssignment.constant(t, 1.2), "spherical", centers, radii), u
 
     def test_witness_passes_the_all_disk_test(self, monkeypatch):
         """With D_3 left out of the near disks of D_0, dD_0 is one arc whose
@@ -651,8 +662,12 @@ class TestThresholds:
             centers[0] = north
             m = math.cos(0.5) * north + math.sin(0.5) * np.array(
                 [math.cos(math.radians(30.0)), math.sin(math.radians(30.0)), 0.0])
-            kappa = float(m @ centers[1]) - eps
-            radii = np.r_[0.5, np.full(3, math.acos(np.nextafter(kappa, kappa + past)))]
+            # step r by ulps until its chord crosses |m - c1| + eps
+            reach = float(np.linalg.norm(m - centers[1])) + eps
+            r = 2.0 * math.asin(0.5 * reach)
+            while not (2.0 * math.sin(0.5 * r) - reach) * past < 0.0:
+                r = np.nextafter(r, r - past)
+            radii = np.r_[0.5, np.full(3, r)]
         p = CirclePattern(t, AngleAssignment.constant(t, 0.0), mode, centers, radii)
         assert 1 in verifier._near_disks(p, -verifier.COVER_SLACK)[0]
         got = verifier._flower_failures(p, np.array([0]), eps)
