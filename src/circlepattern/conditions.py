@@ -74,9 +74,6 @@ class AngleAssignment:
     def __getitem__(self, eid: int) -> float:
         return self.values[eid]
 
-    def edge_value(self, u: int, v: int) -> float:
-        return self.values[self.triangulation.edge_id(u, v)]
-
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 

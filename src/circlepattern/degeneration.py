@@ -8,15 +8,19 @@ values name the combinatorial obstruction when a solve stalls.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from itertools import islice
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .conditions import AngleAssignment
-from .errors import EmptySubset
+from .errors import EmptySubset, LimitExceeded
 from .triangulation import Triangulation, subset_geometry
 
 PI = math.pi
+# connected subsets that rank_collapse_suspects scores at most: about 0.1 ms each
+SUBSET_BUDGET = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -50,23 +54,26 @@ def degeneration_functional(
 def connected_subsets(
     t: Triangulation, max_size: int, avoid: Iterable[int] = ()
 ) -> List[FrozenSet[int]]:
-    """All connected vertex subsets of size <= max_size avoiding ``avoid``.
+    """All connected vertex subsets of size <= max_size avoiding ``avoid``,
+    ordered by (size, vertices)."""
+    return sorted(_connected_subsets(t, max_size, avoid), key=lambda s: (len(s), sorted(s)))
 
-    Standard rooted enumeration: each subset is generated once from its
-    minimum vertex by growing only with larger-or-excluded bookkeeping.
-    """
+
+def _connected_subsets(t: Triangulation, max_size: int, avoid: Iterable[int]
+                       ) -> Iterator[FrozenSet[int]]:
+    """Standard rooted enumeration: each subset is generated once from its
+    minimum vertex by growing only with larger-or-excluded bookkeeping."""
     if max_size < 1:
         raise ValueError(f"max_size = {max_size} is out of range")
     banned = set(avoid)
     allowed = [v for v in range(t.vertex_count) if v not in banned]
     # subsets must stay proper for the star/link geometry to make sense
     max_size = min(max_size, t.vertex_count - 1)
-    out: List[FrozenSet[int]] = []
 
     def grow(current: Set[int], frontier: List[int], excluded: Set[int]):
         for idx, v in enumerate(frontier):
             new = current | {v}
-            out.append(frozenset(new))
+            yield frozenset(new)
             if len(new) < max_size:
                 new_excluded = excluded | set(frontier[: idx + 1])
                 ext = [
@@ -75,13 +82,10 @@ def connected_subsets(
                     if w not in new and w not in banned and w not in new_excluded
                     and w > root
                 ]
-                grow(new, ext, new_excluded)
+                yield from grow(new, ext, new_excluded)
 
     for root in allowed:
-        grow(set(), [root], set())
-    # grow() roots each subset at its minimum vertex, so no duplicates
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+        yield from grow(set(), [root], set())
 
 
 def rank_collapse_suspects(
@@ -91,13 +95,13 @@ def rank_collapse_suspects(
     avoid: Iterable[int] = (),
     top: int = 10,
 ) -> List[DegenerationFunctional]:
-    """Connected subsets ranked by functional value, most suspect first."""
-    vals = [
-        degeneration_functional(t, theta, s)
-        for s in connected_subsets(t, max_size, avoid)
-    ]
-    vals.sort(key=_most_suspect_first)
-    return vals[:top]
+    """Connected subsets ranked by functional value, most suspect first.
+    Raises LimitExceeded past SUBSET_BUDGET subsets, before ranking any."""
+    subsets = list(islice(_connected_subsets(t, max_size, avoid), SUBSET_BUDGET + 1))
+    if len(subsets) > SUBSET_BUDGET:
+        raise LimitExceeded(f"more than {SUBSET_BUDGET} connected subsets up to size {max_size}")
+    return heapq.nsmallest(top, (degeneration_functional(t, theta, s) for s in subsets),
+                           key=_most_suspect_first)
 
 
 def sublevel_suspects(
@@ -131,8 +135,7 @@ def sublevel_suspects(
                 members[big] += members.pop(small)
         if len(members[comp[v]]) <= max_size:
             found.append(degeneration_functional(t, theta, members[comp[v]]))
-    found.sort(key=_most_suspect_first)
-    return found[:top]
+    return heapq.nsmallest(top, found, key=_most_suspect_first)
 
 
 def _most_suspect_first(d: DegenerationFunctional):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,27 +43,55 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Validated oriented simplicial triangulation of the 2-sphere."""
+    """Validated oriented simplicial triangulation of the 2-sphere: its value is
+    the vertex count, faces and flip flag; each tuple or dict view is built on first use."""
 
     vertex_count: int
     faces: Tuple[Face, ...]
-    edges: Tuple[Edge, ...]
-    edge_index: Dict[Edge, int]
-    edge_faces: Tuple[Tuple[int, int], ...]
-    vertex_faces: Tuple[Tuple[int, ...], ...]   # cyclic order around the vertex
-    link_cycles: Tuple[Tuple[int, ...], ...]    # neighbor cycle around the vertex
     orientation_flipped: bool
-    face_index: Dict[FrozenSet[int], int]      # vertex set -> face id
-    # cycle_arrays results by max_len and two_arc_arrays under "arcs"; not
-    # part of the value
+    face_array: np.ndarray = field(compare=False, repr=False)       # the faces, one row each
+    edge_array: np.ndarray = field(compare=False, repr=False)       # sorted rows (u, v), u < v
+    edge_face_array: np.ndarray = field(compare=False, repr=False)  # the two faces, ascending
+    # (offsets, faces, ring): those of v at offsets[v]:offsets[v + 1] in cyclic
+    # order from its lowest face, face i spanned by ring vertices i and i + 1
+    star: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    # cycle_arrays by max_len and two_arc_arrays under "arcs"; not part of the value
     _circuits: Dict[object, object] = field(default_factory=dict, init=False, compare=False,
                                             repr=False)
+
+    @cached_property
+    def edges(self) -> Tuple[Edge, ...]:
+        return tuple(zip(*self.edge_array.T.tolist()))
+
+    @cached_property
+    def edge_index(self) -> Dict[Edge, int]:
+        return dict(zip(self.edges, range(self.edge_count)))
+
+    @cached_property
+    def edge_faces(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_face_array.tolist()))
+
+    @cached_property
+    def vertex_faces(self) -> Tuple[Tuple[int, ...], ...]:  # cyclic order around the vertex
+        return self._per_vertex(self.star[1])
+
+    @cached_property
+    def link_cycles(self) -> Tuple[Tuple[int, ...], ...]:  # neighbour cycle around the vertex
+        return self._per_vertex(self.star[2])
+
+    @cached_property
+    def face_index(self) -> Dict[FrozenSet[int], int]:  # vertex set -> face id
+        return dict(zip(map(frozenset, self.faces), range(self.face_count)))
+
+    def _per_vertex(self, flat: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+        flat, offsets = flat.tolist(), self.star[0].tolist()
+        return tuple(tuple(flat[i:j]) for i, j in zip(offsets[:-1], offsets[1:]))
 
     # -- basic queries ------------------------------------------------
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @property
     def face_count(self) -> int:
@@ -97,18 +125,6 @@ class Triangulation:
     # -- index arrays, built on first use -----------------------------
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        return np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-
-    @cached_property
-    def face_array(self) -> np.ndarray:
-        return np.array(self.faces, dtype=np.intp)
-
-    @cached_property
-    def edge_face_array(self) -> np.ndarray:
-        return np.array(self.edge_faces, dtype=np.intp)
-
-    @cached_property
     def edge_keys(self) -> np.ndarray:
         """u * n + v of each edge (u, v): increasing, as edges are sorted."""
         return self.edge_array[:, 0] * self.vertex_count + self.edge_array[:, 1]
@@ -134,17 +150,6 @@ class Triangulation:
         src, dst = np.r_[u, v], np.r_[v, u]
         offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=self.vertex_count))]
         return offsets, dst[np.lexsort((dst, src))]
-
-    @cached_property
-    def star(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``vertex_faces`` and ``link_cycles`` flat, as (offsets, faces,
-        ring): those of v at offsets[v]:offsets[v + 1], face i of v spanned
-        by its ring vertices i and i + 1."""
-        deg = np.fromiter(map(len, self.link_cycles), np.intp, self.vertex_count)
-        offsets = np.r_[0, np.cumsum(deg)]
-        faces = np.fromiter(chain.from_iterable(self.vertex_faces), np.intp, offsets[-1])
-        ring = np.fromiter(chain.from_iterable(self.link_cycles), np.intp, offsets[-1])
-        return offsets, faces, ring
 
     @cached_property
     def star_edge_ids(self) -> Tuple[List[List[int]], List[List[int]]]:
@@ -194,14 +199,13 @@ def build_triangulation(faces: Sequence[Sequence[int]], vertex_count: Optional[i
     tail, head = tri.ravel(), tri[:, [1, 2, 0]].ravel()
     pairs = _twins(tail, head, "edge")
     lo, hi = np.minimum(tail, head)[pairs[:, 0]], np.maximum(tail, head)[pairs[:, 0]]
-    edges = tuple(zip(lo.tolist(), hi.tolist()))
     twin = np.empty(3 * k, dtype=np.intp)
     twin[pairs] = pairs[:, ::-1]
     flip = _orient(twin, tail == tail[twin])
     oriented = tri.copy()
     oriented[flip, 1:] = tri[flip, :0:-1]
 
-    chi = n - len(edges) + k
+    chi = n - len(lo) + k
     if chi != 2:
         raise NotASphere(f"V - E + F = {chi}, expected 2")
 
@@ -210,19 +214,14 @@ def build_triangulation(faces: Sequence[Sequence[int]], vertex_count: Optional[i
     moved = np.where(flip[h // 3], h - h % 3 + 2 - h % 3, h)
     twin[moved] = moved[twin]
     offsets, star = _stars(n, oriented.ravel(), twin)
-    around = (star // 3).tolist()
-    ring = oriented[:, [1, 2, 0]].ravel()[star].tolist()
-    spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
     return Triangulation(
         vertex_count=n,
         faces=tuple(map(tuple, oriented.tolist())),
-        edges=edges,
-        edge_index=dict(zip(edges, range(len(edges)))),
-        edge_faces=tuple(map(tuple, (pairs // 3).tolist())),
-        vertex_faces=tuple(tuple(around[i:j]) for i, j in spans),
-        link_cycles=tuple(tuple(ring[i:j]) for i, j in spans),
         orientation_flipped=bool(flip.any()),
-        face_index={frozenset(f): i for i, f in enumerate(tri.tolist())},
+        face_array=oriented,
+        edge_array=np.column_stack((lo, hi)),
+        edge_face_array=pairs // 3,
+        star=(offsets, star // 3, oriented[:, [1, 2, 0]].ravel()[star]),
     )
 
 

@@ -229,6 +229,21 @@ class _Circles:
             on = (s >= 0) & (s <= np.abs(d[k]) ** 2)
         return rows[k[on]], ang[on]
 
+    def arc_points(self, cut_row=np.empty(0, np.intp), cut_ang=np.empty(0)):
+        """(rows, angles, points, clearance) of a midpoint per arc between the
+        crossings and the extra cuts, then of those cuts."""
+        row, ang = self.crossings()
+        mid_row, mid_ang = _arc_midpoints(len(self.R), np.r_[row, cut_row], np.r_[ang, cut_ang])
+        rows, ang = np.r_[mid_row, cut_row], np.r_[mid_ang, cut_ang]
+        pts = self.at(rows, ang)
+        return rows, ang, pts, self.clearance(rows, pts)
+
+    def freest(self, rows, clear, idx, *prefer):
+        """Of the points ``idx``, on the circles ``rows``, the one of largest
+        clearance per vertex, after the keys ``prefer``, in vertex order."""
+        idx = idx[np.lexsort((clear[idx], *(k[idx] for k in prefer), self.owner[rows[idx]]))]
+        return idx[np.diff(self.owner[rows[idx]], append=-1) != 0]
+
     def clearance(self, rows, pts):
         """Per point on the circle ``rows``, its least margin inside D_v and
         outside the other disks of its vertex, positive when it is free: a
@@ -293,19 +308,13 @@ def _irreducibility_witnesses(p: CirclePattern):
     near = _near_disks(p, -COVER_SLACK)
     circ = _Circles(p, np.arange(n), np.array([len(s) for s in near]), np.concatenate(near),
                     COVER_SLACK)
-    mid_row, mid_ang = _arc_midpoints(len(circ.R), *circ.crossings())
-    clear = circ.clearance(mid_row, circ.at(mid_row, mid_ang))
-
-    # per vertex the free midpoint on dD_v, else on a near circle, of largest clearance
-    owner, own = circ.owner, circ.own
-    cand = np.flatnonzero(clear > 0)
-    cand = cand[np.lexsort((clear[cand], own[mid_row[cand]], owner[mid_row[cand]]))]
-    best = cand[np.diff(owner[mid_row[cand]], append=-1) != 0]
-    vs, rows = owner[mid_row[best]], mid_row[best]
+    mid_row, mid_ang, _, clear = circ.arc_points()
+    best = circ.freest(mid_row, clear, np.flatnonzero(clear > 0), circ.own[mid_row])
+    vs, rows = circ.owner[mid_row[best]], mid_row[best]
     move = 0.5 * clear[best]
     if circ.sphere:  # a cap's outside is a cap too: stop short of its centre
         move = np.minimum(move, 0.5 * (PI - circ.R[rows]))
-    w = circ.at(rows, mid_ang[best], np.where(own[rows], 0.0, move))
+    w = circ.at(rows, mid_ang[best], np.where(circ.own[rows], 0.0, move))
     k, u = _holding_pairs(p, w, -COVER_SLACK)  # the all-disk test: D_v only
     good = np.bincount(k, minlength=len(vs)) == 1
     good[k[u != vs[k]]] = False
@@ -336,12 +345,7 @@ def _flower_failures(p: CirclePattern, vs: np.ndarray, eps: float) -> Dict[int, 
     # every side va and ab against every circle of v: each spoke once
     side, circle = _owner_rows(np.repeat(np.arange(len(vs)), 2 * deg), circ.start, circ.size)
     ends = p.centers[np.stack([fan[:, :2], fan[:, 1:]], axis=1).reshape(-1, 2)[side]]
-    cut_row, cut_ang = circ.side_crossings(circle, ends[:, 0], ends[:, 1])
-    row, ang = circ.crossings()
-    mid_row, mid_ang = _arc_midpoints(len(circ.R), np.r_[row, cut_row], np.r_[ang, cut_ang])
-    rows, ang = np.r_[mid_row, cut_row], np.r_[mid_ang, cut_ang]
-    pts = circ.at(rows, ang)
-    clear = circ.clearance(rows, pts)
+    rows, _, pts, clear = circ.arc_points(*circ.side_crossings(circle, ends[:, 0], ends[:, 1]))
 
     free = np.flatnonzero(clear > 0)
     owner = circ.owner[rows[free]]
@@ -356,10 +360,7 @@ def _flower_failures(p: CirclePattern, vs: np.ndarray, eps: float) -> Dict[int, 
     if outer.any():
         in_star[outer] |= ~_in_any_face(p, pts[free[outer]], eps)
 
-    bad = free[~in_star]
-    bad = bad[np.lexsort((clear[bad], circ.owner[rows[bad]]))]
-    bad = bad[np.diff(circ.owner[rows[bad]], append=-1) != 0]
-    return {int(vs[circ.owner[rows[b]]]): pts[b] for b in bad}
+    return {int(vs[circ.owner[rows[b]]]): pts[b] for b in circ.freest(rows, clear, free[~in_star])}
 
 
 def _in_fans(p: CirclePattern, fan: np.ndarray, points, eps) -> np.ndarray:

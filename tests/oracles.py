@@ -422,8 +422,10 @@ def reference_audit(t, theta, max_len: int):
 
 def reference_build(faces, vertex_count=None):
     """``build_triangulation`` as loops: an edge -> faces dict, a BFS that
-    repairs the orientation and a walk around each vertex's star."""
-    from circlepattern.triangulation import Triangulation, canonical_edge
+    repairs the orientation and a walk around each vertex's star.  Returns
+    the value fields and the tuple and dict views of a ``Triangulation``
+    by name."""
+    from circlepattern.triangulation import canonical_edge
 
     if not len(faces):
         raise errors.DegenerateFace("empty face list")
@@ -460,17 +462,17 @@ def reference_build(faces, vertex_count=None):
         raise errors.NotASphere(f"V - E + F = {chi}, expected 2")
     edges = tuple(sorted(edge_to_faces))
     vertex_faces, link_cycles = _reference_stars(n, oriented, edge_to_faces)
-    return Triangulation(
-        vertex_count=n,
-        faces=tuple(oriented),
-        edges=edges,
-        edge_index={e: i for i, e in enumerate(edges)},
-        edge_faces=tuple(tuple(sorted(edge_to_faces[e])) for e in edges),
-        vertex_faces=vertex_faces,
-        link_cycles=link_cycles,
-        orientation_flipped=oriented != clean,
-        face_index=face_index,
-    )
+    return {
+        "vertex_count": n,
+        "faces": tuple(oriented),
+        "edges": edges,
+        "edge_index": {e: i for i, e in enumerate(edges)},
+        "edge_faces": tuple(tuple(sorted(edge_to_faces[e])) for e in edges),
+        "vertex_faces": vertex_faces,
+        "link_cycles": link_cycles,
+        "orientation_flipped": oriented != clean,
+        "face_index": face_index,
+    }
 
 
 def _reference_orientation(faces, edge_to_faces):

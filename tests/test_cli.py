@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from circlepattern import AngleAssignment, build_triangulation, classify, formats
-from circlepattern import shapes
+from circlepattern import degeneration, shapes
 from circlepattern.cli import main
+from circlepattern.degeneration import connected_subsets
 from random_triangulations import loop_subdivide
 
 PI = math.pi
@@ -308,6 +309,21 @@ class TestPipeline:
         assert rc == 0
         table = json.loads(out.read_text())["suspects"]
         assert table and all(row["value"] < 0 for row in table)
+
+    def test_diagnose_budget(self, files, capsys, monkeypatch):
+        """Past SUBSET_BUDGET connected subsets diagnose exits 2 with a
+        one-line error; within it the table is the default budget's."""
+        argv = ["diagnose", str(files["octa"]), str(files["theta3"]), "--diag-max", "2"]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        count = len(connected_subsets(formats.load_triangulation(files["octa"]), 2))
+        monkeypatch.setattr(degeneration, "SUBSET_BUDGET", count)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (table, "")
+        monkeypatch.setattr(degeneration, "SUBSET_BUDGET", count - 1)
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"diagnose error: more than {count - 1} connected subsets up to size 2\n")
 
 
 class TestDeterminism:

@@ -244,6 +244,19 @@ class TestDegenerationFunctional:
         for subset in connected_subsets(octa, 3, avoid=marked):
             assert degeneration_functional(octa, th, subset).value < 0
 
+    def test_ranking_is_the_sorted_table(self):
+        """The suspects are the head of every connected subset's functional
+        sorted most suspect first; at a constant angle values tie, so the
+        size and the vertices decide."""
+        t = build_triangulation(stack120_faces())
+        th = AngleAssignment.constant(t, 0.9)
+        marked = t.faces[0]
+        table = sorted((degeneration_functional(t, th, s)
+                        for s in connected_subsets(t, 3, avoid=marked)),
+                       key=lambda d: (-d.value, len(d.subset), sorted(d.subset)))
+        assert len({d.value for d in table[:40]}) < 40
+        assert rank_collapse_suspects(t, th, 3, avoid=marked, top=40) == table[:40]
+
     def test_sublevel_suspects(self):
         """The merge-tree candidates of random radii: connected sublevel
         sets that avoid the marked face, at most n - 1 of them, with the

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -312,8 +313,23 @@ seeds = st.integers(0, 2 ** 32 - 1)
 OCTA = [list(f) for f in shapes.octahedron().faces]
 
 
-def _init_fields(t):
-    return {f.name: getattr(t, f.name) for f in dataclasses.fields(t) if f.init}
+VIEWS = ("edges", "edge_index", "edge_faces", "vertex_faces", "link_cycles", "face_index")
+
+
+def _assert_matches_reference(t, ref):
+    """Every value field and view of ``t`` equals the loops' table of that
+    name, and its index arrays hold the same tables as integer arrays."""
+    for name, want in ref.items():
+        assert getattr(t, name) == want, name
+    offsets, around, ring = t.star
+    arrays = {"face_array": (t.face_array, ref["faces"]),
+              "edge_array": (t.edge_array, ref["edges"]),
+              "edge_face_array": (t.edge_face_array, ref["edge_faces"]),
+              "star offsets": (offsets, np.cumsum([0] + [len(r) for r in ref["link_cycles"]])),
+              "star faces": (around, list(chain.from_iterable(ref["vertex_faces"]))),
+              "star ring": (ring, list(chain.from_iterable(ref["link_cycles"])))}
+    for name, (got, want) in arrays.items():
+        assert got.dtype == np.intp and np.array_equal(got, want), name
 
 
 def _scramble(rng, faces):
@@ -335,20 +351,45 @@ def _draw(seed, n, flips):
 @given(seed=seeds, n=st.integers(4, 40), flips=st.integers(0, 80),
        container=st.sampled_from(["lists", "tuples", "rows", "array"]))
 def test_build_matches_reference(seed, n, flips, container):
-    """Every init field equals the loops' on scrambled draws, given as
-    lists, tuples, integer array rows or one integer array; and the dual
+    """Every field, view and index array matches the loops' tables on
+    scrambled draws, given as lists, tuples, integer array rows or one
+    integer array; and the dual
     of the polyhedron of the result has its faces, in order, and maps
     each edge to its own."""
     _, faces = _draw(seed, n, flips)
     given_faces = {"lists": faces, "tuples": tuple(map(tuple, faces)),
                    "rows": list(np.array(faces)), "array": np.array(faces)}[container]
     t = build_triangulation(given_faces)
-    assert _init_fields(t) == _init_fields(oracles.reference_build(given_faces))
+    _assert_matches_reference(t, oracles.reference_build(given_faces))
     back, to_dual, to_primal = dual_of_trivalent(polyhedron_from_triangulation(t))
     assert [sorted(f) for f in back.faces] == [sorted(f) for f in t.faces]
     assert back.edges == t.edges and len(to_primal) == t.edge_count
     for (f, g), eid in to_dual.items():  # faces f, g of t share the edge eid
         assert set(back.edges[eid]) == set(t.faces[f]) & set(t.faces[g])
+
+
+@pytest.mark.parametrize("name", sorted(shapes.shipped_triangulations()))
+def test_shipped_shapes_match_reference(name):
+    """The shipped shapes, whose faces are already oriented, hold the
+    loops' tables."""
+    t = shapes.shipped_triangulations()[name]
+    ref = oracles.reference_build(t.faces)
+    assert not ref.pop("orientation_flipped")
+    _assert_matches_reference(t, ref)
+
+
+def test_views_are_built_on_first_use():
+    """A Triangulation stores its value and index arrays; each tuple or
+    dict view appears when it is first read, and only the views it reads."""
+    t = build_triangulation(stack120_faces())
+    assert [f.name for f in dataclasses.fields(t)] == [
+        "vertex_count", "faces", "orientation_flipped", "face_array", "edge_array",
+        "edge_face_array", "star", "_circuits"]
+    assert not set(VIEWS) & set(vars(t))
+    assert t.face_id_of(t.faces[7]) == 7 and t.neighbors(3) == t.link_cycles[3]
+    assert set(VIEWS) & set(vars(t)) == {"face_index", "link_cycles"}
+    assert t.has_edge(*t.edges[5])
+    assert set(VIEWS) - set(vars(t)) == {"edge_faces", "vertex_faces"}
 
 
 def _invalid(family, rng, faces):
