@@ -259,32 +259,16 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from dataclasses import asdict
+
     from . import triples
 
     try:
-        radii = tuple(float(x) for x in args.radii.split(","))
-        angles = tuple(float(x) for x in args.angles.split(","))
-        spec = triples.TripleSpec(args.mode, radii, angles)
+        spec = triples.TripleSpec(args.mode, tuple(float(x) for x in args.radii.split(",")),
+                                  tuple(float(x) for x in args.angles.split(",")))
     except ValueError as exc:
         raise UsageError(str(exc))
-    geo = triples.triple_geometry(spec)
-    _emit(
-        formats.dumps(
-            {
-                "mode": args.mode,
-                "radii": list(radii),
-                "angles": list(angles),
-                "edge_lengths": list(geo.edge_lengths),
-                "inner_angles": list(geo.inner_angles) if geo.inner_angles else None,
-                "feasibility_margin": geo.feasibility_margin,
-                "lambdas": list(geo.lambdas),
-                "angle_triangle_sides": (
-                    list(geo.angle_triangle_sides) if geo.angle_triangle_sides else None
-                ),
-            }
-        ),
-        None,
-    )
+    _emit(formats.dumps({**asdict(spec), **asdict(triples.triple_geometry(spec))}), None)
     return 0
 
 

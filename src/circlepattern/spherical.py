@@ -44,6 +44,7 @@ NEWTON_TOL = 1e-10       # corrector tolerance on the curvatures 2*pi - sigma_v
 CORRECTOR_ITERS = 60
 SIGMA_TOL = 1e-8         # largest |2*pi - sigma_v| of an accepted step, held caps included
 LAYOUT_TOL = 1e-8        # largest chord between two placements of a center
+OVERLAP_TOL = 1e-7       # disks of non-adjacent vertices overlap at I below 1 - OVERLAP_TOL
 CENTERING_TOL = 1e-9     # mean cap center norm accepted as centered
 CENTERING_ITERS = 100
 
@@ -173,8 +174,7 @@ def _into_gauge(centers: np.ndarray, radii: np.ndarray,
 # continuation driver
 # ---------------------------------------------------------------------------
 
-def _is_genuine(t: Triangulation, centers: np.ndarray, radii: np.ndarray,
-                overlap_tol: float = 1e-7) -> bool:
+def _is_genuine(t: Triangulation, centers: np.ndarray, radii: np.ndarray) -> bool:
     """Cheap embeddedness test of a layout: realized faces must be
     uniformly oriented, and disks of non-adjacent vertices must not
     overlap."""
@@ -183,7 +183,7 @@ def _is_genuine(t: Triangulation, centers: np.ndarray, radii: np.ndarray,
         return False
     u, v = near_pairs(triples.SPHERICAL, centers, chords(triples.SPHERICAL, radii))
     far = np.column_stack([u, v])[t.edge_ids(u, v) < 0]
-    return not np.any(inversive(triples.SPHERICAL, centers, radii, far) < 1.0 - overlap_tol)
+    return not np.any(inversive(triples.SPHERICAL, centers, radii, far) < 1.0 - OVERLAP_TOL)
 
 
 def _held_caps(centers: np.ndarray, first: int) -> Tuple[int, int, int]:

@@ -332,8 +332,9 @@ def _flower_failures(p: CirclePattern, vs: np.ndarray, eps: float) -> Dict[int, 
     the sides of the faces around v, so star membership is constant along
     each arc; F lies in the star exactly when every free arc midpoint and
     cut point does, as the faces around v are star-shaped from its centre
-    and in the plane the region outside the layout meets F only across a
-    link side.  The witness is the failing point of largest clearance.
+    and the region the other faces leave (``_outer_face``) meets F only
+    across a link side.  The witness is the failing point of largest
+    clearance.
     """
     offsets, _, ring = p.triangulation.star
     deg = np.diff(offsets)[vs]
@@ -350,9 +351,7 @@ def _flower_failures(p: CirclePattern, vs: np.ndarray, eps: float) -> Dict[int, 
     free = np.flatnonzero(clear > 0)
     owner = circ.owner[rows[free]]
     k, j = _owner_rows(owner, circ.start - np.arange(len(vs)), deg)
-    # in the plane the marked face is the unbounded region: the points of no
-    # laid-out face belong to the stars of its vertices
-    marked = np.array((p.mode == triples.EUCLIDEAN and p.marked_face) or [], dtype=int)
+    marked = np.array(_outer_face(p), dtype=int)
     keep = ~(fan[j, :, None] == marked).any(axis=2).all(axis=1)
     in_star = np.zeros(len(free), dtype=bool)
     in_star[k[keep][_in_fans(p, fan[j[keep]], pts[free[k[keep]]], eps)]] = True
@@ -363,37 +362,52 @@ def _flower_failures(p: CirclePattern, vs: np.ndarray, eps: float) -> Dict[int, 
     return {int(vs[circ.owner[rows[b]]]): pts[b] for b in circ.freest(rows, clear, free[~in_star])}
 
 
+def _outer_face(p: CirclePattern) -> Tuple[int, ...]:
+    """The marked face when it is the region the other faces leave, else ():
+    always in the plane, where it holds the point at infinity; on the sphere
+    when its centre triangle turns against every other face's, as in a lift."""
+    t, marked = p.triangulation, tuple(p.marked_face or ())
+    if p.mode == triples.EUCLIDEAN or not marked:
+        return marked
+    turn = np.sign(_turns(p.mode, *p.centers[t.face_array.T]))
+    fid = t.face_id_of(marked)
+    return marked if turn[fid] and (np.delete(turn, fid) == -turn[fid]).all() else ()
+
+
 def _in_fans(p: CirclePattern, fan: np.ndarray, points, eps) -> np.ndarray:
     """Per row (v, a, b) of ``fan`` and point, membership in the realized
     face vab, whose spokes va and bv are closed and whose link side ab is
     open; the open star of v is the union of its faces."""
-    A, B, C = p.centers[fan.T]
-    if p.mode == triples.EUCLIDEAN:
-        s1, s2, s3, tol = _planar_sides((A, B, C), points, eps)
-        return (s1 >= -tol) & (s3 >= -tol) & (s2 > tol)
-    sigma = np.sign(np.einsum("ij,ij->i", A, np.cross(B, C)))
-    s1, s2, s3 = (np.einsum("ij,ij->i", points, np.cross(P, Q)) * sigma
-                  for P, Q in ((A, B), (B, C), (C, A)))
-    return (s1 >= -eps) & (s3 >= -eps) & (s2 > eps)
+    s1, s2, s3, tol = _sides(p.mode, p.centers[fan.T], points, eps)
+    return (s1 >= -tol) & (s3 >= -tol) & (s2 > tol)
 
 
 def _in_any_face(p: CirclePattern, points, eps) -> np.ndarray:
-    """Membership in some closed laid-out planar face, for all faces at once."""
+    """Membership in some closed realized face but the marked one, for all faces at once."""
     t = p.triangulation
     faces = np.delete(t.face_array, t.face_id_of(p.marked_face), axis=0)
-    s1, s2, s3, tol = _planar_sides(p.centers[faces].T[:, :, None], points, eps)
+    s1, s2, s3, tol = _sides(p.mode, p.centers[faces.T[:, :, None]], points, eps)
     return ((s1 >= -tol) & (s2 >= -tol) & (s3 >= -tol)).any(axis=0)
 
 
-def _planar_sides(corners, points, eps):
-    """Cross products of the sides AB, BC, CA of the triangle ABC with the
-    points, signed positive inside, and ``eps`` scaled by the triangle.
-    The corners may be columns of triangles, one triangle per row."""
+def _sides(mode: str, corners, points, eps):
+    """The turns of the sides AB, BC, CA of the triangles ABC to the
+    points, signed positive inside, and the tolerance: ``eps`` scaled by
+    the triangle in the plane, ``eps`` on the sphere.  Triangles and
+    points broadcast."""
     A, B, C = corners
-    sigma = _cross2(B - A, C - A)
-    sign = np.sign(sigma)
-    return (_cross2(B - A, points - A) * sign, _cross2(C - B, points - B) * sign,
-            _cross2(A - C, points - C) * sign, eps * np.where(sigma != 0, np.abs(sigma), 1.0))
+    sigma = _turns(mode, A, B, C)
+    tol = eps * np.where(sigma != 0, np.abs(sigma), 1.0) if mode == triples.EUCLIDEAN else eps
+    return (*(_turns(mode, P, Q, points) * np.sign(sigma) for P, Q in ((A, B), (B, C), (C, A))),
+            tol)
+
+
+def _turns(mode: str, A, B, C):
+    """How C turns from the line (great circle) AB, positive to the left:
+    the cross product of B - A and C - A, the triple product C . (A x B)."""
+    if mode == triples.EUCLIDEAN:
+        return _cross2(B - A, C - A)
+    return np.einsum("...i,...i->...", C, np.cross(A, B))
 
 
 def _cross2(a, b):

@@ -845,30 +845,17 @@ def _cross(a, b):
 def in_open_star(p, v: int, points, eps) -> np.ndarray:
     """Membership in the open star of v, one incident face at a time: in
     the face, where the two spokes may be touched but the link side must be
-    strictly inside; in the plane the points of no laid-out face also
-    belong to the stars of the marked face's vertices."""
-    from circlepattern import triples
-
+    strictly inside; the points of no other face also belong to the stars
+    of the outer face's vertices (``outer_face_id``)."""
     t = p.triangulation
-    skip = None
-    if p.mode == triples.EUCLIDEAN and p.marked_face is not None:
-        skip = t.face_id_of(p.marked_face)
+    skip = outer_face_id(p)
     out = np.zeros(len(points), dtype=bool)
     for fid in t.vertex_faces[v]:
         if fid == skip:
             continue
         face = t.faces[fid]
         i = face.index(v)
-        A, B, C = p.centers[[v, face[(i + 1) % 3], face[(i + 2) % 3]]]
-        if p.mode == triples.EUCLIDEAN:
-            sigma = _cross(B - A, C - A)
-            sign, tol = np.sign(sigma), eps * (abs(sigma) if sigma != 0 else 1.0)
-            s1, s2, s3 = (_cross(Q - P, points - P) * sign for P, Q in ((A, B), (B, C), (C, A)))
-        else:
-            sign, tol = np.sign(np.linalg.det(np.stack([A, B, C]))), eps
-            s1, s2, s3 = (points @ np.cross(P, Q) * sign for P, Q in ((A, B), (B, C), (C, A)))
-            if sign == 0:
-                continue
+        s1, s2, s3, tol = face_sides(p, [v, face[(i + 1) % 3], face[(i + 2) % 3]], points, eps)
         out |= (s1 >= -tol) & (s3 >= -tol) & (s2 > tol)
     if skip is not None and v in p.marked_face:
         out |= ~in_any_face(p, points, eps)
@@ -876,20 +863,45 @@ def in_open_star(p, v: int, points, eps) -> np.ndarray:
 
 
 def in_any_face(p, points, eps) -> np.ndarray:
-    """Membership in some closed laid-out planar face, one face at a time."""
+    """Membership in some closed realized face but the marked one, one face at a time."""
     t = p.triangulation
     skip = t.face_id_of(p.marked_face) if p.marked_face is not None else None
     out = np.zeros(len(points), dtype=bool)
     for fid, face in enumerate(t.faces):
         if fid == skip:
             continue
-        A, B, C = p.centers[list(face)]
+        s1, s2, s3, tol = face_sides(p, list(face), points, eps)
+        out |= (s1 >= -tol) & (s2 >= -tol) & (s3 >= -tol)
+    return out
+
+
+def outer_face_id(p):
+    """The marked face's id when it is the region the other faces leave,
+    else None: in the plane always, on the sphere when the determinant of
+    its three centres has the sign opposite to every other face's."""
+    t = p.triangulation
+    if p.marked_face is None:
+        return None
+    fid = t.face_id_of(p.marked_face)
+    if p.mode == triples.EUCLIDEAN:
+        return fid
+    turn = [np.sign(np.linalg.det(p.centers[list(face)])) for face in t.faces]
+    if turn[fid] == 0 or any(s != -turn[fid] for g, s in enumerate(turn) if g != fid):
+        return None
+    return fid
+
+
+def face_sides(p, face, points, eps):
+    """The sides AB, BC, CA of one face ABC against the points, signed
+    positive inside, and the tolerance: cross products and ``eps`` times
+    twice the area in the plane, triple products and ``eps`` on the sphere."""
+    A, B, C = p.centers[face]
+    if p.mode == triples.EUCLIDEAN:
         sigma = _cross(B - A, C - A)
         sign, tol = np.sign(sigma), eps * (abs(sigma) if sigma != 0 else 1.0)
-        out |= ((_cross(B - A, points - A) * sign >= -tol)
-                & (_cross(C - B, points - B) * sign >= -tol)
-                & (_cross(A - C, points - C) * sign >= -tol))
-    return out
+        return (*(_cross(Q - P, points - P) * sign for P, Q in ((A, B), (B, C), (C, A))), tol)
+    sign = np.sign(np.linalg.det(np.stack([A, B, C])))
+    return (*(points @ np.cross(P, Q) * sign for P, Q in ((A, B), (B, C), (C, A))), eps)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

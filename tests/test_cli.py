@@ -240,6 +240,22 @@ class TestPipeline:
         rep = json.loads((files["dir"] / "rep.json").read_text())
         assert rep["passed"] and rep["interstice_count"] == 4
 
+    def test_solve_lift_then_verify_icosahedron(self, files):
+        """The lift of a planar pattern is the same pattern on the sphere:
+        its marked face, wider than a hemisphere, is the region the other
+        faces leave, and the lifted pattern verifies."""
+        d, t = files["dir"], shapes.icosahedron()
+        (d / "ico.json").write_text(formats.dumps(formats.triangulation_to_dict(t)))
+        (d / "ico_theta.json").write_text(
+            formats.dumps(formats.theta_to_dict(AngleAssignment.constant(t, 0.5))))
+        assert main(["solve", str(d / "ico.json"), str(d / "ico_theta.json"), "--mode",
+                     "euclidean", "--auto-mark", "--out", str(d / "p.json")]) == 0
+        assert main(["lift", str(d / "p.json"), "--out", str(d / "l.json")]) == 0
+        assert main(["verify", "--pattern", str(d / "l.json"),
+                     "--json-out", str(d / "rep.json")]) == 0
+        rep = json.loads((d / "rep.json").read_text())
+        assert rep["flower_ok"] and rep["passed"] and rep["interstice_count"] == 20
+
     def test_verify_does_not_depend_on_resolution(self, files):
         """Growing disk 1 of the tangency octahedron by 10% leaves a sliver
         of it, about 2e-5 wide, outside its star: the flower test finds it

@@ -236,6 +236,36 @@ def test_non_finite_jacobian_stops_at_the_floor(monkeypatch, octa):
     assert info.value.suspects
 
 
+def test_singular_jacobian_takes_the_least_squares_step(monkeypatch, octa):
+    """With its last row and column zeroed J is exactly singular: LU refuses
+    it, and the curvature Newton steps by the least-norm least-squares
+    solution instead, which leaves the last unknown where it is."""
+    analytic = euclidean._CurvatureMap.jacobian
+
+    def singular(self, u):
+        J = analytic(self, u).copy()
+        J[-1, :] = J[:, -1] = 0.0
+        return J
+
+    monkeypatch.setattr(euclidean._CurvatureMap, "jacobian", singular)
+    cmap = euclidean._CurvatureMap(octa, AngleAssignment.constant(octa, PI / 4), 0)
+    u0 = cmap.start()
+    with pytest.raises(np.linalg.LinAlgError):
+        _newton.factorize(cmap.jacobian(u0))(cmap.curvatures(u0))
+    u, steps, _, _ = euclidean._curvature_newton(cmap, 1e-10, 1)
+    assert steps == 1 and np.any(u != u0) and abs(u[-1] - u0[-1]) < 1e-12
+
+
+def test_sparse_singular_factor_raises_lin_alg_error():
+    """``splu`` reports an exactly singular factor as a RuntimeError;
+    ``factorize`` raises it as the ``LinAlgError`` its callers catch."""
+    from scipy.sparse import csc_matrix
+
+    A = csc_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _newton.factorize(A)
+
+
 def test_curvature_newton_stop_is_noted(octa):
     """Every step of a converging solve is a full step at least halving the
     largest residual; the stop reason is the report's first note."""

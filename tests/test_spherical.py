@@ -391,6 +391,31 @@ class TestErrors:
         assert info.value.suspects
         assert all(not d.subset & set(t.faces[0]) for d in info.value.suspects)
 
+    def test_layout_that_is_not_embedded_is_rejected(self, octa, monkeypatch):
+        """A homotopy step whose layout ``_is_genuine`` refuses is rejected,
+        however well it closes up: with every layout refused the step
+        falls below min_step at s = 0."""
+        monkeypatch.setattr(spherical, "_is_genuine", lambda t, centers, radii: False)
+        with pytest.raises(ContinuationStuck) as info:
+            solve_spherical(octa, AngleAssignment.constant(octa, PI / 3))
+        assert info.value.t_reached == 0.0
+
+    def test_mixed_face_orientations_are_not_embedded(self, octa):
+        """With caps too small to meet, only the orientation test can refuse
+        a layout: the octahedron's centres are embedded, and moving one
+        centre near its antipode's turns its four faces over."""
+        cfg, _ = solve_spherical(octa, AngleAssignment.constant(octa, PI / 3))
+        radii = np.full(octa.vertex_count, 1e-3)
+        assert spherical._is_genuine(octa, cfg.centers, radii)
+        v, centers = 0, cfg.centers.copy()
+        far = next(u for u in range(1, 6) if u not in octa.neighbors(v))
+        centers[v] = -centers[v] + 0.3 * centers[octa.neighbors(v)[0]]
+        centers[v] /= np.linalg.norm(centers[v])
+        assert np.linalg.norm(centers[v] - centers[far]) > 0.1
+        turns = np.sign(np.linalg.det(centers[octa.face_array]))
+        assert sorted(turns.tolist()) == [-1.0] * 4 + [1.0] * 4
+        assert not spherical._is_genuine(octa, centers, radii)
+
     def test_small_triangulation_rejected(self, tetra):
         # the no-interstice class needs more than four vertices
         with pytest.raises(ConditionsViolated):

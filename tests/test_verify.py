@@ -192,25 +192,59 @@ class TestExactFlower:
     @given(base=st.integers(0, 4), vertex=st.integers(0, 11), move=st.booleans(),
            size=st.floats(0.0, 3.0), scale=st.floats(0.5, 1.6), turn=st.floats(0.0, 2 * PI))
     def test_perturbed_patterns(self, base, vertex, move, size, scale, turn):
-        p = _flower_base(base)
-        v = vertex % len(p.radii)
-        centers, radii = p.centers.copy(), p.radii.copy()
-        radii[v] *= scale
-        if move and p.mode == "euclidean":
-            centers[v] += size * radii[v] * np.exp(1j * turn)
-        elif move:  # along the great circle through the centre in direction turn
-            (e1,), (e2,) = tangent_frames(centers[v])
-            step = size * radii[v]
-            centers[v] = (math.cos(step) * centers[v]
-                          + math.sin(step) * (math.cos(turn) * e1 + math.sin(turn) * e2))
-        q = CirclePattern(p.triangulation, p.theta, p.mode, centers, radii, p.marked_face)
-        failures = verify_pattern(q).flower_failures
-        for u in range(len(radii)):
-            if not oracles.flower_check(q, u, 1024, 32)[0]:
-                assert u in failures, u
-        for u, w in failures.items():
-            assert oracles.flower_uncovered(q, u, w), u
-            assert not oracles.in_open_star(q, u, np.array([w]), 1e-9)[0], u
+        _same_flower_failures(_perturbed(_flower_base(base), vertex, move, size, scale, turn))
+
+    @settings(max_examples=60)
+    @given(base=st.sampled_from(["octahedron", "icosahedron"]), vertex=st.integers(0, 11),
+           move=st.booleans(), size=st.floats(0.0, 3.0), scale=st.floats(0.5, 1.6),
+           turn=st.floats(0.0, 2 * PI))
+    def test_perturbed_lifted_patterns(self, base, vertex, move, size, scale, turn):
+        """Lifted, the marked face is wider than a hemisphere and its centre
+        triangle turns against every other face's: the points of no other
+        face are in the stars of its vertices, by the same rule in the code
+        and in the reference, also when the move breaks the rule."""
+        _same_flower_failures(_perturbed(_lifted(base), vertex, move, size, scale, turn))
+
+
+def _perturbed(p, vertex, move, size, scale, turn):
+    """``p`` with disk ``vertex`` scaled by ``scale`` and, if ``move``, its
+    centre moved by ``size`` radii in the direction ``turn``."""
+    v = vertex % len(p.radii)
+    centers, radii = p.centers.copy(), p.radii.copy()
+    radii[v] *= scale
+    if move and p.mode == "euclidean":
+        centers[v] += size * radii[v] * np.exp(1j * turn)
+    elif move:  # along the great circle through the centre in direction turn
+        (e1,), (e2,) = tangent_frames(centers[v])
+        step = size * radii[v]
+        centers[v] = (math.cos(step) * centers[v]
+                      + math.sin(step) * (math.cos(turn) * e1 + math.sin(turn) * e2))
+    return CirclePattern(p.triangulation, p.theta, p.mode, centers, radii, p.marked_face)
+
+
+def _same_flower_failures(q):
+    failures = verify_pattern(q).flower_failures
+    for u in range(len(q.radii)):
+        if not oracles.flower_check(q, u, 1024, 32)[0]:
+            assert u in failures, u
+    for u, w in failures.items():
+        assert oracles.flower_uncovered(q, u, w), u
+        assert not oracles.in_open_star(q, u, np.array([w]), 1e-9)[0], u
+
+
+class TestLiftedPatterns:
+    """A planar pattern lifted to the sphere is the same pattern: its marked
+    face, which held the point at infinity, becomes the region the other
+    faces leave, and the lift verifies as the planar pattern does."""
+
+    @pytest.mark.parametrize("value", [0.0, 0.5])
+    @pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "icosahedron",
+                                      "stacked_tetrahedra", "ico162"])
+    def test_lift_verifies(self, name, value):
+        want = verify_pattern(_planar(_named(name), value))
+        rep = verify_pattern(_lifted(name, value))
+        assert want.passed and rep.flower_ok and not rep.flower_failures and rep.passed
+        assert rep.interstice_count == want.interstice_count
 
 
 class TestContactGraph:
@@ -459,6 +493,22 @@ def _spherical(t, value):
 
 def _stack120():
     return build_triangulation(stack120_faces())
+
+
+def _named(name):
+    if name == "ico162":
+        return build_triangulation(loop_subdivide(shapes.icosahedron().faces, 2))
+    return getattr(shapes, name)()
+
+
+@functools.lru_cache(maxsize=None)
+def _lifted(name, value=0.0):
+    """The planar pattern of the shape ``name`` at theta = ``value``,
+    lifted to the sphere with its marked face."""
+    t = _named(name)
+    th = AngleAssignment.constant(t, value)
+    cfg, _ = solve_euclidean(t, th, pick_marked_face(t, th))
+    return CirclePattern.from_spherical(t, th, lift_to_sphere(cfg))
 
 
 SPHERICAL_SHAPES = ("octahedron", "pentagonal_bipyramid", "hexagonal_bipyramid",
