@@ -1,24 +1,22 @@
 """Newton kernels shared by the planar and spherical solvers: the line
 search and stop rule of every Newton run, ``damped_newton``, and the
-inversive-distance system that its Gauss-Newton caller solves.
+planar inversive-distance system that its Gauss-Newton caller solves.
 
-A configuration is one center per vertex (complex numbers in the plane,
-unit 3-vectors on the sphere) and one radius per vertex.  Moves are taken
-in per-vertex coordinates: two tangent coordinates for the center and one
-log-radius coordinate (log r in the plane, log tan(r/2) on the sphere), so
-column 3v+k of the Jacobian belongs to coordinate k of vertex v.  No gauge
-is pinned: inversive distances are Moebius invariant, so the Moebius
-motions (in the plane, those keeping every circle bounded) span the
-Jacobian's null space, and the minimum-norm step has no component there.
+A planar configuration is one complex center and one radius per vertex.
+Moves are taken in per-vertex coordinates: two for the center and log r
+for the radius, so column 3v+k of the Jacobian belongs to coordinate k of
+vertex v.  No gauge is pinned: inversive distances are Moebius invariant,
+so the Moebius motions that keep every circle bounded span the Jacobian's
+null space, and the minimum-norm step has no component there.
 
 The Jacobian is kept as its nonzeros, six per edge row, as (rows, cols,
 vals) triplets.  The step is x = J^T y with (J J^T) y = -f, and G = J J^T
 is summed from products of entries that share a column, by an index plan
 built once per Newton run.  Matrices up to order ``DENSE_MAX`` are
 factorized by numpy's dense LU and larger ones by scipy's sparse LU, which
-is imported only then; the planar curvature Newton factorizes its
-Jacobian by the same rule.  Dense ``lstsq`` is only the fallback on rank
-loss.
+is imported only then; the curvature Newton of both solvers factorizes
+its Jacobian by the same rule.  Dense ``lstsq`` is only the fallback on
+rank loss.
 """
 from __future__ import annotations
 
@@ -26,7 +24,6 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import triples
 from .triples import EUCLIDEAN, inversive
 
 LINE_SEARCH_HALVINGS = 30
@@ -37,54 +34,33 @@ RANK_TOL = 1e-8          # relative residual left after refinement that marks ra
 Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]   # (rows, cols, vals)
 
 
-def residual_and_jacobian(mode: str, centers: np.ndarray, radii: np.ndarray,
-                          edges: np.ndarray, target_cos: np.ndarray
-                          ) -> Tuple[np.ndarray, Triplets]:
-    """Residual I_e - cos(theta_e) and its analytic Jacobian as triplets.
-
-    Plane: dI/dz_u = (z_u - z_v) / (r_u r_v) and dI/dlog r_u = -r_u/r_v - I.
-    Sphere: dI/dc_u = -c_v / (sin r_u sin r_v), projected to the tangent
-    frame of c_u, and dI/drho_u = -(sin r_u cot r_v + I cos r_u), where
-    rho = log tan(r/2).  Row e has six entries, in columns 3u..3u+2 and
-    3v..3v+2 of its edge (u, v), returned as (rows, cols, vals).
+def residual_and_jacobian(centers: np.ndarray, radii: np.ndarray, edges: np.ndarray,
+                          target_cos: np.ndarray) -> Tuple[np.ndarray, Triplets]:
+    """Residual I_e - cos(theta_e) of a planar configuration and its
+    analytic Jacobian as triplets: dI/dz_u = (z_u - z_v) / (r_u r_v) and
+    dI/dlog r_u = -r_u/r_v - I.  Row e has six entries, in columns
+    3u..3u+2 and 3v..3v+2 of its edge (u, v), returned as (rows, cols,
+    vals).
     """
-    inv = inversive(mode, centers, radii, edges)
+    inv = inversive(EUCLIDEAN, centers, radii, edges)
     u, v = edges[:, 0], edges[:, 1]
     ru, rv = radii[u], radii[v]
-    if mode == EUCLIDEAN:
-        g = (centers[u] - centers[v]) / (ru * rv)
-        grad_u = np.stack([g.real, g.imag], axis=1)
-        grad_v = -grad_u
-        log_u, log_v = -ru / rv - inv, -rv / ru - inv
-    else:
-        e1, e2 = triples.tangent_frames(centers)
-        su, sv = np.sin(ru), np.sin(rv)
-        gu = -centers[v] / (su * sv)[:, None]
-        gv = -centers[u] / (su * sv)[:, None]
-        grad_u = np.stack([np.einsum("ij,ij->i", gu, e1[u]),
-                           np.einsum("ij,ij->i", gu, e2[u])], axis=1)
-        grad_v = np.stack([np.einsum("ij,ij->i", gv, e1[v]),
-                           np.einsum("ij,ij->i", gv, e2[v])], axis=1)
-        log_u = -(su * np.cos(rv) / sv + inv * np.cos(ru))
-        log_v = -(sv * np.cos(ru) / su + inv * np.cos(rv))
+    g = (centers[u] - centers[v]) / (ru * rv)
+    grad = np.stack([g.real, g.imag], axis=1)
+    log_u, log_v = -ru / rv - inv, -rv / ru - inv
     rows = np.repeat(np.arange(len(edges)), 6)
     cols = (3 * edges[:, [0, 0, 0, 1, 1, 1]] + np.array([0, 1, 2, 0, 1, 2])).ravel()
-    vals = np.concatenate([grad_u, log_u[:, None], grad_v, log_v[:, None]], axis=1).ravel()
+    vals = np.concatenate([grad, log_u[:, None], -grad, log_v[:, None]], axis=1).ravel()
     return inv - target_cos, (rows, cols, vals)
 
 
-def retract(mode: str, centers: np.ndarray, radii: np.ndarray,
+def retract(centers: np.ndarray, radii: np.ndarray,
             step: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Configuration reached by moving every vertex by its three coordinates:
-    centers along the tangent frame (renormalized onto the sphere), radii by
-    the factor exp (on tan(r/2) for the sphere)."""
+    """Configuration reached by moving every vertex by its three
+    coordinates: the center by the first two, the radius by the factor exp
+    of the third."""
     d = step.reshape(-1, 3)
-    if mode == EUCLIDEAN:
-        return centers + (d[:, 0] + 1j * d[:, 1]), radii * np.exp(d[:, 2])
-    e1, e2 = triples.tangent_frames(centers)
-    moved = centers + d[:, :1] * e1 + d[:, 1:2] * e2
-    moved /= np.linalg.norm(moved, axis=1)[:, None]
-    return moved, 2.0 * np.arctan(np.tan(0.5 * radii) * np.exp(d[:, 2]))
+    return centers + (d[:, 0] + 1j * d[:, 1]), radii * np.exp(d[:, 2])
 
 
 class Assembly:
@@ -247,10 +223,11 @@ def damped_newton(x, f, residual: Callable, step: Callable, move: Callable,
     return x, max_iters, trace, "tolerance" if trace[-1] <= tol else "step limit"
 
 
-def gauss_newton(mode: str, centers: np.ndarray, radii: np.ndarray,
-                 edges: np.ndarray, target_cos: np.ndarray, tol: float,
-                 max_iters: int, tied: Sequence[int] = ()):
-    """Minimum-norm Gauss-Newton on I_e = cos(theta_e), by ``damped_newton``.
+def gauss_newton(centers: np.ndarray, radii: np.ndarray, edges: np.ndarray,
+                 target_cos: np.ndarray, tol: float, max_iters: int,
+                 tied: Sequence[int] = ()):
+    """Minimum-norm Gauss-Newton on the planar I_e = cos(theta_e), by
+    ``damped_newton``.
 
     Each step is the least-norm solution of the linearized system, and
     moves the configuration by ``retract``; a candidate whose residual is
@@ -263,24 +240,24 @@ def gauss_newton(mode: str, centers: np.ndarray, radii: np.ndarray,
     it stopped: "tolerance", "rounding floor" or "step limit").
     """
     tied_cols = [3 * v + 2 for v in tied]
-    f, (rows, cols, _) = residual_and_jacobian(mode, centers, radii, edges, target_cos)
+    f, (rows, cols, _) = residual_and_jacobian(centers, radii, edges, target_cos)
     cols = tie_columns(cols, tied)
     gram = Gram(rows, cols, len(f))
 
     def step(x, f):
-        vals = residual_and_jacobian(mode, *x, edges, target_cos)[1][2]
+        vals = residual_and_jacobian(*x, edges, target_cos)[1][2]
         dx = min_norm_step((rows, cols, vals), f, 3 * len(radii), gram)
         dx[tied_cols[1:]] = dx[tied_cols[:1]]
         return dx
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def residual(x):
-        f = inversive(mode, *x, edges) - target_cos
+        f = inversive(EUCLIDEAN, *x, edges) - target_cos
         return f if np.all(np.isfinite(f)) else None
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def move(x, dx):
-        return retract(mode, *x, dx)
+        return retract(*x, dx)
 
     (centers, radii), steps, trace, stop = damped_newton(
         (centers, radii), f, residual, step, move, tol, max_iters)

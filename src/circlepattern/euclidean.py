@@ -6,7 +6,7 @@ pinned equal; the centers are then produced by developing the
 triangulation face by face.  The iteration is ``_newton.damped_newton``;
 the realized angles after polish decide whether it found a pattern, by the
 test that ``verify`` applies, ``triples.angle_errors``.  The map, its
-Newton, the layout and the polish also serve the spherical homotopy.
+Newton and the layout also serve the spherical homotopy.
 """
 from __future__ import annotations
 
@@ -314,20 +314,20 @@ def _develop(t: Triangulation, theta: AngleAssignment, radii: np.ndarray, skip=N
 
 
 def _polish(t: Triangulation, theta: AngleAssignment, centers: np.ndarray, radii: np.ndarray,
-            tied=(), mode: str = triples.EUCLIDEAN) -> Tuple[np.ndarray, np.ndarray, str]:
-    """Newton polish of the full configuration in inversive-distance space.
+            tied) -> Tuple[np.ndarray, np.ndarray, str]:
+    """Newton polish of the planar configuration in inversive-distance space.
 
     The curvature iteration leaves a residual that the developing map can
     amplify on circles far smaller than the pattern (the per-edge angle
     error scales with position error over radius product).  Gauss-Newton on
     I_e(z, r) = cos(theta_e) drives the dimensionless residuals to rounding
     level.  The Moebius motions stay free for the caller's normalization;
-    in the plane the marked radii are ``tied`` to move together, which
-    keeps them equal.  Returns the polished centers and radii and a
-    one-line account of the polish.
+    the marked radii are ``tied`` to move together, which keeps them equal.
+    Returns the polished centers and radii and a one-line account of the
+    polish.
     """
     centers, radii, _, steps, res, stop = gauss_newton(
-        mode, centers, radii, np.asarray(t.edges, dtype=int),
+        centers, radii, np.asarray(t.edges, dtype=int),
         np.cos(theta.array()), POLISH_TOL, POLISH_ITERS, tied=tied,
     )
     return centers, radii, f"polish: {steps} steps, residual {res:.2e}, stop: {stop}"

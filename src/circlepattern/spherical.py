@@ -6,13 +6,13 @@ Euclidean solver finds from a convex problem, lifts it to the sphere and
 centers it by Lorentz boosts.  It then follows theta_s = s * theta from
 s = 0 to s = 1, correcting the radii at every step with the curvature
 Newton of ``euclidean`` (three cap radii held to fix the boosts) and
-keeping only embedded layouts; one inversive Gauss-Newton polish follows
-at s = 1.  The result is moved in closed form, by one boost and one
-orthonormal frame, into the gauge that pins the marked face: its three
-radii at pi/4, its first center at the south pole, its second on the
-x >= 0 meridian, its third at y >= 0.  The corrector and the polish are
-the one damped Newton loop of ``_newton``, and the result is accepted by
-the angle test of ``verify``, ``triples.angle_errors``.
+keeping only embedded layouts; at s = 1 the corrector runs to its
+rounding floor, and its layout is the pattern.  That is moved in closed
+form, by one boost and one orthonormal frame, into the gauge that pins
+the marked face: its three radii at pi/4, its first center at the south
+pole, its second on the x >= 0 meridian, its third at y >= 0.  The
+corrector is the one damped Newton loop of ``_newton``, and the result is
+accepted by the angle test of ``verify``, ``triples.angle_errors``.
 
 Circles are also handled as de Sitter vectors (c, cos r) / sin r in
 R^{3,1} with <x, y> = x1 y1 + x2 y2 + x3 y3 - x4 y4: Moebius maps act on
@@ -31,7 +31,7 @@ from .configurations import (CurvatureReport, EuclideanConfiguration, SphericalC
                              chords, near_pairs)
 from .degeneration import sublevel_suspects
 from .errors import BaseSolveFailed, CirclePatternError, ConditionsViolated, ContinuationStuck
-from .euclidean import (_CurvatureMap, _curvature_newton, _develop, _polish, pick_marked_face,
+from .euclidean import (_CurvatureMap, _curvature_newton, _develop, pick_marked_face,
                         resolve_marked_face, solve_euclidean)
 from .options import SolveOptions
 from .triangulation import Triangulation
@@ -40,7 +40,7 @@ from .triples import inversive
 
 PI = math.pi
 SOUTH = np.array([0.0, 0.0, -1.0])
-NEWTON_TOL = 1e-10       # corrector tolerance on the curvatures 2*pi - sigma_v
+NEWTON_TOL = 1e-10       # corrector tolerance on the curvatures 2*pi - sigma_v before s = 1
 CORRECTOR_ITERS = 60
 SIGMA_TOL = 1e-8         # largest |2*pi - sigma_v| of an accepted step, held caps included
 LAYOUT_TOL = 1e-8        # largest chord between two placements of a center
@@ -205,7 +205,8 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
     the curvature Newton of ``euclidean``, three caps held (``_held_caps``),
     and develops them; it is kept when the corrector converged, every cone
     angle closes up to ``SIGMA_TOL`` and the layout is embedded.  At s = 1
-    one inversive Gauss-Newton polish runs before the gauge.
+    the corrector runs to its rounding floor, and that layout is the
+    pattern, moved into the gauge.
 
     Every theta_s is admissible: conditions c1-c4 bound sums of angles from
     above, so scaling by s in (0, 1] preserves them, and each theta_s has
@@ -246,7 +247,6 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
             if ds < opts.min_step:
                 raise stuck(f"step fell below {opts.min_step} at t={s}", s)
 
-    centers, radii, polish_note = _polish(t, theta, centers, radii, mode=triples.SPHERICAL)
     centers, radii = _into_gauge(centers, radii, face)
     angle_residual, radians, ok = triples.angle_errors(
         triples.SPHERICAL, centers, radii, t.edge_array, theta.array(), opts.tol_angle)
@@ -260,21 +260,23 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
         max_abs_K=max(map(abs, curv)), iterations=len(trace), residual_trace=trace,
         angle_residual=angle_residual, notes=[
             f"homotopy: {len(trace)} steps accepted, {rejected} rejected",
-            f"newton: {iters} steps, residual {trace[-1]:.2e}, stop: {stop}", polish_note])
+            f"newton: {iters} steps, residual {trace[-1]:.2e}, stop: {stop}"])
     return SphericalConfiguration(centers, radii, face, normalized={"x5": True, "x6": True}), rep
 
 
 def _homotopy_step(t, theta, s, centers, radii, first):
     """The last accepted radii corrected for theta_s and laid out: (centers,
     radii, corrector steps, stop, residual), or None when the step is
-    rejected.  A residual that no corrector step reduced is not converged:
-    near s = 0 the curvatures move as s squared, so a short step can start
-    within tolerance."""
+    rejected.  The corrector stops at ``NEWTON_TOL`` before s = 1 and at its
+    rounding floor at s = 1.  A residual that no corrector step reduced is
+    not converged: near s = 0 the curvatures move as s squared, so a short
+    step can start within tolerance."""
     cmap = _CurvatureMap(t, theta, None, triples.SPHERICAL, radii,
                          _held_caps(centers, first), s)
     if cmap.min_margin(cmap.start()) <= 0.0:  # a face of the last radii does not close up
         return None
-    u, iters, residuals, stop = _curvature_newton(cmap, NEWTON_TOL, CORRECTOR_ITERS)
+    tol = NEWTON_TOL if s < 1.0 else 0.0
+    u, iters, residuals, stop = _curvature_newton(cmap, tol, CORRECTOR_ITERS)
     radii = cmap.radii_from(u)
     if (iters == 0 or stop == "step limit"
             or not np.max(np.abs(2.0 * PI - cmap.sigma(radii))) <= SIGMA_TOL):

@@ -191,7 +191,10 @@ def triple_geometry(spec: TripleSpec) -> TripleGeometry:
     phis = None
     if sum(spec.angles) > math.pi:
         s = np.sin(spec.angles)
-        args = lams / (np.roll(s, -1) * np.roll(s, -2))
+        # a zero or subnormal angle makes an argument inf or nan, which the
+        # range test below refuses
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            args = lams / (np.roll(s, -1) * np.roll(s, -2))
         if np.all(np.abs(args) <= 1.0 + CLAMP_EPS):
             phis = tuple(clamped_acos(args))
     return TripleGeometry(

@@ -318,6 +318,24 @@ class TestPipeline:
         data = json.loads(capsys.readouterr().out)
         assert data["feasibility_margin"] == pytest.approx(0.5, abs=1e-5)
 
+    @pytest.mark.parametrize("mode, angles, lengths, margin", [
+        ("euclidean", "3.0,3.0,0.0", 0.14147440333540612, -3.9199399728035633),
+        ("spherical", "3.0,3.0,5e-324", 0.11911701530444765, -1.9654745450072673),
+        ("spherical", "3.0,3.0,1e-320", 0.11911701530444765, -1.9654745450072673),
+    ], ids=["euclidean-0", "spherical-5e-324", "spherical-1e-320"])
+    def test_probe_triple_zero_angle(self, capsys, mode, angles, lengths, margin):
+        """An angle sum above pi with a zero (or subnormal) angle: the
+        angle-triangle sides are null, and no numpy warning is raised on
+        the way (a zero sine divides, a subnormal one overflows)."""
+        rc = main(["probe-triple", "--mode", mode, "--radii", "1,1,1", "--angles", angles])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        lams = [-1.9799849932008908, -1.9799849932008908, 1.980085143325183]
+        assert json.loads(out) == {
+            "angle_triangle_sides": None, "angles": [float(a) for a in angles.split(",")],
+            "edge_lengths": [lengths, lengths, 2.0], "feasibility_margin": margin,
+            "inner_angles": None, "lambdas": lams, "mode": mode, "radii": [1.0, 1.0, 1.0]}
+
     def test_diagnose(self, files):
         out = files["dir"] / "diag.json"
         rc = main(["diagnose", str(files["octa"]), str(files["theta3"]),

@@ -1,5 +1,5 @@
-"""The Newton kernels: analytic Jacobians of the inversive-distance system
-and of the planar curvature map against central-difference oracles, the
+"""The Newton kernels: analytic Jacobians of the planar inversive-distance
+system and of the curvature map against central-difference oracles, the
 minimum-norm step, and the stopping rules of the one damped Newton loop."""
 import math
 
@@ -28,30 +28,26 @@ from random_triangulations import flip_edges, loop_subdivide, stack120_faces, st
 PI = math.pi
 
 
-def random_configuration(mode, n, rng):
+def random_configuration(n, rng):
+    """Random planar centers and radii."""
     radii = rng.uniform(0.3, 1.2, n)
-    if mode == "euclidean":
-        return rng.normal(size=n) * 3.0 + 3.0j * rng.normal(size=n), radii
-    centers = rng.normal(size=(n, 3))
-    return centers / np.linalg.norm(centers, axis=1)[:, None], radii
+    return rng.normal(size=n) * 3.0 + 3.0j * rng.normal(size=n), radii
 
 
-@pytest.mark.parametrize("mode", ["euclidean", "spherical"])
-def test_jacobian_matches_central_differences(mode):
+def test_jacobian_matches_central_differences():
     t = shapes.icosahedron()
     edges = np.asarray(t.edges, dtype=int)
     rng = np.random.default_rng(5)
-    centers, radii = random_configuration(mode, t.vertex_count, rng)
+    centers, radii = random_configuration(t.vertex_count, rng)
     target = np.cos(rng.uniform(0.0, 2.0, len(edges)))
-    _, triplets = residual_and_jacobian(mode, centers, radii, edges, target)
+    _, triplets = residual_and_jacobian(centers, radii, edges, target)
     rows, cols, _ = triplets
     assert np.array_equal(np.bincount(rows), np.full(len(edges), 6))
     assert np.array_equal(cols.reshape(-1, 6) // 3, edges[:, [0, 0, 0, 1, 1, 1]])
     J = to_dense(triplets, (len(edges), 3 * t.vertex_count))
 
     def f(step):
-        return residual_and_jacobian(mode, *retract(mode, centers, radii, step),
-                                     edges, target)[0]
+        return residual_and_jacobian(*retract(centers, radii, step), edges, target)[0]
 
     h = 1e-6
     fd = np.empty_like(J)
@@ -375,8 +371,8 @@ def tied_jacobian(tie=True):
     t = shapes.icosahedron()
     edges = np.asarray(t.edges, dtype=int)
     rng = np.random.default_rng(4)
-    centers, radii = random_configuration("euclidean", t.vertex_count, rng)
-    f, (rows, cols, vals) = residual_and_jacobian("euclidean", centers, radii, edges,
+    centers, radii = random_configuration(t.vertex_count, rng)
+    f, (rows, cols, vals) = residual_and_jacobian(centers, radii, edges,
                                                   np.cos(rng.uniform(0.0, 2.0, len(edges))))
     return (rows, tie_columns(cols, t.faces[0] if tie else ()), vals), f, 3 * t.vertex_count
 
@@ -435,17 +431,16 @@ def test_min_norm_step_falls_back_on_near_rank_loss():
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 40), flips=st.integers(0, 60),
-       mode=st.sampled_from(["euclidean", "spherical"]), tie=st.booleans(),
-       backend=st.sampled_from(["dense", "sparse"]))
-def test_min_norm_step_is_the_least_norm_step(seed, n, flips, mode, tie, backend):
+       tie=st.booleans(), backend=st.sampled_from(["dense", "sparse"]))
+def test_min_norm_step_is_the_least_norm_step(seed, n, flips, tie, backend):
     """On random configurations of random triangulations the step equals
     ``lstsq``'s least-norm solution, with and without a tied face, with G
     factorized dense and sparse."""
     rng = np.random.default_rng(seed)
     t = build_triangulation(flip_edges(rng, stacked_faces(rng, n), flips))
     edges = np.asarray(t.edges, dtype=int)
-    centers, radii = random_configuration(mode, n, rng)
-    f, (rows, cols, vals) = residual_and_jacobian(mode, centers, radii, edges,
+    centers, radii = random_configuration(n, rng)
+    f, (rows, cols, vals) = residual_and_jacobian(centers, radii, edges,
                                                   np.cos(rng.uniform(0.0, 2.0, len(edges))))
     J = (rows, tie_columns(cols, t.faces[0] if tie else ()), vals)
     want = np.linalg.lstsq(to_dense(J, (len(f), 3 * n)), -f, rcond=None)[0]

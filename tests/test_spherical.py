@@ -268,6 +268,19 @@ def test_obtuse_bipyramid_draw_reselects_its_held_caps(draw):
     assert verify_pattern(CirclePattern.from_spherical(t, th, cfg)).passed
 
 
+def test_obtuse_ico42_draws_end_on_the_corrector():
+    """The first ten obtuse-edge draws on the n=42 subdivided icosahedron.
+    The solve has no inversive polish after the homotopy, so the corrector
+    at s = 1 must reach each pattern on its own."""
+    from circlepattern import verify_pattern
+
+    t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1))
+    for th in islice(obtuse_edge_draws(t, np.random.default_rng(7)), 10):
+        cfg, rep = solve_spherical(t, th)
+        assert rep.angle_residual <= 1e-12
+        assert verify_pattern(CirclePattern.from_spherical(t, th, cfg)).passed
+
+
 OCTAGONAL_BIPYRAMID_THETA = {
     (0, 2): 1.2267082096255804, (0, 3): 1.0547775179108356, (0, 4): 1.1703962248996602,
     (0, 5): 1.3437760878924339, (0, 6): 1.3944718415012238, (0, 7): 1.3580665148440871,
@@ -301,8 +314,9 @@ class TestSubdividedIcosahedron:
 
     def test_n642_sparse_steps(self):
         """The n=642 subdivided icosahedron at theta = 1.2: its 639 x 639
-        curvature Jacobians and the polish's 1920 x 1920 normal matrices are
-        factorized sparse, and the homotopy takes its five steps."""
+        curvature Jacobians, and the 1920 x 1920 normal matrices of the
+        tangency start's planar polish, are factorized sparse, and the
+        homotopy takes its five steps."""
         from circlepattern import _newton, build_triangulation, verify_pattern
 
         t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 3))
@@ -316,9 +330,11 @@ class TestSubdividedIcosahedron:
 
 class TestHomotopy:
     def test_report_notes_explain_the_run(self, icosa, monkeypatch):
-        """The notes give the accepted and rejected homotopy steps, the last
-        accepted corrector's steps, residual and stop, and the one spherical
-        polish's steps, residual and stop, as they were returned."""
+        """The notes give the accepted and rejected homotopy steps and the
+        last accepted corrector's steps, residual and stop, as they were
+        returned.  That corrector, at s = 1, runs to its rounding floor, and
+        the only inversive Gauss-Newton of the solve is the planar polish of
+        the tangency start."""
         steps, polishes = [], []
         homotopy_step, gauss_newton = spherical._homotopy_step, euclidean.gauss_newton
 
@@ -326,9 +342,9 @@ class TestHomotopy:
             steps.append(homotopy_step(*args))
             return steps[-1]
 
-        def recorded_polish(mode, *args, **kwargs):
-            polishes.append((mode, gauss_newton(mode, *args, **kwargs)))
-            return polishes[-1][1]
+        def recorded_polish(*args, **kwargs):
+            polishes.append(gauss_newton(*args, **kwargs))
+            return polishes[-1]
 
         monkeypatch.setattr(spherical, "_homotopy_step", recorded_step)
         monkeypatch.setattr(euclidean, "gauss_newton", recorded_polish)
@@ -336,13 +352,11 @@ class TestHomotopy:
         accepted = [step for step in steps if step is not None]
         _, _, iters, stop, res = accepted[-1]
         assert len(accepted) == rep.iterations and len(steps) > len(accepted)
-        # one planar polish of the tangency start, one spherical polish at s = 1
-        assert [mode for mode, _ in polishes] == ["euclidean", "spherical"]
-        _, _, _, p_steps, p_res, p_stop = polishes[1][1]
+        assert len(polishes) == 1 and np.iscomplexobj(polishes[0][0])
+        assert stop == "rounding floor"
         assert rep.notes == [
             f"homotopy: {len(accepted)} steps accepted, {len(steps) - len(accepted)} rejected",
-            f"newton: {iters} steps, residual {res:.2e}, stop: {stop}",
-            f"polish: {p_steps} steps, residual {p_res:.2e}, stop: {p_stop}"]
+            f"newton: {iters} steps, residual {res:.2e}, stop: {stop}"]
 
 
 class TestRoundingFloor:
