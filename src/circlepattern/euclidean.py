@@ -264,12 +264,13 @@ def _develop(t: Triangulation, theta: AngleAssignment, radii: np.ndarray, skip=N
     times theta, and the largest disagreement of a re-derived center with
     its first placement.  Plane: complex centers, the seed face's first
     vertex at 0.  Sphere: unit 3-vectors in scalar floats, the seed's
-    first vertex at the north pole; arcs are passed as their cosines.  Each
-    new center is the apex of ``triples._third_point`` (plane) or
-    ``triples._third_point_on_sphere`` on a placed edge.  The edge opposite
-    corner i of face f is ``t.face_edges[f, i]``."""
-    cos_t = [math.cos(s * x) for x in theta.values]
+    first vertex at the north pole; arcs are passed as their haversines,
+    by the law of ``triples.edge_lengths``.  Each new center is the apex of
+    ``triples._third_point`` (plane) or ``triples._third_point_on_sphere``
+    on a placed edge.  The edge opposite corner i of face f is
+    ``t.face_edges[f, i]``."""
     if mode == triples.EUCLIDEAN:
+        cos_t = [math.cos(s * x) for x in theta.values]
         def length(u, v, e):
             ru, rv = radii[u], radii[v]
             return math.sqrt(ru ** 2 + rv ** 2 + 2.0 * cos_t[e] * ru * rv)
@@ -277,10 +278,12 @@ def _develop(t: Triangulation, theta: AngleAssignment, radii: np.ndarray, skip=N
         first, second = np.complex128(0.0), np.complex128
     else:
         def length(u, v, e):
-            return cos_r[u] * cos_r[v] - cos_t[e] * sin_r[u] * sin_r[v]
-        cos_r, sin_r = np.cos(radii).tolist(), np.sin(radii).tolist()
+            return math.sin(0.5 * (rad[u] + rad[v])) ** 2 - hav_t[e] * sin_r[u] * sin_r[v]
+        hav_t = [math.sin(0.5 * s * x) ** 2 for x in theta.values]
+        rad, sin_r = radii.tolist(), np.sin(radii).tolist()
         apex, gap = triples._third_point_on_sphere, math.dist
-        first, second = (0.0, 0.0, 1.0), lambda c: (math.sqrt(max(1.0 - c * c, 0.0)), 0.0, c)
+        first, second = (0.0, 0.0, 1.0), lambda h: (2.0 * math.sqrt(max(h * (1.0 - h), 0.0)),
+                                                    0.0, 1.0 - 2.0 * h)
 
     centers, face_edges = [None] * t.vertex_count, t.face_edges.tolist()
     seed = min(g for g in range(t.face_count) if g != skip)

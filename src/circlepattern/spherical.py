@@ -41,6 +41,7 @@ from .triples import inversive
 PI = math.pi
 SOUTH = np.array([0.0, 0.0, -1.0])
 NEWTON_TOL = 1e-10       # corrector tolerance on the curvatures 2*pi - sigma_v before s = 1
+FINAL_TOL = 1e-10        # largest curvature left by the corrector at s = 1, run to its floor
 CORRECTOR_ITERS = 60
 SIGMA_TOL = 1e-8         # largest |2*pi - sigma_v| of an accepted step, held caps included
 LAYOUT_TOL = 1e-8        # largest chord between two placements of a center
@@ -268,9 +269,10 @@ def _homotopy_step(t, theta, s, centers, radii, first):
     """The last accepted radii corrected for theta_s and laid out: (centers,
     radii, corrector steps, stop, residual), or None when the step is
     rejected.  The corrector stops at ``NEWTON_TOL`` before s = 1 and at its
-    rounding floor at s = 1.  A residual that no corrector step reduced is
-    not converged: near s = 0 the curvatures move as s squared, so a short
-    step can start within tolerance."""
+    rounding floor at s = 1, where a stop above ``FINAL_TOL`` (after a
+    damped step) rejects.  A residual that no corrector step reduced is not
+    converged: near s = 0 the curvatures move as s squared, so a short step
+    can start within tolerance."""
     cmap = _CurvatureMap(t, theta, None, triples.SPHERICAL, radii,
                          _held_caps(centers, first), s)
     if cmap.min_margin(cmap.start()) <= 0.0:  # a face of the last radii does not close up
@@ -278,7 +280,7 @@ def _homotopy_step(t, theta, s, centers, radii, first):
     tol = NEWTON_TOL if s < 1.0 else 0.0
     u, iters, residuals, stop = _curvature_newton(cmap, tol, CORRECTOR_ITERS)
     radii = cmap.radii_from(u)
-    if (iters == 0 or stop == "step limit"
+    if (iters == 0 or stop == "step limit" or (s == 1.0 and residuals[-1] > FINAL_TOL)
             or not np.max(np.abs(2.0 * PI - cmap.sigma(radii))) <= SIGMA_TOL):
         return None
     centers, disagree = _develop(t, theta, radii, mode=triples.SPHERICAL, s=s)

@@ -76,8 +76,9 @@ def edge_lengths(mode: str, radii, angles) -> np.ndarray:
     rj, rk = np.roll(r, -1, axis=-1), np.roll(r, -2, axis=-1)
     if mode == EUCLIDEAN:
         return np.sqrt(rj * rj + rk * rk + 2.0 * np.cos(th) * rj * rk)
-    arg = np.cos(rj) * np.cos(rk) - np.cos(th) * np.sin(rj) * np.sin(rk)
-    return clamped_acos(arg)
+    # hav l = hav(r_j + r_k) - sin r_j sin r_k hav theta, accurate on short arcs
+    hav = np.sin(0.5 * (rj + rk)) ** 2 - np.sin(rj) * np.sin(rk) * np.sin(0.5 * th) ** 2
+    return 2.0 * np.arcsin(np.sqrt(np.clip(hav, 0.0, 1.0)))
 
 
 def _lambdas(angles) -> np.ndarray:
@@ -122,9 +123,14 @@ def inner_angles_from_lengths(mode: str, lengths) -> np.ndarray:
     lj, lk = np.roll(l, -1, axis=-1), np.roll(l, -2, axis=-1)
     if mode == EUCLIDEAN:
         arg = (lj * lj + lk * lk - l * l) / (2.0 * lj * lk)
-    else:
-        arg = (np.cos(l) - np.cos(lj) * np.cos(lk)) / (np.sin(lj) * np.sin(lk))
-    return clamped_acos(arg)
+        return clamped_acos(arg)
+    # half-angle law, stable for small triangles and angles near 0 and pi;
+    # sin^2 and cos^2 of alpha/2 may dip below 0 as far as clamped_acos allows
+    p, q = 0.5 * (l + lj + lk), np.sin(lj) * np.sin(lk)
+    sin2, cos2 = np.sin(p - lj) * np.sin(p - lk) / q, np.sin(p) * np.sin(p - l) / q
+    if np.min(np.minimum(sin2, cos2), initial=0.0) < -0.5 * CLAMP_EPS:
+        raise DomainError("the lengths fail the triangle inequality beyond rounding")
+    return 2.0 * np.arctan2(np.sqrt(np.maximum(sin2, 0.0)), np.sqrt(np.maximum(cos2, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +233,10 @@ def inversive(mode: str, centers: np.ndarray, radii: np.ndarray,
     if mode == EUCLIDEAN:
         d = centers[u] - centers[v]
         return (d.real * d.real + d.imag * d.imag - ru * ru - rv * rv) / (2.0 * ru * rv)
-    dots = np.einsum("ij,ij->i", centers[u], centers[v])
-    return (np.cos(ru) * np.cos(rv) - dots) / (np.sin(ru) * np.sin(rv))
+    # (cos r_u cos r_v - c_u . c_v) / (sin r_u sin r_v) in chords, v = 1 - cos r
+    d = centers[u] - centers[v]
+    vu, vv = 2.0 * np.sin(0.5 * ru) ** 2, 2.0 * np.sin(0.5 * rv) ** 2
+    return (0.5 * np.einsum("ij,ij->i", d, d) - vu - vv + vu * vv) / (np.sin(ru) * np.sin(rv))
 
 
 def angle_from_inversive(inv: float, eps: float = CLAMP_EPS) -> float:
@@ -292,18 +300,21 @@ def _third_point(z0: complex, z1: complex, d0: float, d2: float) -> complex:
     return z0 + (x + 1j * y) * (base / d)
 
 
-def _third_point_on_sphere(a, b, c0: float, c2: float):
+def _third_point_on_sphere(a, b, h0: float, h2: float):
     """Apex p of the positively oriented spherical triangle with base a -> b
-    (unit 3-tuples) and a.p = c0, b.p = c2: p = c0 a + x t + y n, with t
-    the unit tangent at a toward b and n = a x b / |a x b|."""
+    (unit 3-tuples) and hav|ap| = h0, hav|bp| = h2, from chords only, so a
+    short arc keeps its relative accuracy: with d = b - a, h = |d|^2 / 4,
+    n = a x d and s = |n|, p - a = 2 (h x / s - h0) a + (x / s) d + (y / s) n."""
     (ax, ay, az), (bx, by, bz) = a, b
-    c = ax * bx + ay * by + az * bz
-    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    dx, dy, dz = bx - ax, by - ay, bz - az
+    h = 0.25 * (dx * dx + dy * dy + dz * dz)
+    nx, ny, nz = ay * dz - az * dy, az * dx - ax * dz, ax * dy - ay * dx
     s = math.sqrt(nx * nx + ny * ny + nz * nz)
-    x = (c2 - c * c0) / s
-    y = math.sqrt(max(1.0 - c0 * c0 - x * x, 0.0))
-    ka, kb, kn = c0 - x * c / s, x / s, y / s
-    return ka * ax + kb * bx + kn * nx, ka * ay + kb * by + kn * ny, ka * az + kb * bz + kn * nz
+    x = 2.0 * (h0 + h - h2 - 2.0 * h * h0) / s
+    y = math.sqrt(max(4.0 * h0 * (1.0 - h0) - x * x, 0.0))
+    ka, kd, kn = 2.0 * (h * x / s - h0), x / s, y / s
+    return (ax + (ka * ax + kd * dx + kn * nx), ay + (ka * ay + kd * dy + kn * ny),
+            az + (ka * az + kd * dz + kn * nz))
 
 
 def place_by_lengths(mode: str, lengths):
@@ -319,7 +330,7 @@ def place_by_lengths(mode: str, lengths):
         z0, z1 = 0.0 + 0.0j, complex(l2, 0.0)  # d(z0, z1) = l2
         return z0, z1, _third_point(z0, z1, l1, l0)
     n0, n1 = (0.0, 0.0, 1.0), (math.sin(l2), 0.0, math.cos(l2))
-    n2 = _third_point_on_sphere(n0, n1, math.cos(l1), math.cos(l0))
+    n2 = _third_point_on_sphere(n0, n1, math.sin(0.5 * l1) ** 2, math.sin(0.5 * l0) ** 2)
     return np.array(n0), np.array(n1), np.array(n2)
 
 

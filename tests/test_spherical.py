@@ -375,6 +375,62 @@ class TestRoundingFloor:
         np.testing.assert_allclose(cfg.centers, want.centers, rtol=0, atol=1e-13)
 
 
+    def test_final_corrector_that_stops_early_is_retried(self, icosa, monkeypatch):
+        """At s = 1 a corrector that stops as "rounding floor" above
+        ``FINAL_TOL``, as after a damped step, is rejected although every
+        cone angle closes up to ``SIGMA_TOL``; the homotopy retries from a
+        shorter step and ends on a corrector that reached its floor."""
+        th = AngleAssignment.constant(icosa, 1.2)
+        want, _ = solve_spherical(icosa, th)
+        newton, early, steps = spherical._curvature_newton, [], []
+        homotopy_step = spherical._homotopy_step
+
+        def stops_early_once(cmap, tol, max_iters):
+            u, iters, trace, stop = newton(cmap, tol, max_iters)
+            if tol == 0.0 and not early:
+                u = u + np.where(np.arange(len(u)) == 0, 1e-9, 0.0)
+                early.append(float(np.max(np.abs(cmap.curvatures(u)))))
+                sigma = cmap.sigma(cmap.radii_from(u))
+                early.append(float(np.max(np.abs(2 * PI - sigma))))
+                return u, iters, trace + [early[0]], "rounding floor"
+            return u, iters, trace, stop
+
+        def recorded_step(*args):
+            steps.append((args[2], homotopy_step(*args)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(spherical, "_curvature_newton", stops_early_once)
+        monkeypatch.setattr(spherical, "_homotopy_step", recorded_step)
+        cfg, rep = solve_spherical(icosa, th)
+        assert spherical.FINAL_TOL < early[0] and early[1] <= spherical.SIGMA_TOL
+        finals = [step for s, step in steps if s == 1.0]
+        assert len(finals) == 2 and finals[0] is None and finals[1] is not None
+        assert finals[1][4] <= 1e-14
+        assert rep.angle_residual <= 1e-13
+        np.testing.assert_allclose(cfg.radii, want.radii, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(cfg.centers, want.centers, rtol=0, atol=1e-13)
+
+    def test_corrector_that_damps_at_s1_is_rejected(self, icosa, monkeypatch):
+        """Straight from the tangency start to s = 1 at theta = 1.2 the
+        corrector's first step must be damped, so it stops far above its
+        floor, and the step is rejected."""
+        stops, newton = [], spherical._curvature_newton
+
+        def recorded(cmap, tol, max_iters):
+            stops.append(newton(cmap, tol, max_iters))
+            return stops[-1]
+
+        monkeypatch.setattr(spherical, "_curvature_newton", recorded)
+        centers, radii = spherical._tangency_start(icosa, spherical.SolveOptions())
+        th = AngleAssignment.constant(icosa, 1.2)
+        assert spherical._homotopy_step(icosa, th, 1.0, centers, radii, icosa.faces[0][0]) is None
+        (_, iters, trace, stop), = stops
+        # a full step that halves the residual does not stop the run, so
+        # this one was damped
+        assert (iters, stop) == (1, "rounding floor") and trace[1] <= 0.5 * trace[0]
+        assert trace[1] > spherical.FINAL_TOL
+
+
 class TestErrors:
     def test_conditions_enforced(self, octa):
         with pytest.raises(ConditionsViolated):

@@ -206,6 +206,43 @@ class TestPlacement:
             done += 1
 
 
+class TestSmallCaps:
+    """Caps of radius about 1e-6 rad, where a cosine form resolves an arc
+    only to about 1e-16 / 1e-6 = 1e-10 rad, a relative error of 1e-4.  The
+    sphere at that scale is the plane to relative order 1e-12, so the
+    spherical kernels must match the planar ones that far."""
+
+    EPS = 1e-6
+
+    def test_edge_lengths_scale_to_the_plane(self):
+        rng = np.random.default_rng(41)
+        r = rng.uniform(0.3, 3.0, (500, 3))
+        th = rng.uniform(0.0, 2.5, (500, 3))
+        sph = edge_lengths(SPHERICAL, self.EPS * r, th) / self.EPS
+        np.testing.assert_allclose(sph, edge_lengths(EUCLIDEAN, r, th), rtol=1e-10, atol=0)
+
+    def test_inner_angles_scale_to_the_plane(self):
+        from circlepattern.triples import inner_angles_from_lengths
+
+        rng = np.random.default_rng(43)
+        z = rng.normal(size=(2000, 3)) + 1j * rng.normal(size=(2000, 3))
+        l = np.abs(np.roll(z, -1, axis=1) - np.roll(z, -2, axis=1))
+        plane = inner_angles_from_lengths(EUCLIDEAN, l)
+        keep = np.min(plane, axis=1) > 0.05
+        sph = inner_angles_from_lengths(SPHERICAL, self.EPS * l[keep])
+        np.testing.assert_allclose(sph, plane[keep], rtol=0, atol=1e-9)
+
+    def test_placed_small_caps_realize_their_angles(self):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            radii = tuple(self.EPS * rng.uniform(0.3, 3.0, 3))
+            th = tuple(rng.uniform(0.2, 1.5, 3))
+            centers = place_triple(TripleSpec(SPHERICAL, radii, th))
+            for idx, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+                I = inversive_distance(SPHERICAL, centers[a], radii[a], centers[b], radii[b])
+                assert abs(I - math.cos(th[idx])) < 1e-8
+
+
 class TestBoundarySumLaw:
     def test_angle_sum_pi_gives_perimeter_bound(self):
         rng = np.random.default_rng(29)
