@@ -363,7 +363,7 @@ class TestRoundingFloor:
     def test_corrector_accepts_its_rounding_floor(self, icosa, monkeypatch):
         """A corrector that stops at its rounding floor is accepted.  The
         curvature corrector's floor lies far below its 1e-10 tolerance
-        (about 1e-15 here, 6e-14 to 1e-13 at n=642 and theta = 1.2), so a
+        (about 1e-15 here, 4e-15 at n=642 and theta = 1.2), so a
         tolerance below any floor makes every corrector stop there, and
         the solve still reaches the same pattern."""
         th = AngleAssignment.constant(icosa, 2 * PI / 5)
