@@ -47,6 +47,8 @@ class CurvatureReport:
 
 @dataclass
 class _Configuration:
+    """Circle centers and radii, one circle per vertex, and the marked face."""
+
     centers: np.ndarray            # complex, shape (n,); or float, shape (n, 3)
     radii: np.ndarray              # float, shape (n,)
     marked_face: Optional[Tuple[int, int, int]]

@@ -25,6 +25,8 @@ SUBSET_BUDGET = 10 ** 5
 
 @dataclass(frozen=True)
 class DegenerationFunctional:
+    """Degeneration functional of a vertex subset, with its Euler characteristic and link."""
+
     subset: FrozenSet[int]
     value: float
     euler_char: int

@@ -7,6 +7,8 @@ from numbers import Integral
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Tolerances, iteration limits and flags of a solve, checked on construction."""
+
     tol_K: float = 1e-10          # max apex-curvature residual at convergence
     tol_angle: float = 1e-8       # per-edge realized-angle tolerance
     tol_layout: float = 1e-8      # relative developing-map disagreement

@@ -26,6 +26,8 @@ COND_LIMIT = 1e12       # vertex solve condition number treated as singular
 
 @dataclass(frozen=True)
 class HalfSpace:
+    """The Klein-model half-space of one cap: points x with normal . x <= offset."""
+
     normal: Tuple[float, float, float]   # spherical center direction
     offset: float                        # cos of the cap radius
 
@@ -35,6 +37,8 @@ class HalfSpace:
 
 @dataclass
 class HyperbolicPolyhedron:
+    """Dual polyhedron in the Klein model: a face per circle, a vertex per pattern face."""
+
     half_spaces: List[HalfSpace]
     vertices: np.ndarray                 # Klein coordinates, one per pattern face
     faces: List[Tuple[int, ...]]         # vertex cycle per pattern vertex
@@ -130,6 +134,8 @@ def build_polyhedron(pattern: CirclePattern, allow_ideal: bool = False) -> Hyper
 
 @dataclass
 class PolyhedronReport:
+    """Outcome of each check_polyhedron test and whether all of them passed."""
+
     max_dihedral_err: float
     dihedral_inversive_gap: float
     convexity_ok: bool
@@ -200,7 +206,7 @@ def export_obj(q: HyperbolicPolyhedron) -> bytes:
     """Klein-model mesh in OBJ text form, deterministic ordering."""
     lines = ["# klein-model hyperbolic polyhedron"]
     for v in q.vertices:
-        lines.append(f"v {v[0]!r} {v[1]!r} {v[2]!r}")
+        lines.append("v " + " ".join(repr(float(x)) for x in v))
     for cyc in q.faces:
         lines.append("f " + " ".join(str(i + 1) for i in cyc))
     return ("\n".join(lines) + "\n").encode()

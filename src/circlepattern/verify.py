@@ -38,6 +38,8 @@ WITNESS_ROUNDING = 8.0 * np.finfo(float).eps  # witness slack, relative to |p|+|
 
 @dataclass
 class VerificationReport:
+    """Outcome of each verify_pattern check, with its evidence, and whether all passed."""
+
     angle_max_err: float
     angle_max_err_radians: Optional[float]
     contact_graph_ok: bool

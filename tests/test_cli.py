@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import subprocess
@@ -598,3 +599,46 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "{tetra}", "{theta0}", "--class", "g5"], 0),
+        (["probe-triple", "--mode", "euclidean", "--radii", "1,1", "--angles", "0.5,0.5,0.5"],
+         1),
+        (["validate", "{octa}", "{thetabad}", "--class", "marden"], 2),
+    ])
+    def test_module_passes_main_through(self, files, capsys, argv, code):
+        """``python -m circlepattern`` exits with ``main``'s code and prints
+        what ``main`` prints in-process."""
+        argv = [a.format(**files) for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "circlepattern", *argv],
+                              capture_output=True, text=True)
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    def test_main_leaves_the_collector_alone(self, files):
+        frozen = gc.get_freeze_count()
+        assert gc.isenabled()
+        assert main(["validate", str(files["tetra"]), str(files["theta0"]),
+                     "--class", "g5"]) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_owns_the_collector(self, files):
+        """The process entry switches the collector off before the command
+        and freezes the live heap before it exits."""
+        script = (
+            "import gc, json\n"
+            "from circlepattern.__main__ import run\n"
+            "try:\n"
+            "    run()\n"
+            "except SystemExit as exc:\n"
+            "    print(json.dumps([exc.code, gc.isenabled(), gc.get_freeze_count()]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, "validate", str(files["tetra"]),
+                               str(files["theta0"]), "--class", "g5"],
+                              capture_output=True, text=True, check=True)
+        code, enabled, frozen = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert not enabled
+        assert frozen > 0

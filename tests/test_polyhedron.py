@@ -317,6 +317,15 @@ class TestExport:
         q2 = build_polyhedron(icosa_pattern)
         assert export_obj(q1) == export_obj(q2)
 
+    def test_vertex_lines_are_plain_floats(self, icosa_pattern):
+        """Each ``v`` line holds three coordinates that ``float`` parses, the
+        vertices of the JSON dump, whatever the numpy version."""
+        q = build_polyhedron(icosa_pattern)
+        rows = [l.split()[1:] for l in export_obj(q).decode().splitlines()
+                if l.startswith("v ")]
+        assert all(len(r) == 3 for r in rows)
+        assert [[float(x) for x in r] for r in rows] == polyhedron_to_dict(q)["vertices"]
+
     def test_dict_dump(self, icosa_pattern):
         q = build_polyhedron(icosa_pattern)
         d = polyhedron_to_dict(q)
