@@ -591,24 +591,23 @@ class TestImportHygiene:
 
 
 class TestConsoleEntry:
-    def test_module_invocation(self, files):
-        proc = subprocess.run(
-            [sys.executable, "-m", "circlepattern", "validate",
-             str(files["tetra"]), str(files["theta0"]), "--class", "g5"],
-            capture_output=True,
-        )
+    def test_module_invocation(self, files, capsys):
+        argv = ["validate", str(files["tetra"]), str(files["theta0"]), "--class", "g5"]
+        proc = subprocess.run([sys.executable, "-m", "circlepattern", *argv],
+                              capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"]
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, code", [
-        (["validate", "{tetra}", "{theta0}", "--class", "g5"], 0),
         (["probe-triple", "--mode", "euclidean", "--radii", "1,1", "--angles", "0.5,0.5,0.5"],
          1),
         (["validate", "{octa}", "{thetabad}", "--class", "marden"], 2),
     ])
     def test_module_passes_main_through(self, files, capsys, argv, code):
-        """``python -m circlepattern`` exits with ``main``'s code and prints
-        what ``main`` prints in-process."""
+        """``python -m circlepattern`` passes ``main``'s failure codes through
+        and prints what ``main`` prints in-process."""
         argv = [a.format(**files) for a in argv]
         proc = subprocess.run([sys.executable, "-m", "circlepattern", *argv],
                               capture_output=True, text=True)
