@@ -225,7 +225,7 @@ def _cmd_polyhedron(args) -> int:
     payload = polyhedron_to_dict(q)
     payload["check"] = rep.to_dict()
     _emit(formats.dumps(payload), args.json_out)
-    return 0
+    return 0 if rep.passed else EXIT_POLYHEDRON
 
 
 def _cmd_render(args) -> int:

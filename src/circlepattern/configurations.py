@@ -133,8 +133,8 @@ class CirclePattern:
 
 
 def chords(mode: str, radii: np.ndarray) -> np.ndarray:
-    """Each disk's reach for ``distances``: r, or 2 sin(r/2) on the unit sphere."""
-    return radii if mode == EUCLIDEAN else 2.0 * np.sin(0.5 * np.minimum(radii, math.pi))
+    """Each disk's reach for ``distances``: r, or 2 sin(r/2) on the sphere (2 pi - r past pi)."""
+    return radii if mode == EUCLIDEAN else 2.0 * np.sin(0.5 * radii)
 
 
 def distances(d) -> np.ndarray:

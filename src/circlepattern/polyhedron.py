@@ -64,12 +64,13 @@ def build_polyhedron(pattern: CirclePattern, allow_ideal: bool = False) -> Hyper
     """Intersect the half-spaces of a verified interstice-free spherical
     pattern.
 
-    Each face's vertex is the common point of its three planes, from the
-    cofactor kernel ``triples.cap_plane_points``.  Compactness is decided by
-    the face angle sums, as ``classify`` decides the class: a sum above pi
-    gives a finite vertex, which must lie inside the ball; a sum of pi an
-    ideal one, rejected unless ``allow_ideal`` (so boundary cases can still
-    be inspected); a sum below pi a vertex outside the ball.
+    Each face's vertex is where its three planes meet
+    (``triples.cap_plane_points``), each edge's dihedral the angle its circles
+    make where they meet.  Compactness is decided by the face angle sums, as
+    ``classify`` decides the class: a sum above pi gives a finite vertex, which
+    must lie inside the ball; a sum of pi an ideal one, rejected unless
+    ``allow_ideal`` (so boundary cases can still be inspected); a sum below pi
+    a vertex outside the ball.
     """
     if pattern.mode != triples.SPHERICAL:
         raise MalformedPattern("polyhedron construction needs a spherical pattern")
@@ -110,12 +111,14 @@ def build_polyhedron(pattern: CirclePattern, allow_ideal: bool = False) -> Hyper
             "pass allow_ideal to inspect the boundary case"
         )
 
-    # interior dihedral angles from the unit spacelike Minkowski normals of
-    # the face planes: cos(angle) = -<N_u, N_v>
+    # the dihedral is the angle the circles make at a common point p, between
+    # the tangents t = c - cos r p to the centres; they meet, as the edge's
+    # vertices passed the ball test and lie on both cap planes
     u, v = np.asarray(t.edges, dtype=int).T
-    num = np.einsum("ij,ij->i", normals[u], normals[v]) - offsets[u] * offsets[v]
-    den = np.sqrt((1.0 - offsets[u] ** 2) * (1.0 - offsets[v] ** 2))
-    dihedral = np.arccos(np.clip(-num / den, -1.0, 1.0))
+    p = triples._corners(triples.SPHERICAL, normals[u], pattern.radii[u], normals[v],
+                         pattern.radii[v], triples.GEOM_EPS)[2]
+    tu, tv = (normals[w] - offsets[w][:, None] * p for w in (u, v))
+    dihedral = np.arctan2(distances(np.cross(tu, tv)), -np.einsum("ij,ij->i", tu, tv))
 
     return HyperbolicPolyhedron(
         half_spaces=[

@@ -15,7 +15,9 @@ All array functions broadcast over a leading batch dimension; the last
 axis always has size 3.  The placed-disk relations take rows of three
 disks: centers of shape (m, 3), complex in the plane, or (m, 3, 3), unit
 vectors on the sphere, and radii of shape (m, 3); their per-pair results
-have one column per third disk k, for the pair ``OPPOSITE[k]``.
+have one column per third disk k, for the pair ``OPPOSITE[k]``.  They work
+in chords, |x - c| <= 2 sin(r/2) on the sphere: each relation is the planar
+formula, plus one curvature term on the sphere.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ SPHERICAL = "spherical"
 
 # arccos arguments may drift this far outside [-1, 1] and still be clamped
 CLAMP_EPS = 1e-9
-# sign tests on constructed points (lens corners, extremes)
+# sign tests on constructed points (lens corners, extremes): a length
 GEOM_EPS = 1e-10
 # below this the radian angle chart is ill-conditioned
 SMALL_ANGLE = 1e-3
@@ -274,15 +276,19 @@ def tangent_frames(normals) -> Tuple[np.ndarray, np.ndarray]:
 
 def cap_plane_points(centers, radii) -> Tuple[np.ndarray, np.ndarray]:
     """The common point x of the planes c_i . x = cos r_i of each row of
-    three caps (centers of shape (m, 3, 3), radii (m, 3)), by Cramer's rule.
-
-    Returns (det * x, det) with det = det[c_0, c_1, c_2], so that rows with
-    coplanar centers (det = 0) stay finite.
-    """
-    c, cos_r = np.asarray(centers, dtype=float), np.cos(radii)
-    x = (cos_r[:, :1] * np.cross(c[:, 1], c[:, 2]) + cos_r[:, 1:2] * np.cross(c[:, 2], c[:, 0])
-         + cos_r[:, 2:] * np.cross(c[:, 0], c[:, 1]))
-    return x, np.einsum("ij,ij->i", c[:, 0], np.cross(c[:, 1], c[:, 2]))
+    three caps (centers of shape (m, 3, 3), radii (m, 3)), by Cramer's rule
+    in chords from the smallest cap c_0, as the planar radical centre: x =
+    c_0 + z, c_0 . z = -v_0, (c_i - c_0) . z = |c_i - c_0|^2 / 2 + v_0 - v_i.
+    Returns (det * x, det), det = det[c_0, c_1, c_2] (the roll to c_0 is
+    cyclic), so that rows with coplanar centers (det = 0) stay finite."""
+    roll = (np.argmin(radii, axis=1)[:, None] + np.arange(3)) % 3
+    c = np.take_along_axis(np.asarray(centers, dtype=float), roll[..., None], axis=1)
+    v = 2.0 * np.sin(0.5 * np.take_along_axis(np.asarray(radii, dtype=float), roll, axis=1)) ** 2
+    m = np.concatenate([c[:, :1], c[:, 1:] - c[:, :1]], axis=1)  # c_0, c_1 - c_0, c_2 - c_0
+    rhs = np.column_stack((-v[:, 0], 0.5 * _dot(m[:, 1:], m[:, 1:]) + v[:, :1] - v[:, 1:]))
+    cof = np.cross(np.roll(m, -1, axis=1), np.roll(m, -2, axis=1))
+    det = _dot(m[:, 0], cof[:, 0])
+    return det[:, None] * m[:, 0] + np.einsum("ij,ijk->ik", rhs, cof), det
 
 
 # ---------------------------------------------------------------------------
@@ -436,35 +442,38 @@ def _dot(x, y):
 
 
 def _contains(mode, c, r, p, slack):
-    """Closed-disk membership of the points p in the disks (c, r), with
-    signed slack (positive slack shrinks)."""
-    if mode == EUCLIDEAN:
-        return np.abs(p - c) <= r - slack
-    return _dot(p, c) >= np.cos(r) + slack
+    """Closed-disk membership |p - c| <= chord - slack of the points p in
+    the disks (c, r); the signed slack (positive shrinks) is a length."""
+    from .configurations import chords, distances  # probe-triple loads triples alone
+
+    return distances(p - c) <= chords(mode, r) - slack
 
 
-def _corners(mode, c, r, eps):
-    """Per row and third disk k, where the circles of the pair opposite k
-    meet: (meets, tangent, p, q), with p = q where the two are tangent to
-    within eps of the degenerate root (read ``tangent`` with ``meets``)."""
-    i, j = OPPOSITE.T
-    c1, c2, r1, r2 = c[:, i], c[:, j], r[:, i], r[:, j]
+def _corners(mode, c1, r1, c2, r2, eps):
+    """Where the circles (c1, r1) and (c2, r2) meet: (meets, tangent, p, q),
+    p = q where they are tangent to within eps of the degenerate root.  In
+    chords rho, for both geometries: p = c1 + a c1 + b u +- h n, a = 0 in
+    the plane and -rho1^2 / 2 on the sphere, u along the part w of c2 - c1
+    normal to c1, b = (d^2 + rho1^2 - rho2^2 - 2 a g) / 2|w|, d = |c2 - c1|,
+    g = (c2 - c1) . c1, h^2 = rho1^2 - a^2 - b^2, n = i u or c1 x u."""
+    from .configurations import chords, distances
+
+    r1, r2, w = chords(mode, r1), chords(mode, r2), c2 - c1
+    d, a, g = distances(w), 0.0, 0.0
+    if mode == SPHERICAL:  # g measured, not -d^2 / 2, keeps w normal to c1
+        a, g = -0.5 * r1 * r1, _dot(w, c1)
+        w = w - g[..., None] * c1
+    s = distances(w)
+    b = (d * d + r1 * r1 - r2 * r2 - 2.0 * a * g) / (2.0 * s)
+    h2, scale = r1 * r1 - a * a - b * b, np.maximum(np.maximum(r1, r2), d) ** 2
+    meets, tangent = (s > eps) & (h2 >= -eps * scale), h2 <= eps * scale
+    h = np.sqrt(np.where(tangent, 0.0, h2))
     if mode == EUCLIDEAN:
-        d = np.abs(c2 - c1)
-        a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-        h2, scale = r1 * r1 - a * a, np.maximum(np.maximum(r1, r2), d) ** 2
-        meets, tangent = (d > eps) & (h2 >= -eps * scale), h2 <= eps * scale
-        u = (c2 - c1) / d
-        base, off = c1 + a * u, 1j * np.sqrt(np.where(tangent, 0.0, h2)) * u
-        return meets, tangent, base + off, base - off
-    dot = _dot(c1, c2)
-    det, cr1, cr2 = 1.0 - dot * dot, np.cos(r1), np.cos(r2)
-    a, b = (cr1 - cr2 * dot) / det, (cr2 - cr1 * dot) / det
-    g2 = (1.0 - (a * a + b * b + 2.0 * a * b * dot)) / det
-    meets, tangent = (det > eps) & (g2 >= -eps), g2 <= eps
-    base = a[..., None] * c1 + b[..., None] * c2
-    base = np.where(tangent[..., None], base / np.linalg.norm(base, axis=-1)[..., None], base)
-    off = np.sqrt(np.where(tangent, 0.0, g2))[..., None] * np.cross(c1, c2)
+        u = w / s
+        base, off = c1 + b * u, 1j * h * u
+    else:
+        u = w / s[..., None]
+        base, off = c1 + (a[..., None] * c1 + b[..., None] * u), h[..., None] * np.cross(c1, u)
     return meets, tangent, base + off, base - off
 
 
@@ -491,11 +500,14 @@ def lens_relations(mode: str, centers, radii, tol: float = 1e-9) -> LensRelation
     per bounding arc, the arc's point farthest from k does if it lies on
     the lens side.  Rows that are not ``intersecting`` carry no decision.
     """
+    from .configurations import chords, distances
+
     c, r = np.asarray(centers), np.asarray(radii, dtype=float)
     pairs = (3 * np.arange(len(r))[:, None, None] + OPPOSITE).reshape(-1, 2)
     inv = inversive(mode, c.reshape((-1,) + c.shape[2:]), r.ravel(), pairs).reshape(-1, 3)
     ang = np.arccos(np.clip(inv, -1.0, 1.0))
-    meets, tangent, p, q = _corners(mode, c, r, GEOM_EPS)
+    i, j = OPPOSITE.T
+    meets, tangent, p, q = _corners(mode, c[:, i], r[:, i], c[:, j], r[:, j], GEOM_EPS)
     single = meets & tangent
     arcs_ok = np.ones_like(single)
     for arc, other in OPPOSITE.T, OPPOSITE[:, ::-1].T:
@@ -506,7 +518,7 @@ def lens_relations(mode: str, centers, radii, tol: float = 1e-9) -> LensRelation
                  & _contains(mode, c, r, q, -GEOM_EPS) & (single | arcs_ok))
     lhs = np.roll(ang, -1, axis=1) + np.roll(ang, -2, axis=1)
     rhs = np.where(single, math.pi, math.pi + ang)
-    off = np.abs(np.abs(p - c) - r) if mode == EUCLIDEAN else np.abs(_dot(p, c) - np.cos(r))
+    off = np.abs(distances(p - c) - chords(mode, r))
     return LensRelations(inv, (np.abs(inv) <= 1.0 + CLAMP_EPS).all(axis=1), meets, single,
                          contained, lhs, rhs, lhs >= rhs - tol, single & (off <= tol))
 
@@ -521,7 +533,8 @@ def _nonempty(mode, c, r, eps):
     on = c + r if mode == EUCLIDEAN else np.cos(r)[..., None] * c + np.sin(r)[..., None] * e1
     own, circle = (_contains(mode, c[:, :, None], r[:, :, None], x[:, None, :], -eps)
                    for x in (c, on))  # [disk, centre or circle]
-    meets, _, p, q = _corners(mode, c, r, eps)
+    i, j = OPPOSITE.T
+    meets, _, p, q = _corners(mode, c[:, i], r[:, i], c[:, j], r[:, j], eps)
     corner = meets & (_contains(mode, c, r, p, -eps) | _contains(mode, c, r, q, -eps))
     circle |= np.eye(3, dtype=bool)  # each point is on its own circle
     return (own.all(axis=1) | circle.all(axis=1)).any(axis=1) | corner.any(axis=1)

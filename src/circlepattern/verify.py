@@ -288,7 +288,8 @@ def _near_disks(p: CirclePattern, slack: float) -> List[np.ndarray]:
     size = distances(c)
     a, b = near_pairs(p.mode, c, r - 0.5 * slack + 1e-9 * (size + r))
     v, u = np.r_[a, b], np.r_[b, a]  # each pair from both sides: v the owner
-    near = (distances(c[u] - c[v]) <= chords(p.mode, p.radii[u] + p.radii[v]) - slack
+    summed = np.minimum(p.radii[u] + p.radii[v], PI if p.mode == triples.SPHERICAL else np.inf)
+    near = (distances(c[u] - c[v]) <= chords(p.mode, summed) - slack
             + 1e-9 * (size[v] + r[v] + size[u] + r[u]))
     v, u = v[near], u[near]
     order = np.lexsort((u, v))
@@ -394,14 +395,12 @@ def _in_any_face(p: CirclePattern, points, eps) -> np.ndarray:
 
 def _sides(mode: str, corners, points, eps):
     """The turns of the sides AB, BC, CA of the triangles ABC to the
-    points, signed positive inside, and the tolerance: ``eps`` scaled by
-    the triangle in the plane, ``eps`` on the sphere.  Triangles and
-    points broadcast."""
+    points, signed positive inside, and the tolerance ``eps`` scaled by
+    each triangle's own turn.  Triangles and points broadcast."""
     A, B, C = corners
     sigma = _turns(mode, A, B, C)
-    tol = eps * np.where(sigma != 0, np.abs(sigma), 1.0) if mode == triples.EUCLIDEAN else eps
     return (*(_turns(mode, P, Q, points) * np.sign(sigma) for P, Q in ((A, B), (B, C), (C, A))),
-            tol)
+            eps * np.where(sigma != 0, np.abs(sigma), 1.0))
 
 
 def _turns(mode: str, A, B, C):

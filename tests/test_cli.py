@@ -294,6 +294,26 @@ class TestPipeline:
         assert len(q["vertices"]) == 8 and len(q["faces"]) == 6
         assert q["check"]["passed"]
 
+    def test_polyhedron_failing_its_check_exits_5(self, files):
+        """A pattern whose angles are off by one radius scaled by 1 + 1e-6
+        builds a polyhedron whose dihedrals miss: the command writes the
+        OBJ and the JSON with its check, then exits 5."""
+        theta = files["dir"] / "theta12.json"
+        theta.write_text(formats.dumps(formats.theta_to_dict(
+            AngleAssignment.constant(shapes.octahedron(), 1.2))))
+        pattern, bad = files["dir"] / "sp.json", files["dir"] / "bad.json"
+        assert main(["solve", str(files["octa"]), str(theta), "--mode", "spherical",
+                     "--out", str(pattern)]) == 0
+        data = json.loads(pattern.read_text())
+        data["circles"][0]["radius"] *= 1.0 + 1e-6
+        bad.write_text(json.dumps(data))
+        for source, code in ((pattern, 0), (bad, 5)):
+            obj, out = files["dir"] / f"{code}.obj", files["dir"] / f"{code}.json"
+            assert main(["polyhedron", "--pattern", str(source), "--out", str(obj),
+                         "--json-out", str(out)]) == code
+            assert obj.read_text().count("\nf ") == 6  # the cube, a face per circle
+            assert json.loads(out.read_text())["check"]["passed"] is (code == 0)
+
     def test_polyhedron_ideal_refused_without_flag(self, files):
         pattern = files["dir"] / "sp2.json"
         main(["solve", str(files["octa"]), str(files["theta3"]),

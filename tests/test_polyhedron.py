@@ -248,6 +248,20 @@ class TestFurtherCombinatorics:
         assert check_polyhedron(q, p).passed
 
 
+class TestDihedral:
+    def test_independent_of_the_inversive_distance(self, icosa_pattern, monkeypatch):
+        """The dihedral is the angle the two circles make where they meet,
+        not a copy of ``triples.inversive``, so ``dihedral_inversive_gap``
+        compares two paths: garbage inversive distances leave the dihedrals
+        as they are and show up in the gap."""
+        want = build_polyhedron(icosa_pattern).dihedral
+        monkeypatch.setattr(triples, "inversive", lambda mode, c, r, edges: np.full(len(edges), 3.0))
+        q = build_polyhedron(icosa_pattern)
+        assert np.array_equal(q.dihedral, want)
+        rep = check_polyhedron(q, icosa_pattern)
+        assert rep.max_dihedral_err <= 1e-12 and rep.dihedral_inversive_gap > 1.0
+
+
 class TestVertexKernel:
     @pytest.mark.parametrize("name", ["icosa_pattern", "hex_prism_pattern",
                                       "obtuse_prism_pattern"])
@@ -261,19 +275,34 @@ class TestVertexKernel:
     def test_boosted_dodecahedron_near_the_sphere_is_compact(self, icosa_pattern):
         """Every face sum of the icosahedral 2pi/5 pattern is above pi, so its
         dual stays compact however close a Lorentz boost moves a vertex to
-        the sphere; here to 1 - |q| of about 1e-8."""
-        p = icosa_pattern
-        q0 = build_polyhedron(p)
-        far = int(np.argmax(np.linalg.norm(q0.vertices, axis=1)))
-        rho = float(np.linalg.norm(q0.vertices[far]))
-        s = math.tanh(math.atanh(1.0 - 1e-8) - math.atanh(rho))
-        dS = spherical._de_sitter(p.centers, p.radii)
-        centers, radii = spherical._from_de_sitter(
-            spherical._boost(dS, -s * q0.vertices[far] / rho))
-        q = build_polyhedron(CirclePattern(p.triangulation, p.theta, p.mode, centers, radii))
+        the sphere; here to 1 - |q| of about 1e-8, where the dihedrals, from
+        caps down to 4e-4 rad, still pass the check."""
+        p = _boosted(icosa_pattern, 1e-8)
+        q = build_polyhedron(p)
         assert q.ideal_vertices == []
         assert q.max_vertex_norm < 1.0
         assert 0.5e-8 < 1.0 - q.max_vertex_norm < 2e-8
+        assert check_polyhedron(q, p).passed
+
+    def test_boosted_dodecahedron_builds_at_1e_10(self, icosa_pattern):
+        """At 1 - |q| = 1e-10 the caps are down to 4e-5 rad, and planes
+        c . x = cos r solved in cosine units put a vertex outside the ball;
+        from the smallest cap, in chords, it lands where the boost put it."""
+        q = build_polyhedron(_boosted(icosa_pattern, 1e-10))
+        assert q.ideal_vertices == []
+        assert abs(1.0 - q.max_vertex_norm - 1e-10) <= 1e-12
+
+
+def _boosted(p, gap):
+    """``p`` moved by a Lorentz boost until its dual's outermost vertex
+    is at 1 - |q| = ``gap``."""
+    q0 = build_polyhedron(p)
+    far = int(np.argmax(np.linalg.norm(q0.vertices, axis=1)))
+    rho = float(np.linalg.norm(q0.vertices[far]))
+    s = math.tanh(math.atanh(1.0 - gap) - math.atanh(rho))
+    dS = spherical._de_sitter(p.centers, p.radii)
+    centers, radii = spherical._from_de_sitter(spherical._boost(dS, -s * q0.vertices[far] / rho))
+    return CirclePattern(p.triangulation, p.theta, p.mode, centers, radii)
 
 
 @PROPERTY

@@ -9,6 +9,7 @@ from circlepattern.errors import (
     Infeasible,
     NotMutuallyIntersecting,
 )
+from circlepattern import triples
 from circlepattern.triples import (
     EUCLIDEAN,
     OPPOSITE,
@@ -350,6 +351,25 @@ class TestContainment:
     def test_disjoint_raises(self):
         with pytest.raises(NotMutuallyIntersecting):
             containment_angle_check(EUCLIDEAN, [0j, 10 + 0j, 5 + 0j], [1, 1, 1])
+
+
+class TestCornerKernel:
+    def test_small_caps_meet_on_both_circles(self):
+        """20,000 pairs of caps of radii log-uniform in (1e-6, 1e-3) whose
+        circles cross: each pair meets, and both corners lie on the sphere
+        and on both circles to 1e-15, in chords."""
+        rng, n = np.random.default_rng(7), 20000
+        r1, r2 = np.exp(rng.uniform(math.log(1e-6), math.log(1e-3), (2, n)))
+        apart = np.abs(r1 - r2) + 2.0 * np.minimum(r1, r2) * rng.uniform(0.01, 0.99, n)
+        c1 = _unit(rng.normal(size=(n, 3)))
+        turn = _unit(np.cross(c1, rng.normal(size=(n, 3))))
+        c2 = np.cos(apart)[:, None] * c1 + np.sin(apart)[:, None] * turn
+        meets, _, p, q = triples._corners(SPHERICAL, c1, r1, c2, r2, triples.GEOM_EPS)
+        assert meets.all()
+        for x in (p, q):
+            assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= 1e-15
+            for c, r in ((c1, r1), (c2, r2)):
+                assert np.abs(np.linalg.norm(x - c, axis=1) - 2.0 * np.sin(0.5 * r)).max() <= 1e-15
 
 
 class TestTripleIntersection:

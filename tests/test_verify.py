@@ -235,16 +235,29 @@ def _same_flower_failures(q):
 class TestLiftedPatterns:
     """A planar pattern lifted to the sphere is the same pattern: its marked
     face, which held the point at infinity, becomes the region the other
-    faces leave, and the lift verifies as the planar pattern does."""
+    faces leave, and the lift verifies as the planar pattern does (the lift
+    of stack120, with caps down to 1.6e-6 rad, because its relations work
+    in chords)."""
 
     @pytest.mark.parametrize("value", [0.0, 0.5])
     @pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "icosahedron",
-                                      "stacked_tetrahedra", "ico162"])
+                                      "stacked_tetrahedra", "ico162", "stack120"])
     def test_lift_verifies(self, name, value):
         want = verify_pattern(_planar(_named(name), value))
         rep = verify_pattern(_lifted(name, value))
         assert want.passed and rep.flower_ok and not rep.flower_failures and rep.passed
         assert rep.interstice_count == want.interstice_count
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4, 5])
+    def test_lifted_ico642_draws_verify(self, seed):
+        """Level-3 icosahedral subdivisions at angles uniform in (0, 1.2),
+        lifted: lens corners of caps of 2e-4 rad lie a few 1e-6 from the
+        third cap, so the empty-triple test needs them to rounding."""
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 3))
+        draw = np.random.default_rng(seed).uniform(0.0, 1.2, t.edge_count)
+        th = AngleAssignment(t, tuple(draw.tolist()))
+        cfg, _ = solve_euclidean(t, th, pick_marked_face(t, th))
+        assert verify_pattern(CirclePattern.from_spherical(t, th, lift_to_sphere(cfg))).passed
 
 
 class TestContactGraph:
@@ -498,6 +511,8 @@ def _stack120():
 def _named(name):
     if name == "ico162":
         return build_triangulation(loop_subdivide(shapes.icosahedron().faces, 2))
+    if name == "stack120":
+        return _stack120()
     return getattr(shapes, name)()
 
 
