@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 # Only what every command needs is imported here; each command imports its
 # own layers, so a process loads (and compiles) no solver it does not run.
@@ -20,9 +19,6 @@ from .errors import (
     TriangulationError,
     UsageError,
 )
-
-if TYPE_CHECKING:
-    from .options import SolveOptions
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -43,22 +39,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text + ("" if text.endswith("\n") else "\n"))
 
 
-def _solver_options(args) -> SolveOptions:
-    from .options import SolveOptions
-
-    given = {name: getattr(args, name, None) for name in (
-        "tol_K", "tol_angle", "tol_layout", "max_iters", "diag_max", "min_step", "auto_mark")}
-    try:
-        return SolveOptions(**{name: val for name, val in given.items() if val is not None})
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def _given(args, *names) -> dict:
+    """The named flags that the user set, each under the name of the library
+    parameter it sets; the library's defaults apply to the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--tol-k", dest="tol_K", type=float)
+    planar = "planar solver only; the spherical solve starts at the defaults"
+    sub.add_argument("--tol-k", dest="tol_K", type=float, help=planar)
     sub.add_argument("--tol-angle", dest="tol_angle", type=float)
-    sub.add_argument("--tol-layout", dest="tol_layout", type=float)
-    sub.add_argument("--max-iters", dest="max_iters", type=int)
+    sub.add_argument("--tol-layout", dest="tol_layout", type=float, help=planar)
+    sub.add_argument("--max-iters", dest="max_iters", type=int, help=planar)
     sub.add_argument("--seed", type=int, help="ignored; the solvers are deterministic")
     sub.add_argument("--diag-max", dest="diag_max", type=int)
     sub.add_argument("--min-step", dest="min_step", type=float)
@@ -71,15 +63,13 @@ def make_parser() -> _Parser:
     v = subs.add_parser("validate", help="check class membership of angle data")
     v.add_argument("triangulation")
     v.add_argument("theta")
-    v.add_argument("--class", dest="klass", default="marden",
-                   choices=["marden", "m5", "g5", "andreev"])
+    v.add_argument("--class", dest="requested", choices=["marden", "m5", "g5", "andreev"])
     v.add_argument("--json-out")
 
     s = subs.add_parser("solve", help="produce a circle pattern")
     s.add_argument("triangulation")
     s.add_argument("theta")
-    s.add_argument("--mode", choices=["euclidean", "spherical", "auto"],
-                   default="auto")
+    s.add_argument("--mode", choices=["euclidean", "spherical", "auto"], default="auto")
     s.add_argument("--marked-face", help="comma-separated vertex triple or face id")
     s.add_argument("--auto-mark", dest="auto_mark", action="store_true", default=None)
     s.add_argument("--out")
@@ -91,8 +81,8 @@ def make_parser() -> _Parser:
 
     w = subs.add_parser("verify", help="verify a claimed pattern")
     w.add_argument("--pattern", required=True)
-    w.add_argument("--tol", type=float, default=1e-8)
-    w.add_argument("--resolution", type=int, default=4096,
+    w.add_argument("--tol", type=float)
+    w.add_argument("--resolution", dest="boundary_samples", type=int,
                    help="accepted and unused: no check samples (recorded in the report)")
     w.add_argument("--json-out")
 
@@ -100,20 +90,20 @@ def make_parser() -> _Parser:
     q.add_argument("--pattern", required=True)
     q.add_argument("--out", help="OBJ mesh path")
     q.add_argument("--json-out")
-    q.add_argument("--allow-ideal", action="store_true")
+    q.add_argument("--allow-ideal", action="store_true", default=None)
 
     r = subs.add_parser("render", help="SVG figure of a planar pattern")
     r.add_argument("pattern")
     r.add_argument("--out", required=True)
     r.add_argument("--stroke-width", type=float)
-    r.add_argument("--contact-graph", action="store_true")
-    r.add_argument("--star-overlay", action="store_true")
-    r.add_argument("--size", type=int, default=640)
+    r.add_argument("--contact-graph", dest="show_contact_graph", action="store_true", default=None)
+    r.add_argument("--star-overlay", dest="show_star_overlay", action="store_true", default=None)
+    r.add_argument("--size", type=int)
 
     d = subs.add_parser("diagnose", help="degeneration functional table")
     d.add_argument("triangulation")
     d.add_argument("theta")
-    d.add_argument("--diag-max", type=int, default=6)
+    d.add_argument("--diag-max", dest="max_size", type=int)
     d.add_argument("--marked-face")
     d.add_argument("--json-out")
 
@@ -140,14 +130,14 @@ def _parse_marked(t, text):
 def _cmd_validate(args) -> int:
     from .conditions import check_andreev, classify
 
-    if args.klass == "andreev":
+    if args.requested == "andreev":
         poly = formats.load_polyhedron(args.triangulation)
         theta = formats.load_theta_map(args.theta)
         report = check_andreev(poly, theta)
     else:
         t = formats.load_triangulation(args.triangulation)
         theta = formats.load_theta(t, args.theta)
-        report = classify(t, theta, args.klass)
+        report = classify(t, theta, **_given(args, "requested"))
     _emit(formats.dumps(report.to_dict()), args.json_out)
     return 0 if report.passed else EXIT_VALIDATION
 
@@ -155,10 +145,15 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     from .conditions import classify
     from .configurations import CirclePattern
+    from .options import SolveOptions
 
     t = formats.load_triangulation(args.triangulation)
     theta = formats.load_theta(t, args.theta)
-    opts = _solver_options(args)
+    try:
+        opts = SolveOptions(**_given(args, "tol_K", "tol_angle", "tol_layout", "max_iters",
+                                     "diag_max", "min_step", "auto_mark"))
+    except ValueError as exc:
+        raise UsageError(str(exc))
     mode = args.mode
     if mode == "auto":
         flags = classify(t, theta).class_flags
@@ -206,10 +201,10 @@ def _cmd_lift(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import verify_pattern
 
-    if not 0.0 <= args.tol < float("inf"):
+    if args.tol is not None and not 0.0 <= args.tol < float("inf"):
         raise UsageError(f"--tol {args.tol} is out of range")
     p = formats.load_pattern(args.pattern)
-    report = verify_pattern(p, tol=args.tol, boundary_samples=args.resolution)
+    report = verify_pattern(p, **_given(args, "tol", "boundary_samples"))
     _emit(formats.dumps(report.to_dict()), args.json_out)
     return 0 if report.passed else EXIT_VERIFY
 
@@ -218,7 +213,7 @@ def _cmd_polyhedron(args) -> int:
     from .polyhedron import build_polyhedron, check_polyhedron, export_obj, polyhedron_to_dict
 
     p = formats.load_pattern(args.pattern)
-    q = build_polyhedron(p, allow_ideal=args.allow_ideal)
+    q = build_polyhedron(p, **_given(args, "allow_ideal"))
     rep = check_polyhedron(q, p)
     if args.out:
         Path(args.out).write_bytes(export_obj(q))
@@ -232,14 +227,8 @@ def _cmd_render(args) -> int:
     from . import render
 
     p = formats.load_pattern(args.pattern)
-    data = render.render_svg(
-        p,
-        stroke_width=args.stroke_width,
-        show_contact_graph=args.contact_graph,
-        show_star_overlay=args.star_overlay,
-        size=args.size,
-    )
-    Path(args.out).write_bytes(data)
+    Path(args.out).write_bytes(render.render_svg(p, **_given(
+        args, "stroke_width", "show_contact_graph", "show_star_overlay", "size")))
     return 0
 
 
@@ -251,7 +240,7 @@ def _cmd_diagnose(args) -> int:
     fid = _parse_marked(t, args.marked_face)
     avoid = () if fid is None else t.faces[fid]
     try:
-        table = rank_collapse_suspects(t, theta, args.diag_max, avoid=avoid, top=50)
+        table = rank_collapse_suspects(t, theta, avoid=avoid, top=50, **_given(args, "max_size"))
     except ValueError as exc:
         raise UsageError(f"--diag-max: {exc}")
     _emit(formats.dumps({"suspects": [d.to_dict() for d in table]}), args.json_out)

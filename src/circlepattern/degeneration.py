@@ -21,6 +21,7 @@ from .triangulation import Triangulation, subset_geometry
 PI = math.pi
 # connected subsets that rank_collapse_suspects scores at most: about 0.1 ms each
 SUBSET_BUDGET = 10 ** 5
+SUSPECT_SIZE = 6  # largest suspect subset, of diagnose and of a failing solve
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def _connected_subsets(t: Triangulation, max_size: int, avoid: Iterable[int]
 def rank_collapse_suspects(
     t: Triangulation,
     theta: AngleAssignment,
-    max_size: int,
+    max_size: int = SUSPECT_SIZE,
     avoid: Iterable[int] = (),
     top: int = 10,
 ) -> List[DegenerationFunctional]:

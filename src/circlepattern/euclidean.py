@@ -240,7 +240,7 @@ def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
 # ---------------------------------------------------------------------------
 
 def layout_euclidean(t: Triangulation, theta: AngleAssignment, radii: np.ndarray, marked_face,
-                     tol_layout: float = 1e-8) -> np.ndarray:
+                     tol_layout: float = SolveOptions.tol_layout) -> np.ndarray:
     """Develop the punctured triangulation in the plane.
 
     BFS over face adjacency from a seed face; every face is placed from its

@@ -4,18 +4,21 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from numbers import Integral
 
+from .degeneration import SUSPECT_SIZE
+from .triples import ANGLE_TOL
+
 
 @dataclass(frozen=True)
 class SolveOptions:
     """Tolerances, iteration limits and flags of a solve, checked on construction."""
 
-    tol_K: float = 1e-10          # max apex-curvature residual at convergence
-    tol_angle: float = 1e-8       # per-edge realized-angle tolerance
-    tol_layout: float = 1e-8      # relative developing-map disagreement
-    max_iters: int = 200
-    diag_max: int = 6             # largest collapse-suspect subset reported
-    min_step: float = 1e-5        # homotopy step floor
-    auto_mark: bool = False       # pick a marked face automatically (CLI)
+    tol_K: float = 1e-10          # planar only: max apex-curvature residual at convergence
+    tol_angle: float = ANGLE_TOL  # both: per-edge realized-angle tolerance, as in verify
+    tol_layout: float = 1e-8      # planar only: relative developing-map disagreement
+    max_iters: int = 200          # planar only: curvature Newton step limit
+    diag_max: int = SUSPECT_SIZE  # both: largest collapse-suspect subset reported
+    min_step: float = 1e-5        # spherical only: homotopy step floor
+    auto_mark: bool = False       # planar only: pick a marked face automatically (CLI)
 
     def __post_init__(self):
         for name, ok in (("tol_K", 0.0 <= self.tol_K < float("inf")),

@@ -115,13 +115,11 @@ def _centered(centers: np.ndarray, radii: np.ndarray) -> Tuple[np.ndarray, np.nd
     return _from_de_sitter(p)
 
 
-def _tangency_start(t: Triangulation, opts: SolveOptions) -> Tuple[np.ndarray, np.ndarray]:
-    """The lifted and centered tangency packing (theta = 0)."""
+def _tangency_start(t: Triangulation) -> Tuple[np.ndarray, np.ndarray]:
+    """The lifted and centered tangency packing (theta = 0), at the solver's defaults."""
     zero = AngleAssignment.constant(t, 0.0)
-    # no finer than the default: the start's angle error may exceed its pattern's
-    opts = opts.with_(tol_angle=max(opts.tol_angle, SolveOptions.tol_angle))
     try:
-        cfg, _ = solve_euclidean(t, zero, pick_marked_face(t, zero), opts)
+        cfg, _ = solve_euclidean(t, zero, pick_marked_face(t, zero))
     except CirclePatternError as exc:
         raise BaseSolveFailed(f"tangency packing failed: {exc}") from exc
     sph = lift_to_sphere(cfg)
@@ -200,14 +198,15 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
                     marked_face=0) -> Tuple[SphericalConfiguration, CurvatureReport]:
     """Produce a normalized spherical configuration realizing the angles.
 
-    Path: solve the tangency packing (theta = 0) in the plane, lift it to
-    the sphere, center it by Lorentz boosts, then follow theta_s = s * theta
-    from s = 0 to 1 with adaptive steps.  Each step corrects the radii by
-    the curvature Newton of ``euclidean``, three caps held (``_held_caps``),
-    and develops them; it is kept when the corrector converged, every cone
-    angle closes up to ``SIGMA_TOL`` and the layout is embedded.  At s = 1
-    the corrector runs to its rounding floor, and that layout is the
-    pattern, moved into the gauge.
+    Path: solve the tangency packing (theta = 0) in the plane at the planar
+    solver's defaults, lift it to the sphere, center it by Lorentz boosts,
+    then follow theta_s = s * theta from s = 0 to 1 with adaptive steps.
+    Each step corrects the radii by the curvature Newton of ``euclidean``,
+    three caps held (``_held_caps``), and develops them; it is kept when the
+    corrector converged, every cone angle closes up to ``SIGMA_TOL`` and the
+    layout is embedded.  At s = 1 the corrector runs to its rounding floor,
+    and that layout is the pattern, moved into the gauge.  Of ``opts`` only
+    ``tol_angle``, ``min_step`` and ``diag_max`` apply.
 
     Every theta_s is admissible: conditions c1-c4 bound sums of angles from
     above, so scaling by s in (0, 1] preserves them, and each theta_s has
@@ -225,7 +224,7 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
     if not report.passed:
         raise ConditionsViolated("angle data is not in the no-interstice class", report=report)
     _, face = resolve_marked_face(t, marked_face)
-    centers, radii = _tangency_start(t, opts)
+    centers, radii = _tangency_start(t)
 
     def stuck(message, reached):
         suspects = sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5)

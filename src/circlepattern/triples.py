@@ -45,6 +45,8 @@ CLAMP_EPS = 1e-9
 GEOM_EPS = 1e-10
 # below this the radian angle chart is ill-conditioned
 SMALL_ANGLE = 1e-3
+ANGLE_TOL = 1e-8  # the acceptance test's default tolerance, in the solvers and verify
+LENS_TOL = 1e-9   # lens-relation slack, on angles and a single point's distance
 
 
 def _check_mode(mode: str) -> None:
@@ -152,7 +154,7 @@ class TripleSpec:
         if len(self.radii) != 3 or len(self.angles) != 3:
             raise ValueError("need exactly three radii and three angles")
         for r in self.radii:
-            if not (r > 0.0) or (self.mode == SPHERICAL and not r < math.pi):
+            if not 0.0 < r < (math.pi if self.mode == SPHERICAL else math.inf):
                 raise ValueError(f"radius {r} outside mode domain")
         lo_open = self.mode == SPHERICAL
         for t in self.angles:
@@ -235,10 +237,21 @@ def inversive(mode: str, centers: np.ndarray, radii: np.ndarray,
     if mode == EUCLIDEAN:
         d = centers[u] - centers[v]
         return (d.real * d.real + d.imag * d.imag - ru * ru - rv * rv) / (2.0 * ru * rv)
-    # (cos r_u cos r_v - c_u . c_v) / (sin r_u sin r_v) in chords, v = 1 - cos r
-    d = centers[u] - centers[v]
+    # (cos r_u cos r_v - c_u . c_v) / (sin r_u sin r_v) in chords, v = 1 - cos r,
+    # from the smaller caps: each flipped cap changes the sign
+    (cu, ru, fu), (cv, rv, fv) = _smaller_cap(centers[u], ru), _smaller_cap(centers[v], rv)
+    d = cu - cv
     vu, vv = 2.0 * np.sin(0.5 * ru) ** 2, 2.0 * np.sin(0.5 * rv) ** 2
-    return (0.5 * np.einsum("ij,ij->i", d, d) - vu - vv + vu * vv) / (np.sin(ru) * np.sin(rv))
+    inv = (0.5 * np.einsum("ij,ij->i", d, d) - vu - vv + vu * vv) / (np.sin(ru) * np.sin(rv))
+    return np.where(fu != fv, -inv, inv)
+
+
+def _smaller_cap(c, r):
+    """Each circle (c, r) on the sphere as the cap of radius at most pi/2
+    that it bounds, (c, r) or (-c, pi - r), and whether it was flipped: its
+    chords are at most sqrt 2, where a cap near pi has a chord near 2."""
+    flip = r > 0.5 * math.pi
+    return np.where(flip[..., None], -c, c), np.where(flip, math.pi - r, r), flip
 
 
 def angle_from_inversive(inv: float, eps: float = CLAMP_EPS) -> float:
@@ -455,9 +468,12 @@ def _corners(mode, c1, r1, c2, r2, eps):
     chords rho, for both geometries: p = c1 + a c1 + b u +- h n, a = 0 in
     the plane and -rho1^2 / 2 on the sphere, u along the part w of c2 - c1
     normal to c1, b = (d^2 + rho1^2 - rho2^2 - 2 a g) / 2|w|, d = |c2 - c1|,
-    g = (c2 - c1) . c1, h^2 = rho1^2 - a^2 - b^2, n = i u or c1 x u."""
+    g = (c2 - c1) . c1, h^2 = rho1^2 - a^2 - b^2, n = i u or c1 x u.  On the
+    sphere each circle is read from its smaller cap."""
     from .configurations import chords, distances
 
+    if mode == SPHERICAL:
+        (c1, r1, _), (c2, r2, _) = _smaller_cap(c1, r1), _smaller_cap(c2, r2)
     r1, r2, w = chords(mode, r1), chords(mode, r2), c2 - c1
     d, a, g = distances(w), 0.0, 0.0
     if mode == SPHERICAL:  # g measured, not -d^2 / 2, keeps w normal to c1
@@ -489,7 +505,7 @@ def _far_points(mode, c_arc, r_arc, c_ref):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def lens_relations(mode: str, centers, radii, tol: float = 1e-9) -> LensRelations:
+def lens_relations(mode: str, centers, radii, tol: float = LENS_TOL) -> LensRelations:
     """The lens containments among rows of three disks, and the angle
     relation each one forces.
 
@@ -566,7 +582,7 @@ def _one_row(mode, centers, radii):
     return c, np.array([radii], dtype=float)
 
 
-def containment_angle_check(mode: str, centers, radii, tol: float = 1e-9):
+def containment_angle_check(mode: str, centers, radii, tol: float = LENS_TOL):
     """``lens_relations`` of one row of three mutually intersecting disks:
     one ContainmentRecord per pair whose circles meet, in the order of the
     third disk."""

@@ -34,6 +34,7 @@ from . import triples
 PI = math.pi
 COVER_SLACK = 1e-12      # a point this close to another disk counts as covered
 WITNESS_ROUNDING = 8.0 * np.finfo(float).eps  # witness slack, relative to |p|+|c|+chord
+FLOWER_SLACK = 1e-9      # the flower check's eps: a length by which neighbours must cover
 
 
 @dataclass
@@ -416,7 +417,7 @@ def _cross2(a, b):
 
 
 def flower_check(p: CirclePattern, v: int, boundary_samples: int = 4096,
-                 interior_grid: int = 64, eps: float = 1e-9):
+                 interior_grid: int = 64, eps: float = FLOWER_SLACK):
     """Exact test of the flower inclusion at vertex v: every point of the
     disk must lie in a neighbour's open disk or in v's open star region.
     Returns (ok, witness point or None); the sample counts are unused."""
@@ -428,7 +429,7 @@ def flower_check(p: CirclePattern, v: int, boundary_samples: int = 4096,
 # the full verification
 # ---------------------------------------------------------------------------
 
-def verify_pattern(p: CirclePattern, tol: float = 1e-8,
+def verify_pattern(p: CirclePattern, tol: float = triples.ANGLE_TOL,
                    boundary_samples: int = 4096, interior_grid: int = 256,
                    sphere_samples: int = 20000) -> VerificationReport:
     """Check a claimed pattern against its defining properties.
@@ -474,7 +475,7 @@ def verify_pattern(p: CirclePattern, tol: float = 1e-8,
         # witnesses irreducibility for every one-removed subfamily
         irr_ok = True
 
-    flower_failures = _flower_failures(p, np.arange(t.vertex_count), 1e-9)
+    flower_failures = _flower_failures(p, np.arange(t.vertex_count), FLOWER_SLACK)
     flower_ok = not flower_failures
 
     # every 3-clique of the 1-skeleton: faces and separating triangles

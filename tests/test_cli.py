@@ -95,7 +95,7 @@ class TestBadInput:
         self._usage_error(["diagnose", files["octa"], files["theta3"],
                            "--marked-face", marked], capsys)
 
-    @pytest.mark.parametrize("radii", ["1,1", "1,1,x", "0,1,1"])
+    @pytest.mark.parametrize("radii", ["1,1", "1,1,x", "0,1,1", "inf,1,1"])
     def test_bad_probe_triple(self, capsys, radii):
         self._usage_error(["probe-triple", "--mode", "euclidean", "--radii", radii,
                            "--angles", "0,0,0"], capsys)
@@ -281,6 +281,18 @@ class TestPipeline:
             del rep["resolution"]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("flag", [["--tol-k", "1e-4"], ["--max-iters", "1"]])
+    def test_planar_flags_leave_the_spherical_start_alone(self, files, flag):
+        """The tangency packing that starts a spherical solve runs at the
+        solver's defaults: a coarse or short planar solve flag neither fails
+        it nor changes the pattern, which verifies."""
+        d = files["dir"]
+        argv = ["solve", str(files["octa"]), str(files["theta3"]), "--mode", "spherical"]
+        assert main([*argv, "--out", str(d / "default.json")]) == 0
+        assert main([*argv, *flag, "--out", str(d / "flagged.json")]) == 0
+        assert (d / "flagged.json").read_bytes() == (d / "default.json").read_bytes()
+        assert main(["verify", "--pattern", str(d / "flagged.json")]) == 0
+
     def test_lift_and_polyhedron(self, files):
         pattern = files["dir"] / "sp.json"
         rc = main(["solve", str(files["octa"]), str(files["theta3"]),
@@ -394,6 +406,37 @@ class TestDeterminism:
                      "--contact-graph", "--star-overlay"]) == 0
         assert s1.read_bytes() == s2.read_bytes()
         assert s1.read_bytes().startswith(b"<?xml")
+
+    def test_unset_flags_write_what_their_old_defaults_wrote(self, files):
+        """Without its optional flags a command writes the same bytes as with
+        the values the parser used to default them to; the library's
+        defaults now apply."""
+        d = files["dir"]
+        planar = d / "p.json"
+        assert main(["solve", str(files["tetra"]), str(files["theta0"]), "--mode",
+                     "euclidean", "--auto-mark", "--out", str(planar)]) == 0
+        runs = [
+            (["validate", files["octa"], files["theta3"], "--json-out"], ["--class", "marden"]),
+            (["verify", "--pattern", planar, "--json-out"],
+             ["--tol", "1e-8", "--resolution", "4096"]),
+            (["render", planar, "--out"], ["--size", "640"]),
+            (["diagnose", files["octa"], files["theta3"], "--json-out"], ["--diag-max", "6"]),
+        ]
+        for argv, literal in runs:
+            bare, given = d / f"{argv[0]}.bare", d / f"{argv[0]}.given"
+            assert main([*map(str, argv), str(bare)]) == 0
+            assert main([*map(str, argv), str(given), *literal]) == 0
+            assert bare.read_bytes() == given.read_bytes(), argv[0]
+
+    def test_parser_leaves_every_default_to_the_library(self):
+        """The only parser default is ``solve --mode auto``, the CLI's own
+        choice: every other unset flag passes nothing."""
+        from circlepattern.cli import make_parser
+
+        subs = next(a for a in make_parser()._actions if a.dest == "command").choices
+        defaults = {(name, a.dest) for name, sub in subs.items() for a in sub._actions
+                    if a.default is not None and a.dest != "help"}
+        assert defaults == {("solve", "mode")}
 
     def test_solve_byte_identical(self, files):
         p1 = files["dir"] / "p1.json"

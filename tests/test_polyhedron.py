@@ -12,6 +12,7 @@ from circlepattern import (
     check_polyhedron,
     export_obj,
     solve_spherical,
+    verify_pattern,
 )
 from circlepattern import shapes, spherical, triples
 from circlepattern.conditions import compare
@@ -291,6 +292,19 @@ class TestVertexKernel:
         q = build_polyhedron(_boosted(icosa_pattern, 1e-10))
         assert q.ideal_vertices == []
         assert abs(1.0 - q.max_vertex_norm - 1e-10) <= 1e-12
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-10, 1e-11, 1e-12])
+    def test_boosted_dodecahedron_verifies_and_checks(self, icosa_pattern, gap):
+        """Boosted to 1 - |q| = 1e-12 the caps span 4e-6 rad to within
+        1.8e-4 of pi.  Each circle is read from its smaller cap, so the
+        pattern verifies and its polyhedron passes its check.  Read from the
+        caps near pi, whose chords are near 2, the check failed from 1e-9 on
+        and ``verify`` below 1e-10."""
+        p = _boosted(icosa_pattern, gap)
+        assert verify_pattern(p).passed
+        q = build_polyhedron(p)
+        assert q.ideal_vertices == []
+        assert check_polyhedron(q, p).passed
 
 
 def _boosted(p, gap):

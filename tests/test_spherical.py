@@ -421,7 +421,7 @@ class TestRoundingFloor:
             return stops[-1]
 
         monkeypatch.setattr(spherical, "_curvature_newton", recorded)
-        centers, radii = spherical._tangency_start(icosa, spherical.SolveOptions())
+        centers, radii = spherical._tangency_start(icosa)
         th = AngleAssignment.constant(icosa, 1.2)
         assert spherical._homotopy_step(icosa, th, 1.0, centers, radii, icosa.faces[0][0]) is None
         (_, iters, trace, stop), = stops
@@ -436,15 +436,18 @@ class TestErrors:
         with pytest.raises(ConditionsViolated):
             solve_spherical(octa, AngleAssignment.constant(octa, PI / 4))
 
-    def test_base_solve_failure_reported(self, octa):
-        """With no iterations the tangency packing that starts the homotopy
-        cannot converge; the failure is reported with its cause."""
+    def test_base_solve_failure_reported(self, octa, monkeypatch):
+        """When the tangency packing that starts the homotopy cannot be
+        solved, the failure is reported with its cause."""
         from circlepattern.errors import BaseSolveFailed, Stalled
-        from circlepattern.options import SolveOptions
 
+        def stalled(*args, **kwargs):
+            raise Stalled("no convergence")
+
+        monkeypatch.setattr(spherical, "solve_euclidean", stalled)
         th = AngleAssignment.constant(octa, PI / 3)
-        with pytest.raises(BaseSolveFailed) as info:
-            solve_spherical(octa, th, SolveOptions(max_iters=0))
+        with pytest.raises(BaseSolveFailed, match="tangency packing failed") as info:
+            solve_spherical(octa, th)
         assert isinstance(info.value.__cause__, Stalled)
 
     def test_stuck_continuation_names_suspects(self, monkeypatch):

@@ -178,6 +178,30 @@ class TestInversiveDistance:
         I = inversive_distance(SPHERICAL, n1, PI / 4, n2, PI / 4)
         assert I == pytest.approx(0.0, abs=1e-15)
 
+    def test_a_flipped_cap_flips_the_sign(self):
+        """A circle bounds the caps (c, r) and (-c, pi - r), and
+        I(-c_u, pi - r_u; c_v, r_v) = -I(c_u, r_u; c_v, r_v): each flip
+        changes the sign, to rounding, down to caps of 1e-9 rad and their
+        complements within 1e-9 of pi (the radii are chosen so that pi - r
+        is exact both ways)."""
+        rng = np.random.default_rng(59)
+        m = 4000
+        c = rng.normal(size=(m, 3))
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        small = np.where(rng.random(m) < 0.5, np.exp(rng.uniform(math.log(1e-9), 0.0, m)),
+                         rng.uniform(0.0, PI / 2, m))
+        big = PI - small
+        small = PI - big
+        edges = np.arange(m).reshape(-1, 2)
+        want = triples.inversive(SPHERICAL, c, small, edges)
+        for flip_u, flip_v in ((True, False), (False, True), (True, True)):
+            flip = np.zeros(m, dtype=bool)
+            flip[0::2], flip[1::2] = flip_u, flip_v
+            got = triples.inversive(SPHERICAL, np.where(flip[:, None], -c, c),
+                                    np.where(flip, big, small), edges)
+            sign = -1.0 if flip_u != flip_v else 1.0
+            assert np.all(np.abs(got - sign * want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
     def test_out_of_range_returned_raw(self):
         I = inversive_distance(EUCLIDEAN, 0j, 1, 10 + 0j, 1)
         assert I > 1
