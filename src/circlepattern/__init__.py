@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "conditions": (
-        "AngleAssignment", "ConditionReport", "Violation", "audit_circuit_sums",
+        "ConditionReport", "Violation", "audit_circuit_sums",
         "check_andreev", "check_c1", "check_c2", "check_c3_c4", "classify",
         "detect_whitehead",
     ),
@@ -23,8 +23,8 @@ _EXPORTS = {
         "CirclePattern", "CurvatureReport", "EuclideanConfiguration", "SphericalConfiguration",
     ),
     "degeneration": (
-        "DegenerationFunctional", "connected_subsets", "degeneration_functional",
-        "rank_collapse_suspects",
+        "DegenerationFunctional", "VertexSubsetGeometry", "connected_subsets",
+        "degeneration_functional", "rank_collapse_suspects", "subset_geometry",
     ),
     "euclidean": ("layout_euclidean", "pick_marked_face", "solve_euclidean"),
     "options": ("SolveOptions",),
@@ -34,21 +34,23 @@ _EXPORTS = {
     ),
     "spherical": ("lift_to_sphere", "solve_spherical"),
     "triangulation": (
-        "Circuit", "Triangulation", "VertexSubsetGeometry", "build_triangulation",
-        "dual_of_trivalent", "enumerate_simple_cycles", "enumerate_two_arcs",
-        "polyhedron_from_triangulation", "subset_geometry",
+        "AngleAssignment", "Triangulation", "build_triangulation", "dual_of_trivalent",
+        "polyhedron_from_triangulation",
     ),
-    "triples": (
+    "triples": ("edge_lengths", "feasibility_margin", "inversive_distance"),
+    "verify": ("VerificationReport", "contact_graph", "flower_check", "verify_pattern"),
+    "cycles": ("Circuit", "enumerate_simple_cycles", "enumerate_two_arcs"),
+    "triple_records": (
         "TripleGeometry", "TripleSpec", "containment_angle_check", "edge_length",
-        "edge_lengths", "feasibility", "feasibility_margin", "inner_angles",
-        "inversive_distance", "limit_profile", "place_triple", "triple_geometry",
+        "feasibility", "inner_angles", "limit_profile", "place_triple", "triple_geometry",
         "triple_intersection_empty",
     ),
-    "verify": ("VerificationReport", "contact_graph", "flower_check", "verify_pattern"),
 }
-# exported name -> the submodule that defines it; a submodule name maps to itself
+# submodules that define exported names but are not exported names themselves
+_UNLISTED = ("cycles", "triple_records")
+# exported name -> the submodule that defines it; a public submodule maps to itself
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_ORIGIN.update((module, module) for module in (*_EXPORTS, "errors"))
+_ORIGIN.update((module, module) for module in (*_EXPORTS, "errors") if module not in _UNLISTED)
 
 __all__ = sorted(_ORIGIN)
 

@@ -250,14 +250,14 @@ def _cmd_diagnose(args) -> int:
 def _cmd_probe(args) -> int:
     from dataclasses import asdict
 
-    from . import triples
+    from .triple_records import TripleSpec, triple_geometry
 
     try:
-        spec = triples.TripleSpec(args.mode, tuple(float(x) for x in args.radii.split(",")),
-                                  tuple(float(x) for x in args.angles.split(",")))
+        spec = TripleSpec(args.mode, tuple(float(x) for x in args.radii.split(",")),
+                          tuple(float(x) for x in args.angles.split(",")))
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(formats.dumps({**asdict(spec), **asdict(triples.triple_geometry(spec))}), None)
+    _emit(formats.dumps({**asdict(spec), **asdict(triple_geometry(spec))}), None)
     return 0
 
 

@@ -11,26 +11,15 @@ strict clauses reject borderline values.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cycles import Circuit, _circuits, cycle_arrays, two_arc_arrays
 from .errors import ConditionsViolated, TooFewFaces
-from .triangulation import (
-    Circuit,
-    Triangulation,
-    _circuits,
-    canonical_edge,
-    cycle_arrays,
-    dual_of_trivalent,
-    two_arc_arrays,
-)
-
-COND_EPS = 1e-12
-
-PI = math.pi
+from .triangulation import (COND_EPS, PI, AngleAssignment, Triangulation, _compare,
+                            canonical_edge, dual_of_trivalent, face_sums)
 
 
 def compare(lhs: float, bound: float, eps: float = COND_EPS) -> int:
@@ -38,50 +27,6 @@ def compare(lhs: float, bound: float, eps: float = COND_EPS) -> int:
     if abs(lhs - bound) <= eps:
         return 0
     return -1 if lhs < bound else 1
-
-
-@dataclass(frozen=True)
-class AngleAssignment:
-    """Exterior intersection angles on the edges of a triangulation."""
-
-    triangulation: Triangulation
-    values: Tuple[float, ...]
-
-    def __post_init__(self):
-        t = self.triangulation
-        if len(self.values) != t.edge_count:
-            raise ValueError(
-                f"{len(self.values)} angles for {t.edge_count} edges"
-            )
-        vals = np.asarray(self.values, dtype=float)
-        bad = np.flatnonzero(~((vals >= 0.0) & (vals < PI)))  # NaN fails both
-        if len(bad):
-            raise ValueError(f"angle {self.values[bad[0]]} outside [0, pi)")
-
-    @classmethod
-    def from_dict(cls, t: Triangulation, theta: Dict[Tuple[int, int], float]) -> "AngleAssignment":
-        canon = {canonical_edge(*e): float(v) for e, v in theta.items()}
-        missing = [e for e in t.edges if e not in canon]
-        extra = [e for e in canon if e not in t.edge_index]
-        if missing or extra:
-            raise ValueError(f"missing edges {missing}, unknown edges {extra}")
-        return cls(t, tuple(canon[e] for e in t.edges))
-
-    @classmethod
-    def constant(cls, t: Triangulation, value: float) -> "AngleAssignment":
-        return cls(t, (float(value),) * t.edge_count)
-
-    def __getitem__(self, eid: int) -> float:
-        return self.values[eid]
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    def replaced(self, updates: Dict[int, float]) -> "AngleAssignment":
-        vals = list(self.values)
-        for eid, v in updates.items():
-            vals[eid] = float(v)
-        return AngleAssignment(self.triangulation, tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -142,17 +87,6 @@ MARDEN_TAGS = ("c1", "c2", "c3", "c4")
 ANDREEV_TAGS = ("s1", "s2", "s3", "s4")
 
 EdgeLabel = Callable[[int], Tuple[int, int]]
-
-
-def _compare(lhs: np.ndarray, bound) -> np.ndarray:
-    """``compare`` over arrays."""
-    return np.where(np.abs(lhs - bound) <= COND_EPS, 0, np.where(lhs < bound, -1, 1))
-
-
-def face_sums(t: Triangulation, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each face's angle sum, added from 0 in edge order, and its ``compare`` with pi."""
-    sums = sum(vals[t.face_edges].T)
-    return sums, _compare(sums, PI)
 
 
 def _certificates(tag: str, witnesses: np.ndarray, eids: np.ndarray, lhs: np.ndarray,

@@ -11,8 +11,7 @@ import numpy as np
 from .errors import MalformedPattern
 
 if TYPE_CHECKING:
-    from .conditions import AngleAssignment
-    from .triangulation import Triangulation
+    from .triangulation import AngleAssignment, Triangulation
 
 # the geometry modes; ``triples`` spells the same two names
 EUCLIDEAN = "euclidean"

@@ -14,14 +14,58 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from .conditions import AngleAssignment
-from .errors import EmptySubset, LimitExceeded
-from .triangulation import Triangulation, subset_geometry
+from .errors import EmptySubset, FullSubset, LimitExceeded
+from .options import SUSPECT_SIZE
+from .triangulation import AngleAssignment, Triangulation
 
 PI = math.pi
 # connected subsets that rank_collapse_suspects scores at most: about 0.1 ms each
 SUBSET_BUDGET = 10 ** 5
-SUSPECT_SIZE = 6  # largest suspect subset, of diagnose and of a failing solve
+
+
+@dataclass(frozen=True)
+class VertexSubsetGeometry:
+    """Open star of a vertex subset: simplex counts, link pairs, and the
+    compactly-supported Euler characteristic."""
+
+    subset: FrozenSet[int]
+    star_edges: Tuple[int, ...]
+    star_faces: Tuple[int, ...]
+    link_pairs: Tuple[Tuple[int, int], ...]  # (edge id, vertex in subset)
+    euler_char: int
+    components: Tuple[FrozenSet[int], ...]
+
+
+def subset_geometry(t: Triangulation, subset: Iterable[int]) -> VertexSubsetGeometry:
+    a = frozenset(int(v) for v in subset)
+    if not a:
+        raise EmptySubset("subset is empty")
+    if len(a) >= t.vertex_count:
+        raise FullSubset("subset must be proper")
+    if any(v < 0 or v >= t.vertex_count for v in a):
+        raise ValueError("vertex id out of range")
+
+    # the open star is what the subset's vertex stars hold; a link pair is
+    # a side of a face around v, of the ring vertices u and w, off the subset
+    spokes, sides = t.star_edge_ids
+    star_faces = tuple(sorted({f for v in a for f in t.vertex_faces[v]}))
+    star_edges = tuple(sorted({e for v in a for e in spokes[v]}))
+    link_pairs = sorted([(e, v) for v in a for u, w, e in zip(
+        t.link_cycles[v], t.link_cycles[v][1:] + t.link_cycles[v][:1], sides[v])
+        if u not in a and w not in a])
+    components, left = [], set(a)
+    while left:  # grown from the lowest vertex left, so in order of their minima
+        comp, todo = set(), [min(left)]
+        while todo:
+            v = todo.pop()
+            if v not in comp:
+                comp.add(v)
+                todo += [w for w in t.neighbors(v) if w in left]
+        components.append(frozenset(comp))
+        left -= comp
+
+    return VertexSubsetGeometry(a, star_edges, star_faces, tuple(link_pairs),
+                                len(a) - len(star_edges) + len(star_faces), tuple(components))
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .conditions import AngleAssignment, classify, face_sums
+from .conditions import classify
 from .configurations import CurvatureReport, EuclideanConfiguration
-from .degeneration import sublevel_suspects
 from .errors import ConditionsViolated, LayoutInconsistent, Stalled
 from .options import SolveOptions
-from .triangulation import Triangulation
+from .triangulation import AngleAssignment, Triangulation, face_sums
 from . import triples
 from ._newton import Assembly, damped_newton, factorize, gauss_newton
 
@@ -131,9 +130,9 @@ class _CurvatureMap:
             a, b, side = r, np.ones_like(r), lengths
         else:
             a, b, side = np.sin(r), np.cos(r), np.sin(lengths)
-        aj, ak = np.roll(a, -1, axis=1), np.roll(a, -2, axis=1)
-        bj, bk, c = np.roll(b, -1, axis=1), np.roll(b, -2, axis=1), np.cos(th)
-        i, j, k = [0, 1, 2], [1, 2, 0], [2, 0, 1]
+        i, j, k = [0, 1, 2], triples.NEXT, triples.AFTER
+        aj, ak = a[:, j], a[:, k]
+        bj, bk, c = b[:, j], b[:, k], np.cos(th)
         dl = np.zeros((len(r), 3, 3))
         dalpha = np.zeros_like(dl)
         dalpha[:, i, i] = 1.0
@@ -195,6 +194,8 @@ def solve_euclidean(t: Triangulation, theta: AngleAssignment, marked_face,
             failure = None if ok else (f"{newton} angle residual {angle_residual} on cosines, "
                                        f"{radians} in radians, above {opts.tol_angle}")
     if failure:
+        from .degeneration import sublevel_suspects  # loaded only by a failing solve
+
         raise Stalled(failure, residual=res, suspects=sublevel_suspects(
             t, theta, radii, opts.diag_max, avoid=face, top=5))
 

@@ -24,9 +24,8 @@ import numpy as np
 from .errors import UsageError
 
 if TYPE_CHECKING:  # imported in the loaders, so a command loads only what it reads
-    from .conditions import AngleAssignment
     from .configurations import CirclePattern
-    from .triangulation import Triangulation
+    from .triangulation import AngleAssignment, Triangulation
 
 Source = Union[str, Path, dict]
 
@@ -113,7 +112,7 @@ def load_theta_map(source: Source) -> Dict[Tuple[int, int], float]:
 
 
 def load_theta(t: Triangulation, source: Source) -> AngleAssignment:
-    from .conditions import AngleAssignment
+    from .triangulation import AngleAssignment
 
     try:
         return AngleAssignment.from_dict(t, load_theta_map(source))

@@ -4,8 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from numbers import Integral
 
-from .degeneration import SUSPECT_SIZE
 from .triples import ANGLE_TOL
+
+SUSPECT_SIZE = 6  # largest suspect subset, of diagnose and of a failing solve
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class SolveOptions:
                          ("tol_layout", 0.0 <= self.tol_layout < float("inf")),
                          ("max_iters", _count(self.max_iters) and self.max_iters >= 0),
                          ("diag_max", _count(self.diag_max) and self.diag_max >= 1),
-                         ("min_step", self.min_step > 0.0)):
+                         ("min_step", 0.0 < self.min_step < float("inf"))):
             if not ok:
                 raise ValueError(f"{name} = {getattr(self, name)} is out of range")
 

@@ -15,9 +15,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .conditions import face_sums
 from .errors import MalformedPattern, SingularTriple, VertexOutsideBall
 from .configurations import CirclePattern, distances, near_pairs
+from .triangulation import face_sums
 from . import triples
 
 PI = math.pi

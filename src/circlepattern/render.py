@@ -36,8 +36,10 @@ def render_svg(
 ) -> bytes:
     if p.mode != EUCLIDEAN:
         raise UsageError("SVG rendering expects a planar pattern")
-    if size < 1 or stroke_width is not None and not stroke_width >= 0:
-        raise UsageError(f"size {size} below 1 or stroke width {stroke_width} negative")
+    if size < 1:
+        raise UsageError(f"size {size} below 1")
+    if stroke_width is not None and not 0.0 <= stroke_width < float("inf"):
+        raise UsageError(f"stroke width {stroke_width} is negative or not finite")
     cx, cy = p.centers.real, p.centers.imag
     r = p.radii
     lo_x, hi_x = float(np.min(cx - r)), float(np.max(cx + r))

@@ -26,15 +26,14 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .conditions import AngleAssignment, classify
+from .conditions import classify
 from .configurations import (CurvatureReport, EuclideanConfiguration, SphericalConfiguration,
                              chords, near_pairs)
-from .degeneration import sublevel_suspects
 from .errors import BaseSolveFailed, CirclePatternError, ConditionsViolated, ContinuationStuck
 from .euclidean import (_CurvatureMap, _curvature_newton, _develop, pick_marked_face,
                         resolve_marked_face, solve_euclidean)
 from .options import SolveOptions
-from .triangulation import Triangulation
+from .triangulation import AngleAssignment, Triangulation
 from . import triples
 from .triples import inversive
 
@@ -227,6 +226,8 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
     centers, radii = _tangency_start(t)
 
     def stuck(message, reached):
+        from .degeneration import sublevel_suspects  # loaded only by a failing solve
+
         suspects = sublevel_suspects(t, theta, radii, opts.diag_max, avoid=face, top=5)
         return ContinuationStuck(message, t_reached=reached, suspects=suspects)
 

@@ -10,22 +10,22 @@ canonical edge pairs them into twins, which gives the edges and their
 faces, the manifold check (two per edge), the orientation (twins run
 opposite ways) and every vertex star at once (the next half-edge out of v
 is the twin of the one entering v).  Polyhedra are paired by the same sort.
+
+The angle data on the edges, ``AngleAssignment``, lives here too, with the
+face sums that every layer reads; the circuits are ``cycles``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
     DegenerateFace,
-    EmptySubset,
-    FullSubset,
     InconsistentOrientation,
-    LimitExceeded,
     NonManifold,
     NotASphere,
     NotTrivalent,
@@ -34,7 +34,9 @@ from .errors import (
 Edge = Tuple[int, int]
 Face = Tuple[int, int, int]
 
-DEFAULT_CYCLE_CAP = 10 ** 6
+PI = math.pi
+# quantities within this of a bound count as equal to it (see ``conditions``)
+COND_EPS = 1e-12
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -55,7 +57,8 @@ class Triangulation:
     # (offsets, faces, ring): those of v at offsets[v]:offsets[v + 1] in cyclic
     # order from its lowest face, face i spanned by ring vertices i and i + 1
     star: Tuple[np.ndarray, np.ndarray, np.ndarray] = field(compare=False, repr=False)
-    # cycle_arrays by max_len and two_arc_arrays under "arcs"; not part of the value
+    # ``cycles.cycle_arrays`` by max_len and ``two_arc_arrays`` under "arcs"; not
+    # part of the value
     _circuits: Dict[object, object] = field(default_factory=dict, init=False, compare=False,
                                             repr=False)
 
@@ -311,71 +314,6 @@ def _stars(n: int, tail: np.ndarray, twin: np.ndarray):
     return offsets, star
 
 
-# ---------------------------------------------------------------------------
-# circuits
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Circuit:
-    """A closed simple cycle or open two-edge arc in the 1-skeleton.
-
-    The flags of a closed cycle come from face lookups on its vertices.
-    """
-
-    vertices: Tuple[int, ...]
-    edges: Tuple[int, ...]
-    kind: str  # "closed" or "arc"
-    is_face_boundary: bool = False
-    is_two_triangle_boundary: bool = False
-    separates_vertices: bool = False
-    is_prismatic: bool = False
-    is_whitehead: bool = False
-    is_essential_whitehead: bool = False
-    is_homologically_non_adjacent: bool = False
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-# circuits of one kind and length as index arrays: columns named by the
-# ``Circuit`` field they hold, one row per circuit (absent flags are false)
-Columns = Dict[str, np.ndarray]
-
-
-def _circuits(kind: str, cols: Columns) -> List[Circuit]:
-    rows = zip(*(map(tuple, c.tolist()) if c.ndim == 2 else c.tolist() for c in cols.values()))
-    return [Circuit(kind=kind, **dict(zip(cols, row))) for row in rows]
-
-
-def enumerate_simple_cycles(
-    t: Triangulation, max_len: int, cap: int = DEFAULT_CYCLE_CAP
-) -> List[Circuit]:
-    """All simple closed cycles of length <= max_len, classified by face
-    lookups, ordered by (length, vertices); built on each call from the
-    index arrays of ``cycle_arrays``."""
-    return [c for cols in cycle_arrays(t, max_len, cap) for c in _circuits("closed", cols)]
-
-
-def cycle_arrays(t: Triangulation, max_len: int,
-                 cap: int = DEFAULT_CYCLE_CAP) -> Tuple[Columns, ...]:
-    """The simple closed cycles of lengths 3..max_len as ``Columns``, one
-    per length; raises LimitExceeded past ``cap`` cycles.  They are kept on
-    ``t``, so every later call with the same ``max_len`` reuses them."""
-    if max_len < 3:
-        raise ValueError("max_len must be at least 3")
-    cycles = t._circuits.get(max_len)
-    if cycles is None:
-        cycles = t._circuits[max_len] = tuple(
-            _classify_cycles(t, rows) for rows in _enumerate_cycles(t, max_len, cap))
-    if sum(len(c["vertices"]) for c in cycles) > cap:
-        raise LimitExceeded(f"more than {cap} cycles")
-    return cycles
-
-
-# paths extended at once by the cycle frontier; bounds its memory
-_ROW_BUDGET = 1 << 15
-
-
 def _owner_rows(owners: np.ndarray, start: np.ndarray, size: np.ndarray):
     """Index pairs (a, b) pairing each item a with every row b of its
     owner, whose rows are start[owner] .. start[owner] + size[owner] - 1."""
@@ -385,170 +323,63 @@ def _owner_rows(owners: np.ndarray, start: np.ndarray, size: np.ndarray):
     return a, b
 
 
-def _enumerate_cycles(t: Triangulation, max_len: int, cap: int) -> List[np.ndarray]:
-    """Vertex rows of the simple cycles of each length 3..max_len, sorted.
-
-    Paths grow from each start vertex s through vertices above s, never
-    revisiting one, and close when the last vertex is adjacent to s and the
-    second lies below the last: each cycle appears once, in canonical form
-    (smallest vertex first, smaller neighbour second).  Blocks of paths are
-    extended depth first, and halved until their extension fits the budget.
-    """
-    ptr, nbr = t.adjacency
-    deg = np.diff(ptr)
-    found = [[np.empty((0, k), dtype=np.intp)] for k in range(3, max_len + 1)]
-    count = 0
-    stack = [np.arange(t.vertex_count)[:, None]]
-    while stack:
-        paths = stack.pop()
-        out = deg[paths[:, -1]]
-        if out.sum() > _ROW_BUDGET and len(paths) > 1:
-            stack += [paths[len(paths) // 2:], paths[:len(paths) // 2]]
-            continue
-        run, slot = _owner_rows(np.arange(len(paths)), ptr[paths[:, -1]], out)
-        w = nbr[slot]
-        up = w > paths[:, 0][run]
-        paths = np.column_stack((paths[run[up]], w[up]))
-        paths = paths[(paths[:, 1:-1] != paths[:, -1:]).all(axis=1)]
-        length = paths.shape[1]
-        if length >= 3:
-            closed = paths[(paths[:, 1] < paths[:, -1])
-                           & (t.edge_ids(paths[:, 0], paths[:, -1]) >= 0)]
-            found[length - 3].append(closed)
-            count += len(closed)
-            if count > cap:
-                raise LimitExceeded(f"more than {cap} cycles")
-        if length < max_len:
-            stack.append(paths)
-    rows = [np.concatenate(f) for f in found]
-    return [r[np.lexsort(r.T[::-1])] for r in rows]
-
-
-def _classify_cycles(t: Triangulation, verts: np.ndarray) -> Columns:
-    """The flags of the k-cycles in ``verts``, from face lookups.
-
-    A side of a k-cycle with no vertex off it is a triangulated k-gon of
-    k - 2 faces; conversely, faces of ``t`` that triangulate the k-gon form
-    an embedded disk bounded by the cycle, one whole side.  So a cycle
-    separates unless one of the k-gon's Catalan(k - 2) triangulations is
-    made of faces: at k = 3 the cycle bounds a face, at k = 4 two adjacent
-    triangles.
-    """
-    k = verts.shape[1]
-    spans = {tri: _spans_face(t, *verts[:, tri].T) for tri in combinations(range(k), 3)}
-    disk = np.zeros(len(verts), dtype=bool)
-    for tris in _polygon_triangulations(0, k - 1):
-        disk |= np.logical_and.reduce([spans[tri] for tri in tris])
-    # cycle edges i and i + 1 share a face: the triangle of their three
-    # vertices; only consecutive edges can, so without such a corner the
-    # cycle's edges lie in 2k distinct faces
-    corner = np.column_stack([spans[tuple(sorted({i, (i + 1) % k, (i + 2) % k}))]
-                              for i in range(k)])
-    cols = {"vertices": verts, "edges": t.edge_ids(verts, np.roll(verts, -1, axis=1)),
-            "is_prismatic": ~corner.any(axis=1)}
-    if k == 3:
-        cols["is_face_boundary"] = disk
-    elif k == 4:
-        cols["is_two_triangle_boundary"] = cols["is_whitehead"] = disk
-        # essential iff some splitting into two arcs has non-adjacent
-        # endpoints, i.e. some diagonal of the quadrilateral is a non-edge
-        a, b, c, d = verts.T
-        cols["is_essential_whitehead"] = disk & (
-            (t.edge_ids(a, c) < 0) | (t.edge_ids(b, d) < 0))
-    cols["separates_vertices"] = ~disk
-    return cols
-
-
-def _spans_face(t: Triangulation, a, b, c) -> np.ndarray:
-    """Whether each row's vertices a, b, c are the vertices of a face."""
-    eid = t.edge_ids(a, b)
-    on = t.face_array[t.edge_face_array[eid]]  # the two faces on edge ab
-    return (eid >= 0) & (on == c[:, None, None]).any(axis=(1, 2))
-
-
-@lru_cache(maxsize=None)
-def _polygon_triangulations(lo: int, hi: int) -> Tuple[Tuple[Face, ...], ...]:
-    """Every triangulation of the convex polygon with corners lo, lo + 1,
-    ..., hi, as triples of corners: Catalan(hi - lo - 1) of them.  The side
-    lo-hi lies in one triangle (lo, m, hi), which splits off two polygons."""
-    if hi - lo < 2:
-        return ((),)
-    return tuple(left + ((lo, m, hi),) + right for m in range(lo + 1, hi)
-                 for left in _polygon_triangulations(lo, m)
-                 for right in _polygon_triangulations(m, hi))
-
-
-def enumerate_two_arcs(t: Triangulation) -> List[Circuit]:
-    """All two-edge open arcs u-v-w, flagged homologically non-adjacent
-    when their endpoints are not joined by an edge."""
-    return _circuits("arc", two_arc_arrays(t))
-
-
-def two_arc_arrays(t: Triangulation) -> Columns:
-    """The rows of ``enumerate_two_arcs``, sorted by (u, v, w); kept on ``t``."""
-    if "arcs" not in t._circuits:
-        ptr, nbr = t.adjacency
-        # neighbour slot p of v pairs with v's later slots
-        owner = np.repeat(np.arange(t.vertex_count), np.diff(ptr))
-        slot = np.arange(len(nbr))
-        first, later = _owner_rows(slot, slot + 1, ptr[owner + 1] - slot - 1)
-        u, v, w = nbr[first], owner[first], nbr[later]
-        order = np.lexsort((w, v, u))
-        u, v, w = u[order], v[order], w[order]
-        t._circuits["arcs"] = {
-            "vertices": np.column_stack((u, v, w)),
-            "edges": np.column_stack((t.edge_ids(u, v), t.edge_ids(v, w))),
-            "is_homologically_non_adjacent": t.edge_ids(u, w) < 0}
-    return t._circuits["arcs"]
-
-
 # ---------------------------------------------------------------------------
-# vertex-subset stars and links
+# angle data
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VertexSubsetGeometry:
-    """Open star of a vertex subset: simplex counts, link pairs, and the
-    compactly-supported Euler characteristic."""
+class AngleAssignment:
+    """Exterior intersection angles on the edges of a triangulation."""
 
-    subset: FrozenSet[int]
-    star_edges: Tuple[int, ...]
-    star_faces: Tuple[int, ...]
-    link_pairs: Tuple[Tuple[int, int], ...]  # (edge id, vertex in subset)
-    euler_char: int
-    components: Tuple[FrozenSet[int], ...]
+    triangulation: Triangulation
+    values: Tuple[float, ...]
+
+    def __post_init__(self):
+        t = self.triangulation
+        if len(self.values) != t.edge_count:
+            raise ValueError(
+                f"{len(self.values)} angles for {t.edge_count} edges"
+            )
+        vals = np.asarray(self.values, dtype=float)
+        bad = np.flatnonzero(~((vals >= 0.0) & (vals < PI)))  # NaN fails both
+        if len(bad):
+            raise ValueError(f"angle {self.values[bad[0]]} outside [0, pi)")
+
+    @classmethod
+    def from_dict(cls, t: Triangulation, theta: Dict[Tuple[int, int], float]) -> "AngleAssignment":
+        canon = {canonical_edge(*e): float(v) for e, v in theta.items()}
+        missing = [e for e in t.edges if e not in canon]
+        extra = [e for e in canon if e not in t.edge_index]
+        if missing or extra:
+            raise ValueError(f"missing edges {missing}, unknown edges {extra}")
+        return cls(t, tuple(canon[e] for e in t.edges))
+
+    @classmethod
+    def constant(cls, t: Triangulation, value: float) -> "AngleAssignment":
+        return cls(t, (float(value),) * t.edge_count)
+
+    def __getitem__(self, eid: int) -> float:
+        return self.values[eid]
+
+    def array(self) -> np.ndarray:
+        return np.asarray(self.values, dtype=float)
+
+    def replaced(self, updates: Dict[int, float]) -> "AngleAssignment":
+        vals = list(self.values)
+        for eid, v in updates.items():
+            vals[eid] = float(v)
+        return AngleAssignment(self.triangulation, tuple(vals))
 
 
-def subset_geometry(t: Triangulation, subset: Iterable[int]) -> VertexSubsetGeometry:
-    a = frozenset(int(v) for v in subset)
-    if not a:
-        raise EmptySubset("subset is empty")
-    if len(a) >= t.vertex_count:
-        raise FullSubset("subset must be proper")
-    if any(v < 0 or v >= t.vertex_count for v in a):
-        raise ValueError("vertex id out of range")
+def _compare(lhs: np.ndarray, bound) -> np.ndarray:
+    """-1, 0, +1 for below / equal (within ``COND_EPS``) / above, over arrays."""
+    return np.where(np.abs(lhs - bound) <= COND_EPS, 0, np.where(lhs < bound, -1, 1))
 
-    # the open star is what the subset's vertex stars hold; a link pair is
-    # a side of a face around v, of the ring vertices u and w, off the subset
-    spokes, sides = t.star_edge_ids
-    star_faces = tuple(sorted({f for v in a for f in t.vertex_faces[v]}))
-    star_edges = tuple(sorted({e for v in a for e in spokes[v]}))
-    link_pairs = sorted([(e, v) for v in a for u, w, e in zip(
-        t.link_cycles[v], t.link_cycles[v][1:] + t.link_cycles[v][:1], sides[v])
-        if u not in a and w not in a])
-    components, left = [], set(a)
-    while left:  # grown from the lowest vertex left, so in order of their minima
-        comp, todo = set(), [min(left)]
-        while todo:
-            v = todo.pop()
-            if v not in comp:
-                comp.add(v)
-                todo += [w for w in t.neighbors(v) if w in left]
-        components.append(frozenset(comp))
-        left -= comp
 
-    return VertexSubsetGeometry(a, star_edges, star_faces, tuple(link_pairs),
-                                len(a) - len(star_edges) + len(star_faces), tuple(components))
+def face_sums(t: Triangulation, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each face's angle sum, added from 0 in edge order, and its ``_compare`` with pi."""
+    sums = sum(vals[t.face_edges].T)
+    return sums, _compare(sums, PI)
 
 
 # ---------------------------------------------------------------------------

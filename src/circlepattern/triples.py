@@ -1,6 +1,8 @@
 """Closed-form geometry of three-circle configurations, the one copy of
-each pair and triple formula: ``inversive_distance``, ``feasibility`` and
-``place_triple`` are one-row calls of the kernels that the solvers use.
+each pair and triple formula: ``inversive_distance`` here and the calls of
+``triple_records`` are one-row calls of the kernels that the solvers use.
+This module defines no record type, so a solve compiles none it never
+builds.
 
 Two metric modes are supported: ``"euclidean"`` (disks in the plane,
 radii are lengths) and ``"spherical"`` (caps on the unit sphere, radii
@@ -22,20 +24,14 @@ formula, plus one curvature term on the sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    CoversSphere,
-    DomainError,
-    Infeasible,
-    NotMutuallyIntersecting,
-)
+from .errors import CoversSphere, DomainError
 
 # the mode names of ``configurations``, spelled out so that probe-triple
-# loads this module alone (equal literal names are one interned object)
+# loads no pattern module (equal literal names are one interned object)
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
 
@@ -47,6 +43,9 @@ GEOM_EPS = 1e-10
 SMALL_ANGLE = 1e-3
 ANGLE_TOL = 1e-8  # the acceptance test's default tolerance, in the solvers and verify
 LENS_TOL = 1e-9   # lens-relation slack, on angles and a single point's distance
+# the indices j and k of each index i: x[..., NEXT] equals np.roll(x, -1, axis=-1),
+# at a fraction of its cost
+NEXT, AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def _check_mode(mode: str) -> None:
@@ -77,7 +76,7 @@ def edge_lengths(mode: str, radii, angles) -> np.ndarray:
     _check_mode(mode)
     r = np.asarray(radii, dtype=float)
     th = np.asarray(angles, dtype=float)
-    rj, rk = np.roll(r, -1, axis=-1), np.roll(r, -2, axis=-1)
+    rj, rk = r[..., NEXT], r[..., AFTER]
     if mode == EUCLIDEAN:
         return np.sqrt(rj * rj + rk * rk + 2.0 * np.cos(th) * rj * rk)
     # hav l = hav(r_j + r_k) - sin r_j sin r_k hav theta, accurate on short arcs
@@ -88,7 +87,7 @@ def edge_lengths(mode: str, radii, angles) -> np.ndarray:
 def _lambdas(angles) -> np.ndarray:
     """lambda_i = cos(theta_i) + cos(theta_j) cos(theta_k), cyclically."""
     c = np.cos(np.asarray(angles, dtype=float))
-    return c + np.roll(c, -1, axis=-1) * np.roll(c, -2, axis=-1)
+    return c + c[..., NEXT] * c[..., AFTER]
 
 
 def feasibility_margin(mode: str, radii, angles) -> np.ndarray:
@@ -105,13 +104,13 @@ def feasibility_margin(mode: str, radii, angles) -> np.ndarray:
     lam = _lambdas(th)
     s2 = np.sin(th) ** 2
     if mode == EUCLIDEAN:
-        rj, rk = np.roll(r, -1, axis=-1), np.roll(r, -2, axis=-1)
+        rj, rk = r[..., NEXT], r[..., AFTER]
         quad = s2 * rj * rj * rk * rk
         cross = 2.0 * lam * rj * rk * r * r
         return np.sum(quad, axis=-1) + np.sum(cross, axis=-1)
     a, x = np.cos(r), np.sin(r)
-    aj, ak = np.roll(a, -1, axis=-1), np.roll(a, -2, axis=-1)
-    xj, xk = np.roll(x, -1, axis=-1), np.roll(x, -2, axis=-1)
+    aj, ak = a[..., NEXT], a[..., AFTER]
+    xj, xk = x[..., NEXT], x[..., AFTER]
     c = np.cos(th)
     zeta = np.sum(s2, axis=-1) - 2.0 - 2.0 * np.prod(c, axis=-1)
     quad = s2 * a * a * xj * xj * xk * xk
@@ -124,7 +123,7 @@ def inner_angles_from_lengths(mode: str, lengths) -> np.ndarray:
     """Angles of the center triangle, one at each circle center."""
     _check_mode(mode)
     l = np.asarray(lengths, dtype=float)
-    lj, lk = np.roll(l, -1, axis=-1), np.roll(l, -2, axis=-1)
+    lj, lk = l[..., NEXT], l[..., AFTER]
     if mode == EUCLIDEAN:
         arg = (lj * lj + lk * lk - l * l) / (2.0 * lj * lk)
         return clamped_acos(arg)
@@ -135,85 +134,6 @@ def inner_angles_from_lengths(mode: str, lengths) -> np.ndarray:
     if np.min(np.minimum(sin2, cos2), initial=0.0) < -0.5 * CLAMP_EPS:
         raise DomainError("the lengths fail the triangle inequality beyond rounding")
     return 2.0 * np.arctan2(np.sqrt(np.maximum(sin2, 0.0)), np.sqrt(np.maximum(cos2, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# triple-level operations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TripleSpec:
-    """Radii and pairwise exterior angles of a prospective circle triple."""
-
-    mode: str
-    radii: Tuple[float, float, float]
-    angles: Tuple[float, float, float]
-
-    def __post_init__(self):
-        _check_mode(self.mode)
-        if len(self.radii) != 3 or len(self.angles) != 3:
-            raise ValueError("need exactly three radii and three angles")
-        for r in self.radii:
-            if not 0.0 < r < (math.pi if self.mode == SPHERICAL else math.inf):
-                raise ValueError(f"radius {r} outside mode domain")
-        lo_open = self.mode == SPHERICAL
-        for t in self.angles:
-            if not math.isfinite(t) or t >= math.pi or t < 0.0 or (lo_open and t == 0.0):
-                raise ValueError(f"angle {t} outside mode domain")
-
-
-@dataclass(frozen=True)
-class TripleGeometry:
-    """Derived geometry of a feasible (or not) circle triple."""
-
-    edge_lengths: Tuple[float, float, float]
-    inner_angles: Optional[Tuple[float, float, float]]
-    feasibility_margin: float
-    lambdas: Tuple[float, float, float]
-    angle_triangle_sides: Optional[Tuple[float, float, float]]
-
-
-def edge_length(spec: TripleSpec, which: int) -> float:
-    """Center distance of the circle pair opposite index ``which``."""
-    return float(edge_lengths(spec.mode, spec.radii, spec.angles)[which])
-
-
-def feasibility(spec: TripleSpec) -> Tuple[bool, float]:
-    """Whether the triple closes up, with the signed margin."""
-    margin = float(feasibility_margin(spec.mode, spec.radii, spec.angles))
-    return margin > 0.0, margin
-
-
-def inner_angles(spec: TripleSpec) -> Tuple[float, float, float]:
-    """Center-triangle angles; raises Infeasible when the triple cannot close."""
-    ok, margin = feasibility(spec)
-    if not ok:
-        raise Infeasible(f"margin {margin} <= 0")
-    l = edge_lengths(spec.mode, spec.radii, spec.angles)
-    return tuple(inner_angles_from_lengths(spec.mode, l))
-
-
-def triple_geometry(spec: TripleSpec) -> TripleGeometry:
-    l = edge_lengths(spec.mode, spec.radii, spec.angles)
-    ok, margin = feasibility(spec)
-    alphas = tuple(inner_angles_from_lengths(spec.mode, l)) if ok else None
-    lams = _lambdas(spec.angles)
-    phis = None
-    if sum(spec.angles) > math.pi:
-        s = np.sin(spec.angles)
-        # a zero or subnormal angle makes an argument inf or nan, which the
-        # range test below refuses
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            args = lams / (np.roll(s, -1) * np.roll(s, -2))
-        if np.all(np.abs(args) <= 1.0 + CLAMP_EPS):
-            phis = tuple(clamped_acos(args))
-    return TripleGeometry(
-        edge_lengths=tuple(float(v) for v in l),
-        inner_angles=alphas,
-        feasibility_margin=margin,
-        lambdas=tuple(float(v) for v in lams),
-        angle_triangle_sides=phis,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +219,7 @@ def cap_plane_points(centers, radii) -> Tuple[np.ndarray, np.ndarray]:
     v = 2.0 * np.sin(0.5 * np.take_along_axis(np.asarray(radii, dtype=float), roll, axis=1)) ** 2
     m = np.concatenate([c[:, :1], c[:, 1:] - c[:, :1]], axis=1)  # c_0, c_1 - c_0, c_2 - c_0
     rhs = np.column_stack((-v[:, 0], 0.5 * _dot(m[:, 1:], m[:, 1:]) + v[:, :1] - v[:, 1:]))
-    cof = np.cross(np.roll(m, -1, axis=1), np.roll(m, -2, axis=1))
+    cof = np.cross(m[:, NEXT], m[:, AFTER])
     det = _dot(m[:, 0], cof[:, 0])
     return det[:, None] * m[:, 0] + np.einsum("ij,ijk->ik", rhs, cof), det
 
@@ -353,86 +273,12 @@ def place_by_lengths(mode: str, lengths):
     return np.array(n0), np.array(n1), np.array(n2)
 
 
-def place_triple(spec: TripleSpec):
-    """Centers of a feasible triple, via its edge lengths."""
-    ok, margin = feasibility(spec)
-    if not ok:
-        raise Infeasible(f"margin {margin} <= 0")
-    return place_by_lengths(spec.mode, edge_lengths(spec.mode, spec.radii, spec.angles))
-
-
-# ---------------------------------------------------------------------------
-# shrinking-radius limit diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LimitProfile:
-    """Convergence record of center-triangle angles along a shrinking family."""
-
-    mode: str
-    shrink: Tuple[int, ...]
-    scales: Tuple[float, ...]
-    gaps: Tuple[float, ...]
-    limit_value: float
-    monotone_decreasing: bool
-
-    @property
-    def final_gap(self) -> float:
-        return self.gaps[-1]
-
-
-def limit_profile(mode: str, radii, angles, shrink: Sequence[int], scales) -> LimitProfile:
-    """Drive the listed radii to zero and watch the matching angle limit.
-
-    One shrinking radius i: alpha_i -> pi - theta_i.  Two shrinking radii
-    i, j: alpha_i + alpha_j -> pi.  All three: alpha_i + alpha_j + alpha_k
-    -> pi.
-    """
-    shrink = tuple(sorted(set(int(s) for s in shrink)))
-    if not 1 <= len(shrink) <= 3:
-        raise ValueError("shrink must list one, two, or three indices")
-    base = np.asarray(radii, dtype=float)
-    th = np.asarray(angles, dtype=float)
-    gaps = []
-    for s in scales:
-        r = base.copy()
-        r[list(shrink)] = base[list(shrink)] * float(s)
-        spec = TripleSpec(mode, tuple(r), tuple(th))
-        alphas = inner_angles(spec)
-        limit = math.pi - th[shrink[0]] if len(shrink) == 1 else math.pi
-        gaps.append(abs(sum(alphas[i] for i in shrink) - limit))
-    mono = all(b < a for a, b in zip(gaps, gaps[1:]))
-    return LimitProfile(
-        mode=mode,
-        shrink=shrink,
-        scales=tuple(float(s) for s in scales),
-        gaps=tuple(gaps),
-        limit_value=limit,
-        monotone_decreasing=mono,
-    )
-
-
 # ---------------------------------------------------------------------------
 # placed-disk relations, over rows of three disks
 # ---------------------------------------------------------------------------
 
 # the pair (a, b), a < b, of the two disks other than each third disk k
 OPPOSITE = np.array([[1, 2], [0, 2], [0, 1]])
-
-
-@dataclass(frozen=True)
-class ContainmentRecord:
-    """Result of testing one lens D_a * D_b against the third disk."""
-
-    pair: Tuple[int, int]
-    third: int
-    contained: bool
-    single_point: bool
-    lhs: Optional[float] = None          # angle(a,3rd) + angle(b,3rd)
-    rhs: Optional[float] = None          # pi + angle(a,b) (or pi when tangent)
-    slack: Optional[float] = None
-    relation_holds: Optional[bool] = None
-    boundary_concurrent: Optional[bool] = None
 
 
 class LensRelations(NamedTuple):
@@ -457,7 +303,7 @@ def _dot(x, y):
 def _contains(mode, c, r, p, slack):
     """Closed-disk membership |p - c| <= chord - slack of the points p in
     the disks (c, r); the signed slack (positive shrinks) is a length."""
-    from .configurations import chords, distances  # probe-triple loads triples alone
+    from .configurations import chords, distances  # probe-triple loads no pattern module
 
     return distances(p - c) <= chords(mode, r) - slack
 
@@ -532,7 +378,7 @@ def lens_relations(mode: str, centers, radii, tol: float = LENS_TOL) -> LensRela
                      & ~_contains(mode, c, r, f, -GEOM_EPS))
     contained = (meets & _contains(mode, c, r, p, -GEOM_EPS)
                  & _contains(mode, c, r, q, -GEOM_EPS) & (single | arcs_ok))
-    lhs = np.roll(ang, -1, axis=1) + np.roll(ang, -2, axis=1)
+    lhs = ang[:, NEXT] + ang[:, AFTER]
     rhs = np.where(single, math.pi, math.pi + ang)
     off = np.abs(distances(p - c) - chords(mode, r))
     return LensRelations(inv, (np.abs(inv) <= 1.0 + CLAMP_EPS).all(axis=1), meets, single,
@@ -569,42 +415,3 @@ def triple_intersections_empty(mode: str, centers, radii, eps: float = GEOM_EPS)
     if mode == SPHERICAL and not _nonempty(mode, -c, math.pi - r, eps).all():
         raise CoversSphere("open disks cover the sphere")
     return ~_nonempty(mode, c, r, eps)
-
-
-def _one_row(mode, centers, radii):
-    """Three disks as the one row the row-wise relations take."""
-    _check_mode(mode)
-    if mode == EUCLIDEAN:
-        return np.array([[complex(x) for x in centers]]), np.array([radii], dtype=float)
-    c = np.array([centers], dtype=float)
-    if np.any(np.abs(np.linalg.norm(c, axis=-1) - 1.0) > 1e-8):
-        raise ValueError("spherical centers must be unit vectors")
-    return c, np.array([radii], dtype=float)
-
-
-def containment_angle_check(mode: str, centers, radii, tol: float = LENS_TOL):
-    """``lens_relations`` of one row of three mutually intersecting disks:
-    one ContainmentRecord per pair whose circles meet, in the order of the
-    third disk."""
-    rel = lens_relations(mode, *_one_row(mode, centers, radii), tol)
-    inv = rel.inv[0]
-    for k in (2, 1, 0):  # the pairs (0, 1), (0, 2), (1, 2)
-        if abs(inv[k]) > 1.0 + CLAMP_EPS:
-            a, b = OPPOSITE[k]
-            raise NotMutuallyIntersecting(f"disks {a},{b} have inversive distance {inv[k]}")
-    records = []
-    for k in np.flatnonzero(rel.meets[0]).tolist():
-        pair, single = tuple(OPPOSITE[k].tolist()), bool(rel.single[0, k])
-        if not rel.contained[0, k]:
-            records.append(ContainmentRecord(pair, k, False, single))
-            continue
-        lhs, rhs = float(rel.lhs[0, k]), float(rel.rhs[0, k])
-        records.append(ContainmentRecord(
-            pair, k, True, single, lhs, rhs, lhs - rhs, bool(rel.holds[0, k]),
-            bool(rel.concurrent[0, k]) if single else None))
-    return records
-
-
-def triple_intersection_empty(mode: str, centers, radii, eps: float = GEOM_EPS) -> bool:
-    """``triple_intersections_empty`` of one row of three disks."""
-    return bool(triple_intersections_empty(mode, *_one_row(mode, centers, radii), eps)[0])

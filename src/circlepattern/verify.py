@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .conditions import face_sums
 from .configurations import (  # CirclePattern keeps its old name here
     DISJOINT_EPS,
     CirclePattern,
@@ -28,7 +27,8 @@ from .configurations import (  # CirclePattern keeps its old name here
     distances,
     near_pairs,
 )
-from .triangulation import _owner_rows, cycle_arrays
+from .cycles import cycle_arrays
+from .triangulation import _owner_rows, face_sums
 from . import triples
 
 PI = math.pi

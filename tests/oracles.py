@@ -26,7 +26,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from circlepattern import errors, triples
+from circlepattern import errors, triple_records, triples
 
 PI = math.pi
 EPS = 1e-12
@@ -548,7 +548,7 @@ def _reference_stars(n, faces, edge_to_faces):
 def reference_subset_geometry(t, subset):
     """``subset_geometry`` by a scan over every edge and face: the link
     pairs are the sides opposite the one subset vertex of a face."""
-    from circlepattern.triangulation import VertexSubsetGeometry
+    from circlepattern.degeneration import VertexSubsetGeometry
 
     a = frozenset(int(v) for v in subset)
     inside = np.zeros(t.vertex_count, dtype=bool)
@@ -656,7 +656,7 @@ def homology_chi_of_open_star(faces, n: int, subset) -> int:
 
 def margin_scalar(mode: str, radii, angles) -> float:
     """The compensated-summation (``fsum``) scalar feasibility margin that
-    ``triples.feasibility`` replaced by one row of ``feasibility_margin``."""
+    ``triple_records.feasibility`` replaced by one row of ``feasibility_margin``."""
     ri, rj, rk = (float(v) for v in radii)
     ti, tj, tk = (float(v) for v in angles)
     ci, cj, ck = math.cos(ti), math.cos(tj), math.cos(tk)
@@ -1069,12 +1069,12 @@ def containment_angle_check(mode: str, centers, radii, tol: float = 1e-9):
         if single:
             p = corners[0]
             if not disk_contains(mode, cs[c], rs[c], p, slack=-triples.GEOM_EPS):
-                records.append(triples.ContainmentRecord((a, b), c, False, True))
+                records.append(triple_records.ContainmentRecord((a, b), c, False, True))
                 continue
             on_boundary = on_circle(mode, cs[c], rs[c], p, tol)
             lhs = angle(a, c) + angle(b, c)
             records.append(
-                triples.ContainmentRecord(
+                triple_records.ContainmentRecord(
                     pair=(a, b),
                     third=c,
                     contained=True,
@@ -1091,12 +1091,12 @@ def containment_angle_check(mode: str, centers, radii, tol: float = 1e-9):
             mode, cs[a], rs[a], cs[b], rs[b], cs[c], rs[c], corners, triples.GEOM_EPS
         )
         if not contained:
-            records.append(triples.ContainmentRecord((a, b), c, False, False))
+            records.append(triple_records.ContainmentRecord((a, b), c, False, False))
             continue
         lhs = angle(a, c) + angle(b, c)
         rhs = math.pi + angle(a, b)
         records.append(
-            triples.ContainmentRecord(
+            triple_records.ContainmentRecord(
                 pair=(a, b),
                 third=c,
                 contained=True,
@@ -1167,7 +1167,7 @@ def triple_nonempty(mode, cs, rs, eps) -> bool:
 
 def reference_lens_records(p) -> List[dict]:
     """The lens records of ``verify_pattern``, one 3-clique at a time."""
-    from circlepattern.triangulation import cycle_arrays
+    from circlepattern.cycles import cycle_arrays
 
     records = []
     for tri in cycle_arrays(p.triangulation, 3)[0]["vertices"].tolist():
@@ -1184,7 +1184,7 @@ def reference_lens_records(p) -> List[dict]:
 def reference_triple_failures(p) -> list:
     """The faces with angle sum below pi whose disks share a point, one
     face at a time."""
-    from circlepattern.conditions import face_sums
+    from circlepattern.triangulation import face_sums
 
     t = p.triangulation
     _, face_cmp = face_sums(t, p.theta.array())

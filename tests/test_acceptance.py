@@ -25,13 +25,8 @@ from circlepattern import (
 from circlepattern import formats, shapes
 from circlepattern.cli import main as cli_main
 from circlepattern.errors import VertexOutsideBall
-from circlepattern.triples import (
-    EUCLIDEAN,
-    SPHERICAL,
-    containment_angle_check,
-    place_by_lengths,
-    triple_intersection_empty,
-)
+from circlepattern.triple_records import containment_angle_check, triple_intersection_empty
+from circlepattern.triples import EUCLIDEAN, SPHERICAL, place_by_lengths
 from circlepattern.verify import CirclePattern
 
 import oracles

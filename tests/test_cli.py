@@ -8,9 +8,11 @@ import sys
 import pytest
 
 from circlepattern import AngleAssignment, build_triangulation, classify, formats
-from circlepattern import degeneration, shapes
+from circlepattern import degeneration, pick_marked_face, shapes, solve_euclidean
 from circlepattern.cli import main
 from circlepattern.degeneration import connected_subsets
+from circlepattern.errors import Stalled
+from circlepattern.options import SolveOptions
 from random_triangulations import loop_subdivide
 
 PI = math.pi
@@ -202,13 +204,17 @@ class TestBadInput:
         assert "Traceback" not in err and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("flag", [("--size", "0"), ("--size", "-5"),
-                                      ("--stroke-width", "-1")])
+                                      ("--stroke-width", "-1"), ("--stroke-width", "inf"),
+                                      ("--stroke-width", "nan")])
     def test_bad_render_size(self, octa_json, capsys, flag):
-        """A size below 1 or a negative stroke width is a usage error, and
-        no SVG is written."""
+        """A size below 1 or a stroke width that is negative or not finite is
+        a usage error naming only that value, and no SVG is written."""
         root, _ = octa_json
         out = root / "sized.svg"
-        self._usage_error(["render", root / "plane.json", "--out", out, *flag], capsys)
+        assert main([str(a) for a in ["render", root / "plane.json", "--out", out, *flag]]) == 1
+        err, name = capsys.readouterr().err, flag[0][2:].replace("-", " ")
+        assert err.startswith(f"usage error: {name} "), err
+        assert ("size" in err) == (name == "size"), err
         assert not out.exists()
 
     @pytest.mark.parametrize("faces", [[[0, 1, 2], [0, 1, 2]],
@@ -454,17 +460,17 @@ class TestCyclesEnumeratedOnce:
     # enumeration of index arrays, and none of them builds a Circuit
     @pytest.mark.parametrize("tri, theta", [("tetra", "theta0"), ("octa", "theta3")])
     def test_auto_solve(self, files, monkeypatch, tri, theta):
-        from circlepattern import triangulation
+        from circlepattern import cycles
 
         calls = []
-        enumerate_cycles = triangulation._enumerate_cycles
+        enumerate_cycles = cycles._enumerate_cycles
 
         def counted(t, max_len, cap):
             calls.append(max_len)
             return enumerate_cycles(t, max_len, cap)
 
-        monkeypatch.setattr(triangulation, "_enumerate_cycles", counted)
-        monkeypatch.setattr(triangulation, "_circuits", lambda kind, cols: calls.append(kind))
+        monkeypatch.setattr(cycles, "_enumerate_cycles", counted)
+        monkeypatch.setattr(cycles, "_circuits", lambda kind, cols: calls.append(kind))
         rc = main(["solve", str(files[tri]), str(files[theta]), "--mode", "auto",
                    "--auto-mark", "--out", str(files["dir"] / "p.json")])
         assert rc == 0
@@ -503,19 +509,24 @@ class TestImportHygiene:
 
     @staticmethod
     def _loaded(argv):
-        """Exit code of ``argv`` in a fresh interpreter, and the package's
-        submodules it loaded (without the ``circlepattern.`` prefix)."""
+        """Exit code of ``argv`` in a fresh interpreter, the package's
+        submodules it loaded (without the ``circlepattern.`` prefix), and
+        the number of dataclass types they define: Python 3.11 compiles
+        the methods of each with ``exec``, about 1 ms a type."""
         script = (
-            "import json, sys\n"
+            "import dataclasses, json, sys\n"
             "from circlepattern.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in sys.modules\n"
-            "                               if m.startswith('circlepattern.'))]))\n"
+            "mods = [m for name, m in sys.modules.items() if name.startswith('circlepattern.')]\n"
+            "records = [v for m in mods for v in vars(m).values() if isinstance(v, type)\n"
+            "           and dataclasses.is_dataclass(v) and v.__module__ == m.__name__]\n"
+            "print(json.dumps([code, sorted(m.__name__.split('.', 1)[1] for m in mods),\n"
+            "                  len(records)]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                               capture_output=True, text=True, check=True)
-        code, modules = json.loads(proc.stdout.splitlines()[-1])
-        return code, set(modules)
+        code, modules, records = json.loads(proc.stdout.splitlines()[-1])
+        return code, set(modules), records
 
     def test_package_import_loads_no_submodule(self):
         script = (
@@ -535,7 +546,7 @@ class TestImportHygiene:
         ]
         for argv, code in runs:
             assert self._loaded(argv) == (
-                code, {"cli", "formats", "conditions", "triangulation", "errors"})
+                code, {"cli", "formats", "errors", "triangulation", "cycles", "conditions"}, 5)
 
     def test_pattern_commands_load_no_solver(self, files):
         d = files["dir"]
@@ -552,7 +563,7 @@ class TestImportHygiene:
         ]
         solvers = {"euclidean", "spherical", "degeneration", "options"}
         for argv in runs:
-            code, modules = self._loaded(argv)
+            code, modules, _ = self._loaded(argv)
             assert code == 0
             assert not modules & solvers, argv[0]
 
@@ -561,27 +572,45 @@ class TestImportHygiene:
         assert main(["solve", str(files["tetra"]), str(files["theta0"]), "--mode",
                      "euclidean", "--auto-mark", "--out", str(planar)]) == 0
         assert self._loaded(["render", planar, "--out", files["dir"] / "p.svg"]) == (
-            0, {"cli", "formats", "errors", "conditions", "triangulation", "configurations",
-                "render"})
+            0, {"cli", "formats", "errors", "triangulation", "configurations", "render"}, 7)
 
     def test_pipeline_commands_load_exactly_their_layers(self, files):
-        """The module sets the README lists for solve, verify and polyhedron."""
+        """The module sets the README lists for solve, verify and polyhedron,
+        and the number of record types each defines: the cycle layer only
+        where cycles are read, and the collapse diagnostics only when a
+        solve fails (``test_only_a_failing_solve_loads_the_diagnostics``)."""
         d = files["dir"]
-        base = {"cli", "formats", "errors", "conditions", "triangulation", "configurations",
-                "triples"}
-        solver = base | {"euclidean", "degeneration", "options", "_newton"}
+        base = {"cli", "formats", "errors", "triangulation", "configurations", "triples"}
+        solver = base | {"cycles", "conditions", "options", "_newton", "euclidean"}
         runs = [
             (["solve", files["tetra"], files["theta0"], "--mode", "euclidean", "--auto-mark",
-              "--out", d / "p.json"], solver),
+              "--out", d / "p.json"], solver, 11),
             (["solve", files["octa"], files["theta3"], "--mode", "spherical", "--out",
-              d / "s.json"], solver | {"spherical"}),
-            (["verify", "--pattern", d / "p.json"], base | {"verify"}),
-            (["verify", "--pattern", d / "s.json"], base | {"verify"}),
+              d / "s.json"], solver | {"spherical"}, 11),
+            (["verify", "--pattern", d / "p.json"], base | {"cycles", "verify"}, 9),
+            (["verify", "--pattern", d / "s.json"], base | {"cycles", "verify"}, 9),
             (["polyhedron", "--pattern", d / "s.json", "--allow-ideal", "--out", d / "q.obj"],
-             base | {"polyhedron"}),
+             base | {"polyhedron"}, 10),
         ]
-        for argv, modules in runs:
-            assert self._loaded(argv) == (0, modules), argv[0]
+        for argv, modules, records in runs:
+            assert self._loaded(argv) == (0, modules, records), argv[0]
+
+    def test_only_a_failing_solve_loads_the_diagnostics(self, tmp_path):
+        """A planar solve that stops at its step limit exits 3 and loads
+        ``degeneration``, which no passing solve loads
+        (``test_pipeline_commands_load_exactly_their_layers``); the Stalled
+        it raises still carries the collapse suspects of its radii."""
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 1))
+        theta = AngleAssignment.constant(t, 0.0)
+        tri, th = tmp_path / "t.json", tmp_path / "th.json"
+        tri.write_text(formats.dumps(formats.triangulation_to_dict(t)))
+        th.write_text(formats.dumps(formats.theta_to_dict(theta)))
+        code, modules, _ = self._loaded(["solve", tri, th, "--mode", "euclidean", "--auto-mark",
+                                         "--max-iters", "0", "--out", tmp_path / "p"])
+        assert code == 3 and "degeneration" in modules
+        with pytest.raises(Stalled) as info:
+            solve_euclidean(t, theta, pick_marked_face(t, theta), SolveOptions(max_iters=0))
+        assert len(info.value.suspects) == 5
 
     def test_solve_lift_and_polyhedron_load_no_verifier(self, files):
         d = files["dir"]
@@ -594,14 +623,15 @@ class TestImportHygiene:
             ["polyhedron", "--pattern", d / "s.json", "--allow-ideal", "--out", d / "q.obj"],
         ]
         for argv in runs:
-            code, modules = self._loaded(argv)
+            code, modules, _ = self._loaded(argv)
             assert code == 0
             assert "verify" not in modules, argv[0]
 
     def test_probe_triple_loads_only_the_triple_geometry(self):
         argv = ["probe-triple", "--mode", "euclidean", "--radii", "1,1,1",
                 "--angles", "0.5,0.5,0.5"]
-        assert self._loaded(argv) == (0, {"cli", "formats", "errors", "triples"})
+        assert self._loaded(argv) == (
+            0, {"cli", "formats", "errors", "triples", "triple_records"}, 4)
 
     def test_no_command_imports_scipy(self, tmp_path):
         """Matrices up to ``DENSE_MAX`` are factorized by numpy, so no command
@@ -646,7 +676,7 @@ class TestImportHygiene:
         assert not scipy_loaded
 
     def test_planar_solve_loads_no_spherical_solver(self, files):
-        code, modules = self._loaded(
+        code, modules, _ = self._loaded(
             ["solve", files["tetra"], files["theta0"], "--mode", "euclidean",
              "--auto-mark", "--out", files["dir"] / "p.json"])
         assert code == 0

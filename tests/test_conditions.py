@@ -18,9 +18,9 @@ from circlepattern import (
     enumerate_two_arcs,
 )
 from circlepattern import shapes
-from circlepattern.conditions import (COND_EPS, _compare, compare, face_sums,
-                                      is_triangular_bipyramid)
+from circlepattern.conditions import compare, is_triangular_bipyramid
 from circlepattern.errors import ConditionsViolated, TooFewFaces
+from circlepattern.triangulation import COND_EPS, _compare, face_sums
 
 import oracles
 from random_triangulations import loop_subdivide, stacked_faces

@@ -177,7 +177,7 @@ class TestLayout:
     def test_single_face_equilateral(self):
         # one face with unit radii and angles pi/3 places an equilateral
         # center triangle of side sqrt(2 + 2 cos(pi/3)) = sqrt(3)
-        from circlepattern.triples import TripleSpec, place_triple
+        from circlepattern.triple_records import TripleSpec, place_triple
 
         spec = TripleSpec("euclidean", (1.0, 1.0, 1.0), (PI / 3,) * 3)
         z = place_triple(spec)
@@ -199,7 +199,7 @@ class TestSolveOptions:
     @pytest.mark.parametrize("bad", [
         {"max_iters": -1}, {"diag_max": 0}, {"min_step": 0.0}, {"min_step": math.nan},
         {"tol_K": -1e-12}, {"tol_angle": math.inf}, {"tol_layout": math.nan},
-        {"max_iters": 2.5}, {"max_iters": True}, {"diag_max": 2.5}])
+        {"max_iters": 2.5}, {"max_iters": True}, {"diag_max": 2.5}, {"min_step": math.inf}])
     def test_out_of_range_is_refused(self, bad):
         name = next(iter(bad))
         with pytest.raises(ValueError, match=name):

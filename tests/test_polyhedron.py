@@ -14,7 +14,7 @@ from circlepattern import (
     solve_spherical,
     verify_pattern,
 )
-from circlepattern import shapes, spherical, triples
+from circlepattern import shapes, spherical, triple_records, triples
 from circlepattern.conditions import compare
 from circlepattern.errors import MalformedPattern, SingularTriple, VertexOutsideBall
 from circlepattern.polyhedron import HyperbolicPolyhedron, polyhedron_to_dict
@@ -327,10 +327,10 @@ def test_triple_vertex_inside_ball_iff_angle_sum_above_pi(radii, angles):
     (each pair below the third plus pi), the kernel's vertex lies inside the
     ball exactly when the angle sum is above pi, and exactly when the Gram
     determinant of the three de Sitter vectors is positive."""
-    spec = triples.TripleSpec(triples.SPHERICAL, radii, angles)
+    spec = triple_records.TripleSpec(triples.SPHERICAL, radii, angles)
     assume(sum(angles) - 2.0 * min(angles) < PI and abs(sum(angles) - PI) >= 1e-6)
-    assume(triples.feasibility(spec)[0])
-    x, det = triples.cap_plane_points(np.array([triples.place_triple(spec)]), np.array([radii]))
+    assume(triple_records.feasibility(spec)[0])
+    x, det = triples.cap_plane_points(np.array([triple_records.place_triple(spec)]), np.array([radii]))
     inside = bool(np.linalg.norm(x[0] / det[0]) < 1.0)
     cos = np.cos(angles)
     gram = 1.0 - np.sum(cos ** 2) - 2.0 * np.prod(cos)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from circlepattern import (AngleAssignment, build_triangulation, check_andreev, classify,
                            enumerate_simple_cycles, polyhedron_from_triangulation, shapes,
                            solve_euclidean)
-from circlepattern.conditions import COND_EPS, check_c1, check_c2, check_c3_c4
-from circlepattern.triangulation import canonical_edge
+from circlepattern.conditions import check_c1, check_c2, check_c3_c4
+from circlepattern.triangulation import COND_EPS, canonical_edge
 from circlepattern.euclidean import pick_marked_face
 from circlepattern.options import SolveOptions
 from circlepattern.verify import CirclePattern, count_interstices, verify_pattern

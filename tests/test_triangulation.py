@@ -14,7 +14,7 @@ from circlepattern import (
     polyhedron_from_triangulation,
     subset_geometry,
 )
-from circlepattern import shapes, triangulation
+from circlepattern import cycles, shapes, triangulation
 from circlepattern.degeneration import connected_subsets
 from circlepattern.errors import (
     DegenerateFace,
@@ -156,14 +156,14 @@ class TestCycles:
         shapes and on stacked draws reshaped by flips; some 7- and 8-cycles
         bound a face-triangulated disk, so the heptagon's and octagon's
         triangulations are exercised."""
-        assert [len(triangulation._polygon_triangulations(0, k - 1)) for k in range(3, 9)] \
+        assert [len(cycles._polygon_triangulations(0, k - 1)) for k in range(3, 9)] \
             == [1, 2, 5, 14, 42, 132]
         rng = np.random.default_rng(8)
         draws = [build_triangulation(flip_edges(rng, stacked_faces(rng, n), 2 * n))
                  for n in (9, 12, 15, 20)]
         disks = {7: 0, 8: 0}
         for t in [*shapes.shipped_triangulations().values(), *draws]:
-            for cols in triangulation.cycle_arrays(t, 8):
+            for cols in cycles.cycle_arrays(t, 8):
                 verts, eids = cols["vertices"].tolist(), cols["edges"].tolist()
                 want = [oracles.flood_separates(t, v, e) for v, e in zip(verts, eids)]
                 assert cols["separates_vertices"].tolist() == want
@@ -181,7 +181,7 @@ class TestCycles:
         and the circuits and arcs equal the reference's; about 4 s."""
         t = build_triangulation(faces)
         for max_len in (4, 6):
-            rows = triangulation._enumerate_cycles(t, max_len, 10 ** 6)
+            rows = cycles._enumerate_cycles(t, max_len, 10 ** 6)
             assert [tuple(r) for k in rows for r in k.tolist()] == oracles.dfs_cycles(t, max_len)
         assert enumerate_simple_cycles(t, 4) == oracles.reference_cycles(t, 4)
         assert enumerate_two_arcs(t) == oracles.reference_two_arcs(t)

@@ -10,24 +10,26 @@ from circlepattern.errors import (
     NotMutuallyIntersecting,
 )
 from circlepattern import triples
-from circlepattern.triples import (
-    EUCLIDEAN,
-    OPPOSITE,
-    SPHERICAL,
+from circlepattern.triple_records import (
     TripleSpec,
-    angle_from_inversive,
     containment_angle_check,
     edge_length,
-    edge_lengths,
     feasibility,
-    feasibility_margin,
     inner_angles,
-    inversive_distance,
-    lens_relations,
     limit_profile,
     place_triple,
     triple_geometry,
     triple_intersection_empty,
+)
+from circlepattern.triples import (
+    EUCLIDEAN,
+    OPPOSITE,
+    SPHERICAL,
+    angle_from_inversive,
+    edge_lengths,
+    feasibility_margin,
+    inversive_distance,
+    lens_relations,
     triple_intersections_empty,
 )
 

@@ -414,7 +414,7 @@ class TestThreeCircleRelations:
     def test_lens_relation_sampled(self):
         """Random mutually intersecting triples with a detected containment
         always satisfy the angle relation."""
-        from circlepattern.triples import containment_angle_check
+        from circlepattern.triple_records import containment_angle_check
 
         rng = np.random.default_rng(41)
         detected = 0
@@ -441,7 +441,7 @@ class TestThreeCircleRelations:
 
     def test_empty_triple_sampled(self):
         """Admissible triples with angle sum below pi never share a point."""
-        from circlepattern.triples import (
+        from circlepattern.triple_records import (
             TripleSpec,
             place_triple,
             triple_intersection_empty,
