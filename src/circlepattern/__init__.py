@@ -21,18 +21,19 @@ _EXPORTS = {
     ),
     "configurations": (
         "CirclePattern", "CurvatureReport", "EuclideanConfiguration", "SphericalConfiguration",
+        "lift_to_sphere",
     ),
     "degeneration": (
         "DegenerationFunctional", "VertexSubsetGeometry", "connected_subsets",
         "degeneration_functional", "rank_collapse_suspects", "subset_geometry",
     ),
-    "euclidean": ("layout_euclidean", "pick_marked_face", "solve_euclidean"),
+    "euclidean": ("pick_marked_face", "solve_euclidean"),
     "options": ("SolveOptions",),
     "polyhedron": (
         "HalfSpace", "HyperbolicPolyhedron", "build_polyhedron", "check_polyhedron",
         "export_obj",
     ),
-    "spherical": ("lift_to_sphere", "solve_spherical"),
+    "spherical": ("solve_spherical",),
     "triangulation": (
         "AngleAssignment", "Triangulation", "build_triangulation", "dual_of_trivalent",
         "polyhedron_from_triangulation",
@@ -40,6 +41,7 @@ _EXPORTS = {
     "triples": ("edge_lengths", "feasibility_margin", "inversive_distance"),
     "verify": ("VerificationReport", "contact_graph", "flower_check", "verify_pattern"),
     "cycles": ("Circuit", "enumerate_simple_cycles", "enumerate_two_arcs"),
+    "_newton": ("layout_euclidean",),
     "triple_records": (
         "TripleGeometry", "TripleSpec", "containment_angle_check", "edge_length",
         "feasibility", "inner_angles", "limit_profile", "place_triple", "triple_geometry",
@@ -47,7 +49,7 @@ _EXPORTS = {
     ),
 }
 # submodules that define exported names but are not exported names themselves
-_UNLISTED = ("cycles", "triple_records")
+_UNLISTED = ("cycles", "triple_records", "_newton")
 # exported name -> the submodule that defines it; a public submodule maps to itself
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 _ORIGIN.update((module, module) for module in (*_EXPORTS, "errors") if module not in _UNLISTED)

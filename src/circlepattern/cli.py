@@ -118,7 +118,7 @@ def _parse_marked(t, text):
     """Face id named by ``--marked-face`` (a face id or a vertex triple)."""
     if text is None:
         return None
-    from .euclidean import resolve_marked_face
+    from ._newton import resolve_marked_face
 
     try:
         marked = tuple(int(x) for x in text.split(",")) if "," in text else int(text)
@@ -184,8 +184,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    from .configurations import EUCLIDEAN, CirclePattern, EuclideanConfiguration
-    from .spherical import lift_to_sphere
+    from .configurations import EUCLIDEAN, CirclePattern, EuclideanConfiguration, lift_to_sphere
 
     p = formats.load_pattern(args.pattern)
     if p.mode != EUCLIDEAN:

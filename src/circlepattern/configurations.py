@@ -1,5 +1,6 @@
-"""Configuration containers for solved circle patterns, and the pattern
-type that binds a configuration to its combinatorics and angles."""
+"""Configuration containers for solved circle patterns, the stereographic
+lift of a planar configuration to the sphere, and the pattern type that
+binds a configuration to its combinatorics and angles."""
 from __future__ import annotations
 
 import math
@@ -65,6 +66,30 @@ class EuclideanConfiguration(_Configuration):
 
 class SphericalConfiguration(_Configuration):
     """Unit-sphere cap centers (unit 3-vectors) and arc radii in (0, pi)."""
+
+
+def lift_to_sphere(cfg: EuclideanConfiguration) -> SphericalConfiguration:
+    """Inverse stereographic image of every disk of a planar configuration,
+    0 going to the south pole.
+
+    The image of the disk (c, r) is the cap with de Sitter vector
+    (2 Re c, 2 Im c, k - 1, k + 1) / 2r, k = |c|^2 - r^2.  Inversive
+    distances are Moebius invariants, so the lifted pattern realizes the
+    same exterior angles.
+    """
+    c, r = np.asarray(cfg.centers, dtype=complex), np.asarray(cfg.radii, dtype=float)
+    k = np.abs(c) ** 2 - r ** 2
+    p = np.stack([2.0 * c.real, 2.0 * c.imag, k - 1.0, k + 1.0], axis=1) / (2.0 * r)[:, None]
+    centers, radii = _from_de_sitter(p)
+    return SphericalConfiguration(centers, radii, cfg.marked_face,
+                                  normalized={"x5": False, "x6": False})
+
+
+def _from_de_sitter(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Caps (c, r) of the de Sitter vectors p = (c, cos r) / sin r."""
+    x = p[:, :3]
+    norm = np.linalg.norm(x, axis=1)
+    return x / norm[:, None], np.arctan2(1.0, p[:, 3])
 
 
 @dataclass

@@ -1,18 +1,20 @@
 """Euclidean circle-pattern solver for the interstice regime.
 
-Radii are found by damped Newton iteration on the apex-curvature map in
-log-radius variables from equal radii, with the three marked-face radii
-pinned equal; the centers are then produced by developing the
-triangulation face by face.  The iteration is ``_newton.damped_newton``;
-the realized angles after polish decide whether it found a pattern, by the
-test that ``verify`` applies, ``triples.angle_errors``.  The map, its
-Newton and the layout also serve the spherical homotopy.
+Radii are found by the curvature Newton of ``_newton``, from equal radii
+with the three marked-face radii pinned equal, laid out by its developing
+map and polished here by minimum-norm Gauss-Newton on the inversive
+distances; the realized angles then decide whether it found a pattern, by
+the test that ``verify`` applies, ``triples.angle_errors``.
+
+The polish moves each vertex by its center and log r (Jacobian columns
+3v..3v+2) and pins no gauge: the Moebius motions span the Jacobian's null
+space, which the minimum-norm step avoids.  The Jacobian is kept as (rows,
+cols, vals) triplets, six per edge row; the step is x = J^T y with
+(J J^T) y = -f, and ``lstsq`` is only the fallback on rank loss.
 """
 from __future__ import annotations
 
-import math
-from collections import deque
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,24 +24,15 @@ from .errors import ConditionsViolated, LayoutInconsistent, Stalled
 from .options import SolveOptions
 from .triangulation import AngleAssignment, Triangulation, face_sums
 from . import triples
-from ._newton import Assembly, damped_newton, factorize, gauss_newton
+from ._newton import (Assembly, _CurvatureMap, _curvature_newton, damped_newton, factorize,
+                      layout_euclidean, resolve_marked_face)
 
-PI = math.pi
 POLISH_TOL = 1e-14
 POLISH_ITERS = 8
+REFINE_TOL = 1e-11       # relative residual ||J x + f|| / ||f|| refined once
+RANK_TOL = 1e-8          # relative residual left after refinement that marks rank loss
 
-
-def resolve_marked_face(t: Triangulation, marked_face) -> Tuple[int, Tuple[int, int, int]]:
-    """Accept a face id or a vertex triple; return (face id, stored tuple)."""
-    if isinstance(marked_face, (int, np.integer)):
-        fid = int(marked_face)
-        if not 0 <= fid < t.face_count:
-            raise ValueError(f"face id {fid} out of range")
-        return fid, t.faces[fid]
-    fid = t.face_id_of(tuple(marked_face))
-    if fid is None:
-        raise ValueError(f"{tuple(marked_face)} is not a face")
-    return fid, t.faces[fid]
+Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]   # (rows, cols, vals)
 
 
 def pick_marked_face(t: Triangulation, theta: AngleAssignment) -> int:
@@ -50,100 +43,6 @@ def pick_marked_face(t: Triangulation, theta: AngleAssignment) -> int:
     if cmp[best] >= 0:
         raise ConditionsViolated("no face has angle sum below pi")
     return best
-
-
-# ---------------------------------------------------------------------------
-# curvature map
-# ---------------------------------------------------------------------------
-
-class _CurvatureMap:
-    """Curvatures 2*pi - sigma_v of the free vertices as a function of their
-    radii.  Plane: the marked face is dropped, its radii are held at 1 and
-    u = log r.  Sphere: every face counts, the ``held`` vertices keep their
-    ``base`` radii and u = log tan(r/2).  The angles are ``s`` times theta.
-    """
-
-    def __init__(self, t: Triangulation, theta: AngleAssignment, marked_fid,
-                 mode: str = triples.EUCLIDEAN, base=None, held=(), s: float = 1.0):
-        self.t, self.mode = t, mode
-        faces = np.arange(t.face_count) != marked_fid
-        if mode == triples.EUCLIDEAN:
-            held, base = t.faces[marked_fid], np.ones(t.vertex_count)
-        self.base = np.asarray(base, dtype=float)
-        self.free = np.flatnonzero(~np.isin(np.arange(t.vertex_count), held))
-        self.fv = t.face_array[faces]
-        # per-face opposite angles: theta on the edge opposite each corner
-        self.face_theta = s * theta.array()[t.face_edges[faces]]
-        # block entry (f, i, j) lands at (free index of fv[f, i], of fv[f, j])
-        at = np.full(t.vertex_count, -1)
-        at[self.free] = np.arange(len(self.free))
-        rows, cols = np.broadcast_arrays(at[self.fv][:, :, None], at[self.fv][:, None, :])
-        self.kept = (rows >= 0) & (cols >= 0)
-        self.assembly = Assembly(rows[self.kept], cols[self.kept], len(self.free))
-
-    def start(self) -> np.ndarray:
-        """The unknowns of the base radii."""
-        r = self.base[self.free]
-        return np.log(r) if self.mode == triples.EUCLIDEAN else np.log(np.tan(0.5 * r))
-
-    def radii_from(self, u: np.ndarray) -> np.ndarray:
-        r = self.base.copy()
-        r[self.free] = np.exp(u) if self.mode == triples.EUCLIDEAN else 2.0 * np.arctan(np.exp(u))
-        return r
-
-    def sigma(self, radii: np.ndarray) -> np.ndarray:
-        lengths = triples.edge_lengths(self.mode, radii[self.fv], self.face_theta)
-        alphas = triples.inner_angles_from_lengths(self.mode, lengths)
-        out = np.zeros(self.t.vertex_count)
-        np.add.at(out, self.fv.ravel(), alphas.ravel())
-        return out
-
-    def curvatures(self, u: np.ndarray) -> np.ndarray:
-        radii = self.radii_from(u)
-        return 2.0 * PI - self.sigma(radii)[self.free]
-
-    def min_margin(self, u: np.ndarray) -> float:
-        radii = self.radii_from(u)
-        m = triples.feasibility_margin(self.mode, radii[self.fv], self.face_theta)
-        return float(np.min(m)) if len(m) else 1.0
-
-    def jacobian(self, u: np.ndarray):
-        """dK/du, assembled from per-face 3x3 blocks of d(alpha_i)/du_j.
-
-        The blocks' entries in free rows and columns are summed by
-        ``_newton.Assembly``: a dense array up to order ``DENSE_MAX``, a CSC
-        matrix above it, as ``_newton.factorize`` factorizes them.
-
-        Each block is dl/du, with dl_i/du_j = a_j (a_j b_k + b_j a_k cos
-        theta_i) / L_i, where (a, b, L) is (r, 1, l) in the plane and (sin r,
-        cos r, sin l) on the sphere, followed by the differentiated law of
-        cosines, d(alpha_i) = L_i / D (dl_i - cos alpha_k dl_j - cos alpha_j
-        dl_k), where D = L_j L_k sin alpha_i is the square root of
-        ``feasibility_margin``.  A face of zero area makes entries
-        non-finite; the caller checks.
-        """
-        r = self.radii_from(u)[self.fv]
-        th = self.face_theta
-        lengths = triples.edge_lengths(self.mode, r, th)
-        cos_a = np.cos(triples.inner_angles_from_lengths(self.mode, lengths))
-        if self.mode == triples.EUCLIDEAN:
-            a, b, side = r, np.ones_like(r), lengths
-        else:
-            a, b, side = np.sin(r), np.cos(r), np.sin(lengths)
-        i, j, k = [0, 1, 2], triples.NEXT, triples.AFTER
-        aj, ak = a[:, j], a[:, k]
-        bj, bk, c = b[:, j], b[:, k], np.cos(th)
-        dl = np.zeros((len(r), 3, 3))
-        dalpha = np.zeros_like(dl)
-        dalpha[:, i, i] = 1.0
-        dalpha[:, i, j] = -cos_a[:, k]
-        dalpha[:, i, k] = -cos_a[:, j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dl[:, i, j] = aj * (aj * bk + bj * ak * c) / side
-            dl[:, i, k] = ak * (ak * bj + bk * aj * c) / side
-            root = np.sqrt(triples.feasibility_margin(self.mode, r, th))
-            blocks = (side / root[:, None])[:, :, None] * (dalpha @ dl)
-        return self.assembly.matrix(-blocks[self.kept])
 
 
 def solve_euclidean(t: Triangulation, theta: AngleAssignment, marked_face,
@@ -202,7 +101,7 @@ def solve_euclidean(t: Triangulation, theta: AngleAssignment, marked_face,
     sigma = cmap.sigma(radii)
     rep = CurvatureReport(
         sigma={v: float(sigma[v]) for v in cmap.free},
-        curvature={v: 2.0 * PI - sigma[v] for v in cmap.free}, max_abs_K=res, iterations=it,
+        curvature={v: 2.0 * np.pi - sigma[v] for v in cmap.free}, max_abs_K=res, iterations=it,
         residual_trace=trace, angle_residual=angle_residual,
         notes=[f"newton: {it} steps, residual {res:.2e}, stop: {stop}", polish_note],
     )
@@ -210,111 +109,161 @@ def solve_euclidean(t: Triangulation, theta: AngleAssignment, marked_face,
     return cfg, rep
 
 
-def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
-    """Damped Newton on the curvatures from the map's base radii, by
-    ``_newton.damped_newton``.  Each step solves J du = -K by
-    ``_newton.factorize`` (dense or sparse LU by the order of J), or by
-    ``lstsq`` when J is singular; there is none when J is not finite (a face
-    of zero area).  A candidate is admissible when every face closes up.
-    Returns what ``damped_newton`` returns, x being the free unknowns u.
-    """
-    def step(u, K):
-        J = cmap.jacobian(u)
-        if not np.all(np.isfinite(J if isinstance(J, np.ndarray) else J.data)):
-            return None
-        try:
-            return factorize(J)(-K)
-        except np.linalg.LinAlgError:
-            dense = J if isinstance(J, np.ndarray) else J.toarray()
-            return np.linalg.lstsq(dense, -K, rcond=None)[0]
-
-    def residual(u):
-        return cmap.curvatures(u) if cmap.min_margin(u) > 0.0 else None
-
-    u = cmap.start()
-    return damped_newton(u, cmap.curvatures(u), residual, step, lambda u, du: u + du,
-                         tol, max_iters)
-
-
 # ---------------------------------------------------------------------------
-# layout
+# inversive-distance polish
 # ---------------------------------------------------------------------------
 
-def layout_euclidean(t: Triangulation, theta: AngleAssignment, radii: np.ndarray, marked_face,
-                     tol_layout: float = SolveOptions.tol_layout) -> np.ndarray:
-    """Develop the punctured triangulation in the plane.
-
-    BFS over face adjacency from a seed face; every face is placed from its
-    three edge lengths with positive orientation.  Re-derived vertex
-    positions must agree within ``tol_layout`` times the pattern diameter.
+def residual_and_jacobian(centers: np.ndarray, radii: np.ndarray, edges: np.ndarray,
+                          target_cos: np.ndarray) -> Tuple[np.ndarray, Triplets]:
+    """Residual I_e - cos(theta_e) of a planar configuration and its
+    analytic Jacobian as triplets: dI/dz_u = (z_u - z_v) / (r_u r_v) and
+    dI/dlog r_u = -r_u/r_v - I.  Row e has six entries, in columns
+    3u..3u+2 and 3v..3v+2 of its edge (u, v), returned as (rows, cols,
+    vals).
     """
-    fid, _ = resolve_marked_face(t, marked_face)
-    radii = np.asarray(radii, dtype=float)
-    centers, max_disagree = _develop(t, theta, radii, fid)
-    diameter = float(max(np.max(x + radii) - np.min(x - radii)
-                         for x in (centers.real, centers.imag)))
-    if max_disagree > tol_layout * diameter:
-        raise LayoutInconsistent(f"developing map disagreement {max_disagree} exceeds "
-                                 f"{tol_layout} * diameter {diameter}")
-    return centers
+    inv = triples.inversive(triples.EUCLIDEAN, centers, radii, edges)
+    u, v = edges[:, 0], edges[:, 1]
+    ru, rv = radii[u], radii[v]
+    g = (centers[u] - centers[v]) / (ru * rv)
+    grad = np.stack([g.real, g.imag], axis=1)
+    log_u, log_v = -ru / rv - inv, -rv / ru - inv
+    rows = np.repeat(np.arange(len(edges)), 6)
+    cols = (3 * edges[:, [0, 0, 0, 1, 1, 1]] + np.array([0, 1, 2, 0, 1, 2])).ravel()
+    vals = np.concatenate([grad, log_u[:, None], -grad, log_v[:, None]], axis=1).ravel()
+    return inv - target_cos, (rows, cols, vals)
 
 
-def _develop(t: Triangulation, theta: AngleAssignment, radii: np.ndarray, skip=None,
-             mode: str = triples.EUCLIDEAN, s: float = 1.0) -> Tuple[np.ndarray, float]:
-    """Centers of the developing map of every face but ``skip`` at angles s
-    times theta, and the largest disagreement of a re-derived center with
-    its first placement.  Plane: complex centers, the seed face's first
-    vertex at 0.  Sphere: unit 3-vectors in scalar floats, the seed's
-    first vertex at the north pole; arcs are passed as their haversines,
-    by the law of ``triples.edge_lengths``.  Each new center is the apex of
-    ``triples._third_point`` (plane) or ``triples._third_point_on_sphere``
-    on a placed edge.  The edge opposite corner i of face f is
-    ``t.face_edges[f, i]``."""
-    if mode == triples.EUCLIDEAN:
-        cos_t = [math.cos(s * x) for x in theta.values]
-        def length(u, v, e):
-            ru, rv = radii[u], radii[v]
-            return math.sqrt(ru ** 2 + rv ** 2 + 2.0 * cos_t[e] * ru * rv)
-        apex, gap = triples._third_point, lambda p, q: abs(p - q)
-        first, second = np.complex128(0.0), np.complex128
-    else:
-        def length(u, v, e):
-            return math.sin(0.5 * (rad[u] + rad[v])) ** 2 - hav_t[e] * sin_r[u] * sin_r[v]
-        hav_t = [math.sin(0.5 * s * x) ** 2 for x in theta.values]
-        rad, sin_r = radii.tolist(), np.sin(radii).tolist()
-        apex, gap = triples._third_point_on_sphere, math.dist
-        first, second = (0.0, 0.0, 1.0), lambda h: (2.0 * math.sqrt(max(h * (1.0 - h), 0.0)),
-                                                    0.0, 1.0 - 2.0 * h)
+def retract(centers: np.ndarray, radii: np.ndarray,
+            step: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Configuration reached by moving every vertex by its three
+    coordinates: the center by the first two, the radius by the factor exp
+    of the third."""
+    d = step.reshape(-1, 3)
+    return centers + (d[:, 0] + 1j * d[:, 1]), radii * np.exp(d[:, 2])
 
-    centers, face_edges = [None] * t.vertex_count, t.face_edges.tolist()
-    seed = min(g for g in range(t.face_count) if g != skip)
-    (a, b, c), (ea, eb, ec) = t.faces[seed], face_edges[seed]
-    centers[a], centers[b] = first, second(length(a, b, ec))
-    centers[c] = apex(centers[a], centers[b], length(a, c, eb), length(b, c, ea))
 
-    placed_faces, max_disagree, queue = {seed, skip}, 0.0, deque([seed])
-    while queue:
-        g = queue.popleft()
-        for e in face_edges[g]:
-            for h in t.edge_faces[e]:
-                if h in placed_faces:
-                    continue
-                placed_faces.add(h)
-                queue.append(h)
-                face, edges = t.faces[h], face_edges[h]
-                # rotate so the shared edge (known centers) comes first
-                r = next(r for r in range(3) if centers[face[r]] is not None
-                         and centers[face[r - 2]] is not None)
-                fa, fb, fc = face[r], face[r - 2], face[r - 1]
-                p = apex(centers[fa], centers[fb], length(fa, fc, edges[r - 2]),
-                         length(fb, fc, edges[r]))
-                if centers[fc] is None:
-                    centers[fc] = p
-                else:
-                    max_disagree = max(max_disagree, gap(p, centers[fc]))
-    if any(z is None for z in centers):
-        raise LayoutInconsistent("some vertex was never placed")
-    return np.array(centers, dtype=complex if mode == triples.EUCLIDEAN else float), max_disagree
+def to_dense(J: Triplets, shape: Tuple[int, int]) -> np.ndarray:
+    """The matrix of triplets, duplicates summed."""
+    rows, cols, vals = J
+    out = np.zeros(shape)
+    np.add.at(out, (rows, cols), vals)
+    return out
+
+
+class Gram:
+    """Plan of G = J J^T for Jacobians with the nonzero pattern (rows,
+    cols): G_ef sums the products of row e's and row f's entries in every
+    column they share.  Without merged columns these are the dot products
+    of the two edges' 3-vectors at each vertex they share.  The plan lists
+    every pair of entries in one column, so it depends only on the
+    pattern."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n_rows: int):
+        order = np.argsort(cols, kind="stable")
+        starts = np.flatnonzero(np.diff(cols[order], prepend=-1))
+        sizes = np.diff(np.r_[starts, len(cols)])
+        # pair k of a column with d entries from s on is (s + k // d, s + k % d)
+        square = sizes * sizes
+        k = np.arange(square.sum()) - np.repeat(np.cumsum(square) - square, square)
+        s, d = np.repeat(starts, square), np.repeat(sizes, square)
+        self.a, self.b = order[s + k // d], order[s + k % d]
+        self.assembly = Assembly(rows[self.a], rows[self.b], n_rows)
+
+    def matrix(self, vals: np.ndarray):
+        return self.assembly.matrix(vals[self.a] * vals[self.b])
+
+
+def min_norm_step(J: Triplets, f: np.ndarray, n_cols: int,
+                  gram: Optional[Gram] = None) -> np.ndarray:
+    """Least-norm solution x of J x = -f for J, given as triplets, with no
+    more rows than columns.
+
+    x = J^T y with (J J^T) y = -f: exact when J has full row rank, as the
+    Jacobian of a triangulated sphere has (3n - 6 edges against the
+    6-dimensional Moebius null space, 4-dimensional with tied radii).
+    G = J J^T is assembled from the triplets by ``gram`` (a ``Gram`` of
+    J's pattern, built here if not given) and factorized by ``factorize``:
+    dense up to order ``DENSE_MAX``, sparse above it.  Forming G squares
+    the condition number of J, so a residual ||J x + f|| above
+    ``REFINE_TOL`` ||f|| gets one step of refinement, x += J^T G^-1 (-f -
+    J x).  It brings the step to the accuracy of ``lstsq`` while
+    cond(J)^2 eps < 1 (stack120 at theta = 0: 1e-5 relative error before,
+    1e-10 after).  Any x = J^T y is free of the null space, so its error
+    is at most that residual over the least singular value of J.
+    ``lstsq`` on the dense J takes over when the factorization fails or
+    the residual stays above ``RANK_TOL`` ||f||, the mark of rank loss.
+    """
+    rows, cols, vals = J
+    G = (gram or Gram(rows, cols, len(f))).matrix(vals)
+
+    def times(x):    # J x
+        return np.bincount(rows, weights=vals * x[cols], minlength=len(f))
+
+    def t_times(y):  # J^T y
+        return np.bincount(cols, weights=vals * y[rows], minlength=n_cols)
+
+    scale = np.linalg.norm(f)
+    try:
+        solve = factorize(G)
+        x = t_times(solve(-f))
+        r = -f - times(x)
+        if np.linalg.norm(r) > REFINE_TOL * scale:
+            x += t_times(solve(r))
+            r = -f - times(x)
+    except np.linalg.LinAlgError:
+        r = None
+    if r is None or not np.linalg.norm(r) <= RANK_TOL * scale:
+        return np.linalg.lstsq(to_dense(J, (len(f), n_cols)), -f, rcond=None)[0]
+    return x
+
+
+def tie_columns(cols: np.ndarray, tied: Sequence[int]) -> np.ndarray:
+    """Columns with the log-radius columns of ``tied[1:]`` moved onto that
+    of ``tied[0]``: their entries are then summed, one column per group."""
+    if len(tied) < 2:
+        return cols
+    return np.where(np.isin(cols, [3 * v + 2 for v in tied[1:]]), 3 * tied[0] + 2, cols)
+
+
+def gauss_newton(centers: np.ndarray, radii: np.ndarray, edges: np.ndarray,
+                 target_cos: np.ndarray, tol: float, max_iters: int,
+                 tied: Sequence[int] = ()):
+    """Minimum-norm Gauss-Newton on the planar I_e = cos(theta_e), by
+    ``damped_newton``.
+
+    Each step is the least-norm solution of the linearized system, and
+    moves the configuration by ``retract``; a candidate whose residual is
+    not finite (a radius driven to the end of its range) is not admissible.
+    The radii of the ``tied`` vertices are scaled by one common factor per
+    step, so equal radii among them stay exactly equal: their log-radius
+    columns are merged into the first one.
+
+    Returns (centers, radii, converged, iterations, largest residual, why
+    it stopped: "tolerance", "rounding floor" or "step limit").
+    """
+    tied_cols = [3 * v + 2 for v in tied]
+    f, (rows, cols, _) = residual_and_jacobian(centers, radii, edges, target_cos)
+    cols = tie_columns(cols, tied)
+    gram = Gram(rows, cols, len(f))
+
+    def step(x, f):
+        vals = residual_and_jacobian(*x, edges, target_cos)[1][2]
+        dx = min_norm_step((rows, cols, vals), f, 3 * len(radii), gram)
+        dx[tied_cols[1:]] = dx[tied_cols[:1]]
+        return dx
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def residual(x):
+        f = triples.inversive(triples.EUCLIDEAN, *x, edges) - target_cos
+        return f if np.all(np.isfinite(f)) else None
+
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def move(x, dx):
+        return retract(*x, dx)
+
+    (centers, radii), steps, trace, stop = damped_newton(
+        (centers, radii), f, residual, step, move, tol, max_iters)
+    return centers, radii, trace[-1] <= tol, steps, trace[-1], stop
 
 
 def _polish(t: Triangulation, theta: AngleAssignment, centers: np.ndarray, radii: np.ndarray,

@@ -170,5 +170,5 @@ def load_pattern(source: Source) -> CirclePattern:
         mode=mode,
         centers=centers,
         radii=radii,
-        marked_face=tuple(_array(marked, "'marked_face'", INT, 3)) if marked else None,
+        marked_face=tuple(_array(marked, "'marked_face'", INT, 3)) if marked is not None else None,
     )

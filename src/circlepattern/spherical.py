@@ -1,23 +1,21 @@
-"""Spherical circle-pattern solver for the no-interstice regime, and the
-stereographic lift of planar patterns to the sphere.
+"""Spherical circle-pattern solver for the no-interstice regime.
 
 The solver starts from the tangency packing (every angle zero), which the
-Euclidean solver finds from a convex problem, lifts it to the sphere and
-centers it by Lorentz boosts.  It then follows theta_s = s * theta from
-s = 0 to s = 1, correcting the radii at every step with the curvature
-Newton of ``euclidean`` (three cap radii held to fix the boosts) and
-keeping only embedded layouts; at s = 1 the corrector runs to its
-rounding floor, and its layout is the pattern.  That is moved in closed
-form, by one boost and one orthonormal frame, into the gauge that pins
-the marked face: its three radii at pi/4, its first center at the south
-pole, its second on the x >= 0 meridian, its third at y >= 0.  The
+curvature Newton and developing map of ``_newton`` find in the plane,
+lifts it to the sphere and centers it by Lorentz boosts.  It then follows
+theta_s = s * theta from s = 0 to s = 1, correcting the radii at every
+step with the same curvature Newton (three cap radii held to fix the
+boosts) and keeping only embedded layouts; at s = 1 the corrector runs to
+its rounding floor, and its layout is the pattern.  That is moved in
+closed form, by one boost and one orthonormal frame, into the gauge that
+pins the marked face: its three radii at pi/4, its first center at the
+south pole, its second on the x >= 0 meridian, its third at y >= 0.  The
 corrector is the one damped Newton loop of ``_newton``, and the result is
 accepted by the angle test of ``verify``, ``triples.angle_errors``.
 
 Circles are also handled as de Sitter vectors (c, cos r) / sin r in
 R^{3,1} with <x, y> = x1 y1 + x2 y2 + x3 y3 - x4 y4: Moebius maps act on
-them as Lorentz transformations, and <p_u, p_v> = -I_uv.  The lift of a
-planar disk is such a vector in closed form.
+them as Lorentz transformations, and <p_u, p_v> = -I_uv.
 """
 from __future__ import annotations
 
@@ -28,14 +26,15 @@ import numpy as np
 
 from .conditions import classify
 from .configurations import (CurvatureReport, EuclideanConfiguration, SphericalConfiguration,
-                             chords, near_pairs)
-from .errors import BaseSolveFailed, CirclePatternError, ConditionsViolated, ContinuationStuck
-from .euclidean import (_CurvatureMap, _curvature_newton, _develop, pick_marked_face,
-                        resolve_marked_face, solve_euclidean)
+                             _from_de_sitter, chords, lift_to_sphere, near_pairs)
+from .errors import (BaseSolveFailed, ConditionsViolated, ContinuationStuck, LayoutInconsistent,
+                     Stalled)
 from .options import SolveOptions
 from .triangulation import AngleAssignment, Triangulation
 from . import triples
 from .triples import inversive
+from ._newton import (_CurvatureMap, _curvature_newton, _develop, layout_euclidean,
+                      resolve_marked_face)
 
 PI = math.pi
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -50,39 +49,12 @@ CENTERING_ITERS = 100
 
 
 # ---------------------------------------------------------------------------
-# stereographic lift
-# ---------------------------------------------------------------------------
-
-def lift_to_sphere(cfg: EuclideanConfiguration) -> SphericalConfiguration:
-    """Inverse stereographic image of every disk of a planar configuration,
-    0 going to the south pole.
-
-    The image of the disk (c, r) is the cap with de Sitter vector
-    (2 Re c, 2 Im c, k - 1, k + 1) / 2r, k = |c|^2 - r^2.  Inversive
-    distances are Moebius invariants, so the lifted pattern realizes the
-    same exterior angles.
-    """
-    c, r = np.asarray(cfg.centers, dtype=complex), np.asarray(cfg.radii, dtype=float)
-    k = np.abs(c) ** 2 - r ** 2
-    p = np.stack([2.0 * c.real, 2.0 * c.imag, k - 1.0, k + 1.0], axis=1) / (2.0 * r)[:, None]
-    centers, radii = _from_de_sitter(p)
-    return SphericalConfiguration(centers, radii, cfg.marked_face,
-                                  normalized={"x5": False, "x6": False})
-
-
-# ---------------------------------------------------------------------------
 # de Sitter vectors and Lorentz boosts
 # ---------------------------------------------------------------------------
 
 def _de_sitter(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     s = np.sin(radii)[:, None]
     return np.hstack([centers / s, np.cos(radii)[:, None] / s])
-
-
-def _from_de_sitter(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    x = p[:, :3]
-    norm = np.linalg.norm(x, axis=1)
-    return x / norm[:, None], np.arctan2(1.0, p[:, 3])
 
 
 def _boost(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -115,13 +87,20 @@ def _centered(centers: np.ndarray, radii: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 
 def _tangency_start(t: Triangulation) -> Tuple[np.ndarray, np.ndarray]:
-    """The lifted and centered tangency packing (theta = 0), at the solver's defaults."""
-    zero = AngleAssignment.constant(t, 0.0)
+    """The lifted and centered tangency packing (theta = 0): the curvature
+    Newton and the layout of the planar solve at its defaults, face 0
+    marked, with no polish and no normalization."""
+    zero, opts = AngleAssignment.constant(t, 0.0), SolveOptions()
+    cmap = _CurvatureMap(t, zero, 0)
+    u, it, trace, stop = _curvature_newton(cmap, opts.tol_K, opts.max_iters)
+    radii = cmap.radii_from(u)
     try:
-        cfg, _ = solve_euclidean(t, zero, pick_marked_face(t, zero))
-    except CirclePatternError as exc:
+        if stop == "step limit":
+            raise Stalled(f"no convergence after {it} iterations (residual {trace[-1]})")
+        centers = layout_euclidean(t, zero, radii, 0, opts.tol_layout)
+    except (Stalled, LayoutInconsistent) as exc:
         raise BaseSolveFailed(f"tangency packing failed: {exc}") from exc
-    sph = lift_to_sphere(cfg)
+    sph = lift_to_sphere(EuclideanConfiguration(centers, radii, t.faces[0]))
     return _centered(sph.centers, sph.radii)
 
 
@@ -197,14 +176,14 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
                     marked_face=0) -> Tuple[SphericalConfiguration, CurvatureReport]:
     """Produce a normalized spherical configuration realizing the angles.
 
-    Path: solve the tangency packing (theta = 0) in the plane at the planar
-    solver's defaults, lift it to the sphere, center it by Lorentz boosts,
-    then follow theta_s = s * theta from s = 0 to 1 with adaptive steps.
-    Each step corrects the radii by the curvature Newton of ``euclidean``,
-    three caps held (``_held_caps``), and develops them; it is kept when the
-    corrector converged, every cone angle closes up to ``SIGMA_TOL`` and the
-    layout is embedded.  At s = 1 the corrector runs to its rounding floor,
-    and that layout is the pattern, moved into the gauge.  Of ``opts`` only
+    Path: lay out the tangency packing (theta = 0) in the plane
+    (``_tangency_start``), lift it to the sphere, center it by Lorentz boosts,
+    then follow theta_s = s * theta from s = 0 to 1 with adaptive steps.  Each
+    step corrects the radii by the curvature Newton of ``_newton``, three caps
+    held (``_held_caps``), and develops them; it is kept when the corrector
+    converged, every cone angle closes up to ``SIGMA_TOL`` and the layout is
+    embedded.  At s = 1 the corrector runs to its rounding floor, and that
+    layout is the pattern, moved into the gauge.  Of ``opts`` only
     ``tol_angle``, ``min_step`` and ``diag_max`` apply.
 
     Every theta_s is admissible: conditions c1-c4 bound sums of angles from

@@ -174,16 +174,25 @@ class TestBadInput:
         ("validate", "octa", ("faces", 0, 0), True, 1),
         ("validate", "theta", ("theta", 0, "edge", 1), 1.0, 1),
         ("validate", "theta", ("theta", 1, "edge"), [1, 0], 1),
+        ("verify", "plane", ("marked_face",), 0, 1),
+        ("render", "plane", ("marked_face",), False, 1),
+        ("polyhedron", "sphere", ("marked_face",), "", 1),
+        ("lift", "plane", ("marked_face",), [], 1),
+        ("verify", "sphere", ("marked_face",), {}, 1),
     ], ids=["face-entry", "vertices", "faces", "edge", "center", "radius",
             "marked-verify", "marked-render", "marked-polyhedron",
             "nan-center-verify", "inf-center-render", "nan-center-polyhedron",
-            "inf-center-lift", "bool-face-entry", "float-edge-end", "edge-twice"])
+            "inf-center-lift", "bool-face-entry", "float-edge-end", "edge-twice",
+            "zero-marked", "false-marked", "empty-string-marked", "empty-list-marked",
+            "empty-object-marked"])
     def test_malformed_json(self, octa_json, capsys, command, base, path, value, code):
         """A value of the wrong type or shape ends in one line on stderr and
         exit 1 from the loaders, as does an edge given twice, once as
-        [1, 0] after [0, 1]; a marked face that is not a face ends in
-        the command's own failure code, as does a centre that is not a
-        finite number (JSON as Python writes it has NaN and Infinity)."""
+        [1, 0] after [0, 1], and a marked face that is neither null nor
+        three integers, falsy ones included; a marked face that is not a
+        face ends in the command's own failure code, as does a centre that
+        is not a finite number (JSON as Python writes it has NaN and
+        Infinity)."""
         root, data = octa_json
         assert not shapes.octahedron().is_face([0, 1, 5])
         data = copy.deepcopy(data[base])
@@ -574,6 +583,15 @@ class TestImportHygiene:
         assert self._loaded(["render", planar, "--out", files["dir"] / "p.svg"]) == (
             0, {"cli", "formats", "errors", "triangulation", "configurations", "render"}, 7)
 
+    def test_lift_loads_only_the_lift(self, files):
+        """``lift`` runs only the closed-form lift, which lives beside the
+        configuration types: no solver module is loaded."""
+        planar = files["dir"] / "p.json"
+        assert main(["solve", str(files["tetra"]), str(files["theta0"]), "--mode",
+                     "euclidean", "--auto-mark", "--out", str(planar)]) == 0
+        assert self._loaded(["lift", planar, "--out", files["dir"] / "l.json"]) == (
+            0, {"cli", "formats", "errors", "triangulation", "configurations"}, 7)
+
     def test_pipeline_commands_load_exactly_their_layers(self, files):
         """The module sets the README lists for solve, verify and polyhedron,
         and the number of record types each defines: the cycle layer only
@@ -586,7 +604,7 @@ class TestImportHygiene:
             (["solve", files["tetra"], files["theta0"], "--mode", "euclidean", "--auto-mark",
               "--out", d / "p.json"], solver, 11),
             (["solve", files["octa"], files["theta3"], "--mode", "spherical", "--out",
-              d / "s.json"], solver | {"spherical"}, 11),
+              d / "s.json"], solver - {"euclidean"} | {"spherical"}, 11),
             (["verify", "--pattern", d / "p.json"], base | {"cycles", "verify"}, 9),
             (["verify", "--pattern", d / "s.json"], base | {"cycles", "verify"}, 9),
             (["polyhedron", "--pattern", d / "s.json", "--allow-ideal", "--out", d / "q.obj"],

@@ -18,9 +18,9 @@ from circlepattern import (
     solve_spherical,
 )
 from circlepattern import _newton, spherical, triples
-from circlepattern._newton import (
-    damped_newton, gauss_newton, min_norm_step, residual_and_jacobian, retract, tie_columns,
-    to_dense,
+from circlepattern._newton import damped_newton
+from circlepattern.euclidean import (
+    gauss_newton, min_norm_step, residual_and_jacobian, retract, tie_columns, to_dense,
 )
 from circlepattern.errors import Stalled
 from random_triangulations import flip_edges, loop_subdivide, stack120_faces, stacked_faces
@@ -88,7 +88,7 @@ def curvature_map_points(make):
     solution and at a random point between."""
     t, th = make()
     fid = pick_marked_face(t, th)
-    cmap = euclidean._CurvatureMap(t, th, fid)
+    cmap = _newton._CurvatureMap(t, th, fid)
     cfg, _ = solve_euclidean(t, th, fid)
     solved = np.log(cfg.radii / cfg.radii[cfg.marked_face[0]])[cmap.free]
     mixed = np.random.default_rng(9).uniform(0.0, 1.0, len(solved)) * solved
@@ -117,8 +117,8 @@ def spherical_map_points(make):
     at two random points near it."""
     t, th = make()
     cfg, _ = solve_spherical(t, th)
-    cmap = euclidean._CurvatureMap(t, th, None, "spherical", cfg.radii,
-                                   spherical._held_caps(cfg.centers, cfg.marked_face[0]))
+    cmap = _newton._CurvatureMap(t, th, None, "spherical", cfg.radii,
+                                 spherical._held_caps(cfg.centers, cfg.marked_face[0]))
     solved = cmap.start()
     rng = np.random.default_rng(9)
     points = [solved] + [solved + rng.normal(0.0, 0.05, len(solved)) for _ in range(2)]
@@ -164,14 +164,14 @@ def test_spherical_curvature_null_space_is_the_boosts():
     three caps ``solve_spherical`` picks leaves it well conditioned."""
     t, th = ico42_band()
     cfg, _ = solve_spherical(t, th)
-    whole = euclidean._CurvatureMap(t, th, None, "spherical", cfg.radii)
+    whole = _newton._CurvatureMap(t, th, None, "spherical", cfg.radii)
     J = whole.jacobian(whole.start())
     boosts = cfg.centers
     assert np.max(np.abs(J @ boosts)) <= 1e-12 * np.max(np.abs(J))
     eig = np.linalg.eigvalsh(J)
     assert np.sum(np.abs(eig) <= 1e-10 * np.max(np.abs(eig))) == 3
     held = spherical._held_caps(cfg.centers, cfg.marked_face[0])
-    cmap = euclidean._CurvatureMap(t, th, None, "spherical", cfg.radii, held)
+    cmap = _newton._CurvatureMap(t, th, None, "spherical", cfg.radii, held)
     assert np.linalg.cond(cmap.jacobian(cmap.start())) < 1e4
 
 
@@ -181,7 +181,7 @@ def test_curvature_assembly_sums_the_face_blocks(monkeypatch, backend):
     full vertex matrix by ``np.add.at`` and cut to the free vertices, bit
     for bit, as a dense array and as a CSC matrix."""
     t, th = ico162_uniform()
-    cmap = euclidean._CurvatureMap(t, th, pick_marked_face(t, th))
+    cmap = _newton._CurvatureMap(t, th, pick_marked_face(t, th))
     blocks = np.random.default_rng(3).normal(size=(len(cmap.fv), 3, 3))
     H = np.zeros((t.vertex_count, t.vertex_count))
     np.add.at(H, (cmap.fv[:, :, None], cmap.fv[:, None, :]), blocks)
@@ -201,7 +201,7 @@ def test_curvature_jacobian_not_finite_on_a_flat_face():
     vals = [0.3] * t.edge_count
     for eid, value in zip(t.face_edge_ids(1), (2.9, 2.9, 0.1)):
         vals[eid] = value
-    cmap = euclidean._CurvatureMap(t, AngleAssignment(t, tuple(vals)), 0)
+    cmap = _newton._CurvatureMap(t, AngleAssignment(t, tuple(vals)), 0)
     lo, hi = np.full(len(cmap.free), 3.0), np.zeros(len(cmap.free))
     assert cmap.min_margin(lo) > 0.0 >= cmap.min_margin(hi)
     for _ in range(80):  # bisect to the last representable flat point
@@ -220,11 +220,11 @@ def test_non_finite_jacobian_stops_at_the_floor(monkeypatch, octa):
     the solve, left with equal radii that have no layout, raises Stalled
     with the stop reason and the collapse suspects."""
     th = AngleAssignment.constant(octa, PI / 4)
-    analytic = euclidean._CurvatureMap.jacobian
-    monkeypatch.setattr(euclidean._CurvatureMap, "jacobian",
+    analytic = _newton._CurvatureMap.jacobian
+    monkeypatch.setattr(_newton._CurvatureMap, "jacobian",
                         lambda self, u: analytic(self, u) * np.nan)
-    cmap = euclidean._CurvatureMap(octa, th, 0)
-    u, steps, trace, stop = euclidean._curvature_newton(cmap, 1e-10, 200)
+    cmap = _newton._CurvatureMap(octa, th, 0)
+    u, steps, trace, stop = _newton._curvature_newton(cmap, 1e-10, 200)
     assert (steps, stop) == (0, "rounding floor")
     assert not np.any(u) and len(trace) == 1 and trace[0] > 1e-10
     with pytest.raises(Stalled, match="rounding floor") as info:
@@ -236,19 +236,19 @@ def test_singular_jacobian_takes_the_least_squares_step(monkeypatch, octa):
     """With its last row and column zeroed J is exactly singular: LU refuses
     it, and the curvature Newton steps by the least-norm least-squares
     solution instead, which leaves the last unknown where it is."""
-    analytic = euclidean._CurvatureMap.jacobian
+    analytic = _newton._CurvatureMap.jacobian
 
     def singular(self, u):
         J = analytic(self, u).copy()
         J[-1, :] = J[:, -1] = 0.0
         return J
 
-    monkeypatch.setattr(euclidean._CurvatureMap, "jacobian", singular)
-    cmap = euclidean._CurvatureMap(octa, AngleAssignment.constant(octa, PI / 4), 0)
+    monkeypatch.setattr(_newton._CurvatureMap, "jacobian", singular)
+    cmap = _newton._CurvatureMap(octa, AngleAssignment.constant(octa, PI / 4), 0)
     u0 = cmap.start()
     with pytest.raises(np.linalg.LinAlgError):
         _newton.factorize(cmap.jacobian(u0))(cmap.curvatures(u0))
-    u, steps, _, _ = euclidean._curvature_newton(cmap, 1e-10, 1)
+    u, steps, _, _ = _newton._curvature_newton(cmap, 1e-10, 1)
     assert steps == 1 and np.any(u != u0) and abs(u[-1] - u0[-1]) < 1e-12
 
 

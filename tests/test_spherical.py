@@ -14,7 +14,7 @@ from circlepattern import (
     solve_euclidean,
     solve_spherical,
 )
-from circlepattern import euclidean, shapes, spherical
+from circlepattern import euclidean, shapes, spherical, triples
 from circlepattern.configurations import EuclideanConfiguration
 from circlepattern.errors import ConditionsViolated, ContinuationStuck
 from circlepattern.verify import CirclePattern
@@ -314,9 +314,8 @@ class TestSubdividedIcosahedron:
 
     def test_n642_sparse_steps(self):
         """The n=642 subdivided icosahedron at theta = 1.2: its 639 x 639
-        curvature Jacobians, and the 1920 x 1920 normal matrices of the
-        tangency start's planar polish, are factorized sparse, and the
-        homotopy takes its five steps."""
+        curvature Jacobians are factorized sparse, and the homotopy takes
+        its five steps."""
         from circlepattern import _newton, build_triangulation, verify_pattern
 
         t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 3))
@@ -328,13 +327,26 @@ class TestSubdividedIcosahedron:
         assert verify_pattern(CirclePattern.from_spherical(t, th, cfg)).passed
 
 
+class TestTangencyStart:
+    @pytest.mark.parametrize("levels, bound", [(1, 1e-12), (3, 2e-10)])
+    def test_start_is_a_tangency_packing(self, levels, bound):
+        """The lifted start of ico42 and of the n=642 subdivision has every
+        edge's caps tangent, |I - 1| within ``bound`` (3.5e-13 and 5.1e-11
+        when laid out from the curvature Newton's radii; the planar polish
+        and normalization left 5.9e-12 and 1.2e-9)."""
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, levels))
+        centers, radii = spherical._tangency_start(t)
+        gap = triples.inversive(triples.SPHERICAL, centers, radii, t.edge_array) - 1.0
+        assert np.max(np.abs(gap)) <= bound
+
+
 class TestHomotopy:
     def test_report_notes_explain_the_run(self, icosa, monkeypatch):
         """The notes give the accepted and rejected homotopy steps and the
         last accepted corrector's steps, residual and stop, as they were
         returned.  That corrector, at s = 1, runs to its rounding floor, and
-        the only inversive Gauss-Newton of the solve is the planar polish of
-        the tangency start."""
+        the solve runs no inversive Gauss-Newton: the tangency start is laid
+        out from its radii, without the planar polish."""
         steps, polishes = [], []
         homotopy_step, gauss_newton = spherical._homotopy_step, euclidean.gauss_newton
 
@@ -352,7 +364,7 @@ class TestHomotopy:
         accepted = [step for step in steps if step is not None]
         _, _, iters, stop, res = accepted[-1]
         assert len(accepted) == rep.iterations and len(steps) > len(accepted)
-        assert len(polishes) == 1 and np.iscomplexobj(polishes[0][0])
+        assert len(polishes) == 0
         assert stop == "rounding floor"
         assert rep.notes == [
             f"homotopy: {len(accepted)} steps accepted, {len(steps) - len(accepted)} rejected",
@@ -420,8 +432,8 @@ class TestRoundingFloor:
             stops.append(newton(cmap, tol, max_iters))
             return stops[-1]
 
-        monkeypatch.setattr(spherical, "_curvature_newton", recorded)
         centers, radii = spherical._tangency_start(icosa)
+        monkeypatch.setattr(spherical, "_curvature_newton", recorded)
         th = AngleAssignment.constant(icosa, 1.2)
         assert spherical._homotopy_step(icosa, th, 1.0, centers, radii, icosa.faces[0][0]) is None
         (_, iters, trace, stop), = stops
@@ -438,13 +450,13 @@ class TestErrors:
 
     def test_base_solve_failure_reported(self, octa, monkeypatch):
         """When the tangency packing that starts the homotopy cannot be
-        solved, the failure is reported with its cause."""
+        solved, the failure is reported with its cause: here the start's
+        curvature Newton, allowed no step, stops at its step limit."""
         from circlepattern.errors import BaseSolveFailed, Stalled
 
-        def stalled(*args, **kwargs):
-            raise Stalled("no convergence")
-
-        monkeypatch.setattr(spherical, "solve_euclidean", stalled)
+        newton = spherical._curvature_newton
+        monkeypatch.setattr(spherical, "_curvature_newton",
+                            lambda cmap, tol, max_iters: newton(cmap, tol, 0))
         th = AngleAssignment.constant(octa, PI / 3)
         with pytest.raises(BaseSolveFailed, match="tangency packing failed") as info:
             solve_spherical(octa, th)
