@@ -19,12 +19,13 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import triples
-from .errors import LayoutInconsistent
+from .errors import DomainError, LayoutInconsistent
 from .options import SolveOptions
 from .triangulation import AngleAssignment, Triangulation
 
 PI = math.pi
 LINE_SEARCH_HALVINGS = 30
+FLOOR_RESIDUAL = 1e-9    # largest residual from which a slow step marks the rounding floor
 DENSE_MAX = 600          # largest order factorized dense; scipy's splu above
 
 
@@ -73,11 +74,13 @@ def damped_newton(x, f, residual: Callable, step: Callable, move: Callable,
 
     Stops when the largest residual is at most ``tol``, after ``max_iters``
     steps, or at the rounding floor: when ``step`` is None (no step can be
-    taken), when no halving lowers the norm, or after the first step that
-    is not a full step halving the largest residual.  Quadratic convergence
-    rules out the last two above rounding level; a start outside the
-    quadratic region stops the same way (the monotonicity test of
-    Deuflhard, *Newton Methods for Nonlinear Problems*, 2004).
+    taken), when no halving lowers the norm, or after a slow step (damped,
+    or a full step that does not halve the largest residual) taken from a
+    largest residual of at most ``FLOOR_RESIDUAL``.  Quadratic convergence
+    rules out slow steps there above rounding level; above it a slow step
+    is the damped phase of a start outside the quadratic region, and the
+    run goes on (the monotonicity test of Deuflhard, *Newton Methods for
+    Nonlinear Problems*, 2004, with the residual level of the floor).
 
     Returns (x, iterations, largest residual before and after each step,
     why it stopped: "tolerance", "rounding floor" or "step limit").
@@ -100,7 +103,7 @@ def damped_newton(x, f, residual: Callable, step: Callable, move: Callable,
             return x, it, trace, "rounding floor"
         x, f = cand, f_try
         trace.append(float(np.max(np.abs(f))))
-        if lam < 1.0 or trace[-1] > 0.5 * trace[-2]:
+        if (lam < 1.0 or trace[-1] > 0.5 * trace[-2]) and trace[-2] <= FLOOR_RESIDUAL:
             return x, it + 1, trace, "rounding floor"
     return x, max_iters, trace, "tolerance" if trace[-1] <= tol else "step limit"
 
@@ -217,7 +220,8 @@ def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
     ``damped_newton``.  Each step solves J du = -K by
     ``factorize`` (dense or sparse LU by the order of J), or by
     ``lstsq`` when J is singular; there is none when J is not finite (a face
-    of zero area).  A candidate is admissible when every face closes up.
+    of zero area).  A candidate is admissible when every face closes up and
+    its inner angles are defined and finite.
     Returns what ``damped_newton`` returns, x being the free unknowns u.
     """
     def step(u, K):
@@ -230,8 +234,15 @@ def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
             dense = J if isinstance(J, np.ndarray) else J.toarray()
             return np.linalg.lstsq(dense, -K, rcond=None)[0]
 
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def residual(u):
-        return cmap.curvatures(u) if cmap.min_margin(u) > 0.0 else None
+        if not cmap.min_margin(u) > 0.0:
+            return None
+        try:
+            K = cmap.curvatures(u)
+        except DomainError:  # a face too thin for its inner angles
+            return None
+        return K if np.all(np.isfinite(K)) else None
 
     u = cmap.start()
     return damped_newton(u, cmap.curvatures(u), residual, step, lambda u, du: u + du,

@@ -56,61 +56,69 @@ def _add_solver_flags(sub) -> None:
     sub.add_argument("--min-step", dest="min_step", type=float)
 
 
-def make_parser() -> _Parser:
+def make_parser(command: str | None = None) -> _Parser:
+    """The parser of every command or, given a ``command`` name, of that
+    command alone, which parses its arguments with the same usage errors
+    and help text while building one subparser in place of eight."""
     parser = _Parser(prog="circlepattern")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    v = subs.add_parser("validate", help="check class membership of angle data")
-    v.add_argument("triangulation")
-    v.add_argument("theta")
-    v.add_argument("--class", dest="requested", choices=["marden", "m5", "g5", "andreev"])
-    v.add_argument("--json-out")
+    def wanted(name, summary):
+        return subs.add_parser(name, help=summary) if command in (None, name) else None
 
-    s = subs.add_parser("solve", help="produce a circle pattern")
-    s.add_argument("triangulation")
-    s.add_argument("theta")
-    s.add_argument("--mode", choices=["euclidean", "spherical", "auto"], default="auto")
-    s.add_argument("--marked-face", help="comma-separated vertex triple or face id")
-    s.add_argument("--auto-mark", dest="auto_mark", action="store_true", default=None)
-    s.add_argument("--out")
-    _add_solver_flags(s)
+    if v := wanted("validate", "check class membership of angle data"):
+        v.add_argument("triangulation")
+        v.add_argument("theta")
+        v.add_argument("--class", dest="requested", choices=["marden", "m5", "g5", "andreev"])
+        v.add_argument("--json-out")
 
-    l = subs.add_parser("lift", help="stereographic lift of a planar pattern")
-    l.add_argument("pattern")
-    l.add_argument("--out")
+    if s := wanted("solve", "produce a circle pattern"):
+        s.add_argument("triangulation")
+        s.add_argument("theta")
+        s.add_argument("--mode", choices=["euclidean", "spherical", "auto"], default="auto")
+        s.add_argument("--marked-face", help="comma-separated vertex triple or face id")
+        s.add_argument("--auto-mark", dest="auto_mark", action="store_true", default=None)
+        s.add_argument("--out")
+        _add_solver_flags(s)
 
-    w = subs.add_parser("verify", help="verify a claimed pattern")
-    w.add_argument("--pattern", required=True)
-    w.add_argument("--tol", type=float)
-    w.add_argument("--resolution", dest="boundary_samples", type=int,
-                   help="accepted and unused: no check samples (recorded in the report)")
-    w.add_argument("--json-out")
+    if l := wanted("lift", "stereographic lift of a planar pattern"):
+        l.add_argument("pattern")
+        l.add_argument("--out")
 
-    q = subs.add_parser("polyhedron", help="build the dual hyperbolic polyhedron")
-    q.add_argument("--pattern", required=True)
-    q.add_argument("--out", help="OBJ mesh path")
-    q.add_argument("--json-out")
-    q.add_argument("--allow-ideal", action="store_true", default=None)
+    if w := wanted("verify", "verify a claimed pattern"):
+        w.add_argument("--pattern", required=True)
+        w.add_argument("--tol", type=float)
+        w.add_argument("--resolution", dest="boundary_samples", type=int,
+                       help="accepted and unused: no check samples (recorded in the report)")
+        w.add_argument("--json-out")
 
-    r = subs.add_parser("render", help="SVG figure of a planar pattern")
-    r.add_argument("pattern")
-    r.add_argument("--out", required=True)
-    r.add_argument("--stroke-width", type=float)
-    r.add_argument("--contact-graph", dest="show_contact_graph", action="store_true", default=None)
-    r.add_argument("--star-overlay", dest="show_star_overlay", action="store_true", default=None)
-    r.add_argument("--size", type=int)
+    if q := wanted("polyhedron", "build the dual hyperbolic polyhedron"):
+        q.add_argument("--pattern", required=True)
+        q.add_argument("--out", help="OBJ mesh path")
+        q.add_argument("--json-out")
+        q.add_argument("--allow-ideal", action="store_true", default=None)
 
-    d = subs.add_parser("diagnose", help="degeneration functional table")
-    d.add_argument("triangulation")
-    d.add_argument("theta")
-    d.add_argument("--diag-max", dest="max_size", type=int)
-    d.add_argument("--marked-face")
-    d.add_argument("--json-out")
+    if r := wanted("render", "SVG figure of a planar pattern"):
+        r.add_argument("pattern")
+        r.add_argument("--out", required=True)
+        r.add_argument("--stroke-width", type=float)
+        r.add_argument("--contact-graph", dest="show_contact_graph", action="store_true",
+                       default=None)
+        r.add_argument("--star-overlay", dest="show_star_overlay", action="store_true",
+                       default=None)
+        r.add_argument("--size", type=int)
 
-    p = subs.add_parser("probe-triple", help="dump three-circle geometry")
-    p.add_argument("--mode", choices=["euclidean", "spherical"], required=True)
-    p.add_argument("--radii", required=True, help="comma-separated r_i,r_j,r_k")
-    p.add_argument("--angles", required=True, help="comma-separated theta_i,theta_j,theta_k")
+    if d := wanted("diagnose", "degeneration functional table"):
+        d.add_argument("triangulation")
+        d.add_argument("theta")
+        d.add_argument("--diag-max", dest="max_size", type=int)
+        d.add_argument("--marked-face")
+        d.add_argument("--json-out")
+
+    if p := wanted("probe-triple", "dump three-circle geometry"):
+        p.add_argument("--mode", choices=["euclidean", "spherical"], required=True)
+        p.add_argument("--radii", required=True, help="comma-separated r_i,r_j,r_k")
+        p.add_argument("--angles", required=True, help="comma-separated theta_i,theta_j,theta_k")
     return parser
 
 
@@ -273,7 +281,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command name builds its own subparser; -h, no command or an unknown
+    # one take the full parser, whose help and errors list every command
+    parser = make_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -3,15 +3,16 @@
 The solver starts from the tangency packing (every angle zero), which the
 curvature Newton and developing map of ``_newton`` find in the plane,
 lifts it to the sphere and centers it by Lorentz boosts.  It then follows
-theta_s = s * theta from s = 0 to s = 1, correcting the radii at every
-step with the same curvature Newton (three cap radii held to fix the
-boosts) and keeping only embedded layouts; at s = 1 the corrector runs to
-its rounding floor, and its layout is the pattern.  That is moved in
-closed form, by one boost and one orthonormal frame, into the gauge that
-pins the marked face: its three radii at pi/4, its first center at the
-south pole, its second on the x >= 0 meridian, its third at y >= 0.  The
-corrector is the one damped Newton loop of ``_newton``, and the result is
-accepted by the angle test of ``verify``, ``triples.angle_errors``.
+theta_s = s * theta from s = 0 to s = 1 in long steps, predicting the
+radii at each step by a secant and correcting them with the same curvature
+Newton (three cap radii held to fix the boosts), and keeps only embedded
+layouts; at s = 1 the corrector runs to its rounding floor, and its layout
+is the pattern.  That is moved in closed form, by one boost and one
+orthonormal frame, into the gauge that pins the marked face: its three
+radii at pi/4, its first center at the south pole, its second on the
+x >= 0 meridian, its third at y >= 0.  The corrector is the one damped
+Newton loop of ``_newton``, and the result is accepted by the angle test of
+``verify``, ``triples.angle_errors``.
 
 Circles are also handled as de Sitter vectors (c, cos r) / sin r in
 R^{3,1} with <x, y> = x1 y1 + x2 y2 + x3 y3 - x4 y4: Moebius maps act on
@@ -40,7 +41,8 @@ PI = math.pi
 SOUTH = np.array([0.0, 0.0, -1.0])
 NEWTON_TOL = 1e-10       # corrector tolerance on the curvatures 2*pi - sigma_v before s = 1
 FINAL_TOL = 1e-10        # largest curvature left by the corrector at s = 1, run to its floor
-CORRECTOR_ITERS = 60
+CORRECTOR_ITERS = 10     # corrector steps a homotopy step may take before it is rejected
+FIRST_STEP = 0.5         # the homotopy's first step in s; later ones double up to 1 - s
 SIGMA_TOL = 1e-8         # largest |2*pi - sigma_v| of an accepted step, held caps included
 LAYOUT_TOL = 1e-8        # largest chord between two placements of a center
 OVERLAP_TOL = 1e-7       # disks of non-adjacent vertices overlap at I below 1 - OVERLAP_TOL
@@ -178,13 +180,19 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
 
     Path: lay out the tangency packing (theta = 0) in the plane
     (``_tangency_start``), lift it to the sphere, center it by Lorentz boosts,
-    then follow theta_s = s * theta from s = 0 to 1 with adaptive steps.  Each
-    step corrects the radii by the curvature Newton of ``_newton``, three caps
-    held (``_held_caps``), and develops them; it is kept when the corrector
-    converged, every cone angle closes up to ``SIGMA_TOL`` and the layout is
-    embedded.  At s = 1 the corrector runs to its rounding floor, and that
-    layout is the pattern, moved into the gauge.  Of ``opts`` only
-    ``tol_angle``, ``min_step`` and ``diag_max`` apply.
+    then follow theta_s = s * theta from s = 0 to 1.  The first step is
+    ``FIRST_STEP``; a step whose corrector took at most three steps doubles
+    the next, up to 1 - s, and a rejected step is halved.  Each step starts
+    from the radii that ``_predicted`` extrapolates from the last two
+    accepted ones (the last accepted radii at the first step), corrects them
+    by the curvature Newton of ``_newton`` in at most ``CORRECTOR_ITERS``
+    steps, three caps held (``_held_caps``), and develops them; it is kept
+    when the corrector converged, every cone angle closes up to
+    ``SIGMA_TOL`` and the layout is embedded.  At s = 1 the corrector runs to
+    its rounding floor, and that layout is the pattern, moved into the
+    gauge.  The tangency packing and two steps, s = 0.5 and 1, are the
+    usual run.  Of ``opts`` only ``tol_angle``, ``min_step`` and ``diag_max``
+    apply.
 
     Every theta_s is admissible: conditions c1-c4 bound sums of angles from
     above, so scaling by s in (0, 1] preserves them, and each theta_s has
@@ -211,16 +219,18 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
         return ContinuationStuck(message, t_reached=reached, suspects=suspects)
 
     trace: List[float] = []
-    s, ds, rejected = 0.0, 0.1, 0
+    s, ds, rejected, last = 0.0, FIRST_STEP, 0, None
     while s < 1.0:
         s_try = s + ds if s + ds < 1.0 - opts.min_step else 1.0
-        step = _homotopy_step(t, theta, s_try, centers, radii, face[0])
+        guess = radii if last is None else _predicted(*last, s, radii, s_try)
+        step = _homotopy_step(t, theta, s_try, centers, guess, face[0])
         if step is not None:
+            last = (s, radii)
             centers, radii, iters, stop, res = step
             s = s_try
             trace.append(res)
             if iters <= 3:
-                ds = min(0.25, 2.0 * ds)
+                ds = min(1.0 - s, 2.0 * ds)
         else:
             rejected += 1
             ds *= 0.5
@@ -244,17 +254,29 @@ def solve_spherical(t: Triangulation, theta: AngleAssignment, opts: SolveOptions
     return SphericalConfiguration(centers, radii, face, normalized={"x5": True, "x6": True}), rep
 
 
+def _predicted(s0, r0, s1, r1, s):
+    """Radii at ``s`` on the secant through the accepted radii ``r0`` at
+    ``s0`` and ``r1`` at ``s1``, in u = log tan(r/2) over s^2.  The angles
+    enter the curvatures only through cos(s theta), so along the path u is
+    a smooth function of s^2."""
+    u0, u1 = np.log(np.tan(0.5 * r0)), np.log(np.tan(0.5 * r1))
+    w = (s * s - s1 * s1) / (s1 * s1 - s0 * s0)
+    return 2.0 * np.arctan(np.exp(u1 + w * (u1 - u0)))
+
+
 def _homotopy_step(t, theta, s, centers, radii, first):
-    """The last accepted radii corrected for theta_s and laid out: (centers,
+    """The predicted ``radii`` corrected for theta_s and laid out: (centers,
     radii, corrector steps, stop, residual), or None when the step is
-    rejected.  The corrector stops at ``NEWTON_TOL`` before s = 1 and at its
-    rounding floor at s = 1, where a stop above ``FINAL_TOL`` (after a
-    damped step) rejects.  A residual that no corrector step reduced is not
+    rejected.  The three held caps are picked from ``centers``, the last
+    accepted layout.  The corrector stops at ``NEWTON_TOL`` before s = 1 and
+    at its rounding floor at s = 1, where a stop above ``FINAL_TOL``
+    rejects; a corrector still short of either after ``CORRECTOR_ITERS``
+    steps rejects too.  A residual that no corrector step reduced is not
     converged: near s = 0 the curvatures move as s squared, so a short step
     can start within tolerance."""
     cmap = _CurvatureMap(t, theta, None, triples.SPHERICAL, radii,
                          _held_caps(centers, first), s)
-    if cmap.min_margin(cmap.start()) <= 0.0:  # a face of the last radii does not close up
+    if cmap.min_margin(cmap.start()) <= 0.0:  # a face of the predicted radii does not close up
         return None
     tol = NEWTON_TOL if s < 1.0 else 0.0
     u, iters, residuals, stop = _curvature_newton(cmap, tol, CORRECTOR_ITERS)

@@ -1,6 +1,6 @@
 """Sphere triangulations for the tests: seeded vertex stacking, simplicial
-edge flips, and Loop subdivision; and two closed surfaces that are not
-spheres."""
+edge flips, and Loop subdivision; two closed surfaces that are not
+spheres; and obtuse angle draws on a vertex-disjoint matching."""
 from __future__ import annotations
 
 from typing import List
@@ -78,3 +78,19 @@ def loop_subdivide(faces, levels):
                  for g in ((a, m(a, b), m(c, a)), (b, m(b, c), m(a, b)),
                            (c, m(c, a), m(b, c)), (m(a, b), m(b, c), m(c, a)))]
     return faces
+
+
+def obtuse_matching(rng: np.random.Generator, edges) -> np.ndarray:
+    """Angles on ``edges`` in the no-interstice class (m5) with obtuse
+    edges: every edge uniform in (1.06, 1.1), then a vertex-disjoint
+    matching, taken greedily over the edges in a random order, uniform in
+    (1.6, 2.0).  Every face sum is then above pi, and two edges at one
+    vertex sum to less than pi."""
+    vals = rng.uniform(1.06, 1.1, len(edges))
+    matched = set()
+    for e in rng.permutation(len(edges)):
+        u, v = edges[e]
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+            vals[e] = rng.uniform(1.6, 2.0)
+    return vals

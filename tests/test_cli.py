@@ -239,6 +239,64 @@ class TestBadInput:
             assert "Traceback" not in capsys.readouterr().err
 
 
+class TestParserPerCommand:
+    @staticmethod
+    def _argvs(parser, name):
+        """Help, a missing argument, an unknown flag and surplus positionals,
+        then each of the command's flags without its value and with a value
+        no flag takes."""
+        sub = next(a for a in parser._actions if a.dest == "command").choices[name]
+        argvs = [[name, "-h"], [name], [name, "--no-such-flag"], [name, "a", "b", "c", "d"]]
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if flag not in ("-h", "--help"):
+                    argvs += [[name, flag], [name, flag, "?"]]
+        return argvs
+
+    def test_each_command_parses_as_the_full_parser(self, monkeypatch, capsys, tmp_path):
+        """``main`` builds only the subparser of the command it is given.
+        For every command its help text, usage errors and exit codes are
+        byte-identical to those of the full parser, as are those of no
+        command and of an unknown one."""
+        from circlepattern import cli
+
+        monkeypatch.chdir(tmp_path)
+        full, built = cli.make_parser, []
+
+        def outcome(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # -h
+                code = f"exit {exc.code}"
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        def per_command(command=None):
+            built.append(command)
+            return full(command)
+
+        commands = list(cli._COMMANDS)
+        argvs = [[], ["-h"], ["no-such-command"]]
+        argvs += [argv for name in commands for argv in self._argvs(full(), name)]
+        for argv in argvs:
+            monkeypatch.setattr(cli, "make_parser", lambda command=None: full())
+            want = outcome(argv)
+            monkeypatch.setattr(cli, "make_parser", per_command)
+            assert outcome(argv) == want, argv
+            assert built[-1] == (argv[0] if argv and argv[0] in commands else None), argv
+        assert len(commands) == 8 and len(argvs) > 8 * 4
+
+    def test_make_parser_builds_every_command_or_one(self):
+        from circlepattern.cli import _COMMANDS, make_parser
+
+        def choices(parser):
+            return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+        assert choices(make_parser()) == list(_COMMANDS)
+        for name in _COMMANDS:
+            assert choices(make_parser(name)) == [name]
+
+
 class TestPipeline:
     def test_solve_then_verify_tetra(self, files, capsys):
         pattern = files["dir"] / "pattern.json"

@@ -344,20 +344,60 @@ def test_damped_newton_stops_where_no_halving_helps():
     assert (x[0], steps, trace, stop) == (1.0, 0, [1.0], "rounding floor")
 
 
-def test_damped_newton_stops_after_a_damped_step():
-    """The full step to 1.5 and the half step to 1.25 are not admissible; the
-    quarter step is kept, and ends the run."""
-    x, steps, trace, stop = square_root_of_two(bound=1.2)
-    assert (x[0], steps, stop) == (1.125, 1, "rounding floor")
-    assert trace == [1.0, 2.0 - 1.125 ** 2]
+def test_damped_newton_goes_on_after_a_damped_step_above_the_floor():
+    """The full step to 1.5 is not admissible and the half step to 1.25 is
+    kept.  Its residual, 0.4375, is far above the rounding floor, so the run
+    goes on, by full steps, to the tolerance."""
+    x, steps, trace, stop = square_root_of_two(bound=1.45)
+    assert (steps, stop) == (5, "tolerance")
+    assert trace[:2] == [1.0, 2.0 - 1.25 ** 2] and trace[-1] <= 1e-10
+    assert x[0] == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
 
-def test_damped_newton_stops_after_a_full_step_that_does_not_halve():
+def test_damped_newton_goes_on_after_slow_full_steps_above_the_floor():
     """A tenth of the Newton step is a full step that lowers the residual
-    but does not halve it: the run ends after it."""
-    x, steps, trace, stop = square_root_of_two(scale=0.1)
-    assert (x[0], steps, stop) == (1.05, 1, "rounding floor")
-    assert 0.5 * trace[0] < trace[1] < trace[0]
+    but does not halve it.  Above the rounding floor the run takes every
+    step it is allowed."""
+    _, steps, trace, stop = square_root_of_two(scale=0.1)
+    assert (steps, stop) == (20, "step limit")
+    assert all(0.5 * a < b < a for a, b in zip(trace, trace[1:]))
+    assert trace[-1] > _newton.FLOOR_RESIDUAL
+
+
+def near_the_floor():
+    """A start below sqrt(2) whose residual, about 8.5e-10, is below
+    ``FLOOR_RESIDUAL``, and its Newton step."""
+    x0 = math.sqrt(2.0) - 3e-10
+    assert 0.5 * _newton.FLOOR_RESIDUAL < 2.0 - x0 * x0 <= _newton.FLOOR_RESIDUAL
+    return x0, (2.0 - x0 * x0) / (2.0 * x0)
+
+
+def test_damped_newton_stops_after_a_damped_step_from_the_floor():
+    """Below the floor the full step is not admissible and the half step is
+    kept: the run ends after it, at the rounding floor."""
+    x0, dx = near_the_floor()
+    x, steps, trace, stop = square_root_of_two(x0=x0, tol=0.0, bound=x0 + 0.75 * dx)
+    assert (x[0], steps, stop) == (x0 + 0.5 * dx, 1, "rounding floor")
+    assert trace[1] < trace[0] <= _newton.FLOOR_RESIDUAL
+
+
+def test_damped_newton_stops_after_a_slow_full_step_from_the_floor():
+    """Below the floor a full step that does not halve the residual ends the
+    run, at the rounding floor."""
+    x0, _ = near_the_floor()
+    _, steps, trace, stop = square_root_of_two(x0=x0, tol=0.0, scale=0.1)
+    assert (steps, stop) == (1, "rounding floor")
+    assert 0.5 * trace[0] < trace[1] < trace[0] <= _newton.FLOOR_RESIDUAL
+
+
+@pytest.mark.parametrize("floor, want", [(1.0, (1, "rounding floor")),
+                                         (np.nextafter(1.0, 0.0), (1, "step limit"))])
+def test_damped_newton_floor_boundary(monkeypatch, floor, want):
+    """A slow step from a residual equal to the floor ends the run at the
+    floor; from one just above the floor, the run goes on to its step limit."""
+    monkeypatch.setattr(_newton, "FLOOR_RESIDUAL", floor)
+    _, steps, trace, stop = square_root_of_two(scale=0.1, max_iters=1)
+    assert trace[0] == 1.0 and (steps, stop) == want
 
 
 # ---------------------------------------------------------------------------

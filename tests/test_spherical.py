@@ -14,12 +14,12 @@ from circlepattern import (
     solve_euclidean,
     solve_spherical,
 )
-from circlepattern import euclidean, shapes, spherical, triples
+from circlepattern import _newton, euclidean, shapes, spherical, triples
 from circlepattern.configurations import EuclideanConfiguration
-from circlepattern.errors import ConditionsViolated, ContinuationStuck
+from circlepattern.errors import ConditionsViolated, ContinuationStuck, DomainError
 from circlepattern.verify import CirclePattern
 
-from random_triangulations import loop_subdivide
+from random_triangulations import loop_subdivide, obtuse_matching
 
 PI = math.pi
 
@@ -307,24 +307,53 @@ class TestSubdividedIcosahedron:
         p = CirclePattern.from_spherical(t, th, cfg)
         assert verify_pattern(p).passed
 
-    # accepted homotopy steps of the n=642 solve, s = 0.1, 0.3, 0.55, 0.8
-    # and 1: the first two radius corrections take at most three Newton
-    # steps, so the homotopy step doubles to its cap of 0.25
-    N642_STEPS = 5
+    # accepted homotopy steps of the n=642 solve, s = 0.5 and 1: the second
+    # starts from the secant through the start and s = 0.5
+    N642_STEPS = 2
 
-    def test_n642_sparse_steps(self):
+    def test_n642_sparse_steps(self, monkeypatch):
         """The n=642 subdivided icosahedron at theta = 1.2: its 639 x 639
         curvature Jacobians are factorized sparse, and the homotopy takes
-        its five steps."""
-        from circlepattern import _newton, build_triangulation, verify_pattern
+        its two steps, with fewer factorizations than the 25 of the short
+        steps (0.1, then doubling up to 0.25) that it replaced."""
+        from circlepattern import build_triangulation, verify_pattern
 
+        factorize, factorized = _newton.factorize, []
+
+        def counted(A):
+            factorized.append(A.shape)
+            return factorize(A)
+
+        monkeypatch.setattr(_newton, "factorize", counted)
         t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 3))
         assert t.edge_count == 1920 > _newton.DENSE_MAX
         th = AngleAssignment.constant(t, 1.2)
         cfg, rep = solve_spherical(t, th)
         assert rep.iterations == self.N642_STEPS
+        assert len(factorized) < 25
         assert rep.angle_residual < 1e-10
         assert verify_pattern(CirclePattern.from_spherical(t, th, cfg)).passed
+
+
+class TestObtuseMatching:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_draw_solves_verifies_and_builds_its_polyhedron(self, levels, seed):
+        """Obtuse draws on the n=162 and n=642 subdivisions
+        (``obtuse_matching``): each solves with no rejected homotopy step,
+        verifies, and builds a polyhedron whose check passes."""
+        from circlepattern import build_polyhedron, check_polyhedron, verify_pattern
+
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, levels))
+        draw = obtuse_matching(np.random.default_rng(seed), t.edges)
+        th = AngleAssignment(t, tuple(draw.tolist()))
+        assert np.sum(draw > PI / 2) >= t.vertex_count // 4
+        cfg, rep = solve_spherical(t, th)
+        assert rep.notes[0].endswith(", 0 rejected")
+        assert rep.angle_residual < 1e-10
+        p = CirclePattern.from_spherical(t, th, cfg)
+        assert verify_pattern(p).passed
+        assert check_polyhedron(build_polyhedron(p), p).passed
 
 
 class TestTangencyStart:
@@ -340,14 +369,32 @@ class TestTangencyStart:
         assert np.max(np.abs(gap)) <= bound
 
 
+def stops_early_once(newton, early):
+    """``newton`` whose first run at s = 1 (tolerance 0) is moved 1e-9 off
+    its result and reported as stopped at the rounding floor, so that
+    ``_homotopy_step`` rejects it.  ``early`` receives the moved radii's
+    largest curvature and largest cone-angle error."""
+    def run(cmap, tol, max_iters):
+        u, iters, trace, stop = newton(cmap, tol, max_iters)
+        if tol == 0.0 and not early:
+            u = u + np.where(np.arange(len(u)) == 0, 1e-9, 0.0)
+            early.append(float(np.max(np.abs(cmap.curvatures(u)))))
+            sigma = cmap.sigma(cmap.radii_from(u))
+            early.append(float(np.max(np.abs(2 * PI - sigma))))
+            return u, iters, trace + [early[0]], "rounding floor"
+        return u, iters, trace, stop
+    return run
+
+
 class TestHomotopy:
     def test_report_notes_explain_the_run(self, icosa, monkeypatch):
         """The notes give the accepted and rejected homotopy steps and the
         last accepted corrector's steps, residual and stop, as they were
-        returned.  That corrector, at s = 1, runs to its rounding floor, and
-        the solve runs no inversive Gauss-Newton: the tangency start is laid
-        out from its radii, without the planar polish."""
-        steps, polishes = [], []
+        returned.  One step is rejected on purpose (``stops_early_once``).
+        That corrector, at s = 1, runs to its rounding floor, and the solve
+        runs no inversive Gauss-Newton: the tangency start is laid out from
+        its radii, without the planar polish."""
+        steps, polishes, early = [], [], []
         homotopy_step, gauss_newton = spherical._homotopy_step, euclidean.gauss_newton
 
         def recorded_step(*args):
@@ -358,16 +405,18 @@ class TestHomotopy:
             polishes.append(gauss_newton(*args, **kwargs))
             return polishes[-1]
 
+        monkeypatch.setattr(spherical, "_curvature_newton",
+                            stops_early_once(spherical._curvature_newton, early))
         monkeypatch.setattr(spherical, "_homotopy_step", recorded_step)
         monkeypatch.setattr(euclidean, "gauss_newton", recorded_polish)
         _, rep = solve_spherical(icosa, AngleAssignment.constant(icosa, 1.2))
         accepted = [step for step in steps if step is not None]
         _, _, iters, stop, res = accepted[-1]
-        assert len(accepted) == rep.iterations and len(steps) > len(accepted)
+        assert len(accepted) == rep.iterations and len(steps) == len(accepted) + 1
         assert len(polishes) == 0
         assert stop == "rounding floor"
         assert rep.notes == [
-            f"homotopy: {len(accepted)} steps accepted, {len(steps) - len(accepted)} rejected",
+            f"homotopy: {len(accepted)} steps accepted, 1 rejected",
             f"newton: {iters} steps, residual {res:.2e}, stop: {stop}"]
 
 
@@ -389,29 +438,20 @@ class TestRoundingFloor:
 
     def test_final_corrector_that_stops_early_is_retried(self, icosa, monkeypatch):
         """At s = 1 a corrector that stops as "rounding floor" above
-        ``FINAL_TOL``, as after a damped step, is rejected although every
+        ``FINAL_TOL`` (``stops_early_once``) is rejected although every
         cone angle closes up to ``SIGMA_TOL``; the homotopy retries from a
         shorter step and ends on a corrector that reached its floor."""
         th = AngleAssignment.constant(icosa, 1.2)
         want, _ = solve_spherical(icosa, th)
-        newton, early, steps = spherical._curvature_newton, [], []
+        early, steps = [], []
         homotopy_step = spherical._homotopy_step
-
-        def stops_early_once(cmap, tol, max_iters):
-            u, iters, trace, stop = newton(cmap, tol, max_iters)
-            if tol == 0.0 and not early:
-                u = u + np.where(np.arange(len(u)) == 0, 1e-9, 0.0)
-                early.append(float(np.max(np.abs(cmap.curvatures(u)))))
-                sigma = cmap.sigma(cmap.radii_from(u))
-                early.append(float(np.max(np.abs(2 * PI - sigma))))
-                return u, iters, trace + [early[0]], "rounding floor"
-            return u, iters, trace, stop
 
         def recorded_step(*args):
             steps.append((args[2], homotopy_step(*args)))
             return steps[-1][1]
 
-        monkeypatch.setattr(spherical, "_curvature_newton", stops_early_once)
+        monkeypatch.setattr(spherical, "_curvature_newton",
+                            stops_early_once(spherical._curvature_newton, early))
         monkeypatch.setattr(spherical, "_homotopy_step", recorded_step)
         cfg, rep = solve_spherical(icosa, th)
         assert spherical.FINAL_TOL < early[0] and early[1] <= spherical.SIGMA_TOL
@@ -422,25 +462,76 @@ class TestRoundingFloor:
         np.testing.assert_allclose(cfg.radii, want.radii, rtol=0, atol=1e-13)
         np.testing.assert_allclose(cfg.centers, want.centers, rtol=0, atol=1e-13)
 
-    def test_corrector_that_damps_at_s1_is_rejected(self, icosa, monkeypatch):
+    def test_corrector_that_damps_at_s1_runs_to_its_floor(self, icosa, monkeypatch):
         """Straight from the tangency start to s = 1 at theta = 1.2 the
-        corrector's first step must be damped, so it stops far above its
-        floor, and the step is rejected."""
-        stops, newton = [], spherical._curvature_newton
+        corrector's first step is damped, far above the rounding floor.  The
+        corrector goes on, reaches its floor, and the step is accepted."""
+        stops, events = [], []
+        newton, factorize = spherical._curvature_newton, _newton.factorize
+        curvatures = _newton._CurvatureMap.curvatures
 
         def recorded(cmap, tol, max_iters):
             stops.append(newton(cmap, tol, max_iters))
             return stops[-1]
 
+        def factorized(A):
+            events.append("F")
+            return factorize(A)
+
+        def evaluated(cmap, u):
+            events.append("K")
+            return curvatures(cmap, u)
+
         centers, radii = spherical._tangency_start(icosa)
         monkeypatch.setattr(spherical, "_curvature_newton", recorded)
+        monkeypatch.setattr(_newton, "factorize", factorized)
+        monkeypatch.setattr(_newton._CurvatureMap, "curvatures", evaluated)
         th = AngleAssignment.constant(icosa, 1.2)
-        assert spherical._homotopy_step(icosa, th, 1.0, centers, radii, icosa.faces[0][0]) is None
+        step = spherical._homotopy_step(icosa, th, 1.0, centers, radii, icosa.faces[0][0])
         (_, iters, trace, stop), = stops
-        # a full step that halves the residual does not stop the run, so
-        # this one was damped
-        assert (iters, stop) == (1, "rounding floor") and trace[1] <= 0.5 * trace[0]
-        assert trace[1] > spherical.FINAL_TOL
+        assert step is not None and (iters, stop) == (6, "rounding floor")
+        assert trace[-1] <= 1e-14 and step[4] == trace[-1]
+        # the first step's line search evaluated more than its full step
+        first = "".join(events).split("F")[1]
+        assert len(first) > 1 and trace[0] > _newton.FLOOR_RESIDUAL
+
+    def test_failed_corrector_is_rejected_within_its_budget(self, monkeypatch):
+        """Straight from the tangency start to s = 1 on the n=2562
+        subdivision at theta = 1.2 the corrector stalls near 4e-3.  Its line
+        search meets candidates whose faces close up (``min_margin`` > 0) but
+        are too thin for the half-angle law (sin l = 0): they are refused,
+        with no numpy warning and no DomainError, and the step is rejected
+        after ``CORRECTOR_ITERS`` steps, one factorization each."""
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, 4))
+        centers, radii = spherical._tangency_start(t)
+        stops, factorized, refused = [], [], []
+        newton, factorize = spherical._curvature_newton, _newton.factorize
+        inner_angles = triples.inner_angles_from_lengths
+
+        def recorded(cmap, tol, max_iters):
+            stops.append(newton(cmap, tol, max_iters))
+            return stops[-1]
+
+        def counted(A):
+            factorized.append(A.shape)
+            return factorize(A)
+
+        def recorded_angles(mode, lengths):
+            try:
+                return inner_angles(mode, lengths)
+            except DomainError:
+                refused.append(mode)
+                raise
+
+        monkeypatch.setattr(spherical, "_curvature_newton", recorded)
+        monkeypatch.setattr(_newton, "factorize", counted)
+        monkeypatch.setattr(triples, "inner_angles_from_lengths", recorded_angles)
+        th = AngleAssignment.constant(t, 1.2)
+        assert spherical._homotopy_step(t, th, 1.0, centers, radii, t.faces[0][0]) is None
+        (_, iters, trace, stop), = stops
+        assert (iters, stop) == (spherical.CORRECTOR_ITERS, "step limit")
+        assert len(factorized) == spherical.CORRECTOR_ITERS
+        assert refused and trace[-1] > 1e-3
 
 
 class TestErrors:
