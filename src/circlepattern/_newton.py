@@ -13,8 +13,8 @@ starts its homotopy and at every homotopy step.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Callable, Tuple
+from collections import deque, namedtuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -66,11 +66,10 @@ def factorize(A) -> Callable[[np.ndarray], np.ndarray]:
         raise np.linalg.LinAlgError(str(exc)) from None
 
 
-def damped_newton(x, f, residual: Callable, step: Callable, move: Callable,
-                  tol: float, max_iters: int):
+def damped_newton(x, f, step: Callable, move: Callable, tol: float, max_iters: int):
     """Damped Newton from ``x``, whose residual vector is ``f``: each step
-    ``step(x, f)`` is halved until ``move(x, lam * step)`` has a
-    ``residual`` that is admissible (not None) and of lower norm.
+    ``step(x, f)`` is halved until ``move(x, lam * step)`` returns a
+    candidate and its residual of lower norm (None: not admissible).
 
     Stops when the largest residual is at most ``tol``, after ``max_iters``
     steps, or at the rounding floor: when ``step`` is None (no step can be
@@ -94,14 +93,13 @@ def damped_newton(x, f, residual: Callable, step: Callable, move: Callable,
             return x, it, trace, "rounding floor"
         norm0, lam = np.linalg.norm(f), 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
-            cand = move(x, lam * dx)
-            f_try = residual(cand)
-            if f_try is not None and np.linalg.norm(f_try) < norm0:
+            moved = move(x, lam * dx)
+            if moved is not None and np.linalg.norm(moved[1]) < norm0:
                 break
             lam *= 0.5
         else:
             return x, it, trace, "rounding floor"
-        x, f = cand, f_try
+        x, f = moved
         trace.append(float(np.max(np.abs(f))))
         if (lam < 1.0 or trace[-1] > 0.5 * trace[-2]) and trace[-2] <= FLOOR_RESIDUAL:
             return x, it + 1, trace, "rounding floor"
@@ -125,11 +123,16 @@ def resolve_marked_face(t: Triangulation, marked_face) -> Tuple[int, Tuple[int, 
 # curvature map
 # ---------------------------------------------------------------------------
 
+# an admissible u, its vertex radii and cone angles, and its per-face kernels
+_Point = namedtuple("_Point", "u radii lengths alphas margins sigma")
+
+
 class _CurvatureMap:
     """Curvatures 2*pi - sigma_v of the free vertices as a function of their
     radii.  Plane: the marked face is dropped, its radii are held at 1 and
     u = log r.  Sphere: every face counts, the ``held`` vertices keep their
     ``base`` radii and u = log tan(r/2).  The angles are ``s`` times theta.
+    ``at`` alone decides which u are admissible; ``jacobian`` reads its point.
     """
 
     def __init__(self, t: Triangulation, theta: AngleAssignment, marked_fid,
@@ -144,9 +147,9 @@ class _CurvatureMap:
         # per-face opposite angles: theta on the edge opposite each corner
         self.face_theta = s * theta.array()[t.face_edges[faces]]
         # block entry (f, i, j) lands at (free index of fv[f, i], of fv[f, j])
-        at = np.full(t.vertex_count, -1)
-        at[self.free] = np.arange(len(self.free))
-        rows, cols = np.broadcast_arrays(at[self.fv][:, :, None], at[self.fv][:, None, :])
+        idx = np.full(t.vertex_count, -1)
+        idx[self.free] = np.arange(len(self.free))
+        rows, cols = np.broadcast_arrays(idx[self.fv][:, :, None], idx[self.fv][:, None, :])
         self.kept = (rows >= 0) & (cols >= 0)
         self.assembly = Assembly(rows[self.kept], cols[self.kept], len(self.free))
 
@@ -160,24 +163,34 @@ class _CurvatureMap:
         r[self.free] = np.exp(u) if self.mode == triples.EUCLIDEAN else 2.0 * np.arctan(np.exp(u))
         return r
 
+    def _summed(self, alphas: np.ndarray) -> np.ndarray:  # the inner angles at each vertex
+        return np.bincount(self.fv.ravel(), weights=alphas.ravel(), minlength=self.t.vertex_count)
+
     def sigma(self, radii: np.ndarray) -> np.ndarray:
         lengths = triples.edge_lengths(self.mode, radii[self.fv], self.face_theta)
-        alphas = triples.inner_angles_from_lengths(self.mode, lengths)
-        out = np.zeros(self.t.vertex_count)
-        np.add.at(out, self.fv.ravel(), alphas.ravel())
-        return out
+        return self._summed(triples.inner_angles_from_lengths(self.mode, lengths))
 
-    def curvatures(self, u: np.ndarray) -> np.ndarray:
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def at(self, u: np.ndarray) -> Optional[Tuple[_Point, np.ndarray]]:
+        """The point ``u`` and its curvatures K, each face kernel called
+        once, or None where u is not admissible: a face does not close up
+        (its feasibility margin is not positive), a face is too thin for its
+        inner angles (``DomainError``), or a curvature is not finite."""
         radii = self.radii_from(u)
-        return 2.0 * PI - self.sigma(radii)[self.free]
+        margins = triples.feasibility_margin(self.mode, radii[self.fv], self.face_theta)
+        if not np.min(margins, initial=1.0) > 0.0:
+            return None
+        lengths = triples.edge_lengths(self.mode, radii[self.fv], self.face_theta)
+        try:
+            alphas = triples.inner_angles_from_lengths(self.mode, lengths)
+        except DomainError:
+            return None
+        point = _Point(u, radii, lengths, alphas, margins, self._summed(alphas))
+        K = 2.0 * PI - point.sigma[self.free]
+        return (point, K) if np.all(np.isfinite(K)) else None
 
-    def min_margin(self, u: np.ndarray) -> float:
-        radii = self.radii_from(u)
-        m = triples.feasibility_margin(self.mode, radii[self.fv], self.face_theta)
-        return float(np.min(m)) if len(m) else 1.0
-
-    def jacobian(self, u: np.ndarray):
-        """dK/du, assembled from per-face 3x3 blocks of d(alpha_i)/du_j.
+    def jacobian(self, p: _Point):
+        """dK/du at the point ``p`` of ``at``, from per-face 3x3 blocks of d(alpha_i)/du_j.
 
         The blocks' entries in free rows and columns are summed by
         ``Assembly``: a dense array up to order ``DENSE_MAX``, a CSC
@@ -191,14 +204,12 @@ class _CurvatureMap:
         ``feasibility_margin``.  A face of zero area makes entries
         non-finite; the caller checks.
         """
-        r = self.radii_from(u)[self.fv]
-        th = self.face_theta
-        lengths = triples.edge_lengths(self.mode, r, th)
-        cos_a = np.cos(triples.inner_angles_from_lengths(self.mode, lengths))
+        r, th = p.radii[self.fv], self.face_theta
+        cos_a = np.cos(p.alphas)
         if self.mode == triples.EUCLIDEAN:
-            a, b, side = r, np.ones_like(r), lengths
+            a, b, side = r, np.ones_like(r), p.lengths
         else:
-            a, b, side = np.sin(r), np.cos(r), np.sin(lengths)
+            a, b, side = np.sin(r), np.cos(r), np.sin(p.lengths)
         i, j, k = [0, 1, 2], triples.NEXT, triples.AFTER
         aj, ak = a[:, j], a[:, k]
         bj, bk, c = b[:, j], b[:, k], np.cos(th)
@@ -210,22 +221,21 @@ class _CurvatureMap:
         with np.errstate(divide="ignore", invalid="ignore"):
             dl[:, i, j] = aj * (aj * bk + bj * ak * c) / side
             dl[:, i, k] = ak * (ak * bj + bk * aj * c) / side
-            root = np.sqrt(triples.feasibility_margin(self.mode, r, th))
-            blocks = (side / root[:, None])[:, :, None] * (dalpha @ dl)
+            blocks = (side / np.sqrt(p.margins)[:, None])[:, :, None] * (dalpha @ dl)
         return self.assembly.matrix(-blocks[self.kept])
 
 
 def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
     """Damped Newton on the curvatures from the map's base radii, by
-    ``damped_newton``.  Each step solves J du = -K by
-    ``factorize`` (dense or sparse LU by the order of J), or by
-    ``lstsq`` when J is singular; there is none when J is not finite (a face
-    of zero area).  A candidate is admissible when every face closes up and
-    its inner angles are defined and finite.
-    Returns what ``damped_newton`` returns, x being the free unknowns u.
-    """
-    def step(u, K):
-        J = cmap.jacobian(u)
+    ``damped_newton``: ``_CurvatureMap.at`` evaluates each candidate once,
+    and so decides whether it is admissible, gives its residual and feeds
+    its Jacobian.  Each step solves J du = -K by ``factorize`` (dense or
+    sparse LU by the order of J), or by ``lstsq`` when J is singular; there
+    is none when J is not finite (a face of zero area).  Returns what
+    ``damped_newton`` returns, x a ``_Point``, or (None, 0, [inf],
+    "inadmissible start") when the start is not admissible."""
+    def step(p, K):
+        J = cmap.jacobian(p)
         if not np.all(np.isfinite(J if isinstance(J, np.ndarray) else J.data)):
             return None
         try:
@@ -234,19 +244,10 @@ def _curvature_newton(cmap: _CurvatureMap, tol: float, max_iters: int):
             dense = J if isinstance(J, np.ndarray) else J.toarray()
             return np.linalg.lstsq(dense, -K, rcond=None)[0]
 
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-    def residual(u):
-        if not cmap.min_margin(u) > 0.0:
-            return None
-        try:
-            K = cmap.curvatures(u)
-        except DomainError:  # a face too thin for its inner angles
-            return None
-        return K if np.all(np.isfinite(K)) else None
-
-    u = cmap.start()
-    return damped_newton(u, cmap.curvatures(u), residual, step, lambda u, du: u + du,
-                         tol, max_iters)
+    start = cmap.at(cmap.start())
+    if start is None:
+        return None, 0, [math.inf], "inadmissible start"
+    return damped_newton(*start, step, lambda p, du: cmap.at(p.u + du), tol, max_iters)
 
 
 # ---------------------------------------------------------------------------

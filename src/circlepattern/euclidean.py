@@ -75,11 +75,11 @@ def solve_euclidean(t: Triangulation, theta: AngleAssignment, marked_face,
         )
 
     cmap = _CurvatureMap(t, theta, fid)
-    u, it, trace, stop = _curvature_newton(cmap, opts.tol_K, opts.max_iters)
-    res, radii = trace[-1], cmap.radii_from(u)
+    point, it, trace, stop = _curvature_newton(cmap, opts.tol_K, opts.max_iters)
+    res, radii = trace[-1], cmap.base if point is None else point.radii
     newton = f"curvature residual {res} ({stop}) leaves"
-    if stop == "step limit":
-        failure = f"no convergence after {it} iterations (residual {res})"
+    if point is None or stop == "step limit":
+        failure = f"no convergence after {it} iterations (residual {res}, {stop})"
     else:
         try:
             centers = layout_euclidean(t, theta, radii, fid, tol_layout=opts.tol_layout)
@@ -253,16 +253,13 @@ def gauss_newton(centers: np.ndarray, radii: np.ndarray, edges: np.ndarray,
         return dx
 
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-    def residual(x):
-        f = triples.inversive(triples.EUCLIDEAN, *x, edges) - target_cos
-        return f if np.all(np.isfinite(f)) else None
-
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def move(x, dx):
-        return retract(*x, dx)
+        x = retract(*x, dx)
+        f = triples.inversive(triples.EUCLIDEAN, *x, edges) - target_cos
+        return (x, f) if np.all(np.isfinite(f)) else None
 
     (centers, radii), steps, trace, stop = damped_newton(
-        (centers, radii), f, residual, step, move, tol, max_iters)
+        (centers, radii), f, step, move, tol, max_iters)
     return centers, radii, trace[-1] <= tol, steps, trace[-1], stop
 
 

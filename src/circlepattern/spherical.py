@@ -94,15 +94,14 @@ def _tangency_start(t: Triangulation) -> Tuple[np.ndarray, np.ndarray]:
     marked, with no polish and no normalization."""
     zero, opts = AngleAssignment.constant(t, 0.0), SolveOptions()
     cmap = _CurvatureMap(t, zero, 0)
-    u, it, trace, stop = _curvature_newton(cmap, opts.tol_K, opts.max_iters)
-    radii = cmap.radii_from(u)
+    point, it, trace, stop = _curvature_newton(cmap, opts.tol_K, opts.max_iters)
     try:
-        if stop == "step limit":
-            raise Stalled(f"no convergence after {it} iterations (residual {trace[-1]})")
-        centers = layout_euclidean(t, zero, radii, 0, opts.tol_layout)
+        if point is None or stop == "step limit":
+            raise Stalled(f"no convergence after {it} iterations (residual {trace[-1]}, {stop})")
+        centers = layout_euclidean(t, zero, point.radii, 0, opts.tol_layout)
     except (Stalled, LayoutInconsistent) as exc:
         raise BaseSolveFailed(f"tangency packing failed: {exc}") from exc
-    sph = lift_to_sphere(EuclideanConfiguration(centers, radii, t.faces[0]))
+    sph = lift_to_sphere(EuclideanConfiguration(centers, point.radii, t.faces[0]))
     return _centered(sph.centers, sph.radii)
 
 
@@ -271,20 +270,17 @@ def _homotopy_step(t, theta, s, centers, radii, first):
     accepted layout.  The corrector stops at ``NEWTON_TOL`` before s = 1 and
     at its rounding floor at s = 1, where a stop above ``FINAL_TOL``
     rejects; a corrector still short of either after ``CORRECTOR_ITERS``
-    steps rejects too.  A residual that no corrector step reduced is not
-    converged: near s = 0 the curvatures move as s squared, so a short step
-    can start within tolerance."""
+    steps rejects too.  So does a corrector that took no step: near s = 0
+    the curvatures move as s squared, so a short step can start within
+    tolerance, and a prediction that is not admissible takes no step."""
     cmap = _CurvatureMap(t, theta, None, triples.SPHERICAL, radii,
                          _held_caps(centers, first), s)
-    if cmap.min_margin(cmap.start()) <= 0.0:  # a face of the predicted radii does not close up
-        return None
     tol = NEWTON_TOL if s < 1.0 else 0.0
-    u, iters, residuals, stop = _curvature_newton(cmap, tol, CORRECTOR_ITERS)
-    radii = cmap.radii_from(u)
+    point, iters, residuals, stop = _curvature_newton(cmap, tol, CORRECTOR_ITERS)
     if (iters == 0 or stop == "step limit" or (s == 1.0 and residuals[-1] > FINAL_TOL)
-            or not np.max(np.abs(2.0 * PI - cmap.sigma(radii))) <= SIGMA_TOL):
+            or not np.max(np.abs(2.0 * PI - point.sigma)) <= SIGMA_TOL):
         return None
-    centers, disagree = _develop(t, theta, radii, mode=triples.SPHERICAL, s=s)
-    if disagree <= LAYOUT_TOL and _is_genuine(t, centers, radii):
-        return centers, radii, iters, stop, residuals[-1]
+    centers, disagree = _develop(t, theta, point.radii, mode=triples.SPHERICAL, s=s)
+    if disagree <= LAYOUT_TOL and _is_genuine(t, centers, point.radii):
+        return centers, point.radii, iters, stop, residuals[-1]
     return None

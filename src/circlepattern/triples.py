@@ -391,13 +391,16 @@ def _nonempty(mode, c, r, eps):
     corner of a pair's lens in the third disk, or else a point of a circle
     in the two other disks: an intersection without corners is bounded by
     whole circles (concentric or antipodal pairs have no corners)."""
+    from .configurations import chords
+
     e1 = None if mode == EUCLIDEAN else tangent_frames(c.reshape(-1, 3))[0].reshape(c.shape)
     on = c + r if mode == EUCLIDEAN else np.cos(r)[..., None] * c + np.sin(r)[..., None] * e1
-    own, circle = (_contains(mode, c[:, :, None], r[:, :, None], x[:, None, :], -eps)
+    slack = -eps * np.max(chords(mode, r), axis=1)[:, None]
+    own, circle = (_contains(mode, c[:, :, None], r[:, :, None], x[:, None, :], slack[..., None])
                    for x in (c, on))  # [disk, centre or circle]
     i, j = OPPOSITE.T
     meets, _, p, q = _corners(mode, c[:, i], r[:, i], c[:, j], r[:, j], eps)
-    corner = meets & (_contains(mode, c, r, p, -eps) | _contains(mode, c, r, q, -eps))
+    corner = meets & (_contains(mode, c, r, p, slack) | _contains(mode, c, r, q, slack))
     circle |= np.eye(3, dtype=bool)  # each point is on its own circle
     return (own.all(axis=1) | circle.all(axis=1)).any(axis=1) | corner.any(axis=1)
 
@@ -406,6 +409,9 @@ def _nonempty(mode, c, r, eps):
 def triple_intersections_empty(mode: str, centers, radii, eps: float = GEOM_EPS) -> np.ndarray:
     """Exact arrangement test: per row, is the triple intersection of the
     three closed disks empty?
+
+    ``eps`` is relative: a point is in a disk within eps times its row's
+    largest chord, and ``_corners`` tests tangency at the row's scale too.
 
     Spherical mode raises CoversSphere when the three open disks of some
     row cover the sphere (the query is then outside its precondition):

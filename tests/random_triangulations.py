@@ -80,17 +80,24 @@ def loop_subdivide(faces, levels):
     return faces
 
 
-def obtuse_matching(rng: np.random.Generator, edges) -> np.ndarray:
-    """Angles on ``edges`` in the no-interstice class (m5) with obtuse
-    edges: every edge uniform in (1.06, 1.1), then a vertex-disjoint
+# (every edge, matched edges) angle ranges of ``obtuse_matching`` per class
+OBTUSE_RANGES = {"m5": ((1.06, 1.1), (1.6, 2.0)), "g5": ((0.0, 0.6), (1.8, 2.4))}
+
+
+def obtuse_matching(rng: np.random.Generator, edges, klass: str = "m5") -> np.ndarray:
+    """Angles on ``edges`` with obtuse edges, in the condition class
+    ``klass``: every edge uniform in a low range, then a vertex-disjoint
     matching, taken greedily over the edges in a random order, uniform in
-    (1.6, 2.0).  Every face sum is then above pi, and two edges at one
-    vertex sum to less than pi."""
-    vals = rng.uniform(1.06, 1.1, len(edges))
+    an obtuse one (``OBTUSE_RANGES``).  m5, no interstices: (1.06, 1.1),
+    then (1.6, 2.0); every face sum is then above pi, and two edges at one
+    vertex sum to less than pi.  g5, interstices: (0, 0.6), then (1.8,
+    2.4)."""
+    (lo, hi), (obtuse_lo, obtuse_hi) = OBTUSE_RANGES[klass]
+    vals = rng.uniform(lo, hi, len(edges))
     matched = set()
     for e in rng.permutation(len(edges)):
         u, v = edges[e]
         if u not in matched and v not in matched:
             matched.update((u, v))
-            vals[e] = rng.uniform(1.6, 2.0)
+            vals[e] = rng.uniform(obtuse_lo, obtuse_hi)
     return vals

@@ -19,7 +19,7 @@ from circlepattern.errors import ConditionsViolated, EmptySubset, Stalled
 from circlepattern.options import SolveOptions
 from circlepattern.verify import CirclePattern
 
-from random_triangulations import loop_subdivide, stack120_faces, stacked_faces
+from random_triangulations import loop_subdivide, obtuse_matching, stack120_faces, stacked_faces
 
 PI = math.pi
 
@@ -307,3 +307,39 @@ class TestObtuseInstance:
         marked = bipyr.faces[fid]
         for subset in connected_subsets(bipyr, 3, avoid=marked):
             assert degeneration_functional(bipyr, th, subset).value < 0
+
+
+class TestObtuseMatching:
+    @staticmethod
+    def solved(levels, seed):
+        """An obtuse g5 draw on the icosahedral subdivision
+        (``obtuse_matching``), solved at its auto-marked face, and its
+        verification."""
+        from circlepattern import verify_pattern
+
+        t = build_triangulation(loop_subdivide(shapes.icosahedron().faces, levels))
+        draw = obtuse_matching(np.random.default_rng(seed), t.edges, "g5")
+        th = AngleAssignment(t, tuple(draw.tolist()))
+        assert np.sum(draw > PI / 2) >= t.vertex_count // 4
+        cfg, rep = solve_euclidean(t, th, pick_marked_face(t, th))
+        return cfg, rep, verify_pattern(CirclePattern.from_euclidean(t, th, cfg))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_draw_solves_and_verifies(self, levels, seed):
+        """Obtuse g5 draws on the n=162 and n=642 subdivisions solve and
+        verify."""
+        _, rep, vr = self.solved(levels, seed)
+        assert rep.angle_residual < 1e-10
+        assert vr.passed
+
+    def test_small_interstice_verifies(self):
+        """The n=2562 draw with seed 2 solves (4.4e-12 on cosines) and has
+        a face whose angle sum is pi - 3.1e-6 and whose radii are about
+        1e-4: its interstice is far narrower than 1e-10, so an absolute
+        membership slack of that size read its triple intersection as
+        non-empty and failed ``empty_triple_ok``."""
+        cfg, rep, vr = self.solved(4, 2)
+        assert rep.angle_residual < 1e-11
+        assert np.max(cfg.radii[[460, 1807, 1806]]) < 2e-4
+        assert vr.empty_triple_ok and vr.passed

@@ -2,6 +2,7 @@
 system and of the curvature map against central-difference oracles, the
 minimum-norm step, and the stopping rules of the one damped Newton loop."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from circlepattern._newton import damped_newton
 from circlepattern.euclidean import (
     gauss_newton, min_norm_step, residual_and_jacobian, retract, tie_columns, to_dense,
 )
-from circlepattern.errors import Stalled
+from circlepattern.errors import BaseSolveFailed, Stalled
 from random_triangulations import flip_edges, loop_subdivide, stack120_faces, stacked_faces
 
 PI = math.pi
@@ -122,7 +123,7 @@ def spherical_map_points(make):
     solved = cmap.start()
     rng = np.random.default_rng(9)
     points = [solved] + [solved + rng.normal(0.0, 0.05, len(solved)) for _ in range(2)]
-    assert all(cmap.min_margin(u) > 0.0 for u in points)
+    assert all(cmap.at(u) is not None for u in points)
     return cmap, points
 
 
@@ -139,12 +140,12 @@ def test_curvature_jacobian_matches_central_differences(case):
     cmap, points = CURVATURE_CASES[case]()
     h = 1e-6
     for u in points:
-        J = cmap.jacobian(u)
+        J = cmap.jacobian(cmap.at(u)[0])
         fd = np.empty_like(J)
         for i in range(len(u)):
             e = np.zeros(len(u))
             e[i] = h
-            fd[:, i] = (cmap.curvatures(u + e) - cmap.curvatures(u - e)) / (2.0 * h)
+            fd[:, i] = (cmap.at(u + e)[1] - cmap.at(u - e)[1]) / (2.0 * h)
         np.testing.assert_allclose(fd, J, rtol=1e-6, atol=1e-8 * np.max(np.abs(J)))
 
 
@@ -154,7 +155,7 @@ def test_curvature_jacobian_is_symmetric(case):
     angles included, in both geometries."""
     cmap, points = CURVATURE_CASES[case]()
     for u in points:
-        J = cmap.jacobian(u)
+        J = cmap.jacobian(cmap.at(u)[0])
         assert np.max(np.abs(J - J.T)) <= 1e-12
 
 
@@ -165,14 +166,14 @@ def test_spherical_curvature_null_space_is_the_boosts():
     t, th = ico42_band()
     cfg, _ = solve_spherical(t, th)
     whole = _newton._CurvatureMap(t, th, None, "spherical", cfg.radii)
-    J = whole.jacobian(whole.start())
+    J = whole.jacobian(whole.at(whole.start())[0])
     boosts = cfg.centers
     assert np.max(np.abs(J @ boosts)) <= 1e-12 * np.max(np.abs(J))
     eig = np.linalg.eigvalsh(J)
     assert np.sum(np.abs(eig) <= 1e-10 * np.max(np.abs(eig))) == 3
     held = spherical._held_caps(cfg.centers, cfg.marked_face[0])
     cmap = _newton._CurvatureMap(t, th, None, "spherical", cfg.radii, held)
-    assert np.linalg.cond(cmap.jacobian(cmap.start())) < 1e4
+    assert np.linalg.cond(cmap.jacobian(cmap.at(cmap.start())[0])) < 1e4
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
@@ -195,23 +196,25 @@ def test_curvature_assembly_sums_the_face_blocks(monkeypatch, backend):
 
 def test_curvature_jacobian_not_finite_on_a_flat_face():
     """Where a face's three circles only just fail to close up, its center
-    triangle is flat: the Jacobian says so with non-finite entries and
-    raises no warning."""
+    triangle is flat: the evaluation refuses that side, with no warning,
+    and the Jacobian at the last admissible point before it is finite."""
     t = shapes.octahedron()
     vals = [0.3] * t.edge_count
     for eid, value in zip(t.face_edge_ids(1), (2.9, 2.9, 0.1)):
         vals[eid] = value
     cmap = _newton._CurvatureMap(t, AngleAssignment(t, tuple(vals)), 0)
     lo, hi = np.full(len(cmap.free), 3.0), np.zeros(len(cmap.free))
-    assert cmap.min_margin(lo) > 0.0 >= cmap.min_margin(hi)
+    assert cmap.at(lo) is not None and cmap.at(hi) is None
     for _ in range(80):  # bisect to the last representable flat point
         mid = 0.5 * (lo + hi)
-        if cmap.min_margin(mid) > 0.0:
+        if cmap.at(mid) is not None:
             lo = mid
         else:
             hi = mid
-    assert np.all(np.isfinite(cmap.jacobian(lo)))
-    assert not np.all(np.isfinite(cmap.jacobian(hi)))
+    margins = triples.feasibility_margin("euclidean", cmap.radii_from(hi)[cmap.fv],
+                                         cmap.face_theta)
+    assert cmap.at(hi) is None and np.min(margins) <= 0.0
+    assert np.all(np.isfinite(cmap.jacobian(cmap.at(lo)[0])))
 
 
 def test_non_finite_jacobian_stops_at_the_floor(monkeypatch, octa):
@@ -222,11 +225,11 @@ def test_non_finite_jacobian_stops_at_the_floor(monkeypatch, octa):
     th = AngleAssignment.constant(octa, PI / 4)
     analytic = _newton._CurvatureMap.jacobian
     monkeypatch.setattr(_newton._CurvatureMap, "jacobian",
-                        lambda self, u: analytic(self, u) * np.nan)
+                        lambda self, p: analytic(self, p) * np.nan)
     cmap = _newton._CurvatureMap(octa, th, 0)
-    u, steps, trace, stop = _newton._curvature_newton(cmap, 1e-10, 200)
+    point, steps, trace, stop = _newton._curvature_newton(cmap, 1e-10, 200)
     assert (steps, stop) == (0, "rounding floor")
-    assert not np.any(u) and len(trace) == 1 and trace[0] > 1e-10
+    assert not np.any(point.u) and len(trace) == 1 and trace[0] > 1e-10
     with pytest.raises(Stalled, match="rounding floor") as info:
         solve_euclidean(octa, th, 0)
     assert info.value.suspects
@@ -238,18 +241,103 @@ def test_singular_jacobian_takes_the_least_squares_step(monkeypatch, octa):
     solution instead, which leaves the last unknown where it is."""
     analytic = _newton._CurvatureMap.jacobian
 
-    def singular(self, u):
-        J = analytic(self, u).copy()
+    def singular(self, p):
+        J = analytic(self, p).copy()
         J[-1, :] = J[:, -1] = 0.0
         return J
 
     monkeypatch.setattr(_newton._CurvatureMap, "jacobian", singular)
     cmap = _newton._CurvatureMap(octa, AngleAssignment.constant(octa, PI / 4), 0)
     u0 = cmap.start()
+    p0, K0 = cmap.at(u0)
     with pytest.raises(np.linalg.LinAlgError):
-        _newton.factorize(cmap.jacobian(u0))(cmap.curvatures(u0))
-    u, steps, _, _ = _newton._curvature_newton(cmap, 1e-10, 1)
+        _newton.factorize(cmap.jacobian(p0))(K0)
+    point, steps, _, _ = _newton._curvature_newton(cmap, 1e-10, 1)
+    u = point.u
     assert steps == 1 and np.any(u != u0) and abs(u[-1] - u0[-1]) < 1e-12
+
+
+def straight_to_the_end():
+    """The spherical curvature map of the icosahedron at theta = 1.2, held
+    and based as ``_homotopy_step`` builds it straight from the tangency
+    start to s = 1, where the corrector's first step is damped."""
+    t = shapes.icosahedron()
+    centers, radii = spherical._tangency_start(t)
+    return _newton._CurvatureMap(t, AngleAssignment.constant(t, 1.2), None, "spherical", radii,
+                                 spherical._held_caps(centers, t.faces[0][0]), 1.0)
+
+
+def ico162_map():
+    t, th = ico162_uniform()
+    return _newton._CurvatureMap(t, th, pick_marked_face(t, th))
+
+
+@pytest.mark.parametrize("make", [ico162_map, straight_to_the_end])
+def test_each_point_is_evaluated_once(monkeypatch, make):
+    """In one curvature Newton run each face kernel (edge lengths, inner
+    angles, feasibility margins) runs once for the start and once per
+    line-search candidate, and the Jacobian runs none: it reads the point
+    its candidate was evaluated at."""
+    cmap, calls, jacobians = make(), Counter(), []
+
+    def counted(name, run):
+        def call(*args):
+            calls[name] += 1
+            return run(*args)
+        return call
+
+    for name in ("edge_lengths", "inner_angles_from_lengths", "feasibility_margin"):
+        monkeypatch.setattr(triples, name, counted(name, getattr(triples, name)))
+    damped, analytic = _newton.damped_newton, _newton._CurvatureMap.jacobian
+
+    def counted_moves(x, f, step, move, tol, max_iters):
+        return damped(x, f, step, counted("candidate", move), tol, max_iters)
+
+    def kernel_free(self, p):
+        before = dict(calls)
+        J = analytic(self, p)
+        jacobians.append(dict(calls) == before)
+        return J
+
+    monkeypatch.setattr(_newton, "damped_newton", counted_moves)
+    monkeypatch.setattr(_newton._CurvatureMap, "jacobian", kernel_free)
+    _, steps, _, _ = _newton._curvature_newton(cmap, 0.0, 20)
+    assert len(jacobians) >= steps > 0 and all(jacobians)
+    candidates = calls.pop("candidate")
+    assert calls == dict.fromkeys(("edge_lengths", "inner_angles_from_lengths",
+                                   "feasibility_margin"), 1 + candidates)
+    if make is straight_to_the_end:
+        assert candidates > steps  # the damped first step evaluated more than one
+
+
+def test_inadmissible_start_takes_no_step(monkeypatch, octa):
+    """A start that the curvature map refuses ends the run with no step:
+    the planar solve raises Stalled with the reason and the collapse
+    suspects, and the spherical solve, whose tangency packing starts
+    there, raises BaseSolveFailed."""
+    monkeypatch.setattr(_newton._CurvatureMap, "at", lambda self, u: None)
+    cmap = _newton._CurvatureMap(octa, AngleAssignment.constant(octa, PI / 4), 0)
+    assert _newton._curvature_newton(cmap, 1e-10, 200) == (None, 0, [math.inf],
+                                                           "inadmissible start")
+    with pytest.raises(Stalled, match="inadmissible start") as info:
+        solve_euclidean(octa, AngleAssignment.constant(octa, PI / 4), 0)
+    assert info.value.suspects
+    with pytest.raises(BaseSolveFailed, match="inadmissible start"):
+        solve_spherical(octa, AngleAssignment.constant(octa, PI / 3))
+
+
+def test_inadmissible_prediction_is_rejected():
+    """A homotopy step whose predicted caps do not close up (every cap just
+    past a hemisphere, so each face's centre triangle would have a
+    perimeter above 2 pi) takes no corrector step and is rejected."""
+    t = shapes.icosahedron()
+    centers, _ = spherical._tangency_start(t)
+    th = AngleAssignment.constant(t, 1.2)
+    big = np.full(t.vertex_count, 1.6)
+    cmap = _newton._CurvatureMap(t, th, None, "spherical", big,
+                                 spherical._held_caps(centers, t.faces[0][0]), 0.5)
+    assert cmap.at(cmap.start()) is None
+    assert spherical._homotopy_step(t, th, 0.5, centers, big, t.faces[0][0]) is None
 
 
 def test_sparse_singular_factor_raises_lin_alg_error():
@@ -298,12 +386,12 @@ def square_root_of_two(x0=1.0, tol=1e-10, max_iters=20, scale=1.0, bound=math.in
     def newton(x, f):
         return -scale * f / (2.0 * x)
 
-    def residual(x):
-        return x * x - 2.0 if x[0] <= bound else None
+    def move(x, dx):
+        x = x + dx
+        return (x, x * x - 2.0) if x[0] <= bound else None
 
     x = np.array([x0])
-    return damped_newton(x, residual(x), residual, step or newton, lambda x, dx: x + dx,
-                         tol, max_iters)
+    return damped_newton(x, x * x - 2.0, step or newton, move, tol, max_iters)
 
 
 def test_damped_newton_tolerance_at_the_start():

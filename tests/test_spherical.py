@@ -372,17 +372,16 @@ class TestTangencyStart:
 def stops_early_once(newton, early):
     """``newton`` whose first run at s = 1 (tolerance 0) is moved 1e-9 off
     its result and reported as stopped at the rounding floor, so that
-    ``_homotopy_step`` rejects it.  ``early`` receives the moved radii's
+    ``_homotopy_step`` rejects it.  ``early`` receives the moved point's
     largest curvature and largest cone-angle error."""
     def run(cmap, tol, max_iters):
-        u, iters, trace, stop = newton(cmap, tol, max_iters)
+        point, iters, trace, stop = newton(cmap, tol, max_iters)
         if tol == 0.0 and not early:
-            u = u + np.where(np.arange(len(u)) == 0, 1e-9, 0.0)
-            early.append(float(np.max(np.abs(cmap.curvatures(u)))))
-            sigma = cmap.sigma(cmap.radii_from(u))
-            early.append(float(np.max(np.abs(2 * PI - sigma))))
-            return u, iters, trace + [early[0]], "rounding floor"
-        return u, iters, trace, stop
+            point, K = cmap.at(point.u + np.where(np.arange(len(point.u)) == 0, 1e-9, 0.0))
+            early.append(float(np.max(np.abs(K))))
+            early.append(float(np.max(np.abs(2 * PI - point.sigma))))
+            return point, iters, trace + [early[0]], "rounding floor"
+        return point, iters, trace, stop
     return run
 
 
@@ -468,7 +467,7 @@ class TestRoundingFloor:
         corrector goes on, reaches its floor, and the step is accepted."""
         stops, events = [], []
         newton, factorize = spherical._curvature_newton, _newton.factorize
-        curvatures = _newton._CurvatureMap.curvatures
+        evaluate = _newton._CurvatureMap.at
 
         def recorded(cmap, tol, max_iters):
             stops.append(newton(cmap, tol, max_iters))
@@ -480,12 +479,12 @@ class TestRoundingFloor:
 
         def evaluated(cmap, u):
             events.append("K")
-            return curvatures(cmap, u)
+            return evaluate(cmap, u)
 
         centers, radii = spherical._tangency_start(icosa)
         monkeypatch.setattr(spherical, "_curvature_newton", recorded)
         monkeypatch.setattr(_newton, "factorize", factorized)
-        monkeypatch.setattr(_newton._CurvatureMap, "curvatures", evaluated)
+        monkeypatch.setattr(_newton._CurvatureMap, "at", evaluated)
         th = AngleAssignment.constant(icosa, 1.2)
         step = spherical._homotopy_step(icosa, th, 1.0, centers, radii, icosa.faces[0][0])
         (_, iters, trace, stop), = stops
@@ -498,7 +497,7 @@ class TestRoundingFloor:
     def test_failed_corrector_is_rejected_within_its_budget(self, monkeypatch):
         """Straight from the tangency start to s = 1 on the n=2562
         subdivision at theta = 1.2 the corrector stalls near 4e-3.  Its line
-        search meets candidates whose faces close up (``min_margin`` > 0) but
+        search meets candidates whose faces close up (positive margins) but
         are too thin for the half-angle law (sin l = 0): they are refused,
         with no numpy warning and no DomainError, and the step is rejected
         after ``CORRECTOR_ITERS`` steps, one factorization each."""

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circlepattern.errors import (
     CoversSphere,
@@ -30,6 +31,7 @@ from circlepattern.triples import (
     feasibility_margin,
     inversive_distance,
     lens_relations,
+    place_by_lengths,
     triple_intersections_empty,
 )
 
@@ -436,6 +438,29 @@ class TestTripleIntersection:
         spec = TripleSpec(SPHERICAL, (0.3, 0.3, 0.3), (PI / 4,) * 3)
         centers = list(place_triple(spec))
         assert triple_intersection_empty(SPHERICAL, centers, [0.3, 0.3, 0.3])
+
+    @settings(max_examples=80, deadline=None)
+    @given(radii=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+           split=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+           sign=st.sampled_from([1.0, -1.0, 0.0]), log_gap=st.floats(-9.0, -2.0),
+           turn=st.floats(0.0, 2.0 * PI),
+           shift=st.complex_numbers(max_magnitude=10.0), k=st.integers(-6, 6))
+    def test_scale_and_translation_keep_the_answer(self, radii, split, sign, log_gap, turn,
+                                                   shift, k):
+        """A planar row placed at angles summing to pi - gap (gap 0 or
+        +-10^e, -9 <= e <= -2), scaled by 10^k (|k| <= 6) and translated by
+        up to ten times its largest radius, is decided as at scale 1.  With
+        gap > 0 its interstice is at most about gap times the radii wide,
+        narrower than an absolute slack of 1e-10 at small scales; at gap = 0
+        its circles share a point, placed only to the rounding of large
+        coordinates."""
+        th = (PI - sign * 10.0 ** log_gap) * np.array(split) / sum(split)
+        assume(feasibility_margin(EUCLIDEAN, radii, th) > 0.0)
+        z = np.array(place_by_lengths(EUCLIDEAN, edge_lengths(EUCLIDEAN, radii, th)))
+        z, r = z * np.exp(1j * turn), np.array(radii)
+        want = triple_intersections_empty(EUCLIDEAN, z[None], r[None]).tolist()
+        moved = 10.0 ** k * (z + shift * max(radii)), 10.0 ** k * r
+        assert triple_intersections_empty(EUCLIDEAN, *(x[None] for x in moved)).tolist() == want
 
 
 def _unit(v):
